@@ -26,11 +26,12 @@ from .estimators import (
 from .linops import (
     Normalization,
     SecondMomentOp,
+    accepted_scores,
     approx_power_iteration,
     power_direction,
     power_iteration,
     rejection_batch,
-    streamed_power_apply,
+    streamed_power_direction,
 )
 from .sources import SampleSource, ScalarLedger
 
@@ -111,18 +112,6 @@ def sample_top_eigenvector(points: np.ndarray, weights: np.ndarray, eps: float,
                      reference_rayleigh=r_hat, accepted=accepted)
 
 
-def _normalize_retry(source: SampleSource, stack: FilterStack, p: int,
-                     batch_size: int, rng: np.random.Generator,
-                     ledger: ScalarLedger | None):
-    for _ in range(_CAND_RETRIES):
-        z = rng.standard_normal(source.dim)
-        y, _w = streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)
-        nrm = float(np.linalg.norm(y))
-        if nrm > 0 and math.isfinite(nrm):
-            return y / nrm
-    raise DegenerateStateError("candidate power iterate collapsed to zero")
-
-
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      config: AlgoConfig, rng: np.random.Generator,
@@ -132,8 +121,10 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
     The reference Rayleigh quotient is boosted over ceil(log2(1/fail_prob))
-    repetitions; the trim cutoff comes from a one-pass quantile block; the
-    robust variance and its slack come from the median-of-means estimator.
+    Gaussian starts that share one streamed block power chain, so it costs
+    (p_ref + 2) * batch_size samples whatever the number of starts; the trim
+    cutoff comes from a one-pass quantile block; the robust variance and its
+    slack come from the median-of-means estimator.
     """
     d = source.dim
 
@@ -142,7 +133,10 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     r_hat = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
                                    ledger=ledger)
 
-    u = _normalize_retry(source, stack, config.cert_power(d), batch_size, rng, ledger)
+    u = streamed_power_direction(source, stack, config.cert_power(d), batch_size,
+                                 rng, ledger=ledger)
+    if u is None:
+        raise DegenerateStateError("candidate power iterate collapsed to zero")
 
     accepted_pts, _rate = rejection_batch(source, stack, batch_size)
     proj = accepted_pts @ u
@@ -150,17 +144,8 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
 
     tail = 3.0 * eps
     if tail > 0:
-
-        def draw_scores(k: int) -> np.ndarray:
-            pts, _ = rejection_batch(source, stack, max(k, 1))
-            got = (pts @ u) ** 2
-            while got.size < k:
-                pts, _ = rejection_batch(source, stack, k - got.size + 8)
-                got = np.concatenate([got, (pts @ u) ** 2])
-            return got[:k]
-
-        cap = streaming_quantile(draw_scores, tail, fail_prob,
-                                 c_q=config.c_q, ledger=ledger).value
+        cap = streaming_quantile(lambda k: accepted_scores(source, stack, u, k),
+                                 tail, fail_prob, c_q=config.c_q, ledger=ledger).value
     else:
         cap = math.inf
 

@@ -28,6 +28,8 @@ __all__ = [
     "power_direction",
     "build_minibatch_power",
     "streamed_power_apply",
+    "streamed_power_direction",
+    "accepted_scores",
     "power_iteration",
     "approx_power_iteration",
     "frobenius_sq_estimate",
@@ -217,6 +219,21 @@ def rejection_batch(source: SampleSource, stack: FilterStack, batch_size: int):
     return accepted, accepted.shape[0] / batch_size
 
 
+def accepted_scores(source: SampleSource, stack: FilterStack, v: np.ndarray,
+                    k: int) -> np.ndarray:
+    """k squared projections (x.v)^2 of fresh stream samples the stack accepts.
+
+    Draws one batch of k, then tops up with batches of (missing + 8) until k
+    accepted scores are in hand.
+    """
+    pts, _ = rejection_batch(source, stack, max(k, 1))
+    got = (pts @ v) ** 2
+    while got.size < k:
+        pts, _ = rejection_batch(source, stack, k - got.size + 8)
+        got = np.concatenate([got, (pts @ v) ** 2])
+    return got[:k]
+
+
 def build_minibatch_power(source: SampleSource, stack: FilterStack, p: int,
                           batch_size: int, rng=None) -> MatrixPowerEstimate:
     """Implicit matrix power from (p+1) minibatches off a sample source.
@@ -248,9 +265,10 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
     Mathematically the same estimator as ``build_minibatch_power`` followed by
     ``apply``, but samples stream through a fixed-size chunk buffer and no
     batch is retained, so resident memory is O(d*m + chunk*d) regardless of
-    batch_size. Long chains are jointly rescaled if values leave the
-    [1e-100, 1e100] range, so at large powers the output is defined up to a
-    positive scalar. Returns (applied_block, w_hat).
+    batch_size. In long chains each column is rescaled on its own when its
+    values leave the [1e-100, 1e100] range, so at large powers every output
+    column is defined up to its own positive scalar. Returns
+    (applied_block, w_hat).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -290,12 +308,14 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
                     f"by the filter stack"
                 )
             u = (w_hat ** 2 / m_count) * acc
-            # Joint rescale long product chains away from the float range
-            # edges; relative structure (all consumers are scale-free or
-            # normalize) is preserved.
-            peak = float(np.max(np.abs(u)))
-            if peak > 1e100 or (0.0 < peak < 1e-100):
-                u = u / peak
+            # Rescale each column of a long product chain away from the float
+            # range edges (all consumers are scale-free or normalize). A joint
+            # rescale would let one large column push a small one into
+            # denormals.
+            peak = np.max(np.abs(u), axis=0)
+            off_range = (peak > 1e100) | ((peak > 0.0) & (peak < 1e-100))
+            if off_range.any():
+                u = u / np.where(off_range, peak, 1.0)
 
     return (u[:, 0] if squeeze else u), w_hat
 
@@ -323,32 +343,51 @@ def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
     )
 
 
+def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
+                             batch_size: int, rng: np.random.Generator,
+                             ledger: ScalarLedger | None = None) -> np.ndarray | None:
+    """Unit vector along a minibatch power chain applied to a Gaussian start.
+
+    Draws a fresh start and a fresh chain up to 8 times while the chain
+    output has zero or non-finite norm; returns None if every attempt
+    collapses.
+    """
+    for _ in range(_POWER_RETRIES):
+        z = rng.standard_normal(source.dim)
+        y, _w = streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)
+        nrm = float(np.linalg.norm(y))
+        if nrm > 0 and math.isfinite(nrm):
+            return y / nrm
+    return None
+
+
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
                            ledger: ScalarLedger | None = None) -> float:
     """Best Rayleigh quotient over ``reps`` randomized minibatch power probes.
 
-    Each repetition forms a fresh implicit power estimate, applies it to a
-    Gaussian vector, and scores the result against an independent minibatch
-    moment. The max is kept; repetitions boost the constant success
-    probability of a single probe.
+    The ``reps`` Gaussian starts form the columns of one (d, reps) block that
+    goes through a single streamed power chain (block iteration). Each output
+    column is normalized on its own; columns with zero or non-finite norm are
+    dropped. The survivors are scored against one independent minibatch
+    moment and the max is kept; the independent starts boost the constant
+    success probability of a single probe. Consumes exactly
+    (p + 2) * batch_size stream samples whatever ``reps`` is.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    r_hat = -math.inf
-    for _ in range(reps):
-        g = rng.standard_normal(source.dim)
-        y, _w = streamed_power_apply(source, stack, p, batch_size, g, ledger=ledger)
-        nrm = float(np.linalg.norm(y))
-        if nrm == 0.0:
-            continue
-        y = y / nrm
-        accepted, _rate = rejection_batch(source, stack, batch_size)
-        proj = accepted @ y
-        r_hat = max(r_hat, float(proj @ proj) / accepted.shape[0])
-    if r_hat == -math.inf:
+    # Row-major fill: column j is the vector the j-th of ``reps`` separate
+    # ``standard_normal(d)`` draws would give.
+    starts = rng.standard_normal((reps, source.dim)).T
+    y, _w = streamed_power_apply(source, stack, p, batch_size, starts, ledger=ledger)
+    nrm = np.linalg.norm(y, axis=0)
+    alive = np.isfinite(nrm) & (nrm > 0.0)
+    if not alive.any():
         raise DegenerateStateError("every power probe collapsed to the zero vector")
-    return r_hat
+    y = y[:, alive] / nrm[alive]
+    accepted, _rate = rejection_batch(source, stack, batch_size)
+    proj = accepted @ y
+    return float(np.max(np.sum(proj * proj, axis=0))) / accepted.shape[0]
 
 
 def frobenius_sq_estimate(apply_fn, dim: int, rng: np.random.Generator,

@@ -31,12 +31,10 @@ from .estimators import (
     streaming_quantile,
     streaming_quantile_samples,
 )
-from .linops import rejection_batch, streamed_power_apply
+from .linops import accepted_scores, streamed_power_direction
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca", "oja_baseline"]
-
-_DIRECTION_RETRIES = 8
 
 
 @dataclass
@@ -132,14 +130,8 @@ class MinibatchEstimators:
         )
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
-        for _ in range(_DIRECTION_RETRIES):
-            z = rng.standard_normal(self.dim)
-            y, _w = streamed_power_apply(self.source, self.stack, p_k, self.batch,
-                                         z, ledger=self.ledger)
-            nrm = float(np.linalg.norm(y))
-            if nrm > 0 and math.isfinite(nrm):
-                return y / nrm
-        return None
+        return streamed_power_direction(self.source, self.stack, p_k, self.batch,
+                                        rng, ledger=self.ledger)
 
     def start_iteration(self, v: np.ndarray) -> dict:
         return {"v": v}
@@ -149,20 +141,12 @@ class MinibatchEstimators:
         # after its first mean estimate anyway.
         return True
 
-    def _drawn_scores(self, v: np.ndarray, k: int) -> np.ndarray:
-        pts, _ = rejection_batch(self.source, self.stack, max(k, 1))
-        got = (pts @ v) ** 2
-        while got.size < k:
-            pts, _ = rejection_batch(self.source, self.stack, k - got.size + 8)
-            got = np.concatenate([got, (pts @ v) ** 2])
-        return got[:k]
-
     def quantile_value(self, ctx: dict, tail: float) -> float:
         if tail <= 0:
             return math.inf
         v = ctx["v"]
-        return streaming_quantile(lambda k: self._drawn_scores(v, k), tail,
-                                  self._fail, c_q=self.config.c_q,
+        return streaming_quantile(lambda k: accepted_scores(self.source, self.stack, v, k),
+                                  tail, self._fail, c_q=self.config.c_q,
                                   ledger=self.ledger).value
 
     def _mean_of(self, v: np.ndarray, lo: float, hi: float) -> float:

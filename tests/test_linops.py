@@ -19,7 +19,11 @@ from robustpca import (
     streamed_power_apply,
 )
 from robustpca.errors import DegenerateStateError
-from robustpca.linops import frobenius_sq_estimate
+from robustpca.linops import (
+    accepted_scores,
+    frobenius_sq_estimate,
+    streamed_power_direction,
+)
 from robustpca.oracle import dense_power_apply
 
 
@@ -218,6 +222,27 @@ def test_streamed_apply_ledger_is_batch_size_independent():
     assert peaks[0] == peaks[1]
 
 
+def test_streamed_apply_block_matches_single_columns():
+    # Columns of a block chain are independent runs over the same rows; the
+    # 1e200 / 1e-200 columns are only right if each column is rescaled alone.
+    pop = np.random.default_rng(3).standard_normal((256, 4))
+    stack = FilterStack(prune_radius_sq=30.0)
+    p, batch = 8, 60
+    g = np.random.default_rng(4).standard_normal((4, 3))
+    block = g * np.array([1e200, 1e-200, 1.0])
+
+    src = ReplaySource(pop, mode="cycle")
+    got, w_block = streamed_power_apply(src, stack, p, batch, block, chunk=16)
+    assert src.delivered == (p + 1) * batch
+    for j in range(block.shape[1]):
+        src_j = ReplaySource(pop, mode="cycle")
+        want, w_j = streamed_power_apply(src_j, stack, p, batch, block[:, j], chunk=16)
+        assert w_j == w_block
+        col = got[:, j] / np.linalg.norm(got[:, j])
+        want = want / np.linalg.norm(want)
+        assert np.linalg.norm(col - want) <= 1e-12
+
+
 # -- power iteration -------------------------------------------------------------
 
 def test_power_iteration_diag_gap():
@@ -329,6 +354,74 @@ def test_approx_power_iteration_single_rep_is_one_probe():
     acc = pts[stack.weights(pts)]
     want = float((acc @ y) @ (acc @ y)) / acc.shape[0]
     assert got == pytest.approx(want, rel=1e-12)
+
+
+class _FixedStarts:
+    """Stands in for a Generator whose next standard_normal block is given."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def standard_normal(self, shape):
+        assert tuple(shape) == self.rows.shape
+        return self.rows.copy()
+
+
+def test_approx_power_iteration_drops_collapsed_columns():
+    pop = np.random.default_rng(5).standard_normal((256, 4))
+    stack = FilterStack(prune_radius_sq=30.0)
+    p, batch = 3, 40
+    g = np.random.default_rng(42).standard_normal(4)
+    zero, nan = np.zeros(4), np.full(4, np.nan)
+
+    got = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
+                                 batch_size=batch, rng=_FixedStarts([zero, nan, g]))
+    want = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
+                                  batch_size=batch, rng=_FixedStarts([g]))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
+
+    with pytest.raises(DegenerateStateError):
+        approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=2,
+                               batch_size=batch, rng=_FixedStarts([zero, nan]))
+
+
+@pytest.mark.parametrize("reps", [1, 6])
+def test_approx_power_iteration_sample_cost_ignores_reps(reps):
+    pop = np.random.default_rng(6).standard_normal((300, 5))
+    p, batch = 4, 50
+    src = ReplaySource(pop, mode="cycle")
+    approx_power_iteration(src, FilterStack(prune_radius_sq=40.0), p, reps=reps,
+                           batch_size=batch, rng=np.random.default_rng(7))
+    assert src.delivered == (p + 2) * batch
+
+
+def test_streamed_power_direction_retries_then_gives_up():
+    d, p, batch = 3, 2, 20
+    pop = np.random.default_rng(8).standard_normal((64, d))
+    src = ReplaySource(pop, mode="cycle")
+    u = streamed_power_direction(src, FilterStack(), p, batch, np.random.default_rng(9))
+    want, _w = streamed_power_apply(ReplaySource(pop, mode="cycle"), FilterStack(), p,
+                                    batch, np.random.default_rng(9).standard_normal(d))
+    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
+
+    # A zero stream collapses every start: 8 starts drawn, then None.
+    src = ReplaySource(np.zeros((16, d)), mode="cycle")
+    rng = np.random.default_rng(10)
+    assert streamed_power_direction(src, FilterStack(), p, batch, rng) is None
+    assert src.delivered == 8 * (p + 1) * batch
+    ref = np.random.default_rng(10)
+    ref.standard_normal((8, d))
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_accepted_scores_tops_up_rejected_rows():
+    # Every other row is rejected, so the first batch comes back short.
+    pop = np.array([[1.0, 0.0], [10.0, 0.0]] * 8)
+    src = ReplaySource(pop, mode="cycle")
+    got = accepted_scores(src, FilterStack(prune_radius_sq=4.0), np.array([1.0, 0.0]), 6)
+    np.testing.assert_array_equal(got, np.ones(6))
+    assert src.delivered == 6 + (3 + 8)
 
 
 def test_frobenius_probe_estimate():
