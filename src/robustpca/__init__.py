@@ -25,16 +25,12 @@ from .driver import PcaResult, PcaStatus, naive_pca, potential_diagnostic, robus
 from .errors import (
     DegenerateStateError,
     FilterLoopError,
+    MemoryBudgetError,
     StreamExhaustedError,
     UnsupportedDiagnosticError,
 )
 from .estimators import (
-    QuantileThreshold,
-    RobustScalar,
-    ScalarKind,
     opnorm_bracket,
-    score_g,
-    score_projection,
     stream_mean_estimate,
     streaming_quantile,
     trimmed_variance,
@@ -42,14 +38,10 @@ from .estimators import (
 )
 from .filtering import FilterOutcome, hard_thresholding_filter, hard_thresholding_filter_batch
 from .linops import (
-    MatrixPowerEstimate,
     Normalization,
     SecondMomentOp,
-    StreamingSecondMomentOp,
-    apply_second_moment,
     approx_power_iteration,
-    build_minibatch_power,
-    matrix_power_apply,
+    power_direction,
     power_iteration,
     streamed_power_apply,
 )

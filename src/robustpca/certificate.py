@@ -21,6 +21,7 @@ from .errors import DegenerateStateError
 from .estimators import (
     stream_mean_estimate,
     streaming_quantile,
+    trimmed_variance,
     weighted_quantile,
 )
 from .linops import (
@@ -28,6 +29,7 @@ from .linops import (
     SecondMomentOp,
     accepted_scores,
     approx_power_iteration,
+    gaussian_retry,
     power_direction,
     power_iteration,
     rejection_batch,
@@ -44,8 +46,6 @@ __all__ = ["Candidate", "acceptance_factors", "sample_top_eigenvector",
 # Rayleigh floor below plain power-iteration slack.
 ACCEPT_ROBUST_FLOOR = 0.25
 ACCEPT_RAYLEIGH_FLOOR = 0.5
-
-_CAND_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def sample_top_eigenvector(points: np.ndarray, weights: np.ndarray, eps: float,
     """
     points = np.asarray(points, dtype=np.float64)
     weights = np.asarray(weights, dtype=bool)
-    n, d = points.shape
+    d = points.shape[1]
     if not weights.any():
         raise DegenerateStateError("certificate requested with no surviving points")
 
@@ -91,12 +91,8 @@ def sample_top_eigenvector(points: np.ndarray, weights: np.ndarray, eps: float,
 
     _y, r_hat = power_iteration(op_norm, config.ref_power(d, fail_prob), rng)
 
-    u = None
-    for _ in range(_CAND_RETRIES):
-        z = rng.standard_normal(d)
-        u = power_direction(op_raw, config.cert_power(d), z)
-        if u is not None:
-            break
+    p_cert = config.cert_power(d)
+    u = gaussian_retry(rng, d, lambda z: power_direction(op_raw, p_cert, z))
     if u is None:
         raise DegenerateStateError("candidate power iterate collapsed to zero")
 
@@ -104,8 +100,8 @@ def sample_top_eigenvector(points: np.ndarray, weights: np.ndarray, eps: float,
 
     f_u = (points @ u) ** 2
     tail = 3.0 * eps
-    cap = weighted_quantile(f_u, weights, tail).value if tail > 0 else math.inf
-    sigma = float(np.sum(f_u[weights & (f_u <= cap)])) / n
+    cap = weighted_quantile(f_u, weights, tail) if tail > 0 else math.inf
+    sigma = trimmed_variance(f_u, weights, cap)
 
     accepted = _decide(sigma, rayleigh_emp, r_hat, gamma, config.c_acc)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
@@ -116,15 +112,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      config: AlgoConfig, rng: np.random.Generator,
                                      batch_size: int, mean_batch: int,
-                                     sigma_op_proxy: float, r_radius: float,
                                      ledger: ScalarLedger | None = None) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
     The reference Rayleigh quotient is boosted over ceil(log2(1/fail_prob))
     Gaussian starts that share one streamed block power chain, so it costs
     (p_ref + 2) * batch_size samples whatever the number of starts; the trim
-    cutoff comes from a one-pass quantile block; the robust variance and its
-    slack come from the median-of-means estimator.
+    cutoff comes from a one-pass quantile block; the robust variance comes
+    from the median-of-means estimator.
     """
     d = source.dim
 
@@ -145,7 +140,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     tail = 3.0 * eps
     if tail > 0:
         cap = streaming_quantile(lambda k: accepted_scores(source, stack, u, k),
-                                 tail, fail_prob, c_q=config.c_q, ledger=ledger).value
+                                 tail, fail_prob, c_q=config.c_q, ledger=ledger)
     else:
         cap = math.inf
 
@@ -155,11 +150,8 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
         f = (pts @ u) ** 2
         return np.where(w & (f <= cap), f, 0.0)
 
-    sigma = stream_mean_estimate(
-        draw_means, rel_tol=0.01 * gamma,
-        abs_tol=0.01 * gamma / (r_radius ** 2 * d) * sigma_op_proxy,
-        fail_prob=fail_prob, n_batch=mean_batch, ledger=ledger,
-    ).value
+    sigma = stream_mean_estimate(draw_means, fail_prob, n_batch=mean_batch,
+                                 ledger=ledger)
 
     accepted = _decide(sigma, rayleigh_emp, r_hat, gamma, config.c_acc)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,

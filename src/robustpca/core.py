@@ -9,6 +9,7 @@ stack is what a low-memory consumer persists between steps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 import numpy as np
@@ -73,21 +74,19 @@ class FilterStack:
     def with_entry(self, entry: FilterEntry) -> "FilterStack":
         return replace(self, entries=self.entries + (entry,))
 
-    def with_prune_radius_sq(self, radius_sq: float) -> "FilterStack":
-        return replace(self, prune_radius_sq=float(radius_sq))
-
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def resident_scalars(self) -> int:
-        """Real numbers needed to persist this stack: (d+1) per entry plus 1."""
-        return 1 + sum(e.direction.size + 1 for e in self.entries)
-
     def weights(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized weights for an (n, d) array; returns (n,) bool."""
+        """Vectorized weights for an (n, d) array; returns (n,) bool.
+
+        Rows whose squared norm is not finite get weight 0 even under an
+        infinite prune radius (a NaN norm fails any comparison, an infinite
+        one fails the largest finite radius).
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        w = np.einsum("ij,ij->i", pts, pts) <= self.prune_radius_sq
+        radius_sq = min(self.prune_radius_sq, sys.float_info.max)
+        w = np.einsum("ij,ij->i", pts, pts) <= radius_sq
         for e in self.entries:
             if e.direction.size != pts.shape[1]:
                 raise ValueError(

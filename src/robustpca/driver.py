@@ -24,9 +24,15 @@ from .errors import (
     StreamExhaustedError,
     UnsupportedDiagnosticError,
 )
-from .estimators import opnorm_bracket, weighted_quantile
+from .estimators import opnorm_bracket, trimmed_variance, weighted_quantile
 from .filtering import hard_thresholding_filter
-from .linops import Normalization, SecondMomentOp, power_direction, power_iteration
+from .linops import (
+    Normalization,
+    SecondMomentOp,
+    gaussian_retry,
+    power_direction,
+    power_iteration,
+)
 from .oracle import dense_spectrum, weighted_second_moment_dense
 
 __all__ = ["PcaStatus", "PcaResult", "robust_pca", "potential_diagnostic", "naive_pca"]
@@ -35,8 +41,6 @@ FILTER_TRIGGER = 2.35     # T_hat = 2.35 * gamma * sigma_trimmed
 QUANTILE_TAIL_FACTOR = 3.0
 PRUNE_FACTOR = 10.0       # prune radius^2 = 10 * sigma_op * d / eps
 QUANTILE_FLOOR = 0.1      # L >= 0.1 * sigma_op / d for unit directions
-
-_DIRECTION_RETRIES = 8
 
 
 class PcaStatus(enum.Enum):
@@ -72,7 +76,7 @@ class BatchEstimators:
         self._norms_sq = np.einsum("ij,ij->i", self.points, self.points)
 
     def prologue(self):
-        self.sigma_op = opnorm_bracket(self.points, self.weights, self.eps).value
+        self.sigma_op = opnorm_bracket(self.points, self.weights, self.eps)
         if self.eps > 0:
             radius_sq = PRUNE_FACTOR * self.sigma_op * self.dim / self.eps
         else:
@@ -87,12 +91,7 @@ class BatchEstimators:
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
         op = SecondMomentOp(self.points, self.weights, Normalization.UNNORMALIZED)
-        for _ in range(_DIRECTION_RETRIES):
-            z = rng.standard_normal(self.dim)
-            v = power_direction(op, p_k, z)
-            if v is not None:
-                return v
-        return None
+        return gaussian_retry(rng, self.dim, lambda z: power_direction(op, p_k, z))
 
     def start_iteration(self, v: np.ndarray) -> dict:
         return {"v": v, "f": (self.points @ v) ** 2}
@@ -102,12 +101,10 @@ class BatchEstimators:
         return bool(np.any(f[self.weights] > 0))
 
     def quantile_value(self, ctx: dict, tail: float) -> float:
-        return weighted_quantile(ctx["f"], self.weights, tail).value
+        return weighted_quantile(ctx["f"], self.weights, tail)
 
     def sigma_trimmed(self, ctx: dict, cap: float) -> float:
-        f = ctx["f"]
-        kept = self.weights & (f <= cap)
-        return float(np.sum(f[kept])) / self.n
+        return trimmed_variance(ctx["f"], self.weights, cap)
 
     def mean_score(self, ctx: dict, L: float, thr: float) -> float:
         f = ctx["f"]
@@ -133,9 +130,6 @@ class BatchEstimators:
         if not self.config.track_potential or self.dim > 64:
             return None
         return potential_diagnostic(self.points, self.weights, p_k)
-
-    def survivor_count(self) -> int:
-        return int(np.count_nonzero(self.weights))
 
     def weights_snapshot(self) -> np.ndarray:
         return self.weights.copy()
@@ -212,7 +206,6 @@ def drive(suite, d: int, eps: float, gamma: float, cfg: AlgoConfig, seed: int,
                         potential_before=pot_before, potential_after=pot_after,
                     )
                 if trace_sink is not None:
-                    event["survivors"] = suite.survivor_count()
                     event["weights"] = suite.weights_snapshot()
                     trace_sink(event)
     except StreamExhaustedError:

@@ -17,6 +17,10 @@ class StreamExhaustedError(RuntimeError):
         self.samples_consumed = samples_consumed
 
 
+class MemoryBudgetError(RuntimeError):
+    """A streaming run's resident scalars exceeded the declared budget."""
+
+
 class UnsupportedDiagnosticError(ValueError):
     """A dense diagnostic was requested above its dimension budget."""
 

@@ -8,22 +8,14 @@ even when an adversary inflates the raw average.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateStateError
-from .linops import MatrixPowerEstimate
 from .sources import ScalarLedger
 
 __all__ = [
-    "QuantileThreshold",
-    "RobustScalar",
-    "ScalarKind",
-    "score_projection",
-    "score_g",
     "weighted_quantile",
     "streaming_quantile",
     "streaming_quantile_samples",
@@ -33,47 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantileThreshold:
-    """A score cutoff L with its nominal and attained upper-tail masses."""
-
-    value: float
-    target_tail: float
-    attained_tail: float
-
-
-class ScalarKind(enum.Enum):
-    TRIMMED_VARIANCE = "trimmed_variance"
-    OPNORM_BRACKET = "opnorm_bracket"
-    STREAM_MEAN = "stream_mean"
-
-
-@dataclass(frozen=True)
-class RobustScalar:
-    value: float
-    kind: ScalarKind
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"robust scalar must be nonnegative, got {self.value}")
-
-
-def score_projection(v: np.ndarray, x: np.ndarray) -> float:
-    """Squared projection (v.x)^2; the per-point outlier score."""
-    v = np.asarray(v, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if v.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {x.shape}")
-    return float(v @ x) ** 2
-
-
-def score_g(est: MatrixPowerEstimate, x: np.ndarray) -> float:
-    """Squared length of the implicit power applied to x (diagnostic score)."""
-    out = est.apply(np.asarray(x, dtype=np.float64))
-    return float(out @ out)
-
-
-def weighted_quantile(scores: np.ndarray, weights: np.ndarray, tail: float) -> QuantileThreshold:
+def weighted_quantile(scores: np.ndarray, weights: np.ndarray, tail: float) -> float:
     """Smallest surviving score L with surviving mass strictly above L <= tail.
 
     Tail mass rounds downward: with m survivors the cutoff is the
@@ -90,9 +42,7 @@ def weighted_quantile(scores: np.ndarray, weights: np.ndarray, tail: float) -> Q
         raise DegenerateStateError("quantile over an empty survivor set")
     k_above = int(math.floor(tail * m + 1e-12))
     # (k_above+1)-th largest == index m-1-k_above in ascending order
-    value = float(np.partition(surv, m - 1 - k_above)[m - 1 - k_above])
-    attained = float(np.count_nonzero(surv > value)) / m
-    return QuantileThreshold(value=value, target_tail=tail, attained_tail=attained)
+    return float(np.partition(surv, m - 1 - k_above)[m - 1 - k_above])
 
 
 def streaming_quantile_samples(tail: float, fail_prob: float, c_q: float = 200.0) -> int:
@@ -105,7 +55,7 @@ def streaming_quantile_samples(tail: float, fail_prob: float, c_q: float = 200.0
 
 def streaming_quantile(draw_scores, tail: float, fail_prob: float,
                        c_q: float = 200.0,
-                       ledger: ScalarLedger | None = None) -> QuantileThreshold:
+                       ledger: ScalarLedger | None = None) -> float:
     """Empirical upper-tail quantile from a one-pass sample block.
 
     ``draw_scores(k)`` must return k fresh scalar scores. The block of
@@ -119,27 +69,23 @@ def streaming_quantile(draw_scores, tail: float, fail_prob: float,
         if block.shape != (m,):
             raise ValueError(f"draw_scores returned shape {block.shape}, wanted ({m},)")
         k = max(1, int(math.ceil(m * tail - 1e-12)))
-        value = float(np.partition(block, m - k)[m - k])
-        attained = float(np.count_nonzero(block > value)) / m
-    return QuantileThreshold(value=value, target_tail=tail, attained_tail=attained)
+        return float(np.partition(block, m - k)[m - k])
 
 
-def trimmed_variance(points: np.ndarray, weights: np.ndarray, v: np.ndarray,
-                     cap: float) -> RobustScalar:
-    """Mean of w(x) * (v.x)^2 over all n points, zeroing scores above cap.
+def trimmed_variance(scores: np.ndarray, weights: np.ndarray, cap: float) -> float:
+    """Mean of w(x) * f(x) over all n points, zeroing scores f(x) above cap.
 
-    Unnormalized: the divisor is n, not the surviving count, matching the
-    population functional the stability bounds speak about.
+    ``scores`` holds one precomputed score per point, typically the squared
+    projection (v.x)^2. Unnormalized: the divisor is n, not the surviving
+    count, matching the population functional the stability bounds speak
+    about.
     """
-    points = np.asarray(points, dtype=np.float64)
-    weights = np.asarray(weights, dtype=bool)
-    f = (points @ np.asarray(v, dtype=np.float64)) ** 2
-    kept = weights & (f <= cap)
-    return RobustScalar(float(np.sum(f[kept])) / points.shape[0],
-                        ScalarKind.TRIMMED_VARIANCE)
+    scores = np.asarray(scores, dtype=np.float64)
+    kept = np.asarray(weights, dtype=bool) & (scores <= cap)
+    return float(np.sum(scores[kept])) / scores.shape[0]
 
 
-def opnorm_bracket(points: np.ndarray, weights: np.ndarray, eps: float) -> RobustScalar:
+def opnorm_bracket(points: np.ndarray, weights: np.ndarray, eps: float) -> float:
     """Trimmed mean of squared norms at tail 3*eps.
 
     Brackets the top variance within a dimension factor: the value lands
@@ -148,41 +94,23 @@ def opnorm_bracket(points: np.ndarray, weights: np.ndarray, eps: float) -> Robus
     to zero samples and no trimming occurs.
     """
     points = np.asarray(points, dtype=np.float64)
-    weights = np.asarray(weights, dtype=bool)
     g = np.einsum("ij,ij->i", points, points)
     tail = 3.0 * eps
     if tail >= 1.0:
         raise ValueError(f"3*eps must be below 1, got eps={eps}")
-    qt = weighted_quantile(g, weights, tail)
-    kept = weights & (g <= qt.value)
-    return RobustScalar(float(np.sum(g[kept])) / points.shape[0],
-                        ScalarKind.OPNORM_BRACKET)
+    return trimmed_variance(g, weights, weighted_quantile(g, weights, tail))
 
 
-def stream_mean_estimate(draw_scores, rel_tol: float, abs_tol: float,
-                         fail_prob: float, rng: np.random.Generator | None = None,
-                         *, n_batch: int | None = None,
-                         score_bound: float | None = None,
-                         c_m: float = 1.0, n_batch_cap: int = 1_000_000,
+def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
                          chunk: int = 4096,
-                         ledger: ScalarLedger | None = None) -> RobustScalar:
+                         ledger: ScalarLedger | None = None) -> float:
     """Median of batch means of a bounded nonnegative score stream.
 
     ``draw_scores(k)`` returns k fresh values of the target functional
     (already weighted and capped by the caller). The batch count is
-    ceil(log2(1/fail_prob)); each batch averages ``n_batch`` draws. When
-    ``n_batch`` is not given it is sized as c_m * score_bound /
-    (rel_tol * abs_tol), which by a Chebyshev argument makes each batch land
-    within rel_tol*F + abs_tol of the true mean F with probability >= 3/4,
-    uniformly over F.
+    ceil(log2(1/fail_prob)); each batch averages max(32, n_batch) draws.
     """
-    if n_batch is None:
-        if score_bound is None or rel_tol <= 0 or abs_tol <= 0:
-            raise ValueError(
-                "either pass n_batch explicitly, or score_bound with positive tolerances"
-            )
-        n_batch = int(math.ceil(c_m * score_bound / (rel_tol * abs_tol)))
-    n_batch = max(32, min(int(n_batch), n_batch_cap))
+    n_batch = max(32, int(n_batch))
     reps = max(1, int(math.ceil(math.log2(1.0 / fail_prob))))
     ledger = ledger if ledger is not None else ScalarLedger()
 
@@ -197,4 +125,4 @@ def stream_mean_estimate(draw_scores, rel_tol: float, abs_tol: float,
                 total += float(np.sum(vals))
                 seen += take
             means.append(total / n_batch)
-    return RobustScalar(max(0.0, float(np.median(means))), ScalarKind.STREAM_MEAN)
+    return max(0.0, float(np.median(means)))

@@ -10,29 +10,23 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FilterStack, WeightedDataset
+from .core import FilterStack
 from .errors import DegenerateStateError
 from .sources import SampleSource, ScalarLedger
 
 __all__ = [
     "Normalization",
     "SecondMomentOp",
-    "StreamingSecondMomentOp",
-    "MatrixPowerEstimate",
-    "apply_second_moment",
-    "matrix_power_apply",
     "power_direction",
-    "build_minibatch_power",
     "streamed_power_apply",
     "streamed_power_direction",
     "accepted_scores",
     "power_iteration",
     "approx_power_iteration",
-    "frobenius_sq_estimate",
+    "gaussian_retry",
     "rejection_batch",
 ]
 
@@ -69,13 +63,6 @@ class SecondMomentOp:
             raise DegenerateStateError("no surviving points under NORMALIZED operator")
         self._survivors = points[weights]
 
-    @classmethod
-    def from_dataset(cls, ds: WeightedDataset,
-                     normalization: Normalization = Normalization.UNNORMALIZED,
-                     weights: np.ndarray | None = None) -> "SecondMomentOp":
-        w = ds.weights() if weights is None else weights
-        return cls(ds.points, w, normalization)
-
     @property
     def denominator(self) -> float:
         if self.normalization is Normalization.NORMALIZED:
@@ -98,91 +85,6 @@ class SecondMomentOp:
         if self._survivors.shape[0] == 0:
             return np.zeros((self.dim, self.dim))
         return self._survivors.T @ self._survivors / self.denominator
-
-
-def apply_second_moment(op, z: np.ndarray) -> np.ndarray:
-    return op.matvec(z)
-
-
-class StreamingSecondMomentOp:
-    """Second-moment matvec backed by a sample source: one minibatch per call.
-
-    Each matvec draws ``batch_size`` fresh samples, rejects against the
-    filter stack, and applies the accepted empirical moment (scaled by the
-    batch acceptance rate when unnormalized). Unlike the batch operator,
-    successive matvecs use independent estimates.
-    """
-
-    def __init__(self, source: SampleSource, stack: FilterStack, batch_size: int,
-                 normalization: Normalization = Normalization.NORMALIZED):
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        self.source = source
-        self.stack = stack
-        self.batch_size = batch_size
-        self.normalization = normalization
-        self.dim = source.dim
-
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        accepted, rate = rejection_batch(self.source, self.stack, self.batch_size)
-        out = accepted.T @ (accepted @ np.asarray(z, dtype=np.float64))
-        out /= accepted.shape[0]
-        if self.normalization is Normalization.UNNORMALIZED:
-            out *= rate
-        return out
-
-
-@dataclass
-class _BatchFactor:
-    op: SecondMomentOp
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.op.matvec(u)
-
-
-@dataclass
-class _MinibatchFactor:
-    """One stored minibatch estimate: u -> W_hat^2 * mean_{x in batch} x (x.u)."""
-
-    accepted: np.ndarray
-    w_hat: float
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        scale = self.w_hat ** 2 / self.accepted.shape[0]
-        return scale * (self.accepted.T @ (self.accepted @ u))
-
-
-class MatrixPowerEstimate:
-    """Implicit power of a second-moment matrix: p factors applied in order.
-
-    Batch mode holds p references to one exact operator; streaming mode holds
-    p independent minibatch estimates. ``apply`` accepts a vector or a (d, m)
-    block and is deterministic once built.
-    """
-
-    def __init__(self, factors, dim: int):
-        self.factors = list(factors)
-        self.dim = dim
-
-    @property
-    def power(self) -> int:
-        return len(self.factors)
-
-    @classmethod
-    def from_op(cls, op: SecondMomentOp, p: int) -> "MatrixPowerEstimate":
-        if p < 0:
-            raise ValueError("power must be nonnegative")
-        return cls([_BatchFactor(op)] * p, op.dim)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        u = np.asarray(z, dtype=np.float64)
-        for factor in self.factors:
-            u = factor.apply(u)
-        return u
-
-
-def matrix_power_apply(est: MatrixPowerEstimate, z: np.ndarray) -> np.ndarray:
-    return est.apply(z)
 
 
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
@@ -234,41 +136,21 @@ def accepted_scores(source: SampleSource, stack: FilterStack, v: np.ndarray,
     return got[:k]
 
 
-def build_minibatch_power(source: SampleSource, stack: FilterStack, p: int,
-                          batch_size: int, rng=None) -> MatrixPowerEstimate:
-    """Implicit matrix power from (p+1) minibatches off a sample source.
-
-    The first batch only estimates the surviving mass W; each later batch
-    yields one factor u -> W^2 * mean(x (x.u)) over its accepted samples.
-    Consumes exactly (p+1)*batch_size stream samples; the returned estimate
-    re-applies deterministically.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    if p < 0:
-        raise ValueError("power must be nonnegative")
-    s0 = source.draw(batch_size)
-    w_hat = float(np.count_nonzero(stack.weights(s0))) / batch_size
-    factors = []
-    for _ in range(p):
-        accepted, _rate = rejection_batch(source, stack, batch_size)
-        factors.append(_MinibatchFactor(accepted, w_hat))
-    return MatrixPowerEstimate(factors, source.dim)
-
-
 def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
                          batch_size: int, block: np.ndarray,
                          ledger: ScalarLedger | None = None,
                          chunk: int = _STREAM_CHUNK):
-    """Fused build-and-apply of a minibatch matrix power to a (d, m) block.
+    """Minibatch matrix power applied to a (d, m) block in one streamed pass.
 
-    Mathematically the same estimator as ``build_minibatch_power`` followed by
-    ``apply``, but samples stream through a fixed-size chunk buffer and no
-    batch is retained, so resident memory is O(d*m + chunk*d) regardless of
-    batch_size. In long chains each column is rescaled on its own when its
-    values leave the [1e-100, 1e100] range, so at large powers every output
-    column is defined up to its own positive scalar. Returns
-    (applied_block, w_hat).
+    The first ``batch_size`` draws only estimate the surviving mass W; each of
+    the next p batches of ``batch_size`` draws applies one factor
+    u -> W^2 * mean(x (x.u)) over its accepted samples, so exactly
+    (p+1)*batch_size samples are consumed. Samples stream through a
+    fixed-size chunk buffer and no batch is retained, so resident memory is
+    O(d*m + chunk*d) regardless of batch_size. In long chains each column is
+    rescaled on its own when its values leave the [1e-100, 1e100] range, so at
+    large powers every output column is defined up to its own positive scalar.
+    Returns (applied_block, w_hat).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -323,6 +205,20 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
 _POWER_RETRIES = 8
 
 
+def gaussian_retry(rng: np.random.Generator, dim: int, attempt):
+    """First non-None ``attempt(g)`` over fresh standard Gaussian starts g.
+
+    Draws ``rng.standard_normal(dim)`` before each of up to 8 attempts, so a
+    collapsed attempt (zero or non-finite iterate) costs one start; returns
+    None when every attempt collapses.
+    """
+    for _ in range(_POWER_RETRIES):
+        out = attempt(rng.standard_normal(dim))
+        if out is not None:
+            return out
+    return None
+
+
 def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
     """Randomized top-direction estimate: normalize(op^p g) for Gaussian g.
 
@@ -331,16 +227,13 @@ def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
     """
     if p_iters < 1:
         raise ValueError("p_iters must be at least 1")
-    for _ in range(_POWER_RETRIES):
-        g = rng.standard_normal(op.dim)
-        y = power_direction(op, p_iters, g)
-        if y is not None:
-            rayleigh = float(y @ op.matvec(y))
-            return y, rayleigh
-    raise DegenerateStateError(
-        f"power iteration produced the zero vector {_POWER_RETRIES} times; "
-        f"operator appears to be zero"
-    )
+    y = gaussian_retry(rng, op.dim, lambda g: power_direction(op, p_iters, g))
+    if y is None:
+        raise DegenerateStateError(
+            f"power iteration produced the zero vector {_POWER_RETRIES} times; "
+            f"operator appears to be zero"
+        )
+    return y, float(y @ op.matvec(y))
 
 
 def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
@@ -352,13 +245,12 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
     output has zero or non-finite norm; returns None if every attempt
     collapses.
     """
-    for _ in range(_POWER_RETRIES):
-        z = rng.standard_normal(source.dim)
+    def attempt(z: np.ndarray) -> np.ndarray | None:
         y, _w = streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)
         nrm = float(np.linalg.norm(y))
-        if nrm > 0 and math.isfinite(nrm):
-            return y / nrm
-    return None
+        return y / nrm if nrm > 0 and math.isfinite(nrm) else None
+
+    return gaussian_retry(rng, source.dim, attempt)
 
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
@@ -389,14 +281,3 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     proj = accepted @ y
     return float(np.max(np.sum(proj * proj, axis=0))) / accepted.shape[0]
 
-
-def frobenius_sq_estimate(apply_fn, dim: int, rng: np.random.Generator,
-                          n_probes: int = 8) -> float:
-    """Unbiased Frobenius-norm-squared estimate of an implicit matrix.
-
-    Uses E ||M z||^2 = tr(M^T M) for Gaussian z, averaged over a block of
-    probes applied in one shot.
-    """
-    z = rng.standard_normal((dim, n_probes))
-    out = apply_fn(z)
-    return float(np.sum(out * out)) / n_probes

@@ -8,17 +8,15 @@ to the recovery algorithms, which only ever call ``draw``.
 
 from __future__ import annotations
 
-import enum
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .core import load_dataset
-from .errors import StreamExhaustedError
+from .errors import MemoryBudgetError, StreamExhaustedError
 
 __all__ = [
-    "SourceOrigin",
     "SampleSource",
     "SyntheticSource",
     "ReplaySource",
@@ -28,16 +26,8 @@ __all__ = [
 ]
 
 
-class SourceOrigin(enum.Enum):
-    SYNTHETIC = "synthetic"
-    FILE_REPLAY = "file_replay"
-    EXTERNAL = "external"
-
-
 class SampleSource:
     """Base class. Subclasses implement ``_produce(k) -> (points, labels)``."""
-
-    origin = SourceOrigin.EXTERNAL
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -56,9 +46,6 @@ class SampleSource:
     def draw(self, k: int) -> np.ndarray:
         return self.draw_labeled(k)[0]
 
-    def next(self) -> np.ndarray:
-        return self.draw(1)[0]
-
 
 class SyntheticSource(SampleSource):
     """Unbounded i.i.d. source backed by a seeded draw function.
@@ -66,8 +53,6 @@ class SyntheticSource(SampleSource):
     ``draw_fn(rng, k)`` must return ``(points, labels_or_None)`` with points
     of shape (k, dim).
     """
-
-    origin = SourceOrigin.SYNTHETIC
 
     def __init__(self, dim: int, draw_fn, rng: np.random.Generator):
         super().__init__(dim)
@@ -121,8 +106,6 @@ class ReplaySource(SampleSource):
 
 
 class FileReplaySource(ReplaySource):
-    origin = SourceOrigin.FILE_REPLAY
-
     def __init__(self, path: str | Path, mode: str = "once",
                  rng: np.random.Generator | None = None):
         pts, labels = load_dataset(path)
@@ -134,7 +117,6 @@ class BudgetedSource(SampleSource):
 
     def __init__(self, inner: SampleSource, max_samples: int):
         super().__init__(inner.dim)
-        self.origin = inner.origin
         self.inner = inner
         self.max_samples = int(max_samples)
 
@@ -152,10 +134,13 @@ class ScalarLedger:
     """Counts simultaneously live real numbers attributable to algorithm state.
 
     Consumers bracket allocations with ``reserve``; ``peak`` is the high-water
-    mark. Purely an accounting device, it allocates nothing itself.
+    mark. Purely an accounting device, it allocates nothing itself. With a
+    ``limit``, the allocation that takes the peak above it raises
+    ``MemoryBudgetError``.
     """
 
-    def __init__(self):
+    def __init__(self, limit: int | None = None):
+        self.limit = limit
         self.current = 0
         self.peak = 0
 
@@ -163,6 +148,11 @@ class ScalarLedger:
         self.current += int(count)
         if self.current > self.peak:
             self.peak = self.current
+            if self.limit is not None and self.peak > self.limit:
+                raise MemoryBudgetError(
+                    f"peak resident scalars {self.peak} exceeded "
+                    f"declared budget {self.limit}"
+                )
 
     def free(self, count: int) -> None:
         self.current -= int(count)

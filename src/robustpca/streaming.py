@@ -102,7 +102,7 @@ class MinibatchEstimators:
                 lambda k: np.linalg.norm(self.source.draw(k), axis=1),
                 tail=self.eps, fail_prob=self._fail, c_q=self.config.c_q,
                 ledger=self.ledger,
-            ).value
+            )
             prune_sq = norm_cut * norm_cut
         else:
             prune_sq = math.inf
@@ -115,7 +115,7 @@ class MinibatchEstimators:
             w = self.stack.weights(block)
             if not w.any():
                 raise DegenerateStateError("prune radius rejected an entire block")
-            self.sigma_op = opnorm_bracket(block, w, self.eps).value
+            self.sigma_op = opnorm_bracket(block, w, self.eps)
         self.ledger.alloc(d)  # the candidate vector held across iterations
         return prune_sq, self.sigma_op
 
@@ -125,7 +125,6 @@ class MinibatchEstimators:
         return sample_top_eigenvector_streaming(
             self.source, self.stack, self.eps, self.gamma, fail_prob,
             self.config, rng, batch_size=self.batch, mean_batch=self.mean_batch,
-            sigma_op_proxy=self.sigma_op, r_radius=self.r_radius,
             ledger=self.ledger,
         )
 
@@ -147,7 +146,7 @@ class MinibatchEstimators:
         v = ctx["v"]
         return streaming_quantile(lambda k: accepted_scores(self.source, self.stack, v, k),
                                   tail, self._fail, c_q=self.config.c_q,
-                                  ledger=self.ledger).value
+                                  ledger=self.ledger)
 
     def _mean_of(self, v: np.ndarray, lo: float, hi: float) -> float:
         def draw(k: int) -> np.ndarray:
@@ -156,10 +155,8 @@ class MinibatchEstimators:
             f = (pts @ v) ** 2
             return np.where(w & (f > lo) & (f <= hi), f, 0.0)
 
-        return stream_mean_estimate(
-            draw, rel_tol=0.01 * self.gamma, abs_tol=self.filter_delta() / 10.0,
-            fail_prob=self._fail, n_batch=self.mean_batch, ledger=self.ledger,
-        ).value
+        return stream_mean_estimate(draw, self._fail, n_batch=self.mean_batch,
+                                    ledger=self.ledger)
 
     def sigma_trimmed(self, ctx: dict, cap: float) -> float:
         return self._mean_of(ctx["v"], -math.inf, cap)
@@ -180,9 +177,6 @@ class MinibatchEstimators:
         return None
 
     def potential(self, p_k: int) -> float | None:
-        return None
-
-    def survivor_count(self) -> int | None:
         return None
 
     def weights_snapshot(self) -> np.ndarray | None:
@@ -214,7 +208,7 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
                          gamma=gamma if gamma is not None else config.gamma)
     seed = cfg.seed if rng_seed is None else rng_seed
     src = BudgetedSource(source, max_samples) if max_samples is not None else source
-    ledger = ScalarLedger()
+    ledger = ScalarLedger(limit=cfg.max_resident_scalars)
 
     best: PcaResult | None = None
     filters_stored = 0
@@ -240,11 +234,6 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
         peak_resident_scalars=ledger.peak,
         wall_time=best.elapsed,
     )
-    if cfg.max_resident_scalars is not None and stats.peak_resident_scalars > cfg.max_resident_scalars:
-        raise AssertionError(
-            f"peak resident scalars {stats.peak_resident_scalars} exceeded "
-            f"declared budget {cfg.max_resident_scalars}"
-        )
     return best, stats
 
 

@@ -102,8 +102,7 @@ def test_streaming_certificate_clean_accepts():
     cfg = AlgoConfig(eps=0.02, gamma=0.4)
     cand = sample_top_eigenvector_streaming(
         src, FilterStack(), 0.02, 0.4, fail_prob=0.05, config=cfg,
-        rng=np.random.default_rng(5), batch_size=1500, mean_batch=4000,
-        sigma_op_proxy=float(d + 4), r_radius=1.5)
+        rng=np.random.default_rng(5), batch_size=1500, mean_batch=4000)
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.95
 

@@ -37,6 +37,13 @@ def test_empty_stack_accepts_everything():
     assert evaluate_weight(stack, np.array([1e6, -1e6])) == 1
 
 
+def test_non_finite_rows_get_zero_weight():
+    # An unbounded prune radius still rejects rows whose squared norm is inf
+    # or NaN; finite rows keep weight 1.
+    pts = np.array([[1.0, 2.0], [np.inf, 0.0], [np.nan, 1.0], [-np.inf, np.inf]])
+    np.testing.assert_array_equal(FilterStack().weights(pts), [True, False, False, False])
+
+
 def test_single_entry_rejects_large_projection():
     stack = FilterStack(prune_radius_sq=4.0,
                         entries=(FilterEntry(np.array([1.0, 0.0]), 1.0),))

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpca import (
-    MatrixPowerEstimate,
-    Normalization,
-    SecondMomentOp,
     opnorm_bracket,
-    score_g,
-    score_projection,
     stream_mean_estimate,
     streaming_quantile,
     trimmed_variance,
@@ -31,60 +26,27 @@ def sort_scan_quantile(scores, weights, tail):
     raise AssertionError("unreachable")
 
 
-def test_score_projection_examples():
-    assert score_projection(np.array([1.0, 0.0]), np.array([3.0, 4.0])) == 9.0
-    assert score_projection(np.zeros(3), np.ones(3)) == 0.0
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        v, x = rng.standard_normal(5), rng.standard_normal(5)
-        assert score_projection(v, x) == pytest.approx(float(v @ x) ** 2)
-    with pytest.raises(ValueError):
-        score_projection(np.ones(2), np.ones(3))
-
-
-def test_score_g_examples():
-    op = SecondMomentOp(np.array([[2.0, 0.0], [0.0, 0.0]]),
-                        normalization=Normalization.NORMALIZED)
-    # op = diag(2, 0); p = 1.
-    est = MatrixPowerEstimate.from_op(op, 1)
-    assert score_g(est, np.array([1.0, 1.0])) == pytest.approx(4.0)
-    ident = MatrixPowerEstimate.from_op(op, 0)
-    assert score_g(ident, np.array([3.0, 4.0])) == pytest.approx(25.0)
-
-
-def test_score_g_matches_projection_in_expectation():
-    # E_z (v . x)^2 with v = M z equals ||M x||^2 for symmetric M.
-    rng = np.random.default_rng(1)
-    pts = rng.standard_normal((30, 4))
-    op = SecondMomentOp(pts)
-    est = MatrixPowerEstimate.from_op(op, 2)
-    x = rng.standard_normal(4)
-    want = score_g(est, x)
-    samples = []
-    for _ in range(4000):
-        v = est.apply(rng.standard_normal(4))
-        samples.append(score_projection(v, x))
-    mean = float(np.mean(samples))
-    se = float(np.std(samples)) / math.sqrt(len(samples))
-    assert abs(mean - want) <= 3 * se
+def attained_tail(scores, value):
+    return np.count_nonzero(scores > value) / scores.size
 
 
 def test_weighted_quantile_uniform_scores():
     scores = np.arange(1.0, 101.0)
     qt = weighted_quantile(scores, np.ones(100, dtype=bool), 0.03)
-    assert qt.value == 97.0
-    assert qt.attained_tail == pytest.approx(0.03)
+    assert qt == 97.0
+    assert attained_tail(scores, qt) == pytest.approx(0.03)
 
 
 def test_weighted_quantile_all_equal():
-    qt = weighted_quantile(np.full(10, 5.0), np.ones(10, dtype=bool), 0.2)
-    assert qt.value == 5.0 and qt.attained_tail == 0.0
+    scores = np.full(10, 5.0)
+    qt = weighted_quantile(scores, np.ones(10, dtype=bool), 0.2)
+    assert qt == 5.0 and attained_tail(scores, qt) == 0.0
 
 
 def test_weighted_quantile_zero_tail_is_max():
     scores = np.array([3.0, 9.0, 1.0])
     qt = weighted_quantile(scores, np.ones(3, dtype=bool), 0.0)
-    assert qt.value == 9.0
+    assert qt == 9.0
 
 
 def test_weighted_quantile_matches_sort_oracle():
@@ -96,7 +58,7 @@ def test_weighted_quantile_matches_sort_oracle():
         if not weights.any():
             weights[0] = True
         tail = float(rng.uniform(0.0, 0.5))
-        got = weighted_quantile(scores, weights, tail).value
+        got = weighted_quantile(scores, weights, tail)
         assert got == sort_scan_quantile(scores, weights, tail)
 
 
@@ -104,7 +66,7 @@ def test_weighted_quantile_monotone_in_tail():
     rng = np.random.default_rng(3)
     scores = rng.uniform(0, 5, size=50)
     w = np.ones(50, dtype=bool)
-    values = [weighted_quantile(scores, w, t).value for t in (0.0, 0.1, 0.2, 0.4)]
+    values = [weighted_quantile(scores, w, t) for t in (0.0, 0.1, 0.2, 0.4)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -115,7 +77,7 @@ def test_weighted_quantile_no_survivors():
 
 def test_streaming_quantile_constant_source():
     qt = streaming_quantile(lambda k: np.full(k, 2.5), tail=0.1, fail_prob=0.05)
-    assert qt.value == 2.5
+    assert qt == 2.5
 
 
 def test_streaming_quantile_discrete_source_tail():
@@ -126,7 +88,7 @@ def test_streaming_quantile_discrete_source_tail():
         return rng.integers(1, 1001, size=k).astype(float)
 
     qt = streaming_quantile(draw, tail=0.2, fail_prob=0.01, c_q=20_000)
-    pop_tail = np.mean(np.arange(1, 1001) > qt.value)
+    pop_tail = np.mean(np.arange(1, 1001) > qt)
     assert abs(pop_tail - 0.2) <= 0.01 * 0.2 + 1e-9
 
 
@@ -141,7 +103,7 @@ def test_streaming_quantile_frees_buffer():
 def test_trimmed_variance_orthogonal_points_zero():
     pts = np.array([[0.0, 1.0], [0.0, -2.0]])
     v = np.array([1.0, 0.0])
-    assert trimmed_variance(pts, np.ones(2, dtype=bool), v, cap=10.0).value == 0.0
+    assert trimmed_variance((pts @ v) ** 2, np.ones(2, dtype=bool), cap=10.0) == 0.0
 
 
 def normal_sf(t):
@@ -171,8 +133,9 @@ def test_trimmed_variance_clean_gaussian_matches_analytic():
     pts = rng.standard_normal((n, 3))
     w = np.ones(n, dtype=bool)
     v = np.array([1.0, 0.0, 0.0])
-    cap = weighted_quantile((pts @ v) ** 2, w, 3 * eps).value
-    got = trimmed_variance(pts, w, v, cap).value
+    f = (pts @ v) ** 2
+    cap = weighted_quantile(f, w, 3 * eps)
+    got = trimmed_variance(f, w, cap)
     want = chi2_1_trimmed_mean(3 * eps)
     assert got == pytest.approx(want, rel=0.05)
     gamma = 20 * eps
@@ -184,9 +147,10 @@ def test_trimmed_at_most_untrimmed():
     pts = rng.standard_normal((500, 4)) * 2
     w = rng.random(500) < 0.9
     v = rng.standard_normal(4)
-    full = trimmed_variance(pts, w, v, cap=math.inf).value
+    f = (pts @ v) ** 2
+    full = trimmed_variance(f, w, cap=math.inf)
     for cap in (0.5, 2.0, 10.0):
-        assert trimmed_variance(pts, w, v, cap).value <= full + 1e-12
+        assert trimmed_variance(f, w, cap) <= full + 1e-12
 
 
 def test_trimmed_variance_ratio_band_on_clean_data():
@@ -202,8 +166,9 @@ def test_trimmed_variance_ratio_band_on_clean_data():
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
         truth = float(v @ np.diag(scales) @ v)
-        cap = weighted_quantile((pts @ v) ** 2, w, 3 * eps).value
-        ratio = trimmed_variance(pts, w, v, cap).value / truth
+        f = (pts @ v) ** 2
+        cap = weighted_quantile(f, w, 3 * eps)
+        ratio = trimmed_variance(f, w, cap) / truth
         assert 1 - 5 * gamma <= ratio <= 1 + 5 * gamma
 
 
@@ -213,7 +178,7 @@ def test_opnorm_bracket_identity_covariance():
     rng = np.random.default_rng(8)
     d = 10
     pts = rng.standard_normal((20_000, d))
-    val = opnorm_bracket(pts, np.ones(20_000, dtype=bool), eps=0.002).value
+    val = opnorm_bracket(pts, np.ones(20_000, dtype=bool), eps=0.002)
     assert 0.8 * 1.0 < val < 2 * d * 1.0
     assert val == pytest.approx(d, rel=0.1)
 
@@ -224,7 +189,7 @@ def test_opnorm_bracket_identity_desk_scale_eps():
     rng = np.random.default_rng(8)
     d = 10
     pts = rng.standard_normal((20_000, d))
-    val = opnorm_bracket(pts, np.ones(20_000, dtype=bool), eps=0.05).value
+    val = opnorm_bracket(pts, np.ones(20_000, dtype=bool), eps=0.05)
     assert 0.8 * 1.0 < val < 2 * d * 1.0
 
 
@@ -232,20 +197,19 @@ def test_opnorm_bracket_rank_one():
     rng = np.random.default_rng(9)
     pts = np.zeros((30_000, 5))
     pts[:, 0] = rng.standard_normal(30_000)
-    val = opnorm_bracket(pts, np.ones(30_000, dtype=bool), eps=0.002).value
+    val = opnorm_bracket(pts, np.ones(30_000, dtype=bool), eps=0.002)
     assert val == pytest.approx(1.0, rel=0.15)
     assert 0.8 < val < 2 * 5
 
 
 def test_opnorm_bracket_single_point_no_trim():
-    val = opnorm_bracket(np.array([[1.0, 0.0]]), np.ones(1, dtype=bool), eps=0.05).value
+    val = opnorm_bracket(np.array([[1.0, 0.0]]), np.ones(1, dtype=bool), eps=0.05)
     assert val == 1.0
 
 
 def test_stream_mean_constant_source():
-    got = stream_mean_estimate(lambda k: np.full(k, 3.25), rel_tol=0.01,
-                               abs_tol=0.01, fail_prob=0.1, n_batch=64)
-    assert got.value == pytest.approx(3.25)
+    got = stream_mean_estimate(lambda k: np.full(k, 3.25), fail_prob=0.1, n_batch=64)
+    assert got == pytest.approx(3.25)
 
 
 def test_stream_mean_two_point_source():
@@ -255,9 +219,10 @@ def test_stream_mean_two_point_source():
         signs = rng.integers(0, 2, size=k) * 2.0 - 1.0
         return (signs * 1.0) ** 2  # (v . x)^2 for x = +-e1, v = e1
 
-    got = stream_mean_estimate(draw, rel_tol=0.05, abs_tol=0.05,
-                               fail_prob=0.05, score_bound=1.0)
-    assert got.value == pytest.approx(1.0)
+    # Chebyshev sizing for score bound 1 at rel_tol = abs_tol = 0.05.
+    n_batch = math.ceil(1.0 / (0.05 * 0.05))
+    got = stream_mean_estimate(draw, fail_prob=0.05, n_batch=n_batch)
+    assert got == pytest.approx(1.0)
 
 
 def test_stream_mean_tracks_batch_oracle():
@@ -267,9 +232,12 @@ def test_stream_mean_tracks_batch_oracle():
     pop = pop_rng.standard_normal((4000, 4)) * np.array([2.0, 1.0, 1.0, 0.5])
     v = np.array([1.0, 0.0, 0.0, 0.0])
     w = np.ones(4000, dtype=bool)
-    cap = weighted_quantile((pop @ v) ** 2, w, 0.1).value
-    truth = trimmed_variance(pop, w, v, cap).value
+    f = (pop @ v) ** 2
+    cap = weighted_quantile(f, w, 0.1)
+    truth = trimmed_variance(f, w, cap)
     rel, abs_ = 0.05, 0.05
+    # Chebyshev sizing: n_batch = score bound / (rel_tol * abs_tol).
+    n_batch = math.ceil(float(cap) / (rel * abs_))
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
@@ -278,17 +246,16 @@ def test_stream_mean_tracks_batch_oracle():
             f = (pop[rng.integers(0, 4000, size=k)] @ v) ** 2
             return np.where(f <= cap, f, 0.0)
 
-        got = stream_mean_estimate(draw, rel_tol=rel, abs_tol=abs_,
-                                   fail_prob=0.05, score_bound=float(cap)).value
+        got = stream_mean_estimate(draw, fail_prob=0.05, n_batch=n_batch)
         if abs(got - truth) <= rel * truth + abs_:
             hits += 1
     assert hits >= 95
 
 
 def test_stream_mean_requires_sizing_information():
-    with pytest.raises(ValueError):
-        stream_mean_estimate(lambda k: np.zeros(k), rel_tol=0.0, abs_tol=0.0,
-                             fail_prob=0.1)
+    # The per-batch draw count has no default; the caller sizes it.
+    with pytest.raises(TypeError):
+        stream_mean_estimate(lambda k: np.zeros(k), fail_prob=0.1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,9 +270,9 @@ def test_weighted_quantile_definition_property(scores, tail):
     scores = np.asarray(scores)
     w = np.ones(scores.size, dtype=bool)
     qt = weighted_quantile(scores, w, tail)
-    assert qt.value in scores
-    assert qt.attained_tail <= tail + 1e-12
-    smaller = scores[scores < qt.value]
+    assert qt in scores
+    assert attained_tail(scores, qt) <= tail + 1e-12
+    smaller = scores[scores < qt]
     if smaller.size:
         runner_up = float(smaller.max())
         assert np.count_nonzero(scores > runner_up) / scores.size > tail

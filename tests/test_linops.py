@@ -5,25 +5,18 @@ import pytest
 
 from robustpca import (
     FilterStack,
-    MatrixPowerEstimate,
     Normalization,
     ReplaySource,
     ScalarLedger,
     SecondMomentOp,
     SyntheticSource,
-    apply_second_moment,
     approx_power_iteration,
-    build_minibatch_power,
-    matrix_power_apply,
+    power_direction,
     power_iteration,
     streamed_power_apply,
 )
 from robustpca.errors import DegenerateStateError
-from robustpca.linops import (
-    accepted_scores,
-    frobenius_sq_estimate,
-    streamed_power_direction,
-)
+from robustpca.linops import accepted_scores, streamed_power_direction
 from robustpca.oracle import dense_power_apply
 
 
@@ -44,14 +37,12 @@ def axis_points_for_diag(diag):
 
 def test_two_axis_points_normalized():
     op = op_from([[1.0, 0.0], [0.0, 1.0]], normalization=Normalization.NORMALIZED)
-    np.testing.assert_allclose(apply_second_moment(op, np.array([1.0, 1.0])),
-                               [0.5, 0.5])
+    np.testing.assert_allclose(op.matvec(np.array([1.0, 1.0])), [0.5, 0.5])
 
 
 def test_single_point_normalized():
     op = op_from([[2.0, 0.0]], normalization=Normalization.NORMALIZED)
-    np.testing.assert_allclose(apply_second_moment(op, np.array([1.0, 0.0])),
-                               [4.0, 0.0])
+    np.testing.assert_allclose(op.matvec(np.array([1.0, 0.0])), [4.0, 0.0])
 
 
 def test_matvec_matches_dense():
@@ -98,19 +89,18 @@ def test_matvec_scaling_equivariance():
 
 
 # -- matrix powers --------------------------------------------------------------
+# power_direction returns the unit vector along op^p z.
 
 def test_power_zero_is_identity():
     op = op_from(np.eye(3))
-    est = MatrixPowerEstimate.from_op(op, 0)
     z = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(matrix_power_apply(est, z), z)
+    np.testing.assert_array_equal(power_direction(op, 0, z), z / np.linalg.norm(z))
 
 
 def test_power_two_on_diag():
     op = op_from([[2.0, 0.0], [0.0, math.sqrt(2.0)]])  # B = diag(2, 1)
-    est = MatrixPowerEstimate.from_op(op, 2)
-    np.testing.assert_allclose(matrix_power_apply(est, np.array([1.0, 1.0])),
-                               [4.0, 1.0], rtol=1e-12)
+    np.testing.assert_allclose(power_direction(op, 2, np.array([1.0, 1.0])),
+                               np.array([4.0, 1.0]) / math.sqrt(17.0), rtol=1e-12)
 
 
 def test_power_matches_dense_oracle():
@@ -121,14 +111,15 @@ def test_power_matches_dense_oracle():
         p = int(rng.integers(1, 7))
         pts = rng.standard_normal((n, d))
         op = op_from(pts)
-        est = MatrixPowerEstimate.from_op(op, p)
         z = rng.standard_normal(d)
         want = dense_power_apply(op.materialize(), p, z)
-        got = matrix_power_apply(est, z)
-        assert np.linalg.norm(got - want) <= 1e-9 * max(1e-30, np.linalg.norm(want))
+        got = power_direction(op, p, z)
+        assert np.linalg.norm(got - want / np.linalg.norm(want)) <= 1e-9
 
 
 # -- minibatch powers ------------------------------------------------------------
+# streamed_power_apply draws one batch to estimate the surviving mass W, then
+# applies p factors u -> W^2 * mean(x (x.u)), one fresh batch each.
 
 def constant_source(vec):
     return ReplaySource(np.tile(np.asarray(vec, dtype=float), (64, 1)), mode="cycle")
@@ -139,10 +130,10 @@ def test_minibatch_rank_one_deterministic_source():
     src = constant_source(e1)
     stack = FilterStack()
     for p in (1, 2, 4):
-        est = build_minibatch_power(src, stack, p, batch_size=8)
         z = np.array([2.0, 5.0, -1.0])
-        # W = 1, so apply(z) = (z . e1) e1 for every p.
-        np.testing.assert_allclose(est.apply(z), [2.0, 0.0, 0.0], atol=1e-12)
+        got, _w = streamed_power_apply(src, stack, p, 8, z)
+        # W = 1, so the chain maps z to (z . e1) e1 for every p.
+        np.testing.assert_allclose(got, [2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_minibatch_survival_rate_squared_scaling():
@@ -150,35 +141,24 @@ def test_minibatch_survival_rate_squared_scaling():
     pts = np.array([[1.0, 0.0], [10.0, 0.0]] * 8)
     src = ReplaySource(pts, mode="cycle")
     stack = FilterStack(prune_radius_sq=2.0)
-    est = build_minibatch_power(src, stack, 1, batch_size=16)
-    z = np.array([1.0, 0.0])
-    np.testing.assert_allclose(est.apply(z), [0.25, 0.0], atol=1e-12)
+    got, w_hat = streamed_power_apply(src, stack, 1, 16, np.array([1.0, 0.0]))
+    assert w_hat == 0.5
+    np.testing.assert_allclose(got, [0.25, 0.0], atol=1e-12)
 
 
 def test_minibatch_single_sample():
     x = np.array([1.0, 2.0])
     src = ReplaySource(np.array([x, x, x]), mode="cycle")
-    est = build_minibatch_power(src, FilterStack(), 1, batch_size=1)
     z = np.array([1.0, 1.0])
-    np.testing.assert_allclose(est.apply(z), x * float(x @ z), rtol=1e-12)
-
-
-def test_minibatch_consumes_exact_budget_and_reapplies():
-    rng = np.random.default_rng(4)
-    src = ReplaySource(rng.standard_normal((64, 3)), mode="cycle")
-    est = build_minibatch_power(src, FilterStack(), 3, batch_size=8)
-    assert src.delivered == 4 * 8
-    z = rng.standard_normal(3)
-    first = est.apply(z)
-    np.testing.assert_array_equal(est.apply(z), first)  # no further stream use
-    assert src.delivered == 4 * 8
+    got, _w = streamed_power_apply(src, FilterStack(), 1, 1, z)
+    np.testing.assert_allclose(got, x * float(x @ z), rtol=1e-12)
 
 
 def test_minibatch_all_rejected_raises():
     src = constant_source(np.array([10.0, 0.0]))
     stack = FilterStack(prune_radius_sq=1.0)
     with pytest.raises(DegenerateStateError):
-        build_minibatch_power(src, stack, 1, batch_size=8)
+        streamed_power_apply(src, stack, 1, 8, np.array([1.0, 0.0]))
 
 
 def test_minibatch_large_batch_approaches_population():
@@ -187,15 +167,15 @@ def test_minibatch_large_batch_approaches_population():
     src = ReplaySource(pop, mode="resample", rng=np.random.default_rng(77))
     stack = FilterStack()
     p = 2
-    est = build_minibatch_power(src, stack, p, batch_size=20_000)
-    pop_op = op_from(pop)
     z = rng.standard_normal(4)
-    want = matrix_power_apply(MatrixPowerEstimate.from_op(pop_op, p), z)
-    got = est.apply(z)
+    got, _w = streamed_power_apply(src, stack, p, 20_000, z)
+    want = dense_power_apply(op_from(pop).materialize(), p, z)
     assert np.linalg.norm(got - want) <= 0.1 * np.linalg.norm(want)
 
 
 def test_streamed_apply_matches_built_estimator():
+    # An unchunked pass (chunk >= batch) reads each batch in one draw, as an
+    # estimator built batch by batch would; chunking must not change it.
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
     pop = np.random.default_rng(1).standard_normal((128, 5))
@@ -203,10 +183,10 @@ def test_streamed_apply_matches_built_estimator():
     src_b = ReplaySource(pop, mode="resample", rng=rng_b)
     stack = FilterStack(prune_radius_sq=20.0)
     z = np.random.default_rng(2).standard_normal(5)
-    est = build_minibatch_power(src_a, stack, 3, batch_size=50)
-    want = est.apply(z)
+    want, w_want = streamed_power_apply(src_a, stack, 3, 50, z, chunk=50)
     got, w_hat = streamed_power_apply(src_b, stack, 3, 50, z, chunk=7)
     np.testing.assert_allclose(got, want, rtol=1e-10)
+    assert w_hat == w_want
     assert src_a.delivered == src_b.delivered
 
 
@@ -313,29 +293,6 @@ def test_approx_power_iteration_isotropic():
     assert abs(r_hat - c) <= 0.1 * c  # population second moment is c * I
 
 
-def test_streaming_second_moment_op_tracks_population():
-    from robustpca import StreamingSecondMomentOp
-    rng = np.random.default_rng(13)
-    pop = rng.standard_normal((2000, 4)) * np.array([2.0, 1.0, 0.5, 0.25])
-    src = ReplaySource(pop, mode="resample", rng=np.random.default_rng(14))
-    stack = FilterStack(prune_radius_sq=100.0)
-    sigma = pop.T @ pop / pop.shape[0]
-    z = rng.standard_normal(4)
-    op = StreamingSecondMomentOp(src, stack, batch_size=8000)
-    got = np.mean([op.matvec(z) for _ in range(8)], axis=0)
-    want = sigma @ z  # prune keeps essentially everything here
-    assert np.linalg.norm(got - want) <= 0.1 * np.linalg.norm(want)
-
-    # Unnormalized variant scales by the acceptance rate.
-    tight = FilterStack(prune_radius_sq=float(np.median(np.einsum("ij,ij->i", pop, pop))))
-    rate = float(np.mean(tight.weights(pop)))
-    op_u = StreamingSecondMomentOp(src, tight, 8000, Normalization.UNNORMALIZED)
-    op_n = StreamingSecondMomentOp(src, tight, 8000, Normalization.NORMALIZED)
-    got_u = np.mean([op_u.matvec(z) for _ in range(8)], axis=0)
-    got_n = np.mean([op_n.matvec(z) for _ in range(8)], axis=0)
-    assert np.linalg.norm(got_u - rate * got_n) <= 0.15 * np.linalg.norm(got_u)
-
-
 def test_approx_power_iteration_single_rep_is_one_probe():
     # reps=1 is definitionally one randomized probe: same rng, same draws,
     # same Rayleigh quotient as doing the steps by hand.
@@ -422,14 +379,6 @@ def test_accepted_scores_tops_up_rejected_rows():
     got = accepted_scores(src, FilterStack(prune_radius_sq=4.0), np.array([1.0, 0.0]), 6)
     np.testing.assert_array_equal(got, np.ones(6))
     assert src.delivered == 6 + (3 + 8)
-
-
-def test_frobenius_probe_estimate():
-    rng = np.random.default_rng(11)
-    a = np.diag([3.0, 1.0, 0.5])
-    est = frobenius_sq_estimate(lambda z: a @ z, 3, rng, n_probes=4000)
-    want = float(np.sum(np.diag(a) ** 2))
-    assert abs(est - want) <= 0.15 * want
 
 
 def test_gaussian_quadratic_anticoncentration():

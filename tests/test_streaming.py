@@ -10,15 +10,16 @@ from robustpca import (
     PcaStatus,
     ReplaySource,
     WeightedDataset,
-    build_minibatch_power,
     gen_inliers,
     metric_approx_ratio,
     robust_pca,
     rng_stream,
+    streamed_power_apply,
     streaming_robust_pca,
     strong_contaminate,
     tv_contaminated_source,
 )
+from robustpca.errors import MemoryBudgetError
 from robustpca.oracle import dense_power_apply
 from robustpca.streaming import default_mean_batch, default_stream_batch
 
@@ -78,9 +79,25 @@ def test_declared_memory_budget_enforced():
     spec = InlierSpec(dim=8, diag=1.0)
     src = tv_contaminated_source(spec, AdversarySpec(), rng_stream(5, 1))
     cfg = AlgoConfig(eps=0.02, gamma=0.4, max_resident_scalars=10)
-    with pytest.raises(AssertionError, match="peak resident"):
+    with pytest.raises(MemoryBudgetError, match="peak resident"):
         streaming_robust_pca(src, eps=0.02, gamma=0.4, r_radius=1.5, config=cfg,
                              rng_seed=5, max_samples=20_000_000)
+
+
+def test_non_finite_stream_row_is_rejected():
+    # At eps = 0 the prune radius is infinite; an inf row must still get
+    # weight 0, so the run matches the one over the clean pool instead of
+    # collapsing every power probe.
+    clean = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
+    bad = clean.copy()
+    bad[17] = np.inf
+    runs = [streaming_robust_pca(ReplaySource(pool, mode="cycle"), eps=0.0, gamma=0.5,
+                                 r_radius=1.5, rng_seed=1)
+            for pool in (clean, bad)]
+    (res_a, stats_a), (res_b, stats_b) = runs
+    assert res_b.status is res_a.status is PcaStatus.ACCEPTED
+    assert stats_a.samples_consumed == stats_b.samples_consumed == 713_708
+    np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
 def test_exact_population_mode_reproduces_batch_driver():
@@ -116,15 +133,16 @@ def test_minibatch_power_tracks_dense_shadow():
     d, p, eps, gamma = 8, 6, 0.05, 1.0
     pop = rng.standard_normal((5000, d)) * np.sqrt(np.linspace(2.0, 0.5, d))
     src = ReplaySource(pop, mode="resample", rng=np.random.default_rng(8))
-    est = build_minibatch_power(src, FilterStack(), p, batch_size=3000)
     b = pop.T @ pop / pop.shape[0]
     m_frob_sq = float(np.sum(np.linalg.eigvalsh(b) ** (2 * p)))
     sig_op = float(np.max(np.linalg.eigvalsh(b)))
     slack = 0.01 * (gamma / eps) * m_frob_sq * sig_op
     sample = pop[rng.integers(0, pop.shape[0], size=400)]
+    # One chain serves all 400 points as the columns of a (d, 400) block.
+    applied, _w = streamed_power_apply(src, FilterStack(), p, 3000, sample.T)
     ok = 0
-    for x in sample:
-        g_hat = float(np.sum(est.apply(x) ** 2))
+    for x, col in zip(sample, applied.T):
+        g_hat = float(np.sum(col ** 2))
         g_true = float(np.sum(dense_power_apply(b, p, x) ** 2))
         if g_hat >= 0.5 * g_true - slack:
             ok += 1
