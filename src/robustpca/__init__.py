@@ -5,11 +5,9 @@ from .core import (
     FilterEntry,
     FilterStack,
     WeightedDataset,
-    evaluate_weight,
     load_dataset,
     rng_stream,
     save_dataset,
-    surviving_mass,
 )
 from .certificate import Candidate, sample_top_eigenvector, sample_top_eigenvector_streaming
 from .contamination import (

@@ -18,15 +18,11 @@ import numpy as np
 
 from .core import AlgoConfig, FilterStack
 from .errors import DegenerateStateError
-from .estimators import (
-    stream_mean_estimate,
-    streaming_quantile,
-    trimmed_variance,
-    weighted_quantile,
-)
+from .estimators import streaming_quantile, trimmed_variance, weighted_quantile
 from .linops import (
     Normalization,
     SecondMomentOp,
+    accepted_band_mean,
     accepted_scores,
     approx_power_iteration,
     gaussian_retry,
@@ -140,18 +136,11 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     tail = 3.0 * eps
     if tail > 0:
         cap = streaming_quantile(lambda k: accepted_scores(source, stack, u, k),
-                                 tail, fail_prob, c_q=config.c_q, ledger=ledger)
+                                 tail, fail_prob, ledger=ledger)
     else:
         cap = math.inf
-
-    def draw_means(k: int) -> np.ndarray:
-        pts = source.draw(k)
-        w = stack.weights(pts)
-        f = (pts @ u) ** 2
-        return np.where(w & (f <= cap), f, 0.0)
-
-    sigma = stream_mean_estimate(draw_means, fail_prob, n_batch=mean_batch,
-                                 ledger=ledger)
+    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob,
+                               mean_batch, ledger=ledger)
 
     accepted = _decide(sigma, rayleigh_emp, r_hat, gamma, config.c_acc)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,

@@ -19,8 +19,6 @@ __all__ = [
     "FilterStack",
     "WeightedDataset",
     "AlgoConfig",
-    "evaluate_weight",
-    "surviving_mass",
     "rng_stream",
     "load_dataset",
     "save_dataset",
@@ -100,20 +98,6 @@ class FilterStack:
         return w
 
 
-def evaluate_weight(stack: FilterStack, x: np.ndarray) -> int:
-    """Binary weight of a single point under a stack. Pure and deterministic."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("point must be a 1-d vector")
-    for e in stack.entries:
-        if e.direction.size != x.size:
-            raise ValueError(
-                f"dimension mismatch: direction has {e.direction.size} coords, "
-                f"point has {x.size}"
-            )
-    return int(stack.weights(x[None, :])[0])
-
-
 @dataclass(frozen=True)
 class WeightedDataset:
     """n points in R^d with weights implicitly defined by a filter stack.
@@ -158,11 +142,6 @@ class WeightedDataset:
         return replace(self, filter_stack=stack)
 
 
-def surviving_mass(ds: WeightedDataset) -> float:
-    """(1/n) sum of weights; exactly 1.0 for an unconstrained stack."""
-    return float(np.count_nonzero(ds.weights())) / ds.n
-
-
 def _default_gamma(eps: float) -> float:
     if eps <= 0:
         return 0.05
@@ -186,22 +165,15 @@ class AlgoConfig:
     c_inner: float = 3.0
     t_end: int | None = None
     k_end: int | None = None
-    delta_slack: float = 0.0
     seed: int = 0
     boost_reps: int = 1
     cert_failure_prob: float = 0.1
 
-    # Certificate / estimator constants; overridable, defaults are desk-scale.
+    # Certificate constants and stream sizes; defaults are desk-scale.
     c_acc: float = 20.0
     c_pi: float = 4.0
     c_cert: float = 4.0
-    c_q: float = 200.0
-    c_m: float = 1.0
-    c_batch: float = 1.0
     batch_size: int | None = None
-    batch_size_cap: int = 4096
-    mean_batch_cap: int = 1_000_000
-    track_potential: bool = False
     max_resident_scalars: int | None = None
 
     def __post_init__(self):
@@ -218,8 +190,6 @@ class AlgoConfig:
                 f"the constraint 20*eps <= gamma is violated: "
                 f"20*{self.eps} = {20 * self.eps} > gamma = {self.gamma}"
             )
-        if self.delta_slack < 0:
-            raise ValueError("delta_slack must be nonnegative")
         if self.boost_reps < 1:
             raise ValueError("boost_reps must be a positive integer")
         if not (0.0 < self.cert_failure_prob < 1.0):

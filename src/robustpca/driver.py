@@ -1,11 +1,23 @@
-"""Batch driver: prune, doubling-power loop, certificate attempts, filtering.
+"""The shared driver loop, its boost wrapper, and the batch estimator suite.
 
-The control flow is shared with the streaming driver through an estimator
-suite: the loop below only ever talks to the suite, which answers with
-either exact batch quantities or one-pass stream estimates. Each iteration
-tries to certify a candidate direction; if that fails it scores points along
-a randomized power direction, trims a robust variance, and hard-thresholds
-the high scorers.
+Batch and streaming recovery share one control flow, ``drive``: prune, then
+doubling-power rounds that each try to certify a candidate direction and, if
+that fails, score points along a randomized power direction, trim a robust
+variance, and hard-threshold the high scorers. The loop only ever talks to
+an estimator suite, which answers either with exact batch quantities
+(``BatchEstimators``) or with one-pass stream estimates
+(``streaming.MinibatchEstimators``). A suite has a ``dim``, a filter
+``stack``, and exactly these nine methods, all called by ``drive``:
+
+- ``prologue() -> (sigma_op, delta)``: prune; return the operator-norm
+  bracket and the filter's additive slack.
+- ``certificate(fail_prob, rng) -> Candidate``
+- ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
+- ``start_iteration(v) -> bool``: keep the direction for the calls below;
+  False when every surviving score is zero, so filtering would be a no-op.
+- ``quantile_value(tail)``, ``sigma_trimmed(cap)``, ``mean_score(L, thr)``,
+  ``score_range(L)``: scalar answers along the kept direction.
+- ``register_entry(entry)``: apply a new filter.
 """
 
 from __future__ import annotations
@@ -56,7 +68,6 @@ class PcaResult:
     status: PcaStatus
     iterations: tuple[int, int]
     filters_created: int
-    potential_trace: list[float] | None = None
     elapsed: float = 0.0
     samples_consumed: int | None = None
 
@@ -64,26 +75,27 @@ class PcaResult:
 class BatchEstimators:
     """Exact batch answers over an in-memory population."""
 
-    def __init__(self, points: np.ndarray, eps: float, gamma: float, config: AlgoConfig):
+    def __init__(self, points: np.ndarray, config: AlgoConfig):
         self.points = np.asarray(points, dtype=np.float64)
         self.n, self.dim = self.points.shape
-        self.eps = eps
-        self.gamma = gamma
+        self.eps = config.eps
+        self.gamma = config.gamma
         self.config = config
         self.weights = np.ones(self.n, dtype=bool)
         self.stack = FilterStack()
-        self.sigma_op = 0.0
-        self._norms_sq = np.einsum("ij,ij->i", self.points, self.points)
+        self._scores: np.ndarray | None = None
 
     def prologue(self):
-        self.sigma_op = opnorm_bracket(self.points, self.weights, self.eps)
+        # Rows whose squared norm overflows take no part, even at eps = 0.
+        finite = FilterStack().weights(self.points)
+        sigma_op = opnorm_bracket(self.points, finite, self.eps)
         if self.eps > 0:
-            radius_sq = PRUNE_FACTOR * self.sigma_op * self.dim / self.eps
+            radius_sq = PRUNE_FACTOR * sigma_op * self.dim / self.eps
         else:
             radius_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=radius_sq)
-        self.weights = self._norms_sq <= radius_sq
-        return radius_sq, self.sigma_op
+        self.weights = self.stack.weights(self.points)
+        return sigma_op, 0.0
 
     def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
         return sample_top_eigenvector(self.points, self.weights, self.eps,
@@ -93,63 +105,46 @@ class BatchEstimators:
         op = SecondMomentOp(self.points, self.weights, Normalization.UNNORMALIZED)
         return gaussian_retry(rng, self.dim, lambda z: power_direction(op, p_k, z))
 
-    def start_iteration(self, v: np.ndarray) -> dict:
-        return {"v": v, "f": (self.points @ v) ** 2}
+    def start_iteration(self, v: np.ndarray) -> bool:
+        self._scores = (self.points @ v) ** 2
+        return bool(np.any(self._scores[self.weights] > 0))
 
-    def has_positive_score(self, ctx: dict) -> bool:
-        f = ctx["f"]
-        return bool(np.any(f[self.weights] > 0))
+    def quantile_value(self, tail: float) -> float:
+        return weighted_quantile(self._scores, self.weights, tail)
 
-    def quantile_value(self, ctx: dict, tail: float) -> float:
-        return weighted_quantile(ctx["f"], self.weights, tail)
+    def sigma_trimmed(self, cap: float) -> float:
+        return trimmed_variance(self._scores, self.weights, cap)
 
-    def sigma_trimmed(self, ctx: dict, cap: float) -> float:
-        return trimmed_variance(ctx["f"], self.weights, cap)
-
-    def mean_score(self, ctx: dict, L: float, thr: float) -> float:
-        f = ctx["f"]
+    def mean_score(self, L: float, thr: float) -> float:
+        f = self._scores
         live = self.weights & (f > L) & (f <= thr)
         return float(np.sum(f[live])) / self.n
 
-    def score_range(self, ctx: dict, L: float) -> float:
-        f = ctx["f"]
+    def score_range(self, L: float) -> float:
+        f = self._scores
         tau = f[self.weights & (f > L)]
         return float(tau.max()) if tau.size else 0.0
 
-    def filter_delta(self) -> float:
-        return self.config.delta_slack
-
-    def register_entry(self, entry: FilterEntry) -> int | None:
-        before = int(np.count_nonzero(self.weights))
+    def register_entry(self, entry: FilterEntry) -> None:
         f = (self.points @ entry.direction) ** 2
         self.weights = self.weights & (f <= entry.threshold_sq)
         self.stack = self.stack.with_entry(entry)
-        return before - int(np.count_nonzero(self.weights))
-
-    def potential(self, p_k: int) -> float | None:
-        if not self.config.track_potential or self.dim > 64:
-            return None
-        return potential_diagnostic(self.points, self.weights, p_k)
-
-    def weights_snapshot(self) -> np.ndarray:
-        return self.weights.copy()
 
 
-def drive(suite, d: int, eps: float, gamma: float, cfg: AlgoConfig, seed: int,
-          rep: int, trace_sink=None):
+def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
     """Shared outer/inner loop; returns a PcaResult (without timing)."""
     rng_cert = rng_stream(seed, rep, 1)
     rng_dir = rng_stream(seed, rep, 2)
     rng_filt = rng_stream(seed, rep, 3)
 
+    d = suite.dim
     k_end = cfg.k_end_for(d)
     t_end = cfg.t_end_for(d)
-    tail = QUANTILE_TAIL_FACTOR * eps
+    tail = QUANTILE_TAIL_FACTOR * cfg.eps
     fail_prob = cfg.cert_failure_prob / (k_end * t_end)
 
-    _radius, sigma_op = suite.prologue()
+    sigma_op, delta = suite.prologue()
     best: Candidate | None = None
-    potential_trace: list[float] | None = [] if cfg.track_potential else None
     last_iter = (0, 0)
 
     try:
@@ -163,7 +158,6 @@ def drive(suite, d: int, eps: float, gamma: float, cfg: AlgoConfig, seed: int,
                         u=cand.u, sigma_robust=cand.sigma_robust,
                         status=PcaStatus.ACCEPTED, iterations=(k, t),
                         filters_created=len(suite.stack),
-                        potential_trace=potential_trace,
                     )
                 if best is None or cand.sigma_robust > best.sigma_robust:
                     best = cand
@@ -174,62 +168,46 @@ def drive(suite, d: int, eps: float, gamma: float, cfg: AlgoConfig, seed: int,
                         "surviving second moment collapsed to zero"
                     )
 
-                ctx = suite.start_iteration(v)
-                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "removed": 0,
-                         "skipped": False}
-                if not suite.has_positive_score(ctx):
+                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": False}
+                if not suite.start_iteration(v):
                     # Every surviving score is zero; filtering is a no-op.
                     event["skipped"] = True
                 else:
-                    pot_before = suite.potential(p_k)
-                    L = max(suite.quantile_value(ctx, tail),
-                            QUANTILE_FLOOR * sigma_op / d)
-                    sigma = suite.sigma_trimmed(ctx, L)
-                    t_hat = FILTER_TRIGGER * gamma * sigma
-                    delta = suite.filter_delta()
-                    r_range = suite.score_range(ctx, L)
+                    L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
+                    sigma = suite.sigma_trimmed(L)
+                    t_hat = FILTER_TRIGGER * cfg.gamma * sigma
+                    r_range = suite.score_range(L)
                     outcome = hard_thresholding_filter(
-                        lambda thr: suite.mean_score(ctx, L, thr),
-                        v, L, t_hat, max(r_range, 1.0) if r_range <= 0 else r_range,
+                        lambda thr: suite.mean_score(L, thr),
+                        v, L, t_hat, 1.0 if r_range <= 0 else r_range,
                         delta, rng_filt, score_floor=L,
                     )
-                    removed = None
                     if outcome.new_entry is not None and outcome.rounds > 0:
-                        removed = suite.register_entry(outcome.new_entry)
-                    pot_after = suite.potential(p_k)
-                    if potential_trace is not None and pot_after is not None:
-                        potential_trace.append(pot_after)
+                        suite.register_entry(outcome.new_entry)
                     event.update(
-                        rounds=outcome.rounds, removed=removed,
-                        mean_score=outcome.final_mean_score, cutoff=L,
-                        sigma=sigma, t_hat=t_hat,
-                        potential_before=pot_before, potential_after=pot_after,
+                        rounds=outcome.rounds, mean_score=outcome.final_mean_score,
+                        cutoff=L, sigma=sigma, t_hat=t_hat,
                     )
                 if trace_sink is not None:
-                    event["weights"] = suite.weights_snapshot()
                     trace_sink(event)
     except StreamExhaustedError:
         pass
 
     if best is None:
         return PcaResult(u=None, sigma_robust=0.0, status=PcaStatus.FAILED,
-                         iterations=last_iter, filters_created=len(suite.stack),
-                         potential_trace=potential_trace)
+                         iterations=last_iter, filters_created=len(suite.stack))
     return PcaResult(u=best.u, sigma_robust=best.sigma_robust,
                      status=PcaStatus.FALLBACK_BEST, iterations=last_iter,
-                     filters_created=len(suite.stack),
-                     potential_trace=potential_trace)
+                     filters_created=len(suite.stack))
 
 
-def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
-               config: AlgoConfig | None = None, rng_seed: int | None = None,
-               trace_sink=None) -> PcaResult:
-    """Recover a near-top variance direction from eps-corrupted batch data.
+def run_boosted(make_suite, eps: float, gamma: float | None,
+                config: AlgoConfig | None, rng_seed: int | None, trace_sink=None):
+    """Resolve the config, then ``drive`` fresh suites for up to boost_reps reps.
 
-    Returns the first certified candidate (status ACCEPTED). If every
-    iteration's candidate is rejected, reruns with fresh seeds up to
-    ``config.boost_reps`` times and falls back to the best rejected candidate
-    by robust variance (status FALLBACK_BEST).
+    ``make_suite(cfg)`` builds the suite of one rep. Stops at the first
+    ACCEPTED result; otherwise keeps the rep with the highest robust
+    variance. Returns (result with its elapsed time, last suite).
     """
     start = time.perf_counter()
     if config is None:
@@ -241,16 +219,42 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
 
     best: PcaResult | None = None
     for rep in range(cfg.boost_reps):
-        suite = BatchEstimators(ds.points, cfg.eps, cfg.gamma, cfg)
-        result = drive(suite, ds.dim, cfg.eps, cfg.gamma, cfg, seed, rep,
-                       trace_sink=trace_sink)
+        suite = make_suite(cfg)
+        result = drive(suite, cfg, seed, rep, trace_sink)
         if result.status is PcaStatus.ACCEPTED:
-            result.elapsed = time.perf_counter() - start
-            return result
+            best = result
+            break
         if best is None or result.sigma_robust > best.sigma_robust:
             best = result
     best.elapsed = time.perf_counter() - start
-    return best
+    return best, suite
+
+
+def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
+               config: AlgoConfig | None = None, rng_seed: int | None = None,
+               trace_sink=None) -> PcaResult:
+    """Recover a near-top variance direction from eps-corrupted batch data.
+
+    Returns the first certified candidate (status ACCEPTED). If every
+    iteration's candidate is rejected, reruns with fresh seeds up to
+    ``config.boost_reps`` times and falls back to the best rejected candidate
+    by robust variance (status FALLBACK_BEST). Each event passed to
+    ``trace_sink`` carries the survivor mask after its iteration as
+    ``weights``.
+    """
+    suite: BatchEstimators | None = None
+
+    def fresh_suite(cfg: AlgoConfig) -> BatchEstimators:
+        nonlocal suite
+        suite = BatchEstimators(ds.points, cfg)
+        return suite
+
+    def sink(event: dict) -> None:
+        trace_sink({**event, "weights": suite.weights.copy()})
+
+    result, _suite = run_boosted(fresh_suite, eps, gamma, config, rng_seed,
+                                 None if trace_sink is None else sink)
+    return result
 
 
 def potential_diagnostic(points: np.ndarray, weights: np.ndarray, p: int) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import FilterStack
 from .errors import DegenerateStateError
+from .estimators import stream_mean_estimate
 from .sources import SampleSource, ScalarLedger
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "streamed_power_apply",
     "streamed_power_direction",
     "accepted_scores",
+    "accepted_band_mean",
     "power_iteration",
     "approx_power_iteration",
     "gaussian_retry",
@@ -134,6 +136,27 @@ def accepted_scores(source: SampleSource, stack: FilterStack, v: np.ndarray,
         pts, _ = rejection_batch(source, stack, k - got.size + 8)
         got = np.concatenate([got, (pts @ v) ** 2])
     return got[:k]
+
+
+def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
+                       lo: float, hi: float, fail_prob: float, n_batch: int,
+                       ledger: ScalarLedger | None = None) -> float:
+    """Median-of-means estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
+
+    ``v`` must be a unit vector. Each chunk is scored in one product over all
+    its rows, which costs less than gathering the accepted rows first. An
+    accepted row has a finite squared norm, which bounds its score, so only
+    rejected rows can overflow or turn NaN here; their floating-point flags
+    are muted and their scores are replaced by zeros before any sum.
+    """
+    def draw(k: int) -> np.ndarray:
+        pts = source.draw(k)
+        keep = stack.weights(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = (pts @ v) ** 2
+        return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
+
+    return stream_mean_estimate(draw, fail_prob, n_batch=n_batch, ledger=ledger)
 
 
 def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,

@@ -8,10 +8,8 @@ from robustpca import (
     FilterEntry,
     FilterStack,
     WeightedDataset,
-    evaluate_weight,
     load_dataset,
     save_dataset,
-    surviving_mass,
 )
 
 
@@ -34,7 +32,7 @@ def sequential_weight(stack, x):
 
 def test_empty_stack_accepts_everything():
     stack = FilterStack()
-    assert evaluate_weight(stack, np.array([1e6, -1e6])) == 1
+    np.testing.assert_array_equal(stack.weights(np.array([[1e6, -1e6]])), [True])
 
 
 def test_non_finite_rows_get_zero_weight():
@@ -47,8 +45,8 @@ def test_non_finite_rows_get_zero_weight():
 def test_single_entry_rejects_large_projection():
     stack = FilterStack(prune_radius_sq=4.0,
                         entries=(FilterEntry(np.array([1.0, 0.0]), 1.0),))
-    assert evaluate_weight(stack, np.array([2.0, 0.0])) == 0
-    assert evaluate_weight(stack, np.array([0.5, 0.5])) == 1
+    np.testing.assert_array_equal(stack.weights(np.array([[2.0, 0.0], [0.5, 0.5]])),
+                                  [False, True])
 
 
 def test_evaluate_weight_matches_sequential_simulation():
@@ -56,20 +54,13 @@ def test_evaluate_weight_matches_sequential_simulation():
     for _ in range(50):
         stack = random_stack(rng, 4, 5)
         x = rng.standard_normal(4) * rng.uniform(0.5, 3.0)
-        assert evaluate_weight(stack, x) == sequential_weight(stack, x)
+        assert int(stack.weights(x[None, :])[0]) == sequential_weight(stack, x)
 
 
 def test_evaluate_weight_dimension_mismatch():
     stack = FilterStack(entries=(FilterEntry(np.ones(3), 1.0),))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        evaluate_weight(stack, np.ones(4))
-
-
-def test_evaluate_weight_deterministic():
-    rng = np.random.default_rng(11)
-    stack = random_stack(rng, 5, 3)
-    x = rng.standard_normal(5)
-    assert evaluate_weight(stack, x) == evaluate_weight(stack, x)
+        stack.weights(np.ones((1, 4)))
 
 
 def test_compaction_equivalence_with_threshold_chain():
@@ -111,24 +102,6 @@ def test_weighted_dataset_validation():
         WeightedDataset(np.zeros((3, 0)))
     ds = WeightedDataset(np.zeros((3, 1)))
     assert ds.dim == 1 and ds.n == 3
-
-
-def test_surviving_mass_plain_and_filtered():
-    pts = np.vstack([np.eye(2)] * 5)  # 10 points
-    ds = WeightedDataset(pts)
-    assert surviving_mass(ds) == 1.0
-    # One filter killing exactly the 5 copies of e1.
-    filtered = ds.with_stack(FilterStack(entries=(FilterEntry(np.array([1.0, 0.0]), 0.5),)))
-    assert surviving_mass(filtered) == pytest.approx(0.5)
-
-
-def test_surviving_mass_matches_recount():
-    rng = np.random.default_rng(9)
-    pts = rng.standard_normal((30, 4)) * 2
-    stack = random_stack(rng, 4, 3)
-    ds = WeightedDataset(pts, filter_stack=stack)
-    manual = sum(sequential_weight(stack, x) for x in pts) / 30
-    assert surviving_mass(ds) == pytest.approx(manual)
 
 
 def test_config_validation():

@@ -13,12 +13,19 @@ from robustpca import (
     gen_inliers,
     metric_approx_ratio,
     naive_pca,
+    opnorm_bracket,
     potential_diagnostic,
     robust_pca,
     rng_stream,
     strong_contaminate,
 )
+from robustpca.driver import BatchEstimators, drive
 from robustpca.errors import UnsupportedDiagnosticError
+from robustpca.streaming import MinibatchEstimators
+
+SUITE_METHODS = {"prologue", "certificate", "direction", "start_iteration",
+                 "quantile_value", "sigma_trimmed", "mean_score", "score_range",
+                 "register_entry"}
 
 
 def spiked_instance(d, n, eps, seed, spike=9.0):
@@ -85,13 +92,21 @@ def test_potential_diagnostic_examples():
 
 
 def test_potential_monotone_along_run():
-    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, track_potential=True)
+    eps = 0.05
+    pts, _labels, _sigma = spiked_instance(12, 3000, eps, seed=7)
     events = []
-    res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, config=cfg,
-                     rng_seed=7, trace_sink=events.append)
-    pots = [(e["potential_before"], e["potential_after"]) for e in events
-            if not e["skipped"]]
+    robust_pca(WeightedDataset(pts), eps=eps, gamma=1.0, rng_seed=7,
+               trace_sink=events.append)
+    # Survivors before the first event: the prologue's norm prune.
+    n, d = pts.shape
+    prune_sq = 10.0 * opnorm_bracket(pts, np.ones(n, dtype=bool), eps) * d / eps
+    w_before = np.einsum("ij,ij->i", pts, pts) <= prune_sq
+    pots = []
+    for e in events:
+        if not e["skipped"]:
+            pots.append((potential_diagnostic(pts, w_before, e["p_k"]),
+                         potential_diagnostic(pts, e["weights"], e["p_k"])))
+        w_before = e["weights"]
     assert pots
     for before, after in pots:
         assert after <= before * (1 + 1e-9)
@@ -185,3 +200,46 @@ def test_boost_reps_prefer_highest_robust_variance():
     cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, k_end=1, boost_reps=3)
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, config=cfg, rng_seed=13)
     assert res.u is not None and res.sigma_robust >= 0
+
+
+@pytest.mark.parametrize("suite_cls", [BatchEstimators, MinibatchEstimators])
+def test_suites_define_exactly_the_contract_methods(suite_cls):
+    public = {name for name, val in vars(suite_cls).items()
+              if callable(val) and not name.startswith("_")}
+    assert public == SUITE_METHODS
+
+
+def test_drive_uses_only_the_suite_contract():
+    class Recorder:
+        def __init__(self, suite):
+            self._suite = suite
+            self.seen = set()
+
+        def __getattr__(self, name):
+            self.seen.add(name)
+            return getattr(self._suite, name)
+
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0)
+    suite = Recorder(BatchEstimators(pts, cfg))
+    events = []
+    res = drive(suite, cfg, seed=7, rep=0, trace_sink=events.append)
+    assert res.u is not None and any(not e["skipped"] for e in events)
+    assert SUITE_METHODS - {"register_entry"} <= suite.seen
+    assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_row_is_dropped_by_batch_prologue():
+    # A finite row whose squared norm overflows must not reach the operator
+    # norm bracket or survive the infinite prune radius of eps = 0. Scoring
+    # squares every row before masking, hence the overflow warnings.
+    clean = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
+    bad = clean.copy()
+    bad[17] = [1e200, 0, 0, 0, 0]
+    runs = [robust_pca(WeightedDataset(pool), eps=0.0, gamma=0.5, rng_seed=1)
+            for pool in (clean, bad)]
+    for res in runs:
+        assert res.status is PcaStatus.ACCEPTED
+        assert res.iterations == (1, 1)
+    assert abs(float(runs[0].u @ runs[1].u)) >= 1 - 1e-3
