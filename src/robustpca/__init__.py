@@ -36,7 +36,6 @@ from .estimators import (
 )
 from .filtering import FilterOutcome, hard_thresholding_filter, hard_thresholding_filter_batch
 from .linops import (
-    Normalization,
     SecondMomentOp,
     approx_power_iteration,
     power_direction,

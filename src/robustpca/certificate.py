@@ -20,7 +20,6 @@ from .core import AlgoConfig, FilterStack
 from .errors import DegenerateStateError
 from .estimators import streaming_quantile, trimmed_variance, weighted_quantile
 from .linops import (
-    Normalization,
     SecondMomentOp,
     accepted_band_mean,
     accepted_scores,
@@ -67,23 +66,21 @@ def _decide(sigma_robust: float, rayleigh_emp: float, reference: float,
     return sigma_robust >= f1 * rayleigh_emp and rayleigh_emp >= f2 * reference
 
 
-def sample_top_eigenvector(points: np.ndarray, weights: np.ndarray, eps: float,
+def sample_top_eigenvector(rows: np.ndarray, n_total: int, eps: float,
                            gamma: float, fail_prob: float, config: AlgoConfig,
                            rng: np.random.Generator) -> Candidate:
     """Batch candidate: u = normalize(B^p z) judged against batch estimates.
 
-    The reference Rayleigh quotient comes from an independent power
-    iteration; the robust variance from the 3*eps-tail trimmed mean of
-    squared projections onto u. All reported scalars are per unit norm of u.
+    ``rows`` holds the m surviving points of a population of ``n_total``;
+    B is their second moment over n_total. The reference Rayleigh quotient
+    comes from an independent power iteration; the robust variance from the
+    3*eps-tail trimmed mean of squared projections onto u. All reported
+    scalars are per unit norm of u.
     """
-    points = np.asarray(points, dtype=np.float64)
-    weights = np.asarray(weights, dtype=bool)
-    d = points.shape[1]
-    if not weights.any():
-        raise DegenerateStateError("certificate requested with no surviving points")
-
-    op_norm = SecondMomentOp(points, weights, Normalization.NORMALIZED)
-    op_raw = SecondMomentOp(points, weights, Normalization.UNNORMALIZED)
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[1]
+    op_norm = SecondMomentOp(rows)
+    op_raw = SecondMomentOp(rows, n_total)
 
     _y, r_hat = power_iteration(op_norm, config.ref_power(d, fail_prob), rng)
 
@@ -94,10 +91,10 @@ def sample_top_eigenvector(points: np.ndarray, weights: np.ndarray, eps: float,
 
     rayleigh_emp = float(u @ op_norm.matvec(u))
 
-    f_u = (points @ u) ** 2
+    f_u = (rows @ u) ** 2
     tail = 3.0 * eps
-    cap = weighted_quantile(f_u, weights, tail) if tail > 0 else math.inf
-    sigma = trimmed_variance(f_u, weights, cap)
+    cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
+    sigma = trimmed_variance(f_u, cap, n_total)
 
     accepted = _decide(sigma, rayleigh_emp, r_hat, gamma, config.c_acc)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
@@ -129,7 +126,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     if u is None:
         raise DegenerateStateError("candidate power iterate collapsed to zero")
 
-    accepted_pts, _rate = rejection_batch(source, stack, batch_size)
+    accepted_pts = rejection_batch(source, stack, batch_size)
     proj = accepted_pts @ u
     rayleigh_emp = float(proj @ proj) / accepted_pts.shape[0]
 

@@ -34,7 +34,7 @@ from .contamination import (
 )
 from .core import AlgoConfig, WeightedDataset, rng_stream, save_dataset
 from .driver import naive_pca, robust_pca
-from .linops import Normalization, SecondMomentOp, power_iteration
+from .linops import SecondMomentOp, power_iteration
 from .oracle import metric_approx_ratio
 from .streaming import streaming_robust_pca
 
@@ -272,7 +272,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
         if config.inlier.dim > 256:
             raise ConfigError("ORACLE baseline requires dim <= 256")
         t0 = time.perf_counter()
-        op = SecondMomentOp(points[labels], None, Normalization.NORMALIZED)
+        op = SecondMomentOp(points[labels])
         u, _ = power_iteration(op, 256, rng_stream(seed, 1004))
         row("oracle", _ratio(u, sigma), "baseline", time.perf_counter() - t0)
 

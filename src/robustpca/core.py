@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 
@@ -100,14 +100,13 @@ class FilterStack:
 
 @dataclass(frozen=True)
 class WeightedDataset:
-    """n points in R^d with weights implicitly defined by a filter stack.
+    """n finite points in R^d, the input of a batch solve.
 
     Optional labels mark ground-truth inliers for oracle metrics; they are
     never consulted by the recovery algorithms.
     """
 
     points: np.ndarray
-    filter_stack: FilterStack = field(default_factory=FilterStack)
     inlier_labels: np.ndarray | None = None
 
     def __post_init__(self):
@@ -135,12 +134,6 @@ class WeightedDataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def weights(self) -> np.ndarray:
-        return self.filter_stack.weights(self.points)
-
-    def with_stack(self, stack: FilterStack) -> "WeightedDataset":
-        return replace(self, filter_stack=stack)
-
 
 def _default_gamma(eps: float) -> float:
     if eps <= 0:
@@ -165,7 +158,6 @@ class AlgoConfig:
     c_inner: float = 3.0
     t_end: int | None = None
     k_end: int | None = None
-    seed: int = 0
     boost_reps: int = 1
     cert_failure_prob: float = 0.1
 

@@ -39,7 +39,6 @@ from .errors import (
 from .estimators import opnorm_bracket, trimmed_variance, weighted_quantile
 from .filtering import hard_thresholding_filter
 from .linops import (
-    Normalization,
     SecondMomentOp,
     gaussian_retry,
     power_direction,
@@ -73,7 +72,12 @@ class PcaResult:
 
 
 class BatchEstimators:
-    """Exact batch answers over an in-memory population."""
+    """Exact batch answers over an in-memory population.
+
+    Survivors are the mask ``weights`` and ``rows = points[weights]``, which
+    the prologue gathers once and each new filter compresses. Every answer
+    reads ``rows``, so no pruned or filtered row is projected again.
+    """
 
     def __init__(self, points: np.ndarray, config: AlgoConfig):
         self.points = np.asarray(points, dtype=np.float64)
@@ -82,6 +86,7 @@ class BatchEstimators:
         self.gamma = config.gamma
         self.config = config
         self.weights = np.ones(self.n, dtype=bool)
+        self.rows = self.points
         self.stack = FilterStack()
         self._scores: np.ndarray | None = None
 
@@ -95,39 +100,41 @@ class BatchEstimators:
             radius_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=radius_sq)
         self.weights = self.stack.weights(self.points)
+        self.rows = self.points[self.weights]
         return sigma_op, 0.0
 
     def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
-        return sample_top_eigenvector(self.points, self.weights, self.eps,
+        return sample_top_eigenvector(self.rows, self.n, self.eps,
                                       self.gamma, fail_prob, self.config, rng)
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
-        op = SecondMomentOp(self.points, self.weights, Normalization.UNNORMALIZED)
+        op = SecondMomentOp(self.rows, self.n)
         return gaussian_retry(rng, self.dim, lambda z: power_direction(op, p_k, z))
 
     def start_iteration(self, v: np.ndarray) -> bool:
-        self._scores = (self.points @ v) ** 2
-        return bool(np.any(self._scores[self.weights] > 0))
+        self._scores = (self.rows @ v) ** 2
+        return bool(np.any(self._scores > 0))
 
     def quantile_value(self, tail: float) -> float:
-        return weighted_quantile(self._scores, self.weights, tail)
+        return weighted_quantile(self._scores, tail)
 
     def sigma_trimmed(self, cap: float) -> float:
-        return trimmed_variance(self._scores, self.weights, cap)
+        return trimmed_variance(self._scores, cap, self.n)
 
     def mean_score(self, L: float, thr: float) -> float:
         f = self._scores
-        live = self.weights & (f > L) & (f <= thr)
+        live = (f > L) & (f <= thr)
         return float(np.sum(f[live])) / self.n
 
     def score_range(self, L: float) -> float:
         f = self._scores
-        tau = f[self.weights & (f > L)]
+        tau = f[f > L]
         return float(tau.max()) if tau.size else 0.0
 
     def register_entry(self, entry: FilterEntry) -> None:
-        f = (self.points @ entry.direction) ** 2
-        self.weights = self.weights & (f <= entry.threshold_sq)
+        keep = (self.rows @ entry.direction) ** 2 <= entry.threshold_sq
+        self.rows = self.rows[keep]
+        self.weights[self.weights] = keep
         self.stack = self.stack.with_entry(entry)
 
 
@@ -180,7 +187,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                     outcome = hard_thresholding_filter(
                         lambda thr: suite.mean_score(L, thr),
                         v, L, t_hat, 1.0 if r_range <= 0 else r_range,
-                        delta, rng_filt, score_floor=L,
+                        delta, rng_filt,
                     )
                     if outcome.new_entry is not None and outcome.rounds > 0:
                         suite.register_entry(outcome.new_entry)
@@ -215,7 +222,7 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
     else:
         cfg = dc_replace(config, eps=eps,
                          gamma=gamma if gamma is not None else config.gamma)
-    seed = cfg.seed if rng_seed is None else rng_seed
+    seed = 0 if rng_seed is None else rng_seed
 
     best: PcaResult | None = None
     for rep in range(cfg.boost_reps):
@@ -280,5 +287,5 @@ def naive_pca(points: np.ndarray, rng: np.random.Generator,
     d = points.shape[1]
     if p_iters is None:
         p_iters = max(64, 8 * math.ceil(math.log(max(d, 2))))
-    op = SecondMomentOp(points, None, Normalization.NORMALIZED)
+    op = SecondMomentOp(points)
     return power_iteration(op, p_iters, rng)

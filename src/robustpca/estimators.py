@@ -25,24 +25,23 @@ __all__ = [
 ]
 
 
-def weighted_quantile(scores: np.ndarray, weights: np.ndarray, tail: float) -> float:
-    """Smallest surviving score L with surviving mass strictly above L <= tail.
+def weighted_quantile(scores: np.ndarray, tail: float) -> float:
+    """Smallest survivor score L with surviving mass strictly above L <= tail.
 
-    Tail mass rounds downward: with m survivors the cutoff is the
-    (floor(tail*m)+1)-th largest surviving score, so at most floor(tail*m)
-    survivors lie strictly above it. ``tail`` may be 0, making L the maximum.
+    ``scores`` holds one score per surviving point. Tail mass rounds
+    downward: with m survivors the cutoff is the (floor(tail*m)+1)-th largest
+    score, so at most floor(tail*m) survivors lie strictly above it. ``tail``
+    may be 0, making L the maximum.
     """
     if not (0.0 <= tail < 1.0):
         raise ValueError(f"tail must lie in [0, 1), got {tail}")
     scores = np.asarray(scores, dtype=np.float64)
-    weights = np.asarray(weights, dtype=bool)
-    surv = scores[weights]
-    m = surv.size
+    m = scores.size
     if m == 0:
         raise DegenerateStateError("quantile over an empty survivor set")
     k_above = int(math.floor(tail * m + 1e-12))
     # (k_above+1)-th largest == index m-1-k_above in ascending order
-    return float(np.partition(surv, m - 1 - k_above)[m - 1 - k_above])
+    return float(np.partition(scores, m - 1 - k_above)[m - 1 - k_above])
 
 
 def streaming_quantile_samples(tail: float, fail_prob: float, c_q: float = 200.0) -> int:
@@ -72,21 +71,20 @@ def streaming_quantile(draw_scores, tail: float, fail_prob: float,
         return float(np.partition(block, m - k)[m - k])
 
 
-def trimmed_variance(scores: np.ndarray, weights: np.ndarray, cap: float) -> float:
-    """Mean of w(x) * f(x) over all n points, zeroing scores f(x) above cap.
+def trimmed_variance(scores: np.ndarray, cap: float, n_total: int) -> float:
+    """Sum of the survivor scores f(x) <= cap, divided by all n_total points.
 
-    ``scores`` holds one precomputed score per point, typically the squared
-    projection (v.x)^2. Unnormalized: the divisor is n, not the surviving
-    count, matching the population functional the stability bounds speak
-    about.
+    ``scores`` holds one precomputed score per surviving point, typically
+    the squared projection (v.x)^2. Unnormalized: the divisor is n, not the
+    surviving count, matching the population functional the stability
+    bounds speak about.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    kept = np.asarray(weights, dtype=bool) & (scores <= cap)
-    return float(np.sum(scores[kept])) / scores.shape[0]
+    return float(np.sum(scores[scores <= cap])) / n_total
 
 
 def opnorm_bracket(points: np.ndarray, weights: np.ndarray, eps: float) -> float:
-    """Trimmed mean of squared norms at tail 3*eps.
+    """Trimmed mean of the survivors' squared norms at tail 3*eps.
 
     Brackets the top variance within a dimension factor: the value lands
     between (1-O(gamma))*||Sigma||_op and (1+O(gamma))*d*||Sigma||_op for
@@ -94,11 +92,11 @@ def opnorm_bracket(points: np.ndarray, weights: np.ndarray, eps: float) -> float
     to zero samples and no trimming occurs.
     """
     points = np.asarray(points, dtype=np.float64)
-    g = np.einsum("ij,ij->i", points, points)
+    g = np.einsum("ij,ij->i", points, points)[np.asarray(weights, dtype=bool)]
     tail = 3.0 * eps
     if tail >= 1.0:
         raise ValueError(f"3*eps must be below 1, got eps={eps}")
-    return trimmed_variance(g, weights, weighted_quantile(g, weights, tail))
+    return trimmed_variance(g, weighted_quantile(g, tail), points.shape[0])
 
 
 def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,

@@ -30,7 +30,6 @@ class FilterOutcome:
     new_entry: FilterEntry | None
     rounds: int
     final_mean_score: float
-    removed_count: int | None = None
 
 
 def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: float,
@@ -114,8 +113,5 @@ def hard_thresholding_filter_batch(v: np.ndarray, f_scores: np.ndarray,
     outcome = hard_thresholding_filter(mean_at, v, L, T_hat, R if R > 0 else 1.0,
                                        delta, rng, score_floor=floor)
     if outcome.new_entry is None:
-        outcome.removed_count = 0
         return outcome, w
-    new_w = w & (f <= outcome.new_entry.threshold_sq)
-    outcome.removed_count = int(np.count_nonzero(w) - np.count_nonzero(new_w))
-    return outcome, new_w
+    return outcome, w & (f <= outcome.new_entry.threshold_sq)

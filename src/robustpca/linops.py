@@ -8,7 +8,6 @@ minibatches from a sample source.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from .estimators import stream_mean_estimate
 from .sources import SampleSource, ScalarLedger
 
 __all__ = [
-    "Normalization",
     "SecondMomentOp",
     "power_direction",
     "streamed_power_apply",
@@ -35,41 +33,24 @@ __all__ = [
 _STREAM_CHUNK = 1024
 
 
-class Normalization(enum.Enum):
-    UNNORMALIZED = "unnormalized"   # (1/n) sum_x w(x) x x^T
-    NORMALIZED = "normalized"       # divided further by the surviving mass
-
-
 class SecondMomentOp:
-    """Weighted second-moment matvec over an in-memory dataset.
+    """Second-moment matvec sum_i x_i (x_i . z) / denominator over the given rows.
 
-    ``matvec`` runs in one pass, O(n d) arithmetic, O(d) extra memory beyond
-    the cached survivor view. Deterministic given the data.
+    The divisor defaults to the row count (the normalized moment); pass the
+    population size n for the unnormalized one. The rows are referenced, not
+    copied. ``matvec`` runs in one pass, O(m d) arithmetic, O(d) extra
+    memory. Deterministic given the rows.
     """
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray | None = None,
-                 normalization: Normalization = Normalization.UNNORMALIZED):
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2:
-            raise ValueError("points must be (n, d)")
-        self.n_total = points.shape[0]
-        self.dim = points.shape[1]
-        if weights is None:
-            weights = np.ones(self.n_total, dtype=bool)
-        weights = np.asarray(weights, dtype=bool)
-        if weights.shape != (self.n_total,):
-            raise ValueError("weights must have one entry per point")
-        self.normalization = normalization
-        self.surviving = int(np.count_nonzero(weights))
-        if normalization is Normalization.NORMALIZED and self.surviving == 0:
-            raise DegenerateStateError("no surviving points under NORMALIZED operator")
-        self._survivors = points[weights]
-
-    @property
-    def denominator(self) -> float:
-        if self.normalization is Normalization.NORMALIZED:
-            return float(self.surviving)
-        return float(self.n_total)
+    def __init__(self, rows: np.ndarray, denominator: float | None = None):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError("rows must be (m, d)")
+        self.surviving, self.dim = rows.shape
+        self.denominator = float(self.surviving if denominator is None else denominator)
+        if self.denominator == 0:
+            raise DegenerateStateError("second moment with divisor 0 (no surviving rows)")
+        self._rows = rows
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -78,15 +59,11 @@ class SecondMomentOp:
                 f"expected a ({self.dim},) vector or ({self.dim}, m) block, "
                 f"got shape {z.shape}"
             )
-        if self._survivors.shape[0] == 0:
-            return np.zeros_like(z, dtype=np.float64)
-        return self._survivors.T @ (self._survivors @ z) / self.denominator
+        return self._rows.T @ (self._rows @ z) / self.denominator
 
     def materialize(self) -> np.ndarray:
         """Dense (d, d) matrix; diagnostics and small-instance oracles only."""
-        if self._survivors.shape[0] == 0:
-            return np.zeros((self.dim, self.dim))
-        return self._survivors.T @ self._survivors / self.denominator
+        return self._rows.T @ self._rows / self.denominator
 
 
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
@@ -107,11 +84,12 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
     return u / nrm
 
 
-def rejection_batch(source: SampleSource, stack: FilterStack, batch_size: int):
-    """One batch of ``batch_size`` raw draws, split by the stack's weights.
+def rejection_batch(source: SampleSource, stack: FilterStack,
+                    batch_size: int) -> np.ndarray:
+    """The rows the stack accepts among ``batch_size`` fresh draws.
 
-    Returns (accepted_points, acceptance_fraction). Raising when nothing is
-    accepted keeps downstream moment estimates well defined.
+    Raising when nothing is accepted keeps downstream moment estimates well
+    defined.
     """
     pts = source.draw(batch_size)
     keep = stack.weights(pts)
@@ -120,7 +98,7 @@ def rejection_batch(source: SampleSource, stack: FilterStack, batch_size: int):
         raise DegenerateStateError(
             f"minibatch of {batch_size} samples was entirely rejected by the filter stack"
         )
-    return accepted, accepted.shape[0] / batch_size
+    return accepted
 
 
 def accepted_scores(source: SampleSource, stack: FilterStack, v: np.ndarray,
@@ -130,10 +108,10 @@ def accepted_scores(source: SampleSource, stack: FilterStack, v: np.ndarray,
     Draws one batch of k, then tops up with batches of (missing + 8) until k
     accepted scores are in hand.
     """
-    pts, _ = rejection_batch(source, stack, max(k, 1))
+    pts = rejection_batch(source, stack, max(k, 1))
     got = (pts @ v) ** 2
     while got.size < k:
-        pts, _ = rejection_batch(source, stack, k - got.size + 8)
+        pts = rejection_batch(source, stack, k - got.size + 8)
         got = np.concatenate([got, (pts @ v) ** 2])
     return got[:k]
 
@@ -300,7 +278,7 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     if not alive.any():
         raise DegenerateStateError("every power probe collapsed to the zero vector")
     y = y[:, alive] / nrm[alive]
-    accepted, _rate = rejection_batch(source, stack, batch_size)
+    accepted = rejection_batch(source, stack, batch_size)
     proj = accepted @ y
     return float(np.max(np.sum(proj * proj, axis=0))) / accepted.shape[0]
 

@@ -37,23 +37,6 @@ class StreamStats:
     wall_time: float
 
 
-def default_stream_batch(d: int, p: int, eps: float, gamma: float, r_radius: float,
-                         config: AlgoConfig) -> int:
-    """Minibatch size for moment-product factors.
-
-    The theory-faithful size d * p^2 * log(d/eps) / delta^2 (with delta the
-    operator-closeness target) is astronomically large at desk scale, so it
-    is clamped to ``BATCH_SIZE_CAP``; ``config.batch_size`` overrides both.
-    """
-    if config.batch_size is not None:
-        return config.batch_size
-    eps_eff = max(eps, 1e-6)
-    delta = 0.01 * min(math.sqrt(gamma / eps_eff) / (r_radius * math.sqrt(d)),
-                       gamma / math.sqrt(d))
-    raw = d * p * p * math.log(max(d, 2) / eps_eff) / (delta * delta)
-    return int(min(max(64, math.ceil(raw)), BATCH_SIZE_CAP))
-
-
 def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
     """Per-batch sample count for the median-of-means score average."""
     eps_eff = max(eps, 1e-3)
@@ -77,9 +60,8 @@ class MinibatchEstimators:
         self.ledger = ledger
         self.dim = source.dim
         self.stack = FilterStack()
-        base_p = config.base_power(self.dim)
-        self.batch = default_stream_batch(self.dim, base_p, self.eps, self.gamma,
-                                          r_radius, config)
+        # d p^2 log(d/eps) / delta^2, delta <= 0.01 gamma/sqrt(d), always exceeds the cap.
+        self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, self.eps, self.gamma, r_radius)
         self._fail = config.cert_failure_prob
         self._v: np.ndarray | None = None

@@ -32,8 +32,8 @@ def test_clean_data_accepts_and_aligns():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((n, d)) * scales
-        cand = sample_top_eigenvector(pts, np.ones(n, dtype=bool), eps, gamma,
-                                      0.01, cfg, np.random.default_rng(seed + 1))
+        cand = sample_top_eigenvector(pts, n, eps, gamma, 0.01, cfg,
+                                      np.random.default_rng(seed + 1))
         assert abs(np.linalg.norm(cand.u) - 1.0) <= 1e-12
         if cand.accepted and abs(cand.u[0]) >= 0.98:
             hits += 1
@@ -52,8 +52,7 @@ def test_isotropic_survivors_projection_expectation():
     rng = np.random.default_rng(0)
     vals = []
     for _ in range(400):
-        cand = sample_top_eigenvector(pts, np.ones(2 * d, dtype=bool), 0.01,
-                                      gamma, 0.05, cfg, rng)
+        cand = sample_top_eigenvector(pts, 2 * d, 0.01, gamma, 0.05, cfg, rng)
         vals.append(float(cand.u @ sigma @ cand.u))
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(len(vals))
@@ -73,8 +72,8 @@ def test_spiked_survivors_with_low_true_variance_rejected():
     pts[:n_out, 1] = mag * np.where(np.arange(n_out) % 2 == 0, 1.0, -1.0)
     cfg = AlgoConfig(eps=eps, gamma=gamma)
     for seed in range(5):
-        cand = sample_top_eigenvector(pts, np.ones(n, dtype=bool), eps, gamma,
-                                      0.05, cfg, np.random.default_rng(seed))
+        cand = sample_top_eigenvector(pts, n, eps, gamma, 0.05, cfg,
+                                      np.random.default_rng(seed))
         assert abs(cand.u[1]) > 0.9      # the spike dominates the candidate
         assert not cand.accepted
         assert cand.sigma_robust < 0.25 * cand.rayleigh_emp
@@ -84,8 +83,7 @@ def test_rejected_candidate_reports_reference():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((500, 6))
     cfg = AlgoConfig(eps=0.01, gamma=0.2)
-    cand = sample_top_eigenvector(pts, np.ones(500, dtype=bool), 0.01, 0.2,
-                                  0.1, cfg, rng)
+    cand = sample_top_eigenvector(pts, 500, 0.01, 0.2, 0.1, cfg, rng)
     assert cand.reference_rayleigh > 0
     assert cand.rayleigh_emp > 0
     if cand.accepted:
@@ -122,8 +120,8 @@ def test_acceptance_soundness_across_instances():
         pts = rng.standard_normal((n, d)) * scales
         cfg = AlgoConfig(eps=eps, gamma=gamma)
         for seed in range(10):
-            cand = sample_top_eigenvector(pts, np.ones(n, dtype=bool), eps, gamma,
-                                          0.05, cfg, np.random.default_rng(seed))
+            cand = sample_top_eigenvector(pts, n, eps, gamma, 0.05, cfg,
+                                          np.random.default_rng(seed))
             if cand.accepted:
                 checked += 1
                 lam1 = dense_spectrum(sigma).eigenvalues[0]

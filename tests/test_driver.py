@@ -229,11 +229,29 @@ def test_drive_uses_only_the_suite_contract():
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_batch_rows_are_the_masked_points_after_every_filter():
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0)
+    suite = BatchEstimators(pts, cfg)
+    register = suite.register_entry
+    filters = []
+
+    def register_and_check(entry):
+        register(entry)
+        want = pts[suite.weights]
+        assert suite.rows.shape == want.shape
+        assert suite.rows.tobytes() == want.tobytes()
+        filters.append(entry)
+
+    suite.register_entry = register_and_check
+    drive(suite, cfg, seed=7, rep=0)
+    assert filters and len(filters) == len(suite.stack)
+
+
 def test_overflowing_row_is_dropped_by_batch_prologue():
     # A finite row whose squared norm overflows must not reach the operator
-    # norm bracket or survive the infinite prune radius of eps = 0. Scoring
-    # squares every row before masking, hence the overflow warnings.
+    # norm bracket or survive the infinite prune radius of eps = 0, and no
+    # later step may project it (any overflow warning fails the suite).
     clean = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
     bad = clean.copy()
     bad[17] = [1e200, 0, 0, 0, 0]

@@ -32,20 +32,20 @@ def attained_tail(scores, value):
 
 def test_weighted_quantile_uniform_scores():
     scores = np.arange(1.0, 101.0)
-    qt = weighted_quantile(scores, np.ones(100, dtype=bool), 0.03)
+    qt = weighted_quantile(scores, 0.03)
     assert qt == 97.0
     assert attained_tail(scores, qt) == pytest.approx(0.03)
 
 
 def test_weighted_quantile_all_equal():
     scores = np.full(10, 5.0)
-    qt = weighted_quantile(scores, np.ones(10, dtype=bool), 0.2)
+    qt = weighted_quantile(scores, 0.2)
     assert qt == 5.0 and attained_tail(scores, qt) == 0.0
 
 
 def test_weighted_quantile_zero_tail_is_max():
     scores = np.array([3.0, 9.0, 1.0])
-    qt = weighted_quantile(scores, np.ones(3, dtype=bool), 0.0)
+    qt = weighted_quantile(scores, 0.0)
     assert qt == 9.0
 
 
@@ -58,21 +58,20 @@ def test_weighted_quantile_matches_sort_oracle():
         if not weights.any():
             weights[0] = True
         tail = float(rng.uniform(0.0, 0.5))
-        got = weighted_quantile(scores, weights, tail)
+        got = weighted_quantile(scores[weights], tail)
         assert got == sort_scan_quantile(scores, weights, tail)
 
 
 def test_weighted_quantile_monotone_in_tail():
     rng = np.random.default_rng(3)
     scores = rng.uniform(0, 5, size=50)
-    w = np.ones(50, dtype=bool)
-    values = [weighted_quantile(scores, w, t) for t in (0.0, 0.1, 0.2, 0.4)]
+    values = [weighted_quantile(scores, t) for t in (0.0, 0.1, 0.2, 0.4)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_weighted_quantile_no_survivors():
     with pytest.raises(DegenerateStateError):
-        weighted_quantile(np.ones(4), np.zeros(4, dtype=bool), 0.1)
+        weighted_quantile(np.ones(4)[np.zeros(4, dtype=bool)], 0.1)
 
 
 def test_streaming_quantile_constant_source():
@@ -103,7 +102,7 @@ def test_streaming_quantile_frees_buffer():
 def test_trimmed_variance_orthogonal_points_zero():
     pts = np.array([[0.0, 1.0], [0.0, -2.0]])
     v = np.array([1.0, 0.0])
-    assert trimmed_variance((pts @ v) ** 2, np.ones(2, dtype=bool), cap=10.0) == 0.0
+    assert trimmed_variance((pts @ v) ** 2, cap=10.0, n_total=2) == 0.0
 
 
 def normal_sf(t):
@@ -131,11 +130,10 @@ def test_trimmed_variance_clean_gaussian_matches_analytic():
     rng = np.random.default_rng(5)
     n, eps = 50_000, 0.05
     pts = rng.standard_normal((n, 3))
-    w = np.ones(n, dtype=bool)
     v = np.array([1.0, 0.0, 0.0])
     f = (pts @ v) ** 2
-    cap = weighted_quantile(f, w, 3 * eps)
-    got = trimmed_variance(f, w, cap)
+    cap = weighted_quantile(f, 3 * eps)
+    got = trimmed_variance(f, cap, f.size)
     want = chi2_1_trimmed_mean(3 * eps)
     assert got == pytest.approx(want, rel=0.05)
     gamma = 20 * eps
@@ -148,9 +146,9 @@ def test_trimmed_at_most_untrimmed():
     w = rng.random(500) < 0.9
     v = rng.standard_normal(4)
     f = (pts @ v) ** 2
-    full = trimmed_variance(f, w, cap=math.inf)
+    full = trimmed_variance(f[w], math.inf, f.size)
     for cap in (0.5, 2.0, 10.0):
-        assert trimmed_variance(f, w, cap) <= full + 1e-12
+        assert trimmed_variance(f[w], cap, f.size) <= full + 1e-12
 
 
 def test_trimmed_variance_ratio_band_on_clean_data():
@@ -161,14 +159,13 @@ def test_trimmed_variance_ratio_band_on_clean_data():
     n = int(500 * d / eps ** 2)
     scales = np.array([2.0, 1.0, 0.5])
     pts = rng.standard_normal((n, d)) * np.sqrt(scales)
-    w = np.ones(n, dtype=bool)
     for _ in range(20):
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
         truth = float(v @ np.diag(scales) @ v)
         f = (pts @ v) ** 2
-        cap = weighted_quantile(f, w, 3 * eps)
-        ratio = trimmed_variance(f, w, cap) / truth
+        cap = weighted_quantile(f, 3 * eps)
+        ratio = trimmed_variance(f, cap, f.size) / truth
         assert 1 - 5 * gamma <= ratio <= 1 + 5 * gamma
 
 
@@ -231,10 +228,9 @@ def test_stream_mean_tracks_batch_oracle():
     pop_rng = np.random.default_rng(11)
     pop = pop_rng.standard_normal((4000, 4)) * np.array([2.0, 1.0, 1.0, 0.5])
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    w = np.ones(4000, dtype=bool)
     f = (pop @ v) ** 2
-    cap = weighted_quantile(f, w, 0.1)
-    truth = trimmed_variance(f, w, cap)
+    cap = weighted_quantile(f, 0.1)
+    truth = trimmed_variance(f, cap, f.size)
     rel, abs_ = 0.05, 0.05
     # Chebyshev sizing: n_batch = score bound / (rel_tol * abs_tol).
     n_batch = math.ceil(float(cap) / (rel * abs_))
@@ -268,8 +264,7 @@ def test_weighted_quantile_definition_property(scores, tail):
     # L is attained, the strictly-greater mass is within the tail, and no
     # smaller attained value satisfies that.
     scores = np.asarray(scores)
-    w = np.ones(scores.size, dtype=bool)
-    qt = weighted_quantile(scores, w, tail)
+    qt = weighted_quantile(scores, tail)
     assert qt in scores
     assert attained_tail(scores, qt) <= tail + 1e-12
     smaller = scores[scores < qt]

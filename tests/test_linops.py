@@ -5,7 +5,6 @@ import pytest
 
 from robustpca import (
     FilterStack,
-    Normalization,
     ReplaySource,
     ScalarLedger,
     SecondMomentOp,
@@ -20,8 +19,8 @@ from robustpca.linops import accepted_scores, streamed_power_direction
 from robustpca.oracle import dense_power_apply
 
 
-def op_from(points, weights=None, normalization=Normalization.UNNORMALIZED):
-    return SecondMomentOp(np.asarray(points, dtype=float), weights, normalization)
+def op_from(points, denominator=None):
+    return SecondMomentOp(np.asarray(points, dtype=float), denominator)
 
 
 def axis_points_for_diag(diag):
@@ -36,12 +35,12 @@ def axis_points_for_diag(diag):
 # -- second-moment matvec ------------------------------------------------------
 
 def test_two_axis_points_normalized():
-    op = op_from([[1.0, 0.0], [0.0, 1.0]], normalization=Normalization.NORMALIZED)
+    op = op_from([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(op.matvec(np.array([1.0, 1.0])), [0.5, 0.5])
 
 
 def test_single_point_normalized():
-    op = op_from([[2.0, 0.0]], normalization=Normalization.NORMALIZED)
+    op = op_from([[2.0, 0.0]])
     np.testing.assert_allclose(op.matvec(np.array([1.0, 0.0])), [4.0, 0.0])
 
 
@@ -49,8 +48,8 @@ def test_matvec_matches_dense():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((7, 3))
     w = np.array([1, 1, 0, 1, 1, 1, 0], dtype=bool)
-    for norm in Normalization:
-        op = op_from(pts, w, norm)
+    for denominator in (None, pts.shape[0]):
+        op = op_from(pts[w], denominator)
         dense = op.materialize()
         for _ in range(5):
             z = rng.standard_normal(3)
@@ -60,7 +59,14 @@ def test_matvec_matches_dense():
 
 def test_zero_survivors_normalized_raises():
     with pytest.raises(DegenerateStateError):
-        op_from([[1.0, 0.0]], np.array([False]), Normalization.NORMALIZED)
+        op_from(np.zeros((0, 3)))
+
+
+def test_zero_survivors_unnormalized_is_zero():
+    op = op_from(np.zeros((0, 3)), 4)
+    np.testing.assert_array_equal(op.matvec(np.ones(3)), np.zeros(3))
+    np.testing.assert_array_equal(op.matvec(np.ones((3, 2))), np.zeros((3, 2)))
+    np.testing.assert_array_equal(op.materialize(), np.zeros((3, 3)))
 
 
 def test_symmetry_and_psd():
@@ -242,7 +248,7 @@ def test_power_iteration_isotropic_exact():
 
 def test_power_iteration_rank_one():
     v = np.array([3.0, 4.0])
-    op = op_from([v], normalization=Normalization.NORMALIZED)
+    op = op_from([v])
     y, _ = power_iteration(op, 10, np.random.default_rng(8))
     assert abs(abs(float(y @ v)) / np.linalg.norm(v) - 1.0) <= 1e-12
 

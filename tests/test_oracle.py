@@ -155,14 +155,14 @@ def test_stability_spotcheck_tiny_sample_flags_instability():
 def test_power_iteration_agrees_with_dense_top_eigenvalue():
     # 100 random second-moment operators: the randomized Rayleigh estimate
     # clears (1 - gamma) of the dense top eigenvalue at the prescribed count.
-    from robustpca import Normalization, SecondMomentOp, power_iteration
+    from robustpca import SecondMomentOp, power_iteration
     gamma = 0.1
     rng = np.random.default_rng(8)
     for trial in range(100):
         d = int(rng.integers(2, 10))
         n = int(rng.integers(d + 1, 40))
         pts = rng.standard_normal((n, d)) * rng.uniform(0.3, 2.0, size=d)
-        op = SecondMomentOp(pts, None, Normalization.NORMALIZED)
+        op = SecondMomentOp(pts)
         lam1 = float(dense_spectrum(op.materialize()).eigenvalues[0])
         p = math.ceil((4 / gamma) * math.log(d / (gamma * 1e-4)))
         _y, rayleigh = power_iteration(op, p, np.random.default_rng(trial))

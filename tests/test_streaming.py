@@ -9,6 +9,7 @@ from robustpca import (
     InlierSpec,
     PcaStatus,
     ReplaySource,
+    ScalarLedger,
     metric_approx_ratio,
     rng_stream,
     streamed_power_apply,
@@ -20,8 +21,8 @@ from robustpca.oracle import dense_power_apply
 from robustpca.streaming import (
     BATCH_SIZE_CAP,
     MEAN_BATCH_CAP,
+    MinibatchEstimators,
     default_mean_batch,
-    default_stream_batch,
 )
 
 
@@ -177,9 +178,11 @@ def test_oja_clean_stream_finds_top_direction():
 
 
 def test_default_batch_formulas_clamped():
+    src = ReplaySource(np.zeros((4, 20)), mode="cycle")
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
-    assert default_stream_batch(20, 12, 0.03, 0.6, 1.5, cfg) == BATCH_SIZE_CAP
+    suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
+    assert suite.batch == BATCH_SIZE_CAP == 4096
     nb = default_mean_batch(20, 0.03, 0.6, 1.5)
     assert 64 <= nb <= MEAN_BATCH_CAP
     cfg2 = AlgoConfig(eps=0.03, gamma=0.6, batch_size=777)
-    assert default_stream_batch(20, 12, 0.03, 0.6, 1.5, cfg2) == 777
+    assert MinibatchEstimators(src, cfg2, 1.5, ScalarLedger()).batch == 777
