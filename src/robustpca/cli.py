@@ -16,7 +16,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .oracle import metric_approx_ratio
 from .streaming import streaming_robust_pca
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
-           "run_scaling_bench", "main", "CONFIG_SCHEMA"]
+           "main", "CONFIG_SCHEMA"]
 
 OUTPUT_DIR_ENV = "ROBUSTPCA_OUT_DIR"
 
@@ -54,7 +53,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["dim"],
             "properties": {
-                "dim": {"type": "integer", "minimum": 1},
+                # Every report row scores its direction against the dense
+                # oracle spectrum, which is capped at d <= 256.
+                "dim": {"type": "integer", "minimum": 1, "maximum": 256},
                 "diag": {"oneOf": [{"type": "number"},
                                    {"type": "array", "items": {"type": "number"}}]},
                 "spikes": {"type": "array",
@@ -129,41 +130,30 @@ class ExperimentConfig:
         except jsonschema.ValidationError as exc:
             path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
             raise ConfigError(f"config field {path}: {exc.message}") from exc
-        inl = raw["inlier"]
-        inlier = InlierSpec(
-            dim=inl["dim"],
-            diag=tuple(inl["diag"]) if isinstance(inl.get("diag", 1.0), list)
-            else inl.get("diag", 1.0),
-            spikes=tuple((int(a), float(b)) for a, b in inl.get("spikes", [])),
-            family=InlierFamily(inl.get("family", "gaussian")),
-        )
-        advraw = raw.get("adversary", {})
-        adversary = AdversarySpec(
-            kind=AdversaryKind(advraw.get("kind", "none")),
-            rate=advraw.get("rate", 0.0),
-            spike_axis=advraw.get("spike_axis"),
-            spike_multiplier=advraw.get("spike_multiplier", 2.0),
-            n_directions=advraw.get("n_directions", 3),
-            hide_boost=advraw.get("hide_boost", 0.5),
-            projection_rank=advraw.get("projection_rank"),
-        )
+        # The schema admits only known keys, so each dict expands straight
+        # into its dataclass, which owns the defaults.
+        inl = dict(raw["inlier"])
+        if "family" in inl:
+            inl["family"] = InlierFamily(inl["family"])
+        adv = dict(raw.get("adversary", {}))
+        if "kind" in adv:
+            adv["kind"] = AdversaryKind(adv["kind"])
         try:
             algo = AlgoConfig(**raw["algo"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config field algo: {exc}") from exc
-        mode = raw.get("mode", "BATCH")
-        if mode in ("BATCH", "BOTH") and "n" not in raw:
-            raise ConfigError("batch modes require 'n'")
-        if mode in ("STREAMING", "BOTH") and "stream_budget" not in raw:
+        rest = {k: v for k, v in raw.items()
+                if k not in ("version", "inlier", "adversary", "algo")}
+        rest["seeds"] = tuple(rest["seeds"])
+        if "baselines" in rest:
+            rest["baselines"] = tuple(rest["baselines"])
+        config = cls(inlier=InlierSpec(**inl), adversary=AdversarySpec(**adv),
+                     algo=algo, **rest)
+        if (config.mode in ("BATCH", "BOTH") or config.baselines) and config.n is None:
+            raise ConfigError("batch modes and baselines require 'n'")
+        if config.mode in ("STREAMING", "BOTH") and config.stream_budget is None:
             raise ConfigError("streaming modes require 'stream_budget'")
-        return cls(
-            inlier=inlier, adversary=adversary, algo=algo, mode=mode,
-            baselines=tuple(raw.get("baselines", [])),
-            seeds=tuple(raw.get("seeds", [0])),
-            n=raw.get("n"), stream_budget=raw.get("stream_budget"),
-            r_radius=raw.get("r_radius", 2.0),
-            output_path=raw.get("output_path"),
-        )
+        return config
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -244,9 +234,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                                             sigma, gen)
 
     if config.mode in ("BATCH", "BOTH"):
-        ds = WeightedDataset(points, inlier_labels=labels)
         t0 = time.perf_counter()
-        res = robust_pca(ds, config.algo.eps, config.algo.gamma,
+        res = robust_pca(WeightedDataset(points), config.algo.eps, config.algo.gamma,
                          config=config.algo, rng_seed=seed)
         row("robust_batch", _ratio(res.u, sigma), res.status.value,
             time.perf_counter() - t0, filters=res.filters_created)
@@ -269,8 +258,6 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
 
     if "ORACLE" in config.baselines:
         # Ground-truth-aware reference: top direction of the true inliers only.
-        if config.inlier.dim > 256:
-            raise ConfigError("ORACLE baseline requires dim <= 256")
         t0 = time.perf_counter()
         op = SecondMomentOp(points[labels])
         u, _ = power_iteration(op, 256, rng_stream(seed, 1004))
@@ -279,59 +266,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     return rows
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(_run_seed, [config] * len(config.seeds), config.seeds):
-                report.rows.extend(rows)
-    else:
-        for seed in config.seeds:
-            report.rows.extend(_run_seed(config, seed))
+    for seed in config.seeds:
+        report.rows.extend(_run_seed(config, seed))
     report.finalize()
     return report
-
-
-def run_scaling_bench(config: ExperimentConfig, grid: list[tuple[int, int]],
-                      reps: int = 5) -> list[dict]:
-    """Median wall time per (n, d) cell plus doubling ratios vs the base cell."""
-    cells = []
-    for n, d in grid:
-        spec = InlierSpec(dim=d, diag=1.0,
-                          spikes=tuple((ax, add) for ax, add in config.inlier.spikes
-                                       if ax < d))
-        sigma = spec.covariance()
-        times = []
-        for rep in range(reps):
-            gen = rng_stream(config.seeds[0] + rep, 2001, n, d)
-            pts, labels = gen_inliers(spec, n, gen)
-            pts, labels = strong_contaminate(pts, labels, config.adversary, sigma, gen)
-            ds = WeightedDataset(pts)
-            t0 = time.perf_counter()
-            res = robust_pca(ds, config.algo.eps, config.algo.gamma,
-                             config=config.algo, rng_seed=config.seeds[0] + rep)
-            times.append(time.perf_counter() - t0)
-            ratio = _ratio(res.u, sigma)
-        cells.append({"n": n, "d": d, "median_time": statistics.median(times),
-                      "approx_ratio": ratio})
-    base = cells[0]
-    for cell in cells:
-        cell["time_vs_base"] = cell["median_time"] / base["median_time"]
-        cell["work_vs_base"] = (cell["n"] * cell["d"]) / (base["n"] * base["d"])
-    return cells
-
-
-def _parse_grid(spec: str) -> list[tuple[int, int]]:
-    cells = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        n_str, d_str = part.split(",")
-        cells.append((int(n_str), int(d_str)))
-    if not cells:
-        raise ConfigError(f"empty grid spec {spec!r}")
-    return cells
 
 
 def _resolve_out(path: str | None, default_name: str) -> Path:
@@ -356,15 +296,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--deterministic", action="store_true",
-                       help="single-threaded seeds, print the determinism hash")
-    p_run.add_argument("--workers", type=int, default=1)
-
-    p_bench = sub.add_parser("bench", help="scaling benchmark over an (n,d) grid")
-    p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--grid", required=True,
-                         help="semicolon-separated n,d cells, e.g. '20000,25;40000,25'")
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.add_argument("--out", default=None)
+                       help="print the determinism hash")
 
     p_gen = sub.add_parser("gen", help="write a labeled dataset file")
     p_gen.add_argument("--config", required=True)
@@ -380,8 +312,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            workers = 1 if args.deterministic else max(1, args.workers)
-            report = run_experiment(config, workers=workers)
+            report = run_experiment(config)
             out = _resolve_out(args.out or config.output_path, "report.json")
             out.write_text(report.to_json())
             out.with_suffix(".csv").write_text(report.to_csv())
@@ -391,14 +322,6 @@ def main(argv=None) -> int:
                 print(f"{method}: median_ratio={agg['median_ratio']:.4f} "
                       f"iqr={agg['iqr']:.4f} n={agg['count']}")
             print(f"report written to {out}")
-        elif args.command == "bench":
-            cells = run_scaling_bench(config, _parse_grid(args.grid), reps=args.reps)
-            out = _resolve_out(args.out, "bench.json")
-            out.write_text(json.dumps(cells, indent=2))
-            for cell in cells:
-                print(f"n={cell['n']} d={cell['d']} median={cell['median_time']:.3f}s "
-                      f"time_ratio={cell['time_vs_base']:.2f} work_ratio={cell['work_vs_base']:.2f}")
-            print(f"bench written to {out}")
         else:
             gen = rng_stream(config.seeds[0], 1001)
             sigma = config.inlier.covariance()

@@ -100,14 +100,9 @@ class FilterStack:
 
 @dataclass(frozen=True)
 class WeightedDataset:
-    """n finite points in R^d, the input of a batch solve.
-
-    Optional labels mark ground-truth inliers for oracle metrics; they are
-    never consulted by the recovery algorithms.
-    """
+    """n finite points in R^d, the input of a batch solve."""
 
     points: np.ndarray
-    inlier_labels: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -120,11 +115,6 @@ class WeightedDataset:
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite (no NaN/Inf)")
         object.__setattr__(self, "points", pts)
-        if self.inlier_labels is not None:
-            lab = np.asarray(self.inlier_labels, dtype=bool)
-            if lab.shape != (pts.shape[0],):
-                raise ValueError("inlier_labels must have one entry per point")
-            object.__setattr__(self, "inlier_labels", lab)
 
     @property
     def n(self) -> int:

@@ -34,7 +34,6 @@ class StreamStats:
     samples_consumed: int
     filters_stored: int
     peak_resident_scalars: int
-    wall_time: float
 
 
 def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
@@ -157,7 +156,6 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
         samples_consumed=src.delivered,
         filters_stored=len(suite.stack),
         peak_resident_scalars=ledger.peak,
-        wall_time=result.elapsed,
     )
     return result, stats
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from robustpca import load_dataset
-from robustpca.cli import (
-    ConfigError,
-    ExperimentConfig,
-    main,
-    run_experiment,
-    run_scaling_bench,
-)
+from robustpca.cli import ConfigError, ExperimentConfig, main, run_experiment
 
 
 def minimal_config(**overrides):
@@ -78,6 +72,23 @@ def test_missing_n_for_batch():
         ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("overrides, drop_n", [
+    # Baselines need a finite dataset even when no batch solve runs.
+    ({"mode": "STREAMING", "stream_budget": 100_000}, True),
+    # The dense oracle behind every row's approx_ratio stops at d = 256.
+    ({"inlier": {"dim": 300, "diag": 1.0}}, False),
+], ids=["streaming_baselines_without_n", "dim_above_oracle_cap"])
+def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
+    raw = minimal_config(**overrides)
+    if drop_n:
+        del raw["n"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_run_writes_reports_and_is_deterministic(tmp_path, capsys):
     raw = minimal_config(seeds=[0, 1])
     path = tmp_path / "config.json"
@@ -132,25 +143,6 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "outdir" / "rep.json").exists()
 
 
-def test_bench_grid_parses_and_reports_ratio(tmp_path):
-    raw = minimal_config(n=2000)
-    config = ExperimentConfig.from_dict(raw)
-    cells = run_scaling_bench(config, [(2000, 6), (4000, 6)], reps=2)
-    assert cells[0]["time_vs_base"] == 1.0
-    assert cells[1]["n"] == 4000
-    assert cells[1]["work_vs_base"] == pytest.approx(2.0)
-
-
-def test_bench_rerun_identical_outside_timings():
-    raw = minimal_config(n=1500)
-    config = ExperimentConfig.from_dict(raw)
-    a = run_scaling_bench(config, [(1500, 5), (3000, 5)], reps=2)
-    b = run_scaling_bench(config, [(1500, 5), (3000, 5)], reps=2)
-    for ca, cb in zip(a, b):
-        assert ca["approx_ratio"] == cb["approx_ratio"]
-        assert ca["work_vs_base"] == cb["work_vs_base"]
-
-
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -171,28 +163,25 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     assert "run error" in capsys.readouterr().err
 
 
-def test_streaming_mode_rows(tmp_path):
+@pytest.mark.parametrize("mode, methods", [
+    ("STREAMING", ["robust_streaming"]),
+    ("BOTH", ["robust_batch", "robust_streaming"]),
+], ids=["STREAMING", "BOTH"])
+def test_streaming_mode_rows(mode, methods):
     raw = minimal_config(
         inlier={"dim": 6, "diag": 1.0, "spikes": [[0, 4.0]]},
         algo={"eps": 0.02, "gamma": 0.4},
-        mode="STREAMING",
+        mode=mode,
         baselines=[],
         stream_budget=20_000_000,
         r_radius=1.5,
     )
-    del raw["n"]
+    if mode == "STREAMING":
+        del raw["n"]
     report = run_experiment(ExperimentConfig.from_dict(raw))
-    assert len(report.rows) == 1
-    row = report.rows[0]
-    assert row["method"] == "robust_streaming"
-    assert row["approx_ratio"] >= 0.8
-    assert row["samples_consumed"] > 0
-    assert row["peak_resident_scalars"] > 0
+    assert [row["method"] for row in report.rows] == methods
+    assert all(row["approx_ratio"] >= 0.8 for row in report.rows)
+    stream_row = report.rows[-1]  # rows sort by method
+    assert stream_row["samples_consumed"] > 0
+    assert stream_row["peak_resident_scalars"] > 0
 
-
-def test_parallel_workers_match_sequential():
-    raw = minimal_config(seeds=[0, 1, 2])
-    config = ExperimentConfig.from_dict(raw)
-    seq = run_experiment(config, workers=1)
-    par = run_experiment(config, workers=2)
-    assert seq.determinism_hash() == par.determinism_hash()
