@@ -72,24 +72,23 @@ def sample_top_eigenvector(rows: np.ndarray, n_total: int, eps: float,
     """Batch candidate: u = normalize(B^p z) judged against batch estimates.
 
     ``rows`` holds the m surviving points of a population of ``n_total``;
-    B is their second moment over n_total. The reference Rayleigh quotient
+    B is their normalized second moment. The reference Rayleigh quotient
     comes from an independent power iteration; the robust variance from the
-    3*eps-tail trimmed mean of squared projections onto u. All reported
-    scalars are per unit norm of u.
+    3*eps-tail trimmed mean of squared projections onto u, over n_total. All
+    reported scalars are per unit norm of u.
     """
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[1]
-    op_norm = SecondMomentOp(rows)
-    op_raw = SecondMomentOp(rows, n_total)
+    op = SecondMomentOp(rows)
 
-    _y, r_hat = power_iteration(op_norm, config.ref_power(d, fail_prob), rng)
+    _y, r_hat = power_iteration(op, config.ref_power(d, fail_prob), rng)
 
     p_cert = config.cert_power(d)
-    u = gaussian_retry(rng, d, lambda z: power_direction(op_raw, p_cert, z))
+    u = gaussian_retry(rng, d, lambda z: power_direction(op, p_cert, z))
     if u is None:
         raise DegenerateStateError("candidate power iterate collapsed to zero")
 
-    rayleigh_emp = float(u @ op_norm.matvec(u))
+    rayleigh_emp = float(u @ op.matvec(u))
 
     f_u = (rows @ u) ** 2
     tail = 3.0 * eps
@@ -110,7 +109,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
 
     The reference Rayleigh quotient is boosted over ceil(log2(1/fail_prob))
     Gaussian starts that share one streamed block power chain, so it costs
-    (p_ref + 2) * batch_size samples whatever the number of starts; the trim
+    (p_ref + 1) * batch_size samples whatever the number of starts; the trim
     cutoff comes from a one-pass quantile block; the robust variance comes
     from the median-of-means estimator.
     """

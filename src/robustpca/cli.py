@@ -74,7 +74,7 @@ CONFIG_SCHEMA = {
                 "spike_axis": {"type": ["integer", "null"]},
                 "spike_multiplier": {"type": "number"},
                 "n_directions": {"type": "integer", "minimum": 1},
-                "hide_boost": {"type": "number"},
+                "hide_boost": {"type": "number", "minimum": 0},
                 "projection_rank": {"type": ["integer", "null"]},
             },
         },
@@ -131,24 +131,27 @@ class ExperimentConfig:
             path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
             raise ConfigError(f"config field {path}: {exc.message}") from exc
         # The schema admits only known keys, so each dict expands straight
-        # into its dataclass, which owns the defaults.
+        # into its dataclass, which owns the defaults and the range checks.
         inl = dict(raw["inlier"])
         if "family" in inl:
             inl["family"] = InlierFamily(inl["family"])
         adv = dict(raw.get("adversary", {}))
         if "kind" in adv:
             adv["kind"] = AdversaryKind(adv["kind"])
-        try:
-            algo = AlgoConfig(**raw["algo"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field algo: {exc}") from exc
+        specs = {}
+        for key, make, fields in (("inlier", InlierSpec, inl),
+                                  ("adversary", AdversarySpec, adv),
+                                  ("algo", AlgoConfig, raw["algo"])):
+            try:
+                specs[key] = make(**fields)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config field {key}: {exc}") from exc
         rest = {k: v for k, v in raw.items()
                 if k not in ("version", "inlier", "adversary", "algo")}
         rest["seeds"] = tuple(rest["seeds"])
         if "baselines" in rest:
             rest["baselines"] = tuple(rest["baselines"])
-        config = cls(inlier=InlierSpec(**inl), adversary=AdversarySpec(**adv),
-                     algo=algo, **rest)
+        config = cls(**specs, **rest)
         if (config.mode in ("BATCH", "BOTH") or config.baselines) and config.n is None:
             raise ConfigError("batch modes and baselines require 'n'")
         if config.mode in ("STREAMING", "BOTH") and config.stream_budget is None:

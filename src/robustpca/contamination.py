@@ -66,10 +66,10 @@ class InlierSpec:
             if add < 0:
                 raise ValueError(f"spike variance must be nonnegative, got {add}")
             if np.isscalar(direction):
-                ax = int(direction)
-                if not (0 <= ax < self.dim):
-                    raise ValueError(f"spike axis {ax} out of range")
-                spikes.append((ax, add))
+                if not (float(direction).is_integer() and 0 <= direction < self.dim):
+                    raise ValueError(f"spike axis {direction} is not an integer "
+                                     f"in [0, {self.dim})")
+                spikes.append((int(direction), add))
             else:
                 v = np.asarray(direction, dtype=np.float64)
                 nrm = float(np.linalg.norm(v))

@@ -149,7 +149,6 @@ class AlgoConfig:
     t_end: int | None = None
     k_end: int | None = None
     boost_reps: int = 1
-    cert_failure_prob: float = 0.1
 
     # Certificate constants and stream sizes; defaults are desk-scale.
     c_acc: float = 20.0
@@ -174,8 +173,6 @@ class AlgoConfig:
             )
         if self.boost_reps < 1:
             raise ValueError("boost_reps must be a positive integer")
-        if not (0.0 < self.cert_failure_prob < 1.0):
-            raise ValueError("cert_failure_prob must lie in (0, 1)")
 
     # -- schedule formulas ---------------------------------------------------
 

@@ -52,6 +52,7 @@ FILTER_TRIGGER = 2.35     # T_hat = 2.35 * gamma * sigma_trimmed
 QUANTILE_TAIL_FACTOR = 3.0
 PRUNE_FACTOR = 10.0       # prune radius^2 = 10 * sigma_op * d / eps
 QUANTILE_FLOOR = 0.1      # L >= 0.1 * sigma_op / d for unit directions
+CERT_FAILURE_PROB = 0.1  # split over the k_end * t_end certificates of a rep
 
 
 class PcaStatus(enum.Enum):
@@ -108,7 +109,7 @@ class BatchEstimators:
                                       self.gamma, fail_prob, self.config, rng)
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
-        op = SecondMomentOp(self.rows, self.n)
+        op = SecondMomentOp(self.rows)
         return gaussian_retry(rng, self.dim, lambda z: power_direction(op, p_k, z))
 
     def start_iteration(self, v: np.ndarray) -> bool:
@@ -148,7 +149,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     k_end = cfg.k_end_for(d)
     t_end = cfg.t_end_for(d)
     tail = QUANTILE_TAIL_FACTOR * cfg.eps
-    fail_prob = cfg.cert_failure_prob / (k_end * t_end)
+    fail_prob = CERT_FAILURE_PROB / (k_end * t_end)
 
     sigma_op, delta = suite.prologue()
     best: Candidate | None = None
@@ -275,17 +276,15 @@ def potential_diagnostic(points: np.ndarray, weights: np.ndarray, p: int) -> flo
         raise UnsupportedDiagnosticError(
             f"potential diagnostic capped at d <= 64, got {points.shape[1]}"
         )
-    b = weighted_second_moment_dense(points, weights, normalized=False)
+    b = weighted_second_moment_dense(points, weights)
     eig = dense_spectrum(b).eigenvalues
     return float(np.sum(eig ** (2 * p + 1)))
 
 
-def naive_pca(points: np.ndarray, rng: np.random.Generator,
-              p_iters: int | None = None):
+def naive_pca(points: np.ndarray, rng: np.random.Generator):
     """Baseline: plain power iteration on the uncorrected second moment."""
     points = np.asarray(points, dtype=np.float64)
     d = points.shape[1]
-    if p_iters is None:
-        p_iters = max(64, 8 * math.ceil(math.log(max(d, 2))))
+    p_iters = max(64, 8 * math.ceil(math.log(max(d, 2))))
     op = SecondMomentOp(points)
     return power_iteration(op, p_iters, rng)

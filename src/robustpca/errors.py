@@ -4,17 +4,13 @@
 class DegenerateStateError(RuntimeError):
     """An estimator or operator hit a state with no usable data.
 
-    Examples: zero surviving mass under a normalized operator, a quantile
+    Examples: a second-moment operator over no surviving rows, a quantile
     over an empty survivor set, or repeated zero vectors in power iteration.
     """
 
 
 class StreamExhaustedError(RuntimeError):
     """A sample source ran out of budget mid-computation."""
-
-    def __init__(self, message: str, samples_consumed: int = 0):
-        super().__init__(message)
-        self.samples_consumed = samples_consumed
 
 
 class MemoryBudgetError(RuntimeError):

@@ -34,22 +34,19 @@ _STREAM_CHUNK = 1024
 
 
 class SecondMomentOp:
-    """Second-moment matvec sum_i x_i (x_i . z) / denominator over the given rows.
+    """Normalized second-moment matvec sum_i x_i (x_i . z) / m over the m given rows.
 
-    The divisor defaults to the row count (the normalized moment); pass the
-    population size n for the unnormalized one. The rows are referenced, not
-    copied. ``matvec`` runs in one pass, O(m d) arithmetic, O(d) extra
-    memory. Deterministic given the rows.
+    The rows are referenced, not copied. ``matvec`` runs in one pass, O(m d)
+    arithmetic, O(d) extra memory. Deterministic given the rows.
     """
 
-    def __init__(self, rows: np.ndarray, denominator: float | None = None):
+    def __init__(self, rows: np.ndarray):
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("rows must be (m, d)")
         self.surviving, self.dim = rows.shape
-        self.denominator = float(self.surviving if denominator is None else denominator)
-        if self.denominator == 0:
-            raise DegenerateStateError("second moment with divisor 0 (no surviving rows)")
+        if self.surviving == 0:
+            raise DegenerateStateError("second moment over no surviving rows")
         self._rows = rows
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
@@ -59,11 +56,11 @@ class SecondMomentOp:
                 f"expected a ({self.dim},) vector or ({self.dim}, m) block, "
                 f"got shape {z.shape}"
             )
-        return self._rows.T @ (self._rows @ z) / self.denominator
+        return self._rows.T @ (self._rows @ z) / self.surviving
 
     def materialize(self) -> np.ndarray:
         """Dense (d, d) matrix; diagnostics and small-instance oracles only."""
-        return self._rows.T @ self._rows / self.denominator
+        return self._rows.T @ self._rows / self.surviving
 
 
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
@@ -143,15 +140,14 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
                          chunk: int = _STREAM_CHUNK):
     """Minibatch matrix power applied to a (d, m) block in one streamed pass.
 
-    The first ``batch_size`` draws only estimate the surviving mass W; each of
-    the next p batches of ``batch_size`` draws applies one factor
-    u -> W^2 * mean(x (x.u)) over its accepted samples, so exactly
-    (p+1)*batch_size samples are consumed. Samples stream through a
-    fixed-size chunk buffer and no batch is retained, so resident memory is
+    Each of p batches of ``batch_size`` fresh draws applies one factor
+    u -> mean(x (x.u)) over the rows the stack accepts, so exactly
+    p*batch_size samples are consumed. Samples stream through a fixed-size
+    chunk buffer and no batch is retained, so resident memory is
     O(d*m + chunk*d) regardless of batch_size. In long chains each column is
     rescaled on its own when its values leave the [1e-100, 1e100] range, so at
     large powers every output column is defined up to its own positive scalar.
-    Returns (applied_block, w_hat).
+    Returns the applied block (a vector for a vector input).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -163,15 +159,6 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
     chunk = max(1, min(chunk, batch_size))
 
     with ledger.reserve(2 * d * m + chunk * d):
-        kept = 0
-        total = 0
-        while total < batch_size:
-            take = min(chunk, batch_size - total)
-            pts = source.draw(take)
-            kept += int(np.count_nonzero(stack.weights(pts)))
-            total += take
-        w_hat = kept / batch_size
-
         for _ in range(p):
             acc = np.zeros((d, m))
             m_count = 0
@@ -190,7 +177,7 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
                     f"minibatch of {batch_size} samples was entirely rejected "
                     f"by the filter stack"
                 )
-            u = (w_hat ** 2 / m_count) * acc
+            u = acc / m_count
             # Rescale each column of a long product chain away from the float
             # range edges (all consumers are scale-free or normalize). A joint
             # rescale would let one large column push a small one into
@@ -200,7 +187,7 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
             if off_range.any():
                 u = u / np.where(off_range, peak, 1.0)
 
-    return (u[:, 0] if squeeze else u), w_hat
+    return u[:, 0] if squeeze else u
 
 
 _POWER_RETRIES = 8
@@ -247,7 +234,7 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
     collapses.
     """
     def attempt(z: np.ndarray) -> np.ndarray | None:
-        y, _w = streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)
+        y = streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)
         nrm = float(np.linalg.norm(y))
         return y / nrm if nrm > 0 and math.isfinite(nrm) else None
 
@@ -265,14 +252,14 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     dropped. The survivors are scored against one independent minibatch
     moment and the max is kept; the independent starts boost the constant
     success probability of a single probe. Consumes exactly
-    (p + 2) * batch_size stream samples whatever ``reps`` is.
+    (p + 1) * batch_size stream samples whatever ``reps`` is.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     # Row-major fill: column j is the vector the j-th of ``reps`` separate
     # ``standard_normal(d)`` draws would give.
     starts = rng.standard_normal((reps, source.dim)).T
-    y, _w = streamed_power_apply(source, stack, p, batch_size, starts, ledger=ledger)
+    y = streamed_power_apply(source, stack, p, batch_size, starts, ledger=ledger)
     nrm = np.linalg.norm(y, axis=0)
     alive = np.isfinite(nrm) & (nrm > 0.0)
     if not alive.any():

@@ -123,17 +123,13 @@ def metric_approx_ratio(u: np.ndarray, sigma_truth: np.ndarray) -> float:
     return float(u @ np.asarray(sigma_truth, dtype=np.float64) @ u) / lam1
 
 
-def weighted_second_moment_dense(points: np.ndarray, weights: np.ndarray,
-                                 normalized: bool = False) -> np.ndarray:
+def weighted_second_moment_dense(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Unnormalized weighted second moment sum_{w_i = 1} x_i x_i^T / n."""
     points = np.asarray(points, dtype=np.float64)
-    weights = np.asarray(weights, dtype=bool)
-    surv = points[weights]
-    denom = int(np.count_nonzero(weights)) if normalized else points.shape[0]
-    if denom == 0:
-        raise ValueError("no surviving points")
-    if surv.shape[0] == 0:
-        return np.zeros((points.shape[1], points.shape[1]))
-    return surv.T @ surv / denom
+    if points.shape[0] == 0:
+        raise ValueError("no points")
+    surv = points[np.asarray(weights, dtype=bool)]
+    return surv.T @ surv / points.shape[0]
 
 
 def stopping_condition_truth(sigma_truth: np.ndarray, points: np.ndarray,
@@ -148,7 +144,7 @@ def stopping_condition_truth(sigma_truth: np.ndarray, points: np.ndarray,
     if d > 64:
         raise UnsupportedDiagnosticError(f"stopping-condition oracle capped at d <= 64, got {d}")
     weights = np.asarray(weights, dtype=bool)
-    b = weighted_second_moment_dense(points, weights, normalized=False)
+    b = weighted_second_moment_dense(points, weights)
     spec = dense_spectrum(b)
     lam2p = spec.eigenvalues ** (2 * p)
     # <Sigma, M^2> = sum_i lam_i^{2p} v_i' Sigma v_i

@@ -96,9 +96,7 @@ class ReplaySource(SampleSource):
         else:
             if self._pos + k > n:
                 raise StreamExhaustedError(
-                    f"replay exhausted after {self.delivered} samples",
-                    samples_consumed=self.delivered,
-                )
+                    f"replay exhausted after {self.delivered} samples")
             idx = np.arange(self._pos, self._pos + k)
             self._pos += k
         labels = None if self._labels is None else self._labels[idx]
@@ -124,9 +122,7 @@ class BudgetedSource(SampleSource):
         if self.delivered + k > self.max_samples:
             raise StreamExhaustedError(
                 f"stream budget of {self.max_samples} exhausted "
-                f"after {self.delivered} samples",
-                samples_consumed=self.delivered,
-            )
+                f"after {self.delivered} samples")
         return self.inner.draw_labeled(k)
 
 

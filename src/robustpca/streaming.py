@@ -17,13 +17,13 @@ import numpy as np
 
 from .certificate import Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
-from .driver import run_boosted
+from .driver import CERT_FAILURE_PROB, run_boosted
 from .errors import DegenerateStateError
 from .estimators import opnorm_bracket, streaming_quantile, streaming_quantile_samples
 from .linops import accepted_band_mean, accepted_scores, streamed_power_direction
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
-__all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca", "oja_baseline"]
+__all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 
 BATCH_SIZE_CAP = 4096         # moment-product minibatch
 MEAN_BATCH_CAP = 1_000_000    # median-of-means batch
@@ -62,7 +62,7 @@ class MinibatchEstimators:
         # d p^2 log(d/eps) / delta^2, delta <= 0.01 gamma/sqrt(d), always exceeds the cap.
         self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, self.eps, self.gamma, r_radius)
-        self._fail = config.cert_failure_prob
+        self._fail = CERT_FAILURE_PROB
         self._v: np.ndarray | None = None
 
     # -- prologue -------------------------------------------------------------
@@ -159,27 +159,3 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
     )
     return result, stats
 
-
-def oja_baseline(source: SampleSource, n_samples: int, rng: np.random.Generator,
-                 chunk: int = 256) -> np.ndarray:
-    """Naive streaming strawman: incremental top-direction updates, no filtering.
-
-    u <- normalize(u + eta_t x (x.u)) with a norm-adaptive decaying step.
-    Locks onto whatever direction the raw stream over-weights, outliers
-    included.
-    """
-    d = source.dim
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    norm_sq_mean = 0.0
-    seen = 0
-    while seen < n_samples:
-        take = min(chunk, n_samples - seen)
-        pts = source.draw(take)
-        for x in pts:
-            seen += 1
-            norm_sq_mean += (float(x @ x) - norm_sq_mean) / seen
-            eta = 1.0 / (max(norm_sq_mean, 1e-12) * (50.0 + seen) / 50.0)
-            u = u + eta * x * float(x @ u)
-            u /= np.linalg.norm(u)
-    return u

@@ -180,7 +180,7 @@ def test_06_oracle_equivalence():
         w = rng.random(n) < 0.9
         if not w.any():
             w[0] = True
-        op = SecondMomentOp(pts[w], n)
+        op = SecondMomentOp(pts[w])
         z = rng.standard_normal(d)
         got = power_direction(op, p, z)
         want = dense_power_apply(op.materialize(), p, z)

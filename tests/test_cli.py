@@ -77,7 +77,13 @@ def test_missing_n_for_batch():
     ({"mode": "STREAMING", "stream_budget": 100_000}, True),
     # The dense oracle behind every row's approx_ratio stops at d = 256.
     ({"inlier": {"dim": 300, "diag": 1.0}}, False),
-], ids=["streaming_baselines_without_n", "dim_above_oracle_cap"])
+    # Spec values the schema admits but the spec dataclasses reject.
+    ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[9, 1.0]]}}, False),
+    ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[0.7, 4.0]]}}, False),
+    ({"adversary": {"kind": "multi_direction_hide", "rate": 0.1,
+                    "hide_boost": -1.0}}, False),
+], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
+        "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:

@@ -94,9 +94,12 @@ def test_orthogonal_spike_defeats_naive_pca():
     pts, labels = gen_inliers(spec, 20_000, np.random.default_rng(8))
     pts, labels = strong_contaminate(pts, labels, adv, spec.covariance(),
                                      np.random.default_rng(9))
-    u, _ = naive_pca(pts, np.random.default_rng(10))
-    assert metric_approx_ratio(u, spec.covariance()) <= 0.3
-    assert abs(u[1]) >= 0.95  # locked onto the planted direction
+    # The same adversary mixed into a stream (the TV model), read raw.
+    stream = tv_contaminated_source(spec, adv, np.random.default_rng(11)).draw(20_000)
+    for data in (pts, stream):
+        u, _ = naive_pca(data, np.random.default_rng(10))
+        assert metric_approx_ratio(u, spec.covariance()) <= 0.3
+        assert abs(u[1]) >= 0.95  # locked onto the planted direction
 
 
 def test_spike_axis_defaults_to_lowest_variance():

@@ -19,8 +19,8 @@ from robustpca.linops import accepted_scores, streamed_power_direction
 from robustpca.oracle import dense_power_apply
 
 
-def op_from(points, denominator=None):
-    return SecondMomentOp(np.asarray(points, dtype=float), denominator)
+def op_from(points):
+    return SecondMomentOp(np.asarray(points, dtype=float))
 
 
 def axis_points_for_diag(diag):
@@ -48,25 +48,17 @@ def test_matvec_matches_dense():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((7, 3))
     w = np.array([1, 1, 0, 1, 1, 1, 0], dtype=bool)
-    for denominator in (None, pts.shape[0]):
-        op = op_from(pts[w], denominator)
-        dense = op.materialize()
-        for _ in range(5):
-            z = rng.standard_normal(3)
-            got = op.matvec(z)
-            assert np.linalg.norm(got - dense @ z) <= 1e-12 * max(1.0, np.linalg.norm(dense @ z))
+    op = op_from(pts[w])
+    dense = op.materialize()
+    for _ in range(5):
+        z = rng.standard_normal(3)
+        got = op.matvec(z)
+        assert np.linalg.norm(got - dense @ z) <= 1e-12 * max(1.0, np.linalg.norm(dense @ z))
 
 
 def test_zero_survivors_normalized_raises():
     with pytest.raises(DegenerateStateError):
         op_from(np.zeros((0, 3)))
-
-
-def test_zero_survivors_unnormalized_is_zero():
-    op = op_from(np.zeros((0, 3)), 4)
-    np.testing.assert_array_equal(op.matvec(np.ones(3)), np.zeros(3))
-    np.testing.assert_array_equal(op.matvec(np.ones((3, 2))), np.zeros((3, 2)))
-    np.testing.assert_array_equal(op.materialize(), np.zeros((3, 3)))
 
 
 def test_symmetry_and_psd():
@@ -124,8 +116,8 @@ def test_power_matches_dense_oracle():
 
 
 # -- minibatch powers ------------------------------------------------------------
-# streamed_power_apply draws one batch to estimate the surviving mass W, then
-# applies p factors u -> W^2 * mean(x (x.u)), one fresh batch each.
+# streamed_power_apply applies p factors u -> mean(x (x.u)) over the accepted
+# rows of one fresh batch each.
 
 def constant_source(vec):
     return ReplaySource(np.tile(np.asarray(vec, dtype=float), (64, 1)), mode="cycle")
@@ -137,26 +129,27 @@ def test_minibatch_rank_one_deterministic_source():
     stack = FilterStack()
     for p in (1, 2, 4):
         z = np.array([2.0, 5.0, -1.0])
-        got, _w = streamed_power_apply(src, stack, p, 8, z)
-        # W = 1, so the chain maps z to (z . e1) e1 for every p.
+        got = streamed_power_apply(src, stack, p, 8, z)
+        # Each factor is e1 e1^T, so the chain maps z to (z . e1) e1 for every p.
         np.testing.assert_allclose(got, [2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_minibatch_survival_rate_squared_scaling():
-    # Half the stream is rejected by the stack: W = 1/2, factors carry W^2.
+    # Half the stream is rejected by the stack. A factor is the mean over the
+    # 8 accepted rows, so the survival rate does not scale the output.
     pts = np.array([[1.0, 0.0], [10.0, 0.0]] * 8)
     src = ReplaySource(pts, mode="cycle")
     stack = FilterStack(prune_radius_sq=2.0)
-    got, w_hat = streamed_power_apply(src, stack, 1, 16, np.array([1.0, 0.0]))
-    assert w_hat == 0.5
-    np.testing.assert_allclose(got, [0.25, 0.0], atol=1e-12)
+    got = streamed_power_apply(src, stack, 1, 16, np.array([1.0, 0.0]))
+    np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-12)
+    assert src.delivered == 16
 
 
 def test_minibatch_single_sample():
     x = np.array([1.0, 2.0])
     src = ReplaySource(np.array([x, x, x]), mode="cycle")
     z = np.array([1.0, 1.0])
-    got, _w = streamed_power_apply(src, FilterStack(), 1, 1, z)
+    got = streamed_power_apply(src, FilterStack(), 1, 1, z)
     np.testing.assert_allclose(got, x * float(x @ z), rtol=1e-12)
 
 
@@ -174,7 +167,7 @@ def test_minibatch_large_batch_approaches_population():
     stack = FilterStack()
     p = 2
     z = rng.standard_normal(4)
-    got, _w = streamed_power_apply(src, stack, p, 20_000, z)
+    got = streamed_power_apply(src, stack, p, 20_000, z)
     want = dense_power_apply(op_from(pop).materialize(), p, z)
     assert np.linalg.norm(got - want) <= 0.1 * np.linalg.norm(want)
 
@@ -189,10 +182,9 @@ def test_streamed_apply_matches_built_estimator():
     src_b = ReplaySource(pop, mode="resample", rng=rng_b)
     stack = FilterStack(prune_radius_sq=20.0)
     z = np.random.default_rng(2).standard_normal(5)
-    want, w_want = streamed_power_apply(src_a, stack, 3, 50, z, chunk=50)
-    got, w_hat = streamed_power_apply(src_b, stack, 3, 50, z, chunk=7)
+    want = streamed_power_apply(src_a, stack, 3, 50, z, chunk=50)
+    got = streamed_power_apply(src_b, stack, 3, 50, z, chunk=7)
     np.testing.assert_allclose(got, want, rtol=1e-10)
-    assert w_hat == w_want
     assert src_a.delivered == src_b.delivered
 
 
@@ -218,12 +210,11 @@ def test_streamed_apply_block_matches_single_columns():
     block = g * np.array([1e200, 1e-200, 1.0])
 
     src = ReplaySource(pop, mode="cycle")
-    got, w_block = streamed_power_apply(src, stack, p, batch, block, chunk=16)
-    assert src.delivered == (p + 1) * batch
+    got = streamed_power_apply(src, stack, p, batch, block, chunk=16)
+    assert src.delivered == p * batch
     for j in range(block.shape[1]):
         src_j = ReplaySource(pop, mode="cycle")
-        want, w_j = streamed_power_apply(src_j, stack, p, batch, block[:, j], chunk=16)
-        assert w_j == w_block
+        want = streamed_power_apply(src_j, stack, p, batch, block[:, j], chunk=16)
         col = got[:, j] / np.linalg.norm(got[:, j])
         want = want / np.linalg.norm(want)
         assert np.linalg.norm(col - want) <= 1e-12
@@ -311,7 +302,7 @@ def test_approx_power_iteration_single_rep_is_one_probe():
                                  rng=np.random.default_rng(42))
     src_b = ReplaySource(pop, mode="cycle")
     g = np.random.default_rng(42).standard_normal(4)
-    y, _w = streamed_power_apply(src_b, stack, p, batch, g)
+    y = streamed_power_apply(src_b, stack, p, batch, g)
     y = y / np.linalg.norm(y)
     pts = src_b.draw(batch)
     acc = pts[stack.weights(pts)]
@@ -356,7 +347,7 @@ def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     src = ReplaySource(pop, mode="cycle")
     approx_power_iteration(src, FilterStack(prune_radius_sq=40.0), p, reps=reps,
                            batch_size=batch, rng=np.random.default_rng(7))
-    assert src.delivered == (p + 2) * batch
+    assert src.delivered == (p + 1) * batch
 
 
 def test_streamed_power_direction_retries_then_gives_up():
@@ -364,15 +355,15 @@ def test_streamed_power_direction_retries_then_gives_up():
     pop = np.random.default_rng(8).standard_normal((64, d))
     src = ReplaySource(pop, mode="cycle")
     u = streamed_power_direction(src, FilterStack(), p, batch, np.random.default_rng(9))
-    want, _w = streamed_power_apply(ReplaySource(pop, mode="cycle"), FilterStack(), p,
-                                    batch, np.random.default_rng(9).standard_normal(d))
+    want = streamed_power_apply(ReplaySource(pop, mode="cycle"), FilterStack(), p,
+                                batch, np.random.default_rng(9).standard_normal(d))
     np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
 
     # A zero stream collapses every start: 8 starts drawn, then None.
     src = ReplaySource(np.zeros((16, d)), mode="cycle")
     rng = np.random.default_rng(10)
     assert streamed_power_direction(src, FilterStack(), p, batch, rng) is None
-    assert src.delivered == 8 * (p + 1) * batch
+    assert src.delivered == 8 * p * batch
     ref = np.random.default_rng(10)
     ref.standard_normal((8, d))
     assert rng.standard_normal() == ref.standard_normal()

@@ -100,7 +100,7 @@ def test_non_finite_stream_row_is_rejected():
             for pool in (clean, bad)]
     (res_a, stats_a), (res_b, stats_b) = runs
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
-    assert stats_a.samples_consumed == stats_b.samples_consumed == 713_708
+    assert stats_a.samples_consumed == stats_b.samples_consumed == 705_516
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -117,7 +117,7 @@ def test_minibatch_power_tracks_dense_shadow():
     slack = 0.01 * (gamma / eps) * m_frob_sq * sig_op
     sample = pop[rng.integers(0, pop.shape[0], size=400)]
     # One chain serves all 400 points as the columns of a (d, 400) block.
-    applied, _w = streamed_power_apply(src, FilterStack(), p, 3000, sample.T)
+    applied = streamed_power_apply(src, FilterStack(), p, 3000, sample.T)
     ok = 0
     for x, col in zip(sample, applied.T):
         g_hat = float(np.sum(col ** 2))
@@ -151,30 +151,6 @@ def test_zero_eps_stream_runs_clean_schedule():
                                        rng_seed=9, max_samples=60_000_000)
     assert res.status is PcaStatus.ACCEPTED
     assert metric_approx_ratio(res.u, spec.covariance()) >= 0.9
-
-
-def test_oja_strawman_defeated_by_spike_stream():
-    # The unfiltered incremental baseline locks onto the planted direction;
-    # the robust streaming driver does not (checked separately above).
-    from robustpca.streaming import oja_baseline
-    spec = InlierSpec(dim=20, diag=1.0, spikes=((0, 9.0),))
-    adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=0.03, spike_axis=1)
-    sigma = spec.covariance()
-    bad = 0
-    for seed in range(10):
-        src = tv_contaminated_source(spec, adv, rng_stream(seed, 77))
-        u = oja_baseline(src, 60_000, rng_stream(seed, 78))
-        if metric_approx_ratio(u, sigma) <= 0.4:
-            bad += 1
-    assert bad >= 8
-
-
-def test_oja_clean_stream_finds_top_direction():
-    from robustpca.streaming import oja_baseline
-    spec = InlierSpec(dim=10, diag=1.0, spikes=((0, 9.0),))
-    src = tv_contaminated_source(spec, AdversarySpec(), rng_stream(0, 79))
-    u = oja_baseline(src, 60_000, rng_stream(0, 80))
-    assert metric_approx_ratio(u, spec.covariance()) >= 0.9
 
 
 def test_default_batch_formulas_clamped():

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` finds what to wrap by name and reads its per-layer
 metrics back by name. A deleted or renamed function would not break it; its
 metrics would just read zero. This test imports the tracer as it is and
-checks every function, class method and bound parameter it names.
+checks every function, class method and bound parameter it names, then runs
+two small traced solves to check that its stage accounting adds up.
 """
 
 import ast
@@ -13,6 +14,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+import robustpca as rp
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -131,3 +134,28 @@ def test_bound_parameters_exist(tracing):
                 assert node.slice.value in params, f"{name} lost {node.slice.value!r}"
                 checked += 1
     assert checked >= 4
+
+
+def test_traced_solves_attribute_every_streamed_sample(tracing):
+    # One small stream solve and one small batch solve under the installed
+    # tracer: every streamed row lands in exactly one stage, no power chain
+    # is reported as collapsed, and the certificates are seen.
+    spec = rp.InlierSpec(dim=8, diag=1.0, spikes=((0, 9.0),))
+    adv = rp.AdversarySpec(kind=rp.AdversaryKind.ORTHOGONAL_SPIKE, rate=0.035,
+                           spike_axis=1)
+    pool = rp.tv_contaminated_source(spec, adv, rp.rng_stream(0, 1)).draw(50_000)
+    points, _labels = rp.gen_inliers(spec, 2_000, rp.rng_stream(0, 2))
+    tracer = tracing.Tracer(rp)
+    tracer.install()
+    try:
+        _res, stats = rp.streaming_robust_pca(
+            rp.ReplaySource(pool, mode="cycle"), eps=0.03, gamma=0.6, r_radius=1.5,
+            rng_seed=0, max_samples=20_000_000)
+        rp.robust_pca(rp.WeightedDataset(points), eps=0.0, gamma=0.4, rng_seed=0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    staged = sum(v for k, v in metrics.items() if k.startswith("stages."))
+    assert staged == stats.samples_consumed > 0
+    assert metrics["linops.collapse_retries"] == 0
+    assert metrics["certificate.attempts"] > 0
