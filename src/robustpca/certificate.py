@@ -27,8 +27,8 @@ from .linops import (
     gaussian_retry,
     power_direction,
     power_iteration,
-    rejection_batch,
     streamed_power_direction,
+    streamed_rayleigh,
 )
 from .sources import SampleSource, ScalarLedger
 
@@ -104,7 +104,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      config: AlgoConfig, rng: np.random.Generator,
                                      batch_size: int, mean_batch: int,
-                                     ledger: ScalarLedger | None = None) -> Candidate:
+                                     ledger: ScalarLedger) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
     The reference Rayleigh quotient is boosted over ceil(log2(1/fail_prob))
@@ -125,14 +125,13 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     if u is None:
         raise DegenerateStateError("candidate power iterate collapsed to zero")
 
-    accepted_pts = rejection_batch(source, stack, batch_size)
-    proj = accepted_pts @ u
-    rayleigh_emp = float(proj @ proj) / accepted_pts.shape[0]
+    rayleigh_emp = float(streamed_rayleigh(source, stack, u, batch_size, ledger))
 
     tail = 3.0 * eps
     if tail > 0:
-        cap = streaming_quantile(lambda k: accepted_scores(source, stack, u, k),
-                                 tail, fail_prob, ledger=ledger)
+        cap = streaming_quantile(
+            lambda k: accepted_scores(source, stack, lambda x: (x @ u) ** 2, k, ledger),
+            tail, fail_prob, ledger=ledger)
     else:
         cap = math.inf
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob,

@@ -69,7 +69,6 @@ class PcaResult:
     iterations: tuple[int, int]
     filters_created: int
     elapsed: float = 0.0
-    samples_consumed: int | None = None
 
 
 class BatchEstimators:
@@ -151,11 +150,11 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     tail = QUANTILE_TAIL_FACTOR * cfg.eps
     fail_prob = CERT_FAILURE_PROB / (k_end * t_end)
 
-    sigma_op, delta = suite.prologue()
     best: Candidate | None = None
     last_iter = (0, 0)
 
     try:
+        sigma_op, delta = suite.prologue()
         for k in range(1, k_end + 1):
             p_k = cfg.power_at(d, k)
             for t in range(1, t_end + 1):

@@ -116,11 +116,7 @@ def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
     with ledger.reserve(min(chunk, n_batch) + reps):
         for _ in range(reps):
             total = 0.0
-            seen = 0
-            while seen < n_batch:
-                take = min(chunk, n_batch - seen)
-                vals = np.asarray(draw_scores(take), dtype=np.float64)
-                total += float(np.sum(vals))
-                seen += take
+            for start in range(0, n_batch, chunk):
+                total += float(np.sum(draw_scores(min(chunk, n_batch - start))))
             means.append(total / n_batch)
     return max(0.0, float(np.median(means)))

@@ -2,8 +2,8 @@
 
 Everything the recovery algorithms do with a covariance-like matrix goes
 through matrix-vector products here; the matrix itself is never formed.
-Batch operators read an in-memory dataset, streaming estimators consume
-minibatches from a sample source.
+Batch operators read an in-memory dataset; stream rows are drawn only by
+``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "power_iteration",
     "approx_power_iteration",
     "gaussian_retry",
-    "rejection_batch",
 ]
 
 _STREAM_CHUNK = 1024
@@ -81,55 +80,75 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
     return u / nrm
 
 
-def rejection_batch(source: SampleSource, stack: FilterStack,
-                    batch_size: int) -> np.ndarray:
-    """The rows the stack accepts among ``batch_size`` fresh draws.
+def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
+                  ledger: ScalarLedger | None, chunk: int = _STREAM_CHUNK):
+    """Yield the accepted rows of k fresh draws, drawn ``chunk`` rows at a time.
 
-    Raising when nothing is accepted keeps downstream moment estimates well
-    defined.
+    The ledger books the chunk buffer, d scalars per row, until the last
+    chunk is handed out. Raises DegenerateStateError when none of the k
+    draws is accepted.
     """
-    pts = source.draw(batch_size)
-    keep = stack.weights(pts)
-    accepted = pts[keep]
-    if accepted.shape[0] == 0:
-        raise DegenerateStateError(
-            f"minibatch of {batch_size} samples was entirely rejected by the filter stack"
-        )
-    return accepted
+    ledger = ledger if ledger is not None else ScalarLedger()
+    accepted = 0
+    with ledger.reserve(min(chunk, k) * source.dim):
+        for start in range(0, k, chunk):
+            pts = source.draw(min(chunk, k - start))
+            rows = pts[stack.weights(pts)]
+            accepted += rows.shape[0]
+            yield rows
+    if accepted == 0:
+        raise DegenerateStateError(f"all {k} draws were rejected by the filter stack")
 
 
-def accepted_scores(source: SampleSource, stack: FilterStack, v: np.ndarray,
-                    k: int) -> np.ndarray:
-    """k squared projections (x.v)^2 of fresh stream samples the stack accepts.
+def accepted_scores(source: SampleSource, stack: FilterStack, score, k: int,
+                    ledger: ScalarLedger | None) -> np.ndarray:
+    """k values of ``score(rows)`` over fresh stream rows the stack accepts.
 
-    Draws one batch of k, then tops up with batches of (missing + 8) until k
-    accepted scores are in hand.
+    Draws k rows, then (missing + 8) at a time until k scores are in hand.
     """
-    pts = rejection_batch(source, stack, max(k, 1))
-    got = (pts @ v) ** 2
-    while got.size < k:
-        pts = rejection_batch(source, stack, k - got.size + 8)
-        got = np.concatenate([got, (pts @ v) ** 2])
-    return got[:k]
+    parts = []
+    got, want = 0, k
+    while got < k:
+        for rows in accepted_rows(source, stack, want, ledger):
+            parts.append(score(rows))
+            got += rows.shape[0]
+        want = k - got + 8
+    return np.concatenate(parts)[:k]
+
+
+def streamed_rayleigh(source: SampleSource, stack: FilterStack, block: np.ndarray,
+                      batch_size: int, ledger: ScalarLedger | None):
+    """Mean squared projection onto ``block`` of the accepted rows of fresh draws.
+
+    One value per column of a (d, m) block, a scalar for a vector. The rows
+    are projected directly, since a power chain rescales off-range columns.
+    """
+    total, count = 0.0, 0
+    for rows in accepted_rows(source, stack, batch_size, ledger):
+        proj = rows @ block
+        total = total + np.sum(proj * proj, axis=0)
+        count += rows.shape[0]
+    return total / count
 
 
 def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
                        lo: float, hi: float, fail_prob: float, n_batch: int,
-                       ledger: ScalarLedger | None = None) -> float:
+                       ledger: ScalarLedger) -> float:
     """Median-of-means estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
 
-    ``v`` must be a unit vector. Each chunk is scored in one product over all
-    its rows, which costs less than gathering the accepted rows first. An
+    ``v`` must be a unit vector. Each chunk is booked and scored in one product
+    over all its rows, which costs less than gathering the accepted rows. An
     accepted row has a finite squared norm, which bounds its score, so only
     rejected rows can overflow or turn NaN here; their floating-point flags
     are muted and their scores are replaced by zeros before any sum.
     """
     def draw(k: int) -> np.ndarray:
-        pts = source.draw(k)
-        keep = stack.weights(pts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = (pts @ v) ** 2
-        return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
+        with ledger.reserve(k * source.dim):
+            pts = source.draw(k)
+            keep = stack.weights(pts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = (pts @ v) ** 2
+            return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
 
     return stream_mean_estimate(draw, fail_prob, n_batch=n_batch, ledger=ledger)
 
@@ -142,9 +161,9 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
 
     Each of p batches of ``batch_size`` fresh draws applies one factor
     u -> mean(x (x.u)) over the rows the stack accepts, so exactly
-    p*batch_size samples are consumed. Samples stream through a fixed-size
-    chunk buffer and no batch is retained, so resident memory is
-    O(d*m + chunk*d) regardless of batch_size. In long chains each column is
+    p*batch_size samples are consumed. Samples stream through
+    ``accepted_rows`` in chunks and no batch is retained, so resident memory
+    is O(d*m + chunk*d) regardless of batch_size. In long chains each column is
     rescaled on its own when its values leave the [1e-100, 1e100] range, so at
     large powers every output column is defined up to its own positive scalar.
     Returns the applied block (a vector for a vector input).
@@ -156,27 +175,14 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
     u = block[:, None] if squeeze else block.copy()
     d, m = u.shape
     ledger = ledger if ledger is not None else ScalarLedger()
-    chunk = max(1, min(chunk, batch_size))
 
-    with ledger.reserve(2 * d * m + chunk * d):
+    with ledger.reserve(2 * d * m):
         for _ in range(p):
             acc = np.zeros((d, m))
             m_count = 0
-            total = 0
-            while total < batch_size:
-                take = min(chunk, batch_size - total)
-                pts = source.draw(take)
-                keep = stack.weights(pts)
-                sub = pts[keep]
-                if sub.shape[0]:
-                    acc += sub.T @ (sub @ u)
-                    m_count += sub.shape[0]
-                total += take
-            if m_count == 0:
-                raise DegenerateStateError(
-                    f"minibatch of {batch_size} samples was entirely rejected "
-                    f"by the filter stack"
-                )
+            for sub in accepted_rows(source, stack, batch_size, ledger, chunk):
+                acc += sub.T @ (sub @ u)
+                m_count += sub.shape[0]
             u = acc / m_count
             # Rescale each column of a long product chain away from the float
             # range edges (all consumers are scale-free or normalize). A joint
@@ -249,9 +255,9 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     The ``reps`` Gaussian starts form the columns of one (d, reps) block that
     goes through a single streamed power chain (block iteration). Each output
     column is normalized on its own; columns with zero or non-finite norm are
-    dropped. The survivors are scored against one independent minibatch
-    moment and the max is kept; the independent starts boost the constant
-    success probability of a single probe. Consumes exactly
+    dropped. The survivors are scored by ``streamed_rayleigh`` on one
+    independent minibatch and the max is kept; the independent starts boost
+    the constant success probability of a single probe. Consumes exactly
     (p + 1) * batch_size stream samples whatever ``reps`` is.
     """
     if reps < 1:
@@ -265,7 +271,5 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     if not alive.any():
         raise DegenerateStateError("every power probe collapsed to the zero vector")
     y = y[:, alive] / nrm[alive]
-    accepted = rejection_batch(source, stack, batch_size)
-    proj = accepted @ y
-    return float(np.max(np.sum(proj * proj, axis=0))) / accepted.shape[0]
+    return float(np.max(streamed_rayleigh(source, stack, y, batch_size, ledger)))
 

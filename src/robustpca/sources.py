@@ -129,10 +129,11 @@ class BudgetedSource(SampleSource):
 class ScalarLedger:
     """Counts simultaneously live real numbers attributable to algorithm state.
 
-    Consumers bracket allocations with ``reserve``; ``peak`` is the high-water
-    mark. Purely an accounting device, it allocates nothing itself. With a
-    ``limit``, the allocation that takes the peak above it raises
-    ``MemoryBudgetError``.
+    It counts d scalars per resident stream row, one per score in a score
+    block, the blocks a power chain carries, and the persistent state. Code
+    brackets allocations with ``reserve``; ``peak`` is the high-water mark.
+    It allocates nothing itself. With a ``limit``, the allocation that takes
+    the peak above it raises ``MemoryBudgetError``.
     """
 
     def __init__(self, limit: int | None = None):
@@ -150,13 +151,10 @@ class ScalarLedger:
                     f"declared budget {self.limit}"
                 )
 
-    def free(self, count: int) -> None:
-        self.current -= int(count)
-
     @contextmanager
     def reserve(self, count: int):
-        self.alloc(count)
         try:
+            self.alloc(count)
             yield
         finally:
-            self.free(count)
+            self.current -= int(count)

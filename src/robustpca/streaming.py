@@ -18,9 +18,9 @@ import numpy as np
 from .certificate import Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import CERT_FAILURE_PROB, run_boosted
-from .errors import DegenerateStateError
-from .estimators import opnorm_bracket, streaming_quantile, streaming_quantile_samples
-from .linops import accepted_band_mean, accepted_scores, streamed_power_direction
+from .estimators import (streaming_quantile, streaming_quantile_samples, trimmed_variance,
+                         weighted_quantile)
+from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
@@ -62,33 +62,34 @@ class MinibatchEstimators:
         # d p^2 log(d/eps) / delta^2, delta <= 0.01 gamma/sqrt(d), always exceeds the cap.
         self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, self.eps, self.gamma, r_radius)
-        self._fail = CERT_FAILURE_PROB
         self._v: np.ndarray | None = None
 
     # -- prologue -------------------------------------------------------------
 
     def prologue(self):
-        d = self.dim
         if self.eps > 0:
+            # Over the rows the empty stack accepts, whose squared norms are finite.
             norm_cut = streaming_quantile(
-                lambda k: np.linalg.norm(self.source.draw(k), axis=1),
-                tail=self.eps, fail_prob=self._fail, ledger=self.ledger,
+                lambda k: accepted_scores(self.source, FilterStack(),
+                                          lambda x: np.linalg.norm(x, axis=1), k,
+                                          self.ledger),
+                tail=self.eps, fail_prob=CERT_FAILURE_PROB, ledger=self.ledger,
             )
             prune_sq = norm_cut * norm_cut
         else:
             prune_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=prune_sq)
 
+        # opnorm_bracket over fresh draws, keeping only the squared norms.
         block_m = min(max(512, streaming_quantile_samples(
-            max(3 * self.eps, 0.01), self._fail)), 200_000)
-        with self.ledger.reserve(block_m * d):
-            block = self.source.draw(block_m)
-            w = self.stack.weights(block)
-            if not w.any():
-                raise DegenerateStateError("prune radius rejected an entire block")
-            sigma_op = opnorm_bracket(block, w, self.eps)
-        self.ledger.alloc(d)  # the candidate vector held across iterations
-        delta = 0.1 * self.gamma / (self.r_radius ** 2 * d) * sigma_op
+            max(3 * self.eps, 0.01), CERT_FAILURE_PROB)), 200_000)
+        with self.ledger.reserve(block_m):
+            g = np.concatenate([
+                np.einsum("ij,ij->i", rows, rows)
+                for rows in accepted_rows(self.source, self.stack, block_m, self.ledger)])
+            sigma_op = trimmed_variance(g, weighted_quantile(g, 3 * self.eps), block_m)
+        self.ledger.alloc(self.dim)  # the candidate vector held across iterations
+        delta = 0.1 * self.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
         return sigma_op, delta
 
     # -- per-iteration answers -------------------------------------------------
@@ -115,16 +116,18 @@ class MinibatchEstimators:
         if tail <= 0:
             return math.inf
         v = self._v
-        return streaming_quantile(lambda k: accepted_scores(self.source, self.stack, v, k),
-                                  tail, self._fail, ledger=self.ledger)
+        return streaming_quantile(
+            lambda k: accepted_scores(self.source, self.stack, lambda x: (x @ v) ** 2, k,
+                                      self.ledger),
+            tail, CERT_FAILURE_PROB, ledger=self.ledger)
 
     def sigma_trimmed(self, cap: float) -> float:
         return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
-                                  self._fail, self.mean_batch, ledger=self.ledger)
+                                  CERT_FAILURE_PROB, self.mean_batch, ledger=self.ledger)
 
     def mean_score(self, L: float, thr: float) -> float:
         return accepted_band_mean(self.source, self.stack, self._v, L, thr,
-                                  self._fail, self.mean_batch, ledger=self.ledger)
+                                  CERT_FAILURE_PROB, self.mean_batch, ledger=self.ledger)
 
     def score_range(self, L: float) -> float:
         # Analytic bound: f(x) = (v.x)^2 <= ||x||^2 <= prune radius^2.
@@ -142,16 +145,16 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
     """Single-pass recovery of a near-top variance direction from a stream.
 
     ``r_radius`` is the caller's bound with Pr[||X|| > r * sqrt(d * op-norm)]
-    <= eps for the inlier distribution. Running out of ``max_samples``
-    mid-run degrades to FALLBACK_BEST rather than raising. Returns
-    (PcaResult, StreamStats); the scalar ledger is shared by every boost rep.
+    <= eps for the inlier distribution. Running out of ``max_samples`` ends
+    a rep with FALLBACK_BEST, or FAILED before its first certificate, and
+    never discards an earlier rep's result. Returns (PcaResult, StreamStats);
+    the scalar ledger is shared by every boost rep.
     """
     src = BudgetedSource(source, max_samples) if max_samples is not None else source
     ledger = ScalarLedger(limit=None if config is None else config.max_resident_scalars)
     result, suite = run_boosted(
         lambda cfg: MinibatchEstimators(src, cfg, r_radius, ledger),
         eps, gamma, config, rng_seed)
-    result.samples_consumed = src.delivered
     stats = StreamStats(
         samples_consumed=src.delivered,
         filters_stored=len(suite.stack),

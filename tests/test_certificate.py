@@ -7,6 +7,7 @@ from robustpca import (
     AlgoConfig,
     FilterStack,
     ReplaySource,
+    ScalarLedger,
     sample_top_eigenvector,
     sample_top_eigenvector_streaming,
 )
@@ -100,7 +101,8 @@ def test_streaming_certificate_clean_accepts():
     cfg = AlgoConfig(eps=0.02, gamma=0.4)
     cand = sample_top_eigenvector_streaming(
         src, FilterStack(), 0.02, 0.4, fail_prob=0.05, config=cfg,
-        rng=np.random.default_rng(5), batch_size=1500, mean_batch=4000)
+        rng=np.random.default_rng(5), batch_size=1500, mean_batch=4000,
+        ledger=ScalarLedger())
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.95
 

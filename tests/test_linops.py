@@ -373,7 +373,9 @@ def test_accepted_scores_tops_up_rejected_rows():
     # Every other row is rejected, so the first batch comes back short.
     pop = np.array([[1.0, 0.0], [10.0, 0.0]] * 8)
     src = ReplaySource(pop, mode="cycle")
-    got = accepted_scores(src, FilterStack(prune_radius_sq=4.0), np.array([1.0, 0.0]), 6)
+    v = np.array([1.0, 0.0])
+    got = accepted_scores(src, FilterStack(prune_radius_sq=4.0), lambda x: (x @ v) ** 2,
+                          6, ScalarLedger())
     np.testing.assert_array_equal(got, np.ones(6))
     assert src.delivered == 6 + (3 + 8)
 

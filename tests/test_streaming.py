@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustpca import (
     AdversaryKind,
     AdversarySpec,
     AlgoConfig,
+    BudgetedSource,
     FilterStack,
     InlierSpec,
     PcaStatus,
@@ -16,7 +21,13 @@ from robustpca import (
     streaming_robust_pca,
     tv_contaminated_source,
 )
-from robustpca.errors import MemoryBudgetError
+from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
+from robustpca.linops import (
+    accepted_band_mean,
+    accepted_rows,
+    accepted_scores,
+    streamed_rayleigh,
+)
 from robustpca.oracle import dense_power_apply
 from robustpca.streaming import (
     BATCH_SIZE_CAP,
@@ -49,11 +60,10 @@ def test_contaminated_stream_recovers():
 def test_single_pass_accounting():
     spec = InlierSpec(dim=6, diag=1.0, spikes=((0, 3.0),))
     src = tv_contaminated_source(spec, AdversarySpec(), rng_stream(2, 1))
-    res, stats = streaming_robust_pca(src, eps=0.02, gamma=0.4, r_radius=1.5,
-                                      rng_seed=2, max_samples=20_000_000)
+    _res, stats = streaming_robust_pca(src, eps=0.02, gamma=0.4, r_radius=1.5,
+                                       rng_seed=2, max_samples=20_000_000)
     # Every sample the source handed out is accounted for, exactly once.
     assert stats.samples_consumed == src.delivered
-    assert res.samples_consumed == stats.samples_consumed
 
 
 def test_peak_memory_independent_of_budget():
@@ -162,3 +172,146 @@ def test_default_batch_formulas_clamped():
     assert 64 <= nb <= MEAN_BATCH_CAP
     cfg2 = AlgoConfig(eps=0.03, gamma=0.6, batch_size=777)
     assert MinibatchEstimators(src, cfg2, 1.5, ScalarLedger()).batch == 777
+
+
+# -- honest memory accounting and typed failure modes ------------------------------
+
+def _spiked_pool(d=8, rows=50_000, rate=0.035, seed=0):
+    """A contaminated pool: spike on axis 0, orthogonal outlier spike on axis 1."""
+    spec = InlierSpec(dim=d, diag=1.0, spikes=((0, 9.0),))
+    adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=rate, spike_axis=1)
+    return tv_contaminated_source(spec, adv, rng_stream(seed, 1)).draw(rows), spec
+
+
+def _solve_pool(pool, **kw):
+    args = dict(eps=0.03, gamma=0.6, r_radius=1.5, rng_seed=0, max_samples=20_000_000)
+    args.update(kw)
+    return streaming_robust_pca(ReplaySource(pool, mode="cycle"), **args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_column_above_eps_rate(bad):
+    # 5% of the rows carry a non-finite coordinate, above the eps = 0.03 the
+    # solver assumes. The prune radius comes from the finite rows only, so
+    # it stays finite and the non-finite rows are simply rejected.
+    pool, spec = _spiked_pool()
+    pool[::20, 3] = bad
+    res, stats = _solve_pool(pool)
+    assert res.status is PcaStatus.ACCEPTED
+    assert metric_approx_ratio(res.u, spec.covariance()) >= 0.99
+    assert stats.filters_stored >= 1
+
+
+def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
+    pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
+    for budget in (900_000, 5_000):
+        one, two = (_solve_pool(pool, rng_seed=1, max_samples=budget,
+                                config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=reps))[0]
+                    for reps in (1, 2))
+        assert two.status is one.status
+        assert two.iterations == one.iterations
+        assert two.sigma_robust == one.sigma_robust
+        if one.u is None:
+            assert two.u is None
+        else:
+            np.testing.assert_array_equal(two.u, one.u)
+    # The budget runs out in the prologue: no certificate ever ran.
+    assert one.status is PcaStatus.FAILED and one.iterations == (0, 0)
+
+
+def test_tracemalloc_peak_within_twice_ledger_peak():
+    pool, _spec = _spiked_pool()
+    _solve_pool(pool)  # first-call allocations (imports, caches) are not the solver's
+    tracemalloc.start()
+    try:
+        _res, stats = _solve_pool(pool)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes / 8 <= 2 * stats.peak_resident_scalars
+
+
+def test_stream_solve_is_scale_equivariant():
+    # A scale of 1e60 squares to 1e120 in every second moment; the projections
+    # that score Rayleigh quotients must not be rescaled like chain columns.
+    pool, _spec = _spiked_pool()
+    res_a, stats_a = _solve_pool(pool)
+    res_b, stats_b = _solve_pool(pool * 1e60)
+    assert res_b.status is res_a.status
+    assert res_b.iterations == res_a.iterations
+    assert stats_b.samples_consumed == stats_a.samples_consumed
+    assert abs(float(res_a.u @ res_b.u)) >= 1 - 1e-9
+
+
+@st.composite
+def _degenerate_pools(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(50, 3_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "zero", "constant", "part_zero"]))
+    if kind == "gaussian":
+        pool = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d)
+    elif kind == "zero":
+        pool = np.zeros((n, d))
+    elif kind == "constant":
+        pool = np.tile(rng.standard_normal(d), (n, 1))
+    else:
+        pool = rng.standard_normal((n, d))
+        pool[rng.random(n) < draw(st.floats(0.1, 0.9))] = 0.0
+    frac = draw(st.sampled_from([0.0, 0.05, 0.15, 1.0]))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    pool[rng.random(n) < frac, draw(st.integers(0, d - 1))] = value
+    return pool
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(pool=_degenerate_pools(), eps=st.sampled_from([0.0, 0.01, 0.02, 0.04]),
+       budget=st.sampled_from([5_000, 200_000, 2_000_000]))
+def test_degenerate_pools_end_typed(pool, eps, budget):
+    try:
+        res, _stats = _solve_pool(pool, eps=eps, gamma=max(0.4, 20 * eps),
+                                  max_samples=budget)
+    except DegenerateStateError:
+        return
+    if res.status is PcaStatus.FAILED:
+        return
+    assert res.status in (PcaStatus.ACCEPTED, PcaStatus.FALLBACK_BEST)
+    assert np.all(np.isfinite(res.u))
+    assert abs(float(np.linalg.norm(res.u)) - 1.0) <= 1e-9
+
+
+def test_stream_helpers_restore_the_ledger():
+    # Each helper books what it holds and leaves ``current`` as it found it,
+    # on return and on every typed error.
+    pop = np.array([[1.0, 2.0], [3.0, 0.5], [10.0, 0.0]] * 10)
+    stack = FilterStack(prune_radius_sq=20.0)
+    v = np.array([1.0, 0.0])
+    helpers = {
+        "accepted_rows": lambda src, led: list(accepted_rows(src, stack, 50, led, chunk=16)),
+        "accepted_scores": lambda src, led: accepted_scores(
+            src, stack, lambda x: (x @ v) ** 2, 50, led),
+        "streamed_rayleigh": lambda src, led: streamed_rayleigh(src, stack, v, 50, led),
+        "accepted_band_mean": lambda src, led: accepted_band_mean(
+            src, stack, v, 0.0, 5.0, 0.1, 40, ledger=led),
+        "streamed_power_apply": lambda src, led: streamed_power_apply(
+            src, stack, 2, 50, v, ledger=led),
+    }
+    rejected = np.full((8, 2), 10.0)
+    for name, call in helpers.items():
+        for pool, budget, limit, error in ((pop, None, None, None),
+                                           (pop, 20, None, StreamExhaustedError),
+                                           (rejected, None, None, DegenerateStateError),
+                                           (pop, None, 8, MemoryBudgetError)):
+            if name == "accepted_band_mean" and error is DegenerateStateError:
+                continue  # a band mean over rejected rows is 0, not an error
+            led = ScalarLedger(limit=limit)
+            led.alloc(7)
+            src = ReplaySource(pool, mode="cycle")
+            src = BudgetedSource(src, budget) if budget is not None else src
+            if error is None:
+                call(src, led)
+                assert led.peak > 7, name
+            else:
+                with pytest.raises(error):
+                    call(src, led)
+            assert led.current == 7, (name, error)
