@@ -19,7 +19,7 @@ from .contamination import (
     strong_contaminate,
     tv_contaminated_source,
 )
-from .driver import PcaResult, PcaStatus, naive_pca, potential_diagnostic, robust_pca
+from .driver import PcaResult, PcaStatus, naive_pca, robust_pca
 from .errors import (
     DegenerateStateError,
     FilterLoopError,
@@ -46,6 +46,7 @@ from .oracle import (
     DenseSpectrum,
     dense_spectrum,
     metric_approx_ratio,
+    potential_diagnostic,
     stability_spotcheck,
     stopping_condition_truth,
 )

@@ -251,7 +251,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
             src, config.algo.eps, config.algo.gamma, config.r_radius,
             config=config.algo, rng_seed=seed, max_samples=config.stream_budget)
         row("robust_streaming", _ratio(res.u, sigma), res.status.value,
-            time.perf_counter() - t0, filters=stats.filters_stored,
+            time.perf_counter() - t0, filters=res.filters_created,
             samples=stats.samples_consumed, peak=stats.peak_resident_scalars)
 
     if "NAIVE_PCA" in config.baselines:

@@ -93,11 +93,7 @@ class InlierSpec:
         return cov
 
     def op_norm(self) -> float:
-        cov = self.covariance()
-        off = cov - np.diag(np.diag(cov))
-        if not off.any():
-            return float(np.max(np.diag(cov)))
-        return float(dense_spectrum(cov).eigenvalues[0])
+        return float(dense_spectrum(self.covariance()).eigenvalues[0])
 
     def support_radius(self) -> float:
         """Hard bound on ||X||, or inf for the Gaussian family."""

@@ -31,11 +31,7 @@ import numpy as np
 
 from .certificate import Candidate, sample_top_eigenvector
 from .core import AlgoConfig, FilterEntry, FilterStack, WeightedDataset, rng_stream
-from .errors import (
-    DegenerateStateError,
-    StreamExhaustedError,
-    UnsupportedDiagnosticError,
-)
+from .errors import DegenerateStateError, StreamExhaustedError
 from .estimators import opnorm_bracket, trimmed_variance, weighted_quantile
 from .filtering import hard_thresholding_filter
 from .linops import (
@@ -44,15 +40,15 @@ from .linops import (
     power_direction,
     power_iteration,
 )
-from .oracle import dense_spectrum, weighted_second_moment_dense
 
-__all__ = ["PcaStatus", "PcaResult", "robust_pca", "potential_diagnostic", "naive_pca"]
+__all__ = ["PcaStatus", "PcaResult", "robust_pca", "naive_pca"]
 
 FILTER_TRIGGER = 2.35     # T_hat = 2.35 * gamma * sigma_trimmed
 QUANTILE_TAIL_FACTOR = 3.0
 PRUNE_FACTOR = 10.0       # prune radius^2 = 10 * sigma_op * d / eps
 QUANTILE_FLOOR = 0.1      # L >= 0.1 * sigma_op / d for unit directions
 CERT_FAILURE_PROB = 0.1  # split over the k_end * t_end certificates of a rep
+SAFE_EXPONENT = 200       # batch rows are solved in [2^-200, 2^200]
 
 
 class PcaStatus(enum.Enum):
@@ -214,7 +210,7 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
 
     ``make_suite(cfg)`` builds the suite of one rep. Stops at the first
     ACCEPTED result; otherwise keeps the rep with the highest robust
-    variance. Returns (result with its elapsed time, last suite).
+    variance. Returns that result with its elapsed time.
     """
     start = time.perf_counter()
     if config is None:
@@ -234,7 +230,7 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
         if best is None or result.sigma_robust > best.sigma_robust:
             best = result
     best.elapsed = time.perf_counter() - start
-    return best, suite
+    return best
 
 
 def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
@@ -248,36 +244,35 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
     by robust variance (status FALLBACK_BEST). Each event passed to
     ``trace_sink`` carries the survivor mask after its iteration as
     ``weights``.
+
+    When the median row's largest |entry| lies outside [2^-200, 2^200], where
+    squared norms and matvecs over- or underflow, the solve runs exactly on a
+    copy scaled by 2^-k that brings it into [1/2, 1), and the reported
+    variances are scaled back by 4^k. The median, not the largest entry, sets
+    the scale, so that a few outlier rows cannot flush the rest to zero.
     """
+    points = ds.points
+    peak = float(np.median(np.maximum(points.max(axis=1), -points.min(axis=1))))
+    k = 0
+    if peak > 0 and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
+        k = math.frexp(peak)[1]
+        points = np.ldexp(points, -k)
     suite: BatchEstimators | None = None
 
     def fresh_suite(cfg: AlgoConfig) -> BatchEstimators:
         nonlocal suite
-        suite = BatchEstimators(ds.points, cfg)
+        suite = BatchEstimators(points, cfg)
         return suite
 
     def sink(event: dict) -> None:
-        trace_sink({**event, "weights": suite.weights.copy()})
+        scaled = {key: float(np.ldexp(event[key], 2 * k))
+                  for key in ("mean_score", "cutoff", "sigma", "t_hat") if key in event}
+        trace_sink({**event, **scaled, "weights": suite.weights.copy()})
 
-    result, _suite = run_boosted(fresh_suite, eps, gamma, config, rng_seed,
-                                 None if trace_sink is None else sink)
+    result = run_boosted(fresh_suite, eps, gamma, config, rng_seed,
+                         None if trace_sink is None else sink)
+    result.sigma_robust = float(np.ldexp(result.sigma_robust, 2 * k))
     return result
-
-
-def potential_diagnostic(points: np.ndarray, weights: np.ndarray, p: int) -> float:
-    """Exact tr(B^(2p+1)) of the unnormalized weighted second moment.
-
-    Diagnostic only; the driver never consults it. Requires d <= 64 since the
-    moment is materialized densely.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[1] > 64:
-        raise UnsupportedDiagnosticError(
-            f"potential diagnostic capped at d <= 64, got {points.shape[1]}"
-        )
-    b = weighted_second_moment_dense(points, weights)
-    eig = dense_spectrum(b).eigenvalues
-    return float(np.sum(eig ** (2 * p + 1)))
 
 
 def naive_pca(points: np.ndarray, rng: np.random.Generator):

@@ -57,10 +57,6 @@ class SecondMomentOp:
             )
         return self._rows.T @ (self._rows @ z) / self.surviving
 
-    def materialize(self) -> np.ndarray:
-        """Dense (d, d) matrix; diagnostics and small-instance oracles only."""
-        return self._rows.T @ self._rows / self.surviving
-
 
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
     """Unit vector along op^p z, renormalizing each step to avoid overflow.

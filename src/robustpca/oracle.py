@@ -2,8 +2,9 @@
 
 Everything here materializes matrices and is deliberately slow and simple:
 these are the implementations the fast implicit paths get checked against.
-The eigensolver is an in-repo cyclic Jacobi so the reference chain has no
-external numerical dependencies.
+Spectra come from ``numpy.linalg.eigh``, which the implicit paths never
+call. The caps (d <= 256 for a spectrum, 64 for the dense diagnostics) bound
+dense memory and the CLI, which scores each of its rows on a full spectrum.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ __all__ = [
     "dense_spectrum",
     "dense_power_apply",
     "metric_approx_ratio",
+    "potential_diagnostic",
     "stopping_condition_truth",
     "stability_spotcheck",
 ]
 
 _MAX_DENSE_DIM = 256
-_JACOBI_TOL = 1e-13
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,10 @@ class DenseSpectrum:
         return (v * self.eigenvalues) @ v.T
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def dense_spectrum(matrix: np.ndarray) -> DenseSpectrum:
-    """Full spectral decomposition of a symmetric matrix by cyclic Jacobi.
+    """Full spectral decomposition of a symmetric matrix by LAPACK's eigh.
 
-    Sweeps rotate away off-diagonal entries until their Frobenius mass drops
-    below 1e-13 of the matrix norm. Input must be symmetric to 1e-10 and at
-    most 256 x 256.
+    Input must be finite, symmetric to 1e-10 and at most 256 x 256.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,47 +54,13 @@ def dense_spectrum(matrix: np.ndarray) -> DenseSpectrum:
         raise UnsupportedDiagnosticError(
             f"dense spectrum capped at d <= {_MAX_DENSE_DIM}, got {d}"
         )
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite (no NaN/Inf)")
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric to 1e-10")
-
-    a = (a + a.T) / 2.0
-    v = np.eye(d)
-    if d == 1:
-        return DenseSpectrum(a[0].copy(), v)
-
-    frob = float(np.linalg.norm(a))
-    for _ in range(_MAX_SWEEPS):
-        if frob == 0.0 or _off_norm(a) <= _JACOBI_TOL * frob:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # theta^2 would overflow; use the limit
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise RuntimeError("Jacobi sweeps failed to converge")
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)[::-1]
-    return DenseSpectrum(eigvals[order], v[:, order])
+    eigvals, v = np.linalg.eigh((a + a.T) / 2.0)
+    return DenseSpectrum(eigvals[::-1], v[:, ::-1])
 
 
 def dense_power_apply(matrix: np.ndarray, p: int, z: np.ndarray) -> np.ndarray:
@@ -130,6 +88,22 @@ def weighted_second_moment_dense(points: np.ndarray, weights: np.ndarray) -> np.
         raise ValueError("no points")
     surv = points[np.asarray(weights, dtype=bool)]
     return surv.T @ surv / points.shape[0]
+
+
+def potential_diagnostic(points: np.ndarray, weights: np.ndarray, p: int) -> float:
+    """Exact tr(B^(2p+1)) of the unnormalized weighted second moment.
+
+    Diagnostic only; the driver never consults it. Requires d <= 64 since the
+    moment is materialized densely.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[1] > 64:
+        raise UnsupportedDiagnosticError(
+            f"potential diagnostic capped at d <= 64, got {points.shape[1]}"
+        )
+    b = weighted_second_moment_dense(points, weights)
+    eig = dense_spectrum(b).eigenvalues
+    return float(np.sum(eig ** (2 * p + 1)))
 
 
 def stopping_condition_truth(sigma_truth: np.ndarray, points: np.ndarray,

@@ -32,7 +32,6 @@ MEAN_BATCH_CAP = 1_000_000    # median-of-means batch
 @dataclass
 class StreamStats:
     samples_consumed: int
-    filters_stored: int
     peak_resident_scalars: int
 
 
@@ -147,18 +146,21 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
     ``r_radius`` is the caller's bound with Pr[||X|| > r * sqrt(d * op-norm)]
     <= eps for the inlier distribution. Running out of ``max_samples`` ends
     a rep with FALLBACK_BEST, or FAILED before its first certificate, and
-    never discards an earlier rep's result. Returns (PcaResult, StreamStats);
-    the scalar ledger is shared by every boost rep.
+    never discards an earlier rep's result. Returns (PcaResult, StreamStats).
+    Each boost rep books its scalars on a fresh ledger, since its suite is
+    dropped when it ends; the reported peak is the largest rep's.
     """
     src = BudgetedSource(source, max_samples) if max_samples is not None else source
-    ledger = ScalarLedger(limit=None if config is None else config.max_resident_scalars)
-    result, suite = run_boosted(
-        lambda cfg: MinibatchEstimators(src, cfg, r_radius, ledger),
-        eps, gamma, config, rng_seed)
+    ledgers = []
+
+    def fresh_suite(cfg: AlgoConfig) -> MinibatchEstimators:
+        ledgers.append(ScalarLedger(limit=cfg.max_resident_scalars))
+        return MinibatchEstimators(src, cfg, r_radius, ledgers[-1])
+
+    result = run_boosted(fresh_suite, eps, gamma, config, rng_seed)
     stats = StreamStats(
         samples_consumed=src.delivered,
-        filters_stored=len(suite.stack),
-        peak_resident_scalars=ledger.peak,
+        peak_resident_scalars=max(ledger.peak for ledger in ledgers),
     )
     return result, stats
 

@@ -131,6 +131,47 @@ def test_scaling_equivariance_coupled_seeds():
         np.testing.assert_array_equal(ea["weights"], eb["weights"])
 
 
+@pytest.mark.parametrize("j", [-520, -300, 300, 500])
+def test_batch_solve_at_float_range_edges(j):
+    # Entries near 2^500 overflow a squared norm and entries near 2^-520
+    # underflow one; the solve runs on a power-of-two rescaled copy and
+    # must match the unit-scale solve bit for bit.
+    x = np.random.default_rng(0).standard_normal((4000, 5))
+    base = robust_pca(WeightedDataset(x), eps=0.02, gamma=0.4, rng_seed=0)
+    res = robust_pca(WeightedDataset(np.ldexp(x, j)), eps=0.02, gamma=0.4, rng_seed=0)
+    assert base.status is res.status is PcaStatus.ACCEPTED
+    np.testing.assert_array_equal(res.u, base.u)
+    assert res.sigma_robust == math.ldexp(base.sigma_robust, 2 * j)
+
+
+def test_outlier_row_does_not_set_the_scale():
+    # A row at 1e150 lies far outside [2^-200, 2^200]. Scaling by it would
+    # flush every other row's square to zero; the median row sets the scale
+    # instead, so the solve prunes the outlier as it would at any scale.
+    x = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
+    x[17] = [0, 1e150, 0, 0, 0]
+    res = robust_pca(WeightedDataset(x), eps=0.02, gamma=0.4, rng_seed=1)
+    assert res.status is PcaStatus.ACCEPTED
+    assert abs(float(res.u[0])) >= 0.999
+
+
+def test_rescaled_solve_reports_unscaled_events():
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=11)
+    runs = []
+    for data in (pts, np.ldexp(pts, 300)):
+        events = []
+        robust_pca(WeightedDataset(data), eps=0.05, gamma=1.0, rng_seed=11,
+                   trace_sink=events.append)
+        runs.append(events)
+    ev_a, ev_b = runs
+    assert len(ev_a) == len(ev_b) and any(e["rounds"] > 0 for e in ev_a)
+    for ea, eb in zip(ev_a, ev_b):
+        np.testing.assert_array_equal(ea["weights"], eb["weights"])
+        for key in ("mean_score", "cutoff", "sigma", "t_hat"):
+            if key in ea:
+                assert eb[key] == math.ldexp(ea[key], 600), key
+
+
 def test_inlier_mass_mostly_conserved():
     eps = 0.05
     hits = 0

@@ -10,6 +10,7 @@ from robustpca import (
     stopping_condition_truth,
 )
 from robustpca.errors import UnsupportedDiagnosticError
+from robustpca.oracle import weighted_second_moment_dense
 
 
 def rotation(d, rng):
@@ -58,6 +59,12 @@ def test_rejects_asymmetric_and_oversized():
         dense_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(UnsupportedDiagnosticError):
         dense_spectrum(np.eye(300))
+    # LAPACK would return NaN eigenvalues for these without complaint.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dense_spectrum(np.array([[1.0, bad], [bad, 2.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            dense_spectrum(np.array([[bad]]))
 
 
 def test_metric_approx_ratio_basics():
@@ -163,7 +170,8 @@ def test_power_iteration_agrees_with_dense_top_eigenvalue():
         n = int(rng.integers(d + 1, 40))
         pts = rng.standard_normal((n, d)) * rng.uniform(0.3, 2.0, size=d)
         op = SecondMomentOp(pts)
-        lam1 = float(dense_spectrum(op.materialize()).eigenvalues[0])
+        moment = weighted_second_moment_dense(pts, np.ones(n, dtype=bool))
+        lam1 = float(dense_spectrum(moment).eigenvalues[0])
         p = math.ceil((4 / gamma) * math.log(d / (gamma * 1e-4)))
         _y, rayleigh = power_iteration(op, p, np.random.default_rng(trial))
         assert rayleigh >= (1 - gamma) * lam1

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -196,10 +197,10 @@ def test_non_finite_column_above_eps_rate(bad):
     # it stays finite and the non-finite rows are simply rejected.
     pool, spec = _spiked_pool()
     pool[::20, 3] = bad
-    res, stats = _solve_pool(pool)
+    res, _stats = _solve_pool(pool)
     assert res.status is PcaStatus.ACCEPTED
     assert metric_approx_ratio(res.u, spec.covariance()) >= 0.99
-    assert stats.filters_stored >= 1
+    assert res.filters_created >= 1
 
 
 def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
@@ -217,6 +218,29 @@ def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
             np.testing.assert_array_equal(two.u, one.u)
     # The budget runs out in the prologue: no certificate ever ran.
     assert one.status is PcaStatus.FAILED and one.iterations == (0, 0)
+
+
+def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
+    # Every certificate is rejected, so all three reps run and each books its
+    # candidate vector and a filter; none of that may count against the next.
+    seen = []
+    prologue, certificate = MinibatchEstimators.prologue, MinibatchEstimators.certificate
+
+    def spy_prologue(self):
+        seen.append((self.ledger, self.ledger.current))
+        return prologue(self)
+
+    def reject(self, fail_prob, rng):
+        return dataclasses.replace(certificate(self, fail_prob, rng), accepted=False)
+
+    monkeypatch.setattr(MinibatchEstimators, "prologue", spy_prologue)
+    monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
+    pool, _spec = _spiked_pool()
+    res, stats = _solve_pool(pool, config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=3,
+                                                      k_end=1, t_end=1))
+    assert res.status is PcaStatus.FALLBACK_BEST and res.filters_created >= 1
+    assert [current for _ledger, current in seen] == [0, 0, 0]
+    assert stats.peak_resident_scalars == max(ledger.peak for ledger, _c in seen)
 
 
 def test_tracemalloc_peak_within_twice_ledger_peak():
