@@ -66,20 +66,18 @@ def _decide(sigma_robust: float, rayleigh_emp: float, reference: float,
     return sigma_robust >= f1 * rayleigh_emp and rayleigh_emp >= f2 * reference
 
 
-def sample_top_eigenvector(rows: np.ndarray, n_total: int, eps: float,
+def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
                            gamma: float, fail_prob: float, config: AlgoConfig,
                            rng: np.random.Generator) -> Candidate:
     """Batch candidate: u = normalize(B^p z) judged against batch estimates.
 
-    ``rows`` holds the m surviving points of a population of ``n_total``;
-    B is their normalized second moment. The reference Rayleigh quotient
-    comes from an independent power iteration; the robust variance from the
-    3*eps-tail trimmed mean of squared projections onto u, over n_total. All
-    reported scalars are per unit norm of u.
+    ``op`` is B, the normalized second moment of the m surviving points
+    (``op.rows``) of a population of ``n_total``. The reference Rayleigh
+    quotient comes from an independent power iteration; the robust variance
+    from the 3*eps-tail trimmed mean of squared projections of ``op.rows``
+    onto u, over n_total. All reported scalars are per unit norm of u.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    d = rows.shape[1]
-    op = SecondMomentOp(rows)
+    d = op.dim
 
     _y, r_hat = power_iteration(op, config.ref_power(d, fail_prob), rng)
 
@@ -90,7 +88,7 @@ def sample_top_eigenvector(rows: np.ndarray, n_total: int, eps: float,
 
     rayleigh_emp = float(u @ op.matvec(u))
 
-    f_u = (rows @ u) ** 2
+    f_u = (op.rows @ u) ** 2
     tail = 3.0 * eps
     cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
     sigma = trimmed_variance(f_u, cap, n_total)

@@ -70,9 +70,11 @@ class PcaResult:
 class BatchEstimators:
     """Exact batch answers over an in-memory population.
 
-    Survivors are the mask ``weights`` and ``rows = points[weights]``, which
-    the prologue gathers once and each new filter compresses. Every answer
-    reads ``rows``, so no pruned or filtered row is projected again.
+    Survivors are the mask ``weights`` and the operator ``op`` over
+    ``points[weights]``, which the prologue gathers once and each new filter
+    compresses. Every answer reads ``op.rows``, so no pruned or filtered row
+    is projected again; the certificate and the direction share ``op``, so a
+    survivor set forms its Gram matrix at most once.
     """
 
     def __init__(self, points: np.ndarray, config: AlgoConfig):
@@ -82,7 +84,7 @@ class BatchEstimators:
         self.gamma = config.gamma
         self.config = config
         self.weights = np.ones(self.n, dtype=bool)
-        self.rows = self.points
+        self.op: SecondMomentOp | None = None
         self.stack = FilterStack()
         self._scores: np.ndarray | None = None
 
@@ -96,19 +98,18 @@ class BatchEstimators:
             radius_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=radius_sq)
         self.weights = self.stack.weights(self.points)
-        self.rows = self.points[self.weights]
+        self.op = SecondMomentOp(self.points[self.weights])
         return sigma_op, 0.0
 
     def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
-        return sample_top_eigenvector(self.rows, self.n, self.eps,
+        return sample_top_eigenvector(self.op, self.n, self.eps,
                                       self.gamma, fail_prob, self.config, rng)
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
-        op = SecondMomentOp(self.rows)
-        return gaussian_retry(rng, self.dim, lambda z: power_direction(op, p_k, z))
+        return gaussian_retry(rng, self.dim, lambda z: power_direction(self.op, p_k, z))
 
     def start_iteration(self, v: np.ndarray) -> bool:
-        self._scores = (self.rows @ v) ** 2
+        self._scores = (self.op.rows @ v) ** 2
         return bool(np.any(self._scores > 0))
 
     def quantile_value(self, tail: float) -> float:
@@ -128,10 +129,12 @@ class BatchEstimators:
         return float(tau.max()) if tau.size else 0.0
 
     def register_entry(self, entry: FilterEntry) -> None:
-        keep = (self.rows @ entry.direction) ** 2 <= entry.threshold_sq
-        self.rows = self.rows[keep]
+        rows = self.op.rows
+        keep = (rows @ entry.direction) ** 2 <= entry.threshold_sq
         self.weights[self.weights] = keep
         self.stack = self.stack.with_entry(entry)
+        # Not a downdate of G: subtracting the removed rows' share can cancel.
+        self.op = SecondMomentOp(rows[keep])
 
 
 def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
@@ -208,9 +211,10 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
                 config: AlgoConfig | None, rng_seed: int | None, trace_sink=None):
     """Resolve the config, then ``drive`` fresh suites for up to boost_reps reps.
 
-    ``make_suite(cfg)`` builds the suite of one rep. Stops at the first
-    ACCEPTED result; otherwise keeps the rep with the highest robust
-    variance. Returns that result with its elapsed time.
+    ``make_suite(cfg, held)`` builds the suite of one rep, which may book the
+    ``held`` scalars of the best earlier direction kept meanwhile. Stops at
+    the first ACCEPTED result; otherwise keeps the rep with the highest
+    robust variance. Returns that result with its elapsed time.
     """
     start = time.perf_counter()
     if config is None:
@@ -222,7 +226,8 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
 
     best: PcaResult | None = None
     for rep in range(cfg.boost_reps):
-        suite = make_suite(cfg)
+        held = 0 if best is None or best.u is None else best.u.size
+        suite = make_suite(cfg, held)
         result = drive(suite, cfg, seed, rep, trace_sink)
         if result.status is PcaStatus.ACCEPTED:
             best = result
@@ -259,7 +264,7 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
         points = np.ldexp(points, -k)
     suite: BatchEstimators | None = None
 
-    def fresh_suite(cfg: AlgoConfig) -> BatchEstimators:
+    def fresh_suite(cfg: AlgoConfig, _held: int) -> BatchEstimators:
         nonlocal suite
         suite = BatchEstimators(points, cfg)
         return suite

@@ -1,9 +1,13 @@
-"""Implicit linear-operator layer over weighted second moments.
+"""Linear-operator layer over weighted second moments.
 
 Everything the recovery algorithms do with a covariance-like matrix goes
-through matrix-vector products here; the matrix itself is never formed.
-Batch operators read an in-memory dataset; stream rows are drawn only by
-``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
+through matrix-vector products here. A batch operator forms its d x d Gram
+matrix G only once the columns asked of it pass the break-even with its m
+rows, and never when m <= d. G and the columns it serves then cost no more
+than those columns would over the rows, and the columns served before G at
+most as much again, so a chain stays within 2x of the paper's nearly-linear
+O(columns m d) cost. Stream rows are drawn only by ``accepted_rows`` and the
+median-of-means draw of ``accepted_band_mean``.
 """
 
 from __future__ import annotations
@@ -35,18 +39,30 @@ _STREAM_CHUNK = 1024
 class SecondMomentOp:
     """Normalized second-moment matvec sum_i x_i (x_i . z) / m over the m given rows.
 
-    The rows are referenced, not copied. ``matvec`` runs in one pass, O(m d)
-    arithmetic, O(d) extra memory. Deterministic given the rows.
+    The rows are referenced, not copied, as ``rows``. A column costs 2 m d
+    multiply-adds over the rows, or d^2 as ``G @ z / m`` once the Gram matrix
+    G = rows^T rows is formed, which costs m d^2 and d^2 memory. The first
+    ``matvec`` after the columns served and announced (``expect``) pass
+    m d / (2 (m - d)) forms G; that break-even charges a Gram column 2 d^2,
+    as a column over G's d rows, so the switch errs toward the rows. G is
+    never formed when m <= d. Deterministic given the rows and the calls.
     """
 
     def __init__(self, rows: np.ndarray):
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("rows must be (m, d)")
-        self.surviving, self.dim = rows.shape
-        if self.surviving == 0:
+        self.surviving, self.dim = m, d = rows.shape
+        if m == 0:
             raise DegenerateStateError("second moment over no surviving rows")
-        self._rows = rows
+        self.rows = rows
+        self._break_even = m * d / (2 * (m - d)) if m > d else math.inf
+        self._served = self._expected = 0
+        self._gram: np.ndarray | None = None
+
+    def expect(self, columns: int) -> None:
+        """Announce ``columns`` upcoming matvec columns, so G can pay from the first."""
+        self._expected += columns
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -55,25 +71,43 @@ class SecondMomentOp:
                 f"expected a ({self.dim},) vector or ({self.dim}, m) block, "
                 f"got shape {z.shape}"
             )
-        return self._rows.T @ (self._rows @ z) / self.surviving
+        if self._gram is None:
+            k = 1 if z.ndim == 1 else z.shape[1]
+            self._served += k
+            self._expected = max(self._expected - k, 0)
+            if self._served + self._expected <= self._break_even:
+                return self.rows.T @ (self.rows @ z) / self.surviving
+            self._gram = self.rows.T @ self.rows
+        return self._gram @ z / self.surviving
+
+
+def _unit(u: np.ndarray) -> np.ndarray | None:
+    """u / ||u|| for a vector u, or None when u is zero or not finite.
+
+    A finite u whose squared norm over- or underflows is first scaled by the
+    power of two of its largest |entry|, which is exact.
+    """
+    nrm = math.sqrt(float(u @ u))
+    if (nrm == 0.0 or nrm == math.inf) and np.isfinite(u).all():
+        u = np.ldexp(u, -np.frexp(np.abs(u).max())[1])
+        nrm = math.sqrt(float(u @ u))
+    return u / nrm if 0.0 < nrm < math.inf else None
 
 
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
-    """Unit vector along op^p z, renormalizing each step to avoid overflow.
+    """Unit vector along op^p z for a vector z, renormalizing every step.
 
-    Returns None when the iterate collapses to the zero vector.
+    Announces its p columns to ``op`` first. Returns None when the iterate
+    collapses to the zero vector or turns non-finite.
     """
     u = np.asarray(z, dtype=np.float64)
-    for _ in range(p):
-        u = op.matvec(u)
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0 or not math.isfinite(nrm):
-            return None
-        u = u / nrm
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0.0:
-        return None
-    return u / nrm
+    op.expect(p)
+    with np.errstate(over="ignore"):
+        for _ in range(p):
+            u = _unit(op.matvec(u))
+            if u is None:
+                return None
+        return _unit(u)
 
 
 def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
@@ -235,12 +269,8 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
     output has zero or non-finite norm; returns None if every attempt
     collapses.
     """
-    def attempt(z: np.ndarray) -> np.ndarray | None:
-        y = streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)
-        nrm = float(np.linalg.norm(y))
-        return y / nrm if nrm > 0 and math.isfinite(nrm) else None
-
-    return gaussian_retry(rng, source.dim, attempt)
+    return gaussian_retry(rng, source.dim, lambda z: _unit(
+        streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)))
 
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,

@@ -148,13 +148,15 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
     a rep with FALLBACK_BEST, or FAILED before its first certificate, and
     never discards an earlier rep's result. Returns (PcaResult, StreamStats).
     Each boost rep books its scalars on a fresh ledger, since its suite is
-    dropped when it ends; the reported peak is the largest rep's.
+    dropped when it ends, plus the earlier reps' best direction while it is
+    held; the reported peak is the largest rep's.
     """
     src = BudgetedSource(source, max_samples) if max_samples is not None else source
     ledgers = []
 
-    def fresh_suite(cfg: AlgoConfig) -> MinibatchEstimators:
+    def fresh_suite(cfg: AlgoConfig, held: int) -> MinibatchEstimators:
         ledgers.append(ScalarLedger(limit=cfg.max_resident_scalars))
+        ledgers[-1].alloc(held)
         return MinibatchEstimators(src, cfg, r_radius, ledgers[-1])
 
     result = run_boosted(fresh_suite, eps, gamma, config, rng_seed)

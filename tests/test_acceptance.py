@@ -159,7 +159,7 @@ def test_05_certificate_randomization_expectation():
     rng = np.random.default_rng(1)
     vals = []
     for _ in range(500):
-        cand = sample_top_eigenvector(pts, 2 * d, 0.01, gamma, 0.05, cfg, rng)
+        cand = sample_top_eigenvector(SecondMomentOp(pts), 2 * d, 0.01, gamma, 0.05, cfg, rng)
         vals.append(float(cand.u @ sigma @ cand.u))
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(len(vals))

@@ -155,6 +155,18 @@ def test_outlier_row_does_not_set_the_scale():
     assert abs(float(res.u[0])) >= 0.999
 
 
+@pytest.mark.parametrize("big", [1e100, 1e150])
+def test_huge_finite_row_at_eps_zero(big):
+    # Nothing prunes at eps = 0 and the row's squared norm is finite, so it
+    # stays. The power iterate it pulls along is finite, but its squared norm
+    # overflows; the chain rescales the iterate by a power of two first.
+    x = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
+    x[17] = [0, big, 0, 0, 0]
+    res = robust_pca(WeightedDataset(x), eps=0.0, gamma=0.5, rng_seed=1)
+    assert res.status is PcaStatus.ACCEPTED
+    assert abs(float(res.u[1])) >= 0.999
+
+
 def test_rescaled_solve_reports_unscaled_events():
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=11)
     runs = []
@@ -280,8 +292,8 @@ def test_batch_rows_are_the_masked_points_after_every_filter():
     def register_and_check(entry):
         register(entry)
         want = pts[suite.weights]
-        assert suite.rows.shape == want.shape
-        assert suite.rows.tobytes() == want.tobytes()
+        assert suite.op.rows.shape == want.shape
+        assert suite.op.rows.tobytes() == want.tobytes()
         filters.append(entry)
 
     suite.register_entry = register_and_check

@@ -92,6 +92,54 @@ def test_matvec_scaling_equivariance():
     np.testing.assert_allclose(scaled, c * c * base, rtol=1e-12)
 
 
+# -- Gram dispatch ---------------------------------------------------------------
+# Past m d / (2 (m - d)) columns served or announced, an operator serves every
+# column from G = rows^T rows; a power chain announces its length up front.
+
+def gram_op(rows):
+    op = op_from(rows)
+    assert power_direction(op, 100, np.ones(op.dim)) is not None
+    assert op._gram is not None
+    return op
+
+
+def test_gram_matvec_matches_rows():
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((200, 6))
+    op = gram_op(rows)
+    for z in (rng.standard_normal(6), rng.standard_normal((6, 3))):
+        np.testing.assert_allclose(op.matvec(z), rows.T @ (rows @ z) / 200, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_no_gram_when_rows_do_not_outnumber_columns(m):
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((m, 8))
+    op = op_from(rows)
+    assert power_direction(op, 1000, rng.standard_normal(8)) is not None
+    assert op._gram is None
+    z = rng.standard_normal(8)
+    np.testing.assert_array_equal(op.matvec(z), rows.T @ (rows @ z) / m)
+
+
+def test_short_chain_keeps_the_rows():
+    # Break-even for 200 x 6 rows is 200 * 6 / (2 * 194) = 3.09 columns.
+    op = op_from(np.random.default_rng(13).standard_normal((200, 6)))
+    power_direction(op, 3, np.ones(6))
+    assert op._gram is None
+    op.matvec(np.ones(6))
+    assert op._gram is not None
+
+
+@pytest.mark.parametrize("j", [-300, 300])
+def test_gram_matvec_scales_exactly(j):
+    rng = np.random.default_rng(14)
+    rows = rng.standard_normal((200, 6))
+    z = rng.standard_normal(6)
+    base, scaled = gram_op(rows), gram_op(np.ldexp(rows, j))
+    np.testing.assert_array_equal(scaled.matvec(z), np.ldexp(base.matvec(z), 2 * j))
+
+
 # -- matrix powers --------------------------------------------------------------
 # power_direction returns the unit vector along op^p z.
 

@@ -222,7 +222,8 @@ def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
 
 def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
     # Every certificate is rejected, so all three reps run and each books its
-    # candidate vector and a filter; none of that may count against the next.
+    # candidate vector and a filter; none of that may count against the next,
+    # but the best direction held from the earlier reps (d = 8) does.
     seen = []
     prologue, certificate = MinibatchEstimators.prologue, MinibatchEstimators.certificate
 
@@ -239,7 +240,7 @@ def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
     res, stats = _solve_pool(pool, config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=3,
                                                       k_end=1, t_end=1))
     assert res.status is PcaStatus.FALLBACK_BEST and res.filters_created >= 1
-    assert [current for _ledger, current in seen] == [0, 0, 0]
+    assert [current for _ledger, current in seen] == [0, 8, 8]
     assert stats.peak_resident_scalars == max(ledger.peak for ledger, _c in seen)
 
 
