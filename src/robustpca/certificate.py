@@ -1,12 +1,22 @@
 """Candidate generation and acceptance.
 
 A candidate direction is a power-iterated Gaussian vector. It is accepted
-when (a) its robustly estimated variance is a fixed fraction of its
+when (a) its robustly estimated variance is a fixed fraction f1 of its
 empirical weighted variance, and (b) its empirical Rayleigh quotient is a
-fixed fraction of an independently estimated top Rayleigh quotient.
+fixed fraction f2 of an independently estimated top Rayleigh quotient.
 Acceptance certifies the direction carries close to the top true variance;
 rejection means the surviving data still over-weights some direction and
 filtering should continue.
+
+The streaming certificate decides (a) by median-of-means against the
+threshold mu0 = f1 * (empirical Rayleigh quotient). Its scores lie in
+[0, B], B the 3*eps trim cutoff, so their variance is at most B * mu and
+ceil(16 (1 + 2 eta) B / (eta^2 mu0)) draws per batch put a batch mean on
+the wrong side of (1 + eta) * mu0 with probability at most 1/16 whenever
+the true mean mu is below mu0 or at least (1 + 2 eta) * mu0 (Chebyshev).
+It accepts only above (1 + eta) * mu0, so, whenever that count fits under
+the batch ceiling, a stream acceptance implies, with the certificate's
+failure probability, that the exact test passes.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ __all__ = ["Candidate", "acceptance_factors", "sample_top_eigenvector",
 ACCEPT_ROBUST_FLOOR = 0.25
 ACCEPT_RAYLEIGH_FLOOR = 0.5
 
+# eta of the streaming certificate's robust test: 384 draws per unit of B / mu0.
+DECISION_MARGIN = 0.25
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -58,12 +71,6 @@ def acceptance_factors(gamma: float, c_acc: float) -> tuple[float, float]:
     f1 = min(1.0, max(1.0 - c_acc * gamma, ACCEPT_ROBUST_FLOOR))
     f2 = min(1.0, max(1.0 - gamma, ACCEPT_RAYLEIGH_FLOOR))
     return f1, f2
-
-
-def _decide(sigma_robust: float, rayleigh_emp: float, reference: float,
-            gamma: float, c_acc: float) -> bool:
-    f1, f2 = acceptance_factors(gamma, c_acc)
-    return sigma_robust >= f1 * rayleigh_emp and rayleigh_emp >= f2 * reference
 
 
 def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
@@ -93,7 +100,8 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
     sigma = trimmed_variance(f_u, cap, n_total)
 
-    accepted = _decide(sigma, rayleigh_emp, r_hat, gamma, config.c_acc)
+    f1, f2 = acceptance_factors(gamma, config.c_acc)
+    accepted = sigma >= f1 * rayleigh_emp and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
                      reference_rayleigh=r_hat, accepted=accepted)
 
@@ -101,7 +109,7 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      config: AlgoConfig, rng: np.random.Generator,
-                                     batch_size: int, mean_batch: int,
+                                     batch_size: int, max_mean_batch: int,
                                      ledger: ScalarLedger) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
@@ -109,7 +117,19 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     Gaussian starts that share one streamed block power chain, so it costs
     (p_ref + 1) * batch_size samples whatever the number of starts; the trim
     cutoff comes from a one-pass quantile block; the robust variance comes
-    from the median-of-means estimator.
+    from the median-of-means estimator, sized from the test it feeds.
+
+    That test is sigma >= mu0 = f1 * rayleigh_emp over scores bounded by
+    B = min(cap, prune radius^2). Each of the ceil(log2(1/fail_prob))
+    batches draws n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows, eta =
+    ``DECISION_MARGIN``, and the candidate passes only at sigma >=
+    (1 + eta) * mu0: each batch then errs with probability at most 1/16
+    when the true mean is below mu0 or at least (1 + 2 eta) * mu0, and the
+    median with probability at most fail_prob. A batch never takes more
+    than ``max_mean_batch`` rows; it takes that many when B is infinite
+    (eps = 0 under an infinite prune radius) or B / mu0 overflows, and the
+    1/16 bound then no longer holds. A candidate with rayleigh_emp = 0 gives
+    the test no scale: it is rejected without a draw and reports sigma 0.
     """
     d = source.dim
 
@@ -124,6 +144,11 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
         raise DegenerateStateError("candidate power iterate collapsed to zero")
 
     rayleigh_emp = float(streamed_rayleigh(source, stack, u, batch_size, ledger))
+    f1, f2 = acceptance_factors(gamma, config.c_acc)
+    mu0 = f1 * rayleigh_emp
+    if not mu0 > 0.0:
+        return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=0.0,
+                         reference_rayleigh=r_hat, accepted=False)
 
     tail = 3.0 * eps
     if tail > 0:
@@ -132,9 +157,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
             tail, fail_prob, ledger=ledger)
     else:
         cap = math.inf
+    eta = DECISION_MARGIN
+    # inf when B is infinite or B / mu0 overflows: float products and
+    # quotients saturate there, and only a finite count reaches ceil.
+    need = 16.0 * (1.0 + 2.0 * eta) / (eta * eta) * (min(cap, stack.prune_radius_sq) / mu0)
+    n_batch = math.ceil(need) if need < max_mean_batch else max_mean_batch
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob,
-                               mean_batch, ledger=ledger)
+                               n_batch, ledger=ledger)
 
-    accepted = _decide(sigma, rayleigh_emp, r_hat, gamma, config.c_acc)
+    accepted = sigma >= (1.0 + eta) * mu0 and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
                      reference_rayleigh=r_hat, accepted=accepted)

@@ -75,6 +75,10 @@ class FilterStack:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def within_radius(self, sq_norms: np.ndarray) -> np.ndarray:
+        """The norm-prune part of ``weights``, over precomputed squared norms."""
+        return sq_norms <= min(self.prune_radius_sq, sys.float_info.max)
+
     def weights(self, points: np.ndarray) -> np.ndarray:
         """Vectorized weights for an (n, d) array; returns (n,) bool.
 
@@ -83,8 +87,7 @@ class FilterStack:
         one fails the largest finite radius).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        radius_sq = min(self.prune_radius_sq, sys.float_info.max)
-        w = np.einsum("ij,ij->i", pts, pts) <= radius_sq
+        w = self.within_radius(np.einsum("ij,ij->i", pts, pts))
         for e in self.entries:
             if e.direction.size != pts.shape[1]:
                 raise ValueError(

@@ -89,15 +89,16 @@ class BatchEstimators:
         self._scores: np.ndarray | None = None
 
     def prologue(self):
-        # Rows whose squared norm overflows take no part, even at eps = 0.
-        finite = FilterStack().weights(self.points)
-        sigma_op = opnorm_bracket(self.points, finite, self.eps)
+        # One squared-norm pass serves the bracket and the prune. Rows whose
+        # squared norm overflows take no part, even at eps = 0.
+        g = np.einsum("ij,ij->i", self.points, self.points)
+        sigma_op = opnorm_bracket(g[FilterStack().within_radius(g)], self.eps, self.n)
         if self.eps > 0:
             radius_sq = PRUNE_FACTOR * sigma_op * self.dim / self.eps
         else:
             radius_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=radius_sq)
-        self.weights = self.stack.weights(self.points)
+        self.weights = self.stack.within_radius(g)
         self.op = SecondMomentOp(self.points[self.weights])
         return sigma_op, 0.0
 

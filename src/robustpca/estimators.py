@@ -83,20 +83,19 @@ def trimmed_variance(scores: np.ndarray, cap: float, n_total: int) -> float:
     return float(np.sum(scores[scores <= cap])) / n_total
 
 
-def opnorm_bracket(points: np.ndarray, weights: np.ndarray, eps: float) -> float:
-    """Trimmed mean of the survivors' squared norms at tail 3*eps.
+def opnorm_bracket(sq_norms: np.ndarray, eps: float, n_total: int) -> float:
+    """Trimmed mean of the survivors' squared norms at tail 3*eps, over n_total.
 
-    Brackets the top variance within a dimension factor: the value lands
-    between (1-O(gamma))*||Sigma||_op and (1+O(gamma))*d*||Sigma||_op for
-    stable inlier sets. With fewer than 1/(3 eps) survivors the tail rounds
-    to zero samples and no trimming occurs.
+    ``sq_norms`` holds one squared norm per surviving point. Brackets the
+    top variance within a dimension factor: the value lands between
+    (1-O(gamma))*||Sigma||_op and (1+O(gamma))*d*||Sigma||_op for stable
+    inlier sets. With fewer than 1/(3 eps) survivors the tail rounds to
+    zero samples and no trimming occurs.
     """
-    points = np.asarray(points, dtype=np.float64)
-    g = np.einsum("ij,ij->i", points, points)[np.asarray(weights, dtype=bool)]
     tail = 3.0 * eps
     if tail >= 1.0:
         raise ValueError(f"3*eps must be below 1, got eps={eps}")
-    return trimmed_variance(g, weighted_quantile(g, tail), points.shape[0])
+    return trimmed_variance(sq_norms, weighted_quantile(sq_norms, tail), n_total)
 
 
 def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
@@ -106,7 +105,11 @@ def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
 
     ``draw_scores(k)`` returns k fresh values of the target functional
     (already weighted and capped by the caller). The batch count is
-    ceil(log2(1/fail_prob)); each batch averages max(32, n_batch) draws.
+    r = ceil(log2(1/fail_prob)); each batch averages max(32, n_batch) draws.
+    The caller sizes ``n_batch`` so that a single batch mean lands on the
+    wrong side of its decision with probability at most 1/16; the median is
+    wrong only if at least r/2 batches are, which has probability at most
+    2^r (1/16)^(r/2) = 2^-r <= fail_prob.
     """
     n_batch = max(32, int(n_batch))
     reps = max(1, int(math.ceil(math.log2(1.0 / fail_prob))))

@@ -18,15 +18,14 @@ import numpy as np
 from .certificate import Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import CERT_FAILURE_PROB, run_boosted
-from .estimators import (streaming_quantile, streaming_quantile_samples, trimmed_variance,
-                         weighted_quantile)
+from .estimators import opnorm_bracket, streaming_quantile, streaming_quantile_samples
 from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 
 BATCH_SIZE_CAP = 4096         # moment-product minibatch
-MEAN_BATCH_CAP = 1_000_000    # median-of-means batch
+MEAN_BATCH_CAP = 1_000_000    # filter median-of-means batch
 
 
 @dataclass
@@ -36,7 +35,11 @@ class StreamStats:
 
 
 def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
-    """Per-batch sample count for the median-of-means score average."""
+    """Per-batch draws of the filter means' median-of-means score average.
+
+    Sized for scores as large as the prune radius. The certificate sizes its
+    own batches from its decision and takes this count only as a ceiling.
+    """
     eps_eff = max(eps, 1e-3)
     log_factor = max(1.0, math.log(max(d, 2) / eps_eff))
     raw = (r_radius ** 4) * d * d / (gamma * gamma) * log_factor
@@ -86,7 +89,7 @@ class MinibatchEstimators:
             g = np.concatenate([
                 np.einsum("ij,ij->i", rows, rows)
                 for rows in accepted_rows(self.source, self.stack, block_m, self.ledger)])
-            sigma_op = trimmed_variance(g, weighted_quantile(g, 3 * self.eps), block_m)
+            sigma_op = opnorm_bracket(g, self.eps, block_m)
         self.ledger.alloc(self.dim)  # the candidate vector held across iterations
         delta = 0.1 * self.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
         return sigma_op, delta
@@ -96,7 +99,7 @@ class MinibatchEstimators:
     def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
         return sample_top_eigenvector_streaming(
             self.source, self.stack, self.eps, self.gamma, fail_prob,
-            self.config, rng, batch_size=self.batch, mean_batch=self.mean_batch,
+            self.config, rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
             ledger=self.ledger,
         )
 

@@ -128,8 +128,9 @@ def test_04_potential_decrease_with_dense_shadow():
         events = []
         robust_pca(WeightedDataset(pts), eps=eps, gamma=gamma, config=cfg,
                    rng_seed=seed, trace_sink=events.append)
-        prune_sq = 10.0 * opnorm_bracket(pts, np.ones(n, dtype=bool), eps) * d / eps
-        w_before = np.einsum("ij,ij->i", pts, pts) <= prune_sq
+        sq_norms = np.einsum("ij,ij->i", pts, pts)
+        prune_sq = 10.0 * opnorm_bracket(sq_norms, eps, n) * d / eps
+        w_before = sq_norms <= prune_sq
         for ev in events:
             if not ev["skipped"]:
                 before = potential_diagnostic(pts, w_before, ev["p_k"])

@@ -12,8 +12,10 @@ from robustpca import (
     sample_top_eigenvector,
     sample_top_eigenvector_streaming,
 )
-from robustpca.certificate import acceptance_factors
+from robustpca.certificate import DECISION_MARGIN, acceptance_factors
+from robustpca.estimators import streaming_quantile_samples
 from robustpca.oracle import dense_spectrum
+from robustpca.streaming import MEAN_BATCH_CAP
 
 
 def test_acceptance_factors_clamping():
@@ -102,10 +104,112 @@ def test_streaming_certificate_clean_accepts():
     cfg = AlgoConfig(eps=0.02, gamma=0.4)
     cand = sample_top_eigenvector_streaming(
         src, FilterStack(), 0.02, 0.4, fail_prob=0.05, config=cfg,
-        rng=np.random.default_rng(5), batch_size=1500, mean_batch=4000,
+        rng=np.random.default_rng(5), batch_size=1500, max_mean_batch=MEAN_BATCH_CAP,
         ledger=ScalarLedger())
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.95
+
+
+def _stream_certificate(src, eps, gamma, fail_prob, batch_size, max_mean_batch,
+                        stack=FilterStack(), seed=5):
+    cfg = AlgoConfig(eps=eps, gamma=gamma)
+    return sample_top_eigenvector_streaming(
+        src, stack, eps, gamma, fail_prob=fail_prob, config=cfg,
+        rng=np.random.default_rng(seed), batch_size=batch_size,
+        max_mean_batch=max_mean_batch, ledger=ScalarLedger())
+
+
+def _chain_samples(d, gamma, fail_prob, batch_size):
+    """Reference chain, its scoring batch, candidate chain and Rayleigh batch."""
+    cfg = AlgoConfig(gamma=gamma)
+    return (cfg.ref_power(d, fail_prob) + 1 + cfg.cert_power(d) + 1) * batch_size
+
+
+def test_streaming_certificate_sample_count_from_its_decision():
+    # Clean pool, every row accepted: the certificate draws its chains, one
+    # quantile block and r median-of-means batches of
+    # n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows, B the trim cutoff.
+    d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
+    pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
+    src = ReplaySource(pool, mode="cycle")
+    cand = _stream_certificate(src, eps, gamma, fail_prob, batch, MEAN_BATCH_CAP)
+    assert cand.accepted
+
+    # The trim cutoff, recomputed from the quantile block's rows of the cycle.
+    tail = 3 * eps
+    m = streaming_quantile_samples(tail, fail_prob)
+    pos = _chain_samples(d, gamma, fail_prob, batch)
+    scores = np.concatenate([
+        (pool[(pos + s + np.arange(min(1024, m - s))) % len(pool)] @ cand.u) ** 2
+        for s in range(0, m, 1024)])
+    k = math.ceil(m * tail - 1e-12)
+    cap = float(np.partition(scores, m - k)[m - k])
+
+    eta = DECISION_MARGIN
+    f1, _f2 = acceptance_factors(gamma, AlgoConfig(gamma=gamma).c_acc)
+    n = math.ceil(16 * (1 + 2 * eta) / eta ** 2 * (cap / (f1 * cand.rayleigh_emp)))
+    reps = math.ceil(math.log2(1 / fail_prob))
+    assert 1000 < n < 10_000
+    assert src.delivered == pos + m + reps * n
+
+
+@pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])
+def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq):
+    # eps = 0 trims nothing. Under an infinite prune radius the scores have no
+    # bound, and under the largest finite one B / mu0 overflows: either way
+    # each median-of-means batch draws max_mean_batch rows.
+    d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
+    pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
+    src = ReplaySource(pool, mode="cycle")
+    cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700,
+                               stack=FilterStack(prune_radius_sq=prune_radius_sq))
+    assert cand.accepted
+    reps = math.ceil(math.log2(1 / fail_prob))
+    assert src.delivered == _chain_samples(d, gamma, fail_prob, batch) + reps * 700
+
+
+def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
+    # The chains see only rows along e1, so the candidate is exactly +-e1; the
+    # Rayleigh batch sees only rows along e2, so rayleigh_emp is exactly 0.
+    # The robust test has no scale and the candidate is rejected before the
+    # quantile block and the median-of-means draw.
+    d, gamma, fail_prob, batch = 2, 0.4, 0.05, 256
+    chains = _chain_samples(d, gamma, fail_prob, batch) - batch
+    pool = np.zeros((chains + batch, d))
+    pool[:chains, 0] = np.random.default_rng(8).standard_normal(chains)
+    pool[chains:, 1] = 1.0
+    src = ReplaySource(pool, mode="cycle")
+    cand = _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
+    assert cand.rayleigh_emp == 0.0 and cand.reference_rayleigh > 0.0
+    assert not cand.accepted and cand.sigma_robust == 0.0
+    assert src.delivered == chains + batch
+
+
+def _two_point_pool(high_sq):
+    """1,000 one-dimensional rows: 900 with score 1, 100 with score high_sq."""
+    return np.sqrt(np.array([1.0] * 900 + [high_sq] * 100))[:, None]
+
+
+@pytest.mark.parametrize("high_sq,accept", [(30.0, False), (12.0, True)])
+def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
+    # Scores are 1 with probability 0.9 and high_sq with probability 0.1,
+    # below the 3 eps = 0.15 trim tail, so the cutoff is 1 and the capped
+    # mean is exactly mu = 0.9. With f1 = 1/4 and R = rayleigh_emp (about
+    # 0.9 + 0.1 high_sq), mu < f1 R must be rejected and
+    # mu >= (1 + 2 eta) f1 R accepted, on every seed.
+    eps, gamma, mu = 0.05, 1.0, 0.9
+    f1, _f2 = acceptance_factors(gamma, AlgoConfig(gamma=gamma).c_acc)
+    pool = _two_point_pool(high_sq)
+    for seed in range(50):
+        src = ReplaySource(pool, mode="resample", rng=np.random.default_rng(seed))
+        cand = _stream_certificate(src, eps, gamma, 0.01, 20_000, MEAN_BATCH_CAP,
+                                   seed=seed)
+        mu0 = f1 * cand.rayleigh_emp
+        if accept:
+            assert mu >= (1 + 2 * DECISION_MARGIN) * mu0
+        else:
+            assert mu < mu0
+        assert cand.accepted is accept, seed
 
 
 SOUNDNESS_SLOPE = 0.75  # accepted => true ratio >= 1 - SOUNDNESS_SLOPE * gamma

@@ -99,8 +99,9 @@ def test_potential_monotone_along_run():
                trace_sink=events.append)
     # Survivors before the first event: the prologue's norm prune.
     n, d = pts.shape
-    prune_sq = 10.0 * opnorm_bracket(pts, np.ones(n, dtype=bool), eps) * d / eps
-    w_before = np.einsum("ij,ij->i", pts, pts) <= prune_sq
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    prune_sq = 10.0 * opnorm_bracket(sq_norms, eps, n) * d / eps
+    w_before = sq_norms <= prune_sq
     pots = []
     for e in events:
         if not e["skipped"]:

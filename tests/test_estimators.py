@@ -169,13 +169,17 @@ def test_trimmed_variance_ratio_band_on_clean_data():
         assert 1 - 5 * gamma <= ratio <= 1 + 5 * gamma
 
 
+def _sq_norms(pts):
+    return np.einsum("ij,ij->i", pts, pts)
+
+
 def test_opnorm_bracket_identity_covariance():
     # Small eps (the regime where the bracket contract applies): the trimmed
     # trace sits near tr(Sigma) = d and inside (0.8 op, 2 d op).
     rng = np.random.default_rng(8)
     d = 10
     pts = rng.standard_normal((20_000, d))
-    val = opnorm_bracket(pts, np.ones(20_000, dtype=bool), eps=0.002)
+    val = opnorm_bracket(_sq_norms(pts), eps=0.002, n_total=20_000)
     assert 0.8 * 1.0 < val < 2 * d * 1.0
     assert val == pytest.approx(d, rel=0.1)
 
@@ -186,7 +190,7 @@ def test_opnorm_bracket_identity_desk_scale_eps():
     rng = np.random.default_rng(8)
     d = 10
     pts = rng.standard_normal((20_000, d))
-    val = opnorm_bracket(pts, np.ones(20_000, dtype=bool), eps=0.05)
+    val = opnorm_bracket(_sq_norms(pts), eps=0.05, n_total=20_000)
     assert 0.8 * 1.0 < val < 2 * d * 1.0
 
 
@@ -194,13 +198,13 @@ def test_opnorm_bracket_rank_one():
     rng = np.random.default_rng(9)
     pts = np.zeros((30_000, 5))
     pts[:, 0] = rng.standard_normal(30_000)
-    val = opnorm_bracket(pts, np.ones(30_000, dtype=bool), eps=0.002)
+    val = opnorm_bracket(_sq_norms(pts), eps=0.002, n_total=30_000)
     assert val == pytest.approx(1.0, rel=0.15)
     assert 0.8 < val < 2 * 5
 
 
 def test_opnorm_bracket_single_point_no_trim():
-    val = opnorm_bracket(np.array([[1.0, 0.0]]), np.ones(1, dtype=bool), eps=0.05)
+    val = opnorm_bracket(np.array([1.0]), eps=0.05, n_total=1)
     assert val == 1.0
 
 
