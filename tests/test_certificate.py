@@ -185,11 +185,6 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     assert src.delivered == chains + batch
 
 
-def _two_point_pool(high_sq):
-    """1,000 one-dimensional rows: 900 with score 1, 100 with score high_sq."""
-    return np.sqrt(np.array([1.0] * 900 + [high_sq] * 100))[:, None]
-
-
 @pytest.mark.parametrize("high_sq,accept", [(30.0, False), (12.0, True)])
 def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
     # Scores are 1 with probability 0.9 and high_sq with probability 0.1,
@@ -199,7 +194,7 @@ def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
     # mu >= (1 + 2 eta) f1 R accepted, on every seed.
     eps, gamma, mu = 0.05, 1.0, 0.9
     f1, _f2 = acceptance_factors(gamma, AlgoConfig(gamma=gamma).c_acc)
-    pool = _two_point_pool(high_sq)
+    pool = np.sqrt(np.array([1.0] * 900 + [high_sq] * 100))[:, None]
     for seed in range(50):
         src = ReplaySource(pool, mode="resample", rng=np.random.default_rng(seed))
         cand = _stream_certificate(src, eps, gamma, 0.01, 20_000, MEAN_BATCH_CAP,
