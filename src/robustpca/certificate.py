@@ -16,7 +16,11 @@ the wrong side of (1 + eta) * mu0 with probability at most 1/16 whenever
 the true mean mu is below mu0 or at least (1 + 2 eta) * mu0 (Chebyshev).
 It accepts only above (1 + eta) * mu0, so, whenever that count fits under
 the batch ceiling, a stream acceptance implies, with the certificate's
-failure probability, that the exact test passes.
+failure probability, that the exact test passes. The margin eta is
+1/4 * min(1, (1 - f1) / f1), which keeps the top of that band,
+(1 + 2 eta) * mu0, at most halfway from f1 to 1 times the Rayleigh
+quotient: a trimmed mean never exceeds the Rayleigh quotient, so a band
+reaching past it would reject good directions too.
 """
 
 from __future__ import annotations
@@ -52,8 +56,14 @@ __all__ = ["Candidate", "acceptance_factors", "sample_top_eigenvector",
 ACCEPT_ROBUST_FLOOR = 0.25
 ACCEPT_RAYLEIGH_FLOOR = 0.5
 
-# eta of the streaming certificate's robust test: 384 draws per unit of B / mu0.
+# Largest eta of the streaming certificate's robust test: 384 draws per unit
+# of B / mu0 when f1 <= 1/2.
 DECISION_MARGIN = 0.25
+
+
+def decision_margin(f1: float) -> float:
+    """eta for the threshold f1: (1 + 2 eta) * f1 <= (1 + f1) / 2, eta <= 1/4."""
+    return DECISION_MARGIN * min(1.0, (1.0 - f1) / f1)
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,17 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     That test is sigma >= mu0 = f1 * rayleigh_emp over scores bounded by
     B = min(cap, prune radius^2). Each of the ceil(log2(1/fail_prob))
     batches draws n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows, eta =
-    ``DECISION_MARGIN``, and the candidate passes only at sigma >=
+    ``decision_margin(f1)``, and the candidate passes only at sigma >=
     (1 + eta) * mu0: each batch then errs with probability at most 1/16
     when the true mean is below mu0 or at least (1 + 2 eta) * mu0, and the
-    median with probability at most fail_prob. A batch never takes more
-    than ``max_mean_batch`` rows; it takes that many when B is infinite
-    (eps = 0 under an infinite prune radius) or B / mu0 overflows, and the
-    1/16 bound then no longer holds. A candidate with rayleigh_emp = 0 gives
-    the test no scale: it is rejected without a draw and reports sigma 0.
+    median with probability at most fail_prob. eta shrinks as f1 nears 1,
+    so that (1 + 2 eta) * mu0 stays within reach of a trimmed mean, and n
+    grows as 1/eta^2. A batch never takes more than ``max_mean_batch``
+    rows; it takes that many when B is infinite (eps = 0 under an infinite
+    prune radius), B / mu0 overflows or eta is 0 (f1 = 1, where the test is
+    sigma >= mu0), and the 1/16 bound then no longer holds. A candidate
+    with rayleigh_emp = 0 gives the test no scale: it is rejected without a
+    draw and reports sigma 0.
     """
     d = source.dim
 
@@ -157,10 +170,11 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
             tail, fail_prob, ledger=ledger)
     else:
         cap = math.inf
-    eta = DECISION_MARGIN
-    # inf when B is infinite or B / mu0 overflows: float products and
-    # quotients saturate there, and only a finite count reaches ceil.
-    need = 16.0 * (1.0 + 2.0 * eta) / (eta * eta) * (min(cap, stack.prune_radius_sq) / mu0)
+    eta = decision_margin(f1)
+    # inf when eta is 0, B is infinite or B / mu0 overflows: float products
+    # and quotients saturate there, and only a finite count reaches ceil.
+    scale = min(cap, stack.prune_radius_sq) / mu0
+    need = 16.0 * (1.0 + 2.0 * eta) / (eta * eta) * scale if eta > 0.0 else math.inf
     n_batch = math.ceil(need) if need < max_mean_batch else max_mean_batch
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob,
                                n_batch, ledger=ledger)

@@ -12,8 +12,8 @@ from robustpca import (
     sample_top_eigenvector,
     sample_top_eigenvector_streaming,
 )
-from robustpca.certificate import DECISION_MARGIN, acceptance_factors
-from robustpca.estimators import streaming_quantile_samples
+from robustpca.certificate import acceptance_factors, decision_margin
+from robustpca.estimators import streaming_quantile, streaming_quantile_samples
 from robustpca.oracle import dense_spectrum
 from robustpca.streaming import MEAN_BATCH_CAP
 
@@ -111,8 +111,8 @@ def test_streaming_certificate_clean_accepts():
 
 
 def _stream_certificate(src, eps, gamma, fail_prob, batch_size, max_mean_batch,
-                        stack=FilterStack(), seed=5):
-    cfg = AlgoConfig(eps=eps, gamma=gamma)
+                        stack=FilterStack(), seed=5, c_acc=20.0):
+    cfg = AlgoConfig(eps=eps, gamma=gamma, c_acc=c_acc)
     return sample_top_eigenvector_streaming(
         src, stack, eps, gamma, fail_prob=fail_prob, config=cfg,
         rng=np.random.default_rng(seed), batch_size=batch_size,
@@ -135,22 +135,61 @@ def test_streaming_certificate_sample_count_from_its_decision():
     cand = _stream_certificate(src, eps, gamma, fail_prob, batch, MEAN_BATCH_CAP)
     assert cand.accepted
 
-    # The trim cutoff, recomputed from the quantile block's rows of the cycle.
+    # The trim cutoff, recomputed over the same rows of a second cycle.
     tail = 3 * eps
-    m = streaming_quantile_samples(tail, fail_prob)
     pos = _chain_samples(d, gamma, fail_prob, batch)
-    scores = np.concatenate([
-        (pool[(pos + s + np.arange(min(1024, m - s))) % len(pool)] @ cand.u) ** 2
-        for s in range(0, m, 1024)])
-    k = math.ceil(m * tail - 1e-12)
-    cap = float(np.partition(scores, m - k)[m - k])
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(pos)
+    cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, tail, fail_prob)
+    m = streaming_quantile_samples(tail, fail_prob)
 
-    eta = DECISION_MARGIN
     f1, _f2 = acceptance_factors(gamma, AlgoConfig(gamma=gamma).c_acc)
+    eta = decision_margin(f1)
     n = math.ceil(16 * (1 + 2 * eta) / eta ** 2 * (cap / (f1 * cand.rayleigh_emp)))
     reps = math.ceil(math.log2(1 / fail_prob))
     assert 1000 < n < 10_000
     assert src.delivered == pos + m + reps * n
+
+
+def test_streaming_certificate_small_gamma_accepts_clean_pool():
+    # eps = 0.0005 takes the default gamma = 0.01, so f1 = 0.8 and the margin
+    # shrinks to eta = 1/16: the top of the band, (1 + 2 eta) f1 R = 0.9 R,
+    # stays below the clean trimmed mean (about 0.98 R), where eta = 1/4
+    # would put it at 1.0 R, out of a trimmed mean's reach. Every chain
+    # batch is one full pass over the cycled pool, so both Rayleigh
+    # quotients are exact.
+    d, n, eps, fail_prob = 3, 1000, 0.0005, 0.05
+    cfg = AlgoConfig(eps=eps)
+    f1, _f2 = acceptance_factors(cfg.gamma, cfg.c_acc)
+    eta = decision_margin(f1)
+    assert f1 == pytest.approx(0.8) and eta == pytest.approx(1 / 16)
+    pool = np.random.default_rng(0).standard_normal((n, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
+    src = ReplaySource(pool, mode="cycle")
+    cand = _stream_certificate(src, eps, cfg.gamma, fail_prob, n, MEAN_BATCH_CAP)
+    assert cand.sigma_robust >= (1 + 2 * eta) * f1 * cand.rayleigh_emp
+    assert cand.accepted
+    assert abs(cand.u[0]) >= 0.99
+    reps = math.ceil(math.log2(1 / fail_prob))
+    chains_and_block = (_chain_samples(d, cfg.gamma, fail_prob, n)
+                        + streaming_quantile_samples(3 * eps, fail_prob))
+    assert src.delivered < chains_and_block + reps * MEAN_BATCH_CAP
+
+
+def test_streaming_certificate_without_margin_takes_the_ceiling():
+    # c_acc = 0 sets f1 = 1, where no margin fits under the Rayleigh quotient:
+    # eta is 0, the test is sigma >= rayleigh_emp, and each median-of-means
+    # batch draws max_mean_batch rows.
+    d, eps, gamma, fail_prob, batch = 6, 0.02, 0.4, 0.05, 1000
+    assert acceptance_factors(gamma, 0.0)[0] == 1.0 and decision_margin(1.0) == 0.0
+    pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
+    src = ReplaySource(pool, mode="cycle")
+    cand = _stream_certificate(src, eps, gamma, fail_prob, batch, 700, c_acc=0.0)
+    f2 = acceptance_factors(gamma, 0.0)[1]
+    assert cand.accepted is (cand.sigma_robust >= cand.rayleigh_emp
+                             and cand.rayleigh_emp >= f2 * cand.reference_rayleigh)
+    reps = math.ceil(math.log2(1 / fail_prob))
+    assert src.delivered == (_chain_samples(d, gamma, fail_prob, batch)
+                             + streaming_quantile_samples(3 * eps, fail_prob) + reps * 700)
 
 
 @pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])
@@ -201,7 +240,7 @@ def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
                                    seed=seed)
         mu0 = f1 * cand.rayleigh_emp
         if accept:
-            assert mu >= (1 + 2 * DECISION_MARGIN) * mu0
+            assert mu >= (1 + 2 * decision_margin(f1)) * mu0
         else:
             assert mu < mu0
         assert cand.accepted is accept, seed
