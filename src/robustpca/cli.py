@@ -146,6 +146,10 @@ class ExperimentConfig:
                 specs[key] = make(**fields)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config field {key}: {exc}") from exc
+        axis, dim = specs["adversary"].spike_axis, specs["inlier"].dim
+        if axis is not None and not 0 <= axis < dim:
+            raise ConfigError(f"config field adversary/spike_axis: {axis} lies "
+                              f"outside [0, d) for inlier dim d = {dim}")
         rest = {k: v for k, v in raw.items()
                 if k not in ("version", "inlier", "adversary", "algo")}
         rest["seeds"] = tuple(rest["seeds"])

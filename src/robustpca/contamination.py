@@ -178,6 +178,8 @@ def _outlier_bank(adv: AdversarySpec, sigma_truth: np.ndarray, d: int) -> np.nda
         axis = adv.spike_axis
         if axis is None:
             axis = int(_axes_by_variance(sigma_truth)[0])
+        elif not 0 <= axis < d:
+            raise ValueError(f"spike_axis {axis} lies outside [0, d) for d = {d}")
         mag = adv.spike_multiplier * math.sqrt(lam1 / rate)
         bank = np.zeros((1, d))
         bank[0, axis] = mag

@@ -1,13 +1,14 @@
 """Linear-operator layer over weighted second moments.
 
 Everything the recovery algorithms do with a covariance-like matrix goes
-through matrix-vector products here. A batch operator forms its d x d Gram
-matrix G only once the columns asked of it pass the break-even with its m
-rows, and never when m <= d. G and the columns it serves then cost no more
-than those columns would over the rows, and the columns served before G at
-most as much again, so a chain stays within 2x of the paper's nearly-linear
-O(columns m d) cost. Stream rows are drawn only by ``accepted_rows`` and the
-median-of-means draw of ``accepted_band_mean``.
+through matrix-vector products here. A batch operator over m > d rows forms
+its Gram matrix G (d^2 memory, below the rows' m d) at its first matvec. A set
+serving c columns then costs (m + c) d^2 multiply-adds against 2 c m d over
+its rows, so G is never worse once c >= d; the solver's sets serve at least
+p_ref + p_cert + 2 columns (43 at d = 50, 67 at d = 1000 by default). With one
+OpenBLAS thread on 2 vCPUs, G's build costs 3.6-4.4 row columns at
+20,000 x 50 and 18-24 at 10,000 x 1000. Stream rows are drawn only by
+``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
 """
 
 from __future__ import annotations
@@ -39,30 +40,22 @@ _STREAM_CHUNK = 1024
 class SecondMomentOp:
     """Normalized second-moment matvec sum_i x_i (x_i . z) / m over the m given rows.
 
-    The rows are referenced, not copied, as ``rows``. A column costs 2 m d
-    multiply-adds over the rows, or d^2 as ``G @ z / m`` once the Gram matrix
-    G = rows^T rows is formed, which costs m d^2 and d^2 memory. The first
-    ``matvec`` after the columns served and announced (``expect``) pass
-    m d / (2 (m - d)) forms G; that break-even charges a Gram column 2 d^2,
-    as a column over G's d rows, so the switch errs toward the rows. G is
-    never formed when m <= d. Deterministic given the rows and the calls.
+    The rows are referenced, not copied, as ``rows``. Over m > d rows the
+    first ``matvec`` forms G = rows^T rows (m d^2 multiply-adds) and every
+    column is served as ``G @ z / m`` at d^2; over m <= d rows a column costs
+    2 m d. G is lazy, so an operator never multiplied never builds it.
+    Deterministic given the rows and the calls.
     """
 
     def __init__(self, rows: np.ndarray):
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("rows must be (m, d)")
-        self.surviving, self.dim = m, d = rows.shape
-        if m == 0:
+        self.surviving, self.dim = rows.shape
+        if self.surviving == 0:
             raise DegenerateStateError("second moment over no surviving rows")
         self.rows = rows
-        self._break_even = m * d / (2 * (m - d)) if m > d else math.inf
-        self._served = self._expected = 0
         self._gram: np.ndarray | None = None
-
-    def expect(self, columns: int) -> None:
-        """Announce ``columns`` upcoming matvec columns, so G can pay from the first."""
-        self._expected += columns
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
@@ -72,10 +65,7 @@ class SecondMomentOp:
                 f"got shape {z.shape}"
             )
         if self._gram is None:
-            k = 1 if z.ndim == 1 else z.shape[1]
-            self._served += k
-            self._expected = max(self._expected - k, 0)
-            if self._served + self._expected <= self._break_even:
+            if self.surviving <= self.dim:
                 return self.rows.T @ (self.rows @ z) / self.surviving
             self._gram = self.rows.T @ self.rows
         return self._gram @ z / self.surviving
@@ -97,11 +87,10 @@ def _unit(u: np.ndarray) -> np.ndarray | None:
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
     """Unit vector along op^p z for a vector z, renormalizing every step.
 
-    Announces its p columns to ``op`` first. Returns None when the iterate
-    collapses to the zero vector or turns non-finite.
+    Returns None when the iterate collapses to the zero vector or turns
+    non-finite. Over m > d rows its p columns are served from G.
     """
     u = np.asarray(z, dtype=np.float64)
-    op.expect(p)
     with np.errstate(over="ignore"):
         for _ in range(p):
             u = _unit(op.matvec(u))

@@ -75,6 +75,9 @@ class ReplaySource(SampleSource):
     def __init__(self, points: np.ndarray, labels=None, mode: str = "once",
                  rng: np.random.Generator | None = None):
         points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.size == 0:
+            raise ValueError(
+                f"replay pool must be a non-empty (n, d) array, got shape {points.shape}")
         super().__init__(points.shape[1])
         if mode not in ("once", "cycle", "resample"):
             raise ValueError(f"unknown replay mode {mode!r}")

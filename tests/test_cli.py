@@ -82,8 +82,14 @@ def test_missing_n_for_batch():
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[0.7, 4.0]]}}, False),
     ({"adversary": {"kind": "multi_direction_hide", "rate": 0.1,
                     "hide_boost": -1.0}}, False),
+    # numpy would wrap -1 to axis d - 1; 7 would raise IndexError mid-run.
+    ({"adversary": {"kind": "orthogonal_spike", "rate": 0.05,
+                    "spike_axis": -1}}, False),
+    ({"adversary": {"kind": "orthogonal_spike", "rate": 0.05,
+                    "spike_axis": 7}}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
-        "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost"])
+        "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
+        "adversary_spike_axis_negative", "adversary_spike_axis_past_dim"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:

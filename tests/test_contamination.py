@@ -112,6 +112,14 @@ def test_spike_axis_defaults_to_lowest_variance():
     assert np.all(outliers[:, 1] != 0)
 
 
+def test_spike_axis_outside_the_dimension_rejected():
+    spec = InlierSpec(dim=4, diag=1.0)
+    adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=0.1, spike_axis=-1)
+    pts, labels = gen_inliers(spec, 50, np.random.default_rng(11))
+    with pytest.raises(ValueError, match="spike_axis -1"):
+        strong_contaminate(pts, labels, adv, spec.covariance(), np.random.default_rng(12))
+
+
 def test_multi_direction_hide_spreads_outliers():
     spec = InlierSpec(dim=8, diag=1.0, spikes=((0, 9.0),))
     adv = AdversarySpec(kind=AdversaryKind.MULTI_DIRECTION_HIDE, rate=0.1,

@@ -7,6 +7,7 @@ from robustpca import (
     AlgoConfig,
     FilterEntry,
     FilterStack,
+    ReplaySource,
     WeightedDataset,
     load_dataset,
     save_dataset,
@@ -166,3 +167,14 @@ def test_file_replay_source_round_trip(tmp_path):
 
     cyclic = FileReplaySource(path, mode="cycle")
     np.testing.assert_array_equal(cyclic.draw(24), np.vstack([pts, pts]))
+
+
+@pytest.mark.parametrize("pool, mode", [
+    (np.zeros((0, 3)), "once"),
+    (np.zeros((0, 3)), "cycle"),
+    (np.zeros((0, 3)), "resample"),
+    (np.zeros(3), "cycle"),
+], ids=["empty_once", "empty_cycle", "empty_resample", "one_dimensional"])
+def test_replay_source_rejects_a_pool_without_rows(pool, mode):
+    with pytest.raises(ValueError, match="non-empty"):
+        ReplaySource(pool, mode=mode, rng=np.random.default_rng(0))

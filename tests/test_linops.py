@@ -93,12 +93,12 @@ def test_matvec_scaling_equivariance():
 
 
 # -- Gram dispatch ---------------------------------------------------------------
-# Past m d / (2 (m - d)) columns served or announced, an operator serves every
-# column from G = rows^T rows; a power chain announces its length up front.
+# An operator over m > d rows serves every column from G = rows^T rows, which
+# its first matvec forms; over m <= d rows it never forms G.
 
 def gram_op(rows):
     op = op_from(rows)
-    assert power_direction(op, 100, np.ones(op.dim)) is not None
+    op.matvec(np.ones(op.dim))
     assert op._gram is not None
     return op
 
@@ -111,6 +111,17 @@ def test_gram_matvec_matches_rows():
         np.testing.assert_allclose(op.matvec(z), rows.T @ (rows @ z) / 200, rtol=1e-12)
 
 
+def test_first_matvec_forms_gram():
+    rng = np.random.default_rng(13)
+    rows = rng.standard_normal((200, 6))
+    op = op_from(rows)
+    assert op._gram is None
+    z = rng.standard_normal(6)
+    got = op.matvec(z)
+    assert op._gram is not None
+    np.testing.assert_allclose(got, rows.T @ (rows @ z) / 200, rtol=1e-12)
+
+
 @pytest.mark.parametrize("m", [5, 8])
 def test_no_gram_when_rows_do_not_outnumber_columns(m):
     rng = np.random.default_rng(12)
@@ -120,15 +131,6 @@ def test_no_gram_when_rows_do_not_outnumber_columns(m):
     assert op._gram is None
     z = rng.standard_normal(8)
     np.testing.assert_array_equal(op.matvec(z), rows.T @ (rows @ z) / m)
-
-
-def test_short_chain_keeps_the_rows():
-    # Break-even for 200 x 6 rows is 200 * 6 / (2 * 194) = 3.09 columns.
-    op = op_from(np.random.default_rng(13).standard_normal((200, 6)))
-    power_direction(op, 3, np.ones(6))
-    assert op._gram is None
-    op.matvec(np.ones(6))
-    assert op._gram is not None
 
 
 @pytest.mark.parametrize("j", [-300, 300])
