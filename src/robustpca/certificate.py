@@ -56,6 +56,10 @@ __all__ = ["Candidate", "acceptance_factors", "sample_top_eigenvector",
 ACCEPT_ROBUST_FLOOR = 0.25
 ACCEPT_RAYLEIGH_FLOOR = 0.5
 
+# Per-start failure probability the streaming reference chain is sized for;
+# its block takes ceil(log(1/fail_prob) / log(1/REF_START_FAILURE)) starts.
+REF_START_FAILURE = 0.5
+
 # Largest eta of the streaming certificate's robust test: 384 draws per unit
 # of B / mu0 when f1 <= 1/2.
 DECISION_MARGIN = 0.25
@@ -93,6 +97,15 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     quotient comes from an independent power iteration; the robust variance
     from the 3*eps-tail trimmed mean of squared projections of ``op.rows``
     onto u, over n_total. All reported scalars are per unit norm of u.
+
+    The reference chain has one start and so keeps the log(1/fail_prob)
+    term: p_ref = ceil((c_pi / gamma) ln(d / (gamma fail_prob))). A block of
+    ceil(log2(1/fail_prob)) starts at the streaming chain's length would buy
+    nothing here. On a formed 20,000 x 50 G (2-vCPU Xeon, one BLAS thread,
+    gamma 0.1, fail_prob 2e-6) the 774-step vector chain took 5.9-6.8 ms and
+    a 19-column block at 277 steps 5.7-6.8 ms, since a block step on G costs
+    about two vector steps: at most about 1 ms of a 22-27 ms batch solve,
+    not worth a second chain shape in the batch path.
     """
     d = op.dim
 
@@ -123,11 +136,17 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      ledger: ScalarLedger) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
-    The reference Rayleigh quotient is boosted over ceil(log2(1/fail_prob))
-    Gaussian starts that share one streamed block power chain, so it costs
-    (p_ref + 1) * batch_size samples whatever the number of starts; the trim
-    cutoff comes from a one-pass quantile block; the robust variance comes
-    from the median-of-means estimator, sized from the test it feeds.
+    The reference Rayleigh quotient is boosted over reps =
+    ceil(log2(1/fail_prob)) Gaussian starts that share one streamed block
+    power chain of p_ref = ``config.ref_power(d, REF_START_FAILURE)`` =
+    ceil((c_pi / gamma) ln(2 d / gamma)) steps, so it costs (p_ref + 1) *
+    batch_size samples whatever fail_prob is. p_ref gives one start
+    (1 - gamma)-accuracy with probability at least 1/2; given the chain's
+    minibatches the starts are independent, so every one of them misses
+    with probability at most (1/2)^reps <= fail_prob. The minibatch error
+    they share is governed by ``batch_size``. The trim cutoff comes from a
+    one-pass quantile block; the robust variance comes from the
+    median-of-means estimator, sized from the test it feeds.
 
     That test is sigma >= mu0 = f1 * rayleigh_emp over scores bounded by
     B = min(cap, prune radius^2). Each of the ceil(log2(1/fail_prob))
@@ -146,8 +165,8 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     """
     d = source.dim
 
-    reps = max(1, int(math.ceil(math.log2(1.0 / fail_prob))))
-    p_ref = config.ref_power(d, fail_prob)
+    reps = max(1, math.ceil(math.log2(1.0 / fail_prob) / -math.log2(REF_START_FAILURE)))
+    p_ref = config.ref_power(d, REF_START_FAILURE)
     r_hat = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
                                    ledger=ledger)
 

@@ -146,10 +146,16 @@ class ExperimentConfig:
                 specs[key] = make(**fields)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config field {key}: {exc}") from exc
-        axis, dim = specs["adversary"].spike_axis, specs["inlier"].dim
+        adversary, dim = specs["adversary"], specs["inlier"].dim
+        axis, rank = adversary.spike_axis, adversary.projection_rank
         if axis is not None and not 0 <= axis < dim:
             raise ConfigError(f"config field adversary/spike_axis: {axis} lies "
                               f"outside [0, d) for inlier dim d = {dim}")
+        if adversary.kind is AdversaryKind.SCHATTEN_BLIND and (
+                rank is None or not 0 < rank < dim):
+            raise ConfigError(f"config field adversary/projection_rank: schatten_blind "
+                              f"needs a rank in (0, d) for inlier dim d = {dim}, "
+                              f"got {rank}")
         rest = {k: v for k, v in raw.items()
                 if k not in ("version", "inlier", "adversary", "algo")}
         rest["seeds"] = tuple(rest["seeds"])

@@ -12,7 +12,8 @@ from robustpca import (
     sample_top_eigenvector,
     sample_top_eigenvector_streaming,
 )
-from robustpca.certificate import acceptance_factors, decision_margin
+from robustpca import certificate
+from robustpca.certificate import REF_START_FAILURE, acceptance_factors, decision_margin
 from robustpca.estimators import streaming_quantile, streaming_quantile_samples
 from robustpca.oracle import dense_spectrum
 from robustpca.streaming import MEAN_BATCH_CAP
@@ -119,10 +120,14 @@ def _stream_certificate(src, eps, gamma, fail_prob, batch_size, max_mean_batch,
         max_mean_batch=max_mean_batch, ledger=ScalarLedger())
 
 
-def _chain_samples(d, gamma, fail_prob, batch_size):
-    """Reference chain, its scoring batch, candidate chain and Rayleigh batch."""
+def _chain_samples(d, gamma, batch_size):
+    """Reference chain, its scoring batch, candidate chain and Rayleigh batch.
+
+    The reference chain is sized for one start at REF_START_FAILURE, so the
+    count does not depend on the certificate's failure probability.
+    """
     cfg = AlgoConfig(gamma=gamma)
-    return (cfg.ref_power(d, fail_prob) + 1 + cfg.cert_power(d) + 1) * batch_size
+    return (cfg.ref_power(d, REF_START_FAILURE) + 1 + cfg.cert_power(d) + 1) * batch_size
 
 
 def test_streaming_certificate_sample_count_from_its_decision():
@@ -137,7 +142,7 @@ def test_streaming_certificate_sample_count_from_its_decision():
 
     # The trim cutoff, recomputed over the same rows of a second cycle.
     tail = 3 * eps
-    pos = _chain_samples(d, gamma, fail_prob, batch)
+    pos = _chain_samples(d, gamma, batch)
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(pos)
     cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, tail, fail_prob)
@@ -170,7 +175,7 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.99
     reps = math.ceil(math.log2(1 / fail_prob))
-    chains_and_block = (_chain_samples(d, cfg.gamma, fail_prob, n)
+    chains_and_block = (_chain_samples(d, cfg.gamma, n)
                         + streaming_quantile_samples(3 * eps, fail_prob))
     assert src.delivered < chains_and_block + reps * MEAN_BATCH_CAP
 
@@ -188,7 +193,7 @@ def test_streaming_certificate_without_margin_takes_the_ceiling():
     assert cand.accepted is (cand.sigma_robust >= cand.rayleigh_emp
                              and cand.rayleigh_emp >= f2 * cand.reference_rayleigh)
     reps = math.ceil(math.log2(1 / fail_prob))
-    assert src.delivered == (_chain_samples(d, gamma, fail_prob, batch)
+    assert src.delivered == (_chain_samples(d, gamma, batch)
                              + streaming_quantile_samples(3 * eps, fail_prob) + reps * 700)
 
 
@@ -204,7 +209,7 @@ def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq
                                stack=FilterStack(prune_radius_sq=prune_radius_sq))
     assert cand.accepted
     reps = math.ceil(math.log2(1 / fail_prob))
-    assert src.delivered == _chain_samples(d, gamma, fail_prob, batch) + reps * 700
+    assert src.delivered == _chain_samples(d, gamma, batch) + reps * 700
 
 
 def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
@@ -213,7 +218,7 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     # The robust test has no scale and the candidate is rejected before the
     # quantile block and the median-of-means draw.
     d, gamma, fail_prob, batch = 2, 0.4, 0.05, 256
-    chains = _chain_samples(d, gamma, fail_prob, batch) - batch
+    chains = _chain_samples(d, gamma, batch) - batch
     pool = np.zeros((chains + batch, d))
     pool[:chains, 0] = np.random.default_rng(8).standard_normal(chains)
     pool[chains:, 1] = 1.0
@@ -222,6 +227,44 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     assert cand.rayleigh_emp == 0.0 and cand.reference_rayleigh > 0.0
     assert not cand.accepted and cand.sigma_robust == 0.0
     assert src.delivered == chains + batch
+
+
+def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
+    # The block of starts does the boosting, so a smaller fail_prob adds
+    # columns to the reference block but no steps to its chain.
+    calls = []
+    real = certificate.approx_power_iteration
+
+    def spy(source, stack, p, reps, batch_size, rng, ledger=None):
+        before = source.delivered
+        r_hat = real(source, stack, p, reps, batch_size, rng, ledger=ledger)
+        calls.append((p, reps, source.delivered - before))
+        return r_hat
+
+    monkeypatch.setattr(certificate, "approx_power_iteration", spy)
+    d, gamma, batch = 6, 0.4, 1000
+    pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
+    src = ReplaySource(pool, mode="cycle")
+    for fail_prob in (0.05, 1e-6):
+        _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
+    p_ref = AlgoConfig(gamma=gamma).ref_power(d, REF_START_FAILURE)
+    assert calls == [(p_ref, 5, (p_ref + 1) * batch), (p_ref, 20, (p_ref + 1) * batch)]
+
+
+def test_streaming_reference_reaches_top_rayleigh_on_every_seed():
+    # Every chain batch and the scoring batch are one full pass over the
+    # cycled pool, so the reference is the best exact Rayleigh quotient over
+    # its block of starts. The pool's second eigenvalue is 0.535 lambda1,
+    # below the (1 - gamma) lambda1 bar, so a start passes only once the
+    # chain has lifted its top component: half of all single starts fail
+    # after one step.
+    d, n, gamma, fail_prob = 10, 2000, 0.4, 0.05
+    pool = np.random.default_rng(11).standard_normal((n, d)) * np.sqrt([1.0] + [0.5] * (d - 1))
+    lam1 = float(np.linalg.eigvalsh(pool.T @ pool / n)[-1])
+    for seed in range(30):
+        src = ReplaySource(pool, mode="cycle")
+        cand = _stream_certificate(src, 0.02, gamma, fail_prob, n, 700, seed=seed)
+        assert cand.reference_rayleigh >= (1 - gamma) * lam1, seed
 
 
 @pytest.mark.parametrize("high_sq,accept", [(30.0, False), (12.0, True)])

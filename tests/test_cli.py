@@ -87,9 +87,20 @@ def test_missing_n_for_batch():
                     "spike_axis": -1}}, False),
     ({"adversary": {"kind": "orthogonal_spike", "rate": 0.05,
                     "spike_axis": 7}}, False),
+    # schatten_blind keeps the top projection_rank axes clean; it needs one
+    # to keep and one to hide.
+    ({"adversary": {"kind": "schatten_blind", "rate": 0.1}}, False),
+    ({"adversary": {"kind": "schatten_blind", "rate": 0.1,
+                    "projection_rank": 0}}, False),
+    ({"adversary": {"kind": "schatten_blind", "rate": 0.1,
+                    "projection_rank": 5}}, False),
+    ({"adversary": {"kind": "schatten_blind", "rate": 0.1,
+                    "projection_rank": 9}}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
         "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
-        "adversary_spike_axis_negative", "adversary_spike_axis_past_dim"])
+        "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
+        "schatten_blind_without_rank", "schatten_blind_rank_zero",
+        "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:
@@ -163,16 +174,19 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
-    # schatten_blind without a projection rank fails at generation time.
+    # A valid config whose memory budget is below what the stream solve
+    # books: only the solve can show it, so the run fails with exit 1.
     raw = minimal_config(
-        adversary={"kind": "schatten_blind", "rate": 0.1},
-        algo={"eps": 0.04, "gamma": 0.8},
+        algo={"eps": 0.02, "gamma": 0.4, "max_resident_scalars": 100},
+        mode="STREAMING",
+        baselines=[],
+        stream_budget=1_000_000,
     )
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "r.json")]) == 1
-    assert "run error" in capsys.readouterr().err
+    assert "run error: MemoryBudgetError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, methods", [

@@ -111,7 +111,12 @@ def test_non_finite_stream_row_is_rejected():
             for pool in (clean, bad)]
     (res_a, stats_a), (res_b, stats_b) = runs
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
-    assert stats_a.samples_consumed == stats_b.samples_consumed == 705_516
+    # The first certificate accepts. At d = 5, gamma = 0.5 its failure
+    # probability is 0.1 / (3 * 10,000), so the count is the 46,052-row
+    # opnorm block, (24 + 1 + 19 + 1) * 4,096 chain rows (reference at
+    # ref_power(5, 1/2) = 24 steps, candidate at 19) and 19 median-of-means
+    # batches of 4,312 rows.
+    assert stats_a.samples_consumed == stats_b.samples_consumed == 312_300
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
