@@ -3,10 +3,17 @@
 A candidate direction is a power-iterated Gaussian vector. It is accepted
 when (a) its robustly estimated variance is a fixed fraction f1 of its
 empirical weighted variance, and (b) its empirical Rayleigh quotient is a
-fixed fraction f2 of an independently estimated top Rayleigh quotient.
-Acceptance certifies the direction carries close to the top true variance;
-rejection means the surviving data still over-weights some direction and
-filtering should continue.
+fixed fraction f2 of a top Rayleigh quotient estimated from independent
+Gaussian starts. Acceptance certifies the direction carries close to the top
+true variance; rejection means the surviving data still over-weights some
+direction and filtering should continue.
+
+The streaming certificate runs the candidate's chain on the reference
+chain's minibatches and scores both on one batch: the candidate start is one
+more column of the reference block. Each estimate keeps the distribution it
+had on rows of its own (a p_cert-step chain over fresh iid minibatches from
+an independent Gaussian start), and the certificate union-bounds its
+estimates' failures, which needs no independence between them.
 
 The streaming certificate decides (a) by median-of-means against the
 threshold mu0 = f1 * (empirical Rayleigh quotient). Its scores lie in
@@ -139,14 +146,22 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     The reference Rayleigh quotient is boosted over reps =
     ceil(log2(1/fail_prob)) Gaussian starts that share one streamed block
     power chain of p_ref = ``config.ref_power(d, REF_START_FAILURE)`` =
-    ceil((c_pi / gamma) ln(2 d / gamma)) steps, so it costs (p_ref + 1) *
-    batch_size samples whatever fail_prob is. p_ref gives one start
+    ceil((c_pi / gamma) ln(2 d / gamma)) steps. p_ref gives one start
     (1 - gamma)-accuracy with probability at least 1/2; given the chain's
     minibatches the starts are independent, so every one of them misses
     with probability at most (1/2)^reps <= fail_prob. The minibatch error
-    they share is governed by ``batch_size``. The trim cutoff comes from a
-    one-pass quantile block; the robust variance comes from the
-    median-of-means estimator, sized from the test it feeds.
+    they share is governed by ``batch_size``.
+
+    The candidate's start, drawn after the reference starts, is one more
+    column of that block (``approx_power_iteration``'s rider): it runs
+    p_cert = ``config.cert_power(d)`` steps over the chain's minibatches,
+    the longer of the two chains goes on alone, and one batch scores the
+    reference columns and the candidate's rayleigh_emp. The chains then cost
+    (max(p_ref, p_cert) + 1) * batch_size samples whatever fail_prob is. A
+    candidate column that collapses is redrawn on a chain of its own
+    (``streamed_power_direction``) and scored on a batch of its own. The
+    trim cutoff comes from a one-pass quantile block; the robust variance
+    comes from the median-of-means estimator, sized from the test it feeds.
 
     That test is sigma >= mu0 = f1 * rayleigh_emp over scores bounded by
     B = min(cap, prune radius^2). Each of the ceil(log2(1/fail_prob))
@@ -167,15 +182,18 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
 
     reps = max(1, math.ceil(math.log2(1.0 / fail_prob) / -math.log2(REF_START_FAILURE)))
     p_ref = config.ref_power(d, REF_START_FAILURE)
-    r_hat = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
-                                   ledger=ledger)
+    p_cert = config.cert_power(d)
+    r_hat, rider = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
+                                          ledger=ledger, rider_power=p_cert)
+    if rider is not None:
+        u, rayleigh_emp = rider
+    else:
+        u = streamed_power_direction(source, stack, p_cert, batch_size, rng,
+                                     ledger=ledger)
+        if u is None:
+            raise DegenerateStateError("candidate power iterate collapsed to zero")
+        rayleigh_emp = float(streamed_rayleigh(source, stack, u, batch_size, ledger))
 
-    u = streamed_power_direction(source, stack, config.cert_power(d), batch_size,
-                                 rng, ledger=ledger)
-    if u is None:
-        raise DegenerateStateError("candidate power iterate collapsed to zero")
-
-    rayleigh_emp = float(streamed_rayleigh(source, stack, u, batch_size, ledger))
     f1, f2 = acceptance_factors(gamma, config.c_acc)
     mu0 = f1 * rayleigh_emp
     if not mu0 > 0.0:
@@ -195,8 +213,8 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     scale = min(cap, stack.prune_radius_sq) / mu0
     need = 16.0 * (1.0 + 2.0 * eta) / (eta * eta) * scale if eta > 0.0 else math.inf
     n_batch = math.ceil(need) if need < max_mean_batch else max_mean_batch
-    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob,
-                               n_batch, ledger=ledger)
+    sigma = float(accepted_band_mean(source, stack, u, (-math.inf, cap), fail_prob,
+                                     n_batch, ledger=ledger)[0])
 
     accepted = sigma >= (1.0 + eta) * mu0 and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,

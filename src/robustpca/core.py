@@ -176,6 +176,16 @@ class AlgoConfig:
             )
         if self.boost_reps < 1:
             raise ValueError("boost_reps must be a positive integer")
+        for name in ("t_end", "k_end", "batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1 when set, got {value}")
+        for name in ("c_outer", "c_inner", "c_pi", "c_cert"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_resident_scalars is not None and self.max_resident_scalars < 0:
+            raise ValueError(f"max_resident_scalars must be nonnegative, "
+                             f"got {self.max_resident_scalars}")
 
     # -- schedule formulas ---------------------------------------------------
 

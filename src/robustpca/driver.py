@@ -15,8 +15,12 @@ an estimator suite, which answers either with exact batch quantities
 - ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
-- ``quantile_value(tail)``, ``sigma_trimmed(cap)``, ``mean_score(L, thr)``,
-  ``score_range(L)``: scalar answers along the kept direction.
+- ``quantile_value(tail)``, ``mean_score(L, thr)``, ``score_range(L)``:
+  scalar answers along the kept direction.
+- ``sigma_trimmed(cap) -> (trimmed variance, mean score above cap)``: the
+  mean of the scores <= cap and of those > cap, the filter's opening mean,
+  both over the whole population. A stream suite takes the two from one
+  median-of-means draw.
 - ``register_entry(entry)``: apply a new filter.
 """
 
@@ -77,8 +81,11 @@ class BatchEstimators:
     survivor set forms its Gram matrix at most once.
     """
 
-    def __init__(self, points: np.ndarray, config: AlgoConfig):
+    def __init__(self, points: np.ndarray, config: AlgoConfig,
+                 sq_norms: np.ndarray | None = None):
         self.points = np.asarray(points, dtype=np.float64)
+        # The rows' squared norms, when the caller has them already.
+        self.sq_norms = sq_norms
         self.n, self.dim = self.points.shape
         self.eps = config.eps
         self.gamma = config.gamma
@@ -91,7 +98,9 @@ class BatchEstimators:
     def prologue(self):
         # One squared-norm pass serves the bracket and the prune. Rows whose
         # squared norm overflows take no part, even at eps = 0.
-        g = np.einsum("ij,ij->i", self.points, self.points)
+        g = self.sq_norms
+        if g is None:
+            g = np.einsum("ij,ij->i", self.points, self.points)
         sigma_op = opnorm_bracket(g[FilterStack().within_radius(g)], self.eps, self.n)
         if self.eps > 0:
             radius_sq = PRUNE_FACTOR * sigma_op * self.dim / self.eps
@@ -116,8 +125,8 @@ class BatchEstimators:
     def quantile_value(self, tail: float) -> float:
         return weighted_quantile(self._scores, tail)
 
-    def sigma_trimmed(self, cap: float) -> float:
-        return trimmed_variance(self._scores, cap, self.n)
+    def sigma_trimmed(self, cap: float) -> tuple[float, float]:
+        return trimmed_variance(self._scores, cap, self.n), self.mean_score(cap, math.inf)
 
     def mean_score(self, L: float, thr: float) -> float:
         f = self._scores
@@ -181,13 +190,13 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                     event["skipped"] = True
                 else:
                     L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
-                    sigma = suite.sigma_trimmed(L)
+                    sigma, opening_mean = suite.sigma_trimmed(L)
                     t_hat = FILTER_TRIGGER * cfg.gamma * sigma
                     r_range = suite.score_range(L)
                     outcome = hard_thresholding_filter(
                         lambda thr: suite.mean_score(L, thr),
                         v, L, t_hat, 1.0 if r_range <= 0 else r_range,
-                        delta, rng_filt,
+                        delta, rng_filt, opening_mean=opening_mean,
                     )
                     if outcome.new_entry is not None and outcome.rounds > 0:
                         suite.register_entry(outcome.new_entry)
@@ -256,18 +265,29 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
     copy scaled by 2^-k that brings it into [1/2, 1), and the reported
     variances are scaled back by 4^k. The median, not the largest entry, sets
     the scale, so that a few outlier rows cannot flush the rest to zero.
+
+    The rows' squared norms g are computed once, here, and handed to every
+    rep's prologue. Row by row, peak^2 <= g <= d peak^2 for the row's largest
+    |entry| peak, so a median g inside [4 d 2^-400, 2^398] puts the median
+    peak inside [2^-200, 2^200] (the factor 4 covers the mean of two middle
+    rows and rounding) and the per-row max/min pass is skipped; outside that
+    window the pass decides as before.
     """
     points = ds.points
-    peak = float(np.median(np.maximum(points.max(axis=1), -points.min(axis=1))))
+    g = np.einsum("ij,ij->i", points, points)
     k = 0
-    if peak > 0 and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
-        k = math.frexp(peak)[1]
-        points = np.ldexp(points, -k)
+    if not 4.0 * ds.dim * 2.0 ** (-2 * SAFE_EXPONENT) <= float(np.median(g)) \
+            <= 2.0 ** (2 * SAFE_EXPONENT - 2):
+        peak = float(np.median(np.maximum(points.max(axis=1), -points.min(axis=1))))
+        if peak > 0 and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
+            k = math.frexp(peak)[1]
+            points = np.ldexp(points, -k)
+            g = np.einsum("ij,ij->i", points, points)
     suite: BatchEstimators | None = None
 
     def fresh_suite(cfg: AlgoConfig, _held: int) -> BatchEstimators:
         nonlocal suite
-        suite = BatchEstimators(points, cfg)
+        suite = BatchEstimators(points, cfg, g)
         return suite
 
     def sink(event: dict) -> None:

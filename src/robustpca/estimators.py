@@ -99,27 +99,30 @@ def opnorm_bracket(sq_norms: np.ndarray, eps: float, n_total: int) -> float:
 
 
 def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
-                         chunk: int = 4096,
-                         ledger: ScalarLedger | None = None) -> float:
+                         bands: int = 1, chunk: int = 4096,
+                         ledger: ScalarLedger | None = None):
     """Median of batch means of a bounded nonnegative score stream.
 
     ``draw_scores(k)`` returns k fresh values of the target functional
-    (already weighted and capped by the caller). The batch count is
+    (already weighted and capped by the caller), or a (bands, k) array that
+    scores the same k draws into ``bands`` functionals. The batch count is
     r = ceil(log2(1/fail_prob)); each batch averages max(32, n_batch) draws.
     The caller sizes ``n_batch`` so that a single batch mean lands on the
     wrong side of its decision with probability at most 1/16; the median is
     wrong only if at least r/2 batches are, which has probability at most
-    2^r (1/16)^(r/2) = 2^-r <= fail_prob.
+    2^r (1/16)^(r/2) = 2^-r <= fail_prob. Each band takes its own median, so
+    each of its estimates keeps that bound; a caller that uses several
+    union-bounds them. Returns a float, or one value per band.
     """
     n_batch = max(32, int(n_batch))
     reps = max(1, int(math.ceil(math.log2(1.0 / fail_prob))))
     ledger = ledger if ledger is not None else ScalarLedger()
 
     means = []
-    with ledger.reserve(min(chunk, n_batch) + reps):
+    with ledger.reserve(bands * (min(chunk, n_batch) + reps)):
         for _ in range(reps):
             total = 0.0
             for start in range(0, n_batch, chunk):
-                total += float(np.sum(draw_scores(min(chunk, n_batch - start))))
+                total = total + np.sum(draw_scores(min(chunk, n_batch - start)), axis=-1)
             means.append(total / n_batch)
-    return max(0.0, float(np.median(means)))
+    return np.fmax(0.0, np.median(means, axis=0))

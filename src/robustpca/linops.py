@@ -8,7 +8,10 @@ its rows, so G is never worse once c >= d; the solver's sets serve at least
 p_ref + p_cert + 2 columns (43 at d = 50, 67 at d = 1000 by default). With one
 OpenBLAS thread on 2 vCPUs, G's build costs 3.6-4.4 row columns at
 20,000 x 50 and 18-24 at 10,000 x 1000. Stream rows are drawn only by
-``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
+``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``;
+estimates that read the same kind of rows share a draw: a certificate's
+candidate rides its reference chain, and a filter iteration's trimmed
+variance and opening mean are two bands of one median-of-means draw.
 """
 
 from __future__ import annotations
@@ -151,25 +154,31 @@ def streamed_rayleigh(source: SampleSource, stack: FilterStack, block: np.ndarra
 
 
 def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
-                       lo: float, hi: float, fail_prob: float, n_batch: int,
-                       ledger: ScalarLedger) -> float:
-    """Median-of-means estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
+                       edges, fail_prob: float, n_batch: int,
+                       ledger: ScalarLedger) -> np.ndarray:
+    """Median-of-means estimates of E[w(x) f(x) 1(e_j < f(x) <= e_j+1)], f = (x.v)^2.
 
-    ``v`` must be a unit vector. Each chunk is booked and scored in one product
-    over all its rows, which costs less than gathering the accepted rows. An
-    accepted row has a finite squared norm, which bounds its score, so only
-    rejected rows can overflow or turn NaN here; their floating-point flags
-    are muted and their scores are replaced by zeros before any sum.
+    One estimate per band between consecutive ``edges``, all from one draw:
+    each row is scored into every band, and each band takes its own median.
+    ``v`` must be a unit vector. Each chunk is booked and scored in one
+    product over all its rows, which costs less than gathering the accepted
+    rows. An accepted row has a finite squared norm, which bounds its score,
+    so only rejected rows can overflow or turn NaN here; their floating-point
+    flags are muted and their scores are replaced by zeros before any sum.
     """
+    bands = tuple(zip(edges[:-1], edges[1:]))
+
     def draw(k: int) -> np.ndarray:
         with ledger.reserve(k * source.dim):
             pts = source.draw(k)
             keep = stack.weights(pts)
             with np.errstate(over="ignore", invalid="ignore"):
                 f = (pts @ v) ** 2
-            return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
+            return np.stack([np.where(keep & (f > lo) & (f <= hi), f, 0.0)
+                             for lo, hi in bands])
 
-    return stream_mean_estimate(draw, fail_prob, n_batch=n_batch, ledger=ledger)
+    return stream_mean_estimate(draw, fail_prob, n_batch=n_batch, bands=len(bands),
+                                ledger=ledger)
 
 
 def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
@@ -264,7 +273,8 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
-                           ledger: ScalarLedger | None = None) -> float:
+                           ledger: ScalarLedger | None = None,
+                           rider_power: int | None = None):
     """Best Rayleigh quotient over ``reps`` randomized minibatch power probes.
 
     The ``reps`` Gaussian starts form the columns of one (d, reps) block that
@@ -272,19 +282,43 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     column is normalized on its own; columns with zero or non-finite norm are
     dropped. The survivors are scored by ``streamed_rayleigh`` on one
     independent minibatch and the max is kept; the independent starts boost
-    the constant success probability of a single probe. Consumes exactly
-    (p + 1) * batch_size stream samples whatever ``reps`` is.
+    the constant success probability of a single probe.
+
+    With ``rider_power`` = q, one more Gaussian start, column ``reps`` of the
+    block, rides the same minibatches for q steps: the whole block runs
+    min(p, q) steps, then the longer side goes on alone. The rider is scored
+    on the same minibatch, and the call returns (best Rayleigh quotient,
+    (unit rider, its Rayleigh quotient)), or None in place of the pair when
+    the rider collapsed. Consumes exactly (max(p, q) + 1) * batch_size stream
+    samples, (p + 1) * batch_size without a rider, whatever ``reps`` is.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    # Row-major fill: column j is the vector the j-th of ``reps`` separate
-    # ``standard_normal(d)`` draws would give.
-    starts = rng.standard_normal((reps, source.dim)).T
-    y = streamed_power_apply(source, stack, p, batch_size, starts, ledger=ledger)
+    # Row-major fill: column j is the vector the j-th of separate
+    # ``standard_normal(d)`` draws would give, the rider's start last.
+    starts = rng.standard_normal((reps + (rider_power is not None), source.dim)).T
+    rider = None
+    if rider_power is None:
+        y = streamed_power_apply(source, stack, p, batch_size, starts, ledger=ledger)
+    else:
+        shared = streamed_power_apply(source, stack, min(p, rider_power), batch_size,
+                                      starts, ledger=ledger)
+        y, rider = shared[:, :reps], shared[:, reps]
+        if p > rider_power:
+            y = streamed_power_apply(source, stack, p - rider_power, batch_size, y,
+                                     ledger=ledger)
+        elif rider_power > p:
+            rider = streamed_power_apply(source, stack, rider_power - p, batch_size,
+                                         rider, ledger=ledger)
+        rider = _unit(rider)
     nrm = np.linalg.norm(y, axis=0)
     alive = np.isfinite(nrm) & (nrm > 0.0)
     if not alive.any():
         raise DegenerateStateError("every power probe collapsed to the zero vector")
     y = y[:, alive] / nrm[alive]
-    return float(np.max(streamed_rayleigh(source, stack, y, batch_size, ledger)))
-
+    scored = y if rider is None else np.column_stack([y, rider])
+    rq = streamed_rayleigh(source, stack, scored, batch_size, ledger)
+    r_hat = float(np.max(rq[:y.shape[1]]))
+    if rider_power is None:
+        return r_hat
+    return r_hat, (None if rider is None else (rider, float(rq[-1])))

@@ -123,13 +123,17 @@ class MinibatchEstimators:
                                       self.ledger),
             tail, CERT_FAILURE_PROB, ledger=self.ledger)
 
-    def sigma_trimmed(self, cap: float) -> float:
-        return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
-                                  CERT_FAILURE_PROB, self.mean_batch, ledger=self.ledger)
+    def sigma_trimmed(self, cap: float) -> tuple[float, float]:
+        # One draw scores every row into both bands; each takes its own median.
+        sigma, above = accepted_band_mean(self.source, self.stack, self._v,
+                                          (-math.inf, cap, math.inf), CERT_FAILURE_PROB,
+                                          self.mean_batch, ledger=self.ledger)
+        return float(sigma), float(above)
 
     def mean_score(self, L: float, thr: float) -> float:
-        return accepted_band_mean(self.source, self.stack, self._v, L, thr,
-                                  CERT_FAILURE_PROB, self.mean_batch, ledger=self.ledger)
+        mean, = accepted_band_mean(self.source, self.stack, self._v, (L, thr),
+                                   CERT_FAILURE_PROB, self.mean_batch, ledger=self.ledger)
+        return float(mean)
 
     def score_range(self, L: float) -> float:
         # Analytic bound: f(x) = (v.x)^2 <= ||x||^2 <= prune radius^2.

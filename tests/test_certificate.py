@@ -11,6 +11,7 @@ from robustpca import (
     SecondMomentOp,
     sample_top_eigenvector,
     sample_top_eigenvector_streaming,
+    streamed_power_apply,
 )
 from robustpca import certificate
 from robustpca.certificate import REF_START_FAILURE, acceptance_factors, decision_margin
@@ -112,28 +113,33 @@ def test_streaming_certificate_clean_accepts():
 
 
 def _stream_certificate(src, eps, gamma, fail_prob, batch_size, max_mean_batch,
-                        stack=FilterStack(), seed=5, c_acc=20.0):
-    cfg = AlgoConfig(eps=eps, gamma=gamma, c_acc=c_acc)
+                        stack=FilterStack(), seed=5, c_acc=20.0, c_cert=4.0, rng=None):
+    cfg = AlgoConfig(eps=eps, gamma=gamma, c_acc=c_acc, c_cert=c_cert)
     return sample_top_eigenvector_streaming(
         src, stack, eps, gamma, fail_prob=fail_prob, config=cfg,
-        rng=np.random.default_rng(seed), batch_size=batch_size,
-        max_mean_batch=max_mean_batch, ledger=ScalarLedger())
+        rng=np.random.default_rng(seed) if rng is None else rng,
+        batch_size=batch_size, max_mean_batch=max_mean_batch, ledger=ScalarLedger())
 
 
-def _chain_samples(d, gamma, batch_size):
-    """Reference chain, its scoring batch, candidate chain and Rayleigh batch.
+def _chain_samples(d, gamma, batch_size, c_cert=4.0):
+    """The shared reference and candidate chain and the batch that scores both.
 
     The reference chain is sized for one start at REF_START_FAILURE, so the
-    count does not depend on the certificate's failure probability.
+    count does not depend on the certificate's failure probability. The
+    candidate rides its minibatches, so only the longer of the two chains
+    costs: (max(p_ref, p_cert) + 1) * batch_size.
     """
-    cfg = AlgoConfig(gamma=gamma)
-    return (cfg.ref_power(d, REF_START_FAILURE) + 1 + cfg.cert_power(d) + 1) * batch_size
+    cfg = AlgoConfig(gamma=gamma, c_cert=c_cert)
+    return (max(cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d)) + 1) * batch_size
 
 
 def test_streaming_certificate_sample_count_from_its_decision():
     # Clean pool, every row accepted: the certificate draws its chains, one
     # quantile block and r median-of-means batches of
-    # n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows, B the trim cutoff.
+    # n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows, B the trim cutoff. The
+    # chains are (max(37, 30) + 1) * 1,500 = 57,000 rows: the candidate
+    # (p_cert = 30) rides the reference chain (p_ref = 37) and its scoring
+    # batch, which drew 103,500 rows apart.
     d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
     pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
@@ -183,7 +189,9 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
 def test_streaming_certificate_without_margin_takes_the_ceiling():
     # c_acc = 0 sets f1 = 1, where no margin fits under the Rayleigh quotient:
     # eta is 0, the test is sigma >= rayleigh_emp, and each median-of-means
-    # batch draws max_mean_batch rows.
+    # batch draws max_mean_batch rows. The shared chains draw (max(35, 28) +
+    # 1) * 1,000 = 36,000 rows, the quantile block 9,986 and the five
+    # median-of-means batches 5 * 700.
     d, eps, gamma, fail_prob, batch = 6, 0.02, 0.4, 0.05, 1000
     assert acceptance_factors(gamma, 0.0)[0] == 1.0 and decision_margin(1.0) == 0.0
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
@@ -201,7 +209,8 @@ def test_streaming_certificate_without_margin_takes_the_ceiling():
 def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq):
     # eps = 0 trims nothing. Under an infinite prune radius the scores have no
     # bound, and under the largest finite one B / mu0 overflows: either way
-    # each median-of-means batch draws max_mean_batch rows.
+    # each median-of-means batch draws max_mean_batch rows. Total: the shared
+    # chains' (max(35, 28) + 1) * 1,000 rows and 5 * 700.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
@@ -213,33 +222,40 @@ def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq
 
 
 def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
-    # The chains see only rows along e1, so the candidate is exactly +-e1; the
-    # Rayleigh batch sees only rows along e2, so rayleigh_emp is exactly 0.
+    # The shared chain sees only rows along e1, so the candidate and every
+    # reference column are exactly +-e1; the batch that scores them all sees
+    # only rows along e2, so rayleigh_emp (and the reference) is exactly 0.
     # The robust test has no scale and the candidate is rejected before the
-    # quantile block and the median-of-means draw.
+    # quantile block and the median-of-means draw: the certificate draws
+    # max(p_ref, p_cert) = max(24, 17) chain batches and one scoring batch of
+    # 256 (before, 24 + 1 + 17 + 1 batches).
     d, gamma, fail_prob, batch = 2, 0.4, 0.05, 256
     chains = _chain_samples(d, gamma, batch) - batch
+    assert chains == 24 * batch
     pool = np.zeros((chains + batch, d))
     pool[:chains, 0] = np.random.default_rng(8).standard_normal(chains)
     pool[chains:, 1] = 1.0
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
-    assert cand.rayleigh_emp == 0.0 and cand.reference_rayleigh > 0.0
+    assert cand.rayleigh_emp == 0.0 and cand.reference_rayleigh == 0.0
     assert not cand.accepted and cand.sigma_robust == 0.0
     assert src.delivered == chains + batch
 
 
 def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     # The block of starts does the boosting, so a smaller fail_prob adds
-    # columns to the reference block but no steps to its chain.
+    # columns to the reference block but no steps to its chain. At d = 6,
+    # gamma = 0.4 the reference chain (p_ref = 35) outlasts the candidate
+    # riding it (p_cert = 28), so each call draws (p_ref + 1) batches.
     calls = []
     real = certificate.approx_power_iteration
 
-    def spy(source, stack, p, reps, batch_size, rng, ledger=None):
+    def spy(source, stack, p, reps, batch_size, rng, ledger=None, rider_power=None):
         before = source.delivered
-        r_hat = real(source, stack, p, reps, batch_size, rng, ledger=ledger)
-        calls.append((p, reps, source.delivered - before))
-        return r_hat
+        out = real(source, stack, p, reps, batch_size, rng, ledger=ledger,
+                   rider_power=rider_power)
+        calls.append((p, reps, rider_power, source.delivered - before))
+        return out
 
     monkeypatch.setattr(certificate, "approx_power_iteration", spy)
     d, gamma, batch = 6, 0.4, 1000
@@ -247,8 +263,98 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     src = ReplaySource(pool, mode="cycle")
     for fail_prob in (0.05, 1e-6):
         _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
-    p_ref = AlgoConfig(gamma=gamma).ref_power(d, REF_START_FAILURE)
-    assert calls == [(p_ref, 5, (p_ref + 1) * batch), (p_ref, 20, (p_ref + 1) * batch)]
+    cfg = AlgoConfig(gamma=gamma)
+    p_ref, p_cert = cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d)
+    assert (p_ref, p_cert) == (35, 28)
+    assert calls == [(p_ref, 5, p_cert, (p_ref + 1) * batch),
+                     (p_ref, 20, p_cert, (p_ref + 1) * batch)]
+
+
+def _rows_and_powers(c_cert):
+    d, gamma = 6, 0.4
+    pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
+    cfg = AlgoConfig(gamma=gamma, c_cert=c_cert)
+    return pool, gamma, cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d)
+
+
+@pytest.mark.parametrize("c_cert", [4.0, 12.0])
+def test_streaming_candidate_rides_the_reference_chain(c_cert):
+    # The candidate's start is column reps of the certificate's (reps + 1, d)
+    # Gaussian block. A separate p_cert chain from that start over the same
+    # minibatches of a twin cycled pool gives the same direction, and the
+    # batch after the longer chain the same Rayleigh quotient. c_cert = 4
+    # puts p_cert (28) below p_ref (35), c_cert = 12 above it (82).
+    pool, gamma, p_ref, p_cert = _rows_and_powers(c_cert)
+    fail_prob, batch = 0.05, 1000
+    assert (p_cert > p_ref) is (c_cert > 4.0)
+    cand = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.02, gamma, fail_prob,
+                               batch, 700, c_cert=c_cert)
+    reps = math.ceil(math.log2(1 / fail_prob))
+    start = np.random.default_rng(5).standard_normal((reps + 1, pool.shape[1]))[reps]
+    twin = ReplaySource(pool, mode="cycle")
+    u = streamed_power_apply(twin, FilterStack(), p_cert, batch, start)
+    u = u / np.linalg.norm(u)
+    np.testing.assert_allclose(cand.u, u, rtol=1e-10, atol=1e-14)
+    if p_ref > p_cert:
+        twin.draw((p_ref - p_cert) * batch)
+    rows = twin.draw(batch)
+    assert cand.rayleigh_emp == pytest.approx(float(np.mean((rows @ u) ** 2)), rel=1e-10)
+
+
+@pytest.mark.parametrize("c_cert", [4.0, 12.0])
+def test_streaming_certificate_chains_cost_the_longer_chain(c_cert):
+    # Whichever chain is longer, the two chains and the batch that scores
+    # both draw (max(p_ref, p_cert) + 1) batches: 36,000 rows at c_cert = 4
+    # (p_ref = 35 > p_cert = 28) and 83,000 at c_cert = 12 (p_cert = 82).
+    # At eps = 0 under an infinite prune radius the rest is the
+    # median-of-means ceiling, 5 batches of 700.
+    pool, gamma, p_ref, p_cert = _rows_and_powers(c_cert)
+    src = ReplaySource(pool, mode="cycle")
+    _stream_certificate(src, 0.0, gamma, 0.05, 1000, 700, c_cert=c_cert)
+    assert src.delivered == (max(p_ref, p_cert) + 1) * 1000 + 5 * 700
+
+
+class _RiderCollapses:
+    """A Generator whose first block of starts has a zero last row."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.first = True
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if self.first:
+            out[-1] = 0.0
+            self.first = False
+        return out
+
+
+def test_streaming_collapsed_candidate_takes_the_retry_chain():
+    # A zero candidate start collapses its column of the shared chain. The
+    # reference is unaffected; the candidate comes from a fresh start on its
+    # own p_cert chain after the shared one, scored on its own batch, so the
+    # certificate draws (p_ref + 1 + p_cert + 1) batches before the
+    # median-of-means ceiling.
+    pool, gamma, p_ref, p_cert = _rows_and_powers(4.0)
+    d, fail_prob, batch = pool.shape[1], 0.05, 1000
+    reps = math.ceil(math.log2(1 / fail_prob))
+    src = ReplaySource(pool, mode="cycle")
+    cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700, rng=_RiderCollapses(5))
+    assert src.delivered == (p_ref + 1 + p_cert + 1) * batch + reps * 700
+
+    plain = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.0, gamma, fail_prob,
+                                batch, 700)
+    assert cand.reference_rayleigh == pytest.approx(plain.reference_rayleigh, rel=1e-10)
+
+    rng = np.random.default_rng(5)
+    rng.standard_normal((reps + 1, d))
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw((p_ref + 1) * batch)
+    u = streamed_power_apply(twin, FilterStack(), p_cert, batch, rng.standard_normal(d))
+    u = u / np.linalg.norm(u)
+    np.testing.assert_allclose(cand.u, u, rtol=1e-10, atol=1e-14)
+    rows = twin.draw(batch)
+    assert cand.rayleigh_emp == pytest.approx(float(np.mean((rows @ u) ** 2)), rel=1e-10)
 
 
 def test_streaming_reference_reaches_top_rayleigh_on_every_seed():

@@ -96,11 +96,23 @@ def test_missing_n_for_batch():
                     "projection_rank": 5}}, False),
     ({"adversary": {"kind": "schatten_blind", "rate": 0.1,
                     "projection_rank": 9}}, False),
+    # Algorithm values no solve can use: a zero schedule length divides by
+    # zero, a zero minibatch fails after the stream prologue, a non-positive
+    # constant silently clamps a chain to one step.
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 0}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "k_end": 0}}, False),
+    ({"mode": "STREAMING", "stream_budget": 100_000, "baselines": [],
+      "algo": {"eps": 0.0, "gamma": 0.05, "batch_size": 0}}, True),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_outer": 0}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_inner": -1.0}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "max_resident_scalars": -1}}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
         "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
         "schatten_blind_without_rank", "schatten_blind_rank_zero",
-        "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim"])
+        "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim",
+        "t_end_zero", "k_end_zero", "batch_size_zero", "c_outer_zero",
+        "c_inner_negative", "max_resident_scalars_negative"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:

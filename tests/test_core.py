@@ -117,6 +117,20 @@ def test_config_validation():
     assert AlgoConfig(eps=0.0).gamma == 0.05
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_end", 0), ("k_end", 0), ("t_end", -3), ("batch_size", 0),
+    ("c_outer", 0.0), ("c_inner", -1.0), ("c_pi", 0.0), ("c_cert", -1.0),
+    ("c_pi", float("nan")), ("max_resident_scalars", -1),
+])
+def test_config_rejects_values_no_solve_can_use(field, value):
+    # t_end or k_end at 0 divides by zero in drive, a zero batch_size fails
+    # only after the stream prologue has drawn rows, and a non-positive
+    # chain constant would clamp silently to a one-step chain.
+    with pytest.raises(ValueError, match=field):
+        AlgoConfig(eps=0.01, **{field: value})
+    AlgoConfig(eps=0.01, t_end=1, k_end=1, batch_size=1, max_resident_scalars=0)
+
+
 def test_config_schedules_sane():
     cfg = AlgoConfig(eps=0.01, gamma=0.2)
     assert cfg.power_at(50, 2) == 2 * cfg.base_power(50)

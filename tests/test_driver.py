@@ -18,6 +18,7 @@ from robustpca import (
     robust_pca,
     rng_stream,
     strong_contaminate,
+    trimmed_variance,
 )
 from robustpca.driver import BatchEstimators, drive
 from robustpca.errors import UnsupportedDiagnosticError
@@ -281,6 +282,44 @@ def test_drive_uses_only_the_suite_contract():
     assert res.u is not None and any(not e["skipped"] for e in events)
     assert SUITE_METHODS - {"register_entry"} <= suite.seen
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
+
+
+def test_batch_sigma_trimmed_pair_is_exact():
+    # The batch suite answers sigma_trimmed with the exact pair the driver
+    # needs: the trimmed variance and the filter's opening mean, the mean
+    # score above the cutoff, bit for bit as mean_score(L, inf) gives it.
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+    suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0))
+    suite.prologue()
+    v = np.zeros(12)
+    v[1] = 1.0
+    assert suite.start_iteration(v)
+    cut = suite.quantile_value(0.15)
+    f = (pts[suite.weights] @ v) ** 2
+    assert suite.sigma_trimmed(cut) == (trimmed_variance(f, cut, 3000),
+                                        suite.mean_score(cut, math.inf))
+    assert suite.mean_score(cut, math.inf) == float(np.sum(f[f > cut])) / 3000 > 0
+
+
+def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
+    # robust_pca computes the rows' squared norms once, for its scale check,
+    # and every boost rep's prologue reads them instead of recomputing.
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+    seen = []
+    real = BatchEstimators.__init__
+
+    def spy(self, points, config, sq_norms=None):
+        seen.append(sq_norms)
+        real(self, points, config, sq_norms)
+
+    monkeypatch.setattr(BatchEstimators, "__init__", spy)
+    # c_acc < 0 sets f1 = 1, which a trimmed variance cannot reach, so both
+    # reps run.
+    res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, rng_seed=3,
+                     config=AlgoConfig(t_end=1, k_end=1, boost_reps=2, c_acc=-1.0))
+    assert res.status is PcaStatus.FALLBACK_BEST
+    assert len(seen) == 2 and seen[0] is seen[1]
+    np.testing.assert_array_equal(seen[0], np.einsum("ij,ij->i", pts, pts))
 
 
 def test_batch_rows_are_the_masked_points_after_every_filter():

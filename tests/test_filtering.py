@@ -120,7 +120,8 @@ def test_survivor_monotone_per_round():
 
     hard_thresholding_filter(spy_mean, np.ones(2), L=0.5, T_hat=0.2,
                              R=float(f.max()), delta=0.0,
-                             rng=np.random.default_rng(5))
+                             rng=np.random.default_rng(5),
+                             opening_mean=spy_mean(math.inf))
     assert all(a >= b for a, b in zip(seen, seen[1:]))
 
 
@@ -140,7 +141,7 @@ def test_batch_and_callback_paths_agree_under_coupled_rng():
 
     out_b = hard_thresholding_filter(mean_fn, np.array([1.0, 0.0]), L, t_hat, R,
                                      0.0, np.random.default_rng(77),
-                                     score_floor=L)
+                                     opening_mean=mean_fn(math.inf), score_floor=L)
     assert out_a.rounds == out_b.rounds
     assert out_a.final_mean_score == out_b.final_mean_score
     if out_a.new_entry is None:
@@ -191,5 +192,5 @@ def test_runaway_guard_raises():
 
     with pytest.raises(FilterLoopError):
         hard_thresholding_filter(stuck_mean, np.ones(2), L=1.0, T_hat=0.1,
-                                 R=1000.0, delta=0.0,
-                                 rng=np.random.default_rng(9), score_floor=1.0)
+                                 R=1000.0, delta=0.0, rng=np.random.default_rng(9),
+                                 opening_mean=stuck_mean(math.inf), score_floor=1.0)

@@ -396,6 +396,37 @@ def test_approx_power_iteration_drops_collapsed_columns():
                                batch_size=batch, rng=_FixedStarts([zero, nan]))
 
 
+@pytest.mark.parametrize("q", [2, 5])
+def test_approx_power_iteration_rider_shares_the_chain(q):
+    # A rider's start is column reps of the block. It runs q steps over the
+    # chain's own minibatches (the block runs min(p, q), the longer side goes
+    # on alone), so the call draws (max(p, q) + 1) batches, and it is scored
+    # on the reference's batch. A collapsed rider comes back as None.
+    pop = np.random.default_rng(5).standard_normal((256, 4))
+    stack = FilterStack(prune_radius_sq=30.0)
+    p, batch = 3, 40
+    g, h = np.random.default_rng(42).standard_normal((2, 4))
+
+    src = ReplaySource(pop, mode="cycle")
+    r_hat, (u, rayleigh) = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
+                                                  rng=_FixedStarts([g, h]), rider_power=q)
+    assert src.delivered == (max(p, q) + 1) * batch
+    twin = ReplaySource(pop, mode="cycle")
+    want = streamed_power_apply(twin, stack, q, batch, h)
+    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
+    if p > q:
+        twin.draw((p - q) * batch)
+    pts = twin.draw(batch)
+    acc = pts[stack.weights(pts)]
+    assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
+
+    src = ReplaySource(pop, mode="cycle")
+    r_zero, rider = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
+                                           rng=_FixedStarts([g, np.zeros(4)]), rider_power=q)
+    assert rider is None and src.delivered == (max(p, q) + 1) * batch
+    assert r_zero == pytest.approx(r_hat, rel=1e-12)
+
+
 @pytest.mark.parametrize("reps", [1, 6])
 def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     pop = np.random.default_rng(6).standard_normal((300, 5))

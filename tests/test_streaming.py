@@ -22,6 +22,7 @@ from robustpca import (
     streaming_robust_pca,
     tv_contaminated_source,
 )
+from robustpca.driver import CERT_FAILURE_PROB
 from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
 from robustpca.linops import (
     accepted_band_mean,
@@ -113,10 +114,11 @@ def test_non_finite_stream_row_is_rejected():
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
     # The first certificate accepts. At d = 5, gamma = 0.5 its failure
     # probability is 0.1 / (3 * 10,000), so the count is the 46,052-row
-    # opnorm block, (24 + 1 + 19 + 1) * 4,096 chain rows (reference at
-    # ref_power(5, 1/2) = 24 steps, candidate at 19) and 19 median-of-means
-    # batches of 4,312 rows.
-    assert stats_a.samples_consumed == stats_b.samples_consumed == 312_300
+    # opnorm block, (24 + 1) * 4,096 chain rows (the reference chain runs
+    # ref_power(5, 1/2) = 24 steps, the candidate rides its first 19, and
+    # one batch scores both) and 19 median-of-means batches of 4,312 rows:
+    # 46,052 + 102,400 + 81,928.
+    assert stats_a.samples_consumed == stats_b.samples_consumed == 230_380
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -178,6 +180,28 @@ def test_default_batch_formulas_clamped():
     assert 64 <= nb <= MEAN_BATCH_CAP
     cfg2 = AlgoConfig(eps=0.03, gamma=0.6, batch_size=777)
     assert MinibatchEstimators(src, cfg2, 1.5, ScalarLedger()).batch == 777
+
+
+def test_stream_sigma_and_opening_mean_share_one_draw():
+    # A filter iteration's trimmed variance and opening mean are two bands of
+    # one median-of-means draw: ceil(log2(1/0.1)) = 4 batches of mean_batch
+    # rows, not 8. Each band is its own median, equal to a one-band estimate
+    # over the same rows of a twin pool.
+    pool, _spec = _spiked_pool(d=8, rows=20_000)
+    src = ReplaySource(pool, mode="cycle")
+    suite = MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
+    suite.prologue()
+    v = np.eye(8)[1]
+    assert suite.start_iteration(v)
+    cut, before = 2.0, src.delivered
+    sigma, opening = suite.sigma_trimmed(cut)
+    assert src.delivered - before == 4 * suite.mean_batch
+    for band, got in (((-np.inf, cut), sigma), ((cut, np.inf), opening)):
+        twin = ReplaySource(pool, mode="cycle")
+        twin.draw(before)
+        want, = accepted_band_mean(twin, suite.stack, v, band, CERT_FAILURE_PROB,
+                                   suite.mean_batch, ScalarLedger())
+        assert got == want > 0
 
 
 # -- honest memory accounting and typed failure modes ------------------------------
@@ -322,7 +346,7 @@ def test_stream_helpers_restore_the_ledger():
             src, stack, lambda x: (x @ v) ** 2, 50, led),
         "streamed_rayleigh": lambda src, led: streamed_rayleigh(src, stack, v, 50, led),
         "accepted_band_mean": lambda src, led: accepted_band_mean(
-            src, stack, v, 0.0, 5.0, 0.1, 40, ledger=led),
+            src, stack, v, (0.0, 5.0), 0.1, 40, ledger=led),
         "streamed_power_apply": lambda src, led: streamed_power_apply(
             src, stack, 2, 50, v, ledger=led),
     }
