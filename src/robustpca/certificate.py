@@ -184,7 +184,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     p_ref = config.ref_power(d, REF_START_FAILURE)
     p_cert = config.cert_power(d)
     r_hat, rider = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
-                                          ledger=ledger, rider_power=p_cert)
+                                          p_cert, ledger=ledger)
     if rider is not None:
         u, rayleigh_emp = rider
     else:

@@ -81,10 +81,9 @@ class BatchEstimators:
     survivor set forms its Gram matrix at most once.
     """
 
-    def __init__(self, points: np.ndarray, config: AlgoConfig,
-                 sq_norms: np.ndarray | None = None):
+    def __init__(self, points: np.ndarray, config: AlgoConfig, sq_norms: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
-        # The rows' squared norms, when the caller has them already.
+        # The rows' squared norms, which the caller computes once for every rep.
         self.sq_norms = sq_norms
         self.n, self.dim = self.points.shape
         self.eps = config.eps
@@ -99,8 +98,6 @@ class BatchEstimators:
         # One squared-norm pass serves the bracket and the prune. Rows whose
         # squared norm overflows take no part, even at eps = 0.
         g = self.sq_norms
-        if g is None:
-            g = np.einsum("ij,ij->i", self.points, self.points)
         sigma_op = opnorm_bracket(g[FilterStack().within_radius(g)], self.eps, self.n)
         if self.eps > 0:
             radius_sq = PRUNE_FACTOR * sigma_op * self.dim / self.eps

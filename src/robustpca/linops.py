@@ -174,8 +174,10 @@ def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
             keep = stack.weights(pts)
             with np.errstate(over="ignore", invalid="ignore"):
                 f = (pts @ v) ** 2
-            return np.stack([np.where(keep & (f > lo) & (f <= hi), f, 0.0)
-                             for lo, hi in bands])
+            out = np.zeros((len(bands), k))
+            for row, (lo, hi) in zip(out, bands):
+                np.copyto(row, f, where=keep & (f > lo) & (f <= hi))
+            return out
 
     return stream_mean_estimate(draw, fail_prob, n_batch=n_batch, bands=len(bands),
                                 ledger=ledger)
@@ -273,9 +275,8 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
-                           ledger: ScalarLedger | None = None,
-                           rider_power: int | None = None):
-    """Best Rayleigh quotient over ``reps`` randomized minibatch power probes.
+                           rider_power: int, ledger: ScalarLedger | None = None):
+    """Best Rayleigh quotient over ``reps`` minibatch power probes, plus a rider probe.
 
     The ``reps`` Gaussian starts form the columns of one (d, reps) block that
     goes through a single streamed power chain (block iteration). Each output
@@ -284,33 +285,29 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     independent minibatch and the max is kept; the independent starts boost
     the constant success probability of a single probe.
 
-    With ``rider_power`` = q, one more Gaussian start, column ``reps`` of the
-    block, rides the same minibatches for q steps: the whole block runs
-    min(p, q) steps, then the longer side goes on alone. The rider is scored
-    on the same minibatch, and the call returns (best Rayleigh quotient,
-    (unit rider, its Rayleigh quotient)), or None in place of the pair when
-    the rider collapsed. Consumes exactly (max(p, q) + 1) * batch_size stream
-    samples, (p + 1) * batch_size without a rider, whatever ``reps`` is.
+    One more Gaussian start, column ``reps`` of the block, rides the same
+    minibatches for ``rider_power`` = q steps: the whole block runs min(p, q)
+    steps, then the longer side goes on alone. The rider is scored on the
+    same minibatch. Returns (best Rayleigh quotient, (unit rider, its
+    Rayleigh quotient)), or None in place of the pair when the rider
+    collapsed. Consumes exactly (max(p, q) + 1) * batch_size stream samples,
+    whatever ``reps`` is.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     # Row-major fill: column j is the vector the j-th of separate
     # ``standard_normal(d)`` draws would give, the rider's start last.
-    starts = rng.standard_normal((reps + (rider_power is not None), source.dim)).T
-    rider = None
-    if rider_power is None:
-        y = streamed_power_apply(source, stack, p, batch_size, starts, ledger=ledger)
-    else:
-        shared = streamed_power_apply(source, stack, min(p, rider_power), batch_size,
-                                      starts, ledger=ledger)
-        y, rider = shared[:, :reps], shared[:, reps]
-        if p > rider_power:
-            y = streamed_power_apply(source, stack, p - rider_power, batch_size, y,
-                                     ledger=ledger)
-        elif rider_power > p:
-            rider = streamed_power_apply(source, stack, rider_power - p, batch_size,
-                                         rider, ledger=ledger)
-        rider = _unit(rider)
+    starts = rng.standard_normal((reps + 1, source.dim)).T
+    shared = streamed_power_apply(source, stack, min(p, rider_power), batch_size,
+                                  starts, ledger=ledger)
+    y, rider = shared[:, :reps], shared[:, reps]
+    if p > rider_power:
+        y = streamed_power_apply(source, stack, p - rider_power, batch_size, y,
+                                 ledger=ledger)
+    elif rider_power > p:
+        rider = streamed_power_apply(source, stack, rider_power - p, batch_size,
+                                     rider, ledger=ledger)
+    rider = _unit(rider)
     nrm = np.linalg.norm(y, axis=0)
     alive = np.isfinite(nrm) & (nrm > 0.0)
     if not alive.any():
@@ -319,6 +316,4 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     scored = y if rider is None else np.column_stack([y, rider])
     rq = streamed_rayleigh(source, stack, scored, batch_size, ledger)
     r_hat = float(np.max(rq[:y.shape[1]]))
-    if rider_power is None:
-        return r_hat
     return r_hat, (None if rider is None else (rider, float(rq[-1])))

@@ -250,10 +250,9 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     calls = []
     real = certificate.approx_power_iteration
 
-    def spy(source, stack, p, reps, batch_size, rng, ledger=None, rider_power=None):
+    def spy(source, stack, p, reps, batch_size, rng, rider_power, ledger=None):
         before = source.delivered
-        out = real(source, stack, p, reps, batch_size, rng, ledger=ledger,
-                   rider_power=rider_power)
+        out = real(source, stack, p, reps, batch_size, rng, rider_power, ledger=ledger)
         calls.append((p, reps, rider_power, source.delivered - before))
         return out
 

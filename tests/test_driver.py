@@ -276,7 +276,7 @@ def test_drive_uses_only_the_suite_contract():
 
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     cfg = AlgoConfig(eps=0.05, gamma=1.0)
-    suite = Recorder(BatchEstimators(pts, cfg))
+    suite = Recorder(BatchEstimators(pts, cfg, np.einsum("ij,ij->i", pts, pts)))
     events = []
     res = drive(suite, cfg, seed=7, rep=0, trace_sink=events.append)
     assert res.u is not None and any(not e["skipped"] for e in events)
@@ -289,7 +289,8 @@ def test_batch_sigma_trimmed_pair_is_exact():
     # needs: the trimmed variance and the filter's opening mean, the mean
     # score above the cutoff, bit for bit as mean_score(L, inf) gives it.
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
-    suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0))
+    suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0),
+                            np.einsum("ij,ij->i", pts, pts))
     suite.prologue()
     v = np.zeros(12)
     v[1] = 1.0
@@ -308,7 +309,7 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
     seen = []
     real = BatchEstimators.__init__
 
-    def spy(self, points, config, sq_norms=None):
+    def spy(self, points, config, sq_norms):
         seen.append(sq_norms)
         real(self, points, config, sq_norms)
 
@@ -325,7 +326,7 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
 def test_batch_rows_are_the_masked_points_after_every_filter():
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     cfg = AlgoConfig(eps=0.05, gamma=1.0)
-    suite = BatchEstimators(pts, cfg)
+    suite = BatchEstimators(pts, cfg, np.einsum("ij,ij->i", pts, pts))
     register = suite.register_entry
     filters = []
 

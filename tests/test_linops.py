@@ -326,8 +326,8 @@ def test_power_iteration_guarantee_rate():
 def test_approx_power_iteration_two_point_population():
     pop = np.array([[math.sqrt(5.0), 0.0], [-math.sqrt(5.0), 0.0]])
     src = ReplaySource(pop, mode="cycle")
-    r_hat = approx_power_iteration(src, FilterStack(), p=4, reps=5,
-                                   batch_size=16, rng=np.random.default_rng(1))
+    r_hat, _ = approx_power_iteration(src, FilterStack(), p=4, reps=5, batch_size=16,
+                                      rng=np.random.default_rng(1), rider_power=4)
     assert 4.5 <= r_hat <= 5.5
 
 
@@ -341,21 +341,22 @@ def test_approx_power_iteration_isotropic():
         return pop[idx], None
 
     src = SyntheticSource(d, draw, np.random.default_rng(3))
-    r_hat = approx_power_iteration(src, FilterStack(), p=6, reps=6,
-                                   batch_size=4000, rng=np.random.default_rng(4))
+    r_hat, _ = approx_power_iteration(src, FilterStack(), p=6, reps=6, batch_size=4000,
+                                      rng=np.random.default_rng(4), rider_power=6)
     assert abs(r_hat - c) <= 0.1 * c  # population second moment is c * I
 
 
 def test_approx_power_iteration_single_rep_is_one_probe():
     # reps=1 is definitionally one randomized probe: same rng, same draws,
-    # same Rayleigh quotient as doing the steps by hand.
+    # same Rayleigh quotient as doing the steps by hand. The rider runs no
+    # longer than the probe, so it draws no rows of its own.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
 
     src_a = ReplaySource(pop, mode="cycle")
-    got = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
-                                 rng=np.random.default_rng(42))
+    got, _ = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
+                                    rng=np.random.default_rng(42), rider_power=p)
     src_b = ReplaySource(pop, mode="cycle")
     g = np.random.default_rng(42).standard_normal(4)
     y = streamed_power_apply(src_b, stack, p, batch, g)
@@ -381,19 +382,22 @@ def test_approx_power_iteration_drops_collapsed_columns():
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
-    g = np.random.default_rng(42).standard_normal(4)
+    g, h = np.random.default_rng(42).standard_normal((2, 4))
     zero, nan = np.zeros(4), np.full(4, np.nan)
 
-    got = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
-                                 batch_size=batch, rng=_FixedStarts([zero, nan, g]))
-    want = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
-                                  batch_size=batch, rng=_FixedStarts([g]))
+    got, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
+                                    batch_size=batch, rng=_FixedStarts([zero, nan, g, h]),
+                                    rider_power=p)
+    want, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
+                                     batch_size=batch, rng=_FixedStarts([g, h]),
+                                     rider_power=p)
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-12)
 
     with pytest.raises(DegenerateStateError):
         approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=2,
-                               batch_size=batch, rng=_FixedStarts([zero, nan]))
+                               batch_size=batch, rng=_FixedStarts([zero, nan, h]),
+                               rider_power=p)
 
 
 @pytest.mark.parametrize("q", [2, 5])
@@ -433,7 +437,7 @@ def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     p, batch = 4, 50
     src = ReplaySource(pop, mode="cycle")
     approx_power_iteration(src, FilterStack(prune_radius_sq=40.0), p, reps=reps,
-                           batch_size=batch, rng=np.random.default_rng(7))
+                           batch_size=batch, rng=np.random.default_rng(7), rider_power=p)
     assert src.delivered == (p + 1) * batch
 
 
