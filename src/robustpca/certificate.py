@@ -28,6 +28,13 @@ failure probability, that the exact test passes. The margin eta is
 (1 + 2 eta) * mu0, at most halfway from f1 to 1 times the Rayleigh
 quotient: a trimmed mean never exceeds the Rayleigh quotient, so a band
 reaching past it would reject good directions too.
+
+That count is the ceiling of a sequential median-of-means
+(``estimators.stream_mean_estimate``), which starts at 256 rows per batch,
+doubles, and stops at the first stage whose interval for the true mean lies
+wholly above or below (1 + eta) * mu0. Such an early stop is the exact
+decision on the event, of probability at least 1 - fail_prob, that every
+stage's interval holds the true mean; the ceiling stage decides as before.
 """
 
 from __future__ import annotations
@@ -174,9 +181,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     grows as 1/eta^2. A batch never takes more than ``max_mean_batch``
     rows; it takes that many when B is infinite (eps = 0 under an infinite
     prune radius), B / mu0 overflows or eta is 0 (f1 = 1, where the test is
-    sigma >= mu0), and the 1/16 bound then no longer holds. A candidate
-    with rayleigh_emp = 0 gives the test no scale: it is rejected without a
-    draw and reports sigma 0.
+    sigma >= mu0), and the 1/16 bound then no longer holds. n is only the
+    ceiling: the batches grow from 256 rows in doubling stages, over
+    ceil(log2(J / fail_prob)) batches for J stages, and stop once the
+    interval of means the stage's median allows settles sigma against
+    (1 + eta) * mu0 (``stream_mean_estimate``). With B infinite or n at most
+    256 there is one stage of n rows. A candidate with rayleigh_emp = 0
+    gives the test no scale: it is rejected without a draw and reports
+    sigma 0.
     """
     d = source.dim
 
@@ -213,9 +225,10 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     scale = min(cap, stack.prune_radius_sq) / mu0
     need = 16.0 * (1.0 + 2.0 * eta) / (eta * eta) * scale if eta > 0.0 else math.inf
     n_batch = math.ceil(need) if need < max_mean_batch else max_mean_batch
-    sigma = float(accepted_band_mean(source, stack, u, (-math.inf, cap), fail_prob,
-                                     n_batch, ledger=ledger)[0])
+    bar = (1.0 + eta) * mu0
+    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob, n_batch,
+                               ledger, bar=bar)
 
-    accepted = sigma >= (1.0 + eta) * mu0 and rayleigh_emp >= f2 * r_hat
+    accepted = sigma >= bar and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
                      reference_rayleigh=r_hat, accepted=accepted)

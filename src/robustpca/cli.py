@@ -91,6 +91,8 @@ CONFIG_SCHEMA = {
                 "c_outer": {"type": "number"},
                 "c_inner": {"type": "number"},
                 "c_acc": {"type": "number"},
+                "c_pi": {"type": "number"},
+                "c_cert": {"type": "number"},
                 "batch_size": {"type": ["integer", "null"]},
                 "max_resident_scalars": {"type": ["integer", "null"]},
             },

@@ -15,12 +15,14 @@ an estimator suite, which answers either with exact batch quantities
 - ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
-- ``quantile_value(tail)``, ``mean_score(L, thr)``, ``score_range(L)``:
-  scalar answers along the kept direction.
-- ``sigma_trimmed(cap) -> (trimmed variance, mean score above cap)``: the
-  mean of the scores <= cap and of those > cap, the filter's opening mean,
-  both over the whole population. A stream suite takes the two from one
-  median-of-means draw.
+- ``quantile_value(tail)``, ``score_range(L)``: scalar answers along the
+  kept direction.
+- ``sigma_trimmed(cap)``: the trimmed variance, the mean of the scores
+  <= cap over the whole population. A stream suite estimates it to within a
+  factor 1 + ``certificate.DECISION_MARGIN``.
+- ``mean_score(L, thr, bound)``: the mean of the scores in (L, thr], which
+  the filter compares with its exit ``bound``. A stream suite stops sampling
+  once that comparison is settled; the batch suite ignores ``bound``.
 - ``register_entry(entry)``: apply a new filter.
 """
 
@@ -122,10 +124,10 @@ class BatchEstimators:
     def quantile_value(self, tail: float) -> float:
         return weighted_quantile(self._scores, tail)
 
-    def sigma_trimmed(self, cap: float) -> tuple[float, float]:
-        return trimmed_variance(self._scores, cap, self.n), self.mean_score(cap, math.inf)
+    def sigma_trimmed(self, cap: float) -> float:
+        return trimmed_variance(self._scores, cap, self.n)
 
-    def mean_score(self, L: float, thr: float) -> float:
+    def mean_score(self, L: float, thr: float, _bound: float) -> float:
         f = self._scores
         live = (f > L) & (f <= thr)
         return float(np.sum(f[live])) / self.n
@@ -187,13 +189,13 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                     event["skipped"] = True
                 else:
                     L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
-                    sigma, opening_mean = suite.sigma_trimmed(L)
+                    sigma = suite.sigma_trimmed(L)
                     t_hat = FILTER_TRIGGER * cfg.gamma * sigma
                     r_range = suite.score_range(L)
                     outcome = hard_thresholding_filter(
-                        lambda thr: suite.mean_score(L, thr),
+                        lambda thr, bound: suite.mean_score(L, thr, bound),
                         v, L, t_hat, 1.0 if r_range <= 0 else r_range,
-                        delta, rng_filt, opening_mean=opening_mean,
+                        delta, rng_filt,
                     )
                     if outcome.new_entry is not None and outcome.rounds > 0:
                         suite.register_entry(outcome.new_entry)

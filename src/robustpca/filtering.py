@@ -34,18 +34,18 @@ class FilterOutcome:
 
 def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: float,
                              R: float, delta: float, rng: np.random.Generator, *,
-                             opening_mean: float,
                              score_floor: float | None = None) -> FilterOutcome:
     """Run the threshold loop against an abstract mean-score evaluator.
 
-    ``mean_score_fn(thr)`` must return the current mean of
+    ``mean_score_fn(thr, bound)`` must return the current mean of
     w(x) * f(x) * 1(L < f(x) <= thr) under the caller's weights, i.e. the
-    weighted mean score after hypothetically cutting at thr.
-    ``opening_mean`` is that mean before any cut, at thr = inf, which the
-    caller has in hand (a stream suite takes it from the draw of its trimmed
-    variance). The loop draws r_0 = R, r_l ~ U([0, r_{l-1}]) and stops once
-    the mean is at most (5/2)(T_hat + delta). Returns the compacted entry
-    (v, max(L, r_final)), or no entry when the loop never fired.
+    weighted mean score after hypothetically cutting at thr; the loop only
+    compares it with ``bound``, the exit bound (5/2)(T_hat + delta), which
+    an estimator may use to stop sampling once the comparison is settled.
+    The opening mean is taken at thr = inf. The loop draws r_0 = R,
+    r_l ~ U([0, r_{l-1}]) and stops once the mean is at most the exit bound.
+    Returns the compacted entry (v, max(L, r_final)), or no entry when the
+    loop never fired.
 
     ``score_floor`` bounds the smallest positive score and only feeds the
     runaway guard; it defaults to L.
@@ -53,7 +53,7 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
     if T_hat < 0 or delta < 0:
         raise ValueError("T_hat and delta must be nonnegative")
     exit_bound = EXIT_FACTOR * (T_hat + delta)
-    mean = float(opening_mean)
+    mean = float(mean_score_fn(math.inf, exit_bound))
     if mean <= exit_bound:
         return FilterOutcome(new_entry=None, rounds=0, final_mean_score=mean)
     if not (R > 0) or not math.isfinite(R):
@@ -75,7 +75,7 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
             )
         r = r * float(rng.uniform())
         rounds += 1
-        mean = float(mean_score_fn(r))
+        mean = float(mean_score_fn(r, exit_bound))
         if r == 0.0:
             break
     # A zero draw (measure zero) removes every positive-score survivor; the
@@ -109,13 +109,12 @@ def hard_thresholding_filter_batch(v: np.ndarray, f_scores: np.ndarray,
     if R is None:
         R = float(tau_active.max()) if tau_active.size else 0.0
 
-    def mean_at(thr: float) -> float:
+    def mean_at(thr: float, _bound: float) -> float:
         return float(np.sum(tau_active[tau_active <= thr])) / n_total
 
     floor = L if L > 0 else (float(tau_active.min()) if tau_active.size else 0.0)
     outcome = hard_thresholding_filter(mean_at, v, L, T_hat, R if R > 0 else 1.0,
-                                       delta, rng, opening_mean=mean_at(math.inf),
-                                       score_floor=floor)
+                                       delta, rng, score_floor=floor)
     if outcome.new_entry is None:
         return outcome, w
     return outcome, w & (f <= outcome.new_entry.threshold_sq)

@@ -8,10 +8,11 @@ its rows, so G is never worse once c >= d; the solver's sets serve at least
 p_ref + p_cert + 2 columns (43 at d = 50, 67 at d = 1000 by default). With one
 OpenBLAS thread on 2 vCPUs, G's build costs 3.6-4.4 row columns at
 20,000 x 50 and 18-24 at 10,000 x 1000. Stream rows are drawn only by
-``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``;
-estimates that read the same kind of rows share a draw: a certificate's
-candidate rides its reference chain, and a filter iteration's trimmed
-variance and opening mean are two bands of one median-of-means draw.
+``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
+A certificate's candidate rides its reference chain, so the two share its
+minibatches. Each median-of-means estimate draws its own rows and stops at
+the first stage that settles its question, so a clear decision costs a few
+hundred rows per batch and only a close one the full count.
 """
 
 from __future__ import annotations
@@ -154,33 +155,32 @@ def streamed_rayleigh(source: SampleSource, stack: FilterStack, block: np.ndarra
 
 
 def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
-                       edges, fail_prob: float, n_batch: int,
-                       ledger: ScalarLedger) -> np.ndarray:
-    """Median-of-means estimates of E[w(x) f(x) 1(e_j < f(x) <= e_j+1)], f = (x.v)^2.
+                       lo: float, hi: float, fail_prob: float, n_batch: int,
+                       ledger: ScalarLedger, *, bar: float | None = None,
+                       rel_tol: float | None = None) -> float:
+    """Median-of-means estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
 
-    One estimate per band between consecutive ``edges``, all from one draw:
-    each row is scored into every band, and each band takes its own median.
-    ``v`` must be a unit vector. Each chunk is booked and scored in one
-    product over all its rows, which costs less than gathering the accepted
-    rows. An accepted row has a finite squared norm, which bounds its score,
-    so only rejected rows can overflow or turn NaN here; their floating-point
-    flags are muted and their scores are replaced by zeros before any sum.
+    ``v`` must be a unit vector, so an accepted score is at most
+    B = min(hi, prune radius^2), the bound ``stream_mean_estimate`` stops
+    early by: it returns once its interval settles the decision against
+    ``bar`` or the value to ``rel_tol``, and at ``n_batch`` rows per batch
+    otherwise. Each chunk is booked and scored in one product over all its
+    rows, which costs less than gathering the accepted rows. An accepted row
+    has a finite squared norm, which bounds its score, so only rejected rows
+    can overflow or turn NaN here; their floating-point flags are muted and
+    their scores are replaced by zeros before any sum.
     """
-    bands = tuple(zip(edges[:-1], edges[1:]))
-
     def draw(k: int) -> np.ndarray:
         with ledger.reserve(k * source.dim):
             pts = source.draw(k)
             keep = stack.weights(pts)
             with np.errstate(over="ignore", invalid="ignore"):
                 f = (pts @ v) ** 2
-            out = np.zeros((len(bands), k))
-            for row, (lo, hi) in zip(out, bands):
-                np.copyto(row, f, where=keep & (f > lo) & (f <= hi))
-            return out
+            return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
 
-    return stream_mean_estimate(draw, fail_prob, n_batch=n_batch, bands=len(bands),
-                                ledger=ledger)
+    return stream_mean_estimate(draw, fail_prob, n_batch=n_batch,
+                                score_bound=min(hi, stack.prune_radius_sq),
+                                bar=bar, rel_tol=rel_tol, ledger=ledger)
 
 
 def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,

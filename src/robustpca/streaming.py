@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import Candidate, sample_top_eigenvector_streaming
+from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import CERT_FAILURE_PROB, run_boosted
 from .estimators import opnorm_bracket, streaming_quantile, streaming_quantile_samples
@@ -25,7 +25,7 @@ from .sources import BudgetedSource, SampleSource, ScalarLedger
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 
 BATCH_SIZE_CAP = 4096         # moment-product minibatch
-MEAN_BATCH_CAP = 1_000_000    # filter median-of-means batch
+MEAN_BATCH_CAP = 1_000_000    # filter median-of-means ceiling
 
 
 @dataclass
@@ -35,10 +35,12 @@ class StreamStats:
 
 
 def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
-    """Per-batch draws of the filter means' median-of-means score average.
+    """Ceiling on the per-batch draws of the filter's median-of-means.
 
-    Sized for scores as large as the prune radius. The certificate sizes its
-    own batches from its decision and takes this count only as a ceiling.
+    Sized for scores as large as the prune radius. The filter's estimates
+    stop early once their question is settled, and take this many rows per
+    batch only when it is not; the certificate sizes its own ceiling from
+    its decision and takes this count only as a cap on it.
     """
     eps_eff = max(eps, 1e-3)
     log_factor = max(1.0, math.log(max(d, 2) / eps_eff))
@@ -123,17 +125,16 @@ class MinibatchEstimators:
                                       self.ledger),
             tail, CERT_FAILURE_PROB, ledger=self.ledger)
 
-    def sigma_trimmed(self, cap: float) -> tuple[float, float]:
-        # One draw scores every row into both bands; each takes its own median.
-        sigma, above = accepted_band_mean(self.source, self.stack, self._v,
-                                          (-math.inf, cap, math.inf), CERT_FAILURE_PROB,
-                                          self.mean_batch, ledger=self.ledger)
-        return float(sigma), float(above)
+    def sigma_trimmed(self, cap: float) -> float:
+        # A value, not a decision: settled once within a factor 1.25 of the truth.
+        return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
+                                  CERT_FAILURE_PROB, self.mean_batch, self.ledger,
+                                  rel_tol=DECISION_MARGIN)
 
-    def mean_score(self, L: float, thr: float) -> float:
-        mean, = accepted_band_mean(self.source, self.stack, self._v, (L, thr),
-                                   CERT_FAILURE_PROB, self.mean_batch, ledger=self.ledger)
-        return float(mean)
+    def mean_score(self, L: float, thr: float, bound: float) -> float:
+        return accepted_band_mean(self.source, self.stack, self._v, L, thr,
+                                  CERT_FAILURE_PROB, self.mean_batch, self.ledger,
+                                  bar=bound)
 
     def score_range(self, L: float) -> float:
         # Analytic bound: f(x) = (v.x)^2 <= ||x||^2 <= prune radius^2.

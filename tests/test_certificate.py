@@ -15,7 +15,13 @@ from robustpca import (
 )
 from robustpca import certificate
 from robustpca.certificate import REF_START_FAILURE, acceptance_factors, decision_margin
-from robustpca.estimators import streaming_quantile, streaming_quantile_samples
+from robustpca.estimators import (
+    FIRST_STAGE,
+    mom_interval,
+    mom_stages,
+    streaming_quantile,
+    streaming_quantile_samples,
+)
 from robustpca.oracle import dense_spectrum
 from robustpca.streaming import MEAN_BATCH_CAP
 
@@ -135,11 +141,15 @@ def _chain_samples(d, gamma, batch_size, c_cert=4.0):
 
 def test_streaming_certificate_sample_count_from_its_decision():
     # Clean pool, every row accepted: the certificate draws its chains, one
-    # quantile block and r median-of-means batches of
-    # n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows, B the trim cutoff. The
-    # chains are (max(37, 30) + 1) * 1,500 = 57,000 rows: the candidate
-    # (p_cert = 30) rides the reference chain (p_ref = 37) and its scoring
-    # batch, which drew 103,500 rows apart.
+    # quantile block and a median-of-means capped at
+    # n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows per batch, B the trim
+    # cutoff. The chains are (max(37, 30) + 1) * 1,500 = 57,000 rows: the
+    # candidate (p_cert = 30) rides the reference chain (p_ref = 37) and its
+    # scoring batch, which drew 103,500 rows apart. n splits into J stages
+    # of 256, 512, ... rows per batch and r = ceil(log2(J / fail_prob))
+    # batches. A clean trimmed mean sits far above the bar (1 + eta) mu0, so
+    # the first stage's interval already lies above it: r * 256 rows, where
+    # a fixed-size median-of-means drew ceil(log2(1 / fail_prob)) * n.
     d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
     pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
@@ -156,10 +166,14 @@ def test_streaming_certificate_sample_count_from_its_decision():
 
     f1, _f2 = acceptance_factors(gamma, AlgoConfig(gamma=gamma).c_acc)
     eta = decision_margin(f1)
+    bar = (1 + eta) * f1 * cand.rayleigh_emp
     n = math.ceil(16 * (1 + 2 * eta) / eta ** 2 * (cap / (f1 * cand.rayleigh_emp)))
-    reps = math.ceil(math.log2(1 / fail_prob))
     assert 1000 < n < 10_000
-    assert src.delivered == pos + m + reps * n
+    stages = mom_stages(n, cap)
+    assert stages[0] == FIRST_STAGE == 256 and stages[-1] == n
+    reps = math.ceil(math.log2(len(stages) / fail_prob))
+    assert mom_interval(cand.sigma_robust, cap, FIRST_STAGE)[0] > bar
+    assert src.delivered == pos + m + reps * FIRST_STAGE
 
 
 def test_streaming_certificate_small_gamma_accepts_clean_pool():
@@ -188,10 +202,14 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
 
 def test_streaming_certificate_without_margin_takes_the_ceiling():
     # c_acc = 0 sets f1 = 1, where no margin fits under the Rayleigh quotient:
-    # eta is 0, the test is sigma >= rayleigh_emp, and each median-of-means
-    # batch draws max_mean_batch rows. The shared chains draw (max(35, 28) +
-    # 1) * 1,000 = 36,000 rows, the quantile block 9,986 and the five
-    # median-of-means batches 5 * 700.
+    # eta is 0, the test is sigma >= rayleigh_emp, and the median-of-means
+    # is capped at max_mean_batch rows per batch: stages of 256, 512 and 700
+    # rows over ceil(log2(3 / 0.05)) = 6 batches. A 3 eps trim keeps about
+    # two thirds of a Gaussian variance, so the test rejects. The 256-row
+    # stage leaves that open, and the 512-row median sigma puts the whole
+    # interval of means within 4 sqrt(B mu / 512) of it below rayleigh_emp.
+    # The shared chains draw (max(35, 28) + 1) * 1,000 = 36,000 rows, the
+    # quantile block 9,986 and the median-of-means 6 * 512.
     d, eps, gamma, fail_prob, batch = 6, 0.02, 0.4, 0.05, 1000
     assert acceptance_factors(gamma, 0.0)[0] == 1.0 and decision_margin(1.0) == 0.0
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
@@ -200,24 +218,37 @@ def test_streaming_certificate_without_margin_takes_the_ceiling():
     f2 = acceptance_factors(gamma, 0.0)[1]
     assert cand.accepted is (cand.sigma_robust >= cand.rayleigh_emp
                              and cand.rayleigh_emp >= f2 * cand.reference_rayleigh)
-    reps = math.ceil(math.log2(1 / fail_prob))
-    assert src.delivered == (_chain_samples(d, gamma, batch)
-                             + streaming_quantile_samples(3 * eps, fail_prob) + reps * 700)
+    assert not cand.accepted
+
+    # The trim cutoff B, recomputed over the same rows of a second cycle.
+    pos = _chain_samples(d, gamma, batch)
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(pos)
+    cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, 3 * eps, fail_prob)
+    assert mom_stages(700, cap) == [256, 512, 700]
+    assert mom_interval(cand.sigma_robust, cap, 512)[1] < cand.rayleigh_emp
+    reps = math.ceil(math.log2(3 / fail_prob))
+    assert reps == 6
+    assert src.delivered == pos + streaming_quantile_samples(3 * eps, fail_prob) + reps * 512
 
 
 @pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])
 def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq):
     # eps = 0 trims nothing. Under an infinite prune radius the scores have no
-    # bound, and under the largest finite one B / mu0 overflows: either way
-    # each median-of-means batch draws max_mean_batch rows. Total: the shared
-    # chains' (max(35, 28) + 1) * 1,000 rows and 5 * 700.
+    # bound, so the median-of-means has one stage of max_mean_batch rows over
+    # ceil(log2(1 / 0.05)) = 5 batches. Under the largest finite radius B / mu0
+    # overflows, so each batch may draw max_mean_batch rows, and the intervals
+    # of its stages (256, 512 and 700 rows, 6 batches), whose widths grow
+    # with B / n, settle nothing before the ceiling. Total: the shared
+    # chains' (max(35, 28) + 1) * 1,000 rows and reps * 700.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700,
                                stack=FilterStack(prune_radius_sq=prune_radius_sq))
     assert cand.accepted
-    reps = math.ceil(math.log2(1 / fail_prob))
+    reps = math.ceil(math.log2(len(mom_stages(700, prune_radius_sq)) / fail_prob))
+    assert reps == (5 if prune_radius_sq == math.inf else 6)
     assert src.delivered == _chain_samples(d, gamma, batch) + reps * 700
 
 

@@ -106,13 +106,16 @@ def test_missing_n_for_batch():
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_outer": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_inner": -1.0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "max_resident_scalars": -1}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_pi": 0}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_cert": -1.0}}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
         "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
         "schatten_blind_without_rank", "schatten_blind_rank_zero",
         "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim",
         "t_end_zero", "k_end_zero", "batch_size_zero", "c_outer_zero",
-        "c_inner_negative", "max_resident_scalars_negative"])
+        "c_inner_negative", "max_resident_scalars_negative", "c_pi_zero",
+        "c_cert_negative"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:
@@ -122,6 +125,17 @@ def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "r.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_sets_the_certificate_constants(tmp_path):
+    # The schema admits every certificate constant AlgoConfig takes, so a
+    # config can lengthen the candidate chain.
+    raw = minimal_config(algo={"eps": 0.0, "gamma": 0.05, "c_pi": 5.0, "c_cert": 8})
+    config = ExperimentConfig.from_dict(raw)
+    assert (config.algo.c_pi, config.algo.c_cert) == (5.0, 8)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_cli_run_writes_reports_and_is_deterministic(tmp_path, capsys):

@@ -284,10 +284,11 @@ def test_drive_uses_only_the_suite_contract():
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
 
 
-def test_batch_sigma_trimmed_pair_is_exact():
-    # The batch suite answers sigma_trimmed with the exact pair the driver
-    # needs: the trimmed variance and the filter's opening mean, the mean
-    # score above the cutoff, bit for bit as mean_score(L, inf) gives it.
+def test_batch_means_are_exact_whatever_the_bound():
+    # The batch suite answers sigma_trimmed with the exact trimmed variance,
+    # and mean_score with the exact mean score in (L, thr]: the exit bound
+    # the filter hands it, which lets a stream suite stop sampling, changes
+    # nothing here, so batch filters keep their thresholds bit for bit.
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0),
                             np.einsum("ij,ij->i", pts, pts))
@@ -297,9 +298,11 @@ def test_batch_sigma_trimmed_pair_is_exact():
     assert suite.start_iteration(v)
     cut = suite.quantile_value(0.15)
     f = (pts[suite.weights] @ v) ** 2
-    assert suite.sigma_trimmed(cut) == (trimmed_variance(f, cut, 3000),
-                                        suite.mean_score(cut, math.inf))
-    assert suite.mean_score(cut, math.inf) == float(np.sum(f[f > cut])) / 3000 > 0
+    assert suite.sigma_trimmed(cut) == trimmed_variance(f, cut, 3000)
+    opening = float(np.sum(f[f > cut])) / 3000
+    assert opening > 0
+    for bound in (0.0, opening, math.inf):
+        assert suite.mean_score(cut, math.inf, bound) == opening
 
 
 def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):

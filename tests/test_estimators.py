@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpca import (
+    ReplaySource,
     opnorm_bracket,
     stream_mean_estimate,
     streaming_quantile,
@@ -13,6 +14,7 @@ from robustpca import (
     weighted_quantile,
 )
 from robustpca.errors import DegenerateStateError
+from robustpca.estimators import FIRST_STAGE, mom_interval, mom_stages
 
 
 def sort_scan_quantile(scores, weights, tail):
@@ -256,6 +258,87 @@ def test_stream_mean_requires_sizing_information():
     # The per-batch draw count has no default; the caller sizes it.
     with pytest.raises(TypeError):
         stream_mean_estimate(lambda k: np.zeros(k), fail_prob=0.1)
+
+
+def _counted(draw):
+    """``draw`` wrapped to record the size of every call."""
+    sizes = []
+
+    def inner(k):
+        sizes.append(k)
+        return draw(k)
+
+    return inner, sizes
+
+
+def test_stream_mean_settles_a_clear_decision_at_the_first_stage():
+    # Scores 0 or 1, mean 1/2, against a bar of 0.05: at 256 rows per batch
+    # the interval of means within 4 sqrt(B mu / n) of the median already
+    # lies above the bar. n_batch = 36,576 gives J = 9 stages, so
+    # r = ceil(log2(9 / 0.1)) = 7 batches of 256 rows.
+    rng = np.random.default_rng(12)
+    draw, sizes = _counted(lambda k: (rng.random(k) < 0.5).astype(float))
+    got = stream_mean_estimate(draw, 0.1, n_batch=36_576, score_bound=1.0, bar=0.05)
+    assert len(mom_stages(36_576, 1.0)) == 9
+    assert sizes == [FIRST_STAGE] * 7
+    assert mom_interval(got, 1.0, FIRST_STAGE)[0] > 0.05
+
+
+def test_stream_mean_without_a_score_bound_is_one_stage():
+    # B = inf leaves every interval unbounded, so there is one stage at
+    # n_batch over ceil(log2(1 / fail_prob)) batches, as a fixed-size
+    # median-of-means draws; the bar changes nothing.
+    rng = np.random.default_rng(13)
+    draw, sizes = _counted(lambda k: rng.random(k))
+    stream_mean_estimate(draw, 0.1, n_batch=5000, score_bound=math.inf, bar=0.05)
+    assert sum(sizes) == math.ceil(math.log2(1 / 0.1)) * 5000 == 20_000
+    assert sizes == [4096, 904] * 4
+
+
+def test_stream_mean_batches_nest_up_to_the_ceiling():
+    # rel_tol = 0 settles nothing before the ceiling. Each of the
+    # r = ceil(log2(3 / 0.1)) = 5 batches grows by 256, 256 and 488 rows over
+    # the stages of 256, 512 and 1,000 rows; its mean at the ceiling equals a
+    # one-stage estimate over its own rows, replayed from a twin source.
+    pool = np.random.default_rng(14).random((7000, 1))
+    src = ReplaySource(pool, mode="cycle")
+    draw, sizes = _counted(lambda k: src.draw(k)[:, 0])
+    got = stream_mean_estimate(draw, 0.1, n_batch=1000, score_bound=1.0, rel_tol=0.0)
+    assert sizes == [256] * 5 + [256] * 5 + [488] * 5
+
+    twin = ReplaySource(pool, mode="cycle")
+    rows = [[] for _ in range(5)]
+    for k in (256, 256, 488):
+        for batch in rows:
+            batch.append(twin.draw(k))
+    means = []
+    for batch in rows:
+        own = ReplaySource(np.concatenate(batch), mode="cycle")
+        means.append(stream_mean_estimate(lambda k: own.draw(k)[:, 0], 0.5, n_batch=1000))
+        assert means[-1] == pytest.approx(float(np.mean(np.concatenate(batch))), rel=1e-12)
+    assert got == pytest.approx(float(np.median(means)), rel=1e-12)
+
+
+@pytest.mark.parametrize("bar", [0.36, 0.25])
+def test_stream_mean_early_decisions_are_rarely_wrong(bar):
+    # Two-point scores (1 with probability 0.3, else 0) have mean 0.3, a
+    # fifth off the bar either way. Over 2,000 seeded runs the estimate
+    # stops early in most, and lands on the wrong side of the bar at an
+    # early stop in at most a fail_prob share of them.
+    fail_prob, n_batch, runs = 0.1, 4096, 2000
+    stages = mom_stages(n_batch, 1.0)
+    reps = math.ceil(math.log2(len(stages) / fail_prob))
+    rng = np.random.default_rng(15)
+    early = wrong = 0
+    for _ in range(runs):
+        draw, sizes = _counted(lambda k: (rng.random(k) < 0.3).astype(float))
+        got = stream_mean_estimate(draw, fail_prob, n_batch=n_batch, score_bound=1.0,
+                                   bar=bar)
+        if sum(sizes) < reps * n_batch:
+            early += 1
+            wrong += (got >= bar) != (0.3 >= bar)
+    assert early >= runs // 2
+    assert wrong <= fail_prob * runs
 
 
 @settings(max_examples=80, deadline=None)

@@ -113,16 +113,35 @@ def test_survivor_monotone_per_round():
     w = np.ones(100, dtype=bool)
     seen = []
 
-    def spy_mean(thr):
+    def spy_mean(thr, _bound):
         live = w & (f > 0.5) & (f <= thr)
         seen.append(np.count_nonzero(f[w] <= max(0.5, thr)))
         return float(np.sum(f[live])) / 100
 
     hard_thresholding_filter(spy_mean, np.ones(2), L=0.5, T_hat=0.2,
                              R=float(f.max()), delta=0.0,
-                             rng=np.random.default_rng(5),
-                             opening_mean=spy_mean(math.inf))
+                             rng=np.random.default_rng(5))
     assert all(a >= b for a, b in zip(seen, seen[1:]))
+
+
+def test_every_mean_is_asked_against_the_exit_bound():
+    # The loop opens at thr = inf and then cuts at r_1 > r_2 > ...; every call
+    # carries the exit bound (5/2)(T_hat + delta), so an estimator can stop
+    # sampling once its comparison is settled without knowing the formula.
+    f = np.random.default_rng(4).uniform(0, 20, 100)
+    calls = []
+
+    def spy_mean(thr, bound):
+        calls.append((thr, bound))
+        return float(np.sum(f[(f > 0.5) & (f <= thr)])) / 100
+
+    out = hard_thresholding_filter(spy_mean, np.ones(2), L=0.5, T_hat=0.2,
+                                   R=float(f.max()), delta=0.1,
+                                   rng=np.random.default_rng(5))
+    assert out.rounds == len(calls) - 1 >= 1
+    assert calls[0][0] == math.inf
+    assert all(a > b for (a, _), (b, _) in zip(calls, calls[1:]))
+    assert {bound for _thr, bound in calls} == {2.5 * (0.2 + 0.1)}
 
 
 def test_batch_and_callback_paths_agree_under_coupled_rng():
@@ -135,13 +154,12 @@ def test_batch_and_callback_paths_agree_under_coupled_rng():
     tau = np.where(w & (f > L), f, 0.0)
     R = float(tau.max())
 
-    def mean_fn(thr):
+    def mean_fn(thr, _bound):
         live = w & (f > L) & (f <= thr)
         return float(np.sum(f[live])) / 250
 
     out_b = hard_thresholding_filter(mean_fn, np.array([1.0, 0.0]), L, t_hat, R,
-                                     0.0, np.random.default_rng(77),
-                                     opening_mean=mean_fn(math.inf), score_floor=L)
+                                     0.0, np.random.default_rng(77), score_floor=L)
     assert out_a.rounds == out_b.rounds
     assert out_a.final_mean_score == out_b.final_mean_score
     if out_a.new_entry is None:
@@ -186,11 +204,11 @@ def test_filter_survivors_are_exactly_a_threshold_cut(seed, L, t_hat):
 def test_runaway_guard_raises():
     calls = [0]
 
-    def stuck_mean(thr):
+    def stuck_mean(thr, _bound):
         calls[0] += 1
         return 100.0  # never drops: simulated estimator failure
 
     with pytest.raises(FilterLoopError):
         hard_thresholding_filter(stuck_mean, np.ones(2), L=1.0, T_hat=0.1,
                                  R=1000.0, delta=0.0, rng=np.random.default_rng(9),
-                                 opening_mean=stuck_mean(math.inf), score_floor=1.0)
+                                 score_floor=1.0)

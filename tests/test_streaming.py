@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,10 @@ from robustpca import (
     streaming_robust_pca,
     tv_contaminated_source,
 )
-from robustpca.driver import CERT_FAILURE_PROB
+from robustpca.certificate import DECISION_MARGIN
+from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators
+from robustpca.estimators import FIRST_STAGE, mom_interval, mom_stages
+from robustpca.filtering import hard_thresholding_filter
 from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
 from robustpca.linops import (
     accepted_band_mean,
@@ -182,26 +186,77 @@ def test_default_batch_formulas_clamped():
     assert MinibatchEstimators(src, cfg2, 1.5, ScalarLedger()).batch == 777
 
 
-def test_stream_sigma_and_opening_mean_share_one_draw():
-    # A filter iteration's trimmed variance and opening mean are two bands of
-    # one median-of-means draw: ceil(log2(1/0.1)) = 4 batches of mean_batch
-    # rows, not 8. Each band is its own median, equal to a one-band estimate
-    # over the same rows of a twin pool.
-    pool, _spec = _spiked_pool(d=8, rows=20_000)
+def test_stream_sigma_trimmed_settles_to_its_precision():
+    # The trimmed variance is a value, not a decision: its median-of-means
+    # stops at the first stage n whose interval [lo, hi] of means within
+    # 4 sqrt(B mu / n) of the median has hi <= (1 + DECISION_MARGIN) lo,
+    # B = min(cut, prune radius^2). Each of r = ceil(log2(J / 0.1)) batches
+    # then holds n rows, and the estimate lies within a factor 1.25 of the
+    # exact trimmed mean of the cycled pool, which is its population. At
+    # d = 20 the ceiling is 36,576 rows per batch, as on the stream
+    # benchmark, and the stop comes well before it.
+    pool, _spec = _spiked_pool(d=20, rows=20_000)
     src = ReplaySource(pool, mode="cycle")
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
     suite.prologue()
-    v = np.eye(8)[1]
+    v = np.eye(20)[0]
     assert suite.start_iteration(v)
-    cut, before = 2.0, src.delivered
-    sigma, opening = suite.sigma_trimmed(cut)
-    assert src.delivered - before == 4 * suite.mean_batch
-    for band, got in (((-np.inf, cut), sigma), ((cut, np.inf), opening)):
-        twin = ReplaySource(pool, mode="cycle")
-        twin.draw(before)
-        want, = accepted_band_mean(twin, suite.stack, v, band, CERT_FAILURE_PROB,
-                                   suite.mean_batch, ScalarLedger())
-        assert got == want > 0
+    cut, before = 20.0, src.delivered
+    sigma = suite.sigma_trimmed(cut)
+    bound = min(cut, suite.stack.prune_radius_sq)
+    stages = mom_stages(suite.mean_batch, bound)
+    reps = math.ceil(math.log2(len(stages) / CERT_FAILURE_PROB))
+    n, rest = divmod(src.delivered - before, reps)
+    assert rest == 0 and n in stages[:-1]
+    lo, hi = mom_interval(sigma, bound, n)
+    assert hi <= (1 + DECISION_MARGIN) * lo
+    f = (pool[suite.stack.weights(pool)] @ v) ** 2
+    exact = float(np.sum(f[f <= cut])) / pool.shape[0]
+    assert exact / (1 + DECISION_MARGIN) <= sigma <= exact * (1 + DECISION_MARGIN)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stream_filter_decisions_equal_the_exact_ones(seed):
+    # On a cycled pool the population is the pool, whose rows both suites
+    # keep whole, so the batch suite's mean_score is the exact mean the
+    # stream suite estimates. Along the outlier axis the opening mean (about
+    # 40) and the round means (about 0.3) are far from the exit bound (about
+    # 2.5), so from the same L, T_hat, R, delta and rng_filt the stream
+    # filter makes the batch filter's decisions: the same rounds and the
+    # same (direction, threshold) entry. The opening decision settles at
+    # the first stage, r * 256 rows, where a fixed-size estimate drew
+    # ceil(log2(1 / 0.1)) * mean_batch.
+    pool, _spec = _spiked_pool(d=8, rows=20_000, seed=seed)
+    cfg = AlgoConfig(eps=0.03, gamma=0.6)
+    src = ReplaySource(pool, mode="cycle")
+    stream = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
+    _sigma_op, delta = stream.prologue()
+    exact = BatchEstimators(pool, cfg, np.einsum("ij,ij->i", pool, pool))
+    exact.prologue()
+    assert stream.stack.weights(pool).all() and exact.weights.all()
+    v = np.eye(8)[1]
+    assert stream.start_iteration(v) and exact.start_iteration(v)
+    L = exact.quantile_value(3 * cfg.eps)
+    t_hat = FILTER_TRIGGER * cfg.gamma * exact.sigma_trimmed(L)
+    R = exact.score_range(L)
+    rows = []
+
+    def stream_mean(thr, bound):
+        before = src.delivered
+        mean = stream.mean_score(L, thr, bound)
+        rows.append(src.delivered - before)
+        return mean
+
+    outcomes = [hard_thresholding_filter(mean, v, L, t_hat, R, delta, rng_stream(seed, 0, 3))
+                for mean in (stream_mean, lambda thr, bound: exact.mean_score(L, thr, bound))]
+    got, want = outcomes
+    assert got.rounds == want.rounds >= 1
+    np.testing.assert_array_equal(got.new_entry.direction, want.new_entry.direction)
+    assert got.new_entry.threshold_sq == want.new_entry.threshold_sq
+    stages = mom_stages(stream.mean_batch, stream.stack.prune_radius_sq)
+    reps = math.ceil(math.log2(len(stages) / CERT_FAILURE_PROB))
+    assert rows[0] == reps * FIRST_STAGE
+    assert all(n <= reps * stream.mean_batch for n in rows)
 
 
 # -- honest memory accounting and typed failure modes ------------------------------
@@ -346,7 +401,7 @@ def test_stream_helpers_restore_the_ledger():
             src, stack, lambda x: (x @ v) ** 2, 50, led),
         "streamed_rayleigh": lambda src, led: streamed_rayleigh(src, stack, v, 50, led),
         "accepted_band_mean": lambda src, led: accepted_band_mean(
-            src, stack, v, (0.0, 5.0), 0.1, 40, ledger=led),
+            src, stack, v, 0.0, 5.0, 0.1, 40, led),
         "streamed_power_apply": lambda src, led: streamed_power_apply(
             src, stack, 2, 50, v, ledger=led),
     }
