@@ -4,8 +4,7 @@ Batch and streaming recovery share one control flow, ``drive``: prune, then
 doubling-power rounds that each try to certify a candidate direction and, if
 that fails, score points along a randomized power direction, trim a robust
 variance, and hard-threshold the high scorers. The loop only ever talks to
-an estimator suite, which answers either with exact batch quantities
-(``BatchEstimators``) or with one-pass stream estimates
+an estimator suite, exact (``BatchEstimators``) or one-pass
 (``streaming.MinibatchEstimators``). A suite has a ``dim``, a filter
 ``stack``, and exactly these nine methods, all called by ``drive``:
 
@@ -15,14 +14,13 @@ an estimator suite, which answers either with exact batch quantities
 - ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
-- ``quantile_value(tail)``, ``score_range(L)``: scalar answers along the
-  kept direction.
-- ``sigma_trimmed(cap)``: the trimmed variance, the mean of the scores
-  <= cap over the whole population. A stream suite estimates it to within a
-  factor 1 + ``certificate.DECISION_MARGIN``.
-- ``mean_score(L, thr, bound)``: the mean of the scores in (L, thr], which
-  the filter compares with its exit ``bound``. A stream suite stops sampling
-  once that comparison is settled; the batch suite ignores ``bound``.
+- ``quantile_value(tail)``: a score cutoff along the kept direction;
+  ``score_range(L)``: a bound on the scores above L, positive if any is.
+- ``sigma_trimmed(cap)``: the mean of the scores <= cap over the whole
+  population, to within a factor 1 + ``certificate.DECISION_MARGIN``.
+- ``mean_score(L, thr, bound)``: the mean of the scores in (L, thr]; a
+  suite may stop sampling once its comparison with the filter's exit
+  ``bound`` is settled.
 - ``register_entry(entry)``: apply a new filter.
 """
 
@@ -85,11 +83,8 @@ class BatchEstimators:
 
     def __init__(self, points: np.ndarray, config: AlgoConfig, sq_norms: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
-        # The rows' squared norms, which the caller computes once for every rep.
         self.sq_norms = sq_norms
         self.n, self.dim = self.points.shape
-        self.eps = config.eps
-        self.gamma = config.gamma
         self.config = config
         self.weights = np.ones(self.n, dtype=bool)
         self.op: SecondMomentOp | None = None
@@ -99,10 +94,10 @@ class BatchEstimators:
     def prologue(self):
         # One squared-norm pass serves the bracket and the prune. Rows whose
         # squared norm overflows take no part, even at eps = 0.
-        g = self.sq_norms
-        sigma_op = opnorm_bracket(g[FilterStack().within_radius(g)], self.eps, self.n)
-        if self.eps > 0:
-            radius_sq = PRUNE_FACTOR * sigma_op * self.dim / self.eps
+        g, eps = self.sq_norms, self.config.eps
+        sigma_op = opnorm_bracket(g[FilterStack().within_radius(g)], eps, self.n)
+        if eps > 0:
+            radius_sq = PRUNE_FACTOR * sigma_op * self.dim / eps
         else:
             radius_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=radius_sq)
@@ -111,8 +106,8 @@ class BatchEstimators:
         return sigma_op, 0.0
 
     def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
-        return sample_top_eigenvector(self.op, self.n, self.eps,
-                                      self.gamma, fail_prob, self.config, rng)
+        return sample_top_eigenvector(self.op, self.n, self.config.eps,
+                                      self.config.gamma, fail_prob, self.config, rng)
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
         return gaussian_retry(rng, self.dim, lambda z: power_direction(self.op, p_k, z))
@@ -185,19 +180,16 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
 
                 event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": False}
                 if not suite.start_iteration(v):
-                    # Every surviving score is zero; filtering is a no-op.
                     event["skipped"] = True
                 else:
                     L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
                     sigma = suite.sigma_trimmed(L)
                     t_hat = FILTER_TRIGGER * cfg.gamma * sigma
-                    r_range = suite.score_range(L)
                     outcome = hard_thresholding_filter(
                         lambda thr, bound: suite.mean_score(L, thr, bound),
-                        v, L, t_hat, 1.0 if r_range <= 0 else r_range,
-                        delta, rng_filt,
+                        v, L, t_hat, suite.score_range(L), delta, rng_filt,
                     )
-                    if outcome.new_entry is not None and outcome.rounds > 0:
+                    if outcome.new_entry is not None:
                         suite.register_entry(outcome.new_entry)
                     event.update(
                         rounds=outcome.rounds, mean_score=outcome.final_mean_score,
@@ -252,25 +244,20 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
                trace_sink=None) -> PcaResult:
     """Recover a near-top variance direction from eps-corrupted batch data.
 
-    Returns the first certified candidate (status ACCEPTED). If every
-    iteration's candidate is rejected, reruns with fresh seeds up to
-    ``config.boost_reps`` times and falls back to the best rejected candidate
-    by robust variance (status FALLBACK_BEST). Each event passed to
-    ``trace_sink`` carries the survivor mask after its iteration as
-    ``weights``.
+    Returns the first certified candidate (status ACCEPTED), else the best
+    rejected one by robust variance over ``config.boost_reps`` reps with
+    fresh seeds (FALLBACK_BEST). Each event passed to ``trace_sink`` carries
+    the survivor mask after its iteration as ``weights``.
 
     When the median row's largest |entry| lies outside [2^-200, 2^200], where
     squared norms and matvecs over- or underflow, the solve runs exactly on a
-    copy scaled by 2^-k that brings it into [1/2, 1), and the reported
-    variances are scaled back by 4^k. The median, not the largest entry, sets
-    the scale, so that a few outlier rows cannot flush the rest to zero.
-
-    The rows' squared norms g are computed once, here, and handed to every
-    rep's prologue. Row by row, peak^2 <= g <= d peak^2 for the row's largest
-    |entry| peak, so a median g inside [4 d 2^-400, 2^398] puts the median
-    peak inside [2^-200, 2^200] (the factor 4 covers the mean of two middle
-    rows and rounding) and the per-row max/min pass is skipped; outside that
-    window the pass decides as before.
+    copy scaled by 2^-k into [1/2, 1), and the reported variances are scaled
+    back by 4^k. The median, not the largest entry, sets the scale, so that a
+    few outlier rows cannot flush the rest to zero. The rows' squared norms g
+    are computed once, here, for every rep's prologue, and spare the per-row
+    max/min pass when median g lies in [4 d 2^-400, 2^398]: row by row,
+    peak^2 <= g <= d peak^2, so the median peak then lies in [2^-200, 2^200]
+    (the factor 4 covers the mean of two middle rows and rounding).
     """
     points = ds.points
     g = np.einsum("ij,ij->i", points, points)

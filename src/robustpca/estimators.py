@@ -26,6 +26,8 @@ __all__ = [
 
 # Rows per batch at the first stage of a sequential median-of-means.
 FIRST_STAGE = 256
+# Scores a median-of-means draws, and holds, at a time.
+MEAN_CHUNK = 4096
 
 
 def weighted_quantile(scores: np.ndarray, tail: float) -> float:
@@ -131,32 +133,31 @@ def mom_stages(n_batch: int, score_bound: float) -> list[int]:
 
 def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
                          score_bound: float = math.inf, bar: float | None = None,
-                         rel_tol: float | None = None, chunk: int = 4096,
+                         rel_tol: float | None = None,
                          ledger: ScalarLedger | None = None) -> float:
     """Sequential median of batch means of a nonnegative score stream.
 
-    ``draw_scores(k)`` returns k fresh values of the target functional
-    (already weighted and capped by the caller), each in [0, ``score_bound``]
-    = [0, B]. The r batches grow together in the stages of ``mom_stages``:
-    stage j draws each batch up to n_j rows, and the estimate m is the
-    median of the r running batch means. The call returns at the first stage
-    whose interval [lo, hi] (``mom_interval``) settles the caller's question,
-    and at the last stage, ``n_batch`` rows per batch (at least 32),
-    otherwise. The question is a decision against ``bar``, settled once
-    lo > bar or hi < bar, or a value to ``rel_tol``, settled once
-    hi <= (1 + rel_tol) lo.
+    ``draw_scores(k)`` returns k <= ``MEAN_CHUNK`` fresh values of the
+    target functional (already weighted and capped by the caller), each in
+    [0, ``score_bound``] = [0, B]. The r batches grow together in the stages
+    of ``mom_stages``, and the estimate m is the median of the r running
+    batch means. The call returns at the first stage whose interval [lo, hi]
+    (``mom_interval``) settles the caller's question, and otherwise at the
+    last, ``n_batch`` (at least 32) rows per batch. The question is a
+    decision against ``bar``, settled once lo > bar or hi < bar, or a value
+    to ``rel_tol``, settled once hi <= (1 + rel_tol) lo.
 
     The median leaves [lo, hi] only if at least r/2 batch means leave their
     15/16 Chebyshev band, which has probability at most
     2^r (1/16)^(r/2) = 2^-r. With J stages, r = ceil(log2(J / fail_prob)),
     so with probability at least 1 - fail_prob the true mean lies in every
-    stage's interval. Since m lies in [lo, hi] too, an early m then falls on
-    the true mean's side of ``bar``, or within a factor 1 + rel_tol of it.
-    The last stage is a median of at least ceil(log2(1/fail_prob)) batches
-    of ``n_batch`` rows, the batches a fixed-size median-of-means takes, so
-    a caller that sized ``n_batch`` for its decision keeps that guarantee
-    there. An estimate that never settles draws r / ceil(log2(1/fail_prob))
-    times the fixed-size rows: 7/4 at fail_prob 0.1 with 9 stages.
+    stage's interval, and an early m, which lies there too, falls on the
+    true mean's side of ``bar``, or within a factor 1 + rel_tol of it. The
+    last stage is a fixed-size median-of-means of at least
+    ceil(log2(1/fail_prob)) batches of ``n_batch`` rows, so a caller that
+    sized ``n_batch`` for its decision keeps that guarantee there. An
+    estimate that never settles draws r / ceil(log2(1/fail_prob)) times the
+    fixed-size rows: 7/4 at fail_prob 0.1 with 9 stages.
     """
     n_batch = max(32, int(n_batch))
     stages = mom_stages(n_batch, score_bound)
@@ -165,11 +166,11 @@ def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
 
     totals = np.zeros(reps)
     drawn = 0
-    with ledger.reserve(min(chunk, n_batch) + reps):
+    with ledger.reserve(min(MEAN_CHUNK, n_batch) + reps):
         for n in stages:
             for i in range(reps):
-                for start in range(drawn, n, chunk):
-                    totals[i] += np.sum(draw_scores(min(chunk, n - start)))
+                for start in range(drawn, n, MEAN_CHUNK):
+                    totals[i] += np.sum(draw_scores(min(MEAN_CHUNK, n - start)))
             drawn = n
             m = max(0.0, float(np.median(totals / n)))
             if n == n_batch:

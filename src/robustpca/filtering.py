@@ -1,13 +1,9 @@
-"""Randomized hard-thresholding outlier filter.
+"""Randomized hard-thresholding outlier filter (``hard_thresholding_filter``).
 
-One call repeatedly draws a uniform threshold from a geometrically shrinking
-range and removes every surviving point whose score exceeds it, until the
-weighted mean score drops under (5/2)(T_hat + delta). A point's removal
-probability per round is proportional to its score, which is what makes the
-expected removed outlier mass dominate the removed inlier mass.
-
-Only the final threshold matters for the surviving set, so the whole loop
-compacts into a single (direction, max(L, r_final)) entry.
+A point's removal probability per round is proportional to its score, which
+is what makes the expected removed outlier mass dominate the removed inlier
+mass. Only the final threshold matters for the surviving set, so a whole
+loop compacts into a single filter entry.
 """
 
 from __future__ import annotations
@@ -37,16 +33,14 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
                              score_floor: float | None = None) -> FilterOutcome:
     """Run the threshold loop against an abstract mean-score evaluator.
 
-    ``mean_score_fn(thr, bound)`` must return the current mean of
-    w(x) * f(x) * 1(L < f(x) <= thr) under the caller's weights, i.e. the
-    weighted mean score after hypothetically cutting at thr; the loop only
-    compares it with ``bound``, the exit bound (5/2)(T_hat + delta), which
-    an estimator may use to stop sampling once the comparison is settled.
-    The opening mean is taken at thr = inf. The loop draws r_0 = R,
-    r_l ~ U([0, r_{l-1}]) and stops once the mean is at most the exit bound.
-    Returns the compacted entry (v, max(L, r_final)), or no entry when the
-    loop never fired.
-
+    ``mean_score_fn(thr, bound)`` returns the weighted mean of
+    f(x) * 1(L < f(x) <= thr), the mean score after cutting at thr. The loop
+    only compares it with ``bound``, the exit bound (5/2)(T_hat + delta), so
+    an estimator may stop sampling once that comparison is settled. The
+    opening mean is taken at thr = inf; while the mean exceeds the exit
+    bound the loop draws r_0 = R, r_l ~ U([0, r_{l-1}]), so R is read only
+    then, and must be positive and finite. Returns the compacted entry
+    (v, max(L, r_final)), or no entry when the loop never fired.
     ``score_floor`` bounds the smallest positive score and only feeds the
     runaway guard; it defaults to L.
     """

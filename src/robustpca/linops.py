@@ -1,18 +1,9 @@
 """Linear-operator layer over weighted second moments.
 
 Everything the recovery algorithms do with a covariance-like matrix goes
-through matrix-vector products here. A batch operator over m > d rows forms
-its Gram matrix G (d^2 memory, below the rows' m d) at its first matvec. A set
-serving c columns then costs (m + c) d^2 multiply-adds against 2 c m d over
-its rows, so G is never worse once c >= d; the solver's sets serve at least
-p_ref + p_cert + 2 columns (43 at d = 50, 67 at d = 1000 by default). With one
-OpenBLAS thread on 2 vCPUs, G's build costs 3.6-4.4 row columns at
-20,000 x 50 and 18-24 at 10,000 x 1000. Stream rows are drawn only by
+through matrix-vector products here: ``SecondMomentOp`` over in-memory rows,
+minibatch power chains over a stream. Stream rows are drawn only by
 ``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
-A certificate's candidate rides its reference chain, so the two share its
-minibatches. Each median-of-means estimate draws its own rows and stops at
-the first stage that settles its question, so a clear decision costs a few
-hundred rows per batch and only a close one the full count.
 """
 
 from __future__ import annotations
@@ -45,10 +36,13 @@ class SecondMomentOp:
     """Normalized second-moment matvec sum_i x_i (x_i . z) / m over the m given rows.
 
     The rows are referenced, not copied, as ``rows``. Over m > d rows the
-    first ``matvec`` forms G = rows^T rows (m d^2 multiply-adds) and every
-    column is served as ``G @ z / m`` at d^2; over m <= d rows a column costs
-    2 m d. G is lazy, so an operator never multiplied never builds it.
-    Deterministic given the rows and the calls.
+    first ``matvec`` forms G = rows^T rows (m d^2 multiply-adds, d^2 memory
+    below the rows' m d) and every column is served as ``G @ z / m`` at d^2;
+    over m <= d rows a column costs 2 m d. A set serving c columns thus costs
+    (m + c) d^2 against 2 c m d over its rows, so G is never worse once
+    c >= d; the solver's sets serve at least p_ref + p_cert + 2 columns,
+    8 ln d + 11 under the default constants. G is lazy, so an operator never
+    multiplied never builds it. Deterministic given the rows and the calls.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -92,7 +86,7 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
     """Unit vector along op^p z for a vector z, renormalizing every step.
 
     Returns None when the iterate collapses to the zero vector or turns
-    non-finite. Over m > d rows its p columns are served from G.
+    non-finite.
     """
     u = np.asarray(z, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -161,14 +155,13 @@ def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
     """Median-of-means estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
 
     ``v`` must be a unit vector, so an accepted score is at most
-    B = min(hi, prune radius^2), the bound ``stream_mean_estimate`` stops
-    early by: it returns once its interval settles the decision against
-    ``bar`` or the value to ``rel_tol``, and at ``n_batch`` rows per batch
-    otherwise. Each chunk is booked and scored in one product over all its
-    rows, which costs less than gathering the accepted rows. An accepted row
-    has a finite squared norm, which bounds its score, so only rejected rows
-    can overflow or turn NaN here; their floating-point flags are muted and
-    their scores are replaced by zeros before any sum.
+    B = min(hi, prune radius^2), the score bound of
+    ``estimators.stream_mean_estimate``, which takes ``n_batch``, ``bar``
+    and ``rel_tol`` as they are. Each chunk is booked and scored in one
+    product over all its rows, which costs less than gathering the accepted
+    rows. An accepted row has a finite squared norm, which bounds its score,
+    so only rejected rows can overflow or turn NaN here; their floating-point
+    flags are muted and their scores are replaced by zeros before any sum.
     """
     def draw(k: int) -> np.ndarray:
         with ledger.reserve(k * source.dim):
@@ -214,10 +207,8 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
                 acc += sub.T @ (sub @ u)
                 m_count += sub.shape[0]
             u = acc / m_count
-            # Rescale each column of a long product chain away from the float
-            # range edges (all consumers are scale-free or normalize). A joint
-            # rescale would let one large column push a small one into
-            # denormals.
+            # Rescale per column: every consumer is scale-free or normalizes,
+            # and a joint rescale would push a small column into denormals.
             peak = np.max(np.abs(u), axis=0)
             off_range = (peak > 1e100) | ((peak > 0.0) & (peak < 1e-100))
             if off_range.any():
@@ -246,8 +237,8 @@ def gaussian_retry(rng: np.random.Generator, dim: int, attempt):
 def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
     """Randomized top-direction estimate: normalize(op^p g) for Gaussian g.
 
-    Returns (unit vector, Rayleigh quotient). Retries a fresh g up to 8 times
-    if the iterate collapses to zero (rank-deficient operator, unlucky g).
+    Returns (unit vector, Rayleigh quotient). A collapsed iterate takes a
+    fresh g (``gaussian_retry``).
     """
     if p_iters < 1:
         raise ValueError("p_iters must be at least 1")
@@ -265,9 +256,7 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
                              ledger: ScalarLedger | None = None) -> np.ndarray | None:
     """Unit vector along a minibatch power chain applied to a Gaussian start.
 
-    Draws a fresh start and a fresh chain up to 8 times while the chain
-    output has zero or non-finite norm; returns None if every attempt
-    collapses.
+    A collapsed chain takes a fresh start and chain (``gaussian_retry``).
     """
     return gaussian_retry(rng, source.dim, lambda z: _unit(
         streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)))
@@ -278,20 +267,23 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            rider_power: int, ledger: ScalarLedger | None = None):
     """Best Rayleigh quotient over ``reps`` minibatch power probes, plus a rider probe.
 
-    The ``reps`` Gaussian starts form the columns of one (d, reps) block that
-    goes through a single streamed power chain (block iteration). Each output
-    column is normalized on its own; columns with zero or non-finite norm are
-    dropped. The survivors are scored by ``streamed_rayleigh`` on one
-    independent minibatch and the max is kept; the independent starts boost
-    the constant success probability of a single probe.
+    The ``reps`` Gaussian starts are the columns of one (d, reps) block that
+    goes through a single streamed power chain; the independent starts boost
+    the constant success probability of a single probe. Each output column
+    is normalized on its own, columns with zero or non-finite norm are
+    dropped, and the best ``streamed_rayleigh`` on one fresh minibatch is
+    kept.
 
     One more Gaussian start, column ``reps`` of the block, rides the same
     minibatches for ``rider_power`` = q steps: the whole block runs min(p, q)
-    steps, then the longer side goes on alone. The rider is scored on the
-    same minibatch. Returns (best Rayleigh quotient, (unit rider, its
-    Rayleigh quotient)), or None in place of the pair when the rider
-    collapsed. Consumes exactly (max(p, q) + 1) * batch_size stream samples,
-    whatever ``reps`` is.
+    steps, the longer side goes on alone, and the rider is scored on the
+    same minibatch. It is still a q-step chain over fresh iid minibatches
+    from an independent start, so each estimate keeps the distribution it
+    had on rows of its own; a caller that union-bounds their failures needs
+    no independence between them. Returns (best Rayleigh quotient, (unit
+    rider, its Rayleigh quotient)), or None in place of the pair when the
+    rider collapsed. Consumes exactly (max(p, q) + 1) * batch_size stream
+    samples, whatever ``reps`` is.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")

@@ -35,12 +35,11 @@ class StreamStats:
 
 
 def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
-    """Ceiling on the per-batch draws of the filter's median-of-means.
+    """Ceiling on the per-batch rows of the filter's median-of-means.
 
-    Sized for scores as large as the prune radius. The filter's estimates
-    stop early once their question is settled, and take this many rows per
-    batch only when it is not; the certificate sizes its own ceiling from
-    its decision and takes this count only as a cap on it.
+    Sized for scores as large as the prune radius; the estimates stop below
+    it once settled (``estimators.stream_mean_estimate``). It also caps the
+    certificate's own ceiling.
     """
     eps_eff = max(eps, 1e-3)
     log_factor = max(1.0, math.log(max(d, 2) / eps_eff))
@@ -56,28 +55,28 @@ class MinibatchEstimators:
         if r_radius < 1.0:
             raise ValueError(f"r_radius must be at least 1, got {r_radius}")
         self.source = source
-        self.eps = config.eps
-        self.gamma = config.gamma
         self.config = config
         self.r_radius = r_radius
         self.ledger = ledger
         self.dim = source.dim
         self.stack = FilterStack()
-        # d p^2 log(d/eps) / delta^2, delta <= 0.01 gamma/sqrt(d), always exceeds the cap.
+        # BATCH_SIZE_CAP is a desk constant: no bound on the minibatch
+        # moment's error backs it.
         self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
-        self.mean_batch = default_mean_batch(self.dim, self.eps, self.gamma, r_radius)
+        self.mean_batch = default_mean_batch(self.dim, config.eps, config.gamma, r_radius)
         self._v: np.ndarray | None = None
 
     # -- prologue -------------------------------------------------------------
 
     def prologue(self):
-        if self.eps > 0:
+        eps = self.config.eps
+        if eps > 0:
             # Over the rows the empty stack accepts, whose squared norms are finite.
             norm_cut = streaming_quantile(
                 lambda k: accepted_scores(self.source, FilterStack(),
                                           lambda x: np.linalg.norm(x, axis=1), k,
                                           self.ledger),
-                tail=self.eps, fail_prob=CERT_FAILURE_PROB, ledger=self.ledger,
+                tail=eps, fail_prob=CERT_FAILURE_PROB, ledger=self.ledger,
             )
             prune_sq = norm_cut * norm_cut
         else:
@@ -86,21 +85,21 @@ class MinibatchEstimators:
 
         # opnorm_bracket over fresh draws, keeping only the squared norms.
         block_m = min(max(512, streaming_quantile_samples(
-            max(3 * self.eps, 0.01), CERT_FAILURE_PROB)), 200_000)
+            max(3 * eps, 0.01), CERT_FAILURE_PROB)), 200_000)
         with self.ledger.reserve(block_m):
             g = np.concatenate([
                 np.einsum("ij,ij->i", rows, rows)
                 for rows in accepted_rows(self.source, self.stack, block_m, self.ledger)])
-            sigma_op = opnorm_bracket(g, self.eps, block_m)
+            sigma_op = opnorm_bracket(g, eps, block_m)
         self.ledger.alloc(self.dim)  # the candidate vector held across iterations
-        delta = 0.1 * self.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
+        delta = 0.1 * self.config.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
         return sigma_op, delta
 
     # -- per-iteration answers -------------------------------------------------
 
     def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
         return sample_top_eigenvector_streaming(
-            self.source, self.stack, self.eps, self.gamma, fail_prob,
+            self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
             self.config, rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
             ledger=self.ledger,
         )
@@ -126,7 +125,6 @@ class MinibatchEstimators:
             tail, CERT_FAILURE_PROB, ledger=self.ledger)
 
     def sigma_trimmed(self, cap: float) -> float:
-        # A value, not a decision: settled once within a factor 1.25 of the truth.
         return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
                                   CERT_FAILURE_PROB, self.mean_batch, self.ledger,
                                   rel_tol=DECISION_MARGIN)

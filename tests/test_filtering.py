@@ -212,3 +212,21 @@ def test_runaway_guard_raises():
         hard_thresholding_filter(stuck_mean, np.ones(2), L=1.0, T_hat=0.1,
                                  R=1000.0, delta=0.0, rng=np.random.default_rng(9),
                                  score_floor=1.0)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+def test_score_range_is_checked_only_when_the_loop_fires(R):
+    # The driver hands R to the filter as the suite reports it: a suite
+    # reports R <= 0 only when no score lies above L, where the opening mean
+    # is 0 and the loop returns before reading R.
+    def mean_at(level):
+        return lambda _thr, bound: level * bound
+
+    for level in (0.0, 0.5, 1.0):
+        out = hard_thresholding_filter(mean_at(level), np.ones(2), L=1.0, T_hat=0.2,
+                                       R=R, delta=0.1, rng=np.random.default_rng(10))
+        assert out.new_entry is None and out.rounds == 0
+        assert out.final_mean_score == level * 2.5 * (0.2 + 0.1)
+    with pytest.raises(ValueError, match="score range R"):
+        hard_thresholding_filter(mean_at(2.0), np.ones(2), L=1.0, T_hat=0.2,
+                                 R=R, delta=0.1, rng=np.random.default_rng(10))
