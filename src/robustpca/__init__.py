@@ -47,7 +47,6 @@ from .oracle import (
     dense_spectrum,
     metric_approx_ratio,
     potential_diagnostic,
-    stability_spotcheck,
     stopping_condition_truth,
 )
 from .sources import (

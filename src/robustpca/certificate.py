@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AlgoConfig, FilterStack
 from .errors import DegenerateStateError
-from .estimators import streaming_quantile, trimmed_variance, weighted_quantile
+from .estimators import TRIM_TAIL, streaming_quantile, trimmed_variance, weighted_quantile
 from .linops import (
     SecondMomentOp,
     accepted_band_mean,
@@ -103,7 +103,7 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     rayleigh_emp = float(u @ op.matvec(u))
 
     f_u = (op.rows @ u) ** 2
-    tail = 3.0 * eps
+    tail = TRIM_TAIL * eps
     cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
     sigma = trimmed_variance(f_u, cap, n_total)
 
@@ -169,7 +169,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
         return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=0.0,
                          reference_rayleigh=r_hat, accepted=False)
 
-    tail = 3.0 * eps
+    tail = TRIM_TAIL * eps
     if tail > 0:
         cap = streaming_quantile(
             lambda k: accepted_scores(source, stack, lambda x: (x @ u) ** 2, k, ledger),

@@ -88,8 +88,6 @@ CONFIG_SCHEMA = {
                 "boost_reps": {"type": "integer", "minimum": 1},
                 "t_end": {"type": ["integer", "null"]},
                 "k_end": {"type": ["integer", "null"]},
-                "c_outer": {"type": "number"},
-                "c_inner": {"type": "number"},
                 "c_acc": {"type": "number"},
                 "c_pi": {"type": "number"},
                 "c_cert": {"type": "number"},
@@ -103,7 +101,6 @@ CONFIG_SCHEMA = {
         "n": {"type": "integer", "minimum": 1},
         "stream_budget": {"type": "integer", "minimum": 1},
         "r_radius": {"type": "number", "minimum": 1},
-        "output_path": {"type": "string"},
     },
 }
 
@@ -123,7 +120,6 @@ class ExperimentConfig:
     n: int | None = None
     stream_budget: int | None = None
     r_radius: float = 2.0
-    output_path: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -328,7 +324,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             report = run_experiment(config)
-            out = _resolve_out(args.out or config.output_path, "report.json")
+            out = _resolve_out(args.out, "report.json")
             out.write_text(report.to_json())
             out.with_suffix(".csv").write_text(report.to_csv())
             if args.deterministic:

@@ -128,6 +128,10 @@ class WeightedDataset:
         return self.points.shape[1]
 
 
+C_OUTER = 30.0   # scales the inner-loop length t_end
+C_INNER = 3.0    # scales the base matrix power
+
+
 def _default_gamma(eps: float) -> float:
     if eps <= 0:
         return 0.05
@@ -139,16 +143,13 @@ class AlgoConfig:
     """Run parameters and schedule constants.
 
     ``eps`` is the assumed corruption rate; ``gamma`` the stability slack
-    (at least 20*eps; defaults to max(20*eps, eps*ln(1/eps))). ``c_outer``
-    scales the inner-loop length, ``c_inner`` the base matrix power.
-    ``t_end``/``k_end`` are normally derived from the schedule formulas and
-    only set here to override them.
+    (at least 20*eps; defaults to max(20*eps, eps*ln(1/eps))).
+    ``t_end``/``k_end`` are normally derived from the schedule formulas
+    (``C_OUTER``, ``C_INNER``) and only set here to override them.
     """
 
     eps: float = 0.0
     gamma: float | None = None
-    c_outer: float = 30.0
-    c_inner: float = 3.0
     t_end: int | None = None
     k_end: int | None = None
     boost_reps: int = 1
@@ -174,23 +175,26 @@ class AlgoConfig:
                 f"the constraint 20*eps <= gamma is violated: "
                 f"20*{self.eps} = {20 * self.eps} > gamma = {self.gamma}"
             )
-        if self.boost_reps < 1:
-            raise ValueError("boost_reps must be a positive integer")
+        # Each check is written so that NaN fails it.
+        if not self.boost_reps >= 1:
+            raise ValueError(f"boost_reps must be a positive integer, got {self.boost_reps}")
         for name in ("t_end", "k_end", "batch_size"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is not None and not value >= 1:
                 raise ValueError(f"{name} must be at least 1 when set, got {value}")
-        for name in ("c_outer", "c_inner", "c_pi", "c_cert"):
+        for name in ("c_pi", "c_cert"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.max_resident_scalars is not None and self.max_resident_scalars < 0:
+        if not self.c_acc >= 0:
+            raise ValueError(f"c_acc must be nonnegative, got {self.c_acc}")
+        if self.max_resident_scalars is not None and not self.max_resident_scalars >= 0:
             raise ValueError(f"max_resident_scalars must be nonnegative, "
                              f"got {self.max_resident_scalars}")
 
     # -- schedule formulas ---------------------------------------------------
 
     def base_power(self, d: int) -> int:
-        return max(1, math.ceil(self.c_inner * math.log(max(d, 2))))
+        return max(1, math.ceil(C_INNER * math.log(max(d, 2))))
 
     def power_at(self, d: int, k: int) -> int:
         return (2 ** (k - 1)) * self.base_power(d)
@@ -206,7 +210,7 @@ class AlgoConfig:
         if self.t_end is not None:
             return self.t_end
         eps_eff = max(self.eps, 1e-12)
-        t = math.ceil(self.c_outer * math.log(max(d, 2) / eps_eff) ** 2 / self.gamma)
+        t = math.ceil(C_OUTER * math.log(max(d, 2) / eps_eff) ** 2 / self.gamma)
         return min(max(t, 1), 10_000)
 
     def cert_power(self, d: int) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 from .certificate import Candidate, sample_top_eigenvector
 from .core import AlgoConfig, FilterEntry, FilterStack, WeightedDataset, rng_stream
 from .errors import DegenerateStateError, StreamExhaustedError
-from .estimators import opnorm_bracket, trimmed_variance, weighted_quantile
+from .estimators import TRIM_TAIL, opnorm_bracket, trimmed_variance, weighted_quantile
 from .filtering import hard_thresholding_filter
 from .linops import (
     SecondMomentOp,
@@ -48,7 +48,6 @@ from .linops import (
 __all__ = ["PcaStatus", "PcaResult", "robust_pca", "naive_pca"]
 
 FILTER_TRIGGER = 2.35     # T_hat = 2.35 * gamma * sigma_trimmed
-QUANTILE_TAIL_FACTOR = 3.0
 PRUNE_FACTOR = 10.0       # prune radius^2 = 10 * sigma_op * d / eps
 QUANTILE_FLOOR = 0.1      # L >= 0.1 * sigma_op / d for unit directions
 CERT_FAILURE_PROB = 0.1  # split over the k_end * t_end certificates of a rep
@@ -150,7 +149,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     d = suite.dim
     k_end = cfg.k_end_for(d)
     t_end = cfg.t_end_for(d)
-    tail = QUANTILE_TAIL_FACTOR * cfg.eps
+    tail = TRIM_TAIL * cfg.eps
     fail_prob = CERT_FAILURE_PROB / (k_end * t_end)
 
     best: Candidate | None = None

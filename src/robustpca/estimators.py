@@ -28,6 +28,8 @@ __all__ = [
 FIRST_STAGE = 256
 # Scores a median-of-means draws, and holds, at a time.
 MEAN_CHUNK = 4096
+# Every trimmed estimate cuts the top TRIM_TAIL * eps of its scores.
+TRIM_TAIL = 3.0
 
 
 def weighted_quantile(scores: np.ndarray, tail: float) -> float:
@@ -97,7 +99,7 @@ def opnorm_bracket(sq_norms: np.ndarray, eps: float, n_total: int) -> float:
     inlier sets. With fewer than 1/(3 eps) survivors the tail rounds to
     zero samples and no trimming occurs.
     """
-    tail = 3.0 * eps
+    tail = TRIM_TAIL * eps
     if tail >= 1.0:
         raise ValueError(f"3*eps must be below 1, got eps={eps}")
     return trimmed_variance(sq_norms, weighted_quantile(sq_norms, tail), n_total)

@@ -87,28 +87,26 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
 def hard_thresholding_filter_batch(v: np.ndarray, f_scores: np.ndarray,
                                    weights: np.ndarray, n_total: int, L: float,
                                    T_hat: float, rng: np.random.Generator,
-                                   delta: float = 0.0,
-                                   R: float | None = None):
+                                   delta: float = 0.0):
     """Batch-exact variant over in-memory scores.
 
-    Evaluates the mean score exactly each round. R defaults to the largest
-    surviving score above L (the tightest valid range). Returns
+    Evaluates the mean score exactly each round. R is the largest surviving
+    score above L (the tightest valid range), or 0 when there is none, where
+    the opening mean is 0 and the loop never reads R. Returns
     (outcome, new_weights).
     """
     f = np.asarray(f_scores, dtype=np.float64)
     w = np.asarray(weights, dtype=bool)
     active = w & (f > L)
     tau_active = f[active]
-
-    if R is None:
-        R = float(tau_active.max()) if tau_active.size else 0.0
+    R = float(tau_active.max()) if tau_active.size else 0.0
 
     def mean_at(thr: float, _bound: float) -> float:
         return float(np.sum(tau_active[tau_active <= thr])) / n_total
 
     floor = L if L > 0 else (float(tau_active.min()) if tau_active.size else 0.0)
-    outcome = hard_thresholding_filter(mean_at, v, L, T_hat, R if R > 0 else 1.0,
-                                       delta, rng, score_floor=floor)
+    outcome = hard_thresholding_filter(mean_at, v, L, T_hat, R, delta, rng,
+                                       score_floor=floor)
     if outcome.new_entry is None:
         return outcome, w
     return outcome, w & (f <= outcome.new_entry.threshold_sq)

@@ -98,8 +98,8 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
 
 
 def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
-                  ledger: ScalarLedger | None, chunk: int = _STREAM_CHUNK):
-    """Yield the accepted rows of k fresh draws, drawn ``chunk`` rows at a time.
+                  ledger: ScalarLedger | None):
+    """Yield the accepted rows of k fresh draws, ``_STREAM_CHUNK`` at a time.
 
     The ledger books the chunk buffer, d scalars per row, until the last
     chunk is handed out. Raises DegenerateStateError when none of the k
@@ -107,9 +107,9 @@ def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
     """
     ledger = ledger if ledger is not None else ScalarLedger()
     accepted = 0
-    with ledger.reserve(min(chunk, k) * source.dim):
-        for start in range(0, k, chunk):
-            pts = source.draw(min(chunk, k - start))
+    with ledger.reserve(min(_STREAM_CHUNK, k) * source.dim):
+        for start in range(0, k, _STREAM_CHUNK):
+            pts = source.draw(min(_STREAM_CHUNK, k - start))
             rows = pts[stack.weights(pts)]
             accepted += rows.shape[0]
             yield rows
@@ -178,17 +178,17 @@ def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
 
 def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
                          batch_size: int, block: np.ndarray,
-                         ledger: ScalarLedger | None = None,
-                         chunk: int = _STREAM_CHUNK):
+                         ledger: ScalarLedger | None = None):
     """Minibatch matrix power applied to a (d, m) block in one streamed pass.
 
     Each of p batches of ``batch_size`` fresh draws applies one factor
     u -> mean(x (x.u)) over the rows the stack accepts, so exactly
     p*batch_size samples are consumed. Samples stream through
     ``accepted_rows`` in chunks and no batch is retained, so resident memory
-    is O(d*m + chunk*d) regardless of batch_size. In long chains each column is
-    rescaled on its own when its values leave the [1e-100, 1e100] range, so at
-    large powers every output column is defined up to its own positive scalar.
+    is O(d*m + d*_STREAM_CHUNK) regardless of batch_size. In long chains each
+    column is rescaled on its own when its values leave the [1e-100, 1e100]
+    range, so at large powers every output column is defined up to its own
+    positive scalar.
     Returns the applied block (a vector for a vector input).
     """
     if batch_size < 1:
@@ -203,7 +203,7 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
         for _ in range(p):
             acc = np.zeros((d, m))
             m_count = 0
-            for sub in accepted_rows(source, stack, batch_size, ledger, chunk):
+            for sub in accepted_rows(source, stack, batch_size, ledger):
                 acc += sub.T @ (sub @ u)
                 m_count += sub.shape[0]
             u = acc / m_count

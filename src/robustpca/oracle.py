@@ -9,7 +9,6 @@ dense memory and the CLI, which scores each of its rows on a full spectrum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "metric_approx_ratio",
     "potential_diagnostic",
     "stopping_condition_truth",
-    "stability_spotcheck",
 ]
 
 _MAX_DENSE_DIM = 256
@@ -129,43 +127,3 @@ def stopping_condition_truth(sigma_truth: np.ndarray, points: np.ndarray,
         raise ValueError("no surviving points")
     rhs = (1.0 - 250.0 * gamma) * float(np.sum(lam2p * spec.eigenvalues)) / mass
     return lhs, rhs, lhs >= rhs
-
-
-def stability_spotcheck(points: np.ndarray, sigma_truth: np.ndarray, eps: float,
-                        gamma: float, trials: int, rng: np.random.Generator) -> float:
-    """Adversarial-deletion falsification probe for second-moment stability.
-
-    Each trial deletes the floor(eps*n) points with the largest projections
-    along a probe direction (random directions plus the empirical
-    eigenvectors) and measures how far the renormalized second moment moves
-    from sigma_truth along the probes. Returns the worst multiplicative
-    deviation. This searches for counterexamples; it cannot certify
-    stability, which quantifies over all reweightings.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    sigma_truth = np.asarray(sigma_truth, dtype=np.float64)
-    n, d = points.shape
-    k_del = int(math.floor(eps * n))
-    emp = points.T @ points / n
-    probes = [rng.standard_normal(d) for _ in range(trials)]
-    probes += [v for v in dense_spectrum(emp).eigenvectors.T]
-    worst = 1.0
-    for raw in probes:
-        nrm = float(np.linalg.norm(raw))
-        if nrm == 0:
-            continue
-        v = raw / nrm
-        truth = float(v @ sigma_truth @ v)
-        if truth <= 0:
-            continue
-        keep = np.ones(n, dtype=bool)
-        if k_del > 0:
-            proj = np.abs(points @ v)
-            keep[np.argpartition(proj, n - k_del)[n - k_del:]] = False
-        kept = points[keep]
-        got = float(v @ (kept.T @ kept / kept.shape[0]) @ v)
-        if got <= 0:
-            continue
-        ratio = got / truth
-        worst = max(worst, ratio, 1.0 / ratio)
-    return worst

@@ -18,7 +18,8 @@ import numpy as np
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import CERT_FAILURE_PROB, run_boosted
-from .estimators import opnorm_bracket, streaming_quantile, streaming_quantile_samples
+from .estimators import (TRIM_TAIL, opnorm_bracket, streaming_quantile,
+                          streaming_quantile_samples)
 from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
@@ -52,7 +53,7 @@ class MinibatchEstimators:
 
     def __init__(self, source: SampleSource, config: AlgoConfig, r_radius: float,
                  ledger: ScalarLedger):
-        if r_radius < 1.0:
+        if not r_radius >= 1.0:
             raise ValueError(f"r_radius must be at least 1, got {r_radius}")
         self.source = source
         self.config = config
@@ -85,7 +86,7 @@ class MinibatchEstimators:
 
         # opnorm_bracket over fresh draws, keeping only the squared norms.
         block_m = min(max(512, streaming_quantile_samples(
-            max(3 * eps, 0.01), CERT_FAILURE_PROB)), 200_000)
+            max(TRIM_TAIL * eps, 0.01), CERT_FAILURE_PROB)), 200_000)
         with self.ledger.reserve(block_m):
             g = np.concatenate([
                 np.einsum("ij,ij->i", rows, rows)

@@ -108,6 +108,7 @@ def test_missing_n_for_batch():
     ({"algo": {"eps": 0.0, "gamma": 0.05, "max_resident_scalars": -1}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_pi": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_cert": -1.0}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_acc": float("nan")}}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
         "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
@@ -115,7 +116,7 @@ def test_missing_n_for_batch():
         "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim",
         "t_end_zero", "k_end_zero", "batch_size_zero", "c_outer_zero",
         "c_inner_negative", "max_resident_scalars_negative", "c_pi_zero",
-        "c_cert_negative"])
+        "c_cert_negative", "c_acc_nan"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:

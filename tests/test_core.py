@@ -117,15 +117,21 @@ def test_config_validation():
     assert AlgoConfig(eps=0.0).gamma == 0.05
 
 
+NAN = float("nan")
+
+
 @pytest.mark.parametrize("field, value", [
     ("t_end", 0), ("k_end", 0), ("t_end", -3), ("batch_size", 0),
-    ("c_outer", 0.0), ("c_inner", -1.0), ("c_pi", 0.0), ("c_cert", -1.0),
-    ("c_pi", float("nan")), ("max_resident_scalars", -1),
+    ("c_pi", 0.0), ("c_cert", -1.0), ("c_pi", NAN), ("max_resident_scalars", -1),
+    ("t_end", NAN), ("k_end", NAN), ("batch_size", NAN), ("boost_reps", NAN),
+    ("max_resident_scalars", NAN), ("c_acc", NAN), ("c_acc", -1.0),
 ])
 def test_config_rejects_values_no_solve_can_use(field, value):
     # t_end or k_end at 0 divides by zero in drive, a zero batch_size fails
     # only after the stream prologue has drawn rows, and a non-positive
-    # chain constant would clamp silently to a one-step chain.
+    # chain constant would clamp silently to a one-step chain. A NaN count
+    # fails mid-solve, a NaN memory limit switches the budget off, and a NaN
+    # or negative c_acc sets f1 = 1, which no certificate passes.
     with pytest.raises(ValueError, match=field):
         AlgoConfig(eps=0.01, **{field: value})
     AlgoConfig(eps=0.01, t_end=1, k_end=1, batch_size=1, max_resident_scalars=0)

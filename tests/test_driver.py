@@ -317,10 +317,10 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
         real(self, points, config, sq_norms)
 
     monkeypatch.setattr(BatchEstimators, "__init__", spy)
-    # c_acc < 0 sets f1 = 1, which a trimmed variance cannot reach, so both
+    # c_acc = 0 sets f1 = 1, which a trimmed variance cannot reach, so both
     # reps run.
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, rng_seed=3,
-                     config=AlgoConfig(t_end=1, k_end=1, boost_reps=2, c_acc=-1.0))
+                     config=AlgoConfig(t_end=1, k_end=1, boost_reps=2, c_acc=0.0))
     assert res.status is PcaStatus.FALLBACK_BEST
     assert len(seen) == 2 and seen[0] is seen[1]
     np.testing.assert_array_equal(seen[0], np.einsum("ij,ij->i", pts, pts))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from robustpca import FilterLoopError, hard_thresholding_filter, hard_thresholding_filter_batch
 
 
-def run_batch(f, w, n, L, t_hat, rng, delta=0.0, R=None):
+def run_batch(f, w, n, L, t_hat, rng, delta=0.0):
     v = np.zeros(2)
     v[0] = 1.0
-    return hard_thresholding_filter_batch(v, f, w, n, L, t_hat, rng, delta=delta, R=R)
+    return hard_thresholding_filter_batch(v, f, w, n, L, t_hat, rng, delta=delta)
 
 
 def test_all_zero_scores_no_op():

@@ -228,7 +228,7 @@ def test_minibatch_large_batch_approaches_population():
     assert np.linalg.norm(got - want) <= 0.1 * np.linalg.norm(want)
 
 
-def test_streamed_apply_matches_built_estimator():
+def test_streamed_apply_matches_built_estimator(monkeypatch):
     # An unchunked pass (chunk >= batch) reads each batch in one draw, as an
     # estimator built batch by batch would; chunking must not change it.
     rng_a = np.random.default_rng(9)
@@ -238,25 +238,27 @@ def test_streamed_apply_matches_built_estimator():
     src_b = ReplaySource(pop, mode="resample", rng=rng_b)
     stack = FilterStack(prune_radius_sq=20.0)
     z = np.random.default_rng(2).standard_normal(5)
-    want = streamed_power_apply(src_a, stack, 3, 50, z, chunk=50)
-    got = streamed_power_apply(src_b, stack, 3, 50, z, chunk=7)
+    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 50)
+    want = streamed_power_apply(src_a, stack, 3, 50, z)
+    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 7)
+    got = streamed_power_apply(src_b, stack, 3, 50, z)
     np.testing.assert_allclose(got, want, rtol=1e-10)
     assert src_a.delivered == src_b.delivered
 
 
-def test_streamed_apply_ledger_is_batch_size_independent():
+def test_streamed_apply_ledger_is_batch_size_independent(monkeypatch):
+    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 32)
     pop = np.random.default_rng(1).standard_normal((64, 4))
     peaks = []
     for batch in (100, 10_000):
         led = ScalarLedger()
         src = ReplaySource(pop, mode="cycle")
-        streamed_power_apply(src, FilterStack(), 2, batch, np.ones(4),
-                             ledger=led, chunk=32)
+        streamed_power_apply(src, FilterStack(), 2, batch, np.ones(4), ledger=led)
         peaks.append(led.peak)
     assert peaks[0] == peaks[1]
 
 
-def test_streamed_apply_block_matches_single_columns():
+def test_streamed_apply_block_matches_single_columns(monkeypatch):
     # Columns of a block chain are independent runs over the same rows; the
     # 1e200 / 1e-200 columns are only right if each column is rescaled alone.
     pop = np.random.default_rng(3).standard_normal((256, 4))
@@ -264,13 +266,14 @@ def test_streamed_apply_block_matches_single_columns():
     p, batch = 8, 60
     g = np.random.default_rng(4).standard_normal((4, 3))
     block = g * np.array([1e200, 1e-200, 1.0])
+    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 16)
 
     src = ReplaySource(pop, mode="cycle")
-    got = streamed_power_apply(src, stack, p, batch, block, chunk=16)
+    got = streamed_power_apply(src, stack, p, batch, block)
     assert src.delivered == p * batch
     for j in range(block.shape[1]):
         src_j = ReplaySource(pop, mode="cycle")
-        want = streamed_power_apply(src_j, stack, p, batch, block[:, j], chunk=16)
+        want = streamed_power_apply(src_j, stack, p, batch, block[:, j])
         col = got[:, j] / np.linalg.norm(got[:, j])
         want = want / np.linalg.norm(want)
         assert np.linalg.norm(col - want) <= 1e-12

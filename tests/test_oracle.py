@@ -6,7 +6,6 @@ import pytest
 from robustpca import (
     dense_spectrum,
     metric_approx_ratio,
-    stability_spotcheck,
     stopping_condition_truth,
 )
 from robustpca.errors import UnsupportedDiagnosticError
@@ -128,35 +127,6 @@ def test_small_potential_forces_stopping_condition():
             assert holds
             checked += 1
     assert checked >= 20  # the regime actually occurred
-
-
-def test_stability_spotcheck_gaussian_clean():
-    rng = np.random.default_rng(3)
-    d, n = 4, 60_000
-    pts = rng.standard_normal((n, d))
-    eps = 0.05
-    gamma = 3 * eps * math.log(1 / eps)
-    worst = stability_spotcheck(pts, np.eye(d), eps, gamma, trials=8, rng=rng)
-    assert worst <= 1 + 1.5 * gamma
-
-
-def test_stability_spotcheck_no_deletions_is_sampling_error():
-    rng = np.random.default_rng(6)
-    pts = rng.standard_normal((50_000, 3))
-    worst = stability_spotcheck(pts, np.eye(3), eps=1e-9, gamma=0.1, trials=4, rng=rng)
-    assert worst == pytest.approx(1.0, abs=0.1)
-
-
-def test_stability_spotcheck_tiny_sample_flags_instability():
-    # n = d is far below the sample-size stability needs; the probe should
-    # find large deviations. Documents the requirement, not a guarantee.
-    rng = np.random.default_rng(7)
-    d = 10
-    pts = rng.standard_normal((d, d))
-    gamma = 0.3
-    worst = stability_spotcheck(pts, np.eye(d), eps=0.2, gamma=gamma,
-                                trials=8, rng=rng)
-    assert worst > 1 + 1.5 * gamma
 
 
 def test_power_iteration_agrees_with_dense_top_eigenvalue():

@@ -175,6 +175,13 @@ def test_zero_eps_stream_runs_clean_schedule():
     assert metric_approx_ratio(res.u, spec.covariance()) >= 0.9
 
 
+@pytest.mark.parametrize("r_radius", [0.5, math.nan])
+def test_stream_rejects_a_radius_below_one(r_radius):
+    src = ReplaySource(np.zeros((4, 3)), mode="cycle")
+    with pytest.raises(ValueError, match="r_radius"):
+        MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), r_radius, ScalarLedger())
+
+
 def test_default_batch_formulas_clamped():
     src = ReplaySource(np.zeros((4, 20)), mode="cycle")
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
@@ -389,14 +396,15 @@ def test_degenerate_pools_end_typed(pool, eps, budget):
     assert abs(float(np.linalg.norm(res.u)) - 1.0) <= 1e-9
 
 
-def test_stream_helpers_restore_the_ledger():
+def test_stream_helpers_restore_the_ledger(monkeypatch):
     # Each helper books what it holds and leaves ``current`` as it found it,
     # on return and on every typed error.
+    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 16)
     pop = np.array([[1.0, 2.0], [3.0, 0.5], [10.0, 0.0]] * 10)
     stack = FilterStack(prune_radius_sq=20.0)
     v = np.array([1.0, 0.0])
     helpers = {
-        "accepted_rows": lambda src, led: list(accepted_rows(src, stack, 50, led, chunk=16)),
+        "accepted_rows": lambda src, led: list(accepted_rows(src, stack, 50, led)),
         "accepted_scores": lambda src, led: accepted_scores(
             src, stack, lambda x: (x @ v) ** 2, 50, led),
         "streamed_rayleigh": lambda src, led: streamed_rayleigh(src, stack, v, 50, led),
