@@ -1,8 +1,10 @@
 """Experiment harness: seeded generator + algorithm comparisons, reports, CLI.
 
-Configs are versioned JSON validated against a strict schema (unknown keys
-rejected). Reports come out as JSON (full) and CSV (tabular rows); the
-determinism hash covers everything except wall-clock columns.
+Configs are versioned JSON. Each section expands into its dataclass, which
+rejects unknown keys and out-of-range values; a rejected config exits 2
+before any solve, a failed run exits 1. Reports come out as JSON (full) and
+CSV (tabular rows); the determinism hash covers everything except
+wall-clock columns.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -19,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .contamination import (
@@ -27,82 +29,20 @@ from .contamination import (
     AdversarySpec,
     InlierFamily,
     InlierSpec,
+    _outlier_bank,
     gen_inliers,
     strong_contaminate,
     tv_contaminated_source,
 )
-from .core import AlgoConfig, WeightedDataset, rng_stream, save_dataset
+from .core import AlgoConfig, WeightedDataset, check_int, rng_stream, save_dataset
 from .driver import naive_pca, robust_pca
 from .linops import SecondMomentOp, power_iteration
-from .oracle import metric_approx_ratio
+from .oracle import check_dense_dim, metric_approx_ratio
 from .streaming import streaming_robust_pca
 
-__all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
-           "main", "CONFIG_SCHEMA"]
+__all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment", "main"]
 
 OUTPUT_DIR_ENV = "ROBUSTPCA_OUT_DIR"
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["version", "inlier", "algo", "seeds"],
-    "properties": {
-        "version": {"const": 1},
-        "inlier": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["dim"],
-            "properties": {
-                # Every report row scores its direction against the dense
-                # oracle spectrum, which is capped at d <= 256.
-                "dim": {"type": "integer", "minimum": 1, "maximum": 256},
-                "diag": {"oneOf": [{"type": "number"},
-                                   {"type": "array", "items": {"type": "number"}}]},
-                "spikes": {"type": "array",
-                           "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                                     "items": {"type": "number"}}},
-                "family": {"enum": ["gaussian", "bounded_uniform_spheremix"]},
-            },
-        },
-        "adversary": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["none", "orthogonal_spike",
-                                  "multi_direction_hide", "schatten_blind"]},
-                "rate": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
-                "spike_axis": {"type": ["integer", "null"]},
-                "spike_multiplier": {"type": "number"},
-                "n_directions": {"type": "integer", "minimum": 1},
-                "hide_boost": {"type": "number", "minimum": 0},
-                "projection_rank": {"type": ["integer", "null"]},
-            },
-        },
-        "algo": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["eps"],
-            "properties": {
-                "eps": {"type": "number"},
-                "gamma": {"type": ["number", "null"]},
-                "boost_reps": {"type": "integer", "minimum": 1},
-                "t_end": {"type": ["integer", "null"]},
-                "k_end": {"type": ["integer", "null"]},
-                "c_acc": {"type": "number"},
-                "c_pi": {"type": "number"},
-                "c_cert": {"type": "number"},
-                "batch_size": {"type": ["integer", "null"]},
-                "max_resident_scalars": {"type": ["integer", "null"]},
-            },
-        },
-        "mode": {"enum": ["BATCH", "STREAMING", "BOTH"]},
-        "baselines": {"type": "array", "items": {"enum": ["NAIVE_PCA", "ORACLE"]}},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "stream_budget": {"type": "integer", "minimum": 1},
-        "r_radius": {"type": "number", "minimum": 1},
-    },
-}
 
 
 class ConfigError(ValueError):
@@ -121,50 +61,59 @@ class ExperimentConfig:
     stream_budget: int | None = None
     r_radius: float = 2.0
 
+    def __post_init__(self):
+        # Each range check is written so that NaN fails it.
+        if self.mode not in ("BATCH", "STREAMING", "BOTH"):
+            raise ValueError(f"mode must be BATCH, STREAMING or BOTH, got {self.mode!r}")
+        self.baselines, self.seeds = tuple(self.baselines), tuple(self.seeds)
+        if not set(self.baselines) <= {"NAIVE_PCA", "ORACLE"}:
+            raise ValueError(f"baselines must be NAIVE_PCA or ORACLE, got {self.baselines}")
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
+        for seed in self.seeds:
+            check_int("seed", seed, 0)
+        check_int("n", self.n, 1, optional=True)
+        check_int("stream_budget", self.stream_budget, 1, optional=True)
+        if not 1 <= self.r_radius < math.inf:
+            raise ValueError(f"r_radius must be finite and at least 1, got {self.r_radius}")
+        if (self.mode in ("BATCH", "BOTH") or self.baselines) and self.n is None:
+            raise ValueError("batch modes and baselines require 'n'")
+        if self.mode in ("STREAMING", "BOTH") and self.stream_budget is None:
+            raise ValueError("streaming modes require 'stream_budget'")
+        if self.adversary.kind is not AdversaryKind.NONE and self.adversary.rate > 0:
+            # The bank builder checks spike_axis and projection_rank against d.
+            _outlier_bank(self.adversary, self.inlier.covariance(), self.inlier.dim)
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Expand each section of a parsed config into its dataclass.
+
+        Each dataclass checks its own fields, so an unknown key fails as an
+        unexpected keyword and a bad value as that dataclass's ValueError;
+        either becomes a ConfigError.
+        """
         try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"config field {path}: {exc.message}") from exc
-        # The schema admits only known keys, so each dict expands straight
-        # into its dataclass, which owns the defaults and the range checks.
-        inl = dict(raw["inlier"])
-        if "family" in inl:
-            inl["family"] = InlierFamily(inl["family"])
-        adv = dict(raw.get("adversary", {}))
-        if "kind" in adv:
-            adv["kind"] = AdversaryKind(adv["kind"])
-        specs = {}
-        for key, make, fields in (("inlier", InlierSpec, inl),
-                                  ("adversary", AdversarySpec, adv),
-                                  ("algo", AlgoConfig, raw["algo"])):
-            try:
-                specs[key] = make(**fields)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config field {key}: {exc}") from exc
-        adversary, dim = specs["adversary"], specs["inlier"].dim
-        axis, rank = adversary.spike_axis, adversary.projection_rank
-        if axis is not None and not 0 <= axis < dim:
-            raise ConfigError(f"config field adversary/spike_axis: {axis} lies "
-                              f"outside [0, d) for inlier dim d = {dim}")
-        if adversary.kind is AdversaryKind.SCHATTEN_BLIND and (
-                rank is None or not 0 < rank < dim):
-            raise ConfigError(f"config field adversary/projection_rank: schatten_blind "
-                              f"needs a rank in (0, d) for inlier dim d = {dim}, "
-                              f"got {rank}")
-        rest = {k: v for k, v in raw.items()
-                if k not in ("version", "inlier", "adversary", "algo")}
-        rest["seeds"] = tuple(rest["seeds"])
-        if "baselines" in rest:
-            rest["baselines"] = tuple(rest["baselines"])
-        config = cls(**specs, **rest)
-        if (config.mode in ("BATCH", "BOTH") or config.baselines) and config.n is None:
-            raise ConfigError("batch modes and baselines require 'n'")
-        if config.mode in ("STREAMING", "BOTH") and config.stream_budget is None:
-            raise ConfigError("streaming modes require 'stream_budget'")
-        return config
+            rest = {**raw}
+            version = rest.pop("version")
+            if type(version) is not int or version != 1:
+                raise ValueError(f"version must be 1, got {version!r}")
+            inl, algo = {**rest.pop("inlier")}, {**rest.pop("algo")}
+            adv = {**rest.pop("adversary", {})}
+            # Every report row scores against the dense spectrum; its cap is
+            # checked before InlierSpec expands diag to d entries.
+            check_dense_dim(inl["dim"])
+            if "family" in inl:
+                inl["family"] = InlierFamily(inl["family"])
+            if "kind" in adv:
+                adv["kind"] = AdversaryKind(adv["kind"])
+            # A config must state eps and seeds, which the dataclasses default.
+            eps, seeds = algo.pop("eps"), rest.pop("seeds")
+            return cls(InlierSpec(**inl), AdversarySpec(**adv),
+                       AlgoConfig(eps, **algo), seeds=seeds, **rest)
+        except KeyError as exc:
+            raise ConfigError(f"missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -172,6 +121,8 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(raw)
 
 
@@ -317,7 +268,7 @@ def main(argv=None) -> int:
 
     try:
         config = ExperimentConfig.from_file(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -341,9 +292,6 @@ def main(argv=None) -> int:
             out = _resolve_out(args.out, "dataset.txt")
             save_dataset(out, pts, labels)
             print(f"dataset written to {out}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # runtime failure: report and signal exit 1
         print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

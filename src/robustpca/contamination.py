@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_int
 from .oracle import dense_spectrum
 from .sources import SampleSource, SyntheticSource
 
@@ -51,20 +52,21 @@ class InlierSpec:
     family: InlierFamily = InlierFamily.GAUSSIAN
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        # Each range check is written so that NaN fails it.
+        check_int("dim", self.dim, 1)
         diag = self.diag
         if np.isscalar(diag):
             diag = (float(diag),) * self.dim
         diag = tuple(float(v) for v in diag)
-        if len(diag) != self.dim or any(v < 0 for v in diag):
-            raise ValueError("diag must be d nonnegative variances")
+        if len(diag) != self.dim or not all(0 <= v < math.inf for v in diag):
+            raise ValueError("diag must be d finite nonnegative variances")
         object.__setattr__(self, "diag", diag)
         spikes = []
         for direction, add in self.spikes:
             add = float(add)
-            if add < 0:
-                raise ValueError(f"spike variance must be nonnegative, got {add}")
+            if not 0 <= add < math.inf:
+                raise ValueError(f"spike variance must be finite and nonnegative, "
+                                 f"got {add}")
             if np.isscalar(direction):
                 if not (float(direction).is_integer() and 0 <= direction < self.dim):
                     raise ValueError(f"spike axis {direction} is not an integer "
@@ -162,8 +164,20 @@ class AdversarySpec:
     inspect: object = None               # callable or None; see above
 
     def __post_init__(self):
+        # Each range check is written so that NaN fails it; spike_axis and
+        # projection_rank are checked against d where the outlier bank is built.
         if not (0.0 <= self.rate < 0.5):
             raise ValueError(f"rate must lie in [0, 0.5), got {self.rate}")
+        if not math.isfinite(self.spike_multiplier):
+            raise ValueError(f"spike_multiplier must be finite, got {self.spike_multiplier}")
+        if not 0 <= self.hide_boost < math.inf:
+            raise ValueError(f"hide_boost must be finite and nonnegative, "
+                             f"got {self.hide_boost}")
+        check_int("n_directions", self.n_directions, 1)
+        check_int("spike_axis", self.spike_axis, optional=True)
+        check_int("projection_rank", self.projection_rank, optional=True)
+        if self.inspect is not None and not callable(self.inspect):
+            raise ValueError(f"inspect must be callable or None, got {self.inspect!r}")
 
 
 def _axes_by_variance(sigma_truth: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ stack is what a low-memory consumer persists between steps.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -128,6 +129,20 @@ class WeightedDataset:
         return self.points.shape[1]
 
 
+def check_int(name: str, value, low: int | None = None, optional: bool = False) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``, or None if optional.
+
+    A bool or an integer-valued float such as 3.0 is not an integer here.
+    """
+    if optional and value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (low is not None and value < low)):
+        want = "an integer" + ("" if low is None else f" >= {low}")
+        raise ValueError(f"{name} must be {want}{' or None' if optional else ''}, "
+                         f"got {value!r}")
+
+
 C_OUTER = 30.0   # scales the inner-loop length t_end
 C_INNER = 3.0    # scales the base matrix power
 
@@ -176,20 +191,16 @@ class AlgoConfig:
                 f"20*{self.eps} = {20 * self.eps} > gamma = {self.gamma}"
             )
         # Each check is written so that NaN fails it.
-        if not self.boost_reps >= 1:
-            raise ValueError(f"boost_reps must be a positive integer, got {self.boost_reps}")
+        check_int("boost_reps", self.boost_reps, 1)
         for name in ("t_end", "k_end", "batch_size"):
-            value = getattr(self, name)
-            if value is not None and not value >= 1:
-                raise ValueError(f"{name} must be at least 1 when set, got {value}")
+            check_int(name, getattr(self, name), 1, optional=True)
         for name in ("c_pi", "c_cert"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not self.c_acc >= 0:
             raise ValueError(f"c_acc must be nonnegative, got {self.c_acc}")
-        if self.max_resident_scalars is not None and not self.max_resident_scalars >= 0:
-            raise ValueError(f"max_resident_scalars must be nonnegative, "
-                             f"got {self.max_resident_scalars}")
+        check_int("max_resident_scalars", self.max_resident_scalars, 0, optional=True)
 
     # -- schedule formulas ---------------------------------------------------
 

@@ -39,6 +39,13 @@ class DenseSpectrum:
         return (v * self.eigenvalues) @ v.T
 
 
+def check_dense_dim(d: int) -> None:
+    """Raise UnsupportedDiagnosticError unless d is within the spectrum's cap."""
+    if not d <= _MAX_DENSE_DIM:
+        raise UnsupportedDiagnosticError(
+            f"dense spectrum capped at d <= {_MAX_DENSE_DIM}, got {d}")
+
+
 def dense_spectrum(matrix: np.ndarray) -> DenseSpectrum:
     """Full spectral decomposition of a symmetric matrix by LAPACK's eigh.
 
@@ -47,11 +54,7 @@ def dense_spectrum(matrix: np.ndarray) -> DenseSpectrum:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    d = a.shape[0]
-    if d > _MAX_DENSE_DIM:
-        raise UnsupportedDiagnosticError(
-            f"dense spectrum capped at d <= {_MAX_DENSE_DIM}, got {d}"
-        )
+    check_dense_dim(a.shape[0])
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite (no NaN/Inf)")
     scale = max(1.0, float(np.max(np.abs(a))))

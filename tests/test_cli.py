@@ -1,10 +1,19 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robustpca import load_dataset
+import robustpca
+from robustpca import (AdversaryKind, AdversarySpec, AlgoConfig, InlierFamily,
+                       InlierSpec, load_dataset)
 from robustpca.cli import ConfigError, ExperimentConfig, main, run_experiment
+
+NAN = float("nan")
 
 
 def minimal_config(**overrides):
@@ -48,11 +57,60 @@ def test_contaminated_run_separates_methods():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(minimal_config(bogus=1))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(minimal_config(
-            inlier={"dim": 5, "wat": 2}))
+    for raw in (minimal_config(bogus=1),
+                minimal_config(inlier={"dim": 5, "wat": 2}),
+                minimal_config(adversary={"kind": "none", "wat": 2}),
+                minimal_config(algo={"eps": 0.0, "wat": 2}),
+                # A JSON config cannot carry the callable inspect takes.
+                minimal_config(adversary={"inspect": 5}),
+                minimal_config(adversary=[]),
+                [minimal_config()],
+                "config"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+
+
+def _fields(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_config_sets_every_field():
+    # Each section expands into its dataclass, so every field but the
+    # adversary's inspect callable is a config key; none may go missing.
+    inlier = {"dim": 6, "diag": 2.0, "spikes": [[1, 3.0]],
+              "family": "bounded_uniform_spheremix"}
+    adversary = {"kind": "schatten_blind", "rate": 0.1, "spike_axis": 2,
+                 "spike_multiplier": 3.0, "n_directions": 2, "hide_boost": 0.25,
+                 "projection_rank": 2}
+    algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "k_end": 2, "boost_reps": 2,
+            "c_acc": 10.0, "c_pi": 5.0, "c_cert": 6.0, "batch_size": 512,
+            "max_resident_scalars": 10**6}
+    top = {"mode": "BOTH", "baselines": ["ORACLE"], "seeds": [3, 4], "n": 700,
+           "stream_budget": 9000, "r_radius": 1.5}
+    config = ExperimentConfig.from_dict(
+        {"version": 1, "inlier": inlier, "adversary": adversary, "algo": algo, **top})
+    assert set(inlier) == _fields(InlierSpec)
+    assert set(adversary) == _fields(AdversarySpec) - {"inspect"}
+    assert set(algo) == _fields(AlgoConfig)
+    assert set(top) | {"inlier", "adversary", "algo"} == _fields(ExperimentConfig)
+    assert config.inlier == InlierSpec(
+        **{**inlier, "family": InlierFamily.BOUNDED_UNIFORM_SPHEREMIX})
+    assert config.adversary == AdversarySpec(
+        **{**adversary, "kind": AdversaryKind.SCHATTEN_BLIND})
+    assert config.algo == AlgoConfig(**algo)
+    assert [getattr(config, key) for key in top] == [
+        "BOTH", ("ORACLE",), (3, 4), 700, 9000, 1.5]
+
+
+def test_config_loads_without_jsonschema():
+    # The dataclasses are the config's only validator, so loading a config
+    # needs no schema package.
+    code = ("import json, sys; sys.modules['jsonschema'] = None; "
+            "from robustpca.cli import ExperimentConfig; "
+            "ExperimentConfig.from_dict(json.loads(sys.argv[1]))")
+    src = Path(robustpca.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code, json.dumps(minimal_config())],
+                   env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120)
 
 
 def test_invalid_eps_cites_constraint(tmp_path, capsys):
@@ -77,7 +135,7 @@ def test_missing_n_for_batch():
     ({"mode": "STREAMING", "stream_budget": 100_000}, True),
     # The dense oracle behind every row's approx_ratio stops at d = 256.
     ({"inlier": {"dim": 300, "diag": 1.0}}, False),
-    # Spec values the schema admits but the spec dataclasses reject.
+    # Spec values the spec dataclasses reject.
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[9, 1.0]]}}, False),
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[0.7, 4.0]]}}, False),
     ({"adversary": {"kind": "multi_direction_hide", "rate": 0.1,
@@ -108,7 +166,21 @@ def test_missing_n_for_batch():
     ({"algo": {"eps": 0.0, "gamma": 0.05, "max_resident_scalars": -1}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_pi": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_cert": -1.0}}, False),
-    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_acc": float("nan")}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "c_acc": NAN}}, False),
+    # A NaN spec value makes NaN rows, which every filter drops: the run
+    # would report clean-data results for a contaminated config.
+    ({"mode": "STREAMING", "stream_budget": 100_000, "baselines": [],
+      "adversary": {"kind": "orthogonal_spike", "rate": 0.05,
+                    "spike_multiplier": NAN}}, True),
+    ({"adversary": {"kind": "multi_direction_hide", "rate": 0.1,
+                    "hide_boost": NAN}}, False),
+    ({"inlier": {"dim": 5, "diag": NAN}}, False),
+    ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[0, NAN]]}}, False),
+    ({"mode": "BOTH", "stream_budget": 100_000, "r_radius": NAN}, False),
+    # Integer-valued floats would fail mid-run in range() or a seed.
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 3.0}}, False),
+    ({"n": 500.0}, False),
+    ({"seeds": [0.0]}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
         "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
@@ -116,7 +188,10 @@ def test_missing_n_for_batch():
         "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim",
         "t_end_zero", "k_end_zero", "batch_size_zero", "c_outer_zero",
         "c_inner_negative", "max_resident_scalars_negative", "c_pi_zero",
-        "c_cert_negative", "c_acc_nan"])
+        "c_cert_negative", "c_acc_nan", "spike_multiplier_nan", "hide_boost_nan",
+        "inlier_diag_nan", "spike_variance_nan", "r_radius_nan",
+        "t_end_integer_valued_float", "n_integer_valued_float",
+        "seed_integer_valued_float"])
 def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     raw = minimal_config(**overrides)
     if drop_n:
@@ -128,9 +203,68 @@ def test_config_rejected_before_any_solve(tmp_path, capsys, overrides, drop_n):
     assert "config error" in capsys.readouterr().err
 
 
+def _without(*keys):
+    raw = minimal_config()
+    for key in keys:
+        del raw[key]
+    return raw
+
+
+def _algo(**fields):
+    return {"algo": {"eps": 0.0, "gamma": 0.05, **fields}}
+
+
+@pytest.mark.parametrize("raw", [
+    minimal_config(version=2),
+    minimal_config(version=True),
+    _without("inlier"),
+    _without("algo"),
+    _without("seeds"),
+    minimal_config(algo={"gamma": 0.05}),
+    minimal_config(inlier={"diag": 1.0}),
+    minimal_config(bogus=1),
+    minimal_config(inlier={"dim": 5, "wat": 2}),
+    minimal_config(adversary={"kind": "none", "wat": 2}),
+    minimal_config(**_algo(wat=2)),
+    minimal_config(mode="FAST"),
+    minimal_config(baselines=["MAGIC"]),
+    minimal_config(inlier={"dim": 5, "family": "cauchy"}),
+    minimal_config(adversary={"kind": "teleport"}),
+    minimal_config(**_algo(boost_reps=True)),
+    minimal_config(seeds=[True]),
+    minimal_config(seeds=[]),
+    minimal_config(n=500.5),
+    minimal_config(n=0),
+    minimal_config(**_algo(t_end=2.5)),
+    minimal_config(mode="STREAMING", baselines=[], stream_budget=0),
+    minimal_config(adversary={"kind": "orthogonal_spike", "rate": -0.1}),
+    minimal_config(adversary={"kind": "orthogonal_spike", "rate": 0.5}),
+    minimal_config(r_radius=0.5),
+    minimal_config(adversary={"kind": "multi_direction_hide", "rate": 0.1,
+                              "n_directions": 0}),
+    [minimal_config()],
+    minimal_config(adversary=[]),
+    minimal_config(inlier=[["dim", 5]]),
+], ids=["version_2", "version_true", "missing_inlier", "missing_algo",
+        "missing_seeds", "missing_algo_eps", "missing_inlier_dim",
+        "unknown_top_level_key", "unknown_inlier_key", "unknown_adversary_key",
+        "unknown_algo_key", "bad_mode", "bad_baseline", "bad_family", "bad_kind",
+        "bool_count", "bool_seed", "no_seeds", "fractional_n", "n_zero",
+        "fractional_t_end", "stream_budget_zero", "rate_negative", "rate_half",
+        "r_radius_below_one", "n_directions_zero", "top_level_list",
+        "adversary_list", "inlier_pairs"])
+def test_malformed_config_exits_2(tmp_path, capsys, raw):
+    # dim 300 and hide_boost -1 are ids of test_config_rejected_before_any_solve.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "r.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_config_sets_the_certificate_constants(tmp_path):
-    # The schema admits every certificate constant AlgoConfig takes, so a
-    # config can lengthen the candidate chain.
+    # A config can set every certificate constant AlgoConfig takes, so it
+    # can lengthen the candidate chain.
     raw = minimal_config(algo={"eps": 0.0, "gamma": 0.05, "c_pi": 5.0, "c_cert": 8})
     config = ExperimentConfig.from_dict(raw)
     assert (config.algo.c_pi, config.algo.c_cert) == (5.0, 8)
@@ -196,8 +330,10 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    assert main(["run", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    (tmp_path / "latin1.json").write_bytes(b'{"version": "\xe9"}')
+    for name in ("broken.json", "latin1.json", "missing.json", "."):
+        assert main(["run", "--config", str(tmp_path / name)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):

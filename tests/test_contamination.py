@@ -177,6 +177,19 @@ def test_rate_validation():
         AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=0.6)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: AdversarySpec(spike_multiplier=math.nan),
+    lambda: AdversarySpec(hide_boost=math.nan),
+    lambda: InlierSpec(dim=3, diag=math.nan),
+    lambda: InlierSpec(dim=3, spikes=((0, math.nan),)),
+], ids=["spike_multiplier", "hide_boost", "diag", "spike_variance"])
+def test_nan_spec_values_rejected(make):
+    # A NaN value makes NaN rows, which every filter drops: a contaminated
+    # run would report clean-data results.
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_inspect_callback_retargets_from_realized_sample():
     # The adversary may look at the clean draw before committing: here it
     # aims at the empirically quietest axis rather than the nominal one.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,13 +127,18 @@ NAN = float("nan")
     ("c_pi", 0.0), ("c_cert", -1.0), ("c_pi", NAN), ("max_resident_scalars", -1),
     ("t_end", NAN), ("k_end", NAN), ("batch_size", NAN), ("boost_reps", NAN),
     ("max_resident_scalars", NAN), ("c_acc", NAN), ("c_acc", -1.0),
+    ("t_end", 2.5), ("t_end", 3.0), ("k_end", 2.0), ("batch_size", 512.0),
+    ("boost_reps", True), ("max_resident_scalars", 1e6),
+    ("c_pi", math.inf), ("c_cert", math.inf),
 ])
 def test_config_rejects_values_no_solve_can_use(field, value):
     # t_end or k_end at 0 divides by zero in drive, a zero batch_size fails
     # only after the stream prologue has drawn rows, and a non-positive
     # chain constant would clamp silently to a one-step chain. A NaN count
     # fails mid-solve, a NaN memory limit switches the budget off, and a NaN
-    # or negative c_acc sets f1 = 1, which no certificate passes.
+    # or negative c_acc sets f1 = 1, which no certificate passes. A float
+    # count, even 3.0, fails mid-solve in range(), and a bool is no count.
+    # An infinite chain constant fails mid-solve sizing its chain.
     with pytest.raises(ValueError, match=field):
         AlgoConfig(eps=0.01, **{field: value})
     AlgoConfig(eps=0.01, t_end=1, k_end=1, batch_size=1, max_resident_scalars=0)
