@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import AlgoConfig, FilterStack
 from .errors import DegenerateStateError
-from .estimators import TRIM_TAIL, streaming_quantile, trimmed_variance, weighted_quantile
+from .estimators import (TRIM_TAIL, mean_stages, stage_log, streaming_quantile,
+                         trimmed_variance, weighted_quantile)
 from .linops import (
     SecondMomentOp,
     accepted_band_mean,
@@ -120,36 +121,55 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      ledger: ScalarLedger) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
-    The reference quotient is the best of reps = ceil(log2(1/fail_prob))
+    ``fail_prob`` is split in three equal parts, one for each estimate that
+    can fail: the reference quotient, the trim cutoff and the robust mean.
+    By the union bound the certificate errs with probability at most
+    ``fail_prob``.
+
+    The reference quotient is the best of reps = ceil(log2(3 / fail_prob))
     Gaussian starts that share one streamed block chain of p_ref =
     ``config.ref_power(d, REF_START_FAILURE)`` = ceil((c_pi / gamma)
     ln(2 d / gamma)) steps, enough for one start to reach (1 - gamma)-accuracy
     with probability at least 1/2. Given the chain's minibatches, whose error
     ``batch_size`` governs, the starts are independent, so all of them miss
-    with probability at most (1/2)^reps <= fail_prob. The candidate rides
-    the same minibatches (``linops.approx_power_iteration``); a collapsed
-    one is redrawn on a chain and a batch of its own. The certificate
-    union-bounds its estimates' failures.
+    with probability at most (1/2)^reps <= fail_prob / 3. The candidate
+    rides the same minibatches (``linops.approx_power_iteration``); a
+    collapsed one is redrawn on a chain and a batch of its own.
 
-    The robust test is sigma >= mu0 = f1 * rayleigh_emp over scores in
-    [0, B], B = min(cap, prune radius^2), cap the trim cutoff from a one-pass
-    quantile block. With eta = ``decision_margin(f1)``, a batch mean of
-    n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows falls on the wrong side of
-    (1 + eta) * mu0 with probability at most 1/16 (Chebyshev, variance at
-    most B mu) whenever the true mean is below mu0 or at least
-    (1 + 2 eta) * mu0. The candidate passes only above (1 + eta) * mu0, so a
-    stream acceptance implies, with the certificate's failure probability,
-    that the exact test passes. n is the ceiling of
-    ``estimators.stream_mean_estimate``, which stops earlier once settled.
+    The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
+    mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
+    trim cutoff from a one-pass quantile block. Scores in [0, B] have
+    variance at most B mu. With eta = ``decision_margin(f1)``, the
+    candidate passes only when the stream mean exceeds (1 + eta) * mu0, and
+    the mean draws at most n rows, the smallest n with
+    sqrt(2 (1 + 2 eta) B mu0 L / n) + B L / (3 n) <= eta mu0, that is
+    n = ceil(k (B / mu0) L) with
+    k = ((sqrt(2 (1 + 2 eta)) + sqrt(2 (1 + 2 eta) + 4 eta / 3)) / (2 eta))^2.
+    L = ``estimators.stage_log`` over the stages of ``max_mean_batch`` rows
+    bounds the L of ``estimators.stream_mean_estimate`` at n rows, and with
+    it the Bernstein deviation that estimate's failure probability covers.
+    Outside that failure:
+    - Soundness. If the true mean mu is below mu0, an early stop above the
+      bar would put mu in an interval lying above (1 + eta) mu0; and at n
+      rows the mean exceeds mu by at most sqrt(2 B mu L / n) + B L / (3 n)
+      <= eta mu0, so it stays below the bar. A stream acceptance thus
+      implies that the exact test passes.
+    - Completeness. If mu >= (1 + 2 eta) mu0, an early stop below the bar is
+      ruled out the same way; at n rows the mean is at least
+      mu - sqrt(2 B mu L / n) - B L / (3 n), which is (1 + eta) mu0 or more
+      at mu = (1 + 2 eta) mu0 by the choice of n and grows with mu beyond
+      it (its slope is 1 - sqrt(B L / (2 n mu)) > 0 there), so a direction
+      whose trimmed mean clears the band passes.
     n never exceeds ``max_mean_batch``, and takes it when B is infinite
     (eps = 0 under an infinite prune radius), B / mu0 overflows or eta is 0
-    (f1 = 1: the test is sigma >= mu0); at the cap the 1/16 bound need not
-    hold. A zero rayleigh_emp gives the test no scale: the candidate is
-    rejected without a draw and reports sigma 0.
+    (f1 = 1: the test is sigma >= mu0); at the cap the bound need not hold.
+    A zero rayleigh_emp gives the test no scale: the candidate is rejected
+    without a draw and reports sigma 0.
     """
     d = source.dim
 
-    reps = max(1, math.ceil(math.log2(1.0 / fail_prob) / -math.log2(REF_START_FAILURE)))
+    part = fail_prob / 3.0
+    reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(REF_START_FAILURE)))
     p_ref = config.ref_power(d, REF_START_FAILURE)
     p_cert = config.cert_power(d)
     r_hat, rider = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
@@ -173,17 +193,21 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     if tail > 0:
         cap = streaming_quantile(
             lambda k: accepted_scores(source, stack, lambda x: (x @ u) ** 2, k, ledger),
-            tail, fail_prob, ledger=ledger)
+            tail, part, ledger=ledger)
     else:
         cap = math.inf
     eta = decision_margin(f1)
+    bound = min(cap, stack.prune_radius_sq)
     # inf when eta is 0, B is infinite or B / mu0 overflows: float products
     # and quotients saturate there, and only a finite count reaches ceil.
-    scale = min(cap, stack.prune_radius_sq) / mu0
-    need = 16.0 * (1.0 + 2.0 * eta) / (eta * eta) * scale if eta > 0.0 else math.inf
-    n_batch = math.ceil(need) if need < max_mean_batch else max_mean_batch
+    need = math.inf
+    if eta > 0.0:
+        var = 2.0 * (1.0 + 2.0 * eta)
+        k = ((math.sqrt(var) + math.sqrt(var + 4.0 * eta / 3.0)) / (2.0 * eta)) ** 2
+        need = k * (bound / mu0) * stage_log(len(mean_stages(max_mean_batch, bound)), part)
+    n_max = math.ceil(need) if need < max_mean_batch else max_mean_batch
     bar = (1.0 + eta) * mu0
-    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, fail_prob, n_batch,
+    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, n_max,
                                ledger, bar=bar)
 
     accepted = sigma >= bar and rayleigh_emp >= f2 * r_hat

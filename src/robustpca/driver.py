@@ -10,7 +10,8 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 
 - ``prologue() -> (sigma_op, delta)``: prune; return the operator-norm
   bracket and the filter's additive slack.
-- ``certificate(fail_prob, rng) -> Candidate``
+- ``certificate(fail_prob, rng) -> Candidate``: a candidate whose judgement
+  errs with probability at most ``fail_prob``.
 - ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
@@ -50,8 +51,21 @@ __all__ = ["PcaStatus", "PcaResult", "robust_pca", "naive_pca"]
 FILTER_TRIGGER = 2.35     # T_hat = 2.35 * gamma * sigma_trimmed
 PRUNE_FACTOR = 10.0       # prune radius^2 = 10 * sigma_op * d / eps
 QUANTILE_FLOOR = 0.1      # L >= 0.1 * sigma_op / d for unit directions
-CERT_FAILURE_PROB = 0.1  # split over the k_end * t_end certificates of a rep
+CERT_FAILURE_PROB = 0.1  # one rep's failure budget (``failure_share``)
 SAFE_EXPONENT = 200       # batch rows are solved in [2^-200, 2^200]
+
+
+def failure_share(i: int) -> float:
+    """CERT_FAILURE_PROB / (2 i (i + 1)), the i-th share of half a rep's budget.
+
+    ``drive`` hands the i-th certificate of a rep the i-th share, and a
+    stream suite its i-th estimate (``streaming.MinibatchEstimators``). Since
+    1 / (i (i + 1)) = 1 / i - 1 / (i + 1), the shares of i = 1, 2, ... sum
+    to CERT_FAILURE_PROB / 2 however many a rep takes, so by the union bound
+    a rep whose certificates and estimates each fail with at most their
+    share fails with probability at most CERT_FAILURE_PROB.
+    """
+    return CERT_FAILURE_PROB / (2 * i * (i + 1))
 
 
 class PcaStatus(enum.Enum):
@@ -150,7 +164,6 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     k_end = cfg.k_end_for(d)
     t_end = cfg.t_end_for(d)
     tail = TRIM_TAIL * cfg.eps
-    fail_prob = CERT_FAILURE_PROB / (k_end * t_end)
 
     best: Candidate | None = None
     last_iter = (0, 0)
@@ -161,7 +174,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
             p_k = cfg.power_at(d, k)
             for t in range(1, t_end + 1):
                 last_iter = (k, t)
-                cand = suite.certificate(fail_prob, rng_cert)
+                cand = suite.certificate(failure_share((k - 1) * t_end + t), rng_cert)
                 if cand.accepted:
                     return PcaResult(
                         u=cand.u, sigma_robust=cand.sigma_robust,

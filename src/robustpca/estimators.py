@@ -24,9 +24,9 @@ __all__ = [
     "stream_mean_estimate",
 ]
 
-# Rows per batch at the first stage of a sequential median-of-means.
+# Rows at the first stage of a sequential stream mean.
 FIRST_STAGE = 256
-# Scores a median-of-means draws, and holds, at a time.
+# Scores a stream mean draws, and holds, at a time.
 MEAN_CHUNK = 4096
 # Every trimmed estimate cuts the top TRIM_TAIL * eps of its scores.
 TRIM_TAIL = 3.0
@@ -105,80 +105,101 @@ def opnorm_bracket(sq_norms: np.ndarray, eps: float, n_total: int) -> float:
     return trimmed_variance(sq_norms, weighted_quantile(sq_norms, tail), n_total)
 
 
-def mom_interval(m: float, score_bound: float, n: int) -> tuple[float, float]:
-    """Means mu whose batch means over n draws lie within 4 sqrt(B mu / n) of m.
+def mean_stages(n_max: int, score_bound: float) -> list[int]:
+    """Total rows at each stage of ``stream_mean_estimate``.
 
-    Scores in [0, B] have variance at most B mu, so a batch mean of n draws
-    lies within 4 sqrt(B mu / n) of mu with probability at least 15/16
-    (Chebyshev). Solving |m - mu| <= 4 sqrt(B mu / n) for mu gives
-    [(s - 2a)^2, (s + 2a)^2] with a = sqrt(B / n), s = sqrt(m + 4 a^2); the
-    lower end is computed as (m / (s + 2a))^2, which does not cancel.
-    Both ends bracket m.
+    FIRST_STAGE * 2^j rows, doubling up to ``n_max`` and ending at it. One
+    stage, ``n_max``, when the scores have no finite bound or ``n_max`` is
+    at most FIRST_STAGE.
     """
-    a = math.sqrt(score_bound / n)
-    root = math.sqrt(m + 4.0 * a * a) + 2.0 * a
-    return ((m / root) ** 2 if root > 0.0 else 0.0), root * root
+    if not math.isfinite(score_bound) or n_max <= FIRST_STAGE:
+        return [n_max]
+    doublings = (-(-n_max // FIRST_STAGE) - 1).bit_length()
+    return [FIRST_STAGE << j for j in range(doublings)] + [n_max]
 
 
-def mom_stages(n_batch: int, score_bound: float) -> list[int]:
-    """Rows per batch at each stage of a sequential median-of-means.
+def stage_log(n_stages: int, fail_prob: float) -> float:
+    """L = ln(4 J / fail_prob), the log factor of each of J stage intervals."""
+    return math.log(4.0 * n_stages / fail_prob)
 
-    FIRST_STAGE * 2^j rows, doubling up to ``n_batch`` and ending at it. One
-    stage, ``n_batch``, when the scores have no finite bound or ``n_batch``
-    is at most FIRST_STAGE.
+
+def merge_moments(a: tuple[int, float, float], chunk: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, centred sum of squares) of a sample extended by ``chunk``.
+
+    The chunk's own moments are taken about its own mean and merged with the
+    pairwise update of Chan, Golub & LeVeque (1979), so the sum of squares
+    is a sum of nonnegative terms: it cannot go negative or cancel the way
+    sum(x^2) - n m^2 does when the mean is large against the spread.
     """
-    if not math.isfinite(score_bound) or n_batch <= FIRST_STAGE:
-        return [n_batch]
-    doublings = (-(-n_batch // FIRST_STAGE) - 1).bit_length()
-    return [FIRST_STAGE << j for j in range(doublings)] + [n_batch]
+    n_a, mean_a, m2_a = a
+    n_b = chunk.size
+    mean_b = float(np.mean(chunk))
+    m2_b = float(np.sum((chunk - mean_b) ** 2))
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
-def stream_mean_estimate(draw_scores, fail_prob: float, *, n_batch: int,
+def stage_interval(moments: tuple[int, float, float], score_bound: float,
+                   log_j: float) -> tuple[float, float]:
+    """m -+ (sqrt(2 V L / n) + 7 B L / (3 (n - 1))) for a sample (n, m, M2), n >= 2.
+
+    V = M2 / (n - 1) is the unbiased sample variance, B = ``score_bound``
+    and L = ``log_j`` (``stage_log``); ``stream_mean_estimate`` states when
+    the interval holds the true mean.
+    """
+    n, m, m2 = moments
+    half = (math.sqrt(2.0 * m2 / (n - 1) * log_j / n)
+            + 7.0 * score_bound * log_j / (3.0 * (n - 1)))
+    return m - half, m + half
+
+
+def stream_mean_estimate(draw_scores, fail_prob: float, *, n_max: int,
                          score_bound: float = math.inf, bar: float | None = None,
                          rel_tol: float | None = None,
                          ledger: ScalarLedger | None = None) -> float:
-    """Sequential median of batch means of a nonnegative score stream.
+    """Sequential mean of a bounded nonnegative score stream.
 
     ``draw_scores(k)`` returns k <= ``MEAN_CHUNK`` fresh values of the
     target functional (already weighted and capped by the caller), each in
-    [0, ``score_bound``] = [0, B]. The r batches grow together in the stages
-    of ``mom_stages``, and the estimate m is the median of the r running
-    batch means. The call returns at the first stage whose interval [lo, hi]
-    (``mom_interval``) settles the caller's question, and otherwise at the
-    last, ``n_batch`` (at least 32) rows per batch. The question is a
-    decision against ``bar``, settled once lo > bar or hi < bar, or a value
-    to ``rel_tol``, settled once hi <= (1 + rel_tol) lo.
+    [0, ``score_bound``] = [0, B]. One running sample grows through the
+    stages of ``mean_stages``, up to ``n_max`` rows in all. After each stage
+    the interval [lo, hi] is ``stage_interval`` at L = ``stage_log``(J,
+    fail_prob) over the J stages. The call returns m at the first stage
+    whose interval [lo, hi] settles the caller's question, and otherwise at
+    ``n_max``. The question is a decision against ``bar``, settled once
+    lo > bar or hi < bar, or a value to ``rel_tol``, settled once
+    hi <= (1 + rel_tol) lo.
 
-    The median leaves [lo, hi] only if at least r/2 batch means leave their
-    15/16 Chebyshev band, which has probability at most
-    2^r (1/16)^(r/2) = 2^-r. With J stages, r = ceil(log2(J / fail_prob)),
-    so with probability at least 1 - fail_prob the true mean lies in every
-    stage's interval, and an early m, which lies there too, falls on the
-    true mean's side of ``bar``, or within a factor 1 + rel_tol of it. The
-    last stage is a fixed-size median-of-means of at least
-    ceil(log2(1/fail_prob)) batches of ``n_batch`` rows, so a caller that
-    sized ``n_batch`` for its decision keeps that guarantee there. An
-    estimate that never settles draws r / ceil(log2(1/fail_prob)) times the
-    fixed-size rows: 7/4 at fail_prob 0.1 with 9 stages.
+    Each side of a stage's interval is the empirical-Bernstein bound of
+    Maurer & Pontil (COLT 2009, Theorem 4) at fail_prob / (2 J). That bound
+    joins two events of fail_prob / (4 J) each: Bernstein's inequality with
+    the true variance sigma^2, |m - mu| <= sqrt(2 sigma^2 L / n) + B L / (3 n)
+    on that side, and the sample deviation bounding sigma by sqrt(V) plus
+    B sqrt(2 L / (n - 1)). So with probability at least 1 - fail_prob all
+    of them hold at every stage: the true mean lies in every stage's
+    interval, and an early m, which lies there too, falls on the true mean's
+    side of ``bar``, or within a factor 1 + rel_tol of it. At ``n_max`` the
+    true-variance Bernstein bound still holds, with sigma^2 <= B mu for
+    scores in [0, B]; a caller that sized ``n_max`` for its decision from it
+    (``certificate.sample_top_eigenvector_streaming``) keeps its guarantee
+    there. An unbounded B leaves every interval infinite, so the call then
+    draws ``n_max`` rows in one stage.
     """
-    n_batch = max(32, int(n_batch))
-    stages = mom_stages(n_batch, score_bound)
-    reps = max(1, int(math.ceil(math.log2(len(stages) / fail_prob))))
+    stages = mean_stages(n_max, score_bound)
+    log_j = stage_log(len(stages), fail_prob)
     ledger = ledger if ledger is not None else ScalarLedger()
 
-    totals = np.zeros(reps)
-    drawn = 0
-    with ledger.reserve(min(MEAN_CHUNK, n_batch) + reps):
+    moments = (0, 0.0, 0.0)
+    with ledger.reserve(min(MEAN_CHUNK, n_max) + 3):
         for n in stages:
-            for i in range(reps):
-                for start in range(drawn, n, MEAN_CHUNK):
-                    totals[i] += np.sum(draw_scores(min(MEAN_CHUNK, n - start)))
-            drawn = n
-            m = max(0.0, float(np.median(totals / n)))
-            if n == n_batch:
+            for start in range(moments[0], n, MEAN_CHUNK):
+                chunk = np.asarray(draw_scores(min(MEAN_CHUNK, n - start)), dtype=np.float64)
+                moments = merge_moments(moments, chunk)
+            if n == n_max:
                 break
-            lo, hi = mom_interval(m, score_bound, n)
+            lo, hi = stage_interval(moments, score_bound, log_j)
             if (bar is not None and (lo > bar or hi < bar)) or \
                     (rel_tol is not None and hi <= (1.0 + rel_tol) * lo):
                 break
-    return m
+    return moments[1]

@@ -3,7 +3,7 @@
 Everything the recovery algorithms do with a covariance-like matrix goes
 through matrix-vector products here: ``SecondMomentOp`` over in-memory rows,
 minibatch power chains over a stream. Stream rows are drawn only by
-``accepted_rows`` and the median-of-means draw of ``accepted_band_mean``.
+``accepted_rows`` and the stream-mean draw of ``accepted_band_mean``.
 """
 
 from __future__ import annotations
@@ -149,19 +149,20 @@ def streamed_rayleigh(source: SampleSource, stack: FilterStack, block: np.ndarra
 
 
 def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
-                       lo: float, hi: float, fail_prob: float, n_batch: int,
+                       lo: float, hi: float, fail_prob: float, n_max: int,
                        ledger: ScalarLedger, *, bar: float | None = None,
                        rel_tol: float | None = None) -> float:
-    """Median-of-means estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
+    """Stream-mean estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
 
     ``v`` must be a unit vector, so an accepted score is at most
     B = min(hi, prune radius^2), the score bound of
-    ``estimators.stream_mean_estimate``, which takes ``n_batch``, ``bar``
-    and ``rel_tol`` as they are. Each chunk is booked and scored in one
-    product over all its rows, which costs less than gathering the accepted
-    rows. An accepted row has a finite squared norm, which bounds its score,
-    so only rejected rows can overflow or turn NaN here; their floating-point
-    flags are muted and their scores are replaced by zeros before any sum.
+    ``estimators.stream_mean_estimate``, which takes the row ceiling
+    ``n_max``, ``bar`` and ``rel_tol`` as they are. Each chunk is booked and
+    scored in one product over all its rows, which costs less than gathering
+    the accepted rows. An accepted row has a finite squared norm, which
+    bounds its score, so only rejected rows can overflow or turn NaN here;
+    their floating-point flags are muted and their scores are replaced by
+    zeros before any sum.
     """
     def draw(k: int) -> np.ndarray:
         with ledger.reserve(k * source.dim):
@@ -171,7 +172,7 @@ def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
                 f = (pts @ v) ** 2
             return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
 
-    return stream_mean_estimate(draw, fail_prob, n_batch=n_batch,
+    return stream_mean_estimate(draw, fail_prob, n_max=n_max,
                                 score_bound=min(hi, stack.prune_radius_sq),
                                 bar=bar, rel_tol=rel_tol, ledger=ledger)
 

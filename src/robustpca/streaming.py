@@ -2,10 +2,12 @@
 
 Same control flow as the batch driver, but every population quantity is
 answered by a one-pass estimator: minibatch moment products for directions,
-a sampled block for quantiles, median-of-means for score averages. The
-persistent state is the filter stack, one candidate vector, and transient
-buffers whose sizes are set by the configuration, never by the stream
-length; a scalar ledger meters the high-water mark.
+a sampled block for quantiles, a sequential empirical-Bernstein mean for
+score averages. Each estimate that can fail takes its share of the rep's
+failure budget (``driver.failure_share``). The persistent state is the
+filter stack, one candidate vector, and transient buffers whose sizes are
+set by the configuration, never by the stream length; a scalar ledger
+meters the high-water mark.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
-from .driver import CERT_FAILURE_PROB, run_boosted
+from .driver import failure_share, run_boosted
 from .estimators import (TRIM_TAIL, opnorm_bracket, streaming_quantile,
                           streaming_quantile_samples)
 from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
@@ -26,7 +28,7 @@ from .sources import BudgetedSource, SampleSource, ScalarLedger
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 
 BATCH_SIZE_CAP = 4096         # moment-product minibatch
-MEAN_BATCH_CAP = 1_000_000    # filter median-of-means ceiling
+MEAN_BATCH_CAP = 1_000_000    # stream-mean row ceiling
 
 
 @dataclass
@@ -36,7 +38,7 @@ class StreamStats:
 
 
 def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
-    """Ceiling on the per-batch rows of the filter's median-of-means.
+    """Ceiling on the total rows of one filter stream mean.
 
     Sized for scores as large as the prune radius; the estimates stop below
     it once settled (``estimators.stream_mean_estimate``). It also caps the
@@ -66,6 +68,12 @@ class MinibatchEstimators:
         self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, config.eps, config.gamma, r_radius)
         self._v: np.ndarray | None = None
+        self._estimates = 0
+
+    def _fail_prob(self) -> float:
+        """The failure probability of the next estimate: the j-th share."""
+        self._estimates += 1
+        return failure_share(self._estimates)
 
     # -- prologue -------------------------------------------------------------
 
@@ -77,7 +85,7 @@ class MinibatchEstimators:
                 lambda k: accepted_scores(self.source, FilterStack(),
                                           lambda x: np.linalg.norm(x, axis=1), k,
                                           self.ledger),
-                tail=eps, fail_prob=CERT_FAILURE_PROB, ledger=self.ledger,
+                tail=eps, fail_prob=self._fail_prob(), ledger=self.ledger,
             )
             prune_sq = norm_cut * norm_cut
         else:
@@ -86,7 +94,7 @@ class MinibatchEstimators:
 
         # opnorm_bracket over fresh draws, keeping only the squared norms.
         block_m = min(max(512, streaming_quantile_samples(
-            max(TRIM_TAIL * eps, 0.01), CERT_FAILURE_PROB)), 200_000)
+            max(TRIM_TAIL * eps, 0.01), self._fail_prob())), 200_000)
         with self.ledger.reserve(block_m):
             g = np.concatenate([
                 np.einsum("ij,ij->i", rows, rows)
@@ -123,16 +131,16 @@ class MinibatchEstimators:
         return streaming_quantile(
             lambda k: accepted_scores(self.source, self.stack, lambda x: (x @ v) ** 2, k,
                                       self.ledger),
-            tail, CERT_FAILURE_PROB, ledger=self.ledger)
+            tail, self._fail_prob(), ledger=self.ledger)
 
     def sigma_trimmed(self, cap: float) -> float:
         return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
-                                  CERT_FAILURE_PROB, self.mean_batch, self.ledger,
+                                  self._fail_prob(), self.mean_batch, self.ledger,
                                   rel_tol=DECISION_MARGIN)
 
     def mean_score(self, L: float, thr: float, bound: float) -> float:
         return accepted_band_mean(self.source, self.stack, self._v, L, thr,
-                                  CERT_FAILURE_PROB, self.mean_batch, self.ledger,
+                                  self._fail_prob(), self.mean_batch, self.ledger,
                                   bar=bound)
 
     def score_range(self, L: float) -> float:

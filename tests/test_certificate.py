@@ -17,8 +17,9 @@ from robustpca import certificate
 from robustpca.certificate import REF_START_FAILURE, acceptance_factors, decision_margin
 from robustpca.estimators import (
     FIRST_STAGE,
-    mom_interval,
-    mom_stages,
+    mean_stages,
+    stage_interval,
+    stage_log,
     streaming_quantile,
     streaming_quantile_samples,
 )
@@ -139,17 +140,34 @@ def _chain_samples(d, gamma, batch_size, c_cert=4.0):
     return (max(cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d)) + 1) * batch_size
 
 
+def _bernstein_rows(eta, scale, n_stages, fail_prob):
+    """The certificate's count: smallest n with sqrt(2 (1 + 2 eta) B mu0 L / n)
+    + B L / (3 n) <= eta mu0, for scale = B / mu0 and L = ln(4 J / fail_prob)."""
+    var = 2 * (1 + 2 * eta)
+    k = ((math.sqrt(var) + math.sqrt(var + 4 * eta / 3)) / (2 * eta)) ** 2
+    return math.ceil(k * scale * stage_log(n_stages, fail_prob))
+
+
+def _stage_bounds(rows, u, cap, n_max, fail_prob):
+    """The stream mean's interval over ``rows`` scored along u and capped at cap."""
+    f = (rows @ u) ** 2
+    f = np.where(f <= cap, f, 0.0)
+    moments = (f.size, float(np.mean(f)), float(np.sum((f - np.mean(f)) ** 2)))
+    return stage_interval(moments, cap, stage_log(len(mean_stages(n_max, cap)), fail_prob))
+
+
 def test_streaming_certificate_sample_count_from_its_decision():
     # Clean pool, every row accepted: the certificate draws its chains, one
-    # quantile block and a median-of-means capped at
-    # n = ceil(16 (1 + 2 eta) B / (eta^2 mu0)) rows per batch, B the trim
-    # cutoff. The chains are (max(37, 30) + 1) * 1,500 = 57,000 rows: the
-    # candidate (p_cert = 30) rides the reference chain (p_ref = 37) and its
-    # scoring batch, which drew 103,500 rows apart. n splits into J stages
-    # of 256, 512, ... rows per batch and r = ceil(log2(J / fail_prob))
-    # batches. A clean trimmed mean sits far above the bar (1 + eta) mu0, so
-    # the first stage's interval already lies above it: r * 256 rows, where
-    # a fixed-size median-of-means drew ceil(log2(1 / fail_prob)) * n.
+    # quantile block and a stream mean capped at the Bernstein count
+    # n = ceil(k (B / mu0) L), B the trim cutoff. The chains are
+    # (max(37, 30) + 1) * 1,500 = 57,000 rows: the candidate (p_cert = 30)
+    # rides the reference chain (p_ref = 37) and its scoring batch, which
+    # drew 103,500 rows apart. fail_prob splits in three, so the block and
+    # the mean each take 0.05 / 3. At eta = 1/4, k = 50.6; L = ln(4 * 13 /
+    # (0.05 / 3)) = 8.05 over the 13 stages of MEAN_BATCH_CAP rows; B / mu0
+    # is about 13.7, so n = 5,592, in stages of 256, ..., 4,096 and 5,592.
+    # A clean trimmed mean sits above the bar (1 + eta) mu0, and the first
+    # stage's interval already lies above it: 256 rows.
     d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
     pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
@@ -157,23 +175,24 @@ def test_streaming_certificate_sample_count_from_its_decision():
     assert cand.accepted
 
     # The trim cutoff, recomputed over the same rows of a second cycle.
-    tail = 3 * eps
+    tail, part = 3 * eps, fail_prob / 3
     pos = _chain_samples(d, gamma, batch)
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(pos)
-    cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, tail, fail_prob)
-    m = streaming_quantile_samples(tail, fail_prob)
+    cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, tail, part)
+    m = streaming_quantile_samples(tail, part)
 
     f1, _f2 = acceptance_factors(gamma, AlgoConfig(gamma=gamma).c_acc)
     eta = decision_margin(f1)
-    bar = (1 + eta) * f1 * cand.rayleigh_emp
-    n = math.ceil(16 * (1 + 2 * eta) / eta ** 2 * (cap / (f1 * cand.rayleigh_emp)))
+    mu0 = f1 * cand.rayleigh_emp
+    bar = (1 + eta) * mu0
+    assert len(mean_stages(MEAN_BATCH_CAP, cap)) == 13
+    n = _bernstein_rows(eta, cap / mu0, 13, part)
     assert 1000 < n < 10_000
-    stages = mom_stages(n, cap)
+    stages = mean_stages(n, cap)
     assert stages[0] == FIRST_STAGE == 256 and stages[-1] == n
-    reps = math.ceil(math.log2(len(stages) / fail_prob))
-    assert mom_interval(cand.sigma_robust, cap, FIRST_STAGE)[0] > bar
-    assert src.delivered == pos + m + reps * FIRST_STAGE
+    assert _stage_bounds(twin.draw(FIRST_STAGE), cand.u, cap, n, part)[0] > bar
+    assert src.delivered == pos + m + FIRST_STAGE
 
 
 def test_streaming_certificate_small_gamma_accepts_clean_pool():
@@ -194,22 +213,20 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
     assert cand.sigma_robust >= (1 + 2 * eta) * f1 * cand.rayleigh_emp
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.99
-    reps = math.ceil(math.log2(1 / fail_prob))
     chains_and_block = (_chain_samples(d, cfg.gamma, n)
-                        + streaming_quantile_samples(3 * eps, fail_prob))
-    assert src.delivered < chains_and_block + reps * MEAN_BATCH_CAP
+                        + streaming_quantile_samples(3 * eps, fail_prob / 3))
+    assert src.delivered < chains_and_block + MEAN_BATCH_CAP
 
 
 def test_streaming_certificate_without_margin_takes_the_ceiling():
     # c_acc = 0 sets f1 = 1, where no margin fits under the Rayleigh quotient:
-    # eta is 0, the test is sigma >= rayleigh_emp, and the median-of-means
-    # is capped at max_mean_batch rows per batch: stages of 256, 512 and 700
-    # rows over ceil(log2(3 / 0.05)) = 6 batches. A 3 eps trim keeps about
-    # two thirds of a Gaussian variance, so the test rejects. The 256-row
-    # stage leaves that open, and the 512-row median sigma puts the whole
-    # interval of means within 4 sqrt(B mu / 512) of it below rayleigh_emp.
-    # The shared chains draw (max(35, 28) + 1) * 1,000 = 36,000 rows, the
-    # quantile block 9,986 and the median-of-means 6 * 512.
+    # eta is 0, the test is sigma >= rayleigh_emp, and the stream mean is
+    # capped at max_mean_batch = 700 rows, in stages of 256, 512 and 700,
+    # with L = ln(4 * 3 / (0.05 / 3)) = 6.58. A 3 eps trim keeps about two
+    # thirds of a Gaussian variance, so the test rejects: the 256-row
+    # interval already lies below rayleigh_emp. The shared chains draw
+    # (max(35, 28) + 1) * 1,000 = 36,000 rows, the quantile block at
+    # 0.05 / 3 draws 13,648 and the stream mean 256.
     d, eps, gamma, fail_prob, batch = 6, 0.02, 0.4, 0.05, 1000
     assert acceptance_factors(gamma, 0.0)[0] == 1.0 and decision_margin(1.0) == 0.0
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
@@ -221,35 +238,35 @@ def test_streaming_certificate_without_margin_takes_the_ceiling():
     assert not cand.accepted
 
     # The trim cutoff B, recomputed over the same rows of a second cycle.
+    part = fail_prob / 3
     pos = _chain_samples(d, gamma, batch)
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(pos)
-    cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, 3 * eps, fail_prob)
-    assert mom_stages(700, cap) == [256, 512, 700]
-    assert mom_interval(cand.sigma_robust, cap, 512)[1] < cand.rayleigh_emp
-    reps = math.ceil(math.log2(3 / fail_prob))
-    assert reps == 6
-    assert src.delivered == pos + streaming_quantile_samples(3 * eps, fail_prob) + reps * 512
+    cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, 3 * eps, part)
+    assert mean_stages(700, cap) == [256, 512, 700]
+    assert _stage_bounds(twin.draw(256), cand.u, cap, 700, part)[1] < cand.rayleigh_emp
+    block = streaming_quantile_samples(3 * eps, part)
+    assert block == 13_648
+    assert src.delivered == pos + block + 256
 
 
 @pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])
 def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq):
     # eps = 0 trims nothing. Under an infinite prune radius the scores have no
-    # bound, so the median-of-means has one stage of max_mean_batch rows over
-    # ceil(log2(1 / 0.05)) = 5 batches. Under the largest finite radius B / mu0
-    # overflows, so each batch may draw max_mean_batch rows, and the intervals
-    # of its stages (256, 512 and 700 rows, 6 batches), whose widths grow
-    # with B / n, settle nothing before the ceiling. Total: the shared
-    # chains' (max(35, 28) + 1) * 1,000 rows and reps * 700.
+    # bound, so the stream mean has one stage of max_mean_batch = 700 rows.
+    # Under the largest finite radius B / mu0 overflows the count, so the
+    # mean may draw max_mean_batch rows, and the intervals of its stages
+    # (256, 512 and 700 rows), whose widths grow with B / n, settle nothing
+    # before the ceiling. Total: the shared chains' (max(35, 28) + 1) * 1,000
+    # rows and 700.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700,
                                stack=FilterStack(prune_radius_sq=prune_radius_sq))
     assert cand.accepted
-    reps = math.ceil(math.log2(len(mom_stages(700, prune_radius_sq)) / fail_prob))
-    assert reps == (5 if prune_radius_sq == math.inf else 6)
-    assert src.delivered == _chain_samples(d, gamma, batch) + reps * 700
+    assert len(mean_stages(700, prune_radius_sq)) == (1 if prune_radius_sq == math.inf else 3)
+    assert src.delivered == _chain_samples(d, gamma, batch) + 700
 
 
 def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
@@ -257,7 +274,7 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     # reference column are exactly +-e1; the batch that scores them all sees
     # only rows along e2, so rayleigh_emp (and the reference) is exactly 0.
     # The robust test has no scale and the candidate is rejected before the
-    # quantile block and the median-of-means draw: the certificate draws
+    # quantile block and the stream-mean draw: the certificate draws
     # max(p_ref, p_cert) = max(24, 17) chain batches and one scoring batch of
     # 256 (before, 24 + 1 + 17 + 1 batches).
     d, gamma, fail_prob, batch = 2, 0.4, 0.05, 256
@@ -275,9 +292,11 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
 
 def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     # The block of starts does the boosting, so a smaller fail_prob adds
-    # columns to the reference block but no steps to its chain. At d = 6,
-    # gamma = 0.4 the reference chain (p_ref = 35) outlasts the candidate
-    # riding it (p_cert = 28), so each call draws (p_ref + 1) batches.
+    # columns to the reference block but no steps to its chain: its
+    # ceil(log2(3 / fail_prob)) starts are 6 at 0.05 and 22 at 1e-6, the
+    # reference's third of fail_prob. At d = 6, gamma = 0.4 the reference
+    # chain (p_ref = 35) outlasts the candidate riding it (p_cert = 28), so
+    # each call draws (p_ref + 1) batches.
     calls = []
     real = certificate.approx_power_iteration
 
@@ -296,8 +315,8 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     cfg = AlgoConfig(gamma=gamma)
     p_ref, p_cert = cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d)
     assert (p_ref, p_cert) == (35, 28)
-    assert calls == [(p_ref, 5, p_cert, (p_ref + 1) * batch),
-                     (p_ref, 20, p_cert, (p_ref + 1) * batch)]
+    assert calls == [(p_ref, 6, p_cert, (p_ref + 1) * batch),
+                     (p_ref, 22, p_cert, (p_ref + 1) * batch)]
 
 
 def _rows_and_powers(c_cert):
@@ -310,7 +329,8 @@ def _rows_and_powers(c_cert):
 @pytest.mark.parametrize("c_cert", [4.0, 12.0])
 def test_streaming_candidate_rides_the_reference_chain(c_cert):
     # The candidate's start is column reps of the certificate's (reps + 1, d)
-    # Gaussian block. A separate p_cert chain from that start over the same
+    # Gaussian block, reps = ceil(log2(3 / fail_prob)) for the reference's
+    # third of fail_prob. A separate p_cert chain from that start over the same
     # minibatches of a twin cycled pool gives the same direction, and the
     # batch after the longer chain the same Rayleigh quotient. c_cert = 4
     # puts p_cert (28) below p_ref (35), c_cert = 12 above it (82).
@@ -319,7 +339,7 @@ def test_streaming_candidate_rides_the_reference_chain(c_cert):
     assert (p_cert > p_ref) is (c_cert > 4.0)
     cand = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.02, gamma, fail_prob,
                                batch, 700, c_cert=c_cert)
-    reps = math.ceil(math.log2(1 / fail_prob))
+    reps = math.ceil(math.log2(3 / fail_prob))
     start = np.random.default_rng(5).standard_normal((reps + 1, pool.shape[1]))[reps]
     twin = ReplaySource(pool, mode="cycle")
     u = streamed_power_apply(twin, FilterStack(), p_cert, batch, start)
@@ -336,12 +356,12 @@ def test_streaming_certificate_chains_cost_the_longer_chain(c_cert):
     # Whichever chain is longer, the two chains and the batch that scores
     # both draw (max(p_ref, p_cert) + 1) batches: 36,000 rows at c_cert = 4
     # (p_ref = 35 > p_cert = 28) and 83,000 at c_cert = 12 (p_cert = 82).
-    # At eps = 0 under an infinite prune radius the rest is the
-    # median-of-means ceiling, 5 batches of 700.
+    # At eps = 0 under an infinite prune radius the rest is the stream
+    # mean's ceiling, 700 rows.
     pool, gamma, p_ref, p_cert = _rows_and_powers(c_cert)
     src = ReplaySource(pool, mode="cycle")
     _stream_certificate(src, 0.0, gamma, 0.05, 1000, 700, c_cert=c_cert)
-    assert src.delivered == (max(p_ref, p_cert) + 1) * 1000 + 5 * 700
+    assert src.delivered == (max(p_ref, p_cert) + 1) * 1000 + 700
 
 
 class _RiderCollapses:
@@ -363,14 +383,15 @@ def test_streaming_collapsed_candidate_takes_the_retry_chain():
     # A zero candidate start collapses its column of the shared chain. The
     # reference is unaffected; the candidate comes from a fresh start on its
     # own p_cert chain after the shared one, scored on its own batch, so the
-    # certificate draws (p_ref + 1 + p_cert + 1) batches before the
-    # median-of-means ceiling.
+    # certificate draws (p_ref + 1 + p_cert + 1) batches before the stream
+    # mean's 700-row ceiling. The block holds reps = ceil(log2(3 / 0.05)) = 6
+    # reference starts and the candidate's.
     pool, gamma, p_ref, p_cert = _rows_and_powers(4.0)
     d, fail_prob, batch = pool.shape[1], 0.05, 1000
-    reps = math.ceil(math.log2(1 / fail_prob))
+    reps = math.ceil(math.log2(3 / fail_prob))
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700, rng=_RiderCollapses(5))
-    assert src.delivered == (p_ref + 1 + p_cert + 1) * batch + reps * 700
+    assert src.delivered == (p_ref + 1 + p_cert + 1) * batch + 700
 
     plain = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.0, gamma, fail_prob,
                                 batch, 700)

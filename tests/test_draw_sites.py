@@ -2,7 +2,7 @@
 
 The solver reads its stream through ``linops.accepted_rows``, which draws in
 chunks and books each resident row on the scalar ledger, and through the
-median-of-means draw of ``linops.accepted_band_mean``, which books its own
+stream-mean draw of ``linops.accepted_band_mean``, which books its own
 rows. A new ``.draw(`` call elsewhere would hold rows the ledger never sees,
 so this test lists every draw call in the package outside ``sources.py``
 and pins the set.

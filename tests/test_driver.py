@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from robustpca import (
     strong_contaminate,
     trimmed_variance,
 )
-from robustpca.driver import BatchEstimators, drive
+from robustpca.driver import CERT_FAILURE_PROB, BatchEstimators, drive, failure_share
 from robustpca.errors import UnsupportedDiagnosticError
 from robustpca.streaming import MinibatchEstimators
 
@@ -282,6 +283,32 @@ def test_drive_uses_only_the_suite_contract():
     assert res.u is not None and any(not e["skipped"] for e in events)
     assert SUITE_METHODS - {"register_entry"} <= suite.seen
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
+
+
+def test_drive_hands_each_certificate_its_share_of_the_rep_budget():
+    # A suite whose certificates never accept runs every one of the
+    # k_end * t_end = 2 * 3 slots of a rep. The i-th certificate is handed
+    # CERT_FAILURE_PROB / (2 i (i + 1)): 1/4, 1/12, 1/24, ... of 0.1, which
+    # telescope to at most half the rep's budget over any number of slots,
+    # the 4,228 of a d = 20 stream solve at eps 0.03, gamma 0.6 included.
+    shares = []
+
+    class NeverAccepts(BatchEstimators):
+        def certificate(self, fail_prob, rng):
+            shares.append(fail_prob)
+            return dataclasses.replace(super().certificate(fail_prob, rng), accepted=False)
+
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, k_end=2, t_end=3)
+    res = drive(NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=7, rep=0)
+    assert res.status is PcaStatus.FALLBACK_BEST and res.iterations == (2, 3)
+    assert shares == [CERT_FAILURE_PROB / (2 * i * (i + 1)) for i in range(1, 7)]
+    assert shares[:3] == [0.1 / 4, 0.1 / 12, 0.1 / 24]
+    assert sum(shares) <= CERT_FAILURE_PROB / 2
+    stream_cfg = AlgoConfig(eps=0.03, gamma=0.6)
+    slots = stream_cfg.k_end_for(20) * stream_cfg.t_end_for(20)
+    assert slots == 4228
+    assert sum(failure_share(i) for i in range(1, slots + 1)) <= CERT_FAILURE_PROB / 2
 
 
 def test_batch_means_are_exact_whatever_the_bound():

@@ -14,7 +14,14 @@ from robustpca import (
     weighted_quantile,
 )
 from robustpca.errors import DegenerateStateError
-from robustpca.estimators import FIRST_STAGE, mom_interval, mom_stages
+from robustpca.estimators import (
+    FIRST_STAGE,
+    MEAN_CHUNK,
+    mean_stages,
+    merge_moments,
+    stage_interval,
+    stage_log,
+)
 
 
 def sort_scan_quantile(scores, weights, tail):
@@ -211,7 +218,7 @@ def test_opnorm_bracket_single_point_no_trim():
 
 
 def test_stream_mean_constant_source():
-    got = stream_mean_estimate(lambda k: np.full(k, 3.25), fail_prob=0.1, n_batch=64)
+    got = stream_mean_estimate(lambda k: np.full(k, 3.25), fail_prob=0.1, n_max=64)
     assert got == pytest.approx(3.25)
 
 
@@ -223,8 +230,8 @@ def test_stream_mean_two_point_source():
         return (signs * 1.0) ** 2  # (v . x)^2 for x = +-e1, v = e1
 
     # Chebyshev sizing for score bound 1 at rel_tol = abs_tol = 0.05.
-    n_batch = math.ceil(1.0 / (0.05 * 0.05))
-    got = stream_mean_estimate(draw, fail_prob=0.05, n_batch=n_batch)
+    n_max = math.ceil(1.0 / (0.05 * 0.05))
+    got = stream_mean_estimate(draw, fail_prob=0.05, n_max=n_max)
     assert got == pytest.approx(1.0)
 
 
@@ -238,8 +245,8 @@ def test_stream_mean_tracks_batch_oracle():
     cap = weighted_quantile(f, 0.1)
     truth = trimmed_variance(f, cap, f.size)
     rel, abs_ = 0.05, 0.05
-    # Chebyshev sizing: n_batch = score bound / (rel_tol * abs_tol).
-    n_batch = math.ceil(float(cap) / (rel * abs_))
+    # Chebyshev sizing: n_max = score bound / (rel_tol * abs_tol).
+    n_max = math.ceil(float(cap) / (rel * abs_))
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
@@ -248,14 +255,14 @@ def test_stream_mean_tracks_batch_oracle():
             f = (pop[rng.integers(0, 4000, size=k)] @ v) ** 2
             return np.where(f <= cap, f, 0.0)
 
-        got = stream_mean_estimate(draw, fail_prob=0.05, n_batch=n_batch)
+        got = stream_mean_estimate(draw, fail_prob=0.05, n_max=n_max)
         if abs(got - truth) <= rel * truth + abs_:
             hits += 1
     assert hits >= 95
 
 
 def test_stream_mean_requires_sizing_information():
-    # The per-batch draw count has no default; the caller sizes it.
+    # The row ceiling has no default; the caller sizes it.
     with pytest.raises(TypeError):
         stream_mean_estimate(lambda k: np.zeros(k), fail_prob=0.1)
 
@@ -271,74 +278,131 @@ def _counted(draw):
     return inner, sizes
 
 
+def _recorded(draw):
+    """``draw`` wrapped to keep every value it hands out."""
+    rows = []
+
+    def inner(k):
+        rows.append(draw(k))
+        return rows[-1]
+
+    return inner, rows
+
+
+def _interval(x, bound, n_stages, fail_prob):
+    """The stage interval of the rows x, from numpy's own mean and variance."""
+    n, log_j = x.size, stage_log(n_stages, fail_prob)
+    half = (math.sqrt(2 * np.var(x, ddof=1) * log_j / n)
+            + 7 * bound * log_j / (3 * (n - 1)))
+    return float(np.mean(x)) - half, float(np.mean(x)) + half
+
+
 def test_stream_mean_settles_a_clear_decision_at_the_first_stage():
-    # Scores 0 or 1, mean 1/2, against a bar of 0.05: at 256 rows per batch
-    # the interval of means within 4 sqrt(B mu / n) of the median already
-    # lies above the bar. n_batch = 36,576 gives J = 9 stages, so
-    # r = ceil(log2(9 / 0.1)) = 7 batches of 256 rows.
+    # Scores 0 or 1, mean 1/2, against a bar of 0.05. n_max = 36,576 gives
+    # J = 9 stages, so L = ln(4 * 9 / 0.1) = 5.89, and at the first stage of
+    # 256 rows the half-width is about sqrt(2 * 0.25 * 5.89 / 256) +
+    # 7 * 5.89 / (3 * 255) = 0.107 + 0.054: the interval lies above the bar.
     rng = np.random.default_rng(12)
-    draw, sizes = _counted(lambda k: (rng.random(k) < 0.5).astype(float))
-    got = stream_mean_estimate(draw, 0.1, n_batch=36_576, score_bound=1.0, bar=0.05)
-    assert len(mom_stages(36_576, 1.0)) == 9
-    assert sizes == [FIRST_STAGE] * 7
-    assert mom_interval(got, 1.0, FIRST_STAGE)[0] > 0.05
+    draw, rows = _recorded(lambda k: (rng.random(k) < 0.5).astype(float))
+    got = stream_mean_estimate(draw, 0.1, n_max=36_576, score_bound=1.0, bar=0.05)
+    assert len(mean_stages(36_576, 1.0)) == 9
+    assert [r.size for r in rows] == [FIRST_STAGE]
+    assert got == float(np.mean(rows[0]))
+    assert _interval(rows[0], 1.0, 9, 0.1)[0] > 0.05
 
 
 def test_stream_mean_without_a_score_bound_is_one_stage():
-    # B = inf leaves every interval unbounded, so there is one stage at
-    # n_batch over ceil(log2(1 / fail_prob)) batches, as a fixed-size
-    # median-of-means draws; the bar changes nothing.
+    # B = inf leaves every interval unbounded, so there is one stage of
+    # n_max = 5,000 rows, drawn in chunks of MEAN_CHUNK = 4,096: 4,096 + 904.
+    # The bar changes nothing.
     rng = np.random.default_rng(13)
     draw, sizes = _counted(lambda k: rng.random(k))
-    stream_mean_estimate(draw, 0.1, n_batch=5000, score_bound=math.inf, bar=0.05)
-    assert sum(sizes) == math.ceil(math.log2(1 / 0.1)) * 5000 == 20_000
-    assert sizes == [4096, 904] * 4
+    stream_mean_estimate(draw, 0.1, n_max=5000, score_bound=math.inf, bar=0.05)
+    assert sizes == [MEAN_CHUNK, 5000 - MEAN_CHUNK] == [4096, 904]
 
 
 def test_stream_mean_batches_nest_up_to_the_ceiling():
-    # rel_tol = 0 settles nothing before the ceiling. Each of the
-    # r = ceil(log2(3 / 0.1)) = 5 batches grows by 256, 256 and 488 rows over
-    # the stages of 256, 512 and 1,000 rows; its mean at the ceiling equals a
-    # one-stage estimate over its own rows, replayed from a twin source.
+    # rel_tol = 0 settles nothing before the ceiling. The one running sample
+    # grows by 256, 256 and 488 rows over the stages of 256, 512 and 1,000
+    # rows, and its mean at the ceiling equals a one-stage estimate over the
+    # same 1,000 rows, replayed from a twin source.
     pool = np.random.default_rng(14).random((7000, 1))
     src = ReplaySource(pool, mode="cycle")
     draw, sizes = _counted(lambda k: src.draw(k)[:, 0])
-    got = stream_mean_estimate(draw, 0.1, n_batch=1000, score_bound=1.0, rel_tol=0.0)
-    assert sizes == [256] * 5 + [256] * 5 + [488] * 5
+    got = stream_mean_estimate(draw, 0.1, n_max=1000, score_bound=1.0, rel_tol=0.0)
+    assert mean_stages(1000, 1.0) == [256, 512, 1000]
+    assert sizes == [256, 256, 488]
 
     twin = ReplaySource(pool, mode="cycle")
-    rows = [[] for _ in range(5)]
-    for k in (256, 256, 488):
-        for batch in rows:
-            batch.append(twin.draw(k))
-    means = []
-    for batch in rows:
-        own = ReplaySource(np.concatenate(batch), mode="cycle")
-        means.append(stream_mean_estimate(lambda k: own.draw(k)[:, 0], 0.5, n_batch=1000))
-        assert means[-1] == pytest.approx(float(np.mean(np.concatenate(batch))), rel=1e-12)
-    assert got == pytest.approx(float(np.median(means)), rel=1e-12)
+    once = stream_mean_estimate(lambda k: twin.draw(k)[:, 0], 0.5, n_max=1000)
+    assert once == pytest.approx(float(np.mean(pool[:1000])), rel=1e-12)
+    assert got == pytest.approx(once, rel=1e-12)
 
 
 @pytest.mark.parametrize("bar", [0.36, 0.25])
 def test_stream_mean_early_decisions_are_rarely_wrong(bar):
     # Two-point scores (1 with probability 0.3, else 0) have mean 0.3, a
     # fifth off the bar either way. Over 2,000 seeded runs the estimate
-    # stops early in most, and lands on the wrong side of the bar at an
-    # early stop in at most a fail_prob share of them.
-    fail_prob, n_batch, runs = 0.1, 4096, 2000
-    stages = mom_stages(n_batch, 1.0)
-    reps = math.ceil(math.log2(len(stages) / fail_prob))
+    # stops before its n_max = 4,096 rows in most, and lands on the wrong
+    # side of the bar at an early stop in at most a fail_prob share of them.
+    fail_prob, n_max, runs = 0.1, 4096, 2000
     rng = np.random.default_rng(15)
     early = wrong = 0
     for _ in range(runs):
         draw, sizes = _counted(lambda k: (rng.random(k) < 0.3).astype(float))
-        got = stream_mean_estimate(draw, fail_prob, n_batch=n_batch, score_bound=1.0,
+        got = stream_mean_estimate(draw, fail_prob, n_max=n_max, score_bound=1.0,
                                    bar=bar)
-        if sum(sizes) < reps * n_batch:
+        if sum(sizes) < n_max:
             early += 1
             wrong += (got >= bar) != (0.3 >= bar)
     assert early >= runs // 2
     assert wrong <= fail_prob * runs
+
+
+@pytest.mark.parametrize("law", ["two_point", "uniform"])
+def test_stream_mean_intervals_cover_the_true_mean(law):
+    # Every stage interval of a run holds the true mean in at least a
+    # 1 - fail_prob share of 400 seeded runs. The two-point law on {0, B}
+    # with mean 0.002 B has the largest variance a mean that small allows,
+    # B mu; at 256 rows it shows no nonzero score in about 60% of runs, so
+    # the sample variance is 0 and only the 7 B L / (3 (n - 1)) term keeps
+    # the true mean inside. The uniform law on [0, B] is spread evenly.
+    fail_prob, n_max, bound, runs = 0.1, 4096, 8.0, 400
+    mu = {"two_point": 0.002 * bound, "uniform": bound / 2}[law]
+    stages = mean_stages(n_max, bound)
+    log_j = stage_log(len(stages), fail_prob)
+    rng = np.random.default_rng(16)
+    covered = 0
+    for _ in range(runs):
+        if law == "two_point":
+            draw, rows = _recorded(lambda k: bound * (rng.random(k) < 0.002))
+        else:
+            draw, rows = _recorded(lambda k: bound * rng.random(k))
+        stream_mean_estimate(draw, fail_prob, n_max=n_max, score_bound=bound)
+        x = np.concatenate(rows)
+        assert x.size == n_max
+        inside = True
+        for n in stages[:-1]:
+            lo, hi = stage_interval(merge_moments((0, 0.0, 0.0), x[:n]), bound, log_j)
+            inside &= lo <= mu <= hi
+        covered += inside
+    assert covered >= (1 - fail_prob) * runs
+
+
+def test_stream_mean_variance_does_not_cancel():
+    # Scores 1e8 + U(0, 1): the sum of squares is about 1e16 n and
+    # sum(x^2) - n m^2 keeps no digit of the spread, 1/12. Merged chunk by
+    # chunk, the centred sum of squares matches numpy's variance of the
+    # same rows to 1e-9 and is never negative.
+    x = 1e8 + np.random.default_rng(17).random(3 * MEAN_CHUNK + 123)
+    moments = (0, 0.0, 0.0)
+    for start in range(0, x.size, MEAN_CHUNK):
+        moments = merge_moments(moments, x[start:start + MEAN_CHUNK])
+        n, mean, m2 = moments
+        assert m2 >= 0.0
+        assert n == min(start + MEAN_CHUNK, x.size)
+        assert mean == pytest.approx(float(np.mean(x[:n])), rel=1e-12)
+        assert m2 / (n - 1) == pytest.approx(float(np.var(x[:n], ddof=1)), rel=1e-9)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -24,8 +25,8 @@ from robustpca import (
     tv_contaminated_source,
 )
 from robustpca.certificate import DECISION_MARGIN
-from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators
-from robustpca.estimators import FIRST_STAGE, mom_interval, mom_stages
+from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
+from robustpca.estimators import mean_stages, stage_interval, stage_log
 from robustpca.filtering import hard_thresholding_filter
 from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
 from robustpca.linops import (
@@ -116,13 +117,14 @@ def test_non_finite_stream_row_is_rejected():
             for pool in (clean, bad)]
     (res_a, stats_a), (res_b, stats_b) = runs
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
-    # The first certificate accepts. At d = 5, gamma = 0.5 its failure
-    # probability is 0.1 / (3 * 10,000), so the count is the 46,052-row
-    # opnorm block, (24 + 1) * 4,096 chain rows (the reference chain runs
-    # ref_power(5, 1/2) = 24 steps, the candidate rides its first 19, and
-    # one batch scores both) and 19 median-of-means batches of 4,312 rows:
-    # 46,052 + 102,400 + 81,928.
-    assert stats_a.samples_consumed == stats_b.samples_consumed == 230_380
+    # The first certificate accepts. At eps = 0 there is no norm quantile,
+    # so the opnorm block is the suite's first estimate, at failure_share(1)
+    # = 0.025: ceil(200 * 100 * ln 40) = 73,778 rows. Then come
+    # (24 + 1) * 4,096 chain rows (the reference chain runs ref_power(5, 1/2)
+    # = 24 steps, the candidate rides its first 19, and one batch scores
+    # both) and, the scores having no bound, the stream mean's whole
+    # 4,312-row ceiling: 73,778 + 102,400 + 4,312.
+    assert stats_a.samples_consumed == stats_b.samples_consumed == 180_490
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -194,13 +196,13 @@ def test_default_batch_formulas_clamped():
 
 
 def test_stream_sigma_trimmed_settles_to_its_precision():
-    # The trimmed variance is a value, not a decision: its median-of-means
-    # stops at the first stage n whose interval [lo, hi] of means within
-    # 4 sqrt(B mu / n) of the median has hi <= (1 + DECISION_MARGIN) lo,
-    # B = min(cut, prune radius^2). Each of r = ceil(log2(J / 0.1)) batches
-    # then holds n rows, and the estimate lies within a factor 1.25 of the
-    # exact trimmed mean of the cycled pool, which is its population. At
-    # d = 20 the ceiling is 36,576 rows per batch, as on the stream
+    # The trimmed variance is a value, not a decision: its stream mean stops
+    # at the first stage n whose interval [lo, hi] has
+    # hi <= (1 + DECISION_MARGIN) lo, B = min(cut, prune radius^2). It is the
+    # suite's third estimate, after the prologue's two, so it takes
+    # failure_share(3) = 0.1 / 24. The estimate then lies within a factor
+    # 1.25 of the exact trimmed mean of the cycled pool, which is its
+    # population. At d = 20 the ceiling is 36,576 rows, as on the stream
     # benchmark, and the stop comes well before it.
     pool, _spec = _spiked_pool(d=20, rows=20_000)
     src = ReplaySource(pool, mode="cycle")
@@ -211,11 +213,19 @@ def test_stream_sigma_trimmed_settles_to_its_precision():
     cut, before = 20.0, src.delivered
     sigma = suite.sigma_trimmed(cut)
     bound = min(cut, suite.stack.prune_radius_sq)
-    stages = mom_stages(suite.mean_batch, bound)
-    reps = math.ceil(math.log2(len(stages) / CERT_FAILURE_PROB))
-    n, rest = divmod(src.delivered - before, reps)
-    assert rest == 0 and n in stages[:-1]
-    lo, hi = mom_interval(sigma, bound, n)
+    stages = mean_stages(suite.mean_batch, bound)
+    n = src.delivered - before
+    assert n in stages[:-1]
+
+    # The same n rows, replayed and scored, give the stopping interval.
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(before)
+    rows = twin.draw(n)
+    f = (rows @ v) ** 2
+    f = np.where(suite.stack.weights(rows) & (f <= cut), f, 0.0)
+    assert sigma == pytest.approx(float(np.mean(f)), rel=1e-12)
+    moments = (n, float(np.mean(f)), float(np.sum((f - np.mean(f)) ** 2)))
+    lo, hi = stage_interval(moments, bound, stage_log(len(stages), failure_share(3)))
     assert hi <= (1 + DECISION_MARGIN) * lo
     f = (pool[suite.stack.weights(pool)] @ v) ** 2
     exact = float(np.sum(f[f <= cut])) / pool.shape[0]
@@ -230,9 +240,13 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     # 40) and the round means (about 0.3) are far from the exit bound (about
     # 2.5), so from the same L, T_hat, R, delta and rng_filt the stream
     # filter makes the batch filter's decisions: the same rounds and the
-    # same (direction, threshold) entry. The opening decision settles at
-    # the first stage, r * 256 rows, where a fixed-size estimate drew
-    # ceil(log2(1 / 0.1)) * mean_batch.
+    # same (direction, threshold) entry. No mean passes its mean_batch
+    # ceiling. The opening scores are all but two-point, 0 or near the prune
+    # radius^2 B = 1,143 (V about B mu), the worst case for an
+    # empirical-Bernstein interval: at the suite's third share, 0.1 / 24,
+    # L = ln(4 * 6 / (0.1 / 24)) = 8.66 over the 6 stages of the 5,028-row
+    # ceiling, and 7 B L / (3 (n - 1)) alone is 22.6 at 1,024 rows, so the
+    # interval first clears the exit bound at 2,048 rows.
     pool, _spec = _spiked_pool(d=8, rows=20_000, seed=seed)
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     src = ReplaySource(pool, mode="cycle")
@@ -260,10 +274,9 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     assert got.rounds == want.rounds >= 1
     np.testing.assert_array_equal(got.new_entry.direction, want.new_entry.direction)
     assert got.new_entry.threshold_sq == want.new_entry.threshold_sq
-    stages = mom_stages(stream.mean_batch, stream.stack.prune_radius_sq)
-    reps = math.ceil(math.log2(len(stages) / CERT_FAILURE_PROB))
-    assert rows[0] == reps * FIRST_STAGE
-    assert all(n <= reps * stream.mean_batch for n in rows)
+    assert stream.mean_batch == 5028
+    assert mean_stages(5028, stream.stack.prune_radius_sq)[3] == rows[0] == 2048
+    assert all(n <= stream.mean_batch for n in rows)
 
 
 # -- honest memory accounting and typed failure modes ------------------------------
@@ -279,6 +292,42 @@ def _solve_pool(pool, **kw):
     args = dict(eps=0.03, gamma=0.6, r_radius=1.5, rng_seed=0, max_samples=20_000_000)
     args.update(kw)
     return streaming_robust_pca(ReplaySource(pool, mode="cycle"), **args)
+
+
+def test_stream_rep_fails_within_its_budget(monkeypatch):
+    # Every failure probability a stream solve hands out, recorded where the
+    # suite calls its estimators. Its estimates (the prologue's norm quantile
+    # and opnorm block, then each filter iteration's quantile, trimmed mean
+    # and round means) take failure_share(1), (2), ... in turn, and its
+    # certificates likewise: each series sums to at most half the rep's
+    # budget, so the rep fails with probability at most CERT_FAILURE_PROB.
+    import robustpca.streaming as streaming
+
+    seen = {"estimate": [], "certificate": []}
+
+    def spy(kind, fn):
+        sig = inspect.signature(fn)
+
+        def inner(*args, **kwargs):
+            seen[kind].append(sig.bind(*args, **kwargs).arguments["fail_prob"])
+            return fn(*args, **kwargs)
+        return inner
+
+    for name in ("streaming_quantile", "streaming_quantile_samples", "accepted_band_mean"):
+        monkeypatch.setattr(streaming, name, spy("estimate", getattr(streaming, name)))
+    monkeypatch.setattr(streaming, "sample_top_eigenvector_streaming",
+                        spy("certificate", streaming.sample_top_eigenvector_streaming))
+    pool, _spec = _spiked_pool()
+    res, _stats = _solve_pool(pool)
+    assert res.status is PcaStatus.ACCEPTED and res.filters_created >= 1
+    estimates, certificates = seen["estimate"], seen["certificate"]
+    # Two prologue blocks, then at least a quantile, a trimmed mean, the
+    # opening mean and one round mean.
+    assert len(estimates) >= 6 and len(certificates) >= 2
+    assert estimates == [failure_share(j) for j in range(1, len(estimates) + 1)]
+    assert certificates == [failure_share(i) for i in range(1, len(certificates) + 1)]
+    assert sum(estimates) <= CERT_FAILURE_PROB / 2
+    assert sum(certificates) <= CERT_FAILURE_PROB / 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
