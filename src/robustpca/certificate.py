@@ -68,6 +68,10 @@ class Candidate:
     sigma_robust: float
     reference_rayleigh: float
     accepted: bool
+    # Stream only: the driver direction that rode the certificate's chain
+    # (``sample_top_eigenvector_streaming``) as a one-tuple, holding None if
+    # it collapsed; empty when none rode.
+    rider: tuple = ()
 
 
 def acceptance_factors(gamma: float, c_acc: float) -> tuple[float, float]:
@@ -118,7 +122,9 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      config: AlgoConfig, rng: np.random.Generator,
                                      batch_size: int, max_mean_batch: int,
-                                     ledger: ScalarLedger) -> Candidate:
+                                     ledger: ScalarLedger,
+                                     direction: tuple[int, np.random.Generator] | None = None,
+                                     ) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
     ``fail_prob`` is split in three equal parts, one for each estimate that
@@ -133,8 +139,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     with probability at least 1/2. Given the chain's minibatches, whose error
     ``batch_size`` governs, the starts are independent, so all of them miss
     with probability at most (1/2)^reps <= fail_prob / 3. The candidate
-    rides the same minibatches (``linops.approx_power_iteration``); a
-    collapsed one is redrawn on a chain and a batch of its own.
+    rides the same minibatches; a collapsed one is redrawn on a chain and a
+    batch of its own. ``direction`` = (p_k, rng_dir) sets the driver's next
+    filter direction: when p_k <= max(p_ref, p_cert) its start,
+    ``rng_dir.standard_normal(d)``, rides the chain too for p_k steps,
+    drawing no rows of its own, and comes back as ``Candidate.rider``; a
+    longer chain is not started here, so no certificate draws more rows for
+    it. Why every rider keeps its own guarantee is argued at
+    ``linops.approx_power_iteration``.
 
     The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
     mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
@@ -172,10 +184,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(REF_START_FAILURE)))
     p_ref = config.ref_power(d, REF_START_FAILURE)
     p_cert = config.cert_power(d)
-    r_hat, rider = approx_power_iteration(source, stack, p_ref, reps, batch_size, rng,
-                                          p_cert, ledger=ledger)
-    if rider is not None:
-        u, rayleigh_emp = rider
+    riders = ()
+    if direction is not None and direction[0] <= max(p_ref, p_cert):
+        p_k, rng_dir = direction
+        riders = ((rng_dir.standard_normal(d), p_k),)
+    r_hat, cand, rode = approx_power_iteration(source, stack, p_ref, reps, batch_size,
+                                               rng, p_cert, ledger=ledger, riders=riders)
+    if cand is not None:
+        u, rayleigh_emp = cand
     else:
         u = streamed_power_direction(source, stack, p_cert, batch_size, rng,
                                      ledger=ledger)
@@ -187,7 +203,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     mu0 = f1 * rayleigh_emp
     if not mu0 > 0.0:
         return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=0.0,
-                         reference_rayleigh=r_hat, accepted=False)
+                         reference_rayleigh=r_hat, accepted=False, rider=tuple(rode))
 
     tail = TRIM_TAIL * eps
     if tail > 0:
@@ -212,4 +228,4 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
 
     accepted = sigma >= bar and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
-                     reference_rayleigh=r_hat, accepted=accepted)
+                     reference_rayleigh=r_hat, accepted=accepted, rider=tuple(rode))

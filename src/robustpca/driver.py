@@ -10,9 +10,16 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 
 - ``prologue() -> (sigma_op, delta)``: prune; return the operator-norm
   bracket and the filter's additive slack.
-- ``certificate(fail_prob, rng) -> Candidate``: a candidate whose judgement
-  errs with probability at most ``fail_prob``.
+- ``certificate(fail_prob, rng, p_k, rng_dir) -> Candidate``: a candidate
+  whose judgement errs with probability at most ``fail_prob``. ``p_k`` and
+  ``rng_dir`` are what the iteration's ``direction`` call will be handed;
+  the stream suite lets that direction ride its certificate's chain, the
+  batch suite ignores them.
 - ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
+  The stream suite returns the direction that rode the certificate when
+  this call follows the certificate of the same iteration on the same
+  stack, and otherwise runs a chain of its own; after a collapsed rider
+  that chain takes the remaining starts, 8 in all.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
 - ``quantile_value(tail)``: a score cutoff along the kept direction;
@@ -118,7 +125,8 @@ class BatchEstimators:
         self.op = SecondMomentOp(self.points[self.weights])
         return sigma_op, 0.0
 
-    def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
+    def certificate(self, fail_prob: float, rng: np.random.Generator, _p_k: int,
+                    _rng_dir: np.random.Generator) -> Candidate:
         return sample_top_eigenvector(self.op, self.n, self.config.eps,
                                       self.config.gamma, fail_prob, self.config, rng)
 
@@ -174,7 +182,8 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
             p_k = cfg.power_at(d, k)
             for t in range(1, t_end + 1):
                 last_iter = (k, t)
-                cand = suite.certificate(failure_share((k - 1) * t_end + t), rng_cert)
+                cand = suite.certificate(failure_share((k - 1) * t_end + t), rng_cert,
+                                         p_k, rng_dir)
                 if cand.accepted:
                     return PcaResult(
                         u=cand.u, sigma_robust=cand.sigma_robust,

@@ -221,14 +221,15 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
 _POWER_RETRIES = 8
 
 
-def gaussian_retry(rng: np.random.Generator, dim: int, attempt):
+def gaussian_retry(rng: np.random.Generator, dim: int, attempt, spent: int = 0):
     """First non-None ``attempt(g)`` over fresh standard Gaussian starts g.
 
-    Draws ``rng.standard_normal(dim)`` before each of up to 8 attempts, so a
-    collapsed attempt (zero or non-finite iterate) costs one start; returns
-    None when every attempt collapses.
+    Draws ``rng.standard_normal(dim)`` before each of up to 8 - ``spent``
+    attempts, where ``spent`` counts the starts the caller already drew from
+    ``rng`` for the same answer, so a collapsed attempt (zero or non-finite
+    iterate) costs one start; returns None when every attempt collapses.
     """
-    for _ in range(_POWER_RETRIES):
+    for _ in range(_POWER_RETRIES - spent):
         out = attempt(rng.standard_normal(dim))
         if out is not None:
             return out
@@ -254,19 +255,22 @@ def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
 
 def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
                              batch_size: int, rng: np.random.Generator,
-                             ledger: ScalarLedger | None = None) -> np.ndarray | None:
+                             ledger: ScalarLedger | None = None,
+                             spent: int = 0) -> np.ndarray | None:
     """Unit vector along a minibatch power chain applied to a Gaussian start.
 
-    A collapsed chain takes a fresh start and chain (``gaussian_retry``).
+    A collapsed chain takes a fresh start and chain (``gaussian_retry``,
+    which ``spent`` is handed to).
     """
     return gaussian_retry(rng, source.dim, lambda z: _unit(
-        streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)))
+        streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)), spent)
 
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
-                           rider_power: int, ledger: ScalarLedger | None = None):
-    """Best Rayleigh quotient over ``reps`` minibatch power probes, plus a rider probe.
+                           rider_power: int, ledger: ScalarLedger | None = None,
+                           riders=()):
+    """Best Rayleigh quotient over ``reps`` minibatch power probes, plus riders.
 
     The ``reps`` Gaussian starts are the columns of one (d, reps) block that
     goes through a single streamed power chain; the independent starts boost
@@ -275,38 +279,48 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     dropped, and the best ``streamed_rayleigh`` on one fresh minibatch is
     kept.
 
-    One more Gaussian start, column ``reps`` of the block, rides the same
-    minibatches for ``rider_power`` = q steps: the whole block runs min(p, q)
-    steps, the longer side goes on alone, and the rider is scored on the
-    same minibatch. It is still a q-step chain over fresh iid minibatches
-    from an independent start, so each estimate keeps the distribution it
-    had on rows of its own; a caller that union-bounds their failures needs
-    no independence between them. Returns (best Rayleigh quotient, (unit
-    rider, its Rayleigh quotient)), or None in place of the pair when the
-    rider collapsed. Consumes exactly (max(p, q) + 1) * batch_size stream
-    samples, whatever ``reps`` is.
+    More starts ride the same chain as further columns of the block: the
+    candidate, one more Gaussian start from ``rng`` run for ``rider_power``
+    steps, and each (start, power) pair of ``riders``. The chain is ragged:
+    each column carries its own power q and goes through the first q
+    minibatches. One loop runs over the distinct powers in ascending order
+    and applies the minibatches up to each to the columns still live, those
+    whose power reaches it. So a column of power q sees q fresh iid
+    minibatches from a start drawn independently of them, exactly what a
+    q-step chain on minibatches of its own would see, and each estimate
+    keeps the distribution it had alone. Only their joint law changes, as
+    they share rows; a caller that union-bounds their failures needs no
+    independence between them, because the union bound holds under any
+    dependence. This is the one home of that argument.
+
+    The reference columns and the candidate are scored on the last
+    minibatch; the riders are not. Returns (best Rayleigh quotient,
+    (unit candidate, its Rayleigh quotient), [unit rider, ...]), with None
+    in place of the candidate's pair or of a rider that collapsed. Consumes
+    exactly (max power + 1) * batch_size stream samples, however many
+    columns there are.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     # Row-major fill: column j is the vector the j-th of separate
-    # ``standard_normal(d)`` draws would give, the rider's start last.
+    # ``standard_normal(d)`` draws would give, the candidate's start last.
     starts = rng.standard_normal((reps + 1, source.dim)).T
-    shared = streamed_power_apply(source, stack, min(p, rider_power), batch_size,
-                                  starts, ledger=ledger)
-    y, rider = shared[:, :reps], shared[:, reps]
-    if p > rider_power:
-        y = streamed_power_apply(source, stack, p - rider_power, batch_size, y,
-                                 ledger=ledger)
-    elif rider_power > p:
-        rider = streamed_power_apply(source, stack, rider_power - p, batch_size,
-                                     rider, ledger=ledger)
-    rider = _unit(rider)
+    block = np.column_stack([starts] + [start for start, _q in riders])
+    powers = np.array([p] * reps + [rider_power] + [q for _start, q in riders])
+    done = 0
+    for q in sorted(set(powers.tolist())):
+        live = powers >= q
+        block[:, live] = streamed_power_apply(source, stack, q - done, batch_size,
+                                              block[:, live], ledger=ledger)
+        done = q
+    y, cand = block[:, :reps], _unit(block[:, reps])
     nrm = np.linalg.norm(y, axis=0)
     alive = np.isfinite(nrm) & (nrm > 0.0)
     if not alive.any():
         raise DegenerateStateError("every power probe collapsed to the zero vector")
     y = y[:, alive] / nrm[alive]
-    scored = y if rider is None else np.column_stack([y, rider])
+    scored = y if cand is None else np.column_stack([y, cand])
     rq = streamed_rayleigh(source, stack, scored, batch_size, ledger)
     r_hat = float(np.max(rq[:y.shape[1]]))
-    return r_hat, (None if rider is None else (rider, float(rq[-1])))
+    return (r_hat, None if cand is None else (cand, float(rq[-1])),
+            [_unit(col) for col in block[:, reps + 1:].T])

@@ -68,6 +68,7 @@ class MinibatchEstimators:
         self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, config.eps, config.gamma, r_radius)
         self._v: np.ndarray | None = None
+        self._rider = None
         self._estimates = 0
 
     def _fail_prob(self) -> float:
@@ -106,16 +107,28 @@ class MinibatchEstimators:
 
     # -- per-iteration answers -------------------------------------------------
 
-    def certificate(self, fail_prob: float, rng: np.random.Generator) -> Candidate:
-        return sample_top_eigenvector_streaming(
+    def certificate(self, fail_prob: float, rng: np.random.Generator, p_k: int,
+                    rng_dir: np.random.Generator) -> Candidate:
+        cand = sample_top_eigenvector_streaming(
             self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
             self.config, rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
-            ledger=self.ledger,
+            ledger=self.ledger, direction=(p_k, rng_dir),
         )
+        self._rider = (p_k, rng_dir, self.stack, cand.rider)
+        return cand
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
+        # The direction that rode the last certificate answers this call once,
+        # if that certificate was this iteration's on this stack. A collapsed
+        # one has spent its start, so the own chain below takes the next ones.
+        rider, self._rider = self._rider, None
+        rode = ()
+        if rider is not None and rider[0] == p_k and rider[1] is rng and rider[2] is self.stack:
+            rode = rider[3]
+        if rode and rode[0] is not None:
+            return rode[0]
         return streamed_power_direction(self.source, self.stack, p_k, self.batch,
-                                        rng, ledger=self.ledger)
+                                        rng, ledger=self.ledger, spent=len(rode))
 
     def start_iteration(self, v: np.ndarray) -> bool:
         # Whether any surviving score is positive is unknown without a pass;

@@ -300,9 +300,10 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     calls = []
     real = certificate.approx_power_iteration
 
-    def spy(source, stack, p, reps, batch_size, rng, rider_power, ledger=None):
+    def spy(source, stack, p, reps, batch_size, rng, rider_power, ledger=None, riders=()):
         before = source.delivered
-        out = real(source, stack, p, reps, batch_size, rng, rider_power, ledger=ledger)
+        out = real(source, stack, p, reps, batch_size, rng, rider_power, ledger=ledger,
+                   riders=riders)
         calls.append((p, reps, rider_power, source.delivered - before))
         return out
 

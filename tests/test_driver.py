@@ -10,6 +10,8 @@ from robustpca import (
     AlgoConfig,
     InlierSpec,
     PcaStatus,
+    ReplaySource,
+    ScalarLedger,
     WeightedDataset,
     gen_inliers,
     metric_approx_ratio,
@@ -20,6 +22,7 @@ from robustpca import (
     rng_stream,
     strong_contaminate,
     trimmed_variance,
+    tv_contaminated_source,
 )
 from robustpca.driver import CERT_FAILURE_PROB, BatchEstimators, drive, failure_share
 from robustpca.errors import UnsupportedDiagnosticError
@@ -265,16 +268,27 @@ def test_suites_define_exactly_the_contract_methods(suite_cls):
     assert public == SUITE_METHODS
 
 
+class Recorder:
+    """Forwards to a suite, noting each attribute read and each method call."""
+
+    def __init__(self, suite):
+        self._suite = suite
+        self.seen = set()
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.seen.add(name)
+        attr = getattr(self._suite, name)
+        if name not in SUITE_METHODS:
+            return attr
+
+        def logged(*args):
+            self.calls.append((name, args))
+            return attr(*args)
+        return logged
+
+
 def test_drive_uses_only_the_suite_contract():
-    class Recorder:
-        def __init__(self, suite):
-            self._suite = suite
-            self.seen = set()
-
-        def __getattr__(self, name):
-            self.seen.add(name)
-            return getattr(self._suite, name)
-
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     cfg = AlgoConfig(eps=0.05, gamma=1.0)
     suite = Recorder(BatchEstimators(pts, cfg, np.einsum("ij,ij->i", pts, pts)))
@@ -283,6 +297,39 @@ def test_drive_uses_only_the_suite_contract():
     assert res.u is not None and any(not e["skipped"] for e in events)
     assert SUITE_METHODS - {"register_entry"} <= suite.seen
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
+
+
+def _stream_suite(cfg):
+    spec = InlierSpec(dim=8, diag=1.0, spikes=((0, 9.0),))
+    adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=0.035, spike_axis=1)
+    pool = tv_contaminated_source(spec, adv, rng_stream(0, 1)).draw(20_000)
+    return MinibatchEstimators(ReplaySource(pool, mode="cycle"), cfg, 1.5, ScalarLedger())
+
+
+@pytest.mark.parametrize("kind", ["batch", "stream"])
+def test_each_direction_follows_its_iterations_certificate(kind):
+    # The stream suite hands out the direction that rode its certificate's
+    # chain, which is sound only if drive asks for each direction right
+    # after the same iteration's certificate, on the stack that certificate
+    # saw, with that iteration's power and generator.
+    if kind == "batch":
+        cfg = AlgoConfig(eps=0.05, gamma=1.0)
+        pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+        suite = Recorder(BatchEstimators(pts, cfg, np.einsum("ij,ij->i", pts, pts)))
+    else:
+        cfg = AlgoConfig(eps=0.03, gamma=0.6)
+        suite = Recorder(_stream_suite(cfg))
+    res = drive(suite, cfg, seed=7 if kind == "batch" else 0, rep=0)
+    assert res.u is not None
+    names = [name for name, _args in suite.calls]
+    assert "direction" in names and "register_entry" in names
+    for i, (name, args) in enumerate(suite.calls):
+        if name != "direction":
+            continue
+        j = max(j for j in range(i) if names[j] == "certificate")
+        assert "register_entry" not in names[j:i]
+        _fail_prob, _rng_cert, p_k, rng_dir = suite.calls[j][1]
+        assert args[0] == p_k and args[1] is rng_dir
 
 
 def test_drive_hands_each_certificate_its_share_of_the_rep_budget():
@@ -294,9 +341,10 @@ def test_drive_hands_each_certificate_its_share_of_the_rep_budget():
     shares = []
 
     class NeverAccepts(BatchEstimators):
-        def certificate(self, fail_prob, rng):
+        def certificate(self, fail_prob, rng, p_k, rng_dir):
             shares.append(fail_prob)
-            return dataclasses.replace(super().certificate(fail_prob, rng), accepted=False)
+            return dataclasses.replace(super().certificate(fail_prob, rng, p_k, rng_dir),
+                                       accepted=False)
 
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     cfg = AlgoConfig(eps=0.05, gamma=1.0, k_end=2, t_end=3)

@@ -329,7 +329,7 @@ def test_power_iteration_guarantee_rate():
 def test_approx_power_iteration_two_point_population():
     pop = np.array([[math.sqrt(5.0), 0.0], [-math.sqrt(5.0), 0.0]])
     src = ReplaySource(pop, mode="cycle")
-    r_hat, _ = approx_power_iteration(src, FilterStack(), p=4, reps=5, batch_size=16,
+    r_hat, _, _ = approx_power_iteration(src, FilterStack(), p=4, reps=5, batch_size=16,
                                       rng=np.random.default_rng(1), rider_power=4)
     assert 4.5 <= r_hat <= 5.5
 
@@ -344,7 +344,7 @@ def test_approx_power_iteration_isotropic():
         return pop[idx], None
 
     src = SyntheticSource(d, draw, np.random.default_rng(3))
-    r_hat, _ = approx_power_iteration(src, FilterStack(), p=6, reps=6, batch_size=4000,
+    r_hat, _, _ = approx_power_iteration(src, FilterStack(), p=6, reps=6, batch_size=4000,
                                       rng=np.random.default_rng(4), rider_power=6)
     assert abs(r_hat - c) <= 0.1 * c  # population second moment is c * I
 
@@ -358,7 +358,7 @@ def test_approx_power_iteration_single_rep_is_one_probe():
     p, batch = 3, 40
 
     src_a = ReplaySource(pop, mode="cycle")
-    got, _ = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
+    got, _, _ = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
                                     rng=np.random.default_rng(42), rider_power=p)
     src_b = ReplaySource(pop, mode="cycle")
     g = np.random.default_rng(42).standard_normal(4)
@@ -388,10 +388,10 @@ def test_approx_power_iteration_drops_collapsed_columns():
     g, h = np.random.default_rng(42).standard_normal((2, 4))
     zero, nan = np.zeros(4), np.full(4, np.nan)
 
-    got, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
+    got, _, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
                                     batch_size=batch, rng=_FixedStarts([zero, nan, g, h]),
                                     rider_power=p)
-    want, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
+    want, _, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
                                      batch_size=batch, rng=_FixedStarts([g, h]),
                                      rider_power=p)
     assert math.isfinite(got)
@@ -415,7 +415,7 @@ def test_approx_power_iteration_rider_shares_the_chain(q):
     g, h = np.random.default_rng(42).standard_normal((2, 4))
 
     src = ReplaySource(pop, mode="cycle")
-    r_hat, (u, rayleigh) = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
+    r_hat, (u, rayleigh), _ = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
                                                   rng=_FixedStarts([g, h]), rider_power=q)
     assert src.delivered == (max(p, q) + 1) * batch
     twin = ReplaySource(pop, mode="cycle")
@@ -428,10 +428,57 @@ def test_approx_power_iteration_rider_shares_the_chain(q):
     assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
 
     src = ReplaySource(pop, mode="cycle")
-    r_zero, rider = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
+    r_zero, rider, _ = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
                                            rng=_FixedStarts([g, np.zeros(4)]), rider_power=q)
     assert rider is None and src.delivered == (max(p, q) + 1) * batch
     assert r_zero == pytest.approx(r_hat, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, extra", [(2, 1), (2, 3), (5, 5), (2, 6), (5, 8)])
+def test_approx_power_iteration_ragged_riders(q, extra):
+    # A third column of power ``extra`` rides the chain of the reference
+    # (p = 3) and the candidate (q). Each column goes through the first
+    # minibatches up to its own power and matches a chain of its own over
+    # them; a column no longer than max(p, q) adds no rows, a longer one
+    # extends the call by exactly its excess minibatches. Only the
+    # reference and the candidate are scored, on the minibatch after the
+    # longest column's.
+    pop = np.random.default_rng(5).standard_normal((256, 4))
+    stack = FilterStack(prune_radius_sq=30.0)
+    p, batch = 3, 40
+    g, h, k = np.random.default_rng(42).standard_normal((3, 4))
+
+    src = ReplaySource(pop, mode="cycle")
+    r_hat, (u, rayleigh), [w] = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
+        rider_power=q, riders=[(k, extra)])
+    excess = max(0, extra - max(p, q))
+    assert src.delivered == (max(p, q) + excess + 1) * batch
+    chain = max(p, q) + excess
+
+    def twin(start, power):
+        twin_src = ReplaySource(pop, mode="cycle")
+        out = streamed_power_apply(twin_src, stack, power, batch, start)
+        if chain > power:
+            twin_src.draw((chain - power) * batch)
+        pts = twin_src.draw(batch)
+        acc = pts[stack.weights(pts)]
+        out = out / np.linalg.norm(out)
+        return out, float(np.mean((acc @ out) ** 2))
+
+    _y, want_r = twin(g, p)
+    assert r_hat == pytest.approx(want_r, rel=1e-12)
+    want_u, want_rayleigh = twin(h, q)
+    np.testing.assert_allclose(u, want_u, rtol=1e-12)
+    assert rayleigh == pytest.approx(want_rayleigh, rel=1e-12)
+    np.testing.assert_allclose(w, twin(k, extra)[0], rtol=1e-12)
+
+    src = ReplaySource(pop, mode="cycle")
+    _r, _cand, riders = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
+        rider_power=q, riders=[(np.zeros(4), extra), (k, extra)])
+    assert riders[0] is None
+    np.testing.assert_allclose(riders[1], w, rtol=1e-12)
 
 
 @pytest.mark.parametrize("reps", [1, 6])

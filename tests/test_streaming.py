@@ -13,6 +13,7 @@ from robustpca import (
     AdversarySpec,
     AlgoConfig,
     BudgetedSource,
+    FilterEntry,
     FilterStack,
     InlierSpec,
     PcaStatus,
@@ -24,7 +25,7 @@ from robustpca import (
     streaming_robust_pca,
     tv_contaminated_source,
 )
-from robustpca.certificate import DECISION_MARGIN
+from robustpca.certificate import DECISION_MARGIN, REF_START_FAILURE
 from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
 from robustpca.estimators import mean_stages, stage_interval, stage_log
 from robustpca.filtering import hard_thresholding_filter
@@ -371,8 +372,9 @@ def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
         seen.append((self.ledger, self.ledger.current))
         return prologue(self)
 
-    def reject(self, fail_prob, rng):
-        return dataclasses.replace(certificate(self, fail_prob, rng), accepted=False)
+    def reject(self, fail_prob, rng, p_k, rng_dir):
+        return dataclasses.replace(certificate(self, fail_prob, rng, p_k, rng_dir),
+                                   accepted=False)
 
     monkeypatch.setattr(MinibatchEstimators, "prologue", spy_prologue)
     monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
@@ -481,3 +483,113 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
                 with pytest.raises(error):
                     call(src, led)
             assert led.current == 7, (name, error)
+
+
+# -- the driver direction riding the certificate's chain --------------------------
+
+def _rider_suite():
+    """A prologued d = 20 suite at eps 0.03, gamma 0.6, whose first certificate rejects."""
+    pool, _spec = _spiked_pool(d=20, rows=20_000)
+    src = ReplaySource(pool, mode="cycle")
+    cfg = AlgoConfig(eps=0.03, gamma=0.6)
+    suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
+    suite.prologue()
+    return pool, src, cfg, suite
+
+
+def _chain_rows(monkeypatch):
+    """Rows each certificate's shared chain draws, recorded per call."""
+    import robustpca.certificate as certificate
+
+    rows, real = [], certificate.approx_power_iteration
+
+    def spy(source, *args, **kwargs):
+        before = source.delivered
+        out = real(source, *args, **kwargs)
+        rows.append(source.delivered - before)
+        return out
+
+    monkeypatch.setattr(certificate, "approx_power_iteration", spy)
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
+    # p_k = 9, 18 and 36 against a chain of max(p_ref, p_cert) = 28 steps.
+    # A direction no longer than the chain rides it from the start
+    # rng_stream(seed, rep, 2) draws first, so after the rejected
+    # certificate the driver's direction draws no rows; a longer one leaves
+    # the generator untouched and runs a chain of its own over p_k
+    # minibatches. The certificate's chain draws (28 + 1) minibatches either
+    # way.
+    chain_rows = _chain_rows(monkeypatch)
+    pool, src, cfg, suite = _rider_suite()
+    d, b = 20, suite.batch
+    p_k = cfg.power_at(d, k)
+    p_chain = max(cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d))
+    assert (p_k, p_chain) == ((9, 18, 36)[k - 1], 28)
+
+    rng_dir, start = rng_stream(0, 0, 2), src.delivered
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
+    assert not cand.accepted and chain_rows == [(p_chain + 1) * b]
+    before = src.delivered
+    v = suite.direction(p_k, rng_dir)
+    rides = p_k <= p_chain
+    assert len(cand.rider) == rides
+    assert src.delivered - before == (0 if rides else p_k * b)
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(start if rides else before)
+    ref = rng_stream(0, 0, 2)
+    want = streamed_power_apply(twin, suite.stack, p_k, b, ref.standard_normal(d))
+    np.testing.assert_allclose(v, want / np.linalg.norm(want), rtol=1e-10)
+    assert rng_dir.standard_normal() == ref.standard_normal()
+
+
+def test_a_leftover_rider_is_never_returned():
+    # Each direction call may take only the rider of the certificate just
+    # before it, on the same stack, power and generator; any other call runs
+    # a chain of its own.
+    _pool, src, cfg, suite = _rider_suite()
+    p_k, b = cfg.power_at(20, 1), suite.batch
+    rng_cert, rng_dir = rng_stream(0, 0, 1), rng_stream(0, 0, 2)
+    calls = [
+        ("taken", lambda: None, p_k, rng_dir),
+        ("register_entry", lambda: suite.register_entry(
+            FilterEntry(np.eye(20)[1], 1e6)), p_k, rng_dir),
+        ("other generator", lambda: None, p_k, rng_stream(0, 1, 2)),
+        ("other power", lambda: None, 2 * p_k, rng_dir),
+    ]
+    for i, (why, between, power, rng) in enumerate(calls, start=1):
+        suite.certificate(failure_share(i), rng_cert, p_k, rng_dir)
+        if why == "taken":
+            before = src.delivered
+            suite.direction(p_k, rng_dir)
+            assert src.delivered == before
+        between()
+        before = src.delivered
+        assert suite.direction(power, rng) is not None
+        assert src.delivered - before == power * b, why
+
+
+class _ZeroStarts:
+    """Stands in for a Generator whose every start is the zero vector."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def standard_normal(self, d):
+        self.drawn += 1
+        return np.zeros(d)
+
+
+def test_a_collapsed_rider_falls_back_to_the_remaining_starts():
+    # A zero start collapses on any pool. The rider spent the first of the
+    # eight starts a direction may take, so the fallback chain takes the
+    # other seven: 8 starts in all, as for a direction of its own.
+    _pool, src, cfg, suite = _rider_suite()
+    p_k, rng_dir = cfg.power_at(20, 1), _ZeroStarts()
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
+    assert cand.rider == (None,) and rng_dir.drawn == 1
+    before = src.delivered
+    assert suite.direction(p_k, rng_dir) is None
+    assert rng_dir.drawn == 8 and src.delivered - before == 7 * p_k * suite.batch
