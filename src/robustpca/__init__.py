@@ -25,7 +25,6 @@ from .errors import (
     FilterLoopError,
     MemoryBudgetError,
     StreamExhaustedError,
-    UnsupportedDiagnosticError,
 )
 from .estimators import (
     opnorm_bracket,
@@ -42,13 +41,7 @@ from .linops import (
     power_iteration,
     streamed_power_apply,
 )
-from .oracle import (
-    DenseSpectrum,
-    dense_spectrum,
-    metric_approx_ratio,
-    potential_diagnostic,
-    stopping_condition_truth,
-)
+from .oracle import DenseSpectrum, dense_spectrum, metric_approx_ratio
 from .sources import (
     BudgetedSource,
     FileReplaySource,

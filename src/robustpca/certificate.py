@@ -150,8 +150,12 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
 
     The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
     mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
-    trim cutoff from a one-pass quantile block. Scores in [0, B] have
-    variance at most B mu. With eta = ``decision_margin(f1)``, the
+    trim cutoff from a one-pass quantile block at tail 3 eps. Outside its
+    failure share the cap lands between the 3 eps / 2 and 9 eps / 2 tails
+    (``estimators.streaming_quantile_samples`` at tau = 1/2), so the test
+    trims up to 9 eps / 2 of the mass: a bound on the share of a good
+    direction's variance the trim keeps must hold at 9 eps / 2. Scores in
+    [0, B] have variance at most B mu. With eta = ``decision_margin(f1)``, the
     candidate passes only when the stream mean exceeds (1 + eta) * mu0, and
     the mean draws at most n rows, the smallest n with
     sqrt(2 (1 + 2 eta) B mu0 L / n) + B L / (3 n) <= eta mu0, that is

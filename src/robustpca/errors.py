@@ -17,9 +17,5 @@ class MemoryBudgetError(RuntimeError):
     """A streaming run's resident scalars exceeded the declared budget."""
 
 
-class UnsupportedDiagnosticError(ValueError):
-    """A dense diagnostic was requested above its dimension budget."""
-
-
 class FilterLoopError(RuntimeError):
     """The thresholding loop exceeded its round guard; indicates a bug."""

@@ -30,6 +30,16 @@ FIRST_STAGE = 256
 MEAN_CHUNK = 4096
 # Every trimmed estimate cuts the top TRIM_TAIL * eps of its scores.
 TRIM_TAIL = 3.0
+# Default relative accuracy tau of a stream quantile block, and the
+# block-size constant c_q = 3 / tau^2 it takes (``streaming_quantile_samples``).
+# At tau = 1/2 a block's cut at tail t lands between the t/2 and 3t/2 tails,
+# the constant factor the certificate's trim cap and the filter's cutoff L
+# need: at tail 3 eps they land between the 3 eps/2 and 9 eps/2 tails, and L
+# is floored at ``driver.QUANTILE_FLOOR`` anyway. The prologue's prune radius
+# (tail eps) takes a finer tau = 1/6 of its own (``streaming.PRUNE_ACCURACY``,
+# which gives the reason).
+QUANTILE_ACCURACY = 0.5
+C_Q = 3.0 / QUANTILE_ACCURACY ** 2
 
 
 def weighted_quantile(scores: np.ndarray, tail: float) -> float:
@@ -51,22 +61,61 @@ def weighted_quantile(scores: np.ndarray, tail: float) -> float:
     return float(np.partition(scores, m - 1 - k_above)[m - 1 - k_above])
 
 
-def streaming_quantile_samples(tail: float, fail_prob: float, c_q: float = 200.0) -> int:
+def streaming_quantile_samples(tail: float, fail_prob: float, c_q: float = C_Q) -> int:
+    """Block size m = ceil(c_q ln(2 / fail_prob) / tail) of a one-pass quantile.
+
+    Claim: for i.i.d. scores X_1..X_m, any rank k with mt <= k <= mt + 1,
+    tau <= 1/2 and c_q = 3 / tau^2, the k-th largest score q satisfies, with
+    probability at least 1 - fail_prob,
+
+        P(X > q) < (1 + tau) t   and   P(X >= q) > (1 - tau) t,   t = ``tail``.
+
+    So a cut that drops the scores above q drops less than (1 + tau) t of
+    the mass, and with the atom at q more than (1 - tau) t; for a law
+    without atoms, q lies strictly between the (1 + tau) t and (1 - tau) t
+    population tails. ``streaming_quantile`` takes k = ceil(mt) and
+    ``weighted_quantile`` k = floor(mt) + 1, both in range (the 1e-12 in
+    each only undoes the float error of the product mt).
+
+    Proof. Too high a cut: P(X >= q) <= (1 - tau) t. The scores x with
+    P(X >= x) <= (1 - tau) t form an up-set; take E = {X >= x0} if it
+    contains its infimum x0 and E = {X > x0} otherwise, so that P(E) <=
+    (1 - tau) t (in the second case as the limit of P(X >= x) for x
+    decreasing to x0). q lies in the up-set, so the k largest
+    scores all fall in E: at least k >= mt of m draws. That count is
+    binomial; at its largest mean, mu = m (1 - tau) t, it reaches (1 + b) mu
+    with b = tau / (1 - tau) <= 1, and the multiplicative Chernoff bound
+    gives probability at most exp(-b^2 mu / 3) =
+    exp(-tau^2 mt / (3 (1 - tau))). Too low a cut: P(X > q) >= (1 + tau) t.
+    Symmetrically a fixed set F, {X > x1} or {X >= x1}, has P(F) >=
+    (1 + tau) t and holds only scores strictly above q, at most k - 1 <= mt
+    of them: at its smallest mean, mu' = m (1 + tau) t, a binomial at or
+    below (1 - b') mu' with b' = tau / (1 + tau), with probability at most
+    exp(-b'^2 mu' / 2) = exp(-tau^2 mt / (2 (1 + tau))). For tau <= 1/2
+    both exponents are at least tau^2 mt / 3 = mt / c_q >= ln(2 /
+    fail_prob) at the m above, so each side fails with probability at most
+    fail_prob / 2. Each count is a sum of independent [0, 1] variables,
+    which is all the Chernoff bounds use; ``streaming.opnorm_block_samples``
+    applies them to a mean the same way.
+    """
     if not (0.0 < tail < 1.0):
         raise ValueError(f"tail must lie in (0, 1), got {tail}")
     if not (0.0 < fail_prob < 1.0):
         raise ValueError("fail_prob must lie in (0, 1)")
-    return int(math.ceil(c_q * (1.0 / tail) * math.log(1.0 / fail_prob)))
+    if not (0.0 < c_q < math.inf):
+        raise ValueError(f"c_q must be positive and finite, got {c_q}")
+    return int(math.ceil(c_q * math.log(2.0 / fail_prob) / tail))
 
 
 def streaming_quantile(draw_scores, tail: float, fail_prob: float,
-                       c_q: float = 200.0,
+                       c_q: float = C_Q,
                        ledger: ScalarLedger | None = None) -> float:
     """Empirical upper-tail quantile from a one-pass sample block.
 
     ``draw_scores(k)`` must return k fresh scalar scores. The block of
-    m = ceil(c_q * (1/tail) * ln(1/fail_prob)) scores lives only for the
-    duration of the call; the estimate is the ceil(m*tail)-th largest.
+    m = ``streaming_quantile_samples``(tail, fail_prob, c_q) scores lives
+    only for the duration of the call; the estimate is the ceil(m*tail)-th
+    largest, whose accuracy that function states and proves.
     """
     m = streaming_quantile_samples(tail, fail_prob, c_q)
     ledger = ledger if ledger is not None else ScalarLedger()

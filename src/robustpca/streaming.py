@@ -20,7 +20,7 @@ import numpy as np
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import failure_share, run_boosted
-from .estimators import (TRIM_TAIL, opnorm_bracket, streaming_quantile,
+from .estimators import (C_Q, TRIM_TAIL, opnorm_bracket, streaming_quantile,
                           streaming_quantile_samples)
 from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
 from .sources import BudgetedSource, SampleSource, ScalarLedger
@@ -29,6 +29,20 @@ __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 
 BATCH_SIZE_CAP = 4096         # moment-product minibatch
 MEAN_BATCH_CAP = 1_000_000    # stream-mean row ceiling
+# Relative accuracy tau of the prologue's norm quantile (tail eps), and its
+# block constant c_q = 3 / tau^2 (``estimators.streaming_quantile_samples``).
+# The prune's cut lands between the 5 eps / 6 and 7 eps / 6 tails, so it
+# removes O(eps) of the stream, as the paper's analysis allows. It is finer
+# than the other blocks' tau = 1/2 because the prune is all or nothing for
+# a cluster of large-norm outliers: a cut below them removes them all, one
+# among them keeps them for the filter. For outliers at a rate inside the
+# band the cut can land in, the first block's draw picks which, and with
+# it whether a solve costs one certificate or several. At tau = 1/2 that
+# band, eps / 2 to 3 eps / 2, takes in every rate near eps; at 1/6 it is a
+# sixth of eps either side. The block is drawn once per rep (15,776 rows at
+# eps = 0.03 and the rep's first failure share).
+PRUNE_ACCURACY = 1.0 / 6.0
+PRUNE_C_Q = 3.0 / PRUNE_ACCURACY ** 2
 
 
 @dataclass
@@ -48,6 +62,49 @@ def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int
     log_factor = max(1.0, math.log(max(d, 2) / eps_eff))
     raw = (r_radius ** 4) * d * d / (gamma * gamma) * log_factor
     return int(min(max(64, math.ceil(raw)), MEAN_BATCH_CAP))
+
+
+def opnorm_block_samples(eps: float, fail_prob: float, r_radius: float, d: int) -> int:
+    """Draws m of the prologue's opnorm block, which errs with at most ``fail_prob``.
+
+    The block's value, sigma_op = ``estimators.opnorm_bracket`` over the
+    squared norms h of m draws, a draw the pruned stack rejects scoring
+    h = 0, feeds only the filter's additive slack delta and the floor of its
+    cutoff L (``driver.QUANTILE_FLOOR``). Each needs sigma_op only to a
+    constant factor. Write T(c) = E[h; h <= c] for the mean a cut at c keeps
+    and A(c) for the same mean over the block; sigma_op is A at the block's
+    own cut, so it lies between A(c+) and A(c-) whenever that cut does.
+
+    - eps > 0: m = ``estimators.streaming_quantile_samples``(3 eps,
+      fail_prob / 2) = ceil(4 l / eps), l = ln(4 / fail_prob). With
+      probability at least 1 - fail_prob,
+      T(c+) / 2 <= sigma_op <= 3 T(c-) / 2 + 2 E[h; h >= c-] / 9,
+      where c+ and c- are the cuts at the 9 eps / 2 and 3 eps / 2 tails,
+      the lower side provided T(c+) >= 2 eps c+: the kept scores do not sit
+      far below their cut, which light-tailed inliers meet with room to
+      spare (their cut is O(log(1 / eps)) times their mean, not 1 / (2 eps)).
+      Proof. The block's cut, of rank floor(3 eps m) + 1, lies in [c+, c-]
+      but with probability fail_prob / 2 (the quantile claim of
+      ``estimators.streaming_quantile_samples``). A(c) averages m
+      independent scores in [0, c]. Below: P(A(c+) <= T(c+) / 2) <=
+      exp(-m T(c+) / (8 c+)) <= exp(-l) = fail_prob / 4 by the
+      multiplicative Chernoff bound. Above: with T = T(c-), the scores'
+      variance is at most c- T, so by Bernstein's inequality A(c-) <= T +
+      sqrt(2 c- T l / m) + c- l / (3 m) <= 3 T / 2 + 4 c- l / (3 m) <=
+      3 T / 2 + c- eps / 3 but with probability fail_prob / 4; and
+      c- * 3 eps / 2 <= E[h; h >= c-].
+    - eps = 0: nothing is trimmed and the prune radius is infinite, so only
+      the caller's promise bounds the scores (``streaming_robust_pca``): at
+      eps = 0 every row is an inlier, with h <= r^2 d ||Sigma|| <= r^2 d E[h]
+      (E[h] = tr Sigma). m = ceil(C_Q r^2 d ln(2 / fail_prob)), and with
+      probability at least 1 - fail_prob, E[h] / 2 <= sigma_op <= 3 E[h] / 2.
+      Proof. The scores h / (r^2 d ||Sigma||) lie in [0, 1] with mean at
+      least 1 / (r^2 d), so at relative error 1/2 each multiplicative
+      Chernoff tail is at most exp(-m / (C_Q r^2 d)) <= fail_prob / 2.
+    """
+    if eps > 0:
+        return streaming_quantile_samples(TRIM_TAIL * eps, fail_prob / 2.0)
+    return math.ceil(C_Q * r_radius * r_radius * d * math.log(2.0 / fail_prob))
 
 
 class MinibatchEstimators:
@@ -81,26 +138,27 @@ class MinibatchEstimators:
     def prologue(self):
         eps = self.config.eps
         if eps > 0:
-            # Over the rows the empty stack accepts, whose squared norms are finite.
+            # Over the rows the empty stack accepts, whose squared norms are
+            # finite, at the prune's own accuracy (PRUNE_ACCURACY).
             norm_cut = streaming_quantile(
                 lambda k: accepted_scores(self.source, FilterStack(),
                                           lambda x: np.linalg.norm(x, axis=1), k,
                                           self.ledger),
-                tail=eps, fail_prob=self._fail_prob(), ledger=self.ledger,
+                tail=eps, fail_prob=self._fail_prob(), c_q=PRUNE_C_Q, ledger=self.ledger,
             )
             prune_sq = norm_cut * norm_cut
         else:
             prune_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=prune_sq)
 
-        # opnorm_bracket over fresh draws, keeping only the squared norms.
-        block_m = min(max(512, streaming_quantile_samples(
-            max(TRIM_TAIL * eps, 0.01), self._fail_prob())), 200_000)
+        # opnorm_bracket over fresh draws, keeping only the squared norms; a
+        # pruned draw scores 0, so the block is block_m draws of one law.
+        block_m = opnorm_block_samples(eps, self._fail_prob(), self.r_radius, self.dim)
         with self.ledger.reserve(block_m):
             g = np.concatenate([
                 np.einsum("ij,ij->i", rows, rows)
                 for rows in accepted_rows(self.source, self.stack, block_m, self.ledger)])
-            sigma_op = opnorm_bracket(g, eps, block_m)
+            sigma_op = opnorm_bracket(np.pad(g, (0, block_m - g.size)), eps, block_m)
         self.ledger.alloc(self.dim)  # the candidate vector held across iterations
         delta = 0.1 * self.config.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
         return sigma_op, delta
@@ -138,6 +196,8 @@ class MinibatchEstimators:
         return True
 
     def quantile_value(self, tail: float) -> float:
+        # A cut between the tail / 2 and 3 tail / 2 tails: the filter's L,
+        # which drive floors at QUANTILE_FLOOR, needs no more.
         if tail <= 0:
             return math.inf
         v = self._v

@@ -8,6 +8,12 @@ import math
 import time
 
 import numpy as np
+from dense_oracles import (
+    dense_power_apply,
+    potential_diagnostic,
+    stopping_condition_truth,
+    weighted_second_moment_dense,
+)
 
 from robustpca import (
     AdversaryKind,
@@ -21,12 +27,10 @@ from robustpca import (
     hard_thresholding_filter_batch,
     metric_approx_ratio,
     naive_pca,
-    potential_diagnostic,
     power_direction,
     robust_pca,
     rng_stream,
     sample_top_eigenvector,
-    stopping_condition_truth,
     streaming_quantile,
     streaming_robust_pca,
     strong_contaminate,
@@ -34,7 +38,7 @@ from robustpca import (
     weighted_quantile,
 )
 from robustpca.estimators import opnorm_bracket
-from robustpca.oracle import dense_power_apply, dense_spectrum, weighted_second_moment_dense
+from robustpca.oracle import dense_spectrum
 
 
 def report(num, name, ok, detail=""):

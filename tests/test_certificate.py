@@ -165,9 +165,9 @@ def test_streaming_certificate_sample_count_from_its_decision():
     # drew 103,500 rows apart. fail_prob splits in three, so the block and
     # the mean each take 0.05 / 3. At eta = 1/4, k = 50.6; L = ln(4 * 13 /
     # (0.05 / 3)) = 8.05 over the 13 stages of MEAN_BATCH_CAP rows; B / mu0
-    # is about 13.7, so n = 5,592, in stages of 256, ..., 4,096 and 5,592.
-    # A clean trimmed mean sits above the bar (1 + eta) mu0, and the first
-    # stage's interval already lies above it: 256 rows.
+    # is about 12.9, so n = 5,246, in stages of 256, ..., 4,096 and 5,246.
+    # A clean trimmed mean sits above the bar (1 + eta) mu0, and an early
+    # stage's interval already lies above it: the mean stops there.
     d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
     pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
@@ -191,8 +191,10 @@ def test_streaming_certificate_sample_count_from_its_decision():
     assert 1000 < n < 10_000
     stages = mean_stages(n, cap)
     assert stages[0] == FIRST_STAGE == 256 and stages[-1] == n
-    assert _stage_bounds(twin.draw(FIRST_STAGE), cand.u, cap, n, part)[0] > bar
-    assert src.delivered == pos + m + FIRST_STAGE
+    rows = twin.draw(n)
+    settled = next(k for k in stages if _stage_bounds(rows[:k], cand.u, cap, n, part)[0] > bar)
+    assert settled < n
+    assert src.delivered == pos + m + settled
 
 
 def test_streaming_certificate_small_gamma_accepts_clean_pool():
@@ -223,10 +225,11 @@ def test_streaming_certificate_without_margin_takes_the_ceiling():
     # eta is 0, the test is sigma >= rayleigh_emp, and the stream mean is
     # capped at max_mean_batch = 700 rows, in stages of 256, 512 and 700,
     # with L = ln(4 * 3 / (0.05 / 3)) = 6.58. A 3 eps trim keeps about two
-    # thirds of a Gaussian variance, so the test rejects: the 256-row
-    # interval already lies below rayleigh_emp. The shared chains draw
+    # thirds of a Gaussian variance, so the test rejects: an interval before
+    # the ceiling already lies below rayleigh_emp. The shared chains draw
     # (max(35, 28) + 1) * 1,000 = 36,000 rows, the quantile block at
-    # 0.05 / 3 draws 13,648 and the stream mean 256.
+    # 0.05 / 3 draws what its size rule gives, and the stream mean stops at
+    # that interval's stage.
     d, eps, gamma, fail_prob, batch = 6, 0.02, 0.4, 0.05, 1000
     assert acceptance_factors(gamma, 0.0)[0] == 1.0 and decision_margin(1.0) == 0.0
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
@@ -244,10 +247,12 @@ def test_streaming_certificate_without_margin_takes_the_ceiling():
     twin.draw(pos)
     cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, 3 * eps, part)
     assert mean_stages(700, cap) == [256, 512, 700]
-    assert _stage_bounds(twin.draw(256), cand.u, cap, 700, part)[1] < cand.rayleigh_emp
+    rows = twin.draw(700)
+    settled = next(k for k in (256, 512, 700)
+                   if _stage_bounds(rows[:k], cand.u, cap, 700, part)[1] < cand.rayleigh_emp)
+    assert settled < 700
     block = streaming_quantile_samples(3 * eps, part)
-    assert block == 13_648
-    assert src.delivered == pos + block + 256
+    assert src.delivered == pos + block + settled
 
 
 @pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracles import UnsupportedDiagnosticError, potential_diagnostic
 
 from robustpca import (
     AdversaryKind,
@@ -17,7 +18,6 @@ from robustpca import (
     metric_approx_ratio,
     naive_pca,
     opnorm_bracket,
-    potential_diagnostic,
     robust_pca,
     rng_stream,
     strong_contaminate,
@@ -25,7 +25,6 @@ from robustpca import (
     tv_contaminated_source,
 )
 from robustpca.driver import CERT_FAILURE_PROB, BatchEstimators, drive, failure_share
-from robustpca.errors import UnsupportedDiagnosticError
 from robustpca.streaming import MinibatchEstimators
 
 SUITE_METHODS = {"prologue", "certificate", "direction", "start_iteration",

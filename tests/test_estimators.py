@@ -15,12 +15,15 @@ from robustpca import (
 )
 from robustpca.errors import DegenerateStateError
 from robustpca.estimators import (
+    C_Q,
     FIRST_STAGE,
     MEAN_CHUNK,
+    QUANTILE_ACCURACY,
     mean_stages,
     merge_moments,
     stage_interval,
     stage_log,
+    streaming_quantile_samples,
 )
 
 
@@ -106,6 +109,43 @@ def test_streaming_quantile_frees_buffer():
     streaming_quantile(lambda k: np.random.default_rng(0).random(k),
                        tail=0.1, fail_prob=0.1, ledger=led)
     assert led.current == 0 and led.peak > 0
+
+
+@pytest.mark.parametrize("c_q", [0.0, -1.0, math.nan, math.inf])
+def test_streaming_quantile_samples_rejects_a_bad_constant(c_q):
+    with pytest.raises(ValueError, match="c_q must be positive and finite"):
+        streaming_quantile_samples(0.1, 0.05, c_q)
+
+
+# Laws with known tails: a draw of n scores and (P(X > q), P(X >= q)).
+_TAIL_LAWS = {
+    "uniform": (lambda rng, n: rng.random(n), lambda q: (1.0 - q, 1.0 - q)),
+    "exponential": (lambda rng, n: rng.exponential(1.0, n),
+                    lambda q: (np.exp(-q), np.exp(-q))),
+    # Atoms of 1/10 at 1..10: at tail 0.1 only the cuts 9 and 10 are right.
+    "atoms": (lambda rng, n: rng.integers(1, 11, n).astype(float),
+              lambda q: ((10.0 - q) / 10.0, (11.0 - q) / 10.0)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_TAIL_LAWS))
+def test_streaming_quantile_cut_lands_within_its_accuracy(law):
+    # The claim of streaming_quantile_samples at tau = QUANTILE_ACCURACY =
+    # 1/2: the cut drops less than (1 + tau) t of the mass, and with its
+    # atom more than (1 - tau) t, but with probability fail_prob. Over 2,000
+    # fixed-seed blocks the share that miss may exceed fail_prob only by
+    # three binomial standard deviations.
+    draw, tails = _TAIL_LAWS[law]
+    tail, fail_prob, trials, tau = 0.1, 0.05, 2000, QUANTILE_ACCURACY
+    assert C_Q == 3 / tau ** 2 == 12
+    m = streaming_quantile_samples(tail, fail_prob)
+    assert m == math.ceil(12 * math.log(2 / fail_prob) / tail)
+    blocks = draw(np.random.default_rng(11), trials * m).reshape(trials, m)
+    cuts = np.array([streaming_quantile(lambda k, b=b: b, tail, fail_prob) for b in blocks])
+    above, at_or_above = tails(cuts)
+    missed = (above >= (1 + tau) * tail) | (at_or_above <= (1 - tau) * tail)
+    slack = 3 * math.sqrt(fail_prob * (1 - fail_prob) / trials)
+    assert missed.mean() <= fail_prob + slack
 
 
 def test_trimmed_variance_orthogonal_points_zero():

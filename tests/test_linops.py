@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracles import dense_power_apply, weighted_second_moment_dense
 
 from robustpca import (
     FilterStack,
@@ -16,7 +17,6 @@ from robustpca import (
 )
 from robustpca.errors import DegenerateStateError
 from robustpca.linops import accepted_scores, streamed_power_direction
-from robustpca.oracle import dense_power_apply, weighted_second_moment_dense
 
 
 def op_from(points):

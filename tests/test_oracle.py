@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from robustpca import (
+from dense_oracles import (
+    UnsupportedDiagnosticError,
     dense_spectrum,
-    metric_approx_ratio,
     stopping_condition_truth,
+    weighted_second_moment_dense,
 )
-from robustpca.errors import UnsupportedDiagnosticError
-from robustpca.oracle import weighted_second_moment_dense
+from robustpca import metric_approx_ratio
 
 
 def rotation(d, rng):

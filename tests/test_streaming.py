@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dense_oracles import dense_power_apply
 
 from robustpca import (
     AdversaryKind,
@@ -27,7 +28,7 @@ from robustpca import (
 )
 from robustpca.certificate import DECISION_MARGIN, REF_START_FAILURE
 from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
-from robustpca.estimators import mean_stages, stage_interval, stage_log
+from robustpca.estimators import mean_stages, stage_interval, stage_log, streaming_quantile_samples
 from robustpca.filtering import hard_thresholding_filter
 from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
 from robustpca.linops import (
@@ -36,12 +37,13 @@ from robustpca.linops import (
     accepted_scores,
     streamed_rayleigh,
 )
-from robustpca.oracle import dense_power_apply
 from robustpca.streaming import (
     BATCH_SIZE_CAP,
     MEAN_BATCH_CAP,
+    PRUNE_C_Q,
     MinibatchEstimators,
     default_mean_batch,
+    opnorm_block_samples,
 )
 
 
@@ -119,13 +121,13 @@ def test_non_finite_stream_row_is_rejected():
     (res_a, stats_a), (res_b, stats_b) = runs
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
     # The first certificate accepts. At eps = 0 there is no norm quantile,
-    # so the opnorm block is the suite's first estimate, at failure_share(1)
-    # = 0.025: ceil(200 * 100 * ln 40) = 73,778 rows. Then come
-    # (24 + 1) * 4,096 chain rows (the reference chain runs ref_power(5, 1/2)
-    # = 24 steps, the candidate rides its first 19, and one batch scores
-    # both) and, the scores having no bound, the stream mean's whole
-    # 4,312-row ceiling: 73,778 + 102,400 + 4,312.
-    assert stats_a.samples_consumed == stats_b.samples_consumed == 180_490
+    # so the opnorm block is the suite's first estimate, at failure_share(1).
+    # Then come (24 + 1) * 4,096 chain rows (the reference chain runs
+    # ref_power(5, 1/2) = 24 steps, the candidate rides its first 19, and
+    # one batch scores both) and, the scores having no bound, the stream
+    # mean's whole 4,312-row ceiling.
+    block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
+    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 102_400 + 4_312
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -247,7 +249,8 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     # empirical-Bernstein interval: at the suite's third share, 0.1 / 24,
     # L = ln(4 * 6 / (0.1 / 24)) = 8.66 over the 6 stages of the 5,028-row
     # ceiling, and 7 B L / (3 (n - 1)) alone is 22.6 at 1,024 rows, so the
-    # interval first clears the exit bound at 2,048 rows.
+    # interval clears the exit bound at 2,048 rows at the earliest: there,
+    # or at the next stage when the rows it reads hold few outliers.
     pool, _spec = _spiked_pool(d=8, rows=20_000, seed=seed)
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     src = ReplaySource(pool, mode="cycle")
@@ -261,12 +264,13 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     L = exact.quantile_value(3 * cfg.eps)
     t_hat = FILTER_TRIGGER * cfg.gamma * exact.sigma_trimmed(L)
     R = exact.score_range(L)
-    rows = []
+    rows, calls = [], []
 
     def stream_mean(thr, bound):
         before = src.delivered
         mean = stream.mean_score(L, thr, bound)
         rows.append(src.delivered - before)
+        calls.append((before, thr, bound))
         return mean
 
     outcomes = [hard_thresholding_filter(mean, v, L, t_hat, R, delta, rng_stream(seed, 0, 3))
@@ -276,8 +280,25 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     np.testing.assert_array_equal(got.new_entry.direction, want.new_entry.direction)
     assert got.new_entry.threshold_sq == want.new_entry.threshold_sq
     assert stream.mean_batch == 5028
-    assert mean_stages(5028, stream.stack.prune_radius_sq)[3] == rows[0] == 2048
     assert all(n <= stream.mean_batch for n in rows)
+
+    # The opening mean stops at the first stage whose interval, over the
+    # rows it read from the cycled pool, clears the exit bound.
+    before, thr, bound = calls[0]
+    assert thr == math.inf
+    B = stream.stack.prune_radius_sq
+    stages = mean_stages(5028, B)
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(before)
+    f = (twin.draw(rows[0]) @ v) ** 2
+    f = np.where((f > L) & (f <= thr), f, 0.0)
+    cleared = []
+    for n in stages[:stages.index(rows[0]) + 1]:
+        moments = (n, float(np.mean(f[:n])), float(np.sum((f[:n] - np.mean(f[:n])) ** 2)))
+        lo, hi = stage_interval(moments, B, stage_log(len(stages), failure_share(3)))
+        cleared.append(lo > bound or hi < bound)
+    assert cleared[-1] and not any(cleared[:-1])
+    assert rows[0] >= 2048
 
 
 # -- honest memory accounting and typed failure modes ------------------------------
@@ -314,7 +335,7 @@ def test_stream_rep_fails_within_its_budget(monkeypatch):
             return fn(*args, **kwargs)
         return inner
 
-    for name in ("streaming_quantile", "streaming_quantile_samples", "accepted_band_mean"):
+    for name in ("streaming_quantile", "opnorm_block_samples", "accepted_band_mean"):
         monkeypatch.setattr(streaming, name, spy("estimate", getattr(streaming, name)))
     monkeypatch.setattr(streaming, "sample_top_eigenvector_streaming",
                         spy("certificate", streaming.sample_top_eigenvector_streaming))
@@ -329,6 +350,37 @@ def test_stream_rep_fails_within_its_budget(monkeypatch):
     assert certificates == [failure_share(i) for i in range(1, len(certificates) + 1)]
     assert sum(estimates) <= CERT_FAILURE_PROB / 2
     assert sum(certificates) <= CERT_FAILURE_PROB / 2
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.03])
+def test_prologue_draws_exactly_its_two_blocks(eps):
+    # The norm quantile (none at eps = 0) and the opnorm block, at the rep's
+    # first failure shares, sized by their rules; the prologue draws no
+    # other row.
+    pool, _spec = _spiked_pool()
+    src = BudgetedSource(ReplaySource(pool, mode="cycle"), 10 ** 9)
+    suite = MinibatchEstimators(src, AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
+    suite.prologue()
+    norm = streaming_quantile_samples(eps, failure_share(1), PRUNE_C_Q) if eps > 0 else 0
+    opnorm = opnorm_block_samples(eps, failure_share(2 if eps > 0 else 1), 1.5, 8)
+    assert src.delivered == norm + opnorm
+
+
+def test_prune_cut_lands_within_a_sixth_of_eps():
+    # Outliers at 0.035 = 7 eps / 6 sit at the edge of the prune's band. Its
+    # cut must remove less than 7 eps / 6 of the pool on every seed, so it
+    # never cuts those outliers whole, and, with the atom at the cut, reach
+    # more than 5 eps / 6 of it. At tau = 1/2 the cut removed them whole on
+    # seeds 14, 18 and 19.
+    eps = 0.03
+    for seed in range(20):
+        pool, _spec = _spiked_pool(rate=0.035, seed=seed)
+        suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
+                                    AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
+        suite.prologue()
+        sq, radius_sq = np.einsum("ij,ij->i", pool, pool), suite.stack.prune_radius_sq
+        assert np.mean(sq > radius_sq) < 7 * eps / 6, seed
+        assert np.mean(sq >= radius_sq * (1 - 1e-12)) > 5 * eps / 6, seed
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -346,7 +398,11 @@ def test_non_finite_column_above_eps_rate(bad):
 
 def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
     pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
-    for budget in (900_000, 5_000):
+    # One row short of the prologue's two blocks: the norm quantile and the
+    # opnorm block, at the rep's first two failure shares.
+    prologue = (streaming_quantile_samples(0.03, failure_share(1), PRUNE_C_Q)
+                + opnorm_block_samples(0.03, failure_share(2), 1.5, 12))
+    for budget in (900_000, prologue - 1):
         one, two = (_solve_pool(pool, rng_seed=1, max_samples=budget,
                                 config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=reps))[0]
                     for reps in (1, 2))
