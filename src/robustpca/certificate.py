@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgoConfig, FilterStack
+from .core import FilterStack
 from .errors import DegenerateStateError
 from .estimators import (TRIM_TAIL, mean_stages, stage_log, streaming_quantile,
-                         trimmed_variance, weighted_quantile)
+                         trim_keep_share, trimmed_variance, weighted_quantile)
 from .linops import (
     SecondMomentOp,
     accepted_band_mean,
@@ -31,32 +31,101 @@ from .linops import (
 )
 from .sources import SampleSource, ScalarLedger
 
-__all__ = ["Candidate", "acceptance_factors", "sample_top_eigenvector",
-           "sample_top_eigenvector_streaming"]
+__all__ = ["Candidate", "acceptance_factors", "power_chain_length",
+           "sample_top_eigenvector", "sample_top_eigenvector_streaming"]
 
-# Floors keep the two acceptance tests meaningful when gamma is large enough
-# that the nominal (1 - c*gamma) factors would go nonpositive. The robust/
-# empirical floor sits below the trimming bias of light-tailed scores, the
-# Rayleigh floor below plain power-iteration slack.
-ACCEPT_ROBUST_FLOOR = 0.25
+# The Rayleigh floor keeps the second acceptance test meaningful at gamma
+# near 1, where the nominal 1 - gamma factor goes to 0; it sits below plain
+# power-iteration slack.
 ACCEPT_RAYLEIGH_FLOOR = 0.5
 
-# Per-start failure probability the streaming reference chain is sized for.
-REF_START_FAILURE = 0.5
+# Failure probability of one Gaussian start that every stream chain, and the
+# batch candidate chain, is sized for (``power_chain_length``).
+START_FAILURE = 0.5
 
-# Largest eta of the streaming certificate's robust test (``decision_margin``).
+# Largest eta of the streaming certificate's robust test (``acceptance_factors``).
 DECISION_MARGIN = 0.25
 
+# Relative accuracy tau of the stream certificate's trim cap, and its block
+# constant c_q = 3 / tau^2 (``estimators.streaming_quantile_samples``): the
+# cap at tail 3 eps lands between the 5 eps / 2 and 7 eps / 2 tails, and f1
+# is taken at the wider. At the default tau = 1/2 the band, 3 eps / 2 to
+# 9 eps / 2, would set f1 so low that near-tie mixtures pass at eps = 0.01.
+TRIM_ACCURACY = 1.0 / 6.0
+TRIM_C_Q = 3.0 / TRIM_ACCURACY ** 2
 
-def decision_margin(f1: float) -> float:
-    """eta for the threshold f1: (1 + 2 eta) * f1 <= (1 + f1) / 2, eta <= 1/4.
 
-    The stream test resolves sigma up to (1 + 2 eta) * f1 times the Rayleigh
-    quotient, which this keeps at most halfway from f1 to 1: a trimmed mean
-    never exceeds the Rayleigh quotient, so a band reaching past it would
-    reject good directions too. eta shrinks as f1 nears 1.
+def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
+    """Power steps after which one Gaussian start fails with at most ``fail_prob``.
+
+    Success means a Rayleigh quotient of at least (1 - gamma) lambda1, and
+    p = ceil((1 / gamma) ln(2 N / (gamma c^2))), with N and c below.
+
+    The gap-free power bound (Musco & Musco, NeurIPS 2015, in its simplest
+    form). Let M be PSD with eigenvalues lambda1 >= ... >= lambda_d >= 0, z
+    a start with coordinates z_i in M's eigenbasis, y = M^p z and
+    a = (1 - gamma / 2) lambda1. Over the set G of i with lambda_i >= a,
+    lambda_i^(2p+1) >= a lambda_i^(2p) and S_G = sum_G lambda_i^(2p) z_i^2
+    >= lambda1^(2p) z_1^2; off G, S_B = sum lambda_i^(2p) z_i^2 <=
+    a^(2p) ||z||^2. So the Rayleigh quotient of y is
+
+        R(y) >= a S_G / (S_G + S_B) >= (1 - gamma / 2) lambda1
+                / (1 + e^(-gamma p) ||z||^2 / z_1^2),
+
+    using (1 - gamma / 2)^(2p) <= e^(-gamma p). Since
+    (1 - gamma / 2) / (1 + gamma / 2) >= 1 - gamma, R(y) >= (1 - gamma)
+    lambda1 once e^(-gamma p) ||z||^2 / z_1^2 <= gamma / 2. For a standard
+    Gaussian z the two random terms take fail_prob / 2 each:
+    - z_1 ~ N(0, 1) has density at most 1 / sqrt(2 pi), so
+      P(|z_1| < c) <= c sqrt(2 / pi) = fail_prob / 2 at
+      c = (fail_prob / 2) sqrt(pi / 2);
+    - ||z||^2 ~ chi^2_d, and P(||z||^2 >= d + 2 sqrt(d x) + 2 x) <= e^-x
+      (Laurent & Massart, Ann. Stat. 2000), = fail_prob / 2 at
+      x = ln(2 / fail_prob); call that level N.
+    Outside both events e^(-gamma p) ||z||^2 / z_1^2 <= e^(-gamma p) N / c^2,
+    which is at most gamma / 2 at the p above. The proof takes one exact M:
+    the batch chains run on B itself, while a stream chain multiplies p
+    fresh minibatch moments, whose distance from the population moment the
+    minibatch size governs (``streaming.BATCH_SIZE_CAP``). This is the one
+    home of the proof, and every certificate chain takes its length here.
+    At fail_prob = ``START_FAILURE`` it is 12 steps at d = 20, gamma = 0.6
+    and 96 at d = 50, gamma = 0.1.
     """
-    return DECISION_MARGIN * min(1.0, (1.0 - f1) / f1)
+    c = 0.5 * fail_prob * math.sqrt(math.pi / 2.0)
+    x = math.log(2.0 / fail_prob)
+    n_level = d + 2.0 * math.sqrt(d * x) + 2.0 * x
+    return max(1, math.ceil(math.log(2.0 * n_level / (gamma * c * c)) / gamma))
+
+
+def acceptance_factors(eps: float, gamma: float) -> tuple[float, float, float]:
+    """(f1, f2, eta): the robust and Rayleigh thresholds, and the stream margin.
+
+    kappa = ``estimators.trim_keep_share`` at 7 eps / 2, the widest tail the
+    stream's trim cap can cut: it lands between the 5 eps / 2 and 7 eps / 2
+    tails (``TRIM_ACCURACY``). The batch trim cuts exactly 3 eps of the
+    survivors and takes the same kappa, one threshold for both solvers. A
+    direction along which the inliers are Gaussian with variance s keeps at
+    least kappa s of it under the trim, so
+
+        f1 = kappa (1 - gamma / 2),   f2 = max(1 - gamma, 1/2)
+
+    leave the top direction the slack gamma / 2 for the stability error, the
+    inliers the prune and the filters removed, and the outliers' share of
+    its Rayleigh quotient. In turn an accepted direction, whose trimmed
+    variance is at least f1 times its Rayleigh quotient, carries 1 - O(gamma)
+    of that quotient in inlier variance, as 1 - kappa = O(eps ln(1 / eps)) =
+    O(gamma). eta sets the stream test's band [f1, (1 + 2 eta) f1] of the
+    Rayleigh quotient: eta = ``DECISION_MARGIN`` min(1, (kappa - f1) / f1) =
+    DECISION_MARGIN min(1, gamma / (2 - gamma)), computed in the second form
+    since kappa - f1 cancels at small gamma. The band's top is then halfway
+    from f1 to kappa, so a direction whose trimmed variance keeps kappa of
+    its Rayleigh quotient clears it, and eta > 0 for every gamma > 0.
+    """
+    kappa = trim_keep_share((1.0 + TRIM_ACCURACY) * TRIM_TAIL * eps)
+    f1 = kappa * (1.0 - gamma / 2.0)
+    f2 = min(1.0, max(1.0 - gamma, ACCEPT_RAYLEIGH_FLOOR))
+    eta = DECISION_MARGIN * min(1.0, gamma / (2.0 - gamma))
+    return f1, f2, eta
 
 
 @dataclass(frozen=True)
@@ -74,14 +143,8 @@ class Candidate:
     rider: tuple = ()
 
 
-def acceptance_factors(gamma: float, c_acc: float) -> tuple[float, float]:
-    f1 = min(1.0, max(1.0 - c_acc * gamma, ACCEPT_ROBUST_FLOOR))
-    f2 = min(1.0, max(1.0 - gamma, ACCEPT_RAYLEIGH_FLOOR))
-    return f1, f2
-
-
 def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
-                           gamma: float, fail_prob: float, config: AlgoConfig,
+                           gamma: float, fail_prob: float,
                            rng: np.random.Generator) -> Candidate:
     """Batch candidate: u = normalize(B^p z) judged against batch estimates.
 
@@ -91,16 +154,19 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     from the 3*eps-tail trimmed mean of squared projections of ``op.rows``
     onto u, over n_total. All reported scalars are per unit norm of u.
 
-    The reference chain has one start and so keeps the log(1/fail_prob)
-    term: p_ref = ceil((c_pi / gamma) ln(d / (gamma fail_prob))). The
-    stream's block of shorter starts would not pay here: on a formed G a
-    block step costs about two vector steps.
+    The reference chain has one start, so it is sized to succeed but with
+    probability ``fail_prob`` (``power_chain_length``): 158 steps at d = 50,
+    gamma = 0.1 and the first certificate's share 0.025. The stream's block
+    of shorter starts would not pay here: on a formed G a block step costs
+    about two vector steps. The candidate chain is sized for one start at
+    ``START_FAILURE``; a candidate that falls short fails the Rayleigh test,
+    which costs an iteration, not soundness.
     """
     d = op.dim
 
-    _y, r_hat = power_iteration(op, config.ref_power(d, fail_prob), rng)
+    _y, r_hat = power_iteration(op, power_chain_length(d, gamma, fail_prob), rng)
 
-    p_cert = config.cert_power(d)
+    p_cert = power_chain_length(d, gamma, START_FAILURE)
     u = gaussian_retry(rng, d, lambda z: power_direction(op, p_cert, z))
     if u is None:
         raise DegenerateStateError("candidate power iterate collapsed to zero")
@@ -112,7 +178,7 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
     sigma = trimmed_variance(f_u, cap, n_total)
 
-    f1, f2 = acceptance_factors(gamma, config.c_acc)
+    f1, f2, _eta = acceptance_factors(eps, gamma)
     accepted = sigma >= f1 * rayleigh_emp and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
                      reference_rayleigh=r_hat, accepted=accepted)
@@ -120,9 +186,8 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
 
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
-                                     config: AlgoConfig, rng: np.random.Generator,
-                                     batch_size: int, max_mean_batch: int,
-                                     ledger: ScalarLedger,
+                                     rng: np.random.Generator, batch_size: int,
+                                     max_mean_batch: int, ledger: ScalarLedger,
                                      direction: tuple[int, np.random.Generator] | None = None,
                                      ) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
@@ -133,33 +198,31 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     ``fail_prob``.
 
     The reference quotient is the best of reps = ceil(log2(3 / fail_prob))
-    Gaussian starts that share one streamed block chain of p_ref =
-    ``config.ref_power(d, REF_START_FAILURE)`` = ceil((c_pi / gamma)
-    ln(2 d / gamma)) steps, enough for one start to reach (1 - gamma)-accuracy
-    with probability at least 1/2. Given the chain's minibatches, whose error
-    ``batch_size`` governs, the starts are independent, so all of them miss
-    with probability at most (1/2)^reps <= fail_prob / 3. The candidate
-    rides the same minibatches; a collapsed one is redrawn on a chain and a
-    batch of its own. ``direction`` = (p_k, rng_dir) sets the driver's next
-    filter direction: when p_k <= max(p_ref, p_cert) its start,
-    ``rng_dir.standard_normal(d)``, rides the chain too for p_k steps,
-    drawing no rows of its own, and comes back as ``Candidate.rider``; a
-    longer chain is not started here, so no certificate draws more rows for
-    it. Why every rider keeps its own guarantee is argued at
-    ``linops.approx_power_iteration``.
+    Gaussian starts that share one streamed block chain of
+    p = ``power_chain_length(d, gamma, START_FAILURE)`` steps, enough for one
+    start to reach (1 - gamma)-accuracy with probability at least 1/2. Given
+    the chain's minibatches, whose error ``batch_size`` governs, the starts
+    are independent, so all of them miss with probability at most
+    (1/2)^reps <= fail_prob / 3. The candidate is one more start on the same
+    chain; a collapsed one is redrawn on a chain and a batch of its own.
+    ``direction`` = (p_k, rng_dir) sets the driver's next filter direction:
+    when p_k <= p its start, ``rng_dir.standard_normal(d)``, rides the chain
+    too for p_k steps, drawing no rows of its own, and comes back as
+    ``Candidate.rider``; a longer chain is not started here, so no
+    certificate draws more rows for it. Why every rider keeps its own
+    guarantee is argued at ``linops.approx_power_iteration``.
 
     The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
     mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
     trim cutoff from a one-pass quantile block at tail 3 eps. Outside its
-    failure share the cap lands between the 3 eps / 2 and 9 eps / 2 tails
-    (``estimators.streaming_quantile_samples`` at tau = 1/2), so the test
-    trims up to 9 eps / 2 of the mass: a bound on the share of a good
-    direction's variance the trim keeps must hold at 9 eps / 2. Scores in
-    [0, B] have variance at most B mu. With eta = ``decision_margin(f1)``, the
-    candidate passes only when the stream mean exceeds (1 + eta) * mu0, and
-    the mean draws at most n rows, the smallest n with
-    sqrt(2 (1 + 2 eta) B mu0 L / n) + B L / (3 n) <= eta mu0, that is
-    n = ceil(k (B / mu0) L) with
+    failure share the cap lands between the 5 eps / 2 and 7 eps / 2 tails
+    (``estimators.streaming_quantile_samples`` at ``TRIM_ACCURACY``), so
+    the test trims up to 7 eps / 2 of the mass, the tail f1 is taken at
+    (``acceptance_factors``). Scores in [0, B] have variance at most B mu.
+    With that function's eta, the candidate passes only when the stream
+    mean exceeds (1 + eta) * mu0, and the mean draws at most n rows, the
+    smallest n with sqrt(2 (1 + 2 eta) B mu0 L / n) + B L / (3 n) <= eta mu0,
+    that is n = ceil(k (B / mu0) L) with
     k = ((sqrt(2 (1 + 2 eta)) + sqrt(2 (1 + 2 eta) + 4 eta / 3)) / (2 eta))^2.
     L = ``estimators.stage_log`` over the stages of ``max_mean_batch`` rows
     bounds the L of ``estimators.stream_mean_estimate`` at n rows, and with
@@ -177,33 +240,30 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
       it (its slope is 1 - sqrt(B L / (2 n mu)) > 0 there), so a direction
       whose trimmed mean clears the band passes.
     n never exceeds ``max_mean_batch``, and takes it when B is infinite
-    (eps = 0 under an infinite prune radius), B / mu0 overflows or eta is 0
-    (f1 = 1: the test is sigma >= mu0); at the cap the bound need not hold.
-    A zero rayleigh_emp gives the test no scale: the candidate is rejected
-    without a draw and reports sigma 0.
+    (eps = 0 under an infinite prune radius) or B / mu0 overflows; at the
+    cap the bound need not hold. A zero rayleigh_emp gives the test no
+    scale: the candidate is rejected without a draw and reports sigma 0.
     """
     d = source.dim
 
     part = fail_prob / 3.0
-    reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(REF_START_FAILURE)))
-    p_ref = config.ref_power(d, REF_START_FAILURE)
-    p_cert = config.cert_power(d)
+    reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(START_FAILURE)))
+    p = power_chain_length(d, gamma, START_FAILURE)
     riders = ()
-    if direction is not None and direction[0] <= max(p_ref, p_cert):
+    if direction is not None and direction[0] <= p:
         p_k, rng_dir = direction
         riders = ((rng_dir.standard_normal(d), p_k),)
-    r_hat, cand, rode = approx_power_iteration(source, stack, p_ref, reps, batch_size,
-                                               rng, p_cert, ledger=ledger, riders=riders)
+    r_hat, cand, rode = approx_power_iteration(source, stack, p, reps, batch_size,
+                                               rng, p, ledger=ledger, riders=riders)
     if cand is not None:
         u, rayleigh_emp = cand
     else:
-        u = streamed_power_direction(source, stack, p_cert, batch_size, rng,
-                                     ledger=ledger)
+        u = streamed_power_direction(source, stack, p, batch_size, rng, ledger=ledger)
         if u is None:
             raise DegenerateStateError("candidate power iterate collapsed to zero")
         rayleigh_emp = float(streamed_rayleigh(source, stack, u, batch_size, ledger))
 
-    f1, f2 = acceptance_factors(gamma, config.c_acc)
+    f1, f2, eta = acceptance_factors(eps, gamma)
     mu0 = f1 * rayleigh_emp
     if not mu0 > 0.0:
         return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=0.0,
@@ -213,18 +273,15 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     if tail > 0:
         cap = streaming_quantile(
             lambda k: accepted_scores(source, stack, lambda x: (x @ u) ** 2, k, ledger),
-            tail, part, ledger=ledger)
+            tail, part, c_q=TRIM_C_Q, ledger=ledger)
     else:
         cap = math.inf
-    eta = decision_margin(f1)
     bound = min(cap, stack.prune_radius_sq)
-    # inf when eta is 0, B is infinite or B / mu0 overflows: float products
-    # and quotients saturate there, and only a finite count reaches ceil.
-    need = math.inf
-    if eta > 0.0:
-        var = 2.0 * (1.0 + 2.0 * eta)
-        k = ((math.sqrt(var) + math.sqrt(var + 4.0 * eta / 3.0)) / (2.0 * eta)) ** 2
-        need = k * (bound / mu0) * stage_log(len(mean_stages(max_mean_batch, bound)), part)
+    # inf when B is infinite or B / mu0 overflows: float products and
+    # quotients saturate there, and only a finite count reaches ceil.
+    var = 2.0 * (1.0 + 2.0 * eta)
+    k = ((math.sqrt(var) + math.sqrt(var + 4.0 * eta / 3.0)) / (2.0 * eta)) ** 2
+    need = k * (bound / mu0) * stage_log(len(mean_stages(max_mean_batch, bound)), part)
     n_max = math.ceil(need) if need < max_mean_batch else max_mean_batch
     bar = (1.0 + eta) * mu0
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, n_max,

@@ -169,10 +169,7 @@ class AlgoConfig:
     k_end: int | None = None
     boost_reps: int = 1
 
-    # Certificate constants and stream sizes; defaults are desk-scale.
-    c_acc: float = 20.0
-    c_pi: float = 4.0
-    c_cert: float = 4.0
+    # Stream sizes; defaults are desk-scale.
     batch_size: int | None = None
     max_resident_scalars: int | None = None
 
@@ -194,12 +191,6 @@ class AlgoConfig:
         check_int("boost_reps", self.boost_reps, 1)
         for name in ("t_end", "k_end", "batch_size"):
             check_int(name, getattr(self, name), 1, optional=True)
-        for name in ("c_pi", "c_cert"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-        if not self.c_acc >= 0:
-            raise ValueError(f"c_acc must be nonnegative, got {self.c_acc}")
         check_int("max_resident_scalars", self.max_resident_scalars, 0, optional=True)
 
     # -- schedule formulas ---------------------------------------------------
@@ -223,13 +214,6 @@ class AlgoConfig:
         eps_eff = max(self.eps, 1e-12)
         t = math.ceil(C_OUTER * math.log(max(d, 2) / eps_eff) ** 2 / self.gamma)
         return min(max(t, 1), 10_000)
-
-    def cert_power(self, d: int) -> int:
-        return max(1, math.ceil((self.c_cert / self.gamma) * math.log(max(d, 2) / self.gamma)))
-
-    def ref_power(self, d: int, fail_prob: float) -> int:
-        arg = max(d, 2) / (self.gamma * max(fail_prob, 1e-300))
-        return max(1, math.ceil((self.c_pi / self.gamma) * math.log(arg)))
 
 
 # -- dataset files ------------------------------------------------------------

@@ -128,7 +128,7 @@ class BatchEstimators:
     def certificate(self, fail_prob: float, rng: np.random.Generator, _p_k: int,
                     _rng_dir: np.random.Generator) -> Candidate:
         return sample_top_eigenvector(self.op, self.n, self.config.eps,
-                                      self.config.gamma, fail_prob, self.config, rng)
+                                      self.config.gamma, fail_prob, rng)
 
     def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
         return gaussian_retry(rng, self.dim, lambda z: power_direction(self.op, p_k, z))

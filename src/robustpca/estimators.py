@@ -9,6 +9,7 @@ even when an adversary inflates the raw average.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -33,13 +34,41 @@ TRIM_TAIL = 3.0
 # Default relative accuracy tau of a stream quantile block, and the
 # block-size constant c_q = 3 / tau^2 it takes (``streaming_quantile_samples``).
 # At tau = 1/2 a block's cut at tail t lands between the t/2 and 3t/2 tails,
-# the constant factor the certificate's trim cap and the filter's cutoff L
-# need: at tail 3 eps they land between the 3 eps/2 and 9 eps/2 tails, and L
-# is floored at ``driver.QUANTILE_FLOOR`` anyway. The prologue's prune radius
-# (tail eps) takes a finer tau = 1/6 of its own (``streaming.PRUNE_ACCURACY``,
-# which gives the reason).
+# the constant factor the filter's cutoff L needs: at tail 3 eps it lands
+# between the 3 eps/2 and 9 eps/2 tails, and L is floored at
+# ``driver.QUANTILE_FLOOR`` anyway. The prologue's prune radius (tail eps)
+# and the certificate's trim cap take a finer tau = 1/6 of their own
+# (``streaming.PRUNE_ACCURACY`` and ``certificate.TRIM_ACCURACY``, which give
+# the reasons).
 QUANTILE_ACCURACY = 0.5
 C_Q = 3.0 / QUANTILE_ACCURACY ** 2
+
+
+def trim_keep_share(t: float) -> float:
+    """kappa(t) = 1 - t - 2 z phi(z), P(|Z| > z) = t: the variance a top-t trim keeps.
+
+    For a standard Gaussian Z, phi its density and z with P(|Z| > z) = t,
+    integration by parts (x^2 phi(x) = x phi(x) * x, and phi' = -x phi)
+    gives E[Z^2 1(|Z| > z)] = 2 int_z^inf x^2 phi(x) dx = 2 z phi(z) + t.
+    Since E[Z^2] = 1, cutting the top t share of the squared scores
+    (x . u)^2 of a direction u along which x is Gaussian keeps kappa(t) of
+    u's variance. kappa(0) = 1 and kappa falls as t grows, 1 - kappa(t) =
+    O(t ln(1 / t)): 0.884 at t = 0.015, 0.684 at 0.06, 0.589 at 0.09.
+
+    kappa is the Gaussian value. For other inliers it is as good as their
+    stability: if a t-trim keeps within O(t ln(1 / t)) of the same share
+    along every direction, as it does for Gaussians and sub-Gaussian
+    families up to constants (Diakonikolas & Kane, "Recent advances in
+    algorithmic high-dimensional robust statistics", 2019, section 2), the
+    certificate's threshold (``certificate.acceptance_factors``) is off by
+    that much, which its 1 - gamma / 2 slack covers at gamma >= eps ln(1 / eps).
+    """
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"tail must lie in [0, 1), got {t}")
+    if t == 0.0:
+        return 1.0
+    z = NormalDist().inv_cdf(1.0 - t / 2.0)
+    return 1.0 - t - 2.0 * z * NormalDist().pdf(z)
 
 
 def weighted_quantile(scores: np.ndarray, tail: float) -> float:

@@ -40,8 +40,8 @@ class SecondMomentOp:
     below the rows' m d) and every column is served as ``G @ z / m`` at d^2;
     over m <= d rows a column costs 2 m d. A set serving c columns thus costs
     (m + c) d^2 against 2 c m d over its rows, so G is never worse once
-    c >= d; the solver's sets serve at least p_ref + p_cert + 2 columns,
-    8 ln d + 11 under the default constants. G is lazy, so an operator never
+    c >= d; the solver's sets serve at least p_ref + p_cert + 2 columns
+    (``certificate.power_chain_length``). G is lazy, so an operator never
     multiplied never builds it. Deterministic given the rows and the calls.
     """
 

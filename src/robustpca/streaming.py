@@ -169,7 +169,7 @@ class MinibatchEstimators:
                     rng_dir: np.random.Generator) -> Candidate:
         cand = sample_top_eigenvector_streaming(
             self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
-            self.config, rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
+            rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
             ledger=self.ledger, direction=(p_k, rng_dir),
         )
         self._rider = (p_k, rng_dir, self.stack, cand.rider)

@@ -37,6 +37,7 @@ from robustpca import (
     tv_contaminated_source,
     weighted_quantile,
 )
+from robustpca import certificate
 from robustpca.estimators import opnorm_bracket
 from robustpca.oracle import dense_spectrum
 
@@ -119,12 +120,19 @@ def test_03_filter_soundness():
            f"removed outlier mass {mean_out:.4f} vs inlier {mean_in:.4f}, {elapsed:.1f}s")
 
 
-def test_04_potential_decrease_with_dense_shadow():
+def test_04_potential_decrease_with_dense_shadow(monkeypatch):
     t0 = time.perf_counter()
     d, n = 16, 20_000
     eps, gamma = 1e-4, 0.002
-    cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4, k_end=1,
-                     c_pi=0.004, c_cert=0.004)
+    cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4, k_end=1)
+    # The bound's chains at gamma = 0.002 run thousands of steps (9,474 for
+    # the first reference, 6,284 for a candidate); this gate measures the
+    # filter, not the chains, so they keep the short lengths 2 ln(d /
+    # (gamma fail_prob)) and 2 ln(d / gamma) it was set at: 26 steps for the
+    # first reference and 18 for every candidate.
+    monkeypatch.setattr(certificate, "power_chain_length", lambda dim, g, fail_prob: (
+        18 if fail_prob == certificate.START_FAILURE
+        else math.ceil(2 * math.log(dim / (g * fail_prob)))))
     ratios = []
     monotone_ok = True
     for seed in range(200):
@@ -160,11 +168,10 @@ def test_05_certificate_randomization_expectation():
     r = math.ceil(d / (1 + gamma))  # 32
     pts = math.sqrt(d) * np.vstack([np.eye(d), -np.eye(d)])  # moment exactly I
     sigma = np.diag([1.0] * r + [0.0] * (d - r))
-    cfg = AlgoConfig(eps=0.01, gamma=gamma)
     rng = np.random.default_rng(1)
     vals = []
     for _ in range(500):
-        cand = sample_top_eigenvector(SecondMomentOp(pts), 2 * d, 0.01, gamma, 0.05, cfg, rng)
+        cand = sample_top_eigenvector(SecondMomentOp(pts), 2 * d, 0.01, gamma, 0.05, rng)
         vals.append(float(cand.u @ sigma @ cand.u))
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(len(vals))

@@ -83,7 +83,7 @@ def test_config_sets_every_field():
                  "spike_multiplier": 3.0, "n_directions": 2, "hide_boost": 0.25,
                  "projection_rank": 2}
     algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "k_end": 2, "boost_reps": 2,
-            "c_acc": 10.0, "c_pi": 5.0, "c_cert": 6.0, "batch_size": 512,
+            "batch_size": 512,
             "max_resident_scalars": 10**6}
     top = {"mode": "BOTH", "baselines": ["ORACLE"], "seeds": [3, 4], "n": 700,
            "stream_budget": 9000, "r_radius": 1.5}
@@ -155,8 +155,9 @@ def test_missing_n_for_batch():
     ({"adversary": {"kind": "schatten_blind", "rate": 0.1,
                     "projection_rank": 9}}, False),
     # Algorithm values no solve can use: a zero schedule length divides by
-    # zero, a zero minibatch fails after the stream prologue, a non-positive
-    # constant silently clamps a chain to one step.
+    # zero, a zero minibatch fails after the stream prologue. The chain and
+    # threshold constants c_pi, c_cert and c_acc are derived now, not set,
+    # so a config that still names one is an unknown key.
     ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "k_end": 0}}, False),
     ({"mode": "STREAMING", "stream_budget": 100_000, "baselines": [],
@@ -260,17 +261,6 @@ def test_malformed_config_exits_2(tmp_path, capsys, raw):
     assert main(["run", "--config", str(path), "--out",
                  str(tmp_path / "r.json")]) == 2
     assert "config error" in capsys.readouterr().err
-
-
-def test_config_sets_the_certificate_constants(tmp_path):
-    # A config can set every certificate constant AlgoConfig takes, so it
-    # can lengthen the candidate chain.
-    raw = minimal_config(algo={"eps": 0.0, "gamma": 0.05, "c_pi": 5.0, "c_cert": 8})
-    config = ExperimentConfig.from_dict(raw)
-    assert (config.algo.c_pi, config.algo.c_cert) == (5.0, 8)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_cli_run_writes_reports_and_is_deterministic(tmp_path, capsys):

@@ -24,6 +24,7 @@ from robustpca import (
     trimmed_variance,
     tv_contaminated_source,
 )
+from robustpca import certificate
 from robustpca.driver import CERT_FAILURE_PROB, BatchEstimators, drive, failure_share
 from robustpca.streaming import MinibatchEstimators
 
@@ -391,10 +392,12 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
         real(self, points, config, sq_norms)
 
     monkeypatch.setattr(BatchEstimators, "__init__", spy)
-    # c_acc = 0 sets f1 = 1, which a trimmed variance cannot reach, so both
-    # reps run.
+    # An infinite f1, which no trimmed variance reaches, rejects every
+    # candidate, so both reps run.
+    monkeypatch.setattr(certificate, "acceptance_factors",
+                        lambda eps, gamma: (math.inf, 0.5, 0.25))
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, rng_seed=3,
-                     config=AlgoConfig(t_end=1, k_end=1, boost_reps=2, c_acc=0.0))
+                     config=AlgoConfig(t_end=1, k_end=1, boost_reps=2))
     assert res.status is PcaStatus.FALLBACK_BEST
     assert len(seen) == 2 and seen[0] is seen[1]
     np.testing.assert_array_equal(seen[0], np.einsum("ij,ij->i", pts, pts))

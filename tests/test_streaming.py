@@ -26,7 +26,7 @@ from robustpca import (
     streaming_robust_pca,
     tv_contaminated_source,
 )
-from robustpca.certificate import DECISION_MARGIN, REF_START_FAILURE
+from robustpca.certificate import DECISION_MARGIN, START_FAILURE, power_chain_length
 from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
 from robustpca.estimators import mean_stages, stage_interval, stage_log, streaming_quantile_samples
 from robustpca.filtering import hard_thresholding_filter
@@ -122,12 +122,13 @@ def test_non_finite_stream_row_is_rejected():
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
     # The first certificate accepts. At eps = 0 there is no norm quantile,
     # so the opnorm block is the suite's first estimate, at failure_share(1).
-    # Then come (24 + 1) * 4,096 chain rows (the reference chain runs
-    # ref_power(5, 1/2) = 24 steps, the candidate rides its first 19, and
-    # one batch scores both) and, the scores having no bound, the stream
-    # mean's whole 4,312-row ceiling.
+    # Then come (13 + 1) * 4,096 chain rows (the reference starts and the
+    # candidate share a chain of power_chain_length(5, 0.5, 1/2) = 13 steps,
+    # and one batch scores them all) and, the scores having no bound, the
+    # stream mean's whole 4,312-row ceiling.
     block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
-    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 102_400 + 4_312
+    assert power_chain_length(5, 0.5, START_FAILURE) == 13
+    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 57_344 + 4_312
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -571,19 +572,19 @@ def _chain_rows(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
-    # p_k = 9, 18 and 36 against a chain of max(p_ref, p_cert) = 28 steps.
+    # p_k = 9, 18 and 36 against a chain of p = 12 steps.
     # A direction no longer than the chain rides it from the start
     # rng_stream(seed, rep, 2) draws first, so after the rejected
     # certificate the driver's direction draws no rows; a longer one leaves
     # the generator untouched and runs a chain of its own over p_k
-    # minibatches. The certificate's chain draws (28 + 1) minibatches either
+    # minibatches. The certificate's chain draws (12 + 1) minibatches either
     # way.
     chain_rows = _chain_rows(monkeypatch)
     pool, src, cfg, suite = _rider_suite()
     d, b = 20, suite.batch
     p_k = cfg.power_at(d, k)
-    p_chain = max(cfg.ref_power(d, REF_START_FAILURE), cfg.cert_power(d))
-    assert (p_k, p_chain) == ((9, 18, 36)[k - 1], 28)
+    p_chain = power_chain_length(d, cfg.gamma, START_FAILURE)
+    assert (p_k, p_chain) == ((9, 18, 36)[k - 1], 12)
 
     rng_dir, start = rng_stream(0, 0, 2), src.delivered
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
