@@ -1,3 +1,5 @@
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -128,14 +130,19 @@ NAN = float("nan")
     ("max_resident_scalars", NAN),
     ("t_end", 2.5), ("t_end", 3.0), ("k_end", 2.0), ("batch_size", 512.0),
     ("boost_reps", True), ("max_resident_scalars", 1e6),
+    ("c_pi", 0.0), ("c_cert", -1.0), ("c_pi", NAN), ("c_acc", NAN), ("c_acc", -1.0),
+    ("c_pi", math.inf), ("c_cert", math.inf),
 ])
 def test_config_rejects_values_no_solve_can_use(field, value):
     # t_end or k_end at 0 divides by zero in drive, and a zero batch_size
     # fails only after the stream prologue has drawn rows. A NaN count
     # fails mid-solve, and a NaN memory limit switches the budget off. A
     # float count, even 3.0, fails mid-solve in range(), and a bool is no
-    # count.
-    with pytest.raises(ValueError, match=field):
+    # count. The certificate constants c_pi, c_cert and c_acc are derived
+    # now, so AlgoConfig refuses them at any value as unknown keywords.
+    known = {f.name for f in dataclasses.fields(AlgoConfig)}
+    error = ValueError if field in known else TypeError
+    with pytest.raises(error, match=field):
         AlgoConfig(eps=0.01, **{field: value})
     AlgoConfig(eps=0.01, t_end=1, k_end=1, batch_size=1, max_resident_scalars=0)
 
