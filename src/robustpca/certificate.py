@@ -254,7 +254,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
         p_k, rng_dir = direction
         riders = ((rng_dir.standard_normal(d), p_k),)
     r_hat, cand, rode = approx_power_iteration(source, stack, p, reps, batch_size,
-                                               rng, p, ledger=ledger, riders=riders)
+                                               rng, ledger=ledger, riders=riders)
     if cand is not None:
         u, rayleigh_emp = cand
     else:

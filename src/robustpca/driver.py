@@ -95,10 +95,12 @@ class BatchEstimators:
     """Exact batch answers over an in-memory population.
 
     Survivors are the mask ``weights`` and the operator ``op`` over
-    ``points[weights]``, which the prologue gathers once and each new filter
-    compresses. Every answer reads ``op.rows``, so no pruned or filtered row
-    is projected again; the certificate and the direction share ``op``, so a
-    survivor set forms its Gram matrix at most once.
+    ``points[weights]``: the prologue reads ``points`` in place when the
+    prune keeps every row and gathers the survivors otherwise, and each new
+    filter compresses them into a copy. Every answer reads ``op.rows``, so
+    no pruned or filtered row is projected again; the certificate and the
+    direction share ``op``, so a survivor set forms its Gram matrix at most
+    once.
     """
 
     def __init__(self, points: np.ndarray, config: AlgoConfig, sq_norms: np.ndarray):
@@ -122,7 +124,8 @@ class BatchEstimators:
             radius_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=radius_sq)
         self.weights = self.stack.within_radius(g)
-        self.op = SecondMomentOp(self.points[self.weights])
+        self.op = SecondMomentOp(self.points if self.weights.all()
+                                 else self.points[self.weights])
         return sigma_op, 0.0
 
     def certificate(self, fail_prob: float, rng: np.random.Generator, _p_k: int,

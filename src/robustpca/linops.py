@@ -101,16 +101,21 @@ def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
                   ledger: ScalarLedger | None):
     """Yield the accepted rows of k fresh draws, ``_STREAM_CHUNK`` at a time.
 
+    A chunk the stack keeps whole is yielded as drawn, which may be a
+    read-only view into the source's pool (``ReplaySource``); otherwise its
+    accepted rows are gathered into a copy. Consumers only read the rows.
     The ledger books the chunk buffer, d scalars per row, until the last
-    chunk is handed out. Raises DegenerateStateError when none of the k
-    draws is accepted.
+    chunk is handed out; for a view that holds no rows of its own this is
+    an upper bound on the memory, never an undercount. Raises
+    DegenerateStateError when none of the k draws is accepted.
     """
     ledger = ledger if ledger is not None else ScalarLedger()
     accepted = 0
     with ledger.reserve(min(_STREAM_CHUNK, k) * source.dim):
         for start in range(0, k, _STREAM_CHUNK):
             pts = source.draw(min(_STREAM_CHUNK, k - start))
-            rows = pts[stack.weights(pts)]
+            keep = stack.weights(pts)
+            rows = pts if keep.all() else pts[keep]
             accepted += rows.shape[0]
             yield rows
     if accepted == 0:
@@ -268,8 +273,7 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
-                           rider_power: int, ledger: ScalarLedger | None = None,
-                           riders=()):
+                           ledger: ScalarLedger | None = None, riders=()):
     """Best Rayleigh quotient over ``reps`` minibatch power probes, plus riders.
 
     The ``reps`` Gaussian starts are the columns of one (d, reps) block that
@@ -280,7 +284,7 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     kept.
 
     More starts ride the same chain as further columns of the block: the
-    candidate, one more Gaussian start from ``rng`` run for ``rider_power``
+    candidate, one more Gaussian start from ``rng`` run for the same p
     steps, and each (start, power) pair of ``riders``. The chain is ragged:
     each column carries its own power q and goes through the first q
     minibatches. One loop runs over the distinct powers in ascending order
@@ -306,7 +310,7 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     # ``standard_normal(d)`` draws would give, the candidate's start last.
     starts = rng.standard_normal((reps + 1, source.dim)).T
     block = np.column_stack([starts] + [start for start, _q in riders])
-    powers = np.array([p] * reps + [rider_power] + [q for _start, q in riders])
+    powers = np.array([p] * (reps + 1) + [q for _start, q in riders])
     done = 0
     for q in sorted(set(powers.tolist())):
         live = powers >= q

@@ -70,6 +70,11 @@ class ReplaySource(SampleSource):
     ``mode='once'`` delivers each point a single time then exhausts;
     ``mode='cycle'`` loops over the population in order (deterministic);
     ``mode='resample'`` draws with replacement using ``rng``.
+
+    In ``once`` and ``cycle`` modes a draw that does not wrap past the end of
+    the pool is a read-only view of its rows (labels alike), so reading it
+    copies nothing and writing into it raises ``ValueError``. A ``cycle``
+    draw that wraps, and every ``resample`` draw, is a fresh copy.
     """
 
     def __init__(self, points: np.ndarray, labels=None, mode: str = "once",
@@ -83,27 +88,30 @@ class ReplaySource(SampleSource):
             raise ValueError(f"unknown replay mode {mode!r}")
         if mode == "resample" and rng is None:
             raise ValueError("resample mode needs an rng")
-        self._points = points
-        self._labels = None if labels is None else np.asarray(labels, dtype=bool)
+        # Slices of these read-only views are read-only, fancy-indexed copies not.
+        self._points = _read_only(points)
+        self._labels = None if labels is None else _read_only(np.asarray(labels, dtype=bool))
         self._mode = mode
         self._rng = rng
         self._pos = 0
 
     def _produce(self, k: int):
-        n = self._points.shape[0]
+        n, pos = self._points.shape[0], self._pos
         if self._mode == "resample":
             idx = self._rng.integers(0, n, size=k)
-        elif self._mode == "cycle":
-            idx = (self._pos + np.arange(k)) % n
-            self._pos = (self._pos + k) % n
+        elif self._mode == "once" and pos + k > n:
+            raise StreamExhaustedError(f"replay exhausted after {self.delivered} samples")
         else:
-            if self._pos + k > n:
-                raise StreamExhaustedError(
-                    f"replay exhausted after {self.delivered} samples")
-            idx = np.arange(self._pos, self._pos + k)
-            self._pos += k
+            self._pos = pos + k if self._mode == "once" else (pos + k) % n
+            idx = slice(pos, pos + k) if pos + k <= n else (pos + np.arange(k)) % n
         labels = None if self._labels is None else self._labels[idx]
         return self._points[idx], labels
+
+
+def _read_only(pool: np.ndarray) -> np.ndarray:
+    view = pool.view()
+    view.flags.writeable = False
+    return view
 
 
 class FileReplaySource(ReplaySource):

@@ -282,11 +282,10 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     calls = []
     real = certificate.approx_power_iteration
 
-    def spy(source, stack, p, reps, batch_size, rng, rider_power, ledger=None, riders=()):
+    def spy(source, stack, p, reps, batch_size, rng, ledger=None, riders=()):
         before = source.delivered
-        out = real(source, stack, p, reps, batch_size, rng, rider_power, ledger=ledger,
-                   riders=riders)
-        calls.append((p, reps, rider_power, source.delivered - before))
+        out = real(source, stack, p, reps, batch_size, rng, ledger=ledger, riders=riders)
+        calls.append((p, reps, source.delivered - before))
         return out
 
     monkeypatch.setattr(certificate, "approx_power_iteration", spy)
@@ -297,7 +296,7 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
         _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
     p = power_chain_length(d, gamma, START_FAILURE)
     assert p == 17
-    assert calls == [(p, 6, p, (p + 1) * batch), (p, 22, p, (p + 1) * batch)]
+    assert calls == [(p, 6, (p + 1) * batch), (p, 22, (p + 1) * batch)]
 
 
 def _rows_and_power():

@@ -11,6 +11,7 @@ from robustpca import (
     FilterEntry,
     FilterStack,
     ReplaySource,
+    StreamExhaustedError,
     WeightedDataset,
     load_dataset,
     save_dataset,
@@ -181,7 +182,7 @@ def test_dataset_file_rejects_ragged(tmp_path):
 
 
 def test_file_replay_source_round_trip(tmp_path):
-    from robustpca import FileReplaySource, StreamExhaustedError
+    from robustpca import FileReplaySource
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((12, 3))
     labels = rng.random(12) < 0.5
@@ -208,3 +209,60 @@ def test_file_replay_source_round_trip(tmp_path):
 def test_replay_source_rejects_a_pool_without_rows(pool, mode):
     with pytest.raises(ValueError, match="non-empty"):
         ReplaySource(pool, mode=mode, rng=np.random.default_rng(0))
+
+
+def _labeled_pool(n=10, d=3):
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((n, d)), rng.random(n) < 0.5
+
+
+@pytest.mark.parametrize("sizes", [(3, 4, 5), (10, 10), (25,), (9, 30, 2)],
+                         ids=["wraps", "at_the_end", "longer_than_pool", "mixed"])
+def test_cycle_replay_follows_the_index_law(sizes):
+    # Each draw of k rows returns rows (pos + arange(k)) % n, labels alike,
+    # where pos counts the rows drawn before it; views and copies agree.
+    pool, labels = _labeled_pool()
+    src = ReplaySource(pool, labels, mode="cycle")
+    pos = 0
+    for k in sizes:
+        idx = (pos + np.arange(k)) % pool.shape[0]
+        got, got_labels = src.draw_labeled(k)
+        np.testing.assert_array_equal(got, pool[idx])
+        np.testing.assert_array_equal(got_labels, labels[idx])
+        pos += k
+
+
+def test_once_replay_delivers_each_row_then_exhausts():
+    pool, labels = _labeled_pool()
+    src = ReplaySource(pool, labels, mode="once")
+    for lo, hi in ((0, 4), (4, 9), (9, 10)):
+        got, got_labels = src.draw_labeled(hi - lo)
+        np.testing.assert_array_equal(got, pool[lo:hi])
+        np.testing.assert_array_equal(got_labels, labels[lo:hi])
+    with pytest.raises(StreamExhaustedError):
+        src.draw(1)
+    with pytest.raises(StreamExhaustedError):
+        ReplaySource(pool, mode="once").draw(11)
+
+
+@pytest.mark.parametrize("mode", ["once", "cycle"])
+def test_in_order_replay_draw_is_a_read_only_view(mode):
+    pool, labels = _labeled_pool()
+    src = ReplaySource(pool, labels, mode=mode)
+    got, got_labels = src.draw_labeled(6)
+    assert np.shares_memory(got, pool) and np.shares_memory(got_labels, labels)
+    with pytest.raises(ValueError):
+        got[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        got_labels[0] = True
+    assert pool.flags.writeable and labels.flags.writeable
+    if mode == "cycle":
+        wrapped, wrapped_labels = src.draw_labeled(6)
+        assert not np.shares_memory(wrapped, pool)
+        assert not np.shares_memory(wrapped_labels, labels)
+
+
+def test_resample_replay_draw_is_a_copy():
+    pool, _labels = _labeled_pool()
+    src = ReplaySource(pool, mode="resample", rng=np.random.default_rng(0))
+    assert not np.shares_memory(src.draw(6), pool)

@@ -422,6 +422,29 @@ def test_batch_rows_are_the_masked_points_after_every_filter():
     assert filters and len(filters) == len(suite.stack)
 
 
+@pytest.mark.parametrize("pruned", [0, 5])
+def test_batch_rows_alias_the_points_only_while_every_row_survives(monkeypatch, pruned):
+    # A prune that keeps every row leaves the operator on the input points
+    # themselves; one that removes rows gathers the survivors.
+    suites = []
+    real = BatchEstimators.prologue
+
+    def spy(self):
+        suites.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BatchEstimators, "prologue", spy)
+    d, n = 10, 2000
+    pts = rng_stream(2, 0).standard_normal((n, d)) * np.sqrt([9.0] + [1.0] * (d - 1))
+    pts[:pruned] *= 1e3
+    ds = WeightedDataset(pts)
+    res = robust_pca(ds, eps=0.01, gamma=0.2, rng_seed=2)
+    assert res.status is PcaStatus.ACCEPTED and res.filters_created == 0
+    [suite] = suites
+    assert suite.op.rows.shape[0] == n - pruned
+    assert np.shares_memory(suite.op.rows, ds.points) == (pruned == 0)
+
+
 def test_overflowing_row_is_dropped_by_batch_prologue():
     # A finite row whose squared norm overflows must not reach the operator
     # norm bracket or survive the infinite prune radius of eps = 0, and no

@@ -16,7 +16,7 @@ from robustpca import (
     streamed_power_apply,
 )
 from robustpca.errors import DegenerateStateError
-from robustpca.linops import accepted_scores, streamed_power_direction
+from robustpca.linops import accepted_rows, accepted_scores, streamed_power_direction
 
 
 def op_from(points):
@@ -209,6 +209,25 @@ def test_minibatch_single_sample():
     np.testing.assert_allclose(got, x * float(x @ z), rtol=1e-12)
 
 
+def test_accepted_rows_yields_a_wholly_kept_chunk_as_drawn(monkeypatch):
+    # Chunks of 16, 16 and 8 rows; only the second holds a rejected row, so
+    # only it is gathered into a copy of its 15 accepted rows.
+    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 16)
+    pop = np.random.default_rng(2).standard_normal((64, 3))
+    pop[20] = 100.0
+    src = ReplaySource(pop, mode="cycle")
+    drawn, draw = [], src.draw
+
+    def spy(k):
+        drawn.append(draw(k))
+        return drawn[-1]
+
+    monkeypatch.setattr(src, "draw", spy)
+    chunks = list(accepted_rows(src, FilterStack(prune_radius_sq=50.0), 40, None))
+    assert [c is d for c, d in zip(chunks, drawn)] == [True, False, True]
+    np.testing.assert_array_equal(chunks[1], np.delete(pop[16:32], 4, axis=0))
+
+
 def test_minibatch_all_rejected_raises():
     src = constant_source(np.array([10.0, 0.0]))
     stack = FilterStack(prune_radius_sq=1.0)
@@ -330,7 +349,7 @@ def test_approx_power_iteration_two_point_population():
     pop = np.array([[math.sqrt(5.0), 0.0], [-math.sqrt(5.0), 0.0]])
     src = ReplaySource(pop, mode="cycle")
     r_hat, _, _ = approx_power_iteration(src, FilterStack(), p=4, reps=5, batch_size=16,
-                                      rng=np.random.default_rng(1), rider_power=4)
+                                      rng=np.random.default_rng(1))
     assert 4.5 <= r_hat <= 5.5
 
 
@@ -345,7 +364,7 @@ def test_approx_power_iteration_isotropic():
 
     src = SyntheticSource(d, draw, np.random.default_rng(3))
     r_hat, _, _ = approx_power_iteration(src, FilterStack(), p=6, reps=6, batch_size=4000,
-                                      rng=np.random.default_rng(4), rider_power=6)
+                                      rng=np.random.default_rng(4))
     assert abs(r_hat - c) <= 0.1 * c  # population second moment is c * I
 
 
@@ -359,7 +378,7 @@ def test_approx_power_iteration_single_rep_is_one_probe():
 
     src_a = ReplaySource(pop, mode="cycle")
     got, _, _ = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
-                                    rng=np.random.default_rng(42), rider_power=p)
+                                    rng=np.random.default_rng(42))
     src_b = ReplaySource(pop, mode="cycle")
     g = np.random.default_rng(42).standard_normal(4)
     y = streamed_power_apply(src_b, stack, p, batch, g)
@@ -389,60 +408,25 @@ def test_approx_power_iteration_drops_collapsed_columns():
     zero, nan = np.zeros(4), np.full(4, np.nan)
 
     got, _, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
-                                    batch_size=batch, rng=_FixedStarts([zero, nan, g, h]),
-                                    rider_power=p)
+                                    batch_size=batch, rng=_FixedStarts([zero, nan, g, h]))
     want, _, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
-                                     batch_size=batch, rng=_FixedStarts([g, h]),
-                                     rider_power=p)
+                                     batch_size=batch, rng=_FixedStarts([g, h]))
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-12)
 
     with pytest.raises(DegenerateStateError):
         approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=2,
-                               batch_size=batch, rng=_FixedStarts([zero, nan, h]),
-                               rider_power=p)
+                               batch_size=batch, rng=_FixedStarts([zero, nan, h]))
 
 
 @pytest.mark.parametrize("q", [2, 5])
 def test_approx_power_iteration_rider_shares_the_chain(q):
-    # A rider's start is column reps of the block. It runs q steps over the
-    # chain's own minibatches (the block runs min(p, q), the longer side goes
-    # on alone), so the call draws (max(p, q) + 1) batches, and it is scored
-    # on the reference's batch. A collapsed rider comes back as None.
-    pop = np.random.default_rng(5).standard_normal((256, 4))
-    stack = FilterStack(prune_radius_sq=30.0)
-    p, batch = 3, 40
-    g, h = np.random.default_rng(42).standard_normal((2, 4))
-
-    src = ReplaySource(pop, mode="cycle")
-    r_hat, (u, rayleigh), _ = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
-                                                  rng=_FixedStarts([g, h]), rider_power=q)
-    assert src.delivered == (max(p, q) + 1) * batch
-    twin = ReplaySource(pop, mode="cycle")
-    want = streamed_power_apply(twin, stack, q, batch, h)
-    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
-    if p > q:
-        twin.draw((p - q) * batch)
-    pts = twin.draw(batch)
-    acc = pts[stack.weights(pts)]
-    assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
-
-    src = ReplaySource(pop, mode="cycle")
-    r_zero, rider, _ = approx_power_iteration(src, stack, p, reps=1, batch_size=batch,
-                                           rng=_FixedStarts([g, np.zeros(4)]), rider_power=q)
-    assert rider is None and src.delivered == (max(p, q) + 1) * batch
-    assert r_zero == pytest.approx(r_hat, rel=1e-12)
-
-
-@pytest.mark.parametrize("q, extra", [(2, 1), (2, 3), (5, 5), (2, 6), (5, 8)])
-def test_approx_power_iteration_ragged_riders(q, extra):
-    # A third column of power ``extra`` rides the chain of the reference
-    # (p = 3) and the candidate (q). Each column goes through the first
-    # minibatches up to its own power and matches a chain of its own over
-    # them; a column no longer than max(p, q) adds no rows, a longer one
-    # extends the call by exactly its excess minibatches. Only the
-    # reference and the candidate are scored, on the minibatch after the
-    # longest column's.
+    # The candidate's start is column reps of the block and runs the
+    # reference's p steps; a rider of power q runs q steps over the chain's
+    # own minibatches (the block runs min(p, q), the longer side goes on
+    # alone), so the call draws (max(p, q) + 1) batches. The candidate is
+    # scored on the reference's batch. A collapsed candidate or rider comes
+    # back as None.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
@@ -451,10 +435,48 @@ def test_approx_power_iteration_ragged_riders(q, extra):
     src = ReplaySource(pop, mode="cycle")
     r_hat, (u, rayleigh), [w] = approx_power_iteration(
         src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
-        rider_power=q, riders=[(k, extra)])
-    excess = max(0, extra - max(p, q))
-    assert src.delivered == (max(p, q) + excess + 1) * batch
-    chain = max(p, q) + excess
+        riders=[(k, q)])
+    assert src.delivered == (max(p, q) + 1) * batch
+    twin = ReplaySource(pop, mode="cycle")
+    want = streamed_power_apply(twin, stack, p, batch, h)
+    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
+    if q > p:
+        twin.draw((q - p) * batch)
+    pts = twin.draw(batch)
+    acc = pts[stack.weights(pts)]
+    assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
+    want = streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, q, batch, k)
+    np.testing.assert_allclose(w, want / np.linalg.norm(want), rtol=1e-12)
+
+    src = ReplaySource(pop, mode="cycle")
+    r_zero, cand, [rider] = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, np.zeros(4)]),
+        riders=[(np.zeros(4), q)])
+    assert cand is None and rider is None
+    assert src.delivered == (max(p, q) + 1) * batch
+    assert r_zero == pytest.approx(r_hat, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, extra", [(2, 1), (2, 3), (5, 5), (2, 6), (5, 8)])
+def test_approx_power_iteration_ragged_riders(q, extra):
+    # Riders of powers q and ``extra`` ride the chain of the reference and
+    # the candidate (both p = 3). Each column goes through the first
+    # minibatches up to its own power and matches a chain of its own over
+    # them; a column no longer than the others adds no rows, a longer one
+    # extends the call by exactly its excess minibatches. Only the
+    # reference and the candidate are scored, on the minibatch after the
+    # longest column's.
+    pop = np.random.default_rng(5).standard_normal((256, 4))
+    stack = FilterStack(prune_radius_sq=30.0)
+    p, batch = 3, 40
+    g, h, k, m = np.random.default_rng(42).standard_normal((4, 4))
+
+    src = ReplaySource(pop, mode="cycle")
+    r_hat, (u, rayleigh), [v, w] = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
+        riders=[(m, q), (k, extra)])
+    chain = max(p, q, extra)
+    assert src.delivered == (chain + 1) * batch
 
     def twin(start, power):
         twin_src = ReplaySource(pop, mode="cycle")
@@ -468,17 +490,19 @@ def test_approx_power_iteration_ragged_riders(q, extra):
 
     _y, want_r = twin(g, p)
     assert r_hat == pytest.approx(want_r, rel=1e-12)
-    want_u, want_rayleigh = twin(h, q)
+    want_u, want_rayleigh = twin(h, p)
     np.testing.assert_allclose(u, want_u, rtol=1e-12)
     assert rayleigh == pytest.approx(want_rayleigh, rel=1e-12)
+    np.testing.assert_allclose(v, twin(m, q)[0], rtol=1e-12)
     np.testing.assert_allclose(w, twin(k, extra)[0], rtol=1e-12)
 
     src = ReplaySource(pop, mode="cycle")
     _r, _cand, riders = approx_power_iteration(
         src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
-        rider_power=q, riders=[(np.zeros(4), extra), (k, extra)])
-    assert riders[0] is None
-    np.testing.assert_allclose(riders[1], w, rtol=1e-12)
+        riders=[(m, q), (np.zeros(4), extra), (k, extra)])
+    assert riders[1] is None
+    np.testing.assert_allclose(riders[0], v, rtol=1e-12)
+    np.testing.assert_allclose(riders[2], w, rtol=1e-12)
 
 
 @pytest.mark.parametrize("reps", [1, 6])
@@ -487,7 +511,7 @@ def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     p, batch = 4, 50
     src = ReplaySource(pop, mode="cycle")
     approx_power_iteration(src, FilterStack(prune_radius_sq=40.0), p, reps=reps,
-                           batch_size=batch, rng=np.random.default_rng(7), rider_power=p)
+                           batch_size=batch, rng=np.random.default_rng(7))
     assert src.delivered == (p + 1) * batch
 
 

@@ -317,6 +317,21 @@ def _solve_pool(pool, **kw):
     return streaming_robust_pca(ReplaySource(pool, mode="cycle"), **args)
 
 
+def test_stream_solve_reads_a_read_only_pool():
+    # Replayed draws are views into the pool, so a write into drawn rows
+    # would corrupt every later draw of them. On a read-only pool any such
+    # write raises; the solve must match the same solve on a writable copy.
+    pool, _spec = _spiked_pool(d=20, rows=20_000, rate=0.03)
+    frozen = pool.copy()
+    frozen.flags.writeable = False
+    res, stats = _solve_pool(frozen)
+    twin, twin_stats = _solve_pool(pool)
+    np.testing.assert_array_equal(res.u, twin.u)
+    assert (res.status, res.iterations, stats.samples_consumed) == \
+        (twin.status, twin.iterations, twin_stats.samples_consumed)
+    np.testing.assert_array_equal(pool, frozen)
+
+
 def test_stream_rep_fails_within_its_budget(monkeypatch):
     # Every failure probability a stream solve hands out, recorded where the
     # suite calls its estimators. Its estimates (the prologue's norm quantile
