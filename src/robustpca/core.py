@@ -104,12 +104,17 @@ class FilterStack:
 
 @dataclass(frozen=True)
 class WeightedDataset:
-    """n finite points in R^d, the input of a batch solve."""
+    """n finite points in R^d, the input of a batch solve.
+
+    The points are kept C-ordered (an input in another memory order is
+    copied once), so a solve that reads them in place computes what it
+    would on a C-ordered copy.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError(f"points must be an (n, d) array, got shape {pts.shape}")
         if pts.shape[0] == 0:

@@ -79,7 +79,7 @@ class ReplaySource(SampleSource):
 
     def __init__(self, points: np.ndarray, labels=None, mode: str = "once",
                  rng: np.random.Generator | None = None):
-        points = np.asarray(points, dtype=np.float64)
+        points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2 or points.size == 0:
             raise ValueError(
                 f"replay pool must be a non-empty (n, d) array, got shape {points.shape}")
@@ -88,9 +88,12 @@ class ReplaySource(SampleSource):
             raise ValueError(f"unknown replay mode {mode!r}")
         if mode == "resample" and rng is None:
             raise ValueError("resample mode needs an rng")
-        # Slices of these read-only views are read-only, fancy-indexed copies not.
+        # Slices of these read-only views are read-only, fancy-indexed copies
+        # not. A pool in another memory order is copied once into C order, so
+        # every draw hands its consumers C-ordered rows, view or copy.
         self._points = _read_only(points)
-        self._labels = None if labels is None else _read_only(np.asarray(labels, dtype=bool))
+        self._labels = None if labels is None else _read_only(
+            np.ascontiguousarray(labels, dtype=bool))
         self._mode = mode
         self._rng = rng
         self._pos = 0

@@ -266,3 +266,19 @@ def test_resample_replay_draw_is_a_copy():
     pool, _labels = _labeled_pool()
     src = ReplaySource(pool, mode="resample", rng=np.random.default_rng(0))
     assert not np.shares_memory(src.draw(6), pool)
+
+
+def test_fortran_ordered_inputs_are_kept_c_ordered():
+    # A replay pool or a dataset in another memory order is copied once
+    # into C order, so its draws and rows are those of the C-ordered array,
+    # bit for bit and in the same layout.
+    pool, labels = _labeled_pool()
+    src, twin = ReplaySource(np.asfortranarray(pool), labels, mode="cycle"), \
+        ReplaySource(pool, labels, mode="cycle")
+    for k in (4, 4, 5):
+        got, want = src.draw(k), twin.draw(k)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+    ds = WeightedDataset(np.asfortranarray(pool))
+    assert ds.points.flags.c_contiguous
+    np.testing.assert_array_equal(ds.points, pool)

@@ -422,6 +422,15 @@ def test_batch_rows_are_the_masked_points_after_every_filter():
     assert filters and len(filters) == len(suite.stack)
 
 
+def test_batch_solve_of_fortran_ordered_points_matches_c_ordered():
+    pts, _labels, _sigma = spiked_instance(d=10, n=2000, eps=0.02, seed=4)
+    want = robust_pca(WeightedDataset(pts), eps=0.02, gamma=0.4, rng_seed=4)
+    got = robust_pca(WeightedDataset(np.asfortranarray(pts)), eps=0.02, gamma=0.4, rng_seed=4)
+    assert got.u.tobytes() == want.u.tobytes()
+    assert (got.status, got.iterations, got.filters_created, got.sigma_robust) == \
+        (want.status, want.iterations, want.filters_created, want.sigma_robust)
+
+
 @pytest.mark.parametrize("pruned", [0, 5])
 def test_batch_rows_alias_the_points_only_while_every_row_survives(monkeypatch, pruned):
     # A prune that keeps every row leaves the operator on the input points
