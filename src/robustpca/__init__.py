@@ -44,7 +44,6 @@ from .linops import (
 from .oracle import DenseSpectrum, dense_spectrum, metric_approx_ratio
 from .sources import (
     BudgetedSource,
-    FileReplaySource,
     ReplaySource,
     SampleSource,
     ScalarLedger,

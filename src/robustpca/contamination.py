@@ -42,8 +42,8 @@ class InlierSpec:
     A spike is (direction, added variance); the direction may be an axis
     index or an arbitrary vector (normalized on construction). The bounded
     family mixes a uniform sphere direction with a uniform radial scalar,
-    giving the same covariance on compact support; its support radius
-    relative to sqrt(d * op-norm) is reported by ``subgaussian_radius``.
+    giving the same covariance on compact support: ||X|| <=
+    sqrt(3) (sqrt(d max diag) + sum_i sqrt(a_i)).
     """
 
     dim: int
@@ -94,23 +94,6 @@ class InlierSpec:
             cov += add * np.outer(v, v)
         return cov
 
-    def op_norm(self) -> float:
-        return float(dense_spectrum(self.covariance()).eigenvalues[0])
-
-    def support_radius(self) -> float:
-        """Hard bound on ||X||, or inf for the Gaussian family."""
-        if self.family is InlierFamily.GAUSSIAN:
-            return math.inf
-        base = math.sqrt(self.dim * max(self.diag))
-        spike = sum(math.sqrt(add) for _ax, add in self.spikes)
-        return math.sqrt(3.0) * (base + spike)
-
-    def subgaussian_radius(self) -> float:
-        """Empirical proxy radius r with support inside r*sqrt(d*op-norm)."""
-        if self.family is InlierFamily.GAUSSIAN:
-            return 1.0
-        return max(1.0, self.support_radius() / math.sqrt(self.dim * self.op_norm()))
-
 
 def gen_inliers(spec: InlierSpec, n: int, rng: np.random.Generator):
     """n i.i.d. mean-zero samples with spec's exact covariance, labeled inlier."""
@@ -146,13 +129,7 @@ class AdversaryKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """Replacement strategy and rate for the finite-set and stream models.
-
-    ``inspect`` lets the strategy react to the realized clean sample: it
-    receives (points, labels, sigma_truth) before any replacement and returns
-    the AdversarySpec actually used (e.g. retargeting the spike axis at the
-    empirically quietest coordinate).
-    """
+    """Replacement strategy and rate for the finite-set and stream models."""
 
     kind: AdversaryKind = AdversaryKind.NONE
     rate: float = 0.0
@@ -161,7 +138,6 @@ class AdversarySpec:
     n_directions: int = 3
     hide_boost: float = 0.5
     projection_rank: int | None = None   # SCHATTEN_BLIND: rank of true Sigma
-    inspect: object = None               # callable or None; see above
 
     def __post_init__(self):
         # Each range check is written so that NaN fails it; spike_axis and
@@ -176,8 +152,6 @@ class AdversarySpec:
         check_int("n_directions", self.n_directions, 1)
         check_int("spike_axis", self.spike_axis, optional=True)
         check_int("projection_rank", self.projection_rank, optional=True)
-        if self.inspect is not None and not callable(self.inspect):
-            raise ValueError(f"inspect must be callable or None, got {self.inspect!r}")
 
 
 def _axes_by_variance(sigma_truth: np.ndarray) -> np.ndarray:
@@ -228,8 +202,6 @@ def strong_contaminate(points: np.ndarray, labels: np.ndarray, adv: AdversarySpe
     points = np.asarray(points, dtype=np.float64).copy()
     labels = np.asarray(labels, dtype=bool).copy()
     n, d = points.shape
-    if adv.inspect is not None:
-        adv = adv.inspect(points, labels, sigma_truth)
     n_out = int(math.floor(adv.rate * n))
     if adv.kind is AdversaryKind.NONE or n_out == 0:
         return points, labels

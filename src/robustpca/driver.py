@@ -15,11 +15,11 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
   ``rng_dir`` are what the iteration's ``direction`` call will be handed;
   the stream suite lets that direction ride its certificate's chain, the
   batch suite ignores them.
-- ``direction(p_k, rng)``: unit power direction, or None if it collapsed.
-  The stream suite returns the direction that rode the certificate when
-  this call follows the certificate of the same iteration on the same
-  stack, and otherwise runs a chain of its own; after a collapsed rider
-  that chain takes the remaining starts, 8 in all.
+- ``direction(p_k, rng, rider)``: unit power direction, or None if it
+  collapsed. ``rider`` is the ``certificate.Candidate.rider`` of the same
+  iteration. The stream suite returns the direction that rode, and
+  otherwise runs a chain of its own; after a collapsed rider that chain
+  takes the remaining starts, 8 in all. The batch suite ignores it.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
 - ``quantile_value(tail)``: a score cutoff along the kept direction;
@@ -133,7 +133,8 @@ class BatchEstimators:
         return sample_top_eigenvector(self.op, self.n, self.config.eps,
                                       self.config.gamma, fail_prob, rng)
 
-    def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
+    def direction(self, p_k: int, rng: np.random.Generator,
+                  _rider: tuple) -> np.ndarray | None:
         return gaussian_retry(rng, self.dim, lambda z: power_direction(self.op, p_k, z))
 
     def start_iteration(self, v: np.ndarray) -> bool:
@@ -196,7 +197,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                 if best is None or cand.sigma_robust > best.sigma_robust:
                     best = cand
 
-                v = suite.direction(p_k, rng_dir)
+                v = suite.direction(p_k, rng_dir, cand.rider)
                 if v is None:
                     raise DegenerateStateError(
                         "surviving second moment collapsed to zero"

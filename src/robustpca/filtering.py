@@ -29,8 +29,7 @@ class FilterOutcome:
 
 
 def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: float,
-                             R: float, delta: float, rng: np.random.Generator, *,
-                             score_floor: float | None = None) -> FilterOutcome:
+                             R: float, delta: float, rng: np.random.Generator) -> FilterOutcome:
     """Run the threshold loop against an abstract mean-score evaluator.
 
     ``mean_score_fn(thr, bound)`` returns the weighted mean of
@@ -41,8 +40,6 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
     bound the loop draws r_0 = R, r_l ~ U([0, r_{l-1}]), so R is read only
     then, and must be positive and finite. Returns the compacted entry
     (v, max(L, r_final)), or no entry when the loop never fired.
-    ``score_floor`` bounds the smallest positive score and only feeds the
-    runaway guard; it defaults to L.
     """
     if T_hat < 0 or delta < 0:
         raise ValueError("T_hat and delta must be nonnegative")
@@ -53,9 +50,8 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
     if not (R > 0) or not math.isfinite(R):
         raise ValueError(f"score range R must be positive and finite, got {R}")
 
-    floor = score_floor if score_floor is not None else L
-    if floor > 0 and math.isfinite(R / floor) and R / floor > 1:
-        max_rounds = 64 * max(1, math.ceil(math.log2(R / floor)))
+    if L > 0 and math.isfinite(R / L) and R / L > 1:
+        max_rounds = 64 * max(1, math.ceil(math.log2(R / L)))
     else:
         max_rounds = 64 * 64
 
@@ -104,9 +100,7 @@ def hard_thresholding_filter_batch(v: np.ndarray, f_scores: np.ndarray,
     def mean_at(thr: float, _bound: float) -> float:
         return float(np.sum(tau_active[tau_active <= thr])) / n_total
 
-    floor = L if L > 0 else (float(tau_active.min()) if tau_active.size else 0.0)
-    outcome = hard_thresholding_filter(mean_at, v, L, T_hat, R, delta, rng,
-                                       score_floor=floor)
+    outcome = hard_thresholding_filter(mean_at, v, L, T_hat, R, delta, rng)
     if outcome.new_entry is None:
         return outcome, w
     return outcome, w & (f <= outcome.new_entry.threshold_sq)

@@ -9,18 +9,15 @@ to the recovery algorithms, which only ever call ``draw``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
-from .core import load_dataset
 from .errors import MemoryBudgetError, StreamExhaustedError
 
 __all__ = [
     "SampleSource",
     "SyntheticSource",
     "ReplaySource",
-    "FileReplaySource",
     "BudgetedSource",
     "ScalarLedger",
 ]
@@ -115,13 +112,6 @@ def _read_only(pool: np.ndarray) -> np.ndarray:
     view = pool.view()
     view.flags.writeable = False
     return view
-
-
-class FileReplaySource(ReplaySource):
-    def __init__(self, path: str | Path, mode: str = "once",
-                 rng: np.random.Generator | None = None):
-        pts, labels = load_dataset(path)
-        super().__init__(pts, labels, mode=mode, rng=rng)
 
 
 class BudgetedSource(SampleSource):

@@ -31,16 +31,18 @@ BATCH_SIZE_CAP = 4096         # moment-product minibatch
 MEAN_BATCH_CAP = 1_000_000    # stream-mean row ceiling
 # Relative accuracy tau of the prologue's norm quantile (tail eps), and its
 # block constant c_q = 3 / tau^2 (``estimators.streaming_quantile_samples``).
-# The prune's cut lands between the 5 eps / 6 and 7 eps / 6 tails, so it
-# removes O(eps) of the stream, as the paper's analysis allows. It is finer
-# than the other blocks' tau = 1/2 because the prune is all or nothing for
-# a cluster of large-norm outliers: a cut below them removes them all, one
-# among them keeps them for the filter. For outliers at a rate inside the
-# band the cut can land in, the first block's draw picks which, and with
-# it whether a solve costs one certificate or several. At tau = 1/2 that
-# band, eps / 2 to 3 eps / 2, takes in every rate near eps; at 1/6 it is a
-# sixth of eps either side. The block is drawn once per rep (15,776 rows at
-# eps = 0.03 and the rep's first failure share).
+# The prune removes less than 7 eps / 6 of the stream, an O(eps) share as
+# the paper's analysis allows, and its cut reaches more than 5 eps / 6 only
+# with an atom at the cut counted, which it keeps: on ``stream_replay``,
+# whose outliers share one norm, it removes no row. It is finer than the
+# other blocks' tau = 1/2 because the prune is all or nothing for a cluster
+# of large-norm outliers: a cut below them removes them all, one among them
+# keeps them for the filter. For outliers at a rate inside the band the cut
+# can land in, the first block's draw picks which, and with it whether a
+# solve costs one certificate or several. At tau = 1/2 that band, eps / 2
+# to 3 eps / 2, takes in every rate near eps; at 1/6 it is a sixth of eps
+# either side. The block is drawn once per rep (15,776 rows at eps = 0.03
+# and the rep's first failure share).
 PRUNE_ACCURACY = 1.0 / 6.0
 PRUNE_C_Q = 3.0 / PRUNE_ACCURACY ** 2
 
@@ -125,7 +127,6 @@ class MinibatchEstimators:
         self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, config.eps, config.gamma, r_radius)
         self._v: np.ndarray | None = None
-        self._rider = None
         self._estimates = 0
 
     def _fail_prob(self) -> float:
@@ -167,26 +168,20 @@ class MinibatchEstimators:
 
     def certificate(self, fail_prob: float, rng: np.random.Generator, p_k: int,
                     rng_dir: np.random.Generator) -> Candidate:
-        cand = sample_top_eigenvector_streaming(
+        return sample_top_eigenvector_streaming(
             self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
             rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
             ledger=self.ledger, direction=(p_k, rng_dir),
         )
-        self._rider = (p_k, rng_dir, self.stack, cand.rider)
-        return cand
 
-    def direction(self, p_k: int, rng: np.random.Generator) -> np.ndarray | None:
-        # The direction that rode the last certificate answers this call once,
-        # if that certificate was this iteration's on this stack. A collapsed
-        # one has spent its start, so the own chain below takes the next ones.
-        rider, self._rider = self._rider, None
-        rode = ()
-        if rider is not None and rider[0] == p_k and rider[1] is rng and rider[2] is self.stack:
-            rode = rider[3]
-        if rode and rode[0] is not None:
-            return rode[0]
+    def direction(self, p_k: int, rng: np.random.Generator,
+                  rider: tuple) -> np.ndarray | None:
+        # A collapsed rider has spent its start, so the own chain below takes
+        # the next ones.
+        if rider and rider[0] is not None:
+            return rider[0]
         return streamed_power_direction(self.source, self.stack, p_k, self.batch,
-                                        rng, ledger=self.ledger, spent=len(rode))
+                                        rng, ledger=self.ledger, spent=len(rider))
 
     def start_iteration(self, v: np.ndarray) -> bool:
         # Whether any surviving score is positive is unknown without a pass;

@@ -61,7 +61,7 @@ def test_unknown_keys_rejected():
                 minimal_config(inlier={"dim": 5, "wat": 2}),
                 minimal_config(adversary={"kind": "none", "wat": 2}),
                 minimal_config(algo={"eps": 0.0, "wat": 2}),
-                # A JSON config cannot carry the callable inspect takes.
+                # Not a field of AdversarySpec.
                 minimal_config(adversary={"inspect": 5}),
                 minimal_config(adversary=[]),
                 [minimal_config()],
@@ -75,8 +75,8 @@ def _fields(cls):
 
 
 def test_config_sets_every_field():
-    # Each section expands into its dataclass, so every field but the
-    # adversary's inspect callable is a config key; none may go missing.
+    # Each section expands into its dataclass, so every field is a config
+    # key; none may go missing.
     inlier = {"dim": 6, "diag": 2.0, "spikes": [[1, 3.0]],
               "family": "bounded_uniform_spheremix"}
     adversary = {"kind": "schatten_blind", "rate": 0.1, "spike_axis": 2,
@@ -90,7 +90,7 @@ def test_config_sets_every_field():
     config = ExperimentConfig.from_dict(
         {"version": 1, "inlier": inlier, "adversary": adversary, "algo": algo, **top})
     assert set(inlier) == _fields(InlierSpec)
-    assert set(adversary) == _fields(AdversarySpec) - {"inspect"}
+    assert set(adversary) == _fields(AdversarySpec)
     assert set(algo) == _fields(AlgoConfig)
     assert set(top) | {"inlier", "adversary", "algo"} == _fields(ExperimentConfig)
     assert config.inlier == InlierSpec(

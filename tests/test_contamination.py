@@ -49,7 +49,7 @@ def test_directional_spike_covariance():
     pts, _ = gen_inliers(spec, 150_000, np.random.default_rng(30))
     emp = pts.T @ pts / pts.shape[0]
     assert np.linalg.norm(emp - want, ord=2) <= 0.05 * np.linalg.norm(want, ord=2)
-    assert spec.op_norm() == pytest.approx(9.0)
+    assert np.linalg.eigvalsh(cov)[-1] == pytest.approx(9.0)
 
 
 def test_bounded_family_support_and_covariance():
@@ -60,9 +60,8 @@ def test_bounded_family_support_and_covariance():
     assert np.linalg.norm(emp - spec.covariance(), ord=2) <= 0.1 * np.linalg.norm(
         spec.covariance(), ord=2)
     norms = np.linalg.norm(pts, axis=1)
-    assert norms.max() <= spec.support_radius() + 1e-9
-    r = spec.subgaussian_radius()
-    assert norms.max() <= r * math.sqrt(6 * spec.op_norm()) + 1e-9
+    # ||X|| <= sqrt(3) (sqrt(d max diag) + sum sqrt(a)) = 9.
+    assert norms.max() <= math.sqrt(3.0) * (math.sqrt(6 * 2.0) + math.sqrt(3.0)) + 1e-9
 
 
 def test_strong_contaminate_zero_rate_identity():
@@ -188,25 +187,6 @@ def test_nan_spec_values_rejected(make):
     # run would report clean-data results.
     with pytest.raises(ValueError):
         make()
-
-
-def test_inspect_callback_retargets_from_realized_sample():
-    # The adversary may look at the clean draw before committing: here it
-    # aims at the empirically quietest axis rather than the nominal one.
-    import dataclasses
-
-    def aim_lowest_empirical(points, labels, sigma_truth):
-        axis = int(np.argmin(np.mean(points ** 2, axis=0)))
-        return dataclasses.replace(base, inspect=None, spike_axis=axis)
-
-    base = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=0.1,
-                         spike_axis=0, inspect=aim_lowest_empirical)
-    spec = InlierSpec(dim=4, diag=(1.0, 1.0, 0.05, 1.0))
-    pts, labels = gen_inliers(spec, 2000, np.random.default_rng(20))
-    out, out_labels = strong_contaminate(pts, labels, base, spec.covariance(),
-                                         np.random.default_rng(21))
-    outliers = out[~out_labels]
-    assert np.all(outliers[:, 2] != 0)  # retargeted away from axis 0
 
 
 def test_tv_source_rate_zero_matches_inlier_generator():

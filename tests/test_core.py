@@ -182,21 +182,20 @@ def test_dataset_file_rejects_ragged(tmp_path):
 
 
 def test_file_replay_source_round_trip(tmp_path):
-    from robustpca import FileReplaySource
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((12, 3))
     labels = rng.random(12) < 0.5
     path = tmp_path / "replay.txt"
     save_dataset(path, pts, labels)
 
-    src = FileReplaySource(path)
+    src = ReplaySource(*load_dataset(path))
     got, got_labels = src.draw_labeled(12)
     np.testing.assert_array_equal(got, pts)
     np.testing.assert_array_equal(got_labels, labels)
     with pytest.raises(StreamExhaustedError):
         src.draw(1)
 
-    cyclic = FileReplaySource(path, mode="cycle")
+    cyclic = ReplaySource(*load_dataset(path), mode="cycle")
     np.testing.assert_array_equal(cyclic.draw(24), np.vstack([pts, pts]))
 
 

@@ -159,7 +159,7 @@ def test_batch_and_callback_paths_agree_under_coupled_rng():
         return float(np.sum(f[live])) / 250
 
     out_b = hard_thresholding_filter(mean_fn, np.array([1.0, 0.0]), L, t_hat, R,
-                                     0.0, np.random.default_rng(77), score_floor=L)
+                                     0.0, np.random.default_rng(77))
     assert out_a.rounds == out_b.rounds
     assert out_a.final_mean_score == out_b.final_mean_score
     if out_a.new_entry is None:
@@ -210,8 +210,7 @@ def test_runaway_guard_raises():
 
     with pytest.raises(FilterLoopError):
         hard_thresholding_filter(stuck_mean, np.ones(2), L=1.0, T_hat=0.1,
-                                 R=1000.0, delta=0.0, rng=np.random.default_rng(9),
-                                 score_floor=1.0)
+                                 R=1000.0, delta=0.0, rng=np.random.default_rng(9))
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
