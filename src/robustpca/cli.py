@@ -176,6 +176,14 @@ def _ratio(u: np.ndarray | None, sigma: np.ndarray) -> float:
     return min(metric_approx_ratio(u, sigma), 1.0 + 1e-9)
 
 
+def _batch_points(config: ExperimentConfig, seed: int, n: int):
+    """n labeled inliers with the adversary's replacements, from stream (seed, 1001)."""
+    gen = rng_stream(seed, 1001)
+    points, labels = gen_inliers(config.inlier, n, gen)
+    return strong_contaminate(points, labels, config.adversary,
+                              config.inlier.covariance(), gen)
+
+
 def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     sigma = config.inlier.covariance()
     rows: list[dict] = []
@@ -190,10 +198,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
 
     points = labels = None
     if config.mode in ("BATCH", "BOTH") or config.baselines:
-        gen = rng_stream(seed, 1001)
-        points, labels = gen_inliers(config.inlier, config.n, gen)
-        points, labels = strong_contaminate(points, labels, config.adversary,
-                                            sigma, gen)
+        points, labels = _batch_points(config, seed, config.n)
 
     if config.mode in ("BATCH", "BOTH"):
         t0 = time.perf_counter()
@@ -285,10 +290,7 @@ def main(argv=None) -> int:
                       f"iqr={agg['iqr']:.4f} n={agg['count']}")
             print(f"report written to {out}")
         else:
-            gen = rng_stream(config.seeds[0], 1001)
-            sigma = config.inlier.covariance()
-            pts, labels = gen_inliers(config.inlier, config.n or 1000, gen)
-            pts, labels = strong_contaminate(pts, labels, config.adversary, sigma, gen)
+            pts, labels = _batch_points(config, config.seeds[0], config.n or 1000)
             out = _resolve_out(args.out, "dataset.txt")
             save_dataset(out, pts, labels)
             print(f"dataset written to {out}")

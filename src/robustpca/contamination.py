@@ -1,6 +1,6 @@
 """Ground-truth-labeled data generation: inliers, adversaries, streams.
 
-Inlier covariances are specified structurally (diagonal plus rank-one
+Inlier covariances are specified structurally (diagonal plus axis
 spikes) so samples can be drawn without any matrix factorization and the
 generating covariance is known exactly. Adversaries replace a fixed fraction
 of points (finite-set model) or mix in an outlier distribution at a fixed
@@ -37,18 +37,19 @@ class InlierFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class InlierSpec:
-    """Mean-zero inlier distribution with covariance diag + sum a_i v_i v_i^T.
+    """Mean-zero inlier distribution with the diagonal covariance diag + spikes.
 
-    A spike is (direction, added variance); the direction may be an axis
-    index or an arbitrary vector (normalized on construction). The bounded
-    family mixes a uniform sphere direction with a uniform radial scalar,
-    giving the same covariance on compact support: ||X|| <=
-    sqrt(3) (sqrt(d max diag) + sum_i sqrt(a_i)).
+    A spike is (axis, added variance): it adds its variance to Sigma[axis,
+    axis], so Sigma stays diagonal and its diagonal is its spectrum, which
+    the adversaries read to pick their axes. The bounded family mixes a
+    uniform sphere direction with a uniform radial scalar, giving the same
+    covariance on compact support: ||X|| <= sqrt(3) (sqrt(d max diag) +
+    sum_i sqrt(a_i)).
     """
 
     dim: int
     diag: tuple[float, ...] | float = 1.0
-    spikes: tuple = ()   # ((axis | vector, added variance), ...)
+    spikes: tuple = ()   # ((axis, added variance), ...)
     family: InlierFamily = InlierFamily.GAUSSIAN
 
     def __post_init__(self):
@@ -62,36 +63,22 @@ class InlierSpec:
             raise ValueError("diag must be d finite nonnegative variances")
         object.__setattr__(self, "diag", diag)
         spikes = []
-        for direction, add in self.spikes:
+        for axis, add in self.spikes:
             add = float(add)
             if not 0 <= add < math.inf:
                 raise ValueError(f"spike variance must be finite and nonnegative, "
                                  f"got {add}")
-            if np.isscalar(direction):
-                if not (float(direction).is_integer() and 0 <= direction < self.dim):
-                    raise ValueError(f"spike axis {direction} is not an integer "
-                                     f"in [0, {self.dim})")
-                spikes.append((int(direction), add))
-            else:
-                v = np.asarray(direction, dtype=np.float64)
-                nrm = float(np.linalg.norm(v))
-                if v.shape != (self.dim,) or nrm == 0:
-                    raise ValueError("spike direction must be a nonzero d-vector")
-                spikes.append((tuple(v / nrm), add))
+            if not (np.isscalar(axis) and float(axis).is_integer()
+                    and 0 <= axis < self.dim):
+                raise ValueError(f"spike axis {axis!r} is not an integer "
+                                 f"in [0, {self.dim})")
+            spikes.append((int(axis), add))
         object.__setattr__(self, "spikes", tuple(spikes))
-
-    def _spike_vector(self, direction) -> np.ndarray:
-        if isinstance(direction, int):
-            v = np.zeros(self.dim)
-            v[direction] = 1.0
-            return v
-        return np.asarray(direction, dtype=np.float64)
 
     def covariance(self) -> np.ndarray:
         cov = np.diag(np.asarray(self.diag, dtype=np.float64))
-        for direction, add in self.spikes:
-            v = self._spike_vector(direction)
-            cov += add * np.outer(v, v)
+        for axis, add in self.spikes:
+            cov[axis, axis] += add
         return cov
 
 
@@ -103,9 +90,8 @@ def gen_inliers(spec: InlierSpec, n: int, rng: np.random.Generator):
     scale = np.sqrt(np.asarray(spec.diag, dtype=np.float64))
     if spec.family is InlierFamily.GAUSSIAN:
         pts = rng.standard_normal((n, d)) * scale
-        for direction, add in spec.spikes:
-            v = spec._spike_vector(direction)
-            pts += np.outer(math.sqrt(add) * rng.standard_normal(n), v)
+        for axis, add in spec.spikes:
+            pts[:, axis] += math.sqrt(add) * rng.standard_normal(n)
     else:
         g = rng.standard_normal((n, d))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -113,10 +99,9 @@ def gen_inliers(spec: InlierSpec, n: int, rng: np.random.Generator):
         sphere = g / norms * math.sqrt(d)          # covariance exactly I
         radial = rng.uniform(0.0, math.sqrt(3.0), size=(n, 1))  # E[b^2] = 1
         pts = radial * sphere * scale
-        for direction, add in spec.spikes:
-            v = spec._spike_vector(direction)
+        for axis, add in spec.spikes:
             signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            pts += np.outer(radial[:, 0] * math.sqrt(add) * signs, v)
+            pts[:, axis] += radial[:, 0] * math.sqrt(add) * signs
     return pts, np.ones(n, dtype=bool)
 
 
@@ -159,7 +144,11 @@ def _axes_by_variance(sigma_truth: np.ndarray) -> np.ndarray:
 
 
 def _outlier_bank(adv: AdversarySpec, sigma_truth: np.ndarray, d: int) -> np.ndarray:
-    """Rows are the (unsigned) outlier positions the adversary cycles over."""
+    """Rows are the (unsigned) outlier positions the adversary cycles over.
+
+    Each kind picks its axes and one magnitude; row i is that magnitude on
+    the i-th axis.
+    """
     lam1 = float(dense_spectrum(sigma_truth).eigenvalues[0])
     rate = adv.rate
     if adv.kind is AdversaryKind.ORTHOGONAL_SPIKE:
@@ -168,28 +157,21 @@ def _outlier_bank(adv: AdversarySpec, sigma_truth: np.ndarray, d: int) -> np.nda
             axis = int(_axes_by_variance(sigma_truth)[0])
         elif not 0 <= axis < d:
             raise ValueError(f"spike_axis {axis} lies outside [0, d) for d = {d}")
-        mag = adv.spike_multiplier * math.sqrt(lam1 / rate)
-        bank = np.zeros((1, d))
-        bank[0, axis] = mag
-        return bank
-    if adv.kind is AdversaryKind.MULTI_DIRECTION_HIDE:
+        axes, mag = [axis], adv.spike_multiplier * math.sqrt(lam1 / rate)
+    elif adv.kind is AdversaryKind.MULTI_DIRECTION_HIDE:
         h = min(adv.n_directions, d)
         axes = _axes_by_variance(sigma_truth)[:h]
         mag = math.sqrt(adv.hide_boost * lam1 * h / rate)
-        bank = np.zeros((h, d))
-        for i, ax in enumerate(axes):
-            bank[i, ax] = mag
-        return bank
-    if adv.kind is AdversaryKind.SCHATTEN_BLIND:
+    elif adv.kind is AdversaryKind.SCHATTEN_BLIND:
         r = adv.projection_rank
         if r is None or not (0 < r < d):
             raise ValueError("SCHATTEN_BLIND needs projection_rank in (0, d)")
-        mag = math.sqrt(lam1 * (d - r) / rate)
-        bank = np.zeros((d - r, d))
-        for i, ax in enumerate(range(r, d)):
-            bank[i, ax] = mag
-        return bank
-    raise ValueError(f"no outlier bank for {adv.kind}")
+        axes, mag = np.arange(r, d), math.sqrt(lam1 * (d - r) / rate)
+    else:
+        raise ValueError(f"no outlier bank for {adv.kind}")
+    bank = np.zeros((len(axes), d))
+    bank[np.arange(len(axes)), axes] = mag
+    return bank
 
 
 def strong_contaminate(points: np.ndarray, labels: np.ndarray, adv: AdversarySpec,

@@ -173,10 +173,7 @@ class AlgoConfig:
     t_end: int | None = None
     k_end: int | None = None
     boost_reps: int = 1
-
-    # Stream sizes; defaults are desk-scale.
-    batch_size: int | None = None
-    max_resident_scalars: int | None = None
+    max_resident_scalars: int | None = None   # a stream rep's ledger limit
 
     def __post_init__(self):
         if not (0.0 <= self.eps < 0.5):
@@ -194,7 +191,7 @@ class AlgoConfig:
             )
         # Each check is written so that NaN fails it.
         check_int("boost_reps", self.boost_reps, 1)
-        for name in ("t_end", "k_end", "batch_size"):
+        for name in ("t_end", "k_end"):
             check_int(name, getattr(self, name), 1, optional=True)
         check_int("max_resident_scalars", self.max_resident_scalars, 0, optional=True)
 

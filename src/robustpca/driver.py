@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -88,7 +87,6 @@ class PcaResult:
     status: PcaStatus
     iterations: tuple[int, int]
     filters_created: int
-    elapsed: float = 0.0
 
 
 class BatchEstimators:
@@ -238,11 +236,10 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
     """Resolve the config, then ``drive`` fresh suites for up to boost_reps reps.
 
     ``make_suite(cfg, held)`` builds the suite of one rep, which may book the
-    ``held`` scalars of the best earlier direction kept meanwhile. Stops at
-    the first ACCEPTED result; otherwise keeps the rep with the highest
-    robust variance. Returns that result with its elapsed time.
+    ``held`` scalars of the best earlier direction kept meanwhile. Returns
+    the first ACCEPTED result, or else the rep with the highest robust
+    variance.
     """
-    start = time.perf_counter()
     if config is None:
         cfg = AlgoConfig(eps=eps, gamma=gamma)
     else:
@@ -260,7 +257,6 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
             break
         if best is None or result.sigma_robust > best.sigma_robust:
             best = result
-    best.elapsed = time.perf_counter() - start
     return best
 
 

@@ -62,29 +62,26 @@ class SyntheticSource(SampleSource):
 
 
 class ReplaySource(SampleSource):
-    """Replays a finite population.
+    """Replays a finite population in order.
 
     ``mode='once'`` delivers each point a single time then exhausts;
-    ``mode='cycle'`` loops over the population in order (deterministic);
-    ``mode='resample'`` draws with replacement using ``rng``.
+    ``mode='cycle'`` loops over the population. An i.i.d. stream over a pool
+    is a ``SyntheticSource`` whose draw function indexes it.
 
-    In ``once`` and ``cycle`` modes a draw that does not wrap past the end of
-    the pool is a read-only view of its rows (labels alike), so reading it
-    copies nothing and writing into it raises ``ValueError``. A ``cycle``
-    draw that wraps, and every ``resample`` draw, is a fresh copy.
+    A draw that does not wrap past the end of the pool is a read-only view
+    of its rows (labels alike), so reading it copies nothing and writing
+    into it raises ``ValueError``. A ``cycle`` draw that wraps is a fresh
+    copy.
     """
 
-    def __init__(self, points: np.ndarray, labels=None, mode: str = "once",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, points: np.ndarray, labels=None, mode: str = "once"):
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2 or points.size == 0:
             raise ValueError(
                 f"replay pool must be a non-empty (n, d) array, got shape {points.shape}")
         super().__init__(points.shape[1])
-        if mode not in ("once", "cycle", "resample"):
+        if mode not in ("once", "cycle"):
             raise ValueError(f"unknown replay mode {mode!r}")
-        if mode == "resample" and rng is None:
-            raise ValueError("resample mode needs an rng")
         # Slices of these read-only views are read-only, fancy-indexed copies
         # not. A pool in another memory order is copied once into C order, so
         # every draw hands its consumers C-ordered rows, view or copy.
@@ -92,18 +89,14 @@ class ReplaySource(SampleSource):
         self._labels = None if labels is None else _read_only(
             np.ascontiguousarray(labels, dtype=bool))
         self._mode = mode
-        self._rng = rng
         self._pos = 0
 
     def _produce(self, k: int):
         n, pos = self._points.shape[0], self._pos
-        if self._mode == "resample":
-            idx = self._rng.integers(0, n, size=k)
-        elif self._mode == "once" and pos + k > n:
+        if self._mode == "once" and pos + k > n:
             raise StreamExhaustedError(f"replay exhausted after {self.delivered} samples")
-        else:
-            self._pos = pos + k if self._mode == "once" else (pos + k) % n
-            idx = slice(pos, pos + k) if pos + k <= n else (pos + np.arange(k)) % n
+        self._pos = pos + k if self._mode == "once" else (pos + k) % n
+        idx = slice(pos, pos + k) if pos + k <= n else (pos + np.arange(k)) % n
         labels = None if self._labels is None else self._labels[idx]
         return self._points[idx], labels
 

@@ -27,7 +27,9 @@ from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 
-BATCH_SIZE_CAP = 4096         # moment-product minibatch
+# Moment-product minibatch: a desk constant, which no bound on the
+# minibatch moment's error backs.
+BATCH_SIZE_CAP = 4096
 MEAN_BATCH_CAP = 1_000_000    # stream-mean row ceiling
 # Relative accuracy tau of the prologue's norm quantile (tail eps), and its
 # block constant c_q = 3 / tau^2 (``estimators.streaming_quantile_samples``).
@@ -122,9 +124,6 @@ class MinibatchEstimators:
         self.ledger = ledger
         self.dim = source.dim
         self.stack = FilterStack()
-        # BATCH_SIZE_CAP is a desk constant: no bound on the minibatch
-        # moment's error backs it.
-        self.batch = config.batch_size if config.batch_size is not None else BATCH_SIZE_CAP
         self.mean_batch = default_mean_batch(self.dim, config.eps, config.gamma, r_radius)
         self._v: np.ndarray | None = None
         self._estimates = 0
@@ -140,14 +139,15 @@ class MinibatchEstimators:
         eps = self.config.eps
         if eps > 0:
             # Over the rows the empty stack accepts, whose squared norms are
-            # finite, at the prune's own accuracy (PRUNE_ACCURACY).
-            norm_cut = streaming_quantile(
+            # finite, at the prune's own accuracy (PRUNE_ACCURACY). The cut is
+            # a squared norm as ``FilterStack.within_radius`` computes it, so
+            # the rows at the cut keep their weight.
+            prune_sq = streaming_quantile(
                 lambda k: accepted_scores(self.source, FilterStack(),
-                                          lambda x: np.linalg.norm(x, axis=1), k,
+                                          lambda x: np.einsum("ij,ij->i", x, x), k,
                                           self.ledger),
                 tail=eps, fail_prob=self._fail_prob(), c_q=PRUNE_C_Q, ledger=self.ledger,
             )
-            prune_sq = norm_cut * norm_cut
         else:
             prune_sq = math.inf
         self.stack = FilterStack(prune_radius_sq=prune_sq)
@@ -170,7 +170,7 @@ class MinibatchEstimators:
                     rng_dir: np.random.Generator) -> Candidate:
         return sample_top_eigenvector_streaming(
             self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
-            rng, batch_size=self.batch, max_mean_batch=self.mean_batch,
+            rng, batch_size=BATCH_SIZE_CAP, max_mean_batch=self.mean_batch,
             ledger=self.ledger, direction=(p_k, rng_dir),
         )
 
@@ -180,7 +180,7 @@ class MinibatchEstimators:
         # the next ones.
         if rider and rider[0] is not None:
             return rider[0]
-        return streamed_power_direction(self.source, self.stack, p_k, self.batch,
+        return streamed_power_direction(self.source, self.stack, p_k, BATCH_SIZE_CAP,
                                         rng, ledger=self.ledger, spent=len(rider))
 
     def start_iteration(self, v: np.ndarray) -> bool:

@@ -13,6 +13,7 @@ from robustpca import (
     ReplaySource,
     ScalarLedger,
     SecondMomentOp,
+    SyntheticSource,
     WeightedDataset,
     gen_inliers,
     metric_approx_ratio,
@@ -127,7 +128,8 @@ def test_streaming_certificate_clean_accepts():
     d = 8
     rng = np.random.default_rng(3)
     pop = rng.standard_normal((6000, d)) * np.sqrt(np.array([5.0] + [1.0] * (d - 1)))
-    src = ReplaySource(pop, mode="resample", rng=np.random.default_rng(4))
+    src = SyntheticSource(d, lambda r, k: (pop[r.integers(0, 6000, size=k)], None),
+                          np.random.default_rng(4))
     cand = sample_top_eigenvector_streaming(
         src, FilterStack(), 0.02, 0.4, fail_prob=0.05, rng=np.random.default_rng(5), batch_size=1500, max_mean_batch=MEAN_BATCH_CAP,
         ledger=ScalarLedger())
@@ -408,7 +410,8 @@ def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
     f1, _f2, eta = acceptance_factors(eps, gamma)
     pool = np.sqrt(np.array([2 / 3] * 900 + [high_sq] * 100))[:, None]
     for seed in range(50):
-        src = ReplaySource(pool, mode="resample", rng=np.random.default_rng(seed))
+        src = SyntheticSource(1, lambda r, k: (pool[r.integers(0, 1000, size=k)], None),
+                              np.random.default_rng(seed))
         cand = _stream_certificate(src, eps, gamma, 0.01, 20_000, MEAN_BATCH_CAP,
                                    seed=seed)
         mu0 = f1 * cand.rayleigh_emp

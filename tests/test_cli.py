@@ -83,7 +83,6 @@ def test_config_sets_every_field():
                  "spike_multiplier": 3.0, "n_directions": 2, "hide_boost": 0.25,
                  "projection_rank": 2}
     algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "k_end": 2, "boost_reps": 2,
-            "batch_size": 512,
             "max_resident_scalars": 10**6}
     top = {"mode": "BOTH", "baselines": ["ORACLE"], "seeds": [3, 4], "n": 700,
            "stream_budget": 9000, "r_radius": 1.5}
@@ -138,6 +137,8 @@ def test_missing_n_for_batch():
     # Spec values the spec dataclasses reject.
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[9, 1.0]]}}, False),
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[0.7, 4.0]]}}, False),
+    # A spike takes an axis, not a direction vector, so Sigma stays diagonal.
+    ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[[1, 1, 0, 0, 0], 8.0]]}}, False),
     ({"adversary": {"kind": "multi_direction_hide", "rate": 0.1,
                     "hide_boost": -1.0}}, False),
     # numpy would wrap -1 to axis d - 1; 7 would raise IndexError mid-run.
@@ -155,9 +156,9 @@ def test_missing_n_for_batch():
     ({"adversary": {"kind": "schatten_blind", "rate": 0.1,
                     "projection_rank": 9}}, False),
     # Algorithm values no solve can use: a zero schedule length divides by
-    # zero, a zero minibatch fails after the stream prologue. The chain and
-    # threshold constants c_pi, c_cert and c_acc are derived now, not set,
-    # so a config that still names one is an unknown key.
+    # zero. The chain and threshold constants c_pi, c_cert and c_acc are
+    # derived now, not set, and the stream minibatch is a constant, so a
+    # config that still names one of them, or batch_size, is an unknown key.
     ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "k_end": 0}}, False),
     ({"mode": "STREAMING", "stream_budget": 100_000, "baselines": [],
@@ -183,7 +184,8 @@ def test_missing_n_for_batch():
     ({"n": 500.0}, False),
     ({"seeds": [0.0]}, False),
 ], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
-        "spike_axis_out_of_range", "fractional_spike_axis", "negative_hide_boost",
+        "spike_axis_out_of_range", "fractional_spike_axis", "vector_spike_direction",
+        "negative_hide_boost",
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
         "schatten_blind_without_rank", "schatten_blind_rank_zero",
         "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim",

@@ -40,18 +40,6 @@ def test_spiked_covariance_variance():
                                [10.0, 1.0, 1.0, 1.0, 1.0])
 
 
-def test_directional_spike_covariance():
-    v = np.array([1.0, 1.0, 0.0, 0.0])
-    spec = InlierSpec(dim=4, diag=1.0, spikes=((v, 8.0),))
-    cov = spec.covariance()
-    want = np.eye(4) + 8.0 * np.outer(v, v) / 2.0
-    np.testing.assert_allclose(cov, want)
-    pts, _ = gen_inliers(spec, 150_000, np.random.default_rng(30))
-    emp = pts.T @ pts / pts.shape[0]
-    assert np.linalg.norm(emp - want, ord=2) <= 0.05 * np.linalg.norm(want, ord=2)
-    assert np.linalg.eigvalsh(cov)[-1] == pytest.approx(9.0)
-
-
 def test_bounded_family_support_and_covariance():
     spec = InlierSpec(dim=6, diag=2.0, spikes=((1, 3.0),),
                       family=InlierFamily.BOUNDED_UNIFORM_SPHEREMIX)

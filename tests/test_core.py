@@ -135,17 +135,18 @@ NAN = float("nan")
     ("c_pi", math.inf), ("c_cert", math.inf),
 ])
 def test_config_rejects_values_no_solve_can_use(field, value):
-    # t_end or k_end at 0 divides by zero in drive, and a zero batch_size
-    # fails only after the stream prologue has drawn rows. A NaN count
-    # fails mid-solve, and a NaN memory limit switches the budget off. A
-    # float count, even 3.0, fails mid-solve in range(), and a bool is no
-    # count. The certificate constants c_pi, c_cert and c_acc are derived
-    # now, so AlgoConfig refuses them at any value as unknown keywords.
+    # t_end or k_end at 0 divides by zero in drive. A NaN count fails
+    # mid-solve, and a NaN memory limit switches the budget off. A float
+    # count, even 3.0, fails mid-solve in range(), and a bool is no count.
+    # The certificate constants c_pi, c_cert and c_acc are derived now, and
+    # the stream minibatch is the constant streaming.BATCH_SIZE_CAP, so
+    # AlgoConfig refuses them, batch_size included, at any value as unknown
+    # keywords.
     known = {f.name for f in dataclasses.fields(AlgoConfig)}
     error = ValueError if field in known else TypeError
     with pytest.raises(error, match=field):
         AlgoConfig(eps=0.01, **{field: value})
-    AlgoConfig(eps=0.01, t_end=1, k_end=1, batch_size=1, max_resident_scalars=0)
+    AlgoConfig(eps=0.01, t_end=1, k_end=1, max_resident_scalars=0)
 
 
 def test_config_schedules_sane():
@@ -202,12 +203,11 @@ def test_file_replay_source_round_trip(tmp_path):
 @pytest.mark.parametrize("pool, mode", [
     (np.zeros((0, 3)), "once"),
     (np.zeros((0, 3)), "cycle"),
-    (np.zeros((0, 3)), "resample"),
     (np.zeros(3), "cycle"),
-], ids=["empty_once", "empty_cycle", "empty_resample", "one_dimensional"])
+], ids=["empty_once", "empty_cycle", "one_dimensional"])
 def test_replay_source_rejects_a_pool_without_rows(pool, mode):
     with pytest.raises(ValueError, match="non-empty"):
-        ReplaySource(pool, mode=mode, rng=np.random.default_rng(0))
+        ReplaySource(pool, mode=mode)
 
 
 def _labeled_pool(n=10, d=3):
@@ -259,12 +259,6 @@ def test_in_order_replay_draw_is_a_read_only_view(mode):
         wrapped, wrapped_labels = src.draw_labeled(6)
         assert not np.shares_memory(wrapped, pool)
         assert not np.shares_memory(wrapped_labels, labels)
-
-
-def test_resample_replay_draw_is_a_copy():
-    pool, _labels = _labeled_pool()
-    src = ReplaySource(pool, mode="resample", rng=np.random.default_rng(0))
-    assert not np.shares_memory(src.draw(6), pool)
 
 
 def test_fortran_ordered_inputs_are_kept_c_ordered():

@@ -238,7 +238,8 @@ def test_minibatch_all_rejected_raises():
 def test_minibatch_large_batch_approaches_population():
     rng = np.random.default_rng(5)
     pop = rng.standard_normal((300, 4)) * np.array([2.0, 1.0, 0.7, 0.4])
-    src = ReplaySource(pop, mode="resample", rng=np.random.default_rng(77))
+    src = SyntheticSource(4, lambda r, k: (pop[r.integers(0, 300, size=k)], None),
+                          np.random.default_rng(77))
     stack = FilterStack()
     p = 2
     z = rng.standard_normal(4)
@@ -253,8 +254,11 @@ def test_streamed_apply_matches_built_estimator(monkeypatch):
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
     pop = np.random.default_rng(1).standard_normal((128, 5))
-    src_a = ReplaySource(pop, mode="resample", rng=rng_a)
-    src_b = ReplaySource(pop, mode="resample", rng=rng_b)
+
+    def draw(r, k):
+        return pop[r.integers(0, 128, size=k)], None
+
+    src_a, src_b = SyntheticSource(5, draw, rng_a), SyntheticSource(5, draw, rng_b)
     stack = FilterStack(prune_radius_sq=20.0)
     z = np.random.default_rng(2).standard_normal(5)
     monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 50)

@@ -19,6 +19,7 @@ from robustpca import (
     PcaStatus,
     ReplaySource,
     ScalarLedger,
+    SyntheticSource,
     metric_approx_ratio,
     rng_stream,
     streamed_power_apply,
@@ -137,7 +138,8 @@ def test_minibatch_power_tracks_dense_shadow():
     rng = np.random.default_rng(7)
     d, p, eps, gamma = 8, 6, 0.05, 1.0
     pop = rng.standard_normal((5000, d)) * np.sqrt(np.linspace(2.0, 0.5, d))
-    src = ReplaySource(pop, mode="resample", rng=np.random.default_rng(8))
+    src = SyntheticSource(d, lambda r, k: (pop[r.integers(0, 5000, size=k)], None),
+                          np.random.default_rng(8))
     b = pop.T @ pop / pop.shape[0]
     m_frob_sq = float(np.sum(np.linalg.eigvalsh(b) ** (2 * p)))
     sig_op = float(np.max(np.linalg.eigvalsh(b)))
@@ -194,11 +196,9 @@ def test_default_batch_formulas_clamped():
     src = ReplaySource(np.zeros((4, 20)), mode="cycle")
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
-    assert suite.batch == BATCH_SIZE_CAP == 4096
     nb = default_mean_batch(20, 0.03, 0.6, 1.5)
+    assert BATCH_SIZE_CAP == 4096 and suite.mean_batch == nb
     assert 64 <= nb <= MEAN_BATCH_CAP
-    cfg2 = AlgoConfig(eps=0.03, gamma=0.6, batch_size=777)
-    assert MinibatchEstimators(src, cfg2, 1.5, ScalarLedger()).batch == 777
 
 
 def test_stream_sigma_trimmed_settles_to_its_precision():
@@ -395,6 +395,27 @@ def test_prune_cut_lands_within_a_sixth_of_eps():
         sq, radius_sq = np.einsum("ij,ij->i", pool, pool), suite.stack.prune_radius_sq
         assert np.mean(sq > radius_sq) < 7 * eps / 6, seed
         assert np.mean(sq >= radius_sq * (1 - 1e-12)) > 5 * eps / 6, seed
+
+
+def test_prune_keeps_a_generic_atom_at_its_cut():
+    # Outliers at rate 0.035 > eps, all copies of one generic vector of norm
+    # 34, put an atom at the prune's cut. The cut is taken over the squared
+    # norms the stack compares, so the copies keep their weight and reach
+    # the filters. A cut taken over norms and then squared fell one ulp
+    # below the atom's squared norm on seeds 1, 5, 7 and 8, and dropped
+    # every copy.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(20)
+        atom = g * (34.0 / np.linalg.norm(g))
+        pool = rng.standard_normal((20_000, 20))
+        pool[rng.random(20_000) < 0.035] = atom
+        suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
+                                    AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
+        suite.prologue()
+        row = atom[None]
+        assert suite.stack.prune_radius_sq == np.einsum("ij,ij->i", row, row)[0], seed
+        assert suite.stack.weights(row)[0], seed
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -594,7 +615,7 @@ def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
     # way.
     chain_rows = _chain_rows(monkeypatch)
     pool, src, cfg, suite = _rider_suite()
-    d, b = 20, suite.batch
+    d, b = 20, BATCH_SIZE_CAP
     p_k = cfg.power_at(d, k)
     p_chain = power_chain_length(d, cfg.gamma, START_FAILURE)
     assert (p_k, p_chain) == ((9, 18, 36)[k - 1], 12)
@@ -636,4 +657,4 @@ def test_a_collapsed_rider_falls_back_to_the_remaining_starts():
     assert cand.rider == (None,) and rng_dir.drawn == 1
     before = src.delivered
     assert suite.direction(p_k, rng_dir, cand.rider) is None
-    assert rng_dir.drawn == 8 and src.delivered - before == 7 * p_k * suite.batch
+    assert rng_dir.drawn == 8 and src.delivered - before == 7 * p_k * BATCH_SIZE_CAP
