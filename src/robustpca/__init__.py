@@ -16,6 +16,7 @@ from .contamination import (
     InlierFamily,
     InlierSpec,
     gen_inliers,
+    metric_approx_ratio,
     strong_contaminate,
     tv_contaminated_source,
 )
@@ -41,7 +42,6 @@ from .linops import (
     power_iteration,
     streamed_power_apply,
 )
-from .oracle import DenseSpectrum, dense_spectrum, metric_approx_ratio
 from .sources import (
     BudgetedSource,
     ReplaySource,

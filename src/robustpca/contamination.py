@@ -2,9 +2,11 @@
 
 Inlier covariances are specified structurally (diagonal plus axis
 spikes) so samples can be drawn without any matrix factorization and the
-generating covariance is known exactly. Adversaries replace a fixed fraction
-of points (finite-set model) or mix in an outlier distribution at a fixed
-rate (stream model); labels ride along for oracle metrics only.
+generating covariance is known exactly: its spectrum is
+``InlierSpec.variances``, which the adversaries read, so generation
+decomposes no matrix. Adversaries replace a fixed fraction of points
+(finite-set model) or mix in an outlier distribution at a fixed rate (stream
+model); labels ride along for ground-truth metrics only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_int
-from .oracle import dense_spectrum
 from .sources import SampleSource, SyntheticSource
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "AdversaryKind",
     "AdversarySpec",
     "gen_inliers",
+    "metric_approx_ratio",
     "strong_contaminate",
     "tv_contaminated_source",
 ]
@@ -40,11 +42,11 @@ class InlierSpec:
     """Mean-zero inlier distribution with the diagonal covariance diag + spikes.
 
     A spike is (axis, added variance): it adds its variance to Sigma[axis,
-    axis], so Sigma stays diagonal and its diagonal is its spectrum, which
-    the adversaries read to pick their axes. The bounded family mixes a
-    uniform sphere direction with a uniform radial scalar, giving the same
-    covariance on compact support: ||X|| <= sqrt(3) (sqrt(d max diag) +
-    sum_i sqrt(a_i)).
+    axis], so Sigma stays diagonal and its diagonal, ``variances``, is its
+    spectrum, which the adversaries read for lambda_1 and their axes. The
+    bounded family mixes a uniform sphere direction with a uniform radial
+    scalar, giving the same covariance on compact support: ||X|| <= sqrt(3)
+    (sqrt(d max diag) + sum_i sqrt(a_i)).
     """
 
     dim: int
@@ -75,11 +77,39 @@ class InlierSpec:
             spikes.append((int(axis), add))
         object.__setattr__(self, "spikes", tuple(spikes))
 
-    def covariance(self) -> np.ndarray:
-        cov = np.diag(np.asarray(self.diag, dtype=np.float64))
+    def variances(self) -> np.ndarray:
+        """Sigma's diagonal, each spike added on its axis: Sigma's eigenvalues."""
+        var = np.array(self.diag, dtype=np.float64)
         for axis, add in self.spikes:
-            cov[axis, axis] += add
-        return cov
+            var[axis] += add
+        return var
+
+    def covariance(self) -> np.ndarray:
+        return np.diag(self.variances())
+
+
+def metric_approx_ratio(u: np.ndarray, sigma_truth: np.ndarray) -> float:
+    """u^T Sigma u / lambda_1(Sigma); the single quality score of a direction.
+
+    sigma_truth is any square matrix, finite and symmetric to 1e-10, such as
+    ``InlierSpec.covariance``; lambda_1 comes from LAPACK's eigvalsh.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
+        raise ValueError("direction must be unit norm to 1e-9")
+    a = np.asarray(sigma_truth, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    # LAPACK would return NaN eigenvalues for these without complaint.
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite (no NaN/Inf)")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric to 1e-10")
+    lam1 = float(np.linalg.eigvalsh(a)[-1])
+    if lam1 <= 0:
+        raise ValueError("sigma_truth must have a positive top eigenvalue")
+    return float(u @ a @ u) / lam1
 
 
 def gen_inliers(spec: InlierSpec, n: int, rng: np.random.Generator):
@@ -139,28 +169,27 @@ class AdversarySpec:
         check_int("projection_rank", self.projection_rank, optional=True)
 
 
-def _axes_by_variance(sigma_truth: np.ndarray) -> np.ndarray:
-    return np.argsort(np.diag(sigma_truth))
-
-
-def _outlier_bank(adv: AdversarySpec, sigma_truth: np.ndarray, d: int) -> np.ndarray:
+def _outlier_bank(adv: AdversarySpec, inlier: InlierSpec) -> np.ndarray:
     """Rows are the (unsigned) outlier positions the adversary cycles over.
 
-    Each kind picks its axes and one magnitude; row i is that magnitude on
+    Each kind picks its axes, ordered by ``InlierSpec.variances``, and one
+    magnitude scaled by lambda_1, their maximum; row i is that magnitude on
     the i-th axis.
     """
-    lam1 = float(dense_spectrum(sigma_truth).eigenvalues[0])
+    d = inlier.dim
+    var = inlier.variances()
+    lam1 = float(var.max())
     rate = adv.rate
     if adv.kind is AdversaryKind.ORTHOGONAL_SPIKE:
         axis = adv.spike_axis
         if axis is None:
-            axis = int(_axes_by_variance(sigma_truth)[0])
+            axis = int(np.argsort(var)[0])
         elif not 0 <= axis < d:
             raise ValueError(f"spike_axis {axis} lies outside [0, d) for d = {d}")
         axes, mag = [axis], adv.spike_multiplier * math.sqrt(lam1 / rate)
     elif adv.kind is AdversaryKind.MULTI_DIRECTION_HIDE:
         h = min(adv.n_directions, d)
-        axes = _axes_by_variance(sigma_truth)[:h]
+        axes = np.argsort(var)[:h]
         mag = math.sqrt(adv.hide_boost * lam1 * h / rate)
     elif adv.kind is AdversaryKind.SCHATTEN_BLIND:
         r = adv.projection_rank
@@ -175,7 +204,7 @@ def _outlier_bank(adv: AdversarySpec, sigma_truth: np.ndarray, d: int) -> np.nda
 
 
 def strong_contaminate(points: np.ndarray, labels: np.ndarray, adv: AdversarySpec,
-                       sigma_truth: np.ndarray, rng: np.random.Generator):
+                       inlier: InlierSpec, rng: np.random.Generator):
     """Replace exactly floor(rate * n) points with adversarial positions.
 
     Replaced slots are chosen uniformly; replacements cycle through the
@@ -184,10 +213,12 @@ def strong_contaminate(points: np.ndarray, labels: np.ndarray, adv: AdversarySpe
     points = np.asarray(points, dtype=np.float64).copy()
     labels = np.asarray(labels, dtype=bool).copy()
     n, d = points.shape
+    if d != inlier.dim:
+        raise ValueError(f"points have {d} columns, inlier spec has dim {inlier.dim}")
     n_out = int(math.floor(adv.rate * n))
     if adv.kind is AdversaryKind.NONE or n_out == 0:
         return points, labels
-    bank = _outlier_bank(adv, sigma_truth, d)
+    bank = _outlier_bank(adv, inlier)
     slots = rng.choice(n, size=n_out, replace=False)
     signs = rng.integers(0, 2, size=n_out) * 2.0 - 1.0
     points[slots] = bank[np.arange(n_out) % bank.shape[0]] * signs[:, None]
@@ -200,7 +231,7 @@ def tv_contaminated_source(inlier: InlierSpec, adv: AdversarySpec,
     """Bernoulli mixture stream: outlier with probability rate, else inlier."""
     bank = None
     if adv.kind is not AdversaryKind.NONE and adv.rate > 0:
-        bank = _outlier_bank(adv, inlier.covariance(), inlier.dim)
+        bank = _outlier_bank(adv, inlier)
 
     def draw_fn(r: np.random.Generator, k: int):
         pts, _ = gen_inliers(inlier, k, r)

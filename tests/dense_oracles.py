@@ -1,39 +1,66 @@
-"""Dense brute-force checks that only the tests call.
+"""Dense brute-force references that only the tests call.
 
-Each materializes a d x d matrix and reads its spectrum through
-``robustpca.oracle.dense_spectrum``; the solvers never call them. The
-diagnostics are capped at d <= 64, since they raise the moment to a power
-through its full spectrum.
+Everything here materializes a d x d matrix and is deliberately slow and
+simple: these are the implementations the fast implicit paths get checked
+against. Spectra come from LAPACK's ``numpy.linalg.eigh``, which nothing in
+``robustpca`` calls; the generators read ``InlierSpec.variances`` instead.
+``dense_spectrum`` is capped at d <= 256 to bound dense memory, and the
+diagnostics at d <= 64, since they raise the moment to a power through its
+full spectrum.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from robustpca.oracle import DenseSpectrum
-from robustpca.oracle import dense_spectrum as _dense_spectrum
-
-# Every dense cap, robustpca's spectrum cap included, raises ValueError.
+# Every dense cap, the spectrum's included, raises ValueError.
 UnsupportedDiagnosticError = ValueError
 
+_MAX_DENSE_DIM = 256
 _MAX_DIAGNOSTIC_DIM = 64
 
 
-class Spectrum(DenseSpectrum):
-    """A ``DenseSpectrum`` that can rebuild its matrix, V diag(lambda) V^T."""
+@dataclass(frozen=True)
+class DenseSpectrum:
+    """Descending eigenvalues with matching orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        """The matrix back, V diag(lambda) V^T."""
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
 
-def dense_spectrum(matrix: np.ndarray) -> Spectrum:
-    """``robustpca.oracle.dense_spectrum``, returned as a ``Spectrum``."""
-    spec = _dense_spectrum(matrix)
-    return Spectrum(spec.eigenvalues, spec.eigenvectors)
+def check_dense_dim(d: int) -> None:
+    """Raise ValueError unless d is within the spectrum's cap."""
+    if not d <= _MAX_DENSE_DIM:
+        raise ValueError(
+            f"dense spectrum capped at d <= {_MAX_DENSE_DIM}, got {d}")
+
+
+def dense_spectrum(matrix: np.ndarray) -> DenseSpectrum:
+    """Full spectral decomposition of a symmetric matrix by LAPACK's eigh.
+
+    Input must be finite, symmetric to 1e-10 and at most 256 x 256.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    check_dense_dim(a.shape[0])
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite (no NaN/Inf)")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric to 1e-10")
+    eigvals, v = np.linalg.eigh((a + a.T) / 2.0)
+    return DenseSpectrum(eigvals[::-1], v[:, ::-1])
 
 
 def dense_power_apply(matrix: np.ndarray, p: int, z: np.ndarray) -> np.ndarray:
     """matrix^p z through the dense spectrum; the matvec-chain reference."""
-    spec = _dense_spectrum(matrix)
+    spec = dense_spectrum(matrix)
     coeffs = spec.eigenvectors.T @ np.asarray(z, dtype=np.float64)
     return spec.eigenvectors @ (spec.eigenvalues ** p * coeffs)
 
@@ -55,7 +82,7 @@ def potential_diagnostic(points: np.ndarray, weights: np.ndarray, p: int) -> flo
             f"potential diagnostic capped at d <= {_MAX_DIAGNOSTIC_DIM}, got {points.shape[1]}"
         )
     b = weighted_second_moment_dense(points, weights)
-    eig = _dense_spectrum(b).eigenvalues
+    eig = dense_spectrum(b).eigenvalues
     return float(np.sum(eig ** (2 * p + 1)))
 
 
@@ -72,7 +99,7 @@ def stopping_condition_truth(sigma_truth: np.ndarray, points: np.ndarray,
             f"stopping-condition oracle capped at d <= {_MAX_DIAGNOSTIC_DIM}, got {d}")
     weights = np.asarray(weights, dtype=bool)
     b = weighted_second_moment_dense(points, weights)
-    spec = _dense_spectrum(b)
+    spec = dense_spectrum(b)
     lam2p = spec.eigenvalues ** (2 * p)
     # <Sigma, M^2> = sum_i lam_i^{2p} v_i' Sigma v_i
     quad = np.einsum("ij,jk,ki->i", spec.eigenvectors.T, sigma_truth, spec.eigenvectors)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from dense_oracles import (
     dense_power_apply,
+    dense_spectrum,
     potential_diagnostic,
     stopping_condition_truth,
     weighted_second_moment_dense,
@@ -39,7 +40,6 @@ from robustpca import (
 )
 from robustpca import certificate
 from robustpca.estimators import opnorm_bracket
-from robustpca.oracle import dense_spectrum
 
 
 def report(num, name, ok, detail=""):
@@ -55,7 +55,7 @@ def spiked_instance(d, n, rate, seed, spike=9.0):
     adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=rate, spike_axis=1)
     rng = rng_stream(seed, 900)
     pts, labels = gen_inliers(spec, n, rng)
-    pts, labels = strong_contaminate(pts, labels, adv, spec.covariance(), rng)
+    pts, labels = strong_contaminate(pts, labels, adv, spec, rng)
     return pts, labels, spec.covariance()
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_oracles import dense_spectrum
 
 from robustpca import (
     AdversaryKind,
@@ -37,7 +38,6 @@ from robustpca.estimators import (
     streaming_quantile_samples,
     trim_keep_share,
 )
-from robustpca.oracle import dense_spectrum
 from robustpca.streaming import MEAN_BATCH_CAP
 
 
@@ -493,7 +493,7 @@ def _near_tie_solve(mode, eps, multiplier, pool_seed):
     rng = np.random.default_rng(pool_seed)
     if mode == "batch":
         pts, labels = gen_inliers(spec, 20_000, rng)
-        pts, _labels = strong_contaminate(pts, labels, adv, spec.covariance(), rng)
+        pts, _labels = strong_contaminate(pts, labels, adv, spec, rng)
         res = robust_pca(WeightedDataset(pts), eps=eps, rng_seed=8)
     else:
         pool, _labels = tv_contaminated_source(spec, adv, rng).draw_labeled(200_000)

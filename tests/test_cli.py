@@ -132,8 +132,6 @@ def test_missing_n_for_batch():
 @pytest.mark.parametrize("overrides, drop_n", [
     # Baselines need a finite dataset even when no batch solve runs.
     ({"mode": "STREAMING", "stream_budget": 100_000}, True),
-    # The dense oracle behind every row's approx_ratio stops at d = 256.
-    ({"inlier": {"dim": 300, "diag": 1.0}}, False),
     # Spec values the spec dataclasses reject.
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[9, 1.0]]}}, False),
     ({"inlier": {"dim": 5, "diag": 1.0, "spikes": [[0.7, 4.0]]}}, False),
@@ -183,7 +181,7 @@ def test_missing_n_for_batch():
     ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 3.0}}, False),
     ({"n": 500.0}, False),
     ({"seeds": [0.0]}, False),
-], ids=["streaming_baselines_without_n", "dim_above_oracle_cap",
+], ids=["streaming_baselines_without_n",
         "spike_axis_out_of_range", "fractional_spike_axis", "vector_spike_direction",
         "negative_hide_boost",
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
@@ -257,7 +255,7 @@ def _algo(**fields):
         "r_radius_below_one", "n_directions_zero", "top_level_list",
         "adversary_list", "inlier_pairs"])
 def test_malformed_config_exits_2(tmp_path, capsys, raw):
-    # dim 300 and hide_boost -1 are ids of test_config_rejected_before_any_solve.
+    # hide_boost -1 is an id of test_config_rejected_before_any_solve.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(path), "--out",
@@ -308,6 +306,22 @@ def test_cli_gen_writes_labeled_dataset(tmp_path):
     pts, labels = load_dataset(out)
     assert pts.shape == (200, 5)
     assert np.count_nonzero(~labels) == 20
+
+
+def test_cli_gen_has_no_dim_cap(tmp_path):
+    # The generators read the spec's variances, so no d x d spectrum caps d.
+    raw = minimal_config(
+        inlier={"dim": 300, "diag": 1.0, "spikes": [[0, 9.0]]},
+        adversary={"kind": "multi_direction_hide", "rate": 0.1},
+        n=50,
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "data.txt"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
+    pts, labels = load_dataset(out)
+    assert pts.shape == (50, 300)
+    assert np.count_nonzero(~labels) == 5
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

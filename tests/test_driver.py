@@ -38,7 +38,7 @@ def spiked_instance(d, n, eps, seed, spike=9.0):
     adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=eps, spike_axis=1)
     rng = rng_stream(seed, 500)
     pts, labels = gen_inliers(spec, n, rng)
-    pts, labels = strong_contaminate(pts, labels, adv, spec.covariance(), rng)
+    pts, labels = strong_contaminate(pts, labels, adv, spec, rng)
     return pts, labels, spec.covariance()
 
 
@@ -220,7 +220,7 @@ def test_multi_direction_hide_still_recovered():
     for seed in range(6):
         rng = rng_stream(seed, 510)
         pts, labels = gen_inliers(spec, n, rng)
-        pts, labels = strong_contaminate(pts, labels, adv, spec.covariance(), rng)
+        pts, labels = strong_contaminate(pts, labels, adv, spec, rng)
         res = robust_pca(WeightedDataset(pts), eps=eps, gamma=1.0, rng_seed=seed)
         if metric_approx_ratio(res.u, spec.covariance()) >= 0.85:
             hits += 1
@@ -247,7 +247,7 @@ def test_moment_camouflage_clears_average_case_bound():
     for seed in range(10):
         rng = rng_stream(seed, 512)
         pts, labels = gen_inliers(spec, 20_000, rng)
-        pts, labels = strong_contaminate(pts, labels, adv, spec.covariance(), rng)
+        pts, labels = strong_contaminate(pts, labels, adv, spec, rng)
         res = robust_pca(WeightedDataset(pts), eps=eps, gamma=gamma, rng_seed=seed)
         ratios.append(metric_approx_ratio(res.u, spec.covariance()))
     mean = float(np.mean(ratios))
