@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import FilterStack
 from .errors import DegenerateStateError
-from .estimators import (TRIM_TAIL, mean_stages, stage_log, streaming_quantile,
-                         trim_keep_share, trimmed_variance, weighted_quantile)
+from .estimators import (TRIM_TAIL, streaming_quantile, trim_keep_share, trimmed_variance,
+                         weighted_quantile)
 from .linops import (
     SecondMomentOp,
     accepted_band_mean,
@@ -187,7 +187,7 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      rng: np.random.Generator, batch_size: int,
-                                     max_mean_batch: int, ledger: ScalarLedger,
+                                     ledger: ScalarLedger,
                                      direction: tuple[int, np.random.Generator] | None = None,
                                      ) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
@@ -218,31 +218,22 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     failure share the cap lands between the 5 eps / 2 and 7 eps / 2 tails
     (``estimators.streaming_quantile_samples`` at ``TRIM_ACCURACY``), so
     the test trims up to 7 eps / 2 of the mass, the tail f1 is taken at
-    (``acceptance_factors``). Scores in [0, B] have variance at most B mu.
-    With that function's eta, the candidate passes only when the stream
-    mean exceeds (1 + eta) * mu0, and the mean draws at most n rows, the
-    smallest n with sqrt(2 (1 + 2 eta) B mu0 L / n) + B L / (3 n) <= eta mu0,
-    that is n = ceil(k (B / mu0) L) with
-    k = ((sqrt(2 (1 + 2 eta)) + sqrt(2 (1 + 2 eta) + 4 eta / 3)) / (2 eta))^2.
-    L = ``estimators.stage_log`` over the stages of ``max_mean_batch`` rows
-    bounds the L of ``estimators.stream_mean_estimate`` at n rows, and with
-    it the Bernstein deviation that estimate's failure probability covers.
-    Outside that failure:
-    - Soundness. If the true mean mu is below mu0, an early stop above the
-      bar would put mu in an interval lying above (1 + eta) mu0; and at n
-      rows the mean exceeds mu by at most sqrt(2 B mu L / n) + B L / (3 n)
-      <= eta mu0, so it stays below the bar. A stream acceptance thus
-      implies that the exact test passes.
-    - Completeness. If mu >= (1 + 2 eta) mu0, an early stop below the bar is
-      ruled out the same way; at n rows the mean is at least
-      mu - sqrt(2 B mu L / n) - B L / (3 n), which is (1 + eta) mu0 or more
-      at mu = (1 + 2 eta) mu0 by the choice of n and grows with mu beyond
-      it (its slope is 1 - sqrt(B L / (2 n mu)) > 0 there), so a direction
-      whose trimmed mean clears the band passes.
-    n never exceeds ``max_mean_batch``, and takes it when B is infinite
-    (eps = 0 under an infinite prune radius) or B / mu0 overflows; at the
-    cap the bound need not hold. A zero rayleigh_emp gives the test no
-    scale: the candidate is rejected without a draw and reports sigma 0.
+    (``acceptance_factors``). With that function's eta, the candidate
+    passes only when the stream mean reaches bar = (1 + eta) mu0, and the
+    mean (``estimators.stream_mean_estimate``) is asked that decision at
+    margin eta, which sizes its rows with L = ``estimators.stage_log`` over
+    its own stages (``estimators.mean_ceiling``): outside its failure share
+    it is the exact decision outside the band (mu0, (1 + 2 eta) mu0).
+    - Soundness. If the true mean mu is below mu0, the mean stays below the
+      bar. A stream acceptance thus implies that the exact test passes.
+    - Completeness. If mu >= (1 + 2 eta) mu0, the mean reaches the bar, so
+      a direction whose trimmed mean clears the band passes.
+    B is finite for every eps: at eps = 0 nothing is trimmed, and the
+    stream's prologue sets a finite prune radius from the caller's norm
+    promise (``streaming.MinibatchEstimators.prologue``). A B / mu0 that
+    overflows ends in DegenerateStateError. A zero rayleigh_emp gives the
+    test no scale: the candidate is rejected without a draw and reports
+    sigma 0.
     """
     d = source.dim
 
@@ -276,16 +267,9 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
             tail, part, c_q=TRIM_C_Q, ledger=ledger)
     else:
         cap = math.inf
-    bound = min(cap, stack.prune_radius_sq)
-    # inf when B is infinite or B / mu0 overflows: float products and
-    # quotients saturate there, and only a finite count reaches ceil.
-    var = 2.0 * (1.0 + 2.0 * eta)
-    k = ((math.sqrt(var) + math.sqrt(var + 4.0 * eta / 3.0)) / (2.0 * eta)) ** 2
-    need = k * (bound / mu0) * stage_log(len(mean_stages(max_mean_batch, bound)), part)
-    n_max = math.ceil(need) if need < max_mean_batch else max_mean_batch
     bar = (1.0 + eta) * mu0
-    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, n_max,
-                               ledger, bar=bar)
+    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, ledger,
+                               bar=bar, margin=eta)
 
     accepted = sigma >= bar and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,

@@ -152,18 +152,12 @@ C_OUTER = 30.0   # scales the inner-loop length t_end
 C_INNER = 3.0    # scales the base matrix power
 
 
-def _default_gamma(eps: float) -> float:
-    if eps <= 0:
-        return 0.05
-    return max(20.0 * eps, eps * math.log(1.0 / eps))
-
-
 @dataclass
 class AlgoConfig:
     """Run parameters and schedule constants.
 
     ``eps`` is the assumed corruption rate; ``gamma`` the stability slack
-    (at least 20*eps; defaults to max(20*eps, eps*ln(1/eps))).
+    (at least 20*eps; defaults to 20*eps, or 0.05 at eps = 0).
     ``t_end``/``k_end`` are normally derived from the schedule formulas
     (``C_OUTER``, ``C_INNER``) and only set here to override them.
     """
@@ -181,7 +175,7 @@ class AlgoConfig:
                 f"eps must lie in [0, 0.5) and satisfy 20*eps <= gamma; got eps={self.eps}"
             )
         if self.gamma is None:
-            self.gamma = _default_gamma(self.eps)
+            self.gamma = 20.0 * self.eps if self.eps > 0 else 0.05
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.gamma < 20.0 * self.eps - 1e-12:

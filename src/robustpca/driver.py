@@ -25,11 +25,15 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 - ``quantile_value(tail)``: a score cutoff along the kept direction;
   ``score_range(L)``: a bound on the scores above L, positive if any is.
 - ``sigma_trimmed(cap)``: the mean of the scores <= cap over the whole
-  population, to within a factor 1 + ``certificate.DECISION_MARGIN``.
+  population, to within a factor 1 + ``certificate.DECISION_MARGIN`` above
+  a floor set by delta.
 - ``mean_score(L, thr, bound)``: the mean of the scores in (L, thr]; a
   suite may stop sampling once its comparison with the filter's exit
   ``bound`` is settled.
 - ``register_entry(entry)``: apply a new filter.
+
+At eps = 0 the trim tail is 0 and no filter can fire, so ``drive`` calls
+only the first two.
 """
 
 from __future__ import annotations
@@ -195,16 +199,17 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                 if best is None or cand.sigma_robust > best.sigma_robust:
                     best = cand
 
-                v = suite.direction(p_k, rng_dir, cand.rider)
-                if v is None:
+                # At eps = 0 the tail cut is the largest score, so no filter
+                # can fire and no direction is run.
+                v = suite.direction(p_k, rng_dir, cand.rider) if tail > 0 else None
+                if tail > 0 and v is None:
                     raise DegenerateStateError(
                         "surviving second moment collapsed to zero"
                     )
 
-                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": False}
-                if not suite.start_iteration(v):
-                    event["skipped"] = True
-                else:
+                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": True}
+                if v is not None and suite.start_iteration(v):
+                    event["skipped"] = False
                     L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
                     sigma = suite.sigma_trimmed(L)
                     t_hat = FILTER_TRIGGER * cfg.gamma * sigma

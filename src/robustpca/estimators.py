@@ -27,8 +27,9 @@ __all__ = [
 
 # Rows at the first stage of a sequential stream mean.
 FIRST_STAGE = 256
-# Scores a stream mean draws, and holds, at a time.
-MEAN_CHUNK = 4096
+# Rows every streamed draw takes, and holds, at a time: the row chunks of
+# ``linops.accepted_rows`` and the score chunks of ``stream_mean_estimate``.
+STREAM_CHUNK = 1024
 # Every trimmed estimate cuts the top TRIM_TAIL * eps of its scores.
 TRIM_TAIL = 3.0
 # Default relative accuracy tau of a stream quantile block, and the
@@ -183,14 +184,13 @@ def opnorm_bracket(sq_norms: np.ndarray, eps: float, n_total: int) -> float:
     return trimmed_variance(sq_norms, weighted_quantile(sq_norms, tail), n_total)
 
 
-def mean_stages(n_max: int, score_bound: float) -> list[int]:
+def mean_stages(n_max: int) -> list[int]:
     """Total rows at each stage of ``stream_mean_estimate``.
 
-    FIRST_STAGE * 2^j rows, doubling up to ``n_max`` and ending at it. One
-    stage, ``n_max``, when the scores have no finite bound or ``n_max`` is
-    at most FIRST_STAGE.
+    FIRST_STAGE * 2^j rows, doubling up to ``n_max`` and ending at it; one
+    stage, ``n_max``, when it is at most FIRST_STAGE.
     """
-    if not math.isfinite(score_bound) or n_max <= FIRST_STAGE:
+    if n_max <= FIRST_STAGE:
         return [n_max]
     doublings = (-(-n_max // FIRST_STAGE) - 1).bit_length()
     return [FIRST_STAGE << j for j in range(doublings)] + [n_max]
@@ -232,22 +232,66 @@ def stage_interval(moments: tuple[int, float, float], score_bound: float,
     return m - half, m + half
 
 
-def stream_mean_estimate(draw_scores, fail_prob: float, *, n_max: int,
-                         score_bound: float = math.inf, bar: float | None = None,
-                         rel_tol: float | None = None,
+def mean_ceiling(score_bound: float, fail_prob: float, *, bar: float | None = None,
+                 margin: float | None = None, rel_tol: float | None = None,
+                 floor: float | None = None) -> int:
+    """Row ceiling n_max of a ``stream_mean_estimate`` asked one question.
+
+    Scores in [0, B], B = ``score_bound``, with mean mu have variance at most
+    B mu, so by Bernstein's inequality n rows put the sample mean within
+    D(mu) = sqrt(2 B mu L / n) + B L / (3 n) of mu, L = ``stage_log`` over
+    the J = len(``mean_stages``(n)) stages. D(mu) <= t l for every mu <= a l
+    once n >= k (B / l) L, k = ((sqrt(2 a) + sqrt(2 a + 4 t / 3)) / (2 t))^2,
+    the root of sqrt(2 a / x) + 1 / (3 x) = t in x = n l / (B L). n_max is
+    the smallest such n with its own J, which n <- ceil(k (B / l) L(J(n)))
+    reaches from n = 0, as the right side never falls; no dimension enters.
+
+    - A decision against ``bar`` at ``margin`` eta: l = bar / (1 + eta),
+      a = 1 + 2 eta, t = eta. A mean mu <= l gives a sample mean of at most
+      bar, and mu >= (1 + 2 eta) l one of at least bar (mu - D(mu) grows
+      with mu there, at slope 1 - sqrt(B L / (2 n mu)) > 0): the decision is
+      exact outside (bar / (1 + eta), bar (1 + 2 eta) / (1 + eta)).
+    - A value to ``rel_tol`` rho above ``floor`` phi: l = phi, a = 1,
+      t = rho / (1 + rho). D(mu) / mu falls as mu grows, so a mean mu >= phi
+      gets a sample mean in [mu / (1 + rho), (1 + rho) mu], and a smaller
+      one a sample mean within phi rho / (1 + rho) of it.
+
+    A ceiling that is not finite (an infinite B, l = 0, or a B / l that
+    overflows) raises DegenerateStateError before any draw.
+    """
+    if (bar is None) == (rel_tol is None):
+        raise ValueError("ask one question: bar with margin, or rel_tol with floor")
+    if bar is not None:
+        level, a, t = bar / (1.0 + margin), 1.0 + 2.0 * margin, margin
+    else:
+        level, a, t = floor, 1.0, rel_tol / (1.0 + rel_tol)
+    k = ((math.sqrt(2.0 * a) + math.sqrt(2.0 * a + 4.0 * t / 3.0)) / (2.0 * t)) ** 2
+    scale = k * score_bound / level if level > 0.0 else math.inf
+    n = 0
+    while not (need := scale * stage_log(len(mean_stages(n)), fail_prob)) <= n:
+        if not need < math.inf:
+            raise DegenerateStateError(
+                f"stream mean has no finite row ceiling: B = {score_bound}, level = {level}")
+        n = math.ceil(need)
+    return n
+
+
+def stream_mean_estimate(draw_scores, fail_prob: float, *, score_bound: float,
+                         bar: float | None = None, margin: float | None = None,
+                         rel_tol: float | None = None, floor: float | None = None,
                          ledger: ScalarLedger | None = None) -> float:
     """Sequential mean of a bounded nonnegative score stream.
 
-    ``draw_scores(k)`` returns k <= ``MEAN_CHUNK`` fresh values of the
+    ``draw_scores(k)`` returns k <= ``STREAM_CHUNK`` fresh values of the
     target functional (already weighted and capped by the caller), each in
-    [0, ``score_bound``] = [0, B]. One running sample grows through the
-    stages of ``mean_stages``, up to ``n_max`` rows in all. After each stage
+    [0, ``score_bound``] = [0, B]. The caller asks one question: a decision
+    against ``bar`` at ``margin``, settled once lo > bar or hi < bar, or a
+    value to ``rel_tol`` above ``floor``, settled once hi <= (1 + rel_tol)
+    lo. ``mean_ceiling`` sizes n_max from that question. One running sample
+    grows through the stages of ``mean_stages``(n_max), and after each stage
     the interval [lo, hi] is ``stage_interval`` at L = ``stage_log``(J,
     fail_prob) over the J stages. The call returns m at the first stage
-    whose interval [lo, hi] settles the caller's question, and otherwise at
-    ``n_max``. The question is a decision against ``bar``, settled once
-    lo > bar or hi < bar, or a value to ``rel_tol``, settled once
-    hi <= (1 + rel_tol) lo.
+    whose interval settles the question, and otherwise at n_max.
 
     Each side of a stage's interval is the empirical-Bernstein bound of
     Maurer & Pontil (COLT 2009, Theorem 4) at fail_prob / (2 J). That bound
@@ -257,22 +301,22 @@ def stream_mean_estimate(draw_scores, fail_prob: float, *, n_max: int,
     B sqrt(2 L / (n - 1)). So with probability at least 1 - fail_prob all
     of them hold at every stage: the true mean lies in every stage's
     interval, and an early m, which lies there too, falls on the true mean's
-    side of ``bar``, or within a factor 1 + rel_tol of it. At ``n_max`` the
-    true-variance Bernstein bound still holds, with sigma^2 <= B mu for
-    scores in [0, B]; a caller that sized ``n_max`` for its decision from it
-    (``certificate.sample_top_eigenvector_streaming``) keeps its guarantee
-    there. An unbounded B leaves every interval infinite, so the call then
-    draws ``n_max`` rows in one stage.
+    side of ``bar``, or within a factor 1 + rel_tol of it. At n_max the
+    true-variance Bernstein bound still holds, with sigma^2 <= B mu, and
+    ``mean_ceiling`` states what it answers there; the robust test of
+    ``certificate.sample_top_eigenvector_streaming`` is one such decision.
     """
-    stages = mean_stages(n_max, score_bound)
+    n_max = mean_ceiling(score_bound, fail_prob, bar=bar, margin=margin,
+                         rel_tol=rel_tol, floor=floor)
+    stages = mean_stages(n_max)
     log_j = stage_log(len(stages), fail_prob)
     ledger = ledger if ledger is not None else ScalarLedger()
 
     moments = (0, 0.0, 0.0)
-    with ledger.reserve(min(MEAN_CHUNK, n_max) + 3):
+    with ledger.reserve(min(STREAM_CHUNK, n_max) + 3):
         for n in stages:
-            for start in range(moments[0], n, MEAN_CHUNK):
-                chunk = np.asarray(draw_scores(min(MEAN_CHUNK, n - start)), dtype=np.float64)
+            for start in range(moments[0], n, STREAM_CHUNK):
+                chunk = np.asarray(draw_scores(min(STREAM_CHUNK, n - start)), dtype=np.float64)
                 moments = merge_moments(moments, chunk)
             if n == n_max:
                 break

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import FilterStack
 from .errors import DegenerateStateError
-from .estimators import stream_mean_estimate
+from .estimators import STREAM_CHUNK, stream_mean_estimate
 from .sources import SampleSource, ScalarLedger
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "approx_power_iteration",
     "gaussian_retry",
 ]
-
-_STREAM_CHUNK = 1024
 
 
 class SecondMomentOp:
@@ -99,7 +97,7 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
 
 def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
                   ledger: ScalarLedger | None):
-    """Yield the accepted rows of k fresh draws, ``_STREAM_CHUNK`` at a time.
+    """Yield the accepted rows of k fresh draws, ``estimators.STREAM_CHUNK`` at a time.
 
     A chunk the stack keeps whole is yielded as drawn, which may be a
     read-only view into the source's pool (``ReplaySource``); otherwise its
@@ -111,9 +109,9 @@ def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
     """
     ledger = ledger if ledger is not None else ScalarLedger()
     accepted = 0
-    with ledger.reserve(min(_STREAM_CHUNK, k) * source.dim):
-        for start in range(0, k, _STREAM_CHUNK):
-            pts = source.draw(min(_STREAM_CHUNK, k - start))
+    with ledger.reserve(min(STREAM_CHUNK, k) * source.dim):
+        for start in range(0, k, STREAM_CHUNK):
+            pts = source.draw(min(STREAM_CHUNK, k - start))
             keep = stack.weights(pts)
             rows = pts if keep.all() else pts[keep]
             accepted += rows.shape[0]
@@ -154,20 +152,20 @@ def streamed_rayleigh(source: SampleSource, stack: FilterStack, block: np.ndarra
 
 
 def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
-                       lo: float, hi: float, fail_prob: float, n_max: int,
-                       ledger: ScalarLedger, *, bar: float | None = None,
-                       rel_tol: float | None = None) -> float:
+                       lo: float, hi: float, fail_prob: float, ledger: ScalarLedger,
+                       **question) -> float:
     """Stream-mean estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
 
     ``v`` must be a unit vector, so an accepted score is at most
     B = min(hi, prune radius^2), the score bound of
-    ``estimators.stream_mean_estimate``, which takes the row ceiling
-    ``n_max``, ``bar`` and ``rel_tol`` as they are. Each chunk is booked and
-    scored in one product over all its rows, which costs less than gathering
-    the accepted rows. An accepted row has a finite squared norm, which
-    bounds its score, so only rejected rows can overflow or turn NaN here;
-    their floating-point flags are muted and their scores are replaced by
-    zeros before any sum.
+    ``estimators.stream_mean_estimate``, which takes the ``question`` (bar
+    and margin, or rel_tol and floor) as it is and sizes its rows from it
+    (``estimators.mean_ceiling``). Each chunk of at most
+    ``estimators.STREAM_CHUNK`` rows is booked and scored in one product
+    over all its rows, which costs less than gathering the accepted rows.
+    An accepted row has a finite squared norm, which bounds its score, so
+    only rejected rows can overflow or turn NaN here; their floating-point
+    flags are muted and their scores are replaced by zeros before any sum.
     """
     def draw(k: int) -> np.ndarray:
         with ledger.reserve(k * source.dim):
@@ -177,9 +175,8 @@ def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
                 f = (pts @ v) ** 2
             return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
 
-    return stream_mean_estimate(draw, fail_prob, n_max=n_max,
-                                score_bound=min(hi, stack.prune_radius_sq),
-                                bar=bar, rel_tol=rel_tol, ledger=ledger)
+    return stream_mean_estimate(draw, fail_prob, score_bound=min(hi, stack.prune_radius_sq),
+                                ledger=ledger, **question)
 
 
 def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
@@ -191,7 +188,7 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
     u -> mean(x (x.u)) over the rows the stack accepts, so exactly
     p*batch_size samples are consumed. Samples stream through
     ``accepted_rows`` in chunks and no batch is retained, so resident memory
-    is O(d*m + d*_STREAM_CHUNK) regardless of batch_size. In long chains each
+    is O(d*m + d*STREAM_CHUNK) regardless of batch_size. In long chains each
     column is rescaled on its own when its values leave the [1e-100, 1e100]
     range, so at large powers every output column is defined up to its own
     positive scalar.

@@ -2,12 +2,14 @@
 
 Same control flow as the batch driver, but every population quantity is
 answered by a one-pass estimator: minibatch moment products for directions,
-a sampled block for quantiles, a sequential empirical-Bernstein mean for
-score averages. Each estimate that can fail takes its share of the rep's
-failure budget (``driver.failure_share``). The persistent state is the
-filter stack, one candidate vector, and transient buffers whose sizes are
-set by the configuration, never by the stream length; a scalar ledger
-meters the high-water mark.
+a sampled block for quantiles, a sequential empirical-Bernstein mean
+(``estimators.stream_mean_estimate``) for score averages, whose rows its
+question sizes (``estimators.mean_ceiling``). Each estimate that can fail
+takes its share of the rep's failure budget (``driver.failure_share``). The
+persistent state is the filter stack, one candidate vector, and transient
+buffers of ``estimators.STREAM_CHUNK`` rows and the minibatch block, whose
+sizes are set by the configuration, never by the stream length; a scalar
+ledger meters the high-water mark.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
-from .driver import failure_share, run_boosted
+from .driver import FILTER_TRIGGER, failure_share, run_boosted
 from .estimators import (C_Q, TRIM_TAIL, opnorm_bracket, streaming_quantile,
                           streaming_quantile_samples)
 from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
@@ -30,7 +32,6 @@ __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
 # Moment-product minibatch: a desk constant, which no bound on the
 # minibatch moment's error backs.
 BATCH_SIZE_CAP = 4096
-MEAN_BATCH_CAP = 1_000_000    # stream-mean row ceiling
 # Relative accuracy tau of the prologue's norm quantile (tail eps), and its
 # block constant c_q = 3 / tau^2 (``estimators.streaming_quantile_samples``).
 # The prune removes less than 7 eps / 6 of the stream, an O(eps) share as
@@ -53,19 +54,6 @@ PRUNE_C_Q = 3.0 / PRUNE_ACCURACY ** 2
 class StreamStats:
     samples_consumed: int
     peak_resident_scalars: int
-
-
-def default_mean_batch(d: int, eps: float, gamma: float, r_radius: float) -> int:
-    """Ceiling on the total rows of one filter stream mean.
-
-    Sized for scores as large as the prune radius; the estimates stop below
-    it once settled (``estimators.stream_mean_estimate``). It also caps the
-    certificate's own ceiling.
-    """
-    eps_eff = max(eps, 1e-3)
-    log_factor = max(1.0, math.log(max(d, 2) / eps_eff))
-    raw = (r_radius ** 4) * d * d / (gamma * gamma) * log_factor
-    return int(min(max(64, math.ceil(raw)), MEAN_BATCH_CAP))
 
 
 def opnorm_block_samples(eps: float, fail_prob: float, r_radius: float, d: int) -> int:
@@ -124,8 +112,8 @@ class MinibatchEstimators:
         self.ledger = ledger
         self.dim = source.dim
         self.stack = FilterStack()
-        self.mean_batch = default_mean_batch(self.dim, config.eps, config.gamma, r_radius)
         self._v: np.ndarray | None = None
+        self._trim_floor = 0.0
         self._estimates = 0
 
     def _fail_prob(self) -> float:
@@ -160,8 +148,15 @@ class MinibatchEstimators:
                 np.einsum("ij,ij->i", rows, rows)
                 for rows in accepted_rows(self.source, self.stack, block_m, self.ledger)])
             sigma_op = opnorm_bracket(np.pad(g, (0, block_m - g.size)), eps, block_m)
+        if eps == 0:
+            # Every row is an inlier, with ||x||^2 <= r^2 d ||Sigma|| <=
+            # 2 r^2 d sigma_op by the caller's promise and sigma_op >= tr Sigma
+            # / 2 (``opnorm_block_samples``): a finite score bound that prunes
+            # no row outside the block's failure share.
+            self.stack = FilterStack(prune_radius_sq=2.0 * self.r_radius ** 2 * self.dim * sigma_op)
         self.ledger.alloc(self.dim)  # the candidate vector held across iterations
         delta = 0.1 * self.config.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
+        self._trim_floor = delta / (FILTER_TRIGGER * self.config.gamma)
         return sigma_op, delta
 
     # -- per-iteration answers -------------------------------------------------
@@ -170,8 +165,7 @@ class MinibatchEstimators:
                     rng_dir: np.random.Generator) -> Candidate:
         return sample_top_eigenvector_streaming(
             self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
-            rng, batch_size=BATCH_SIZE_CAP, max_mean_batch=self.mean_batch,
-            ledger=self.ledger, direction=(p_k, rng_dir),
+            rng, batch_size=BATCH_SIZE_CAP, ledger=self.ledger, direction=(p_k, rng_dir),
         )
 
     def direction(self, p_k: int, rng: np.random.Generator,
@@ -193,8 +187,6 @@ class MinibatchEstimators:
     def quantile_value(self, tail: float) -> float:
         # A cut between the tail / 2 and 3 tail / 2 tails: the filter's L,
         # which drive floors at QUANTILE_FLOOR, needs no more.
-        if tail <= 0:
-            return math.inf
         v = self._v
         return streaming_quantile(
             lambda k: accepted_scores(self.source, self.stack, lambda x: (x @ v) ** 2, k,
@@ -202,14 +194,19 @@ class MinibatchEstimators:
             tail, self._fail_prob(), ledger=self.ledger)
 
     def sigma_trimmed(self, cap: float) -> float:
+        # Only T_hat = FILTER_TRIGGER gamma sigma reads it, beside delta in the
+        # exit bound. To rel_tol rho above the floor delta / (FILTER_TRIGGER
+        # gamma), and to rho / (1 + rho) times that floor below it, sigma
+        # puts T_hat + delta within a factor 1 + rho of its exact value.
         return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
-                                  self._fail_prob(), self.mean_batch, self.ledger,
-                                  rel_tol=DECISION_MARGIN)
+                                  self._fail_prob(), self.ledger,
+                                  rel_tol=DECISION_MARGIN, floor=self._trim_floor)
 
     def mean_score(self, L: float, thr: float, bound: float) -> float:
+        # The exit decision, exact unless the mean lies in (0.8, 1.2) x bound.
         return accepted_band_mean(self.source, self.stack, self._v, L, thr,
-                                  self._fail_prob(), self.mean_batch, self.ledger,
-                                  bar=bound)
+                                  self._fail_prob(), self.ledger,
+                                  bar=bound, margin=DECISION_MARGIN)
 
     def score_range(self, L: float) -> float:
         # Analytic bound: f(x) = (v.x)^2 <= ||x||^2 <= prune radius^2.

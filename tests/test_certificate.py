@@ -31,6 +31,7 @@ from robustpca.certificate import (START_FAILURE, TRIM_C_Q, acceptance_factors,
                                    power_chain_length)
 from robustpca.estimators import (
     FIRST_STAGE,
+    mean_ceiling,
     mean_stages,
     stage_interval,
     stage_log,
@@ -38,7 +39,7 @@ from robustpca.estimators import (
     streaming_quantile_samples,
     trim_keep_share,
 )
-from robustpca.streaming import MEAN_BATCH_CAP
+from robustpca.errors import DegenerateStateError
 
 
 def test_acceptance_factors_clamping():
@@ -131,18 +132,25 @@ def test_streaming_certificate_clean_accepts():
     src = SyntheticSource(d, lambda r, k: (pop[r.integers(0, 6000, size=k)], None),
                           np.random.default_rng(4))
     cand = sample_top_eigenvector_streaming(
-        src, FilterStack(), 0.02, 0.4, fail_prob=0.05, rng=np.random.default_rng(5), batch_size=1500, max_mean_batch=MEAN_BATCH_CAP,
+        src, FilterStack(), 0.02, 0.4, fail_prob=0.05, rng=np.random.default_rng(5), batch_size=1500,
         ledger=ScalarLedger())
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.95
 
 
-def _stream_certificate(src, eps, gamma, fail_prob, batch_size, max_mean_batch,
-                        stack=FilterStack(), seed=5, rng=None):
+def _stream_certificate(src, eps, gamma, fail_prob, batch_size, stack=FilterStack(),
+                        seed=5, rng=None):
     return sample_top_eigenvector_streaming(
         src, stack, eps, gamma, fail_prob=fail_prob,
         rng=np.random.default_rng(seed) if rng is None else rng,
-        batch_size=batch_size, max_mean_batch=max_mean_batch, ledger=ScalarLedger())
+        batch_size=batch_size, ledger=ScalarLedger())
+
+
+def _mean_stages(cand, bound, eps, gamma, fail_prob):
+    """The stages of the certificate's stream mean, over scores in [0, bound]."""
+    f1, _f2, eta = acceptance_factors(eps, gamma)
+    bar = (1 + eta) * f1 * cand.rayleigh_emp
+    return mean_stages(mean_ceiling(bound, fail_prob / 3, bar=bar, margin=eta))
 
 
 def _chain_samples(d, gamma, batch_size):
@@ -168,7 +176,7 @@ def _stage_bounds(rows, u, cap, n_max, fail_prob):
     f = (rows @ u) ** 2
     f = np.where(f <= cap, f, 0.0)
     moments = (f.size, float(np.mean(f)), float(np.sum((f - np.mean(f)) ** 2)))
-    return stage_interval(moments, cap, stage_log(len(mean_stages(n_max, cap)), fail_prob))
+    return stage_interval(moments, cap, stage_log(len(mean_stages(n_max)), fail_prob))
 
 
 def test_streaming_certificate_sample_count_from_its_decision():
@@ -178,16 +186,16 @@ def test_streaming_certificate_sample_count_from_its_decision():
     # (17 + 1) * 1,500 = 27,000 rows: the candidate is one more start on the
     # reference chain (p = 17) and its scoring batch. fail_prob splits in
     # three, so the block and the mean each take 0.05 / 3. At gamma = 0.4,
-    # eta = 1/16 and k = 586.6; L = ln(4 * 13 / (0.05 / 3)) = 8.05 over the
-    # 13 stages of MEAN_BATCH_CAP rows; f1 = 0.520 puts B / mu0 near 6.6,
-    # so n = 30,919, in stages of 256, ..., 16,384 and 30,919. A clean
+    # eta = 1/16 and k = 586.6; f1 = 0.520 puts B / mu0 near 6.6, and
+    # L = ln(4 * 8 / (0.05 / 3)) = 7.56 over the 8 stages of n itself, so
+    # n = 29,054, in stages of 256, ..., 16,384 and 29,054. A clean
     # trimmed mean (about 0.74 R) sits above the bar (1 + eta) mu0 = 0.55 R,
     # and an early stage's interval already lies above it: the mean stops
     # there.
     d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
     pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, eps, gamma, fail_prob, batch, MEAN_BATCH_CAP)
+    cand = _stream_certificate(src, eps, gamma, fail_prob, batch)
     assert cand.accepted
 
     # The trim cutoff, recomputed over the same rows of a second cycle.
@@ -201,10 +209,12 @@ def test_streaming_certificate_sample_count_from_its_decision():
     f1, _f2, eta = acceptance_factors(eps, gamma)
     mu0 = f1 * cand.rayleigh_emp
     bar = (1 + eta) * mu0
-    assert len(mean_stages(MEAN_BATCH_CAP, cap)) == 13
-    n = _bernstein_rows(eta, cap / mu0, 13, part)
+    n = mean_ceiling(cap, part, bar=bar, margin=eta)
+    assert len(mean_stages(n)) == 8
+    assert n == _bernstein_rows(eta, cap / mu0, 8, part)
     assert 20_000 < n < 50_000
-    stages = mean_stages(n, cap)
+    assert n == 29_054
+    stages = mean_stages(n)
     assert stages[0] == FIRST_STAGE == 256 and stages[-1] == n
     rows = twin.draw(n)
     settled = next(k for k in stages if _stage_bounds(rows[:k], cand.u, cap, n, part)[0] > bar)
@@ -226,32 +236,32 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
     assert f1 == pytest.approx(0.9747, abs=1e-4) and eta == pytest.approx(0.01 / 1.99 / 4)
     pool = np.random.default_rng(0).standard_normal((n, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, eps, cfg.gamma, fail_prob, n, MEAN_BATCH_CAP)
+    cand = _stream_certificate(src, eps, cfg.gamma, fail_prob, n)
     assert cand.sigma_robust >= (1 + 2 * eta) * f1 * cand.rayleigh_emp
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.99
     chains_and_block = (_chain_samples(d, cfg.gamma, n)
                         + streaming_quantile_samples(3 * eps, fail_prob / 3, TRIM_C_Q))
-    assert src.delivered < chains_and_block + MEAN_BATCH_CAP
+    # The mean settles at one of its doubling stages, before its ceiling.
+    rest = src.delivered - chains_and_block
+    assert rest >= FIRST_STAGE and rest & (rest - 1) == 0
 
 
 @pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])
-def test_streaming_certificate_unbounded_scores_take_the_ceiling(prune_radius_sq):
-    # eps = 0 trims nothing. Under an infinite prune radius the scores have no
-    # bound, so the stream mean has one stage of max_mean_batch = 700 rows.
-    # Under the largest finite radius B / mu0 overflows the count, so the
-    # mean may draw max_mean_batch rows, and the intervals of its stages
-    # (256, 512 and 700 rows), whose widths grow with B / n, settle nothing
-    # before the ceiling. Total: the shared chain's (17 + 1) * 1,000 rows
-    # and 700.
+def test_streaming_certificate_unbounded_scores_raise(prune_radius_sq):
+    # eps = 0 trims nothing. Under an infinite prune radius the scores have
+    # no bound, and under the largest finite radius B / mu0 overflows the
+    # count: no number of rows decides the test, so the certificate raises
+    # a typed error after the shared chain's (17 + 1) * 1,000 rows and
+    # before any mean draw. A stream solve never gets here: its prologue
+    # sets a finite radius at eps = 0.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700,
-                               stack=FilterStack(prune_radius_sq=prune_radius_sq))
-    assert cand.accepted
-    assert len(mean_stages(700, prune_radius_sq)) == (1 if prune_radius_sq == math.inf else 3)
-    assert src.delivered == _chain_samples(d, gamma, batch) + 700
+    with pytest.raises(DegenerateStateError, match="no finite row ceiling"):
+        _stream_certificate(src, 0.0, gamma, fail_prob, batch,
+                            stack=FilterStack(prune_radius_sq=prune_radius_sq))
+    assert src.delivered == _chain_samples(d, gamma, batch)
 
 
 def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
@@ -268,7 +278,7 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     pool[:chains, 0] = np.random.default_rng(8).standard_normal(chains)
     pool[chains:, 1] = 1.0
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
+    cand = _stream_certificate(src, 0.02, gamma, fail_prob, batch)
     assert cand.rayleigh_emp == 0.0 and cand.reference_rayleigh == 0.0
     assert not cand.accepted and cand.sigma_robust == 0.0
     assert src.delivered == chains + batch
@@ -295,10 +305,16 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
     for fail_prob in (0.05, 1e-6):
-        _stream_certificate(src, 0.02, gamma, fail_prob, batch, 700)
+        _stream_certificate(src, 0.02, gamma, fail_prob, batch)
     p = power_chain_length(d, gamma, START_FAILURE)
     assert p == 17
     assert calls == [(p, 6, (p + 1) * batch), (p, 22, (p + 1) * batch)]
+
+
+# At eps = 0 a stream solve bounds every score by a finite prune radius^2
+# from the caller's norm promise; 250 is well above every row of the pool
+# of ``_rows_and_power``.
+PROMISED_STACK = FilterStack(prune_radius_sq=250.0)
 
 
 def _rows_and_power():
@@ -316,7 +332,7 @@ def test_streaming_candidate_rides_the_reference_chain():
     pool, gamma, p = _rows_and_power()
     fail_prob, batch = 0.05, 1000
     cand = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.02, gamma, fail_prob,
-                               batch, 700)
+                               batch)
     reps = math.ceil(math.log2(3 / fail_prob))
     start = np.random.default_rng(5).standard_normal((reps + 1, pool.shape[1]))[reps]
     twin = ReplaySource(pool, mode="cycle")
@@ -329,12 +345,13 @@ def test_streaming_candidate_rides_the_reference_chain():
 
 def test_streaming_certificate_chains_cost_one_chain():
     # The reference starts and the candidate share one chain of p = 17 steps,
-    # and one batch scores them all: 18,000 rows. At eps = 0 under an
-    # infinite prune radius the rest is the stream mean's ceiling, 700 rows.
+    # and one batch scores them all: 18,000 rows. At eps = 0 there is no
+    # quantile block, and the rest is one stage of the stream mean.
     pool, gamma, p = _rows_and_power()
     src = ReplaySource(pool, mode="cycle")
-    _stream_certificate(src, 0.0, gamma, 0.05, 1000, 700)
-    assert src.delivered == (p + 1) * 1000 + 700 == 18_700
+    cand = _stream_certificate(src, 0.0, gamma, 0.05, 1000, stack=PROMISED_STACK)
+    assert p == 17
+    assert src.delivered - 18_000 in _mean_stages(cand, 250.0, 0.0, gamma, 0.05)
 
 
 class _RiderCollapses:
@@ -356,18 +373,20 @@ def test_streaming_collapsed_candidate_takes_the_retry_chain():
     # A zero candidate start collapses its column of the shared chain. The
     # reference is unaffected; the candidate comes from a fresh start on its
     # own p-step chain after the shared one, scored on its own batch, so the
-    # certificate draws 2 (p + 1) batches before the stream mean's 700-row
-    # ceiling. The block holds reps = ceil(log2(3 / 0.05)) = 6 reference
-    # starts and the candidate's.
+    # certificate draws 2 (p + 1) batches before a stage of the stream mean.
+    # The block holds reps = ceil(log2(3 / 0.05)) = 6 reference starts and
+    # the candidate's.
     pool, gamma, p = _rows_and_power()
     d, fail_prob, batch = pool.shape[1], 0.05, 1000
     reps = math.ceil(math.log2(3 / fail_prob))
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, 700, rng=_RiderCollapses(5))
-    assert src.delivered == 2 * (p + 1) * batch + 700
+    cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, stack=PROMISED_STACK,
+                               rng=_RiderCollapses(5))
+    chains = 2 * (p + 1) * batch
+    assert src.delivered - chains in _mean_stages(cand, 250.0, 0.0, gamma, fail_prob)
 
     plain = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.0, gamma, fail_prob,
-                                batch, 700)
+                                batch, stack=PROMISED_STACK)
     assert cand.reference_rayleigh == pytest.approx(plain.reference_rayleigh, rel=1e-10)
 
     rng = np.random.default_rng(5)
@@ -393,7 +412,7 @@ def test_streaming_reference_reaches_top_rayleigh_on_every_seed():
     lam1 = float(np.linalg.eigvalsh(pool.T @ pool / n)[-1])
     for seed in range(30):
         src = ReplaySource(pool, mode="cycle")
-        cand = _stream_certificate(src, 0.02, gamma, fail_prob, n, 700, seed=seed)
+        cand = _stream_certificate(src, 0.02, gamma, fail_prob, n, seed=seed)
         assert cand.reference_rayleigh >= (1 - gamma) * lam1, seed
 
 
@@ -412,8 +431,7 @@ def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
     for seed in range(50):
         src = SyntheticSource(1, lambda r, k: (pool[r.integers(0, 1000, size=k)], None),
                               np.random.default_rng(seed))
-        cand = _stream_certificate(src, eps, gamma, 0.01, 20_000, MEAN_BATCH_CAP,
-                                   seed=seed)
+        cand = _stream_certificate(src, eps, gamma, 0.01, 20_000, seed=seed)
         mu0 = f1 * cand.rayleigh_emp
         if accept:
             assert mu >= (1 + 2 * eta) * mu0

@@ -17,8 +17,9 @@ from robustpca.errors import DegenerateStateError
 from robustpca.estimators import (
     C_Q,
     FIRST_STAGE,
-    MEAN_CHUNK,
     QUANTILE_ACCURACY,
+    STREAM_CHUNK,
+    mean_ceiling,
     mean_stages,
     merge_moments,
     stage_interval,
@@ -258,7 +259,8 @@ def test_opnorm_bracket_single_point_no_trim():
 
 
 def test_stream_mean_constant_source():
-    got = stream_mean_estimate(lambda k: np.full(k, 3.25), fail_prob=0.1, n_max=64)
+    got = stream_mean_estimate(lambda k: np.full(k, 3.25), fail_prob=0.1, score_bound=4.0,
+                               rel_tol=0.25, floor=1.0)
     assert got == pytest.approx(3.25)
 
 
@@ -269,9 +271,7 @@ def test_stream_mean_two_point_source():
         signs = rng.integers(0, 2, size=k) * 2.0 - 1.0
         return (signs * 1.0) ** 2  # (v . x)^2 for x = +-e1, v = e1
 
-    # Chebyshev sizing for score bound 1 at rel_tol = abs_tol = 0.05.
-    n_max = math.ceil(1.0 / (0.05 * 0.05))
-    got = stream_mean_estimate(draw, fail_prob=0.05, n_max=n_max)
+    got = stream_mean_estimate(draw, fail_prob=0.05, score_bound=1.0, rel_tol=0.05, floor=0.5)
     assert got == pytest.approx(1.0)
 
 
@@ -285,8 +285,9 @@ def test_stream_mean_tracks_batch_oracle():
     cap = weighted_quantile(f, 0.1)
     truth = trimmed_variance(f, cap, f.size)
     rel, abs_ = 0.05, 0.05
-    # Chebyshev sizing: n_max = score bound / (rel_tol * abs_tol).
-    n_max = math.ceil(float(cap) / (rel * abs_))
+    # Above the floor the estimate lies within a factor 1 + rel of the
+    # truth, and below it within floor * rel / (1 + rel) = abs_.
+    floor = abs_ * (1 + rel) / rel
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
@@ -295,14 +296,16 @@ def test_stream_mean_tracks_batch_oracle():
             f = (pop[rng.integers(0, 4000, size=k)] @ v) ** 2
             return np.where(f <= cap, f, 0.0)
 
-        got = stream_mean_estimate(draw, fail_prob=0.05, n_max=n_max)
+        got = stream_mean_estimate(draw, fail_prob=0.05, score_bound=float(cap),
+                                   rel_tol=rel, floor=floor)
         if abs(got - truth) <= rel * truth + abs_:
             hits += 1
     assert hits >= 95
 
 
 def test_stream_mean_requires_sizing_information():
-    # The row ceiling has no default; the caller sizes it.
+    # The score bound has no default: the caller states it, and the row
+    # ceiling follows from it and the question.
     with pytest.raises(TypeError):
         stream_mean_estimate(lambda k: np.zeros(k), fail_prob=0.1)
 
@@ -338,60 +341,76 @@ def _interval(x, bound, n_stages, fail_prob):
 
 
 def test_stream_mean_settles_a_clear_decision_at_the_first_stage():
-    # Scores 0 or 1, mean 1/2, against a bar of 0.05. n_max = 36,576 gives
-    # J = 9 stages, so L = ln(4 * 9 / 0.1) = 5.89, and at the first stage of
-    # 256 rows the half-width is about sqrt(2 * 0.25 * 5.89 / 256) +
-    # 7 * 5.89 / (3 * 255) = 0.107 + 0.054: the interval lies above the bar.
+    # Scores 0 or 1, mean 1/2, against a bar of 0.05 at margin 1/4. The
+    # ceiling is 6,938 rows in J = 6 stages, so L = ln(4 * 6 / 0.1) = 5.48,
+    # and at the first stage of 256 rows the half-width is about
+    # sqrt(2 * 0.25 * 5.48 / 256) + 7 * 5.48 / (3 * 255) = 0.103 + 0.050:
+    # the interval lies above the bar.
     rng = np.random.default_rng(12)
     draw, rows = _recorded(lambda k: (rng.random(k) < 0.5).astype(float))
-    got = stream_mean_estimate(draw, 0.1, n_max=36_576, score_bound=1.0, bar=0.05)
-    assert len(mean_stages(36_576, 1.0)) == 9
+    got = stream_mean_estimate(draw, 0.1, score_bound=1.0, bar=0.05, margin=0.25)
+    assert mean_ceiling(1.0, 0.1, bar=0.05, margin=0.25) == 6938
+    assert len(mean_stages(6938)) == 6
     assert [r.size for r in rows] == [FIRST_STAGE]
     assert got == float(np.mean(rows[0]))
-    assert _interval(rows[0], 1.0, 9, 0.1)[0] > 0.05
+    assert _interval(rows[0], 1.0, 6, 0.1)[0] > 0.05
 
 
-def test_stream_mean_without_a_score_bound_is_one_stage():
-    # B = inf leaves every interval unbounded, so there is one stage of
-    # n_max = 5,000 rows, drawn in chunks of MEAN_CHUNK = 4,096: 4,096 + 904.
-    # The bar changes nothing.
-    rng = np.random.default_rng(13)
-    draw, sizes = _counted(lambda k: rng.random(k))
-    stream_mean_estimate(draw, 0.1, n_max=5000, score_bound=math.inf, bar=0.05)
-    assert sizes == [MEAN_CHUNK, 5000 - MEAN_CHUNK] == [4096, 904]
+@pytest.mark.parametrize("bound, bar", [(math.inf, 0.05), (1.0, 0.0), (1e308, 1e-300)])
+def test_stream_mean_without_a_finite_ceiling_raises(bound, bar):
+    # An infinite score bound, a zero level and a B / level that overflows
+    # leave no finite count of rows that answers the question: a typed error
+    # before any draw, never an endless one.
+    draw, sizes = _counted(lambda k: np.zeros(k))
+    with pytest.raises(DegenerateStateError, match="no finite row ceiling"):
+        stream_mean_estimate(draw, 0.1, score_bound=bound, bar=bar, margin=0.25)
+    assert sizes == []
 
 
 def test_stream_mean_batches_nest_up_to_the_ceiling():
-    # rel_tol = 0 settles nothing before the ceiling. The one running sample
-    # grows by 256, 256 and 488 rows over the stages of 256, 512 and 1,000
-    # rows, and its mean at the ceiling equals a one-stage estimate over the
-    # same 1,000 rows, replayed from a twin source.
+    # A decision against the true mean of U(0, 1) scores, 1/2, settles at no
+    # stage here. The ceiling at margin 0.2 is 843 rows, and the one running
+    # sample grows by 256, 256 and 331 rows over the stages of 256, 512 and
+    # 843 rows, in chunks of at most STREAM_CHUNK; its mean at the ceiling is
+    # the mean of the same 843 rows, replayed from a twin source.
     pool = np.random.default_rng(14).random((7000, 1))
     src = ReplaySource(pool, mode="cycle")
     draw, sizes = _counted(lambda k: src.draw(k)[:, 0])
-    got = stream_mean_estimate(draw, 0.1, n_max=1000, score_bound=1.0, rel_tol=0.0)
-    assert mean_stages(1000, 1.0) == [256, 512, 1000]
-    assert sizes == [256, 256, 488]
+    got = stream_mean_estimate(draw, 0.1, score_bound=1.0, bar=0.5, margin=0.2)
+    n = mean_ceiling(1.0, 0.1, bar=0.5, margin=0.2)
+    assert mean_stages(n) == [256, 512, n] == [256, 512, 843]
+    assert sizes == [256, 256, 331]
 
     twin = ReplaySource(pool, mode="cycle")
-    once = stream_mean_estimate(lambda k: twin.draw(k)[:, 0], 0.5, n_max=1000)
-    assert once == pytest.approx(float(np.mean(pool[:1000])), rel=1e-12)
-    assert got == pytest.approx(once, rel=1e-12)
+    assert got == pytest.approx(float(np.mean(twin.draw(n))), rel=1e-12)
+
+
+def test_stream_mean_draws_in_stream_chunks():
+    # Stages past STREAM_CHUNK rows are drawn a chunk at a time: the stage
+    # of 2,048 rows adds 1,024 rows in one chunk, and the last stage, whose
+    # ceiling is not a multiple of the chunk, ends on a short one.
+    rng = np.random.default_rng(13)
+    draw, sizes = _counted(lambda k: rng.random(k))
+    stream_mean_estimate(draw, 0.1, score_bound=1.0, bar=0.5, margin=0.05)
+    n = mean_ceiling(1.0, 0.1, bar=0.5, margin=0.05)
+    assert STREAM_CHUNK == 1024 and sum(sizes) == n > 4 * STREAM_CHUNK
+    assert max(sizes) == STREAM_CHUNK and sizes[-1] == (n - 2048) % STREAM_CHUNK
 
 
 @pytest.mark.parametrize("bar", [0.36, 0.25])
 def test_stream_mean_early_decisions_are_rarely_wrong(bar):
     # Two-point scores (1 with probability 0.3, else 0) have mean 0.3, a
     # fifth off the bar either way. Over 2,000 seeded runs the estimate
-    # stops before its n_max = 4,096 rows in most, and lands on the wrong
-    # side of the bar at an early stop in at most a fail_prob share of them.
-    fail_prob, n_max, runs = 0.1, 4096, 2000
+    # stops before its ceiling (3,993 or 5,948 rows at margin 0.1) in most,
+    # and lands on the wrong side of the bar at an early stop in at most a
+    # fail_prob share of them.
+    fail_prob, runs = 0.1, 2000
+    n_max = mean_ceiling(1.0, fail_prob, bar=bar, margin=0.1)
     rng = np.random.default_rng(15)
     early = wrong = 0
     for _ in range(runs):
         draw, sizes = _counted(lambda k: (rng.random(k) < 0.3).astype(float))
-        got = stream_mean_estimate(draw, fail_prob, n_max=n_max, score_bound=1.0,
-                                   bar=bar)
+        got = stream_mean_estimate(draw, fail_prob, score_bound=1.0, bar=bar, margin=0.1)
         if sum(sizes) < n_max:
             early += 1
             wrong += (got >= bar) != (0.3 >= bar)
@@ -406,10 +425,14 @@ def test_stream_mean_intervals_cover_the_true_mean(law):
     # with mean 0.002 B has the largest variance a mean that small allows,
     # B mu; at 256 rows it shows no nonzero score in about 60% of runs, so
     # the sample variance is 0 and only the 7 B L / (3 (n - 1)) term keeps
-    # the true mean inside. The uniform law on [0, B] is spread evenly.
-    fail_prob, n_max, bound, runs = 0.1, 4096, 8.0, 400
+    # the true mean inside. The uniform law on [0, B] is spread evenly. Each
+    # run decides against the true mean itself, so it stops before its
+    # ceiling exactly when a stage interval misses the mean.
+    fail_prob, bound, runs = 0.1, 8.0, 400
     mu = {"two_point": 0.002 * bound, "uniform": bound / 2}[law]
-    stages = mean_stages(n_max, bound)
+    margin = {"two_point": 1.0, "uniform": 0.1}[law]
+    n_max = mean_ceiling(bound, fail_prob, bar=mu, margin=margin)
+    stages = mean_stages(n_max)
     log_j = stage_log(len(stages), fail_prob)
     rng = np.random.default_rng(16)
     covered = 0
@@ -418,15 +441,42 @@ def test_stream_mean_intervals_cover_the_true_mean(law):
             draw, rows = _recorded(lambda k: bound * (rng.random(k) < 0.002))
         else:
             draw, rows = _recorded(lambda k: bound * rng.random(k))
-        stream_mean_estimate(draw, fail_prob, n_max=n_max, score_bound=bound)
+        stream_mean_estimate(draw, fail_prob, score_bound=bound, bar=mu, margin=margin)
         x = np.concatenate(rows)
-        assert x.size == n_max
         inside = True
         for n in stages[:-1]:
-            lo, hi = stage_interval(merge_moments((0, 0.0, 0.0), x[:n]), bound, log_j)
-            inside &= lo <= mu <= hi
+            if n <= x.size:
+                lo, hi = stage_interval(merge_moments((0, 0.0, 0.0), x[:n]), bound, log_j)
+                inside &= lo <= mu <= hi
+        assert (x.size == n_max) == inside
         covered += inside
     assert covered >= (1 - fail_prob) * runs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(bound=st.floats(1e-3, 1e4), level=st.floats(1e-3, 1e3),
+       tol=st.floats(1e-3, 1.0), fail_prob=st.floats(1e-6, 0.5),
+       decision=st.booleans())
+def test_mean_ceiling_bounds_the_bernstein_deviation(bound, level, tol, fail_prob, decision):
+    # At the ceiling n, with L from its own stage count, Bernstein's
+    # deviation at the largest mean the question covers, a * level, is at
+    # most t * level: (a, t) = (1 + 2 eta, eta) for a decision against
+    # bar = (1 + eta) level, (1, rho / (1 + rho)) for a value above the
+    # floor. n - 1 rows, with their own stage count, fall short.
+    if decision:
+        a, t = 1 + 2 * tol, tol
+        n = mean_ceiling(bound, fail_prob, bar=(1 + tol) * level, margin=tol)
+        level = (1 + tol) * level / (1 + tol)   # the level the rule derives
+    else:
+        a, t = 1.0, tol / (1 + tol)
+        n = mean_ceiling(bound, fail_prob, rel_tol=tol, floor=level)
+
+    def deviation(rows):
+        log_j = stage_log(len(mean_stages(rows)), fail_prob)
+        return math.sqrt(2 * bound * a * level * log_j / rows) + bound * log_j / (3 * rows)
+
+    assert deviation(n) <= t * level * (1 + 1e-12)
+    assert n == 1 or deviation(n - 1) > t * level * (1 - 1e-12)
 
 
 def test_stream_mean_variance_does_not_cancel():
@@ -434,13 +484,13 @@ def test_stream_mean_variance_does_not_cancel():
     # sum(x^2) - n m^2 keeps no digit of the spread, 1/12. Merged chunk by
     # chunk, the centred sum of squares matches numpy's variance of the
     # same rows to 1e-9 and is never negative.
-    x = 1e8 + np.random.default_rng(17).random(3 * MEAN_CHUNK + 123)
+    x = 1e8 + np.random.default_rng(17).random(3 * STREAM_CHUNK + 123)
     moments = (0, 0.0, 0.0)
-    for start in range(0, x.size, MEAN_CHUNK):
-        moments = merge_moments(moments, x[start:start + MEAN_CHUNK])
+    for start in range(0, x.size, STREAM_CHUNK):
+        moments = merge_moments(moments, x[start:start + STREAM_CHUNK])
         n, mean, m2 = moments
         assert m2 >= 0.0
-        assert n == min(start + MEAN_CHUNK, x.size)
+        assert n == min(start + STREAM_CHUNK, x.size)
         assert mean == pytest.approx(float(np.mean(x[:n])), rel=1e-12)
         assert m2 / (n - 1) == pytest.approx(float(np.var(x[:n], ddof=1)), rel=1e-9)
 

@@ -212,7 +212,7 @@ def test_minibatch_single_sample():
 def test_accepted_rows_yields_a_wholly_kept_chunk_as_drawn(monkeypatch):
     # Chunks of 16, 16 and 8 rows; only the second holds a rejected row, so
     # only it is gathered into a copy of its 15 accepted rows.
-    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 16)
+    monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 16)
     pop = np.random.default_rng(2).standard_normal((64, 3))
     pop[20] = 100.0
     src = ReplaySource(pop, mode="cycle")
@@ -261,16 +261,16 @@ def test_streamed_apply_matches_built_estimator(monkeypatch):
     src_a, src_b = SyntheticSource(5, draw, rng_a), SyntheticSource(5, draw, rng_b)
     stack = FilterStack(prune_radius_sq=20.0)
     z = np.random.default_rng(2).standard_normal(5)
-    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 50)
+    monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 50)
     want = streamed_power_apply(src_a, stack, 3, 50, z)
-    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 7)
+    monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 7)
     got = streamed_power_apply(src_b, stack, 3, 50, z)
     np.testing.assert_allclose(got, want, rtol=1e-10)
     assert src_a.delivered == src_b.delivered
 
 
 def test_streamed_apply_ledger_is_batch_size_independent(monkeypatch):
-    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 32)
+    monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 32)
     pop = np.random.default_rng(1).standard_normal((64, 4))
     peaks = []
     for batch in (100, 10_000):
@@ -289,7 +289,7 @@ def test_streamed_apply_block_matches_single_columns(monkeypatch):
     p, batch = 8, 60
     g = np.random.default_rng(4).standard_normal((4, 3))
     block = g * np.array([1e200, 1e-200, 1.0])
-    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 16)
+    monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 16)
 
     src = ReplaySource(pop, mode="cycle")
     got = streamed_power_apply(src, stack, p, batch, block)

@@ -28,7 +28,8 @@ from robustpca import (
 )
 from robustpca.certificate import DECISION_MARGIN, START_FAILURE, power_chain_length
 from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
-from robustpca.estimators import mean_stages, stage_interval, stage_log, streaming_quantile_samples
+from robustpca.estimators import (STREAM_CHUNK, mean_ceiling, mean_stages, stage_interval,
+                                  stage_log, streaming_quantile_samples)
 from robustpca.filtering import hard_thresholding_filter
 from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
 from robustpca.linops import (
@@ -39,10 +40,8 @@ from robustpca.linops import (
 )
 from robustpca.streaming import (
     BATCH_SIZE_CAP,
-    MEAN_BATCH_CAP,
     PRUNE_C_Q,
     MinibatchEstimators,
-    default_mean_batch,
     opnorm_block_samples,
 )
 
@@ -124,11 +123,12 @@ def test_non_finite_stream_row_is_rejected():
     # so the opnorm block is the suite's first estimate, at failure_share(1).
     # Then come (13 + 1) * 4,096 chain rows (the reference starts and the
     # candidate share a chain of power_chain_length(5, 0.5, 1/2) = 13 steps,
-    # and one batch scores them all) and, the scores having no bound, the
-    # stream mean's whole 4,312-row ceiling.
+    # and one batch scores them all) and the stream mean, whose scores the
+    # prune radius^2 2 r^2 d sigma_op bounds, settling at its stage of 8,192
+    # rows.
     block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
     assert power_chain_length(5, 0.5, START_FAILURE) == 13
-    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 57_344 + 4_312
+    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 57_344 + 8_192
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -185,6 +185,43 @@ def test_zero_eps_stream_runs_clean_schedule():
     assert metric_approx_ratio(res.u, spec.covariance()) >= 0.9
 
 
+def test_zero_eps_runs_no_filter_step(monkeypatch):
+    # At eps = 0 the tail 3 eps is 0, so no filter can fire: after each
+    # rejected certificate the driver runs no direction, quantile, trimmed
+    # mean or filter mean, and every row the solve draws is the prologue's
+    # opnorm block or a certificate's. The prune radius^2 is the caller's
+    # norm promise, 2 r^2 d sigma_op, so every certificate mean has a finite
+    # score bound.
+    spec = InlierSpec(dim=6, diag=1.0, spikes=((0, 4.0),))
+    suite = MinibatchEstimators(tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1)),
+                                AlgoConfig(eps=0.0, gamma=0.4), 1.5, ScalarLedger())
+    sigma_op, _delta = suite.prologue()
+    assert suite.stack.prune_radius_sq == 2 * 1.5 ** 2 * 6 * sigma_op < math.inf
+
+    called, certs = [], []
+    certificate = MinibatchEstimators.certificate
+
+    def reject(self, fail_prob, rng, p_k, rng_dir):
+        before = self.source.delivered
+        cand = certificate(self, fail_prob, rng, p_k, rng_dir)
+        certs.append(self.source.delivered - before)
+        return dataclasses.replace(cand, accepted=False)
+
+    monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
+    for name in ("direction", "start_iteration", "quantile_value", "sigma_trimmed",
+                 "mean_score", "score_range", "register_entry"):
+        monkeypatch.setattr(MinibatchEstimators, name,
+                            lambda self, *args, name=name: called.append(name))
+    src = tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1))
+    res, stats = streaming_robust_pca(src, eps=0.0, gamma=0.4, r_radius=1.5, rng_seed=9,
+                                      config=AlgoConfig(t_end=2, k_end=2),
+                                      max_samples=60_000_000)
+    assert res.status is PcaStatus.FALLBACK_BEST and len(certs) == 4
+    assert called == []
+    block = opnorm_block_samples(0.0, failure_share(1), 1.5, 6)
+    assert stats.samples_consumed == block + sum(certs)
+
+
 @pytest.mark.parametrize("r_radius", [0.5, math.nan])
 def test_stream_rejects_a_radius_below_one(r_radius):
     src = ReplaySource(np.zeros((4, 3)), mode="cycle")
@@ -192,13 +229,50 @@ def test_stream_rejects_a_radius_below_one(r_radius):
         MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), r_radius, ScalarLedger())
 
 
-def test_default_batch_formulas_clamped():
-    src = ReplaySource(np.zeros((4, 20)), mode="cycle")
-    cfg = AlgoConfig(eps=0.03, gamma=0.6)
-    suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
-    nb = default_mean_batch(20, 0.03, 0.6, 1.5)
-    assert BATCH_SIZE_CAP == 4096 and suite.mean_batch == nb
-    assert 64 <= nb <= MEAN_BATCH_CAP
+def test_stream_mean_ceiling_takes_no_dim():
+    # The ceiling rule reads the score bound, the question and the failure
+    # probability, and nothing else. A band mean along e1 over rows whose
+    # first coordinate is the same in d = 2 and d = 40 draws the same rows
+    # and returns the same mean. The minibatch is still a desk constant.
+    assert BATCH_SIZE_CAP == 4096
+    assert list(inspect.signature(mean_ceiling).parameters) == [
+        "score_bound", "fail_prob", "bar", "margin", "rel_tol", "floor"]
+    col = np.random.default_rng(3).standard_normal((20_000, 1)) * 2.0
+    got = []
+    for d in (2, 40):
+        src = ReplaySource(np.hstack([col, np.zeros((20_000, d - 1))]), mode="cycle")
+        v = np.eye(d)[0]
+        mean = accepted_band_mean(src, FilterStack(prune_radius_sq=50.0), v, 0.0, 30.0,
+                                  0.01, ScalarLedger(), bar=5.0, margin=0.25)
+        got.append((src.delivered, mean))
+    assert got[0] == got[1]
+    assert got[0][0] <= mean_ceiling(30.0, 0.01, bar=5.0, margin=0.25)
+
+
+def test_stream_mean_reserves_at_most_a_chunk_of_rows(monkeypatch):
+    # Every reserve a stream mean makes, over the solves of the stream
+    # benchmark's config, books at most a chunk of rows (STREAM_CHUNK * d
+    # scalars) or a chunk of scores and the three running moments; the
+    # solve's ledger peak, once a 4,096-row mean chunk at about 86,000
+    # scalars, is under half that.
+    sizes, reserve = [], ScalarLedger.reserve
+
+    def spy(self, n):
+        frame = inspect.currentframe().f_back
+        while frame is not None and frame.f_code.co_name != "stream_mean_estimate":
+            frame = frame.f_back
+        if frame is not None:
+            sizes.append(n)
+        return reserve(self, n)
+
+    monkeypatch.setattr(ScalarLedger, "reserve", spy)
+    d = 20
+    pool, _spec = _spiked_pool(d=d, rows=200_000)
+    for seed in range(3):
+        res, stats = _solve_pool(pool, rng_seed=seed)
+        assert res.status is PcaStatus.ACCEPTED and res.filters_created >= 1
+        assert stats.peak_resident_scalars < 86_039 / 2
+    assert sizes and max(sizes) <= STREAM_CHUNK * d + 3
 
 
 def test_stream_sigma_trimmed_settles_to_its_precision():
@@ -208,18 +282,19 @@ def test_stream_sigma_trimmed_settles_to_its_precision():
     # suite's third estimate, after the prologue's two, so it takes
     # failure_share(3) = 0.1 / 24. The estimate then lies within a factor
     # 1.25 of the exact trimmed mean of the cycled pool, which is its
-    # population. At d = 20 the ceiling is 36,576 rows, as on the stream
-    # benchmark, and the stop comes well before it.
+    # population. Its ceiling is sized for that precision above the floor
+    # delta / (FILTER_TRIGGER gamma), and the stop comes well before it.
     pool, _spec = _spiked_pool(d=20, rows=20_000)
     src = ReplaySource(pool, mode="cycle")
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
-    suite.prologue()
+    _sigma_op, delta = suite.prologue()
     v = np.eye(20)[0]
     assert suite.start_iteration(v)
     cut, before = 20.0, src.delivered
     sigma = suite.sigma_trimmed(cut)
     bound = min(cut, suite.stack.prune_radius_sq)
-    stages = mean_stages(suite.mean_batch, bound)
+    stages = mean_stages(mean_ceiling(bound, failure_share(3), rel_tol=DECISION_MARGIN,
+                                      floor=delta / (FILTER_TRIGGER * 0.6)))
     n = src.delivered - before
     assert n in stages[:-1]
 
@@ -246,14 +321,15 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     # 40) and the round means (about 0.3) are far from the exit bound (about
     # 2.5), so from the same L, T_hat, R, delta and rng_filt the stream
     # filter makes the batch filter's decisions: the same rounds and the
-    # same (direction, threshold) entry. No mean passes its mean_batch
-    # ceiling. The opening scores are all but two-point, 0 or near the prune
-    # radius^2 B = 1,143 (V about B mu), the worst case for an
-    # empirical-Bernstein interval: at the suite's third share, 0.1 / 24,
-    # L = ln(4 * 6 / (0.1 / 24)) = 8.66 over the 6 stages of the 5,028-row
-    # ceiling, and 7 B L / (3 (n - 1)) alone is 22.6 at 1,024 rows, so the
-    # interval clears the exit bound at 2,048 rows at the earliest: there,
-    # or at the next stage when the rows it reads hold few outliers.
+    # same (direction, threshold) entry. Each mean is the exit decision at
+    # margin DECISION_MARGIN, and none passes its ceiling. The opening
+    # scores are all but two-point, 0 or near the prune radius^2 B = 1,143
+    # (V about B mu), the worst case for an empirical-Bernstein interval: at
+    # the suite's third share, 0.1 / 24, L = ln(4 * 12 / (0.1 / 24)) = 9.35
+    # over the 12 stages of its ceiling (about 275,000 rows), and
+    # 7 B L / (3 (n - 1)) alone is 24.4 at 1,024 rows, so the interval clears
+    # the exit bound at 2,048 rows at the earliest: there, or at a later
+    # stage when the rows it reads hold few outliers.
     pool, _spec = _spiked_pool(d=8, rows=20_000, seed=seed)
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     src = ReplaySource(pool, mode="cycle")
@@ -282,15 +358,18 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     assert got.rounds == want.rounds >= 1
     np.testing.assert_array_equal(got.new_entry.direction, want.new_entry.direction)
     assert got.new_entry.threshold_sq == want.new_entry.threshold_sq
-    assert stream.mean_batch == 5028
-    assert all(n <= stream.mean_batch for n in rows)
+    B = stream.stack.prune_radius_sq
+    ceilings = [mean_ceiling(min(thr, B), failure_share(3 + j), bar=bound,
+                             margin=DECISION_MARGIN)
+                for j, (_before, thr, bound) in enumerate(calls)]
+    assert all(n <= ceiling for n, ceiling in zip(rows, ceilings))
 
     # The opening mean stops at the first stage whose interval, over the
     # rows it read from the cycled pool, clears the exit bound.
     before, thr, bound = calls[0]
     assert thr == math.inf
-    B = stream.stack.prune_radius_sq
-    stages = mean_stages(5028, B)
+    stages = mean_stages(ceilings[0])
+    assert len(stages) == 12
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(before)
     f = (twin.draw(rows[0]) @ v) ** 2
@@ -541,7 +620,7 @@ def test_degenerate_pools_end_typed(pool, eps, budget):
 def test_stream_helpers_restore_the_ledger(monkeypatch):
     # Each helper books what it holds and leaves ``current`` as it found it,
     # on return and on every typed error.
-    monkeypatch.setattr("robustpca.linops._STREAM_CHUNK", 16)
+    monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 16)
     pop = np.array([[1.0, 2.0], [3.0, 0.5], [10.0, 0.0]] * 10)
     stack = FilterStack(prune_radius_sq=20.0)
     v = np.array([1.0, 0.0])
@@ -551,7 +630,7 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
             src, stack, lambda x: (x @ v) ** 2, 50, led),
         "streamed_rayleigh": lambda src, led: streamed_rayleigh(src, stack, v, 50, led),
         "accepted_band_mean": lambda src, led: accepted_band_mean(
-            src, stack, v, 0.0, 5.0, 0.1, 40, led),
+            src, stack, v, 0.0, 5.0, 0.1, led, bar=1.0, margin=0.25),
         "streamed_power_apply": lambda src, led: streamed_power_apply(
             src, stack, 2, 50, v, ledger=led),
     }
