@@ -1,10 +1,11 @@
 """Candidate generation and acceptance.
 
-A candidate is a power-iterated Gaussian direction. It is accepted when its
-robust variance is at least f1 times its empirical Rayleigh quotient, and
-that quotient at least f2 times a reference top quotient from independent
-starts: it then carries close to the top true variance. Rejection means the
-survivors still over-weight some direction and filtering should continue.
+A candidate is the output of one power chain from Gaussian starts, sized so
+that its empirical Rayleigh quotient is at least 1 - gamma times the top one
+outside the certificate's failure probability (``power_chain_length``). It is
+accepted when its robust variance is at least f1 times that quotient: it
+then carries close to the top true variance. Rejection means the survivors
+still over-weight some direction and filtering should continue.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FilterStack
-from .errors import DegenerateStateError
 from .estimators import (TRIM_TAIL, streaming_quantile, trim_keep_share, trimmed_variance,
                          weighted_quantile)
 from .linops import (
@@ -23,24 +23,16 @@ from .linops import (
     accepted_band_mean,
     accepted_scores,
     approx_power_iteration,
-    gaussian_retry,
-    power_direction,
     power_iteration,
-    streamed_power_direction,
-    streamed_rayleigh,
 )
 from .sources import SampleSource, ScalarLedger
 
 __all__ = ["Candidate", "acceptance_factors", "power_chain_length",
            "sample_top_eigenvector", "sample_top_eigenvector_streaming"]
 
-# The Rayleigh floor keeps the second acceptance test meaningful at gamma
-# near 1, where the nominal 1 - gamma factor goes to 0; it sits below plain
-# power-iteration slack.
-ACCEPT_RAYLEIGH_FLOOR = 0.5
-
-# Failure probability of one Gaussian start that every stream chain, and the
-# batch candidate chain, is sized for (``power_chain_length``).
+# Failure probability of one Gaussian start that every stream chain is sized
+# for (``power_chain_length``); the stream certificate boosts it with a block
+# of starts.
 START_FAILURE = 0.5
 
 # Largest eta of the streaming certificate's robust test (``acceptance_factors``).
@@ -84,7 +76,7 @@ def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
       x = ln(2 / fail_prob); call that level N.
     Outside both events e^(-gamma p) ||z||^2 / z_1^2 <= e^(-gamma p) N / c^2,
     which is at most gamma / 2 at the p above. The proof takes one exact M:
-    the batch chains run on B itself, while a stream chain multiplies p
+    the batch chain runs on B itself, while a stream chain multiplies p
     fresh minibatch moments, whose distance from the population moment the
     minibatch size governs (``streaming.BATCH_SIZE_CAP``). This is the one
     home of the proof, and every certificate chain takes its length here.
@@ -97,8 +89,8 @@ def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
     return max(1, math.ceil(math.log(2.0 * n_level / (gamma * c * c)) / gamma))
 
 
-def acceptance_factors(eps: float, gamma: float) -> tuple[float, float, float]:
-    """(f1, f2, eta): the robust and Rayleigh thresholds, and the stream margin.
+def acceptance_factors(eps: float, gamma: float) -> tuple[float, float]:
+    """(f1, eta): the robust threshold and the stream margin.
 
     kappa = ``estimators.trim_keep_share`` at 7 eps / 2, the widest tail the
     stream's trim cap can cut: it lands between the 5 eps / 2 and 7 eps / 2
@@ -107,15 +99,17 @@ def acceptance_factors(eps: float, gamma: float) -> tuple[float, float, float]:
     direction along which the inliers are Gaussian with variance s keeps at
     least kappa s of it under the trim, so
 
-        f1 = kappa (1 - gamma / 2),   f2 = max(1 - gamma, 1/2)
+        f1 = kappa (1 - gamma / 2)
 
-    leave the top direction the slack gamma / 2 for the stability error, the
-    inliers the prune and the filters removed, and the outliers' share of
-    its Rayleigh quotient. In turn an accepted direction, whose trimmed
+    leaves the top direction the slack gamma / 2 for the stability error,
+    the inliers the prune and the filters removed, and the outliers' share
+    of its Rayleigh quotient. In turn an accepted direction, whose trimmed
     variance is at least f1 times its Rayleigh quotient, carries 1 - O(gamma)
     of that quotient in inlier variance, as 1 - kappa = O(eps ln(1 / eps)) =
-    O(gamma). eta sets the stream test's band [f1, (1 + 2 eta) f1] of the
-    Rayleigh quotient: eta = ``DECISION_MARGIN`` min(1, (kappa - f1) / f1) =
+    O(gamma); the quotient itself is at least 1 - gamma times the top one,
+    which the candidate's chain carries (``power_chain_length``). eta sets the
+    stream test's band [f1, (1 + 2 eta) f1] of the Rayleigh quotient:
+    eta = ``DECISION_MARGIN`` min(1, (kappa - f1) / f1) =
     DECISION_MARGIN min(1, gamma / (2 - gamma)), computed in the second form
     since kappa - f1 cancels at small gamma. The band's top is then halfway
     from f1 to kappa, so a direction whose trimmed variance keeps kappa of
@@ -123,9 +117,8 @@ def acceptance_factors(eps: float, gamma: float) -> tuple[float, float, float]:
     """
     kappa = trim_keep_share((1.0 + TRIM_ACCURACY) * TRIM_TAIL * eps)
     f1 = kappa * (1.0 - gamma / 2.0)
-    f2 = min(1.0, max(1.0 - gamma, ACCEPT_RAYLEIGH_FLOOR))
     eta = DECISION_MARGIN * min(1.0, gamma / (2.0 - gamma))
-    return f1, f2, eta
+    return f1, eta
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,6 @@ class Candidate:
     u: np.ndarray
     rayleigh_emp: float
     sigma_robust: float
-    reference_rayleigh: float
     accepted: bool
     # Stream only: the driver direction that rode the certificate's chain
     # (``sample_top_eigenvector_streaming``) as a one-tuple, holding None if
@@ -149,39 +141,26 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     """Batch candidate: u = normalize(B^p z) judged against batch estimates.
 
     ``op`` is B, the normalized second moment of the m surviving points
-    (``op.rows``) of a population of ``n_total``. The reference Rayleigh
-    quotient comes from an independent power iteration; the robust variance
-    from the 3*eps-tail trimmed mean of squared projections of ``op.rows``
-    onto u, over n_total. All reported scalars are per unit norm of u.
-
-    The reference chain has one start, so it is sized to succeed but with
-    probability ``fail_prob`` (``power_chain_length``): 158 steps at d = 50,
-    gamma = 0.1 and the first certificate's share 0.025. The stream's block
-    of shorter starts would not pay here: on a formed G a block step costs
-    about two vector steps. The candidate chain is sized for one start at
-    ``START_FAILURE``; a candidate that falls short fails the Rayleigh test,
-    which costs an iteration, not soundness.
+    (``op.rows``) of a population of ``n_total``. The chain has one start, so
+    it is sized to reach a Rayleigh quotient of at least (1 - gamma) times
+    B's top eigenvalue but with probability ``fail_prob``
+    (``power_chain_length``): 158 steps at d = 50, gamma = 0.1 and the first
+    certificate's share 0.025. The stream's block of shorter starts would
+    not pay here: on a formed G a block step costs about two vector steps.
+    The robust variance is the 3*eps-tail trimmed mean of squared
+    projections of ``op.rows`` onto u, over n_total. All reported scalars
+    are per unit norm of u.
     """
-    d = op.dim
-
-    _y, r_hat = power_iteration(op, power_chain_length(d, gamma, fail_prob), rng)
-
-    p_cert = power_chain_length(d, gamma, START_FAILURE)
-    u = gaussian_retry(rng, d, lambda z: power_direction(op, p_cert, z))
-    if u is None:
-        raise DegenerateStateError("candidate power iterate collapsed to zero")
-
-    rayleigh_emp = float(u @ op.matvec(u))
+    u, rayleigh_emp = power_iteration(op, power_chain_length(op.dim, gamma, fail_prob), rng)
 
     f_u = (op.rows @ u) ** 2
     tail = TRIM_TAIL * eps
     cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
     sigma = trimmed_variance(f_u, cap, n_total)
 
-    f1, f2, _eta = acceptance_factors(eps, gamma)
-    accepted = sigma >= f1 * rayleigh_emp and rayleigh_emp >= f2 * r_hat
+    f1, _eta = acceptance_factors(eps, gamma)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
-                     reference_rayleigh=r_hat, accepted=accepted)
+                     accepted=sigma >= f1 * rayleigh_emp)
 
 
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
@@ -193,18 +172,17 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
     ``fail_prob`` is split in three equal parts, one for each estimate that
-    can fail: the reference quotient, the trim cutoff and the robust mean.
+    can fail: the candidate's chain, the trim cutoff and the robust mean.
     By the union bound the certificate errs with probability at most
     ``fail_prob``.
 
-    The reference quotient is the best of reps = ceil(log2(3 / fail_prob))
-    Gaussian starts that share one streamed block chain of
-    p = ``power_chain_length(d, gamma, START_FAILURE)`` steps, enough for one
-    start to reach (1 - gamma)-accuracy with probability at least 1/2. Given
-    the chain's minibatches, whose error ``batch_size`` governs, the starts
-    are independent, so all of them miss with probability at most
-    (1/2)^reps <= fail_prob / 3. The candidate is one more start on the same
-    chain; a collapsed one is redrawn on a chain and a batch of its own.
+    The candidate is the best, by Rayleigh quotient on one fresh minibatch,
+    of reps = ceil(log2(3 / fail_prob)) Gaussian starts that share one
+    streamed block chain of p = ``power_chain_length(d, gamma,
+    START_FAILURE)`` steps, enough for one start to reach (1 - gamma)-accuracy
+    with probability at least 1/2. Given the chain's minibatches, whose error
+    ``batch_size`` governs, the starts are independent, so all of them miss
+    with probability at most (1/2)^reps <= fail_prob / 3.
     ``direction`` = (p_k, rng_dir) sets the driver's next filter direction:
     when p_k <= p its start, ``rng_dir.standard_normal(d)``, rides the chain
     too for p_k steps, drawing no rows of its own, and comes back as
@@ -244,21 +222,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     if direction is not None and direction[0] <= p:
         p_k, rng_dir = direction
         riders = ((rng_dir.standard_normal(d), p_k),)
-    r_hat, cand, rode = approx_power_iteration(source, stack, p, reps, batch_size,
-                                               rng, ledger=ledger, riders=riders)
-    if cand is not None:
-        u, rayleigh_emp = cand
-    else:
-        u = streamed_power_direction(source, stack, p, batch_size, rng, ledger=ledger)
-        if u is None:
-            raise DegenerateStateError("candidate power iterate collapsed to zero")
-        rayleigh_emp = float(streamed_rayleigh(source, stack, u, batch_size, ledger))
+    u, rayleigh_emp, rode = approx_power_iteration(source, stack, p, reps, batch_size,
+                                                   rng, ledger=ledger, riders=riders)
 
-    f1, f2, eta = acceptance_factors(eps, gamma)
+    f1, eta = acceptance_factors(eps, gamma)
     mu0 = f1 * rayleigh_emp
     if not mu0 > 0.0:
         return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=0.0,
-                         reference_rayleigh=r_hat, accepted=False, rider=tuple(rode))
+                         accepted=False, rider=tuple(rode))
 
     tail = TRIM_TAIL * eps
     if tail > 0:
@@ -270,7 +241,5 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     bar = (1.0 + eta) * mu0
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, ledger,
                                bar=bar, margin=eta)
-
-    accepted = sigma >= bar and rayleigh_emp >= f2 * r_hat
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
-                     reference_rayleigh=r_hat, accepted=accepted, rider=tuple(rode))
+                     accepted=sigma >= bar, rider=tuple(rode))

@@ -156,8 +156,9 @@ C_INNER = 3.0    # scales the base matrix power
 class AlgoConfig:
     """Run parameters and schedule constants.
 
-    ``eps`` is the assumed corruption rate; ``gamma`` the stability slack
-    (at least 20*eps; defaults to 20*eps, or 0.05 at eps = 0).
+    ``eps`` is the assumed corruption rate, in [0, 0.05] since
+    20*eps <= gamma <= 1; ``gamma`` the stability slack (at least 20*eps;
+    defaults to 20*eps, or 0.05 at eps = 0).
     ``t_end``/``k_end`` are normally derived from the schedule formulas
     (``C_OUTER``, ``C_INNER``) and only set here to override them.
     """
@@ -170,9 +171,9 @@ class AlgoConfig:
     max_resident_scalars: int | None = None   # a stream rep's ledger limit
 
     def __post_init__(self):
-        if not (0.0 <= self.eps < 0.5):
+        if not (0.0 <= self.eps <= 0.05):
             raise ValueError(
-                f"eps must lie in [0, 0.5) and satisfy 20*eps <= gamma; got eps={self.eps}"
+                f"eps must lie in [0, 0.05], since 20*eps <= gamma <= 1; got eps={self.eps}"
             )
         if self.gamma is None:
             self.gamma = 20.0 * self.eps if self.eps > 0 else 0.05

@@ -13,8 +13,8 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 - ``certificate(fail_prob, rng, p_k, rng_dir) -> Candidate``: a candidate
   whose judgement errs with probability at most ``fail_prob``. ``p_k`` and
   ``rng_dir`` are what the iteration's ``direction`` call will be handed;
-  the stream suite lets that direction ride its certificate's chain, the
-  batch suite ignores them.
+  at eps > 0 the stream suite lets that direction ride its certificate's
+  chain, and the batch suite ignores them.
 - ``direction(p_k, rng, rider)``: unit power direction, or None if it
   collapsed. ``rider`` is the ``certificate.Candidate.rider`` of the same
   iteration. The stream suite returns the direction that rode, and

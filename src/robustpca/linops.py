@@ -38,9 +38,10 @@ class SecondMomentOp:
     below the rows' m d) and every column is served as ``G @ z / m`` at d^2;
     over m <= d rows a column costs 2 m d. A set serving c columns thus costs
     (m + c) d^2 against 2 c m d over its rows, so G is never worse once
-    c >= d; the solver's sets serve at least p_ref + p_cert + 2 columns
-    (``certificate.power_chain_length``). G is lazy, so an operator never
-    multiplied never builds it. Deterministic given the rows and the calls.
+    c >= d; the solver's sets serve at least p + 1 columns, p the length of
+    the certificate's chain (``certificate.power_chain_length``). G is lazy,
+    so an operator never multiplied never builds it. Deterministic given the
+    rows and the calls.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -271,57 +272,54 @@ def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
                            ledger: ScalarLedger | None = None, riders=()):
-    """Best Rayleigh quotient over ``reps`` minibatch power probes, plus riders.
+    """Best of ``reps`` minibatch power probes by Rayleigh quotient, plus riders.
 
-    The ``reps`` Gaussian starts are the columns of one (d, reps) block that
-    goes through a single streamed power chain; the independent starts boost
-    the constant success probability of a single probe. Each output column
-    is normalized on its own, columns with zero or non-finite norm are
-    dropped, and the best ``streamed_rayleigh`` on one fresh minibatch is
-    kept.
+    The ``reps`` Gaussian starts, drawn from ``rng`` as one (reps, d) block,
+    are the columns of a block that goes through a single streamed power
+    chain; the independent starts boost the constant success probability of
+    a single probe. Each output column is normalized on its own, columns
+    with zero or non-finite norm are dropped, and the column with the best
+    ``streamed_rayleigh`` on one fresh minibatch is kept.
 
-    More starts ride the same chain as further columns of the block: the
-    candidate, one more Gaussian start from ``rng`` run for the same p
-    steps, and each (start, power) pair of ``riders``. The chain is ragged:
-    each column carries its own power q and goes through the first q
-    minibatches. One loop runs over the distinct powers in ascending order
-    and applies the minibatches up to each to the columns still live, those
-    whose power reaches it. So a column of power q sees q fresh iid
-    minibatches from a start drawn independently of them, exactly what a
-    q-step chain on minibatches of its own would see, and each estimate
-    keeps the distribution it had alone. Only their joint law changes, as
-    they share rows; a caller that union-bounds their failures needs no
-    independence between them, because the union bound holds under any
-    dependence. This is the one home of that argument.
+    More starts ride the same chain as further columns of the block: each
+    (start, power) pair of ``riders``. The chain is ragged: each column
+    carries its own power q and goes through the first q minibatches. One
+    loop runs over the distinct powers in ascending order and applies the
+    minibatches up to each to the columns still live, those whose power
+    reaches it. So a column of power q sees q fresh iid minibatches from a
+    start drawn independently of them, exactly what a q-step chain on
+    minibatches of its own would see, and each estimate keeps the
+    distribution it had alone. Only their joint law changes, as they share
+    rows; a caller that union-bounds their failures needs no independence
+    between them, because the union bound holds under any dependence. This
+    is the one home of that argument.
 
-    The reference columns and the candidate are scored on the last
-    minibatch; the riders are not. Returns (best Rayleigh quotient,
-    (unit candidate, its Rayleigh quotient), [unit rider, ...]), with None
-    in place of the candidate's pair or of a rider that collapsed. Consumes
-    exactly (max power + 1) * batch_size stream samples, however many
-    columns there are.
+    The probes are scored on the minibatch after the longest column's; the
+    riders are not. Returns (best unit probe, its Rayleigh quotient,
+    [unit rider, ...]), with None in place of a rider that collapsed.
+    Raises DegenerateStateError when every probe collapses. Consumes exactly
+    (max power + 1) * batch_size stream samples, however many columns there
+    are.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     # Row-major fill: column j is the vector the j-th of separate
-    # ``standard_normal(d)`` draws would give, the candidate's start last.
-    starts = rng.standard_normal((reps + 1, source.dim)).T
-    block = np.column_stack([starts] + [start for start, _q in riders])
-    powers = np.array([p] * (reps + 1) + [q for _start, q in riders])
+    # ``standard_normal(d)`` draws would give.
+    block = np.column_stack([rng.standard_normal((reps, source.dim)).T]
+                            + [start for start, _q in riders])
+    powers = np.array([p] * reps + [q for _start, q in riders])
     done = 0
     for q in sorted(set(powers.tolist())):
         live = powers >= q
         block[:, live] = streamed_power_apply(source, stack, q - done, batch_size,
                                               block[:, live], ledger=ledger)
         done = q
-    y, cand = block[:, :reps], _unit(block[:, reps])
+    y = block[:, :reps]
     nrm = np.linalg.norm(y, axis=0)
     alive = np.isfinite(nrm) & (nrm > 0.0)
     if not alive.any():
         raise DegenerateStateError("every power probe collapsed to the zero vector")
     y = y[:, alive] / nrm[alive]
-    scored = y if cand is None else np.column_stack([y, cand])
-    rq = streamed_rayleigh(source, stack, scored, batch_size, ledger)
-    r_hat = float(np.max(rq[:y.shape[1]]))
-    return (r_hat, None if cand is None else (cand, float(rq[-1])),
-            [_unit(col) for col in block[:, reps + 1:].T])
+    rq = streamed_rayleigh(source, stack, y, batch_size, ledger)
+    best = int(np.argmax(rq))
+    return y[:, best].copy(), float(rq[best]), [_unit(col) for col in block[:, reps:].T]

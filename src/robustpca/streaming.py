@@ -163,9 +163,12 @@ class MinibatchEstimators:
 
     def certificate(self, fail_prob: float, rng: np.random.Generator, p_k: int,
                     rng_dir: np.random.Generator) -> Candidate:
+        # At eps = 0 ``drive`` runs no direction, so none rides the chain.
+        eps = self.config.eps
         return sample_top_eigenvector_streaming(
-            self.source, self.stack, self.config.eps, self.config.gamma, fail_prob,
-            rng, batch_size=BATCH_SIZE_CAP, ledger=self.ledger, direction=(p_k, rng_dir),
+            self.source, self.stack, eps, self.config.gamma, fail_prob, rng,
+            batch_size=BATCH_SIZE_CAP, ledger=self.ledger,
+            direction=(p_k, rng_dir) if eps > 0 else None,
         )
 
     def direction(self, p_k: int, rng: np.random.Generator,

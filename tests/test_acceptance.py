@@ -125,14 +125,12 @@ def test_04_potential_decrease_with_dense_shadow(monkeypatch):
     d, n = 16, 20_000
     eps, gamma = 1e-4, 0.002
     cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4, k_end=1)
-    # The bound's chains at gamma = 0.002 run thousands of steps (9,474 for
-    # the first reference, 6,284 for a candidate); this gate measures the
-    # filter, not the chains, so they keep the short lengths 2 ln(d /
-    # (gamma fail_prob)) and 2 ln(d / gamma) it was set at: 26 steps for the
-    # first reference and 18 for every candidate.
-    monkeypatch.setattr(certificate, "power_chain_length", lambda dim, g, fail_prob: (
-        18 if fail_prob == certificate.START_FAILURE
-        else math.ceil(2 * math.log(dim / (g * fail_prob)))))
+    # The bound's chain at gamma = 0.002 runs thousands of steps (9,474 for
+    # the first certificate); this gate measures the filter, not the chain,
+    # so it keeps the short length 2 ln(d / (gamma fail_prob)) it was set
+    # at: 26 steps for the first certificate.
+    monkeypatch.setattr(certificate, "power_chain_length", lambda dim, g, fail_prob:
+                        math.ceil(2 * math.log(dim / (g * fail_prob))))
     ratios = []
     monotone_ok = True
     for seed in range(200):

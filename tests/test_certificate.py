@@ -44,18 +44,18 @@ from robustpca.errors import DegenerateStateError
 
 def test_acceptance_factors_clamping():
     # f1 = kappa(3.5 eps) (1 - gamma / 2), kappa(0.0175) = 0.8698; at eps = 0
-    # nothing is trimmed and kappa = 1. f2 = 1 - gamma down to its floor 1/2,
-    # and eta = min(1, gamma / (2 - gamma)) / 4, 1/4 at gamma = 1.
-    f1, f2, eta = acceptance_factors(0.005, 0.1)
-    assert f1 == pytest.approx(trim_keep_share(0.0175) * 0.95) and f2 == pytest.approx(0.9)
+    # nothing is trimmed and kappa = 1. eta = min(1, gamma / (2 - gamma)) / 4,
+    # 1/4 at gamma = 1.
+    f1, eta = acceptance_factors(0.005, 0.1)
+    assert f1 == pytest.approx(trim_keep_share(0.0175) * 0.95)
     assert f1 == pytest.approx(0.8263, abs=1e-4) and eta == pytest.approx(0.1 / 1.9 / 4)
-    f1, f2, eta = acceptance_factors(0.05, 1.0)   # the nominal f2 goes to 0
-    assert f1 == pytest.approx(trim_keep_share(0.175) / 2) and f2 == 0.5 and eta == 0.25
-    f1, f2, eta = acceptance_factors(0.0, 0.2)
-    assert f1 == pytest.approx(0.9) and f2 == pytest.approx(0.8)
+    f1, eta = acceptance_factors(0.05, 1.0)
+    assert f1 == pytest.approx(trim_keep_share(0.175) / 2) and eta == 0.25
+    f1, eta = acceptance_factors(0.0, 0.2)
+    assert f1 == pytest.approx(0.9)
     # The top of the stream band, (1 + 2 eta) f1, sits halfway from f1 to kappa.
     for eps, gamma in ((0.005, 0.1), (0.02, 0.4), (0.05, 1.0), (0.0005, 0.01)):
-        f1, _f2, eta = acceptance_factors(eps, gamma)
+        f1, eta = acceptance_factors(eps, gamma)
         kappa = trim_keep_share(3.5 * eps)
         assert (1 + 2 * eta) * f1 == pytest.approx((f1 + kappa) / 2)
 
@@ -113,16 +113,31 @@ def test_spiked_survivors_with_low_true_variance_rejected():
         assert cand.sigma_robust < 0.25 * cand.rayleigh_emp
 
 
+def test_batch_certificate_runs_one_chain(monkeypatch):
+    # The candidate is the chain's own output: p matvecs along a chain sized
+    # for the certificate's fail_prob, and one for its Rayleigh quotient.
+    d, n, gamma, fail_prob = 12, 3000, 0.4, 0.025
+    pts = np.random.default_rng(4).standard_normal((n, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
+    calls, real = [], SecondMomentOp.matvec
+
+    def spy(self, z):
+        calls.append(z.shape)
+        return real(self, z)
+
+    monkeypatch.setattr(SecondMomentOp, "matvec", spy)
+    sample_top_eigenvector(SecondMomentOp(pts), n, 0.02, gamma, fail_prob,
+                           np.random.default_rng(0))
+    assert len(calls) == power_chain_length(d, gamma, fail_prob) + 1
+
+
 def test_rejected_candidate_reports_reference():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((500, 6))
     cand = sample_top_eigenvector(SecondMomentOp(pts), 500, 0.01, 0.2, 0.1, rng)
-    assert cand.reference_rayleigh > 0
     assert cand.rayleigh_emp > 0
     if cand.accepted:
-        f1, f2, _eta = acceptance_factors(0.01, 0.2)
+        f1, _eta = acceptance_factors(0.01, 0.2)
         assert cand.sigma_robust >= f1 * cand.rayleigh_emp
-        assert cand.rayleigh_emp >= f2 * cand.reference_rayleigh
 
 
 def test_streaming_certificate_clean_accepts():
@@ -148,17 +163,16 @@ def _stream_certificate(src, eps, gamma, fail_prob, batch_size, stack=FilterStac
 
 def _mean_stages(cand, bound, eps, gamma, fail_prob):
     """The stages of the certificate's stream mean, over scores in [0, bound]."""
-    f1, _f2, eta = acceptance_factors(eps, gamma)
+    f1, eta = acceptance_factors(eps, gamma)
     bar = (1 + eta) * f1 * cand.rayleigh_emp
     return mean_stages(mean_ceiling(bound, fail_prob / 3, bar=bar, margin=eta))
 
 
 def _chain_samples(d, gamma, batch_size):
-    """The shared reference and candidate chain and the batch that scores both.
+    """The certificate's chain and the batch that scores its starts.
 
     The chain is sized for one start at START_FAILURE, so the count does not
-    depend on the certificate's failure probability, and the candidate is
-    one more column of it: (p + 1) * batch_size.
+    depend on the certificate's failure probability: (p + 1) * batch_size.
     """
     return (power_chain_length(d, gamma, START_FAILURE) + 1) * batch_size
 
@@ -183,8 +197,8 @@ def test_streaming_certificate_sample_count_from_its_decision():
     # Clean pool, every row accepted: the certificate draws its chains, one
     # quantile block and a stream mean capped at the Bernstein count
     # n = ceil(k (B / mu0) L), B the trim cutoff. The chain is
-    # (17 + 1) * 1,500 = 27,000 rows: the candidate is one more start on the
-    # reference chain (p = 17) and its scoring batch. fail_prob splits in
+    # (17 + 1) * 1,500 = 27,000 rows: p = 17 steps for every start and the
+    # batch that scores them. fail_prob splits in
     # three, so the block and the mean each take 0.05 / 3. At gamma = 0.4,
     # eta = 1/16 and k = 586.6; f1 = 0.520 puts B / mu0 near 6.6, and
     # L = ln(4 * 8 / (0.05 / 3)) = 7.56 over the 8 stages of n itself, so
@@ -206,7 +220,7 @@ def test_streaming_certificate_sample_count_from_its_decision():
     cap = streaming_quantile(lambda k: (twin.draw(k) @ cand.u) ** 2, tail, part, c_q=TRIM_C_Q)
     m = streaming_quantile_samples(tail, part, TRIM_C_Q)
 
-    f1, _f2, eta = acceptance_factors(eps, gamma)
+    f1, eta = acceptance_factors(eps, gamma)
     mu0 = f1 * cand.rayleigh_emp
     bar = (1 + eta) * mu0
     n = mean_ceiling(cap, part, bar=bar, margin=eta)
@@ -228,11 +242,11 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
     # of the band, (1 + 2 eta) f1 R = 0.977 R, halfway to kappa = 0.980,
     # stays below the clean trimmed mean (about 0.99 R), where eta = 1/4
     # would put it at 1.46 R, out of a trimmed mean's reach. Every chain
-    # batch is one full pass over the cycled pool, so both Rayleigh
-    # quotients are exact.
+    # batch is one full pass over the cycled pool, so the Rayleigh quotient
+    # is exact.
     d, n, eps, fail_prob = 3, 1000, 0.0005, 0.05
     cfg = AlgoConfig(eps=eps)
-    f1, _f2, eta = acceptance_factors(eps, cfg.gamma)
+    f1, eta = acceptance_factors(eps, cfg.gamma)
     assert f1 == pytest.approx(0.9747, abs=1e-4) and eta == pytest.approx(0.01 / 1.99 / 4)
     pool = np.random.default_rng(0).standard_normal((n, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
@@ -252,7 +266,7 @@ def test_streaming_certificate_unbounded_scores_raise(prune_radius_sq):
     # eps = 0 trims nothing. Under an infinite prune radius the scores have
     # no bound, and under the largest finite radius B / mu0 overflows the
     # count: no number of rows decides the test, so the certificate raises
-    # a typed error after the shared chain's (17 + 1) * 1,000 rows and
+    # a typed error after the chain's (17 + 1) * 1,000 rows and
     # before any mean draw. A stream solve never gets here: its prologue
     # sets a finite radius at eps = 0.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
@@ -265,12 +279,11 @@ def test_streaming_certificate_unbounded_scores_raise(prune_radius_sq):
 
 
 def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
-    # The shared chain sees only rows along e1, so the candidate and every
-    # reference column are exactly +-e1; the batch that scores them all sees
-    # only rows along e2, so rayleigh_emp (and the reference) is exactly 0.
-    # The robust test has no scale and the candidate is rejected before the
-    # quantile block and the stream-mean draw: the certificate draws p = 16
-    # chain batches and one scoring batch of 256.
+    # The chain sees only rows along e1, so every column is exactly +-e1;
+    # the batch that scores them all sees only rows along e2, so rayleigh_emp
+    # is exactly 0. The robust test has no scale and the candidate is
+    # rejected before the quantile block and the stream-mean draw: the
+    # certificate draws p = 16 chain batches and one scoring batch of 256.
     d, gamma, fail_prob, batch = 2, 0.4, 0.05, 256
     chains = _chain_samples(d, gamma, batch) - batch
     assert chains == 16 * batch
@@ -279,18 +292,17 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     pool[chains:, 1] = 1.0
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.02, gamma, fail_prob, batch)
-    assert cand.rayleigh_emp == 0.0 and cand.reference_rayleigh == 0.0
+    assert cand.rayleigh_emp == 0.0
     assert not cand.accepted and cand.sigma_robust == 0.0
     assert src.delivered == chains + batch
 
 
 def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     # The block of starts does the boosting, so a smaller fail_prob adds
-    # columns to the reference block but no steps to its chain: its
+    # columns to the block but no steps to its chain: its
     # ceil(log2(3 / fail_prob)) starts are 6 at 0.05 and 22 at 1e-6, the
-    # reference's third of fail_prob. At d = 6, gamma = 0.4 the chain has
-    # p = 17 steps for every column, the candidate's too, so each call
-    # draws (p + 1) batches.
+    # chain's third of fail_prob. At d = 6, gamma = 0.4 the chain has
+    # p = 17 steps for every column, so each call draws (p + 1) batches.
     calls = []
     real = certificate.approx_power_iteration
 
@@ -324,29 +336,31 @@ def _rows_and_power():
 
 
 def test_streaming_candidate_rides_the_reference_chain():
-    # The candidate's start is column reps of the certificate's (reps + 1, d)
-    # Gaussian block, reps = ceil(log2(3 / fail_prob)) for the reference's
-    # third of fail_prob. A separate p-step chain from that start over the
-    # same minibatches of a twin cycled pool gives the same direction, and
-    # the batch after it the same Rayleigh quotient.
+    # The candidate is the best column of the certificate's (reps, d)
+    # Gaussian block, reps = ceil(log2(3 / fail_prob)) for the chain's third
+    # of fail_prob. A separate p-step chain from the same block over the
+    # same minibatches of a twin cycled pool, scored on the batch after it,
+    # picks the same column with the same Rayleigh quotient.
     pool, gamma, p = _rows_and_power()
     fail_prob, batch = 0.05, 1000
     cand = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.02, gamma, fail_prob,
                                batch)
     reps = math.ceil(math.log2(3 / fail_prob))
-    start = np.random.default_rng(5).standard_normal((reps + 1, pool.shape[1]))[reps]
+    starts = np.random.default_rng(5).standard_normal((reps, pool.shape[1])).T
     twin = ReplaySource(pool, mode="cycle")
-    u = streamed_power_apply(twin, FilterStack(), p, batch, start)
-    u = u / np.linalg.norm(u)
-    np.testing.assert_allclose(cand.u, u, rtol=1e-10, atol=1e-14)
+    y = streamed_power_apply(twin, FilterStack(), p, batch, starts)
+    y = y / np.linalg.norm(y, axis=0)
     rows = twin.draw(batch)
-    assert cand.rayleigh_emp == pytest.approx(float(np.mean((rows @ u) ** 2)), rel=1e-10)
+    rq = np.mean((rows @ y) ** 2, axis=0)
+    best = int(np.argmax(rq))
+    np.testing.assert_allclose(cand.u, y[:, best], rtol=1e-10, atol=1e-14)
+    assert cand.rayleigh_emp == pytest.approx(float(rq[best]), rel=1e-10)
 
 
 def test_streaming_certificate_chains_cost_one_chain():
-    # The reference starts and the candidate share one chain of p = 17 steps,
-    # and one batch scores them all: 18,000 rows. At eps = 0 there is no
-    # quantile block, and the rest is one stage of the stream mean.
+    # Every start shares one chain of p = 17 steps, and one batch scores
+    # them all: 18,000 rows. At eps = 0 there is no quantile block, and the
+    # rest is one stage of the stream mean.
     pool, gamma, p = _rows_and_power()
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.0, gamma, 0.05, 1000, stack=PROMISED_STACK)
@@ -354,66 +368,24 @@ def test_streaming_certificate_chains_cost_one_chain():
     assert src.delivered - 18_000 in _mean_stages(cand, 250.0, 0.0, gamma, 0.05)
 
 
-class _RiderCollapses:
-    """A Generator whose first block of starts has a zero last row."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.first = True
-
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
-        if self.first:
-            out[-1] = 0.0
-            self.first = False
-        return out
-
-
-def test_streaming_collapsed_candidate_takes_the_retry_chain():
-    # A zero candidate start collapses its column of the shared chain. The
-    # reference is unaffected; the candidate comes from a fresh start on its
-    # own p-step chain after the shared one, scored on its own batch, so the
-    # certificate draws 2 (p + 1) batches before a stage of the stream mean.
-    # The block holds reps = ceil(log2(3 / 0.05)) = 6 reference starts and
-    # the candidate's.
-    pool, gamma, p = _rows_and_power()
-    d, fail_prob, batch = pool.shape[1], 0.05, 1000
-    reps = math.ceil(math.log2(3 / fail_prob))
-    src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, 0.0, gamma, fail_prob, batch, stack=PROMISED_STACK,
-                               rng=_RiderCollapses(5))
-    chains = 2 * (p + 1) * batch
-    assert src.delivered - chains in _mean_stages(cand, 250.0, 0.0, gamma, fail_prob)
-
-    plain = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.0, gamma, fail_prob,
-                                batch, stack=PROMISED_STACK)
-    assert cand.reference_rayleigh == pytest.approx(plain.reference_rayleigh, rel=1e-10)
-
-    rng = np.random.default_rng(5)
-    rng.standard_normal((reps + 1, d))
-    twin = ReplaySource(pool, mode="cycle")
-    twin.draw((p + 1) * batch)
-    u = streamed_power_apply(twin, FilterStack(), p, batch, rng.standard_normal(d))
-    u = u / np.linalg.norm(u)
-    np.testing.assert_allclose(cand.u, u, rtol=1e-10, atol=1e-14)
-    rows = twin.draw(batch)
-    assert cand.rayleigh_emp == pytest.approx(float(np.mean((rows @ u) ** 2)), rel=1e-10)
-
-
 def test_streaming_reference_reaches_top_rayleigh_on_every_seed():
     # Every chain batch and the scoring batch are one full pass over the
-    # cycled pool, so the reference is the best exact Rayleigh quotient over
-    # its block of starts. The pool's second eigenvalue is 0.535 lambda1,
-    # below the (1 - gamma) lambda1 bar, so a start passes only once the
-    # chain has lifted its top component: half of all single starts fail
-    # after one step.
+    # cycled pool, so the candidate's Rayleigh quotient is the best exact one
+    # over its block of starts. The pool's second eigenvalue is 0.535
+    # lambda1, below the (1 - gamma) lambda1 bar, so a start passes only once
+    # the chain has lifted its top component: half of all single starts fail
+    # after one step. The batch candidate's one start, on a chain sized for
+    # the whole fail_prob, passes on the same pool.
     d, n, gamma, fail_prob = 10, 2000, 0.4, 0.05
     pool = np.random.default_rng(11).standard_normal((n, d)) * np.sqrt([1.0] + [0.5] * (d - 1))
     lam1 = float(np.linalg.eigvalsh(pool.T @ pool / n)[-1])
     for seed in range(30):
         src = ReplaySource(pool, mode="cycle")
         cand = _stream_certificate(src, 0.02, gamma, fail_prob, n, seed=seed)
-        assert cand.reference_rayleigh >= (1 - gamma) * lam1, seed
+        assert cand.rayleigh_emp >= (1 - gamma) * lam1, seed
+        cand = sample_top_eigenvector(SecondMomentOp(pool), n, 0.02, gamma, fail_prob,
+                                      np.random.default_rng(seed))
+        assert cand.rayleigh_emp >= (1 - gamma) * lam1, seed
 
 
 @pytest.mark.parametrize("high_sq,accept", [(30.0, False), (12.0, True)])
@@ -426,7 +398,7 @@ def test_streaming_certificate_decides_against_its_threshold(high_sq, accept):
     # mu >= (1 + 2 eta) f1 R accepted (about 0.53 at high_sq = 12), on
     # every seed.
     eps, gamma, mu = 0.05, 1.0, 0.6
-    f1, _f2, eta = acceptance_factors(eps, gamma)
+    f1, eta = acceptance_factors(eps, gamma)
     pool = np.sqrt(np.array([2 / 3] * 900 + [high_sq] * 100))[:, None]
     for seed in range(50):
         src = SyntheticSource(1, lambda r, k: (pool[r.integers(0, 1000, size=k)], None),

@@ -133,6 +133,7 @@ NAN = float("nan")
     ("boost_reps", True), ("max_resident_scalars", 1e6),
     ("c_pi", 0.0), ("c_cert", -1.0), ("c_pi", NAN), ("c_acc", NAN), ("c_acc", -1.0),
     ("c_pi", math.inf), ("c_cert", math.inf),
+    ("eps", 0.1), ("eps", 0.06),
 ])
 def test_config_rejects_values_no_solve_can_use(field, value):
     # t_end or k_end at 0 divides by zero in drive. A NaN count fails
@@ -141,11 +142,12 @@ def test_config_rejects_values_no_solve_can_use(field, value):
     # The certificate constants c_pi, c_cert and c_acc are derived now, and
     # the stream minibatch is the constant streaming.BATCH_SIZE_CAP, so
     # AlgoConfig refuses them, batch_size included, at any value as unknown
-    # keywords.
+    # keywords. eps lies in [0, 0.05], since 20*eps <= gamma <= 1, and a
+    # larger one is refused as eps, not as the default gamma it implies.
     known = {f.name for f in dataclasses.fields(AlgoConfig)}
     error = ValueError if field in known else TypeError
     with pytest.raises(error, match=field):
-        AlgoConfig(eps=0.01, **{field: value})
+        AlgoConfig(**{"eps": 0.01, field: value})
     AlgoConfig(eps=0.01, t_end=1, k_end=1, max_resident_scalars=0)
 
 

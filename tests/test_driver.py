@@ -395,7 +395,7 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
     # An infinite f1, which no trimmed variance reaches, rejects every
     # candidate, so both reps run.
     monkeypatch.setattr(certificate, "acceptance_factors",
-                        lambda eps, gamma: (math.inf, 0.5, 0.25))
+                        lambda eps, gamma: (math.inf, 0.25))
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, rng_seed=3,
                      config=AlgoConfig(t_end=1, k_end=1, boost_reps=2))
     assert res.status is PcaStatus.FALLBACK_BEST

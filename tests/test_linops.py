@@ -352,8 +352,8 @@ def test_power_iteration_guarantee_rate():
 def test_approx_power_iteration_two_point_population():
     pop = np.array([[math.sqrt(5.0), 0.0], [-math.sqrt(5.0), 0.0]])
     src = ReplaySource(pop, mode="cycle")
-    r_hat, _, _ = approx_power_iteration(src, FilterStack(), p=4, reps=5, batch_size=16,
-                                      rng=np.random.default_rng(1))
+    _u, r_hat, _ = approx_power_iteration(src, FilterStack(), p=4, reps=5, batch_size=16,
+                                          rng=np.random.default_rng(1))
     assert 4.5 <= r_hat <= 5.5
 
 
@@ -367,22 +367,21 @@ def test_approx_power_iteration_isotropic():
         return pop[idx], None
 
     src = SyntheticSource(d, draw, np.random.default_rng(3))
-    r_hat, _, _ = approx_power_iteration(src, FilterStack(), p=6, reps=6, batch_size=4000,
-                                      rng=np.random.default_rng(4))
+    _u, r_hat, _ = approx_power_iteration(src, FilterStack(), p=6, reps=6, batch_size=4000,
+                                          rng=np.random.default_rng(4))
     assert abs(r_hat - c) <= 0.1 * c  # population second moment is c * I
 
 
 def test_approx_power_iteration_single_rep_is_one_probe():
     # reps=1 is definitionally one randomized probe: same rng, same draws,
-    # same Rayleigh quotient as doing the steps by hand. The rider runs no
-    # longer than the probe, so it draws no rows of its own.
+    # same direction and Rayleigh quotient as doing the steps by hand.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
 
     src_a = ReplaySource(pop, mode="cycle")
-    got, _, _ = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
-                                    rng=np.random.default_rng(42))
+    u, got, _ = approx_power_iteration(src_a, stack, p, reps=1, batch_size=batch,
+                                       rng=np.random.default_rng(42))
     src_b = ReplaySource(pop, mode="cycle")
     g = np.random.default_rng(42).standard_normal(4)
     y = streamed_power_apply(src_b, stack, p, batch, g)
@@ -390,6 +389,7 @@ def test_approx_power_iteration_single_rep_is_one_probe():
     pts = src_b.draw(batch)
     acc = pts[stack.weights(pts)]
     want = float((acc @ y) @ (acc @ y)) / acc.shape[0]
+    np.testing.assert_allclose(u, y, rtol=1e-12)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -408,41 +408,40 @@ def test_approx_power_iteration_drops_collapsed_columns():
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
-    g, h = np.random.default_rng(42).standard_normal((2, 4))
+    g = np.random.default_rng(42).standard_normal(4)
     zero, nan = np.zeros(4), np.full(4, np.nan)
 
-    got, _, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
-                                    batch_size=batch, rng=_FixedStarts([zero, nan, g, h]))
-    want, _, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
-                                     batch_size=batch, rng=_FixedStarts([g, h]))
+    u, got, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=3,
+                                       batch_size=batch, rng=_FixedStarts([zero, nan, g]))
+    v, want, _ = approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=1,
+                                        batch_size=batch, rng=_FixedStarts([g]))
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-12)
+    np.testing.assert_allclose(u, v, rtol=1e-12)
 
     with pytest.raises(DegenerateStateError):
         approx_power_iteration(ReplaySource(pop, mode="cycle"), stack, p, reps=2,
-                               batch_size=batch, rng=_FixedStarts([zero, nan, h]))
+                               batch_size=batch, rng=_FixedStarts([zero, nan]))
 
 
 @pytest.mark.parametrize("q", [2, 5])
 def test_approx_power_iteration_rider_shares_the_chain(q):
-    # The candidate's start is column reps of the block and runs the
-    # reference's p steps; a rider of power q runs q steps over the chain's
-    # own minibatches (the block runs min(p, q), the longer side goes on
-    # alone), so the call draws (max(p, q) + 1) batches. The candidate is
-    # scored on the reference's batch. A collapsed candidate or rider comes
-    # back as None.
+    # A rider of power q runs q steps over the chain's own minibatches (the
+    # block runs min(p, q), the longer side goes on alone), so the call draws
+    # (max(p, q) + 1) batches. The probe is scored on the batch after the
+    # longest column's. A collapsed rider comes back as None and leaves the
+    # probe as it was.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
-    g, h, k = np.random.default_rng(42).standard_normal((3, 4))
+    g, k = np.random.default_rng(42).standard_normal((2, 4))
 
     src = ReplaySource(pop, mode="cycle")
-    r_hat, (u, rayleigh), [w] = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
-        riders=[(k, q)])
+    u, rayleigh, [w] = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]), riders=[(k, q)])
     assert src.delivered == (max(p, q) + 1) * batch
     twin = ReplaySource(pop, mode="cycle")
-    want = streamed_power_apply(twin, stack, p, batch, h)
+    want = streamed_power_apply(twin, stack, p, batch, g)
     np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
     if q > p:
         twin.draw((q - p) * batch)
@@ -453,31 +452,31 @@ def test_approx_power_iteration_rider_shares_the_chain(q):
     np.testing.assert_allclose(w, want / np.linalg.norm(want), rtol=1e-12)
 
     src = ReplaySource(pop, mode="cycle")
-    r_zero, cand, [rider] = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, np.zeros(4)]),
+    u_zero, r_zero, [rider] = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
         riders=[(np.zeros(4), q)])
-    assert cand is None and rider is None
+    assert rider is None
     assert src.delivered == (max(p, q) + 1) * batch
-    assert r_zero == pytest.approx(r_hat, rel=1e-12)
+    np.testing.assert_allclose(u_zero, u, rtol=1e-12)
+    assert r_zero == pytest.approx(rayleigh, rel=1e-12)
 
 
 @pytest.mark.parametrize("q, extra", [(2, 1), (2, 3), (5, 5), (2, 6), (5, 8)])
 def test_approx_power_iteration_ragged_riders(q, extra):
-    # Riders of powers q and ``extra`` ride the chain of the reference and
-    # the candidate (both p = 3). Each column goes through the first
-    # minibatches up to its own power and matches a chain of its own over
-    # them; a column no longer than the others adds no rows, a longer one
-    # extends the call by exactly its excess minibatches. Only the
-    # reference and the candidate are scored, on the minibatch after the
-    # longest column's.
+    # Riders of powers q and ``extra`` ride the probe's chain (p = 3). Each
+    # column goes through the first minibatches up to its own power and
+    # matches a chain of its own over them; a column no longer than the
+    # others adds no rows, a longer one extends the call by exactly its
+    # excess minibatches. Only the probe is scored, on the minibatch after
+    # the longest column's.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
-    g, h, k, m = np.random.default_rng(42).standard_normal((4, 4))
+    g, k, m = np.random.default_rng(42).standard_normal((3, 4))
 
     src = ReplaySource(pop, mode="cycle")
-    r_hat, (u, rayleigh), [v, w] = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
+    u, rayleigh, [v, w] = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
         riders=[(m, q), (k, extra)])
     chain = max(p, q, extra)
     assert src.delivered == (chain + 1) * batch
@@ -492,17 +491,15 @@ def test_approx_power_iteration_ragged_riders(q, extra):
         out = out / np.linalg.norm(out)
         return out, float(np.mean((acc @ out) ** 2))
 
-    _y, want_r = twin(g, p)
-    assert r_hat == pytest.approx(want_r, rel=1e-12)
-    want_u, want_rayleigh = twin(h, p)
+    want_u, want_rayleigh = twin(g, p)
     np.testing.assert_allclose(u, want_u, rtol=1e-12)
     assert rayleigh == pytest.approx(want_rayleigh, rel=1e-12)
     np.testing.assert_allclose(v, twin(m, q)[0], rtol=1e-12)
     np.testing.assert_allclose(w, twin(k, extra)[0], rtol=1e-12)
 
     src = ReplaySource(pop, mode="cycle")
-    _r, _cand, riders = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g, h]),
+    _u, _r, riders = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
         riders=[(m, q), (np.zeros(4), extra), (k, extra)])
     assert riders[1] is None
     np.testing.assert_allclose(riders[0], v, rtol=1e-12)

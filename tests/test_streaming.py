@@ -121,9 +121,9 @@ def test_non_finite_stream_row_is_rejected():
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
     # The first certificate accepts. At eps = 0 there is no norm quantile,
     # so the opnorm block is the suite's first estimate, at failure_share(1).
-    # Then come (13 + 1) * 4,096 chain rows (the reference starts and the
-    # candidate share a chain of power_chain_length(5, 0.5, 1/2) = 13 steps,
-    # and one batch scores them all) and the stream mean, whose scores the
+    # Then come (13 + 1) * 4,096 chain rows (the starts share a chain of
+    # power_chain_length(5, 0.5, 1/2) = 13 steps, and one batch scores them
+    # all) and the stream mean, whose scores the
     # prune radius^2 2 r^2 d sigma_op bounds, settling at its stage of 8,192
     # rows.
     block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
@@ -737,3 +737,15 @@ def test_a_collapsed_rider_falls_back_to_the_remaining_starts():
     before = src.delivered
     assert suite.direction(p_k, rng_dir, cand.rider) is None
     assert rng_dir.drawn == 8 and src.delivered - before == 7 * p_k * BATCH_SIZE_CAP
+
+
+def test_no_direction_rides_at_eps_zero():
+    # At eps = 0 ``drive`` runs no filter direction, so the certificate's
+    # chain carries no rider and draws no start from rng_dir.
+    pool, _spec = _spiked_pool(d=8, rows=20_000, rate=0.0)
+    suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
+                                AlgoConfig(eps=0.0, gamma=0.6), 1.5, ScalarLedger())
+    suite.prologue()
+    rng_dir = _ZeroStarts()
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), 1, rng_dir)
+    assert cand.rider == () and rng_dir.drawn == 0
