@@ -131,7 +131,8 @@ class Candidate:
     accepted: bool
     # Stream only: the driver direction that rode the certificate's chain
     # (``sample_top_eigenvector_streaming``) as a one-tuple, holding None if
-    # it collapsed; empty when none rode.
+    # it collapsed, which ``drive`` raises as DegenerateStateError since no
+    # start is retried; empty when none rode.
     rider: tuple = ()
 
 

@@ -15,11 +15,12 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
   ``rng_dir`` are what the iteration's ``direction`` call will be handed;
   at eps > 0 the stream suite lets that direction ride its certificate's
   chain, and the batch suite ignores them.
-- ``direction(p_k, rng, rider)``: unit power direction, or None if it
-  collapsed. ``rider`` is the ``certificate.Candidate.rider`` of the same
-  iteration. The stream suite returns the direction that rode, and
-  otherwise runs a chain of its own; after a collapsed rider that chain
-  takes the remaining starts, 8 in all. The batch suite ignores it.
+- ``direction(p_k, rng, rider)``: unit power direction from one Gaussian
+  start, or None if its chain collapsed, which ``drive`` ends with
+  DegenerateStateError; no start is retried. ``rider`` is the
+  ``certificate.Candidate.rider`` of the same iteration. The stream suite
+  returns the direction that rode, collapsed or not, and otherwise runs a
+  chain of its own. The batch suite ignores it.
 - ``start_iteration(v) -> bool``: keep the direction for the calls below;
   False when every surviving score is zero, so filtering would be a no-op.
 - ``quantile_value(tail)``: a score cutoff along the kept direction;
@@ -49,12 +50,7 @@ from .core import AlgoConfig, FilterEntry, FilterStack, WeightedDataset, rng_str
 from .errors import DegenerateStateError, StreamExhaustedError
 from .estimators import TRIM_TAIL, opnorm_bracket, trimmed_variance, weighted_quantile
 from .filtering import hard_thresholding_filter
-from .linops import (
-    SecondMomentOp,
-    gaussian_retry,
-    power_direction,
-    power_iteration,
-)
+from .linops import SecondMomentOp, power_direction, power_iteration
 
 __all__ = ["PcaStatus", "PcaResult", "robust_pca", "naive_pca"]
 
@@ -137,7 +133,7 @@ class BatchEstimators:
 
     def direction(self, p_k: int, rng: np.random.Generator,
                   _rider: tuple) -> np.ndarray | None:
-        return gaussian_retry(rng, self.dim, lambda z: power_direction(self.op, p_k, z))
+        return power_direction(self.op, p_k, rng.standard_normal(self.dim))
 
     def start_iteration(self, v: np.ndarray) -> bool:
         self._scores = (self.op.rows @ v) ** 2
@@ -245,11 +241,11 @@ def run_boosted(make_suite, eps: float, gamma: float | None,
     the first ACCEPTED result, or else the rep with the highest robust
     variance.
     """
-    if config is None:
-        cfg = AlgoConfig(eps=eps, gamma=gamma)
-    else:
-        cfg = dc_replace(config, eps=eps,
-                         gamma=gamma if gamma is not None else config.gamma)
+    # A config's gamma belongs to the eps it was built with: at another eps
+    # an unset gamma takes that eps's default.
+    config = config if config is not None else AlgoConfig(eps=eps)
+    keep = gamma is None and eps == config.eps
+    cfg = dc_replace(config, eps=eps, gamma=config.gamma if keep else gamma)
     seed = 0 if rng_seed is None else rng_seed
 
     best: PcaResult | None = None

@@ -5,7 +5,8 @@ class DegenerateStateError(RuntimeError):
     """An estimator or operator hit a state with no usable data.
 
     Examples: a second-moment operator over no surviving rows, a quantile
-    over an empty survivor set, or repeated zero vectors in power iteration.
+    over an empty survivor set, or a power chain collapsed to the zero
+    vector (each chain has one Gaussian start and none is retried).
     """
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "accepted_band_mean",
     "power_iteration",
     "approx_power_iteration",
-    "gaussian_retry",
 ]
 
 
@@ -221,52 +220,33 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
     return u[:, 0] if squeeze else u
 
 
-_POWER_RETRIES = 8
-
-
-def gaussian_retry(rng: np.random.Generator, dim: int, attempt, spent: int = 0):
-    """First non-None ``attempt(g)`` over fresh standard Gaussian starts g.
-
-    Draws ``rng.standard_normal(dim)`` before each of up to 8 - ``spent``
-    attempts, where ``spent`` counts the starts the caller already drew from
-    ``rng`` for the same answer, so a collapsed attempt (zero or non-finite
-    iterate) costs one start; returns None when every attempt collapses.
-    """
-    for _ in range(_POWER_RETRIES - spent):
-        out = attempt(rng.standard_normal(dim))
-        if out is not None:
-            return out
-    return None
-
-
 def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
-    """Randomized top-direction estimate: normalize(op^p g) for Gaussian g.
+    """Randomized top-direction estimate: normalize(op^p g) for one Gaussian g.
 
-    Returns (unit vector, Rayleigh quotient). A collapsed iterate takes a
-    fresh g (``gaussian_retry``).
+    Returns (unit vector, Rayleigh quotient). A chain that collapses, to
+    zero or out of the float range, ends in DegenerateStateError and takes
+    no second start: op^p g = 0 only for g in the kernel of op, a null set
+    for a Gaussian g unless op = 0.
     """
     if p_iters < 1:
         raise ValueError("p_iters must be at least 1")
-    y = gaussian_retry(rng, op.dim, lambda g: power_direction(op, p_iters, g))
+    y = power_direction(op, p_iters, rng.standard_normal(op.dim))
     if y is None:
         raise DegenerateStateError(
-            f"power iteration produced the zero vector {_POWER_RETRIES} times; "
-            f"operator appears to be zero"
+            "power iteration collapsed to the zero vector; operator appears to be zero"
         )
     return y, float(y @ op.matvec(y))
 
 
 def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
                              batch_size: int, rng: np.random.Generator,
-                             ledger: ScalarLedger | None = None,
-                             spent: int = 0) -> np.ndarray | None:
-    """Unit vector along a minibatch power chain applied to a Gaussian start.
+                             ledger: ScalarLedger | None = None) -> np.ndarray | None:
+    """Unit vector along a minibatch power chain applied to one Gaussian start.
 
-    A collapsed chain takes a fresh start and chain (``gaussian_retry``,
-    which ``spent`` is handed to).
+    Returns None when the chain collapses; no second start is taken.
     """
-    return gaussian_retry(rng, source.dim, lambda z: _unit(
-        streamed_power_apply(source, stack, p, batch_size, z, ledger=ledger)), spent)
+    return _unit(streamed_power_apply(source, stack, p, batch_size,
+                                      rng.standard_normal(source.dim), ledger=ledger))
 
 
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,

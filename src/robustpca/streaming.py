@@ -173,12 +173,11 @@ class MinibatchEstimators:
 
     def direction(self, p_k: int, rng: np.random.Generator,
                   rider: tuple) -> np.ndarray | None:
-        # A collapsed rider has spent its start, so the own chain below takes
-        # the next ones.
-        if rider and rider[0] is not None:
+        # A rider that collapsed comes back as None, and no start is retried.
+        if rider:
             return rider[0]
         return streamed_power_direction(self.source, self.stack, p_k, BATCH_SIZE_CAP,
-                                        rng, ledger=self.ledger, spent=len(rider))
+                                        rng, ledger=self.ledger)
 
     def start_iteration(self, v: np.ndarray) -> bool:
         # Whether any surviving score is positive is unknown without a pass;

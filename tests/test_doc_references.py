@@ -5,8 +5,9 @@ it, and other places point there by dotted name. These tests resolve every
 such pointer, so deleting or renaming its target fails here rather than
 leaving the pointer dangling:
 
-- in ``src/robustpca`` docstrings, each double-backticked dotted name whose
-  first part is a ``robustpca`` submodule (``estimators.stream_mean_estimate``);
+- in ``src/robustpca`` docstrings and ``#`` comments, each double-backticked
+  dotted name whose first part is a ``robustpca`` submodule
+  (``estimators.stream_mean_estimate``);
 - in README.md, each ``robustpca.x`` or ``robustpca.x.y`` name.
 
 Names headed by ``op``, ``config`` or ``numpy`` name a local object or
@@ -17,6 +18,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -41,11 +43,18 @@ def _docstrings(path: Path):
                 yield doc
 
 
-def _doc_references():
+def _comments(path: Path):
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.string
+
+
+def _references(texts):
     refs = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for doc in _docstrings(path):
-            for name in DOC_NAME.findall(doc):
+        for text in texts(path):
+            for name in DOC_NAME.findall(text):
                 head = name.split(".")[0]
                 if head in SUBMODULES and head not in SKIPPED_HEADS:
                     refs.add((path.name, name))
@@ -64,7 +73,8 @@ def _resolve(dotted: str):
     return obj
 
 
-DOC_REFERENCES = _doc_references()
+DOC_REFERENCES = _references(_docstrings)
+COMMENT_REFERENCES = _references(_comments)
 README_REFERENCES = _readme_references()
 
 
@@ -75,6 +85,15 @@ def test_docstring_reference_resolves(where, name):
         _resolve(name)
     except (ImportError, AttributeError) as exc:
         pytest.fail(f"{where} points to ``{name}``, which does not resolve: {exc}")
+
+
+@pytest.mark.parametrize("where, name", COMMENT_REFERENCES,
+                         ids=[f"{w}:{n}" for w, n in COMMENT_REFERENCES])
+def test_comment_reference_resolves(where, name):
+    try:
+        _resolve(name)
+    except (ImportError, AttributeError) as exc:
+        pytest.fail(f"a comment in {where} points to ``{name}``, which does not resolve: {exc}")
 
 
 @pytest.mark.parametrize("name", README_REFERENCES)
@@ -89,6 +108,7 @@ def test_references_are_collected():
     # Guards the patterns themselves: a pattern that matched nothing would
     # make the tests above pass vacuously.
     assert ("linops.py", "estimators.stream_mean_estimate") in DOC_REFERENCES
+    assert ("streaming.py", "estimators.streaming_quantile_samples") in COMMENT_REFERENCES
     assert "estimators.stream_mean_estimate" in README_REFERENCES
     with pytest.raises(AttributeError):
         _resolve("estimators.no_such_estimator")

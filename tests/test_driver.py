@@ -13,6 +13,7 @@ from robustpca import (
     PcaStatus,
     ReplaySource,
     ScalarLedger,
+    SecondMomentOp,
     WeightedDataset,
     gen_inliers,
     metric_approx_ratio,
@@ -20,6 +21,7 @@ from robustpca import (
     opnorm_bracket,
     robust_pca,
     rng_stream,
+    streaming_robust_pca,
     strong_contaminate,
     trimmed_variance,
     tv_contaminated_source,
@@ -73,6 +75,48 @@ def test_gamma_validation():
     pts = np.eye(3)
     with pytest.raises(ValueError, match="20\\*eps"):
         robust_pca(WeightedDataset(pts), eps=0.05, gamma=0.1)
+
+
+@pytest.mark.parametrize("entry", ["batch", "stream"])
+@pytest.mark.parametrize("config, gamma, want", [
+    (AlgoConfig(t_end=1, k_end=1, boost_reps=2), None, 0.4),
+    (AlgoConfig(eps=0.02, gamma=0.8, t_end=1, k_end=1), None, 0.8),
+    (AlgoConfig(t_end=1, k_end=1), 0.5, 0.5),
+], ids=["unset", "built_at_eps", "passed"])
+def test_config_gamma_belongs_to_its_eps(monkeypatch, entry, config, gamma, want):
+    # AlgoConfig() carries the eps = 0 default gamma = 0.05. Solved at
+    # eps = 0.02 with no gamma of its own, the call takes that eps's default
+    # 20 eps = 0.4, not the config's 0.05, which 20 eps would exceed. A
+    # config built at the call's eps keeps its gamma, and a gamma passed on
+    # the call wins.
+    import robustpca.driver as driver
+
+    seen, real = [], driver.drive
+
+    def spy(suite, cfg, *args):
+        seen.append(cfg.gamma)
+        return real(suite, cfg, *args)
+
+    monkeypatch.setattr(driver, "drive", spy)
+    pts, _labels, _sigma = spiked_instance(6, 2000, 0.02, seed=3)
+    if entry == "batch":
+        robust_pca(WeightedDataset(pts), eps=0.02, gamma=gamma, config=config, rng_seed=1)
+    else:
+        streaming_robust_pca(ReplaySource(pts, mode="cycle"), 0.02, gamma, 1.5,
+                             config=config, rng_seed=1, max_samples=200_000)
+    assert seen and set(seen) == {want}
+
+
+def test_batch_direction_takes_one_start():
+    # A zero operator collapses every chain: the direction draws one start
+    # and returns None, which ``drive`` ends with DegenerateStateError.
+    pts = np.zeros((4, 3))
+    suite = BatchEstimators(pts, AlgoConfig(), np.zeros(4))
+    suite.op = SecondMomentOp(pts)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    assert suite.direction(5, rng, ()) is None
+    ref.standard_normal(3)
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_fallback_when_certificate_cannot_pass():

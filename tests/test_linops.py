@@ -327,9 +327,13 @@ def test_power_iteration_rank_one():
 
 
 def test_power_iteration_zero_operator_raises():
+    # After one start: a chain collapses only for a start in the kernel.
     op = op_from(np.zeros((4, 3)))
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     with pytest.raises(DegenerateStateError):
-        power_iteration(op, 5, np.random.default_rng(9))
+        power_iteration(op, 5, rng)
+    ref.standard_normal(3)
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_power_iteration_guarantee_rate():
@@ -516,7 +520,7 @@ def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     assert src.delivered == (p + 1) * batch
 
 
-def test_streamed_power_direction_retries_then_gives_up():
+def test_streamed_power_direction_takes_one_start():
     d, p, batch = 3, 2, 20
     pop = np.random.default_rng(8).standard_normal((64, d))
     src = ReplaySource(pop, mode="cycle")
@@ -525,13 +529,13 @@ def test_streamed_power_direction_retries_then_gives_up():
                                 batch, np.random.default_rng(9).standard_normal(d))
     np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
 
-    # A zero stream collapses every start: 8 starts drawn, then None.
+    # A zero stream collapses the chain: one start and p batches, then None.
     src = ReplaySource(np.zeros((16, d)), mode="cycle")
     rng = np.random.default_rng(10)
     assert streamed_power_direction(src, FilterStack(), p, batch, rng) is None
-    assert src.delivered == 8 * p * batch
+    assert src.delivered == p * batch
     ref = np.random.default_rng(10)
-    ref.standard_normal((8, d))
+    ref.standard_normal(d)
     assert rng.standard_normal() == ref.standard_normal()
 
 

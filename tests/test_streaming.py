@@ -726,17 +726,26 @@ class _ZeroStarts:
         return np.zeros(d)
 
 
-def test_a_collapsed_rider_falls_back_to_the_remaining_starts():
-    # A zero start collapses on any pool. The rider spent the first of the
-    # eight starts a direction may take, so the fallback chain takes the
-    # other seven: 8 starts in all, as for a direction of its own.
-    _pool, src, cfg, suite = _rider_suite()
+def test_a_collapsed_rider_ends_the_rep(monkeypatch):
+    # A zero start collapses on any pool. The direction that rode comes back
+    # as None, with no second start and no row of its own, and ``drive``
+    # raises DegenerateStateError.
+    import robustpca.driver as driver
+
+    pool, src, cfg, suite = _rider_suite()
     p_k, rng_dir = cfg.power_at(20, 1), _ZeroStarts()
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
     assert cand.rider == (None,) and rng_dir.drawn == 1
     before = src.delivered
     assert suite.direction(p_k, rng_dir, cand.rider) is None
-    assert rng_dir.drawn == 8 and src.delivered - before == 7 * p_k * BATCH_SIZE_CAP
+    assert rng_dir.drawn == 1 and src.delivered == before
+
+    real = driver.rng_stream
+    monkeypatch.setattr(driver, "rng_stream",
+                        lambda seed, rep, i: _ZeroStarts() if i == 2 else real(seed, rep, i))
+    fresh = MinibatchEstimators(ReplaySource(pool, mode="cycle"), cfg, 1.5, ScalarLedger())
+    with pytest.raises(DegenerateStateError, match="collapsed"):
+        driver.drive(fresh, cfg, 0, 0)
 
 
 def test_no_direction_rides_at_eps_zero():
