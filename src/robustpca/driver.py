@@ -6,10 +6,12 @@ that fails, score points along a randomized power direction, trim a robust
 variance, and hard-threshold the high scorers. The loop only ever talks to
 an estimator suite, exact (``BatchEstimators``) or one-pass
 (``streaming.MinibatchEstimators``). A suite has a ``dim``, a filter
-``stack``, and exactly these nine methods, all called by ``drive``:
+``stack``, whose ``prune_radius_sq`` is the filter's score range R (a unit
+direction scores a row at most its squared norm), and exactly these eight
+methods, all called by ``drive``:
 
-- ``prologue() -> (sigma_op, delta)``: prune; return the operator-norm
-  bracket and the filter's additive slack.
+- ``prologue() -> (sigma_op, delta)``: prune to a finite radius^2; return
+  the operator-norm bracket and the filter's additive slack.
 - ``certificate(fail_prob, rng, p_k, rng_dir) -> Candidate``: a candidate
   whose judgement errs with probability at most ``fail_prob``. ``p_k`` and
   ``rng_dir`` are what the iteration's ``direction`` call will be handed;
@@ -21,20 +23,20 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
   ``certificate.Candidate.rider`` of the same iteration. The stream suite
   returns the direction that rode, collapsed or not, and otherwise runs a
   chain of its own. The batch suite ignores it.
-- ``start_iteration(v) -> bool``: keep the direction for the calls below;
-  False when every surviving score is zero, so filtering would be a no-op.
-- ``quantile_value(tail)``: a score cutoff along the kept direction;
-  ``score_range(L)``: a bound on the scores above L, positive if any is.
+- ``start_iteration(v)``: keep the direction for the calls below.
+- ``quantile_value(tail)``: a score cutoff along the kept direction.
 - ``sigma_trimmed(cap)``: the mean of the scores <= cap over the whole
   population, to within a factor 1 + ``certificate.DECISION_MARGIN`` above
   a floor set by delta.
 - ``mean_score(L, thr, bound)``: the mean of the scores in (L, thr]; a
   suite may stop sampling once its comparison with the filter's exit
   ``bound`` is settled.
-- ``register_entry(entry)``: apply a new filter.
+- ``register_entry(entry)``: apply a new filter, an entry along the kept
+  direction.
 
-At eps = 0 the trim tail is 0 and no filter can fire, so ``drive`` calls
-only the first two.
+A direction lies in the survivors' span, so some survivor scores above 0
+and no filter step is skipped. At eps = 0 the trim tail is 0 and no filter
+can fire, so ``drive`` calls only the first two.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class BatchEstimators:
     filter compresses them into a copy. Every answer reads ``op.rows``, so
     no pruned or filtered row is projected again; the certificate and the
     direction share ``op``, so a survivor set forms its Gram matrix at most
-    once.
+    once. Each survivor is projected once per iteration: ``start_iteration``
+    keeps the scores, and ``register_entry`` cuts them at the entry's
+    threshold.
     """
 
     def __init__(self, points: np.ndarray, config: AlgoConfig, sq_norms: np.ndarray):
@@ -113,14 +117,15 @@ class BatchEstimators:
 
     def prologue(self):
         # One squared-norm pass serves the bracket and the prune. Rows whose
-        # squared norm overflows take no part, even at eps = 0.
+        # squared norm overflows take no part, even at eps = 0. The radius^2
+        # is clamped to the largest finite squared norm: the same rows stay,
+        # and the filter's range R is finite even where 10 sigma_op d / eps
+        # overflows.
         g, eps = self.sq_norms, self.config.eps
-        sigma_op = opnorm_bracket(g[FilterStack().within_radius(g)], eps, self.n)
-        if eps > 0:
-            radius_sq = PRUNE_FACTOR * sigma_op * self.dim / eps
-        else:
-            radius_sq = math.inf
-        self.stack = FilterStack(prune_radius_sq=radius_sq)
+        finite = g[FilterStack().within_radius(g)]
+        sigma_op = opnorm_bracket(finite, eps, self.n)
+        radius_sq = PRUNE_FACTOR * sigma_op * self.dim / eps if eps > 0 else math.inf
+        self.stack = FilterStack(prune_radius_sq=min(radius_sq, finite.max(initial=0.0)))
         self.weights = self.stack.within_radius(g)
         self.op = SecondMomentOp(self.points if self.weights.all()
                                  else self.points[self.weights])
@@ -135,9 +140,8 @@ class BatchEstimators:
                   _rider: tuple) -> np.ndarray | None:
         return power_direction(self.op, p_k, rng.standard_normal(self.dim))
 
-    def start_iteration(self, v: np.ndarray) -> bool:
+    def start_iteration(self, v: np.ndarray) -> None:
         self._scores = (self.op.rows @ v) ** 2
-        return bool(np.any(self._scores > 0))
 
     def quantile_value(self, tail: float) -> float:
         return weighted_quantile(self._scores, tail)
@@ -150,18 +154,12 @@ class BatchEstimators:
         live = (f > L) & (f <= thr)
         return float(np.sum(f[live])) / self.n
 
-    def score_range(self, L: float) -> float:
-        f = self._scores
-        tau = f[f > L]
-        return float(tau.max()) if tau.size else 0.0
-
     def register_entry(self, entry: FilterEntry) -> None:
-        rows = self.op.rows
-        keep = (rows @ entry.direction) ** 2 <= entry.threshold_sq
+        keep = self._scores <= entry.threshold_sq
         self.weights[self.weights] = keep
         self.stack = self.stack.with_entry(entry)
         # Not a downdate of G: subtracting the removed rows' share can cancel.
-        self.op = SecondMomentOp(rows[keep])
+        self.op = SecondMomentOp(self.op.rows[keep])
 
 
 def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
@@ -197,21 +195,18 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
 
                 # At eps = 0 the tail cut is the largest score, so no filter
                 # can fire and no direction is run.
-                v = suite.direction(p_k, rng_dir, cand.rider) if tail > 0 else None
-                if tail > 0 and v is None:
-                    raise DegenerateStateError(
-                        "surviving second moment collapsed to zero"
-                    )
-
-                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": True}
-                if v is not None and suite.start_iteration(v):
-                    event["skipped"] = False
+                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": tail == 0}
+                if tail > 0:
+                    v = suite.direction(p_k, rng_dir, cand.rider)
+                    if v is None:
+                        raise DegenerateStateError("surviving second moment collapsed to zero")
+                    suite.start_iteration(v)
                     L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
                     sigma = suite.sigma_trimmed(L)
                     t_hat = FILTER_TRIGGER * cfg.gamma * sigma
                     outcome = hard_thresholding_filter(
                         lambda thr, bound: suite.mean_score(L, thr, bound),
-                        v, L, t_hat, suite.score_range(L), delta, rng_filt,
+                        v, L, t_hat, suite.stack.prune_radius_sq, delta, rng_filt,
                     )
                     if outcome.new_entry is not None:
                         suite.register_entry(outcome.new_entry)

@@ -38,8 +38,13 @@ def hard_thresholding_filter(mean_score_fn, v: np.ndarray, L: float, T_hat: floa
     an estimator may stop sampling once that comparison is settled. The
     opening mean is taken at thr = inf; while the mean exceeds the exit
     bound the loop draws r_0 = R, r_l ~ U([0, r_{l-1}]), so R is read only
-    then, and must be positive and finite. Returns the compacted entry
-    (v, max(L, r_final)), or no entry when the loop never fired.
+    then, and must be positive and finite. R may be any finite bound on the
+    scores above L, and the law of the threshold does not depend on which:
+    the first draw below the largest such score is uniform below it from any
+    R at or above it, and draws above it change no mean. A looser R costs
+    about ln(R / max) more rounds, and the round cap grows with R. Returns
+    the compacted entry (v, max(L, r_final)), or no entry when the loop
+    never fired.
     """
     if T_hat < 0 or delta < 0:
         raise ValueError("T_hat and delta must be nonnegative")

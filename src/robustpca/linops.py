@@ -125,13 +125,19 @@ def accepted_scores(source: SampleSource, stack: FilterStack, score, k: int,
     """k values of ``score(rows)`` over fresh stream rows the stack accepts.
 
     Draws k rows, then (missing + 8) at a time until k scores are in hand.
+    Raises DegenerateStateError only when the first k draws accept no row: a
+    top-up pass that accepts none is followed by another.
     """
     parts = []
     got, want = 0, k
     while got < k:
-        for rows in accepted_rows(source, stack, want, ledger):
-            parts.append(score(rows))
-            got += rows.shape[0]
+        try:
+            for rows in accepted_rows(source, stack, want, ledger):
+                parts.append(score(rows))
+                got += rows.shape[0]
+        except DegenerateStateError:
+            if got == 0:
+                raise
         want = k - got + 8
     return np.concatenate(parts)[:k]
 

@@ -179,12 +179,8 @@ class MinibatchEstimators:
         return streamed_power_direction(self.source, self.stack, p_k, BATCH_SIZE_CAP,
                                         rng, ledger=self.ledger)
 
-    def start_iteration(self, v: np.ndarray) -> bool:
-        # Whether any surviving score is positive is unknown without a pass;
-        # a zero-score iteration exits the filter after its first mean
-        # estimate anyway.
+    def start_iteration(self, v: np.ndarray) -> None:
         self._v = v
-        return True
 
     def quantile_value(self, tail: float) -> float:
         # A cut between the tail / 2 and 3 tail / 2 tails: the filter's L,
@@ -209,10 +205,6 @@ class MinibatchEstimators:
         return accepted_band_mean(self.source, self.stack, self._v, L, thr,
                                   self._fail_prob(), self.ledger,
                                   bar=bound, margin=DECISION_MARGIN)
-
-    def score_range(self, L: float) -> float:
-        # Analytic bound: f(x) = (v.x)^2 <= ||x||^2 <= prune radius^2.
-        return self.stack.prune_radius_sq
 
     def register_entry(self, entry: FilterEntry) -> None:
         self.stack = self.stack.with_entry(entry)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,13 +27,12 @@ from robustpca import (
     trimmed_variance,
     tv_contaminated_source,
 )
-from robustpca import certificate
+from robustpca import certificate, driver
 from robustpca.driver import CERT_FAILURE_PROB, BatchEstimators, drive, failure_share
 from robustpca.streaming import MinibatchEstimators
 
 SUITE_METHODS = {"prologue", "certificate", "direction", "start_iteration",
-                 "quantile_value", "sigma_trimmed", "mean_score", "score_range",
-                 "register_entry"}
+                 "quantile_value", "sigma_trimmed", "mean_score", "register_entry"}
 
 
 def spiked_instance(d, n, eps, seed, spike=9.0):
@@ -312,6 +312,13 @@ def test_suites_define_exactly_the_contract_methods(suite_cls):
     assert public == SUITE_METHODS
 
 
+def test_the_driver_docstring_lists_the_contract_methods():
+    # The contract is documented as one "- ``name(...)``" bullet per method.
+    listed = re.findall(r"^- ``(\w+)\(", driver.__doc__, flags=re.MULTILINE)
+    assert len(listed) == len(SUITE_METHODS) == 8
+    assert set(listed) == SUITE_METHODS
+
+
 class Recorder:
     """Forwards to a suite, noting each attribute read and each method call."""
 
@@ -339,7 +346,7 @@ def test_drive_uses_only_the_suite_contract():
     events = []
     res = drive(suite, cfg, seed=7, rep=0, trace_sink=events.append)
     assert res.u is not None and any(not e["skipped"] for e in events)
-    assert SUITE_METHODS - {"register_entry"} <= suite.seen
+    assert SUITE_METHODS - {"register_entry"} | {"dim", "stack"} <= suite.seen
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
 
 
@@ -403,6 +410,53 @@ def test_drive_hands_each_certificate_its_share_of_the_rep_budget():
     assert sum(failure_share(i) for i in range(1, slots + 1)) <= CERT_FAILURE_PROB / 2
 
 
+def test_batch_prune_radius_is_the_largest_finite_squared_norm_where_its_formula_overflows():
+    # 10 sigma_op d / eps overflows where the rows below the trim cut have
+    # squared norms near the largest float: here 50 rows at 3e306 hold
+    # sigma_op at 3.75e305. The radius^2 is then clamped to the largest
+    # finite squared norm, 1e307, which keeps the same rows and gives the
+    # filter a finite range R; a row whose squared norm overflows stays out.
+    pts = np.random.default_rng(3).standard_normal((400, 4))
+    pts[:50] = math.sqrt(1e307 / 4)
+    pts[50:100] = math.sqrt(3e306 / 4)
+    pts[100] = 1e155
+    with np.errstate(over="ignore"):
+        g = np.einsum("ij,ij->i", pts, pts)
+    suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0), g)
+    sigma_op, _delta = suite.prologue()
+    assert 10.0 * sigma_op * 4 / 0.05 == math.inf
+    finite = np.isfinite(g)
+    assert suite.stack.prune_radius_sq == g[finite].max() < math.inf
+    np.testing.assert_array_equal(suite.weights, finite)
+
+
+def test_a_direction_that_scores_every_survivor_zero_registers_no_entry():
+    # A power direction lies in the survivors' span, so some survivor scores
+    # above 0 and drive runs the filter step whenever it has a direction.
+    # Were every score 0, the step would change nothing: the batch trimmed
+    # variance, delta and the opening mean are all 0, and 0 <= 0 is the
+    # filter's exit, so no round runs and no entry is made.
+    class Orthogonal(BatchEstimators):
+        def certificate(self, fail_prob, rng, p_k, rng_dir):
+            return dataclasses.replace(super().certificate(fail_prob, rng, p_k, rng_dir),
+                                       accepted=False)
+
+        def direction(self, p_k, rng, rider):
+            return np.eye(self.dim)[-1]
+
+    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+    pts[:, -1] = 0.0
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, k_end=1, t_end=2)
+    events = []
+    res = drive(Orthogonal(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=7, rep=0,
+                trace_sink=events.append)
+    assert res.status is PcaStatus.FALLBACK_BEST and res.filters_created == 0
+    assert len(events) == 2
+    for event in events:
+        assert not event["skipped"] and event["rounds"] == 0
+        assert event["sigma"] == event["t_hat"] == event["mean_score"] == 0.0
+
+
 def test_batch_means_are_exact_whatever_the_bound():
     # The batch suite answers sigma_trimmed with the exact trimmed variance,
     # and mean_score with the exact mean score in (L, thr]: the exit bound
@@ -414,7 +468,7 @@ def test_batch_means_are_exact_whatever_the_bound():
     suite.prologue()
     v = np.zeros(12)
     v[1] = 1.0
-    assert suite.start_iteration(v)
+    assert suite.start_iteration(v) is None
     cut = suite.quantile_value(0.15)
     f = (pts[suite.weights] @ v) ** 2
     assert suite.sigma_trimmed(cut) == trimmed_variance(f, cut, 3000)

@@ -213,11 +213,42 @@ def test_runaway_guard_raises():
                                  R=1000.0, delta=0.0, rng=np.random.default_rng(9))
 
 
+def test_threshold_law_does_not_depend_on_the_score_range():
+    # From any R at or above the largest score, the first draw below it is
+    # uniform below it, and draws above it keep the opening mean, so the
+    # final threshold has one law whether R is the largest score or 10^4
+    # times it. Integer scores keep every mean exact. Over 2,000 seeds a
+    # side, the thresholds' two-sample KS distance stays below 0.043, the
+    # 5% critical value, and the mean removed counts agree within three
+    # standard errors; the looser R costs about ln(10^4) = 9.2 more rounds,
+    # and the round cap, which grows with R, is never hit.
+    f = np.concatenate([np.tile(np.arange(4.0), 225), np.arange(50.0, 150.0)])
+
+    def mean_at(thr, _bound):
+        return float(np.sum(f[f <= thr])) / f.size
+
+    def run(R, seeds):
+        outs = [hard_thresholding_filter(mean_at, np.ones(2), L=0.0, T_hat=1.0, R=R,
+                                         delta=0.0, rng=np.random.default_rng(seed))
+                for seed in seeds]
+        thr = np.array([out.new_entry.threshold_sq for out in outs])
+        removed = np.array([np.count_nonzero(f > t) for t in thr])
+        return np.sort(thr), removed, np.mean([out.rounds for out in outs])
+
+    tight, loose = run(f.max(), range(2000)), run(1e4 * f.max(), range(10_000, 12_000))
+    grid = np.concatenate([tight[0], loose[0]])
+    ks = np.max(np.abs(np.searchsorted(tight[0], grid, side="right")
+                       - np.searchsorted(loose[0], grid, side="right"))) / 2000
+    assert ks < 0.043
+    se = math.sqrt((np.var(tight[1]) + np.var(loose[1])) / 2000)
+    assert abs(np.mean(tight[1]) - np.mean(loose[1])) <= 3 * se
+    assert 7 < loose[2] - tight[2] < 11.5
+
+
 @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
 def test_score_range_is_checked_only_when_the_loop_fires(R):
-    # The driver hands R to the filter as the suite reports it: a suite
-    # reports R <= 0 only when no score lies above L, where the opening mean
-    # is 0 and the loop returns before reading R.
+    # R is read only once the opening mean exceeds the exit bound, so a
+    # caller whose scores above L cannot exceed it may pass any R.
     def mean_at(level):
         return lambda _thr, bound: level * bound
 

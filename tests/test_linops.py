@@ -13,6 +13,7 @@ from robustpca import (
     approx_power_iteration,
     power_direction,
     power_iteration,
+    rng_stream,
     streamed_power_apply,
 )
 from robustpca.errors import DegenerateStateError
@@ -548,6 +549,31 @@ def test_accepted_scores_tops_up_rejected_rows():
                           6, ScalarLedger())
     np.testing.assert_array_equal(got, np.ones(6))
     assert src.delivered == 6 + (3 + 8)
+
+
+def test_accepted_scores_survives_a_top_up_pass_that_accepts_none():
+    # A stack that keeps a fifth of a 4-d Gaussian pool: the last top-up
+    # pass, of 9 draws when one score is missing, accepts none of them with
+    # probability 0.8^9 = 0.13. That pass is followed by another; the call
+    # hands out the first k accepted rows' scores of the cycled pool, as
+    # every pass draws where the last one stopped. Seed 0 draws such a pass.
+    stack = FilterStack(prune_radius_sq=1.6488)  # the chi^2_4 0.2-quantile
+    v = np.eye(4)[0]
+    for seed in range(4):
+        pool = rng_stream(seed, 0).standard_normal((4_000, 4))
+        got = accepted_scores(ReplaySource(pool, mode="cycle"), stack,
+                              lambda x: (x @ v) ** 2, 1_000, ScalarLedger())
+        twice = np.concatenate([pool, pool])
+        want = (twice[stack.weights(twice)] @ v)[:1_000] ** 2
+        np.testing.assert_array_equal(got, want)
+
+
+def test_accepted_scores_raises_when_the_stack_rejects_every_row():
+    src = ReplaySource(np.full((8, 2), 10.0), mode="cycle")
+    with pytest.raises(DegenerateStateError, match="rejected"):
+        accepted_scores(src, FilterStack(prune_radius_sq=4.0), lambda x: x[:, 0], 6,
+                        ScalarLedger())
+    assert src.delivered == 6
 
 
 def test_gaussian_quadratic_anticoncentration():

@@ -209,7 +209,7 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
 
     monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
     for name in ("direction", "start_iteration", "quantile_value", "sigma_trimmed",
-                 "mean_score", "score_range", "register_entry"):
+                 "mean_score", "register_entry"):
         monkeypatch.setattr(MinibatchEstimators, name,
                             lambda self, *args, name=name: called.append(name))
     src = tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1))
@@ -289,7 +289,7 @@ def test_stream_sigma_trimmed_settles_to_its_precision():
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
     _sigma_op, delta = suite.prologue()
     v = np.eye(20)[0]
-    assert suite.start_iteration(v)
+    assert suite.start_iteration(v) is None
     cut, before = 20.0, src.delivered
     sigma = suite.sigma_trimmed(cut)
     bound = min(cut, suite.stack.prune_radius_sq)
@@ -321,7 +321,9 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     # 40) and the round means (about 0.3) are far from the exit bound (about
     # 2.5), so from the same L, T_hat, R, delta and rng_filt the stream
     # filter makes the batch filter's decisions: the same rounds and the
-    # same (direction, threshold) entry. Each mean is the exit decision at
+    # same (direction, threshold) entry. R is the stream's prune radius^2, as
+    # drive hands it; rounds whose draw lies above every score keep the
+    # opening mean. Each mean is the exit decision at
     # margin DECISION_MARGIN, and none passes its ceiling. The opening
     # scores are all but two-point, 0 or near the prune radius^2 B = 1,143
     # (V about B mu), the worst case for an empirical-Bernstein interval: at
@@ -339,10 +341,11 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     exact.prologue()
     assert stream.stack.weights(pool).all() and exact.weights.all()
     v = np.eye(8)[1]
-    assert stream.start_iteration(v) and exact.start_iteration(v)
+    stream.start_iteration(v)
+    exact.start_iteration(v)
     L = exact.quantile_value(3 * cfg.eps)
     t_hat = FILTER_TRIGGER * cfg.gamma * exact.sigma_trimmed(L)
-    R = exact.score_range(L)
+    R = stream.stack.prune_radius_sq
     rows, calls = [], []
 
     def stream_mean(thr, bound):
