@@ -91,25 +91,32 @@ class InlierSpec:
 def metric_approx_ratio(u: np.ndarray, sigma_truth: np.ndarray) -> float:
     """u^T Sigma u / lambda_1(Sigma); the single quality score of a direction.
 
-    sigma_truth is any square matrix, finite and symmetric to 1e-10, such as
-    ``InlierSpec.covariance``; lambda_1 comes from LAPACK's eigvalsh.
+    sigma_truth is either a square matrix, finite and symmetric to 1e-10,
+    such as ``InlierSpec.covariance``, whose lambda_1 comes from LAPACK's
+    eigvalsh; or a 1-D spectrum, the diagonal of a diagonal Sigma such as
+    ``InlierSpec.variances``, scored in O(d) without eigvalsh.
     """
     u = np.asarray(u, dtype=np.float64)
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
         raise ValueError("direction must be unit norm to 1e-9")
     a = np.asarray(sigma_truth, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim == 1:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("spectrum must be finite (no NaN/Inf)")
+        lam1, quad = float(a.max()), float(a @ (u * u))
+    elif a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    # LAPACK would return NaN eigenvalues for these without complaint.
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix must be finite (no NaN/Inf)")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric to 1e-10")
-    lam1 = float(np.linalg.eigvalsh(a)[-1])
+    else:
+        # LAPACK would return NaN eigenvalues for these without complaint.
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix must be finite (no NaN/Inf)")
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
+            raise ValueError("matrix is not symmetric to 1e-10")
+        lam1, quad = float(np.linalg.eigvalsh(a)[-1]), float(u @ a @ u)
     if lam1 <= 0:
         raise ValueError("sigma_truth must have a positive top eigenvalue")
-    return float(u @ a @ u) / lam1
+    return quad / lam1
 
 
 def gen_inliers(spec: InlierSpec, n: int, rng: np.random.Generator):

@@ -274,13 +274,15 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
     are computed once, here, for every rep's prologue, and spare the per-row
     max/min pass when median g lies in [4 d 2^-400, 2^398]: row by row,
     peak^2 <= g <= d peak^2, so the median peak then lies in [2^-200, 2^200]
-    (the factor 4 covers the mean of two middle rows and rounding).
+    (the factor 4 covers the mean of two middle rows and rounding). When
+    min g and max g both lie in that range so does the median, so it is
+    taken only when they do not, as with an infinite or NaN g.
     """
     points = ds.points
     g = np.einsum("ij,ij->i", points, points)
     k = 0
-    if not 4.0 * ds.dim * 2.0 ** (-2 * SAFE_EXPONENT) <= float(np.median(g)) \
-            <= 2.0 ** (2 * SAFE_EXPONENT - 2):
+    lo, hi = 4.0 * ds.dim * 2.0 ** (-2 * SAFE_EXPONENT), 2.0 ** (2 * SAFE_EXPONENT - 2)
+    if not (lo <= g.min() and g.max() <= hi) and not lo <= float(np.median(g)) <= hi:
         peak = float(np.median(np.maximum(points.max(axis=1), -points.min(axis=1))))
         if peak > 0 and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
             k = math.frexp(peak)[1]

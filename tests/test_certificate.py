@@ -114,20 +114,33 @@ def test_spiked_survivors_with_low_true_variance_rejected():
 
 
 def test_batch_certificate_runs_one_chain(monkeypatch):
-    # The candidate is the chain's own output: p matvecs along a chain sized
-    # for the certificate's fail_prob, and one for its Rayleigh quotient.
+    # The candidate is the chain's own output: p steps on the Gram matrix
+    # along a chain sized for the certificate's fail_prob, and one matvec for
+    # its Rayleigh quotient, which takes one more product with the same G.
     d, n, gamma, fail_prob = 12, 3000, 0.4, 0.025
     pts = np.random.default_rng(4).standard_normal((n, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
-    calls, real = [], SecondMomentOp.matvec
+    products, matvecs = [], []
+    real_gram, real_matvec = SecondMomentOp.gram, SecondMomentOp.matvec
+
+    class CountedGram(np.ndarray):
+        def __matmul__(self, other):
+            products.append(np.shape(other))
+            return np.asarray(self) @ other
 
     def spy(self, z):
-        calls.append(z.shape)
-        return real(self, z)
+        matvecs.append(z.shape)
+        return real_matvec(self, z)
 
+    def counted_gram(self):
+        gram, e = real_gram(self)
+        return gram.view(CountedGram), e
+
+    monkeypatch.setattr(SecondMomentOp, "gram", counted_gram)
     monkeypatch.setattr(SecondMomentOp, "matvec", spy)
     sample_top_eigenvector(SecondMomentOp(pts), n, 0.02, gamma, fail_prob,
                            np.random.default_rng(0))
-    assert len(calls) == power_chain_length(d, gamma, fail_prob) + 1
+    assert matvecs == [(d,)]
+    assert len(products) == power_chain_length(d, gamma, fail_prob) + len(matvecs)
 
 
 def test_rejected_candidate_reports_reference():

@@ -205,6 +205,52 @@ def test_outlier_row_does_not_set_the_scale():
     assert abs(float(res.u[0])) >= 0.999
 
 
+def _median_rule_scale(x):
+    """The rescale exponent k the median of the squared norms alone decides."""
+    g = np.einsum("ij,ij->i", x, x)
+    if 4.0 * x.shape[1] * 2.0 ** -400 <= float(np.median(g)) <= 2.0 ** 398:
+        return 0
+    peak = float(np.median(np.maximum(x.max(axis=1), -x.min(axis=1))))
+    return math.frexp(peak)[1] if peak > 0 and not 2.0 ** -200 <= peak <= 2.0 ** 200 else 0
+
+
+@pytest.mark.parametrize("case", ["median_inside", "median_outside", "overflowing_row"])
+def test_scale_check_agrees_with_the_median_rule(monkeypatch, case):
+    # The squared norms straddle [4 d 2^-400, 2^398] in every case, so the
+    # min/max shortcut cannot decide and the median must.
+    x = np.random.default_rng(3).standard_normal((3000, 5)) * [3, 1, 1, 1, 1]
+    if case == "median_inside":
+        x[:20] *= 1e-130
+        x[20:40] *= 1e130
+    elif case == "median_outside":
+        x[40:] = np.ldexp(x[40:], 300)
+    else:
+        x[17] = [0, 1e200, 0, 0, 0]
+    g = np.einsum("ij,ij->i", x, x)
+    lo, hi = 4.0 * 5 * 2.0 ** -400, 2.0 ** 398
+    assert not lo <= g.min() <= g.max() <= hi
+    assert (lo <= float(np.median(g)) <= hi) == (case != "median_outside")
+    k = _median_rule_scale(x)
+    assert (k != 0) == (case == "median_outside")
+
+    solved, real = [], driver.BatchEstimators
+
+    def spy(points, cfg, norms):
+        solved.append(points)
+        return real(points, cfg, norms)
+
+    monkeypatch.setattr(driver, "BatchEstimators", spy)
+    res = robust_pca(WeightedDataset(x), eps=0.02, gamma=0.4, rng_seed=1)
+    assert solved
+    for points in solved:
+        np.testing.assert_array_equal(points, np.ldexp(x, -k))
+    monkeypatch.setattr(driver, "BatchEstimators", real)
+    ref = robust_pca(WeightedDataset(np.ldexp(x, -k)), eps=0.02, gamma=0.4, rng_seed=1)
+    assert res.status is ref.status
+    np.testing.assert_array_equal(res.u, ref.u)
+    assert res.sigma_robust == math.ldexp(ref.sigma_robust, 2 * k)
+
+
 @pytest.mark.parametrize("big", [1e100, 1e150])
 def test_huge_finite_row_at_eps_zero(big):
     # Nothing prunes at eps = 0 and the row's squared norm is finite, so it

@@ -9,7 +9,7 @@ from dense_oracles import (
     stopping_condition_truth,
     weighted_second_moment_dense,
 )
-from robustpca import metric_approx_ratio
+from robustpca import InlierSpec, metric_approx_ratio
 
 
 def rotation(d, rng):
@@ -145,3 +145,23 @@ def test_power_iteration_agrees_with_dense_top_eigenvalue():
         p = math.ceil((4 / gamma) * math.log(d / (gamma * 1e-4)))
         _y, rayleigh = power_iteration(op, p, np.random.default_rng(trial))
         assert rayleigh >= (1 - gamma) * lam1
+
+
+def test_metric_spectrum_matches_matrix():
+    # A 1-D spectrum scores a diagonal Sigma without eigvalsh; the matrix form
+    # of the same Sigma gives the same ratio.
+    rng = np.random.default_rng(5)
+    for d in (1, 7, 60):
+        specs = [InlierSpec(dim=d, diag=1.0, spikes=((0, 9.0),)),
+                 InlierSpec(dim=d, diag=tuple(rng.uniform(0.5, 2.0, size=d)),
+                            spikes=((d - 1, 4.0), (d // 2, 2.5)))]
+        for spec in specs:
+            for _ in range(5):
+                u = rng.standard_normal(d)
+                u /= np.linalg.norm(u)
+                assert abs(metric_approx_ratio(u, spec.variances())
+                           - metric_approx_ratio(u, spec.covariance())) <= 1e-12
+    with pytest.raises(ValueError, match="finite"):
+        metric_approx_ratio(np.array([1.0, 0.0]), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="positive"):
+        metric_approx_ratio(np.array([1.0, 0.0]), np.zeros(2))
