@@ -148,8 +148,8 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     (``power_chain_length``): 158 steps at d = 50, gamma = 0.1 and the first
     certificate's share 0.025. The stream's block of shorter starts would
     not pay here: there it takes 7 starts of 96 steps, and on a formed G
-    (``linops.power_direction``) one step of a 7-column block costs 1.7
-    (d = 50) to 4.3 (d = 1,000) single-vector steps on one BLAS thread.
+    (``linops.power_direction``) one step of a 7-column block costs 3.2
+    (d = 50) to 4.6 (d = 1,000) single-vector steps on one BLAS thread.
     The robust variance is the 3*eps-tail trimmed mean of squared
     projections of ``op.rows`` onto u, over n_total. All reported scalars
     are per unit norm of u.

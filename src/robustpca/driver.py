@@ -272,17 +272,15 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
     back by 4^k. The median, not the largest entry, sets the scale, so that a
     few outlier rows cannot flush the rest to zero. The rows' squared norms g
     are computed once, here, for every rep's prologue, and spare the per-row
-    max/min pass when median g lies in [4 d 2^-400, 2^398]: row by row,
-    peak^2 <= g <= d peak^2, so the median peak then lies in [2^-200, 2^200]
-    (the factor 4 covers the mean of two middle rows and rounding). When
-    min g and max g both lie in that range so does the median, so it is
-    taken only when they do not, as with an infinite or NaN g.
+    max/min pass when min g and max g lie in [4 d 2^-400, 2^398]: row by
+    row, peak^2 <= g <= d peak^2, so every peak, and so the median peak, then
+    lies in [2^-200, 2^200] and k = 0 (the factor 4 covers rounding).
     """
     points = ds.points
     g = np.einsum("ij,ij->i", points, points)
     k = 0
     lo, hi = 4.0 * ds.dim * 2.0 ** (-2 * SAFE_EXPONENT), 2.0 ** (2 * SAFE_EXPONENT - 2)
-    if not (lo <= g.min() and g.max() <= hi) and not lo <= float(np.median(g)) <= hi:
+    if not (lo <= g.min() and g.max() <= hi):
         peak = float(np.median(np.maximum(points.max(axis=1), -points.min(axis=1))))
         if peak > 0 and not 2.0 ** -SAFE_EXPONENT <= peak <= 2.0 ** SAFE_EXPONENT:
             k = math.frexp(peak)[1]

@@ -33,16 +33,16 @@ class SecondMomentOp:
     """Normalized second-moment matvec sum_i x_i (x_i . z) / m over the m given rows.
 
     The rows are referenced, not copied, as ``rows``. Over m > d rows the
-    operator is served from G = rows^T rows, kept scaled by a power of two
-    (``gram``: m d^2 multiply-adds once, d^2 memory below the rows' m d): a
-    ``matvec`` column costs d^2, and so does a step of a ``power_direction``
-    chain, which runs on the scaled G itself without a ``matvec``; over
-    m <= d rows a column costs 2 m d and G is never formed. A set serving c
-    columns thus costs (m + c) d^2 against 2 c m d over its rows, so G is
-    never worse once c >= d; the solver's sets serve at least p + 1 columns,
-    p the length of the certificate's chain
-    (``certificate.power_chain_length``). G is lazy, so an operator never
-    multiplied never builds it. Deterministic given the rows and the calls.
+    operator is served from G = rows^T rows (``gram``: m d^2 multiply-adds
+    once, d^2 memory below the rows' m d): a ``matvec`` column costs d^2,
+    and so does a step of a ``power_direction`` chain, which multiplies by
+    G itself without a ``matvec``; over m <= d rows a column costs 2 m d and
+    G is never formed. A set serving c columns thus costs (m + c) d^2
+    against 2 c m d over its rows, so G is never worse once c >= d; the
+    solver's sets serve at least p + 1 columns, p the length of the
+    certificate's chain (``certificate.power_chain_length``). G is lazy, so
+    an operator never multiplied never builds it. Deterministic given the
+    rows and the calls.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -53,26 +53,12 @@ class SecondMomentOp:
         if self.surviving == 0:
             raise DegenerateStateError("second moment over no surviving rows")
         self.rows = rows
-        self._gram: tuple[np.ndarray, int] | None = None
+        self._gram: np.ndarray | None = None
 
-    def gram(self) -> tuple[np.ndarray, int]:
-        """(H, e) with rows^T rows = 2^e H, formed on the first call and kept.
-
-        e is the power of two that puts tr H in [1/2, 1), the scale the
-        chain of ``power_direction`` runs at. G is scaled in place, which
-        copies nothing and is exact except for entries scaled below 2^-1022.
-        A zero or non-finite G is kept as it is, with e = 0.
-        """
+    def gram(self) -> np.ndarray:
+        """G = rows^T rows, formed on the first call and kept."""
         if self._gram is None:
-            gram = self.rows.T @ self.rows
-            diag = gram.diagonal()
-            top = float(diag.max())
-            e = 0
-            if 0.0 < top < math.inf:
-                e = math.frexp(top)[1]
-                e += math.frexp(float(np.ldexp(diag, -e).sum()))[1]  # tr G < 2^e
-                np.ldexp(gram, -e, out=gram)
-            self._gram = gram, e
+            self._gram = self.rows.T @ self.rows
         return self._gram
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
@@ -84,8 +70,7 @@ class SecondMomentOp:
             )
         if self.surviving <= self.dim:
             return self.rows.T @ (self.rows @ z) / self.surviving
-        gram, e = self.gram()
-        return np.ldexp(gram @ z, e) / self.surviving
+        return self.gram() @ z / self.surviving
 
 
 def _unit(u: np.ndarray) -> np.ndarray | None:
@@ -102,57 +87,26 @@ def _unit(u: np.ndarray) -> np.ndarray | None:
 
 
 def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | None:
-    """Unit vector along op^p z for a vector z.
+    """Unit vector along op^p z for a vector z, renormalizing every step.
 
     Returns None when the iterate collapses to the zero vector or turns
-    non-finite. Over m <= d rows each step is an ``op.matvec`` and is
-    renormalized. Over m > d rows a chain of p >= 1 steps runs on the
-    scaled Gram matrix H of ``SecondMomentOp.gram`` (``_gram_chain``), a
-    positive multiple of op: the direction is scale-free, so the chain is
-    the same one, up to rounding.
+    non-finite. Over m > d rows a chain of p >= 1 steps multiplies by the
+    Gram matrix of ``SecondMomentOp.gram``, m times op: the direction is
+    scale-free, so the chain is the same one, up to rounding. A step whose
+    squared norm is a positive finite float is renormalized in place;
+    ``_unit`` takes the rest.
     """
     u = np.asarray(z, dtype=np.float64)
     with np.errstate(over="ignore"):
-        if p > 0 and op.surviving > op.dim:
-            return _gram_chain(op.gram()[0], p, u)
+        step = op.gram().__matmul__ if p > 0 and op.surviving > op.dim else op.matvec
         for _ in range(p):
-            u = _unit(op.matvec(u))
-            if u is None:
+            u = step(u)
+            sq = float(u @ u)
+            if 0.0 < sq < math.inf:
+                u /= math.sqrt(sq)
+            elif (u := _unit(u)) is None:
                 return None
         return _unit(u)
-
-
-def _gram_chain(h: np.ndarray, p: int, z: np.ndarray) -> np.ndarray | None:
-    """Unit vector along H^p z for a PSD H with tr H in [1/2, 1), renormalizing per block.
-
-    H = 2^-e G for the Gram matrix G (``SecondMomentOp.gram``), so its steps
-    round as G's would. Since lambda_1(H) <= tr H < 1 a step cannot grow the
-    iterate, and since lambda_1(H) >= tr H / d >= 1 / (2 d) it shrinks the
-    iterate's coefficient c on H's top eigenspace by at most a factor 2 d.
-
-    So ``_unit`` runs on z, after every B = floor(512 / log2(2 d)) steps and
-    at the end, with B log2(2 d) <= 512: within a block |c| falls by at most
-    2^-512 from its value at the block's start, a unit vector. That value
-    never falls below its value at z / ||z||, as the power method only
-    raises the share of the top eigenspace, so c stays a normal float
-    (>= 2^-1022) whenever |c| >= 2^-510 at z / ||z||. For a Gaussian z that
-    fails with probability at most P(|z_1| < 2^-490) + P(||z||^2 > 2^40)
-    < 2^-489 for every d <= 2^30, far below any share a caller budgets
-    (``certificate.power_chain_length`` already assumes |z_1| >= c and
-    ||z||^2 <= N). A zero or non-finite G, or an iterate that collapses at
-    a block's end, returns None.
-    """
-    if not 0.0 < float(np.trace(h)) < math.inf:
-        return None
-    block = int(512 / math.log2(2 * h.shape[0]))
-    u = _unit(z)
-    for start in range(0, p, block):
-        if u is None:
-            return None
-        for _ in range(min(block, p - start)):
-            u = h @ u
-        u = _unit(u)
-    return u
 
 
 def accepted_rows(source: SampleSource, stack: FilterStack, k: int,

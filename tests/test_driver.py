@@ -217,7 +217,7 @@ def _median_rule_scale(x):
 @pytest.mark.parametrize("case", ["median_inside", "median_outside", "overflowing_row"])
 def test_scale_check_agrees_with_the_median_rule(monkeypatch, case):
     # The squared norms straddle [4 d 2^-400, 2^398] in every case, so the
-    # min/max shortcut cannot decide and the median must.
+    # peak pass runs, and its k must be the one the median rule gives.
     x = np.random.default_rng(3).standard_normal((3000, 5)) * [3, 1, 1, 1, 1]
     if case == "median_inside":
         x[:20] *= 1e-130

@@ -150,6 +150,10 @@ def test_power_zero_is_identity():
     op = op_from(np.eye(3))
     z = np.array([1.0, -2.0, 3.0])
     np.testing.assert_array_equal(power_direction(op, 0, z), z / np.linalg.norm(z))
+    op = op_from(np.random.default_rng(17).standard_normal((50, 4)))
+    z = np.array([3.0, 0.0, -4.0, 0.0])
+    np.testing.assert_array_equal(power_direction(op, 0, z), z / 5.0)
+    assert op._gram is None
 
 
 def test_power_two_on_diag():
@@ -161,43 +165,25 @@ def test_power_two_on_diag():
 def test_power_matches_dense_oracle():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        d = int(rng.integers(2, 5))
-        n = int(rng.integers(3, 12))
-        p = int(rng.integers(1, 7))
-        pts = rng.standard_normal((n, d))
-        op = op_from(pts)
-        z = rng.standard_normal(d)
-        want = dense_power_apply(dense_moment(pts), p, z)
-        got = power_direction(op, p, z)
-        assert np.linalg.norm(got - want / np.linalg.norm(want)) <= 1e-9
-
-
-# -- Gram chains ------------------------------------------------------------------
-# Over m > d rows a chain runs on G itself, scaled by a power of two and
-# renormalized once per block of steps.
-
-def test_gram_chain_matches_dense_oracle():
-    rng = np.random.default_rng(15)
-    for _ in range(30):
         d = int(rng.integers(2, 9))
-        n = int(rng.integers(d + 1, 60))
+        n = int(rng.integers(3, 60))
         p = int(rng.integers(1, 300))
         pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
+        op = op_from(pts)
         z = rng.standard_normal(d)
         moment = dense_moment(pts)
         want = dense_power_apply(moment / np.trace(moment), p, z)
-        want /= np.linalg.norm(want)
-        base = power_direction(op_from(pts), p, z)
-        assert np.linalg.norm(base - want) <= 1e-12
+        got = power_direction(op, p, z)
+        assert np.linalg.norm(got - want / np.linalg.norm(want)) <= 1e-12
         for j in (-300, 300):
-            # G scales by 4^j exactly, and so does its trace's power of two.
-            np.testing.assert_array_equal(power_direction(op_from(np.ldexp(pts, j)), p, z),
-                                          base)
+            # Every product and squared norm scales by a power of two exactly.
+            np.testing.assert_array_equal(power_direction(op_from(np.ldexp(pts, j)), p, z), got)
 
 
-def test_gram_chain_on_isotropic_rows_stays_normal():
-    # lambda_1 / tr G = 1 / d, the fastest shrink a step can take: 2^-11 per
-    # step at d = 1,024, so 5,000 steps would underflow without the blocks.
+def test_long_power_on_isotropic_rows_returns_the_start():
+    # lambda_1 / tr G = 1 / d, the smallest share a top eigenvalue can take;
+    # G = 2 I, so each of the 5,000 steps doubles the iterate before it is
+    # renormalized.
     d, p = 1024, 5000
     op = op_from(np.tile(np.eye(d), (2, 1)))
     z = np.random.default_rng(16).standard_normal(d)
@@ -208,18 +194,11 @@ def test_gram_chain_on_isotropic_rows_stays_normal():
 
 
 @pytest.mark.parametrize("entry", [0.0, 1e200, np.nan])
-def test_gram_chain_on_zero_or_non_finite_gram_returns_none(entry):
+def test_power_on_zero_or_non_finite_gram_returns_none(entry):
     # A zero G, one whose entries overflow, or one with a NaN.
     rows = np.zeros((10, 3))
     rows[4, 1] = entry
     assert power_direction(op_from(rows), 5, np.ones(3)) is None
-
-
-def test_gram_chain_of_no_steps_forms_no_gram():
-    op = op_from(np.random.default_rng(17).standard_normal((50, 4)))
-    z = np.array([3.0, 0.0, -4.0, 0.0])
-    np.testing.assert_array_equal(power_direction(op, 0, z), z / 5.0)
-    assert op._gram is None
 
 
 # -- minibatch powers ------------------------------------------------------------
