@@ -1,11 +1,12 @@
 """Candidate generation and acceptance.
 
-A candidate is the output of one power chain from Gaussian starts, sized so
-that its empirical Rayleigh quotient is at least 1 - gamma times the top one
-outside the certificate's failure probability (``power_chain_length``). It is
-accepted when its robust variance is at least f1 times that quotient: it
-then carries close to the top true variance. Rejection means the survivors
-still over-weight some direction and filtering should continue.
+A candidate is the output of one power chain from Gaussian starts, of the
+least length that proves its empirical Rayleigh quotient at least 1 - gamma
+times the top one outside the certificate's failure probability
+(``power_chain_length``: 8 steps at d = 20, gamma = 0.6, fail_prob = 0.5).
+It is accepted when its robust variance is at least f1 times that quotient:
+it then carries close to the top true variance. Rejection means the
+survivors still over-weight some direction and filtering should continue.
 """
 
 from __future__ import annotations
@@ -50,43 +51,56 @@ TRIM_C_Q = 3.0 / TRIM_ACCURACY ** 2
 def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
     """Power steps after which one Gaussian start fails with at most ``fail_prob``.
 
-    Success means a Rayleigh quotient of at least (1 - gamma) lambda1, and
-    p = ceil((1 / gamma) ln(2 N / (gamma c^2))), with N and c below.
+    Success means a Rayleigh quotient of at least q lambda1, where
+    q = (1 - gamma / 2) / (1 + gamma / 2) >= 1 - gamma, and p is the least
+    length that some split t below proves.
 
     The gap-free power bound (Musco & Musco, NeurIPS 2015, in its simplest
     form). Let M be PSD with eigenvalues lambda1 >= ... >= lambda_d >= 0, z
     a start with coordinates z_i in M's eigenbasis, y = M^p z and
-    a = (1 - gamma / 2) lambda1. Over the set G of i with lambda_i >= a,
-    lambda_i^(2p+1) >= a lambda_i^(2p) and S_G = sum_G lambda_i^(2p) z_i^2
-    >= lambda1^(2p) z_1^2; off G, S_B = sum lambda_i^(2p) z_i^2 <=
-    a^(2p) ||z||^2. So the Rayleigh quotient of y is
+    a = t lambda1 for a split t in (0, 1]. Over the set G of i with
+    lambda_i >= a, lambda_i^(2p+1) >= a lambda_i^(2p) and S_G = sum_G
+    lambda_i^(2p) z_i^2 >= lambda1^(2p) z_1^2; off G, S_B = sum
+    lambda_i^(2p) z_i^2 <= a^(2p) ||z||^2. So the Rayleigh quotient of y is
 
-        R(y) >= a S_G / (S_G + S_B) >= (1 - gamma / 2) lambda1
-                / (1 + e^(-gamma p) ||z||^2 / z_1^2),
+        R(y) >= a S_G / (S_G + S_B) >= t lambda1 / (1 + t^(2p) ||z||^2 / z_1^2).
 
-    using (1 - gamma / 2)^(2p) <= e^(-gamma p). Since
-    (1 - gamma / 2) / (1 + gamma / 2) >= 1 - gamma, R(y) >= (1 - gamma)
-    lambda1 once e^(-gamma p) ||z||^2 / z_1^2 <= gamma / 2. For a standard
-    Gaussian z the two random terms take fail_prob / 2 each:
+    For a standard Gaussian z the two random terms take fail_prob / 2 each:
     - z_1 ~ N(0, 1) has density at most 1 / sqrt(2 pi), so
       P(|z_1| < c) <= c sqrt(2 / pi) = fail_prob / 2 at
       c = (fail_prob / 2) sqrt(pi / 2);
     - ||z||^2 ~ chi^2_d, and P(||z||^2 >= d + 2 sqrt(d x) + 2 x) <= e^-x
       (Laurent & Massart, Ann. Stat. 2000), = fail_prob / 2 at
       x = ln(2 / fail_prob); call that level N.
-    Outside both events e^(-gamma p) ||z||^2 / z_1^2 <= e^(-gamma p) N / c^2,
-    which is at most gamma / 2 at the p above. The proof takes one exact M:
-    the batch chain runs on B itself, while a stream chain multiplies p
-    fresh minibatch moments, whose distance from the population moment the
-    minibatch size governs (``streaming.BATCH_SIZE_CAP``). This is the one
-    home of the proof, and every certificate chain takes its length here.
-    At fail_prob = ``START_FAILURE`` it is 12 steps at d = 20, gamma = 0.6
-    and 96 at d = 50, gamma = 0.1.
+    Outside both events ||z||^2 / z_1^2 <= K = N / c^2, so R(y) >= q lambda1
+    once the slack s(t) = t / q - 1 - K t^(2p) is at least 0 at some t. s is
+    concave and peaks at t* = (2 p q K)^(-1 / (2p - 1)), below 1 as
+    K > 1 / c^2 > 5 / 2 and q >= 1/3; t* depends on (d, gamma, fail_prob)
+    alone, never on data. At t <= 1 the slack grows with p, so the lengths
+    that s(t*) >= 0 proves are all those from the least one up, which a
+    bisection finds below p0 = ceil(ln(2 K / gamma) / gamma): the split
+    t = 1 - gamma / 2 proves p0, as t / q - 1 = gamma / 2 and
+    (1 - gamma / 2)^(2p) <= e^(-gamma p). The quotient q, not 1 - gamma, is
+    the target, as 1 - gamma = 0 at gamma = 1 would ask for one step.
+
+    The proof takes one exact M: the batch chain runs on B itself, while a
+    stream chain multiplies p fresh minibatch moments, whose distance from
+    the population moment the minibatch size governs
+    (``streaming.BATCH_SIZE_CAP``). This is the one home of the proof, and
+    every certificate chain takes its length here: 8 steps at d = 20,
+    gamma = 0.6, fail_prob = 0.5 (``START_FAILURE``), against p0 = 12, and
+    62 steps at d = 50, gamma = 0.1, fail_prob = 0.5, against p0 = 96.
     """
     c = 0.5 * fail_prob * math.sqrt(math.pi / 2.0)
     x = math.log(2.0 / fail_prob)
-    n_level = d + 2.0 * math.sqrt(d * x) + 2.0 * x
-    return max(1, math.ceil(math.log(2.0 * n_level / (gamma * c * c)) / gamma))
+    k_level = (d + 2.0 * math.sqrt(d * x) + 2.0 * x) / (c * c)
+    q = (1.0 - gamma / 2.0) / (1.0 + gamma / 2.0)
+    lo, hi = 0, math.ceil(math.log(2.0 * k_level / gamma) / gamma)  # hi is proved
+    while hi - lo > 1:
+        p = (lo + hi) // 2
+        t = (2.0 * p * q * k_level) ** (-1.0 / (2 * p - 1))
+        lo, hi = (lo, p) if t / q - 1.0 - k_level * t ** (2 * p) >= 0.0 else (p, hi)
+    return hi
 
 
 def acceptance_factors(eps: float, gamma: float) -> tuple[float, float]:
@@ -129,10 +143,11 @@ class Candidate:
     rayleigh_emp: float
     sigma_robust: float
     accepted: bool
-    # Stream only: the driver direction that rode the certificate's chain
-    # (``sample_top_eigenvector_streaming``) as a one-tuple, holding None if
-    # it collapsed, which ``drive`` raises as DegenerateStateError since no
-    # start is retried; empty when none rode.
+    # Stream only: the driver direction's start after it rode the first
+    # min(p_k, p) steps of the certificate's chain
+    # (``sample_top_eigenvector_streaming``), as (unnormalized column, steps
+    # left); the column is zero or not finite if it collapsed. Empty when
+    # none rode.
     rider: tuple = ()
 
 
@@ -145,11 +160,12 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     (``op.rows``) of a population of ``n_total``. The chain has one start, so
     it is sized to reach a Rayleigh quotient of at least (1 - gamma) times
     B's top eigenvalue but with probability ``fail_prob``
-    (``power_chain_length``): 158 steps at d = 50, gamma = 0.1 and the first
-    certificate's share 0.025. The stream's block of shorter starts would
-    not pay here: there it takes 7 starts of 96 steps, and on a formed G
-    (``linops.power_direction``) one step of a 7-column block costs 3.2
-    (d = 50) to 4.6 (d = 1,000) single-vector steps on one BLAS thread.
+    (``power_chain_length``): 96 steps at d = 50, gamma = 0.1,
+    fail_prob = 0.025, the first certificate's share. The stream's block of
+    shorter starts would not pay here: there it takes 7 starts of 62 steps,
+    and on a formed G (``linops.power_direction``) one step of a 7-column
+    block costs 3.2 (d = 50) to 4.6 (d = 1,000) single-vector steps on one
+    BLAS thread, so 198 or more against 96.
     The robust variance is the 3*eps-tail trimmed mean of squared
     projections of ``op.rows`` onto u, over n_total. All reported scalars
     are per unit norm of u.
@@ -185,13 +201,16 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     START_FAILURE)`` steps, enough for one start to reach (1 - gamma)-accuracy
     with probability at least 1/2. Given the chain's minibatches, whose error
     ``batch_size`` governs, the starts are independent, so all of them miss
-    with probability at most (1/2)^reps <= fail_prob / 3.
+    with probability at most (1/2)^reps <= fail_prob / 3: p = 8 steps at
+    d = 20, gamma = 0.6, fail_prob = 0.5 for (8 + 1) * ``batch_size`` rows.
     ``direction`` = (p_k, rng_dir) sets the driver's next filter direction:
-    when p_k <= p its start, ``rng_dir.standard_normal(d)``, rides the chain
-    too for p_k steps, drawing no rows of its own, and comes back as
-    ``Candidate.rider``; a longer chain is not started here, so no
-    certificate draws more rows for it. Why every rider keeps its own
-    guarantee is argued at ``linops.approx_power_iteration``.
+    its start, ``rng_dir.standard_normal(d)``, rides the first min(p_k, p)
+    steps of the chain, drawing no rows of its own, and comes back as
+    ``Candidate.rider`` with its p_k - min(p_k, p) steps left, which
+    ``streaming.MinibatchEstimators.direction`` draws only after a
+    rejection. So the rider never lengthens the chain, and the ledger books
+    its d scalars from the chain's end until the direction takes it. Why it
+    keeps its own guarantee is argued at ``linops.approx_power_iteration``.
 
     The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
     mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
@@ -222,17 +241,19 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(START_FAILURE)))
     p = power_chain_length(d, gamma, START_FAILURE)
     riders = ()
-    if direction is not None and direction[0] <= p:
+    if direction is not None:
         p_k, rng_dir = direction
-        riders = ((rng_dir.standard_normal(d), p_k),)
+        riders = ((rng_dir.standard_normal(d), min(p_k, p)),)
     u, rayleigh_emp, rode = approx_power_iteration(source, stack, p, reps, batch_size,
                                                    rng, ledger=ledger, riders=riders)
+    rider = (rode[0], p_k - min(p_k, p)) if rode else ()
+    ledger.alloc(d * len(rode))
 
     f1, eta = acceptance_factors(eps, gamma)
     mu0 = f1 * rayleigh_emp
     if not mu0 > 0.0:
         return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=0.0,
-                         accepted=False, rider=tuple(rode))
+                         accepted=False, rider=rider)
 
     tail = TRIM_TAIL * eps
     if tail > 0:
@@ -245,4 +266,4 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, ledger,
                                bar=bar, margin=eta)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
-                     accepted=sigma >= bar, rider=tuple(rode))
+                     accepted=sigma >= bar, rider=rider)

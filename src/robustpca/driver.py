@@ -15,14 +15,17 @@ methods, all called by ``drive``:
 - ``certificate(fail_prob, rng, p_k, rng_dir) -> Candidate``: a candidate
   whose judgement errs with probability at most ``fail_prob``. ``p_k`` and
   ``rng_dir`` are what the iteration's ``direction`` call will be handed;
-  at eps > 0 the stream suite lets that direction ride its certificate's
-  chain, and the batch suite ignores them.
-- ``direction(p_k, rng, rider)``: unit power direction from one Gaussian
-  start, or None if its chain collapsed, which ``drive`` ends with
-  DegenerateStateError; no start is retried. ``rider`` is the
+  at eps > 0 the stream suite draws that direction's start from
+  ``rng_dir`` and lets it ride the first min(p_k, p) steps of its
+  certificate's chain of p steps, and the batch suite ignores them.
+- ``direction(p_k, rng, rider)``: unit power direction of power p_k from
+  one Gaussian start, or None if its chain collapsed, which ``drive`` ends
+  with DegenerateStateError; no start is retried. ``rider`` is the
   ``certificate.Candidate.rider`` of the same iteration. The stream suite
-  returns the direction that rode, collapsed or not, and otherwise runs a
-  chain of its own. The batch suite ignores it.
+  finishes that ride: it draws the p_k - min(p_k, p) minibatches left, or
+  none for a rider that collapsed, so an accepting certificate pays
+  nothing for it. The batch suite ignores it and runs a chain from a start
+  drawn from ``rng``.
 - ``start_iteration(v)``: keep the direction for the calls below.
 - ``quantile_value(tail)``: a score cutoff along the kept direction.
 - ``sigma_trimmed(cap)``: the mean of the scores <= cap over the whole

@@ -21,7 +21,6 @@ __all__ = [
     "SecondMomentOp",
     "power_direction",
     "streamed_power_apply",
-    "streamed_power_direction",
     "accepted_scores",
     "accepted_band_mean",
     "power_iteration",
@@ -73,7 +72,7 @@ class SecondMomentOp:
         return self.gram() @ z / self.surviving
 
 
-def _unit(u: np.ndarray) -> np.ndarray | None:
+def unit(u: np.ndarray) -> np.ndarray | None:
     """u / ||u|| for a vector u, or None when u is zero or not finite.
 
     A finite u whose squared norm over- or underflows is first scaled by the
@@ -94,7 +93,7 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
     Gram matrix of ``SecondMomentOp.gram``, m times op: the direction is
     scale-free, so the chain is the same one, up to rounding. A step whose
     squared norm is a positive finite float is renormalized in place;
-    ``_unit`` takes the rest.
+    ``unit`` takes the rest.
     """
     u = np.asarray(z, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -104,9 +103,9 @@ def power_direction(op: SecondMomentOp, p: int, z: np.ndarray) -> np.ndarray | N
             sq = float(u @ u)
             if 0.0 < sq < math.inf:
                 u /= math.sqrt(sq)
-            elif (u := _unit(u)) is None:
+            elif (u := unit(u)) is None:
                 return None
-        return _unit(u)
+        return unit(u)
 
 
 def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
@@ -127,7 +126,7 @@ def accepted_rows(source: SampleSource, stack: FilterStack, k: int,
         for start in range(0, k, STREAM_CHUNK):
             pts = source.draw(min(STREAM_CHUNK, k - start))
             keep = stack.weights(pts)
-            rows = pts if keep.all() else pts[keep]
+            rows = pts if keep.all() else pts.compress(keep, axis=0)
             accepted += rows.shape[0]
             yield rows
     if accepted == 0:
@@ -258,17 +257,6 @@ def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
     return y, float(y @ op.matvec(y))
 
 
-def streamed_power_direction(source: SampleSource, stack: FilterStack, p: int,
-                             batch_size: int, rng: np.random.Generator,
-                             ledger: ScalarLedger | None = None) -> np.ndarray | None:
-    """Unit vector along a minibatch power chain applied to one Gaussian start.
-
-    Returns None when the chain collapses; no second start is taken.
-    """
-    return _unit(streamed_power_apply(source, stack, p, batch_size,
-                                      rng.standard_normal(source.dim), ledger=ledger))
-
-
 def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
                            reps: int, batch_size: int, rng: np.random.Generator,
                            ledger: ScalarLedger | None = None, riders=()):
@@ -289,17 +277,25 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     reaches it. So a column of power q sees q fresh iid minibatches from a
     start drawn independently of them, exactly what a q-step chain on
     minibatches of its own would see, and each estimate keeps the
-    distribution it had alone. Only their joint law changes, as they share
-    rows; a caller that union-bounds their failures needs no independence
-    between them, because the union bound holds under any dependence. This
-    is the one home of that argument.
+    distribution it had alone. A caller may go on with a returned rider
+    over later fresh minibatches: the stream certificate's rider, the
+    driver direction of power p_k, rides min(p_k, p) steps, so it never
+    lengthens the chain, and ``streaming.MinibatchEstimators.direction``
+    draws its last p_k - min(p_k, p) minibatches after the certificate. The
+    rows drawn in between are skipped, and the later minibatches are fresh
+    iid draws too, so the direction still sees p_k fresh iid minibatches
+    from an independent start: the law of a p_k-step chain of its own. Only
+    the estimates' joint law changes, as they share rows; a caller that
+    union-bounds their failures needs no independence between them, because
+    the union bound holds under any dependence. This is the one home of
+    that argument.
 
     The probes are scored on the minibatch after the longest column's; the
     riders are not. Returns (best unit probe, its Rayleigh quotient,
-    [unit rider, ...]), with None in place of a rider that collapsed.
-    Raises DegenerateStateError when every probe collapses. Consumes exactly
-    (max power + 1) * batch_size stream samples, however many columns there
-    are.
+    [rider column, ...]), each rider as the chain left it, unnormalized, so
+    zero or not finite if it collapsed. Raises DegenerateStateError when
+    every probe collapses. Consumes exactly (max power + 1) * batch_size
+    stream samples, however many columns there are.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -322,4 +318,4 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     y = y[:, alive] / nrm[alive]
     rq = streamed_rayleigh(source, stack, y, batch_size, ledger)
     best = int(np.argmax(rq))
-    return y[:, best].copy(), float(rq[best]), [_unit(col) for col in block[:, reps:].T]
+    return y[:, best].copy(), float(rq[best]), list(block[:, reps:].T.copy())

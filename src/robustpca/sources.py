@@ -148,10 +148,13 @@ class ScalarLedger:
                     f"declared budget {self.limit}"
                 )
 
+    def free(self, count: int) -> None:
+        self.current -= int(count)
+
     @contextmanager
     def reserve(self, count: int):
         try:
             self.alloc(count)
             yield
         finally:
-            self.current -= int(count)
+            self.free(count)

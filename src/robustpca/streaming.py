@@ -24,7 +24,8 @@ from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import FILTER_TRIGGER, failure_share, run_boosted
 from .estimators import (C_Q, TRIM_TAIL, opnorm_bracket, streaming_quantile,
                           streaming_quantile_samples)
-from .linops import accepted_band_mean, accepted_rows, accepted_scores, streamed_power_direction
+from .linops import (accepted_band_mean, accepted_rows, accepted_scores, streamed_power_apply,
+                     unit)
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
@@ -171,13 +172,17 @@ class MinibatchEstimators:
             direction=(p_k, rng_dir) if eps > 0 else None,
         )
 
-    def direction(self, p_k: int, rng: np.random.Generator,
+    def direction(self, _p_k: int, _rng: np.random.Generator,
                   rider: tuple) -> np.ndarray | None:
-        # A rider that collapsed comes back as None, and no start is retried.
-        if rider:
-            return rider[0]
-        return streamed_power_direction(self.source, self.stack, p_k, BATCH_SIZE_CAP,
-                                        rng, ledger=self.ledger)
+        # The rider's steps left draw fresh minibatches; a collapsed rider
+        # draws none and comes back as None, and no start is retried.
+        column, left = rider
+        self.ledger.free(self.dim)
+        u = unit(column)
+        if u is not None and left:
+            u = unit(streamed_power_apply(self.source, self.stack, left, BATCH_SIZE_CAP, u,
+                                          ledger=self.ledger))
+        return u
 
     def start_iteration(self, v: np.ndarray) -> None:
         self._v = v

@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +61,82 @@ def test_acceptance_factors_clamping():
         f1, eta = acceptance_factors(eps, gamma)
         kappa = trim_keep_share(3.5 * eps)
         assert (1 + 2 * eta) * f1 == pytest.approx((f1 + kappa) / 2)
+
+
+def _slack(p, d, gamma, fail_prob, t=None):
+    """(s(t), t*) of ``power_chain_length``'s proof, s(t) = t / q - 1 - K t^(2p).
+
+    s is taken at the peak t* when no t is given."""
+    c = (fail_prob / 2) * math.sqrt(math.pi / 2)
+    x = math.log(2 / fail_prob)
+    k_level = (d + 2 * math.sqrt(d * x) + 2 * x) / c ** 2
+    q = (1 - gamma / 2) / (1 + gamma / 2)
+    t_peak = (2 * p * q * k_level) ** (-1 / (2 * p - 1))
+    t = t_peak if t is None else t
+    return t / q - 1 - k_level * t ** (2 * p), t_peak
+
+
+@pytest.mark.parametrize("fail_prob", [0.5, 0.025])
+@pytest.mark.parametrize("gamma", [0.002, 0.1, 0.4, 0.6, 1.0])
+@pytest.mark.parametrize("d", [2, 5, 20, 50, 1000])
+def test_chain_length_is_the_least_the_bound_proves(d, gamma, fail_prob):
+    # The returned p has slack >= 0 at the peak t*, and p - 1 has none
+    # there; a grid of splits finds no t that beats t*, so no split proves
+    # p - 1. The length never exceeds the one split t = 1 - gamma / 2 proves.
+    p = power_chain_length(d, gamma, fail_prob)
+    assert p >= 2
+    grid = np.linspace(1e-4, 1.0, 10_001)
+    for length, proved in ((p, True), (p - 1, False)):
+        at_peak, t_peak = _slack(length, d, gamma, fail_prob)
+        assert 0 < t_peak < 1
+        assert (at_peak >= 0) is proved
+        assert _slack(length, d, gamma, fail_prob, grid)[0].max() <= at_peak + 1e-12
+    c = (fail_prob / 2) * math.sqrt(math.pi / 2)
+    x = math.log(2 / fail_prob)
+    k_level = (d + 2 * math.sqrt(d * x) + 2 * x) / c ** 2
+    assert p <= math.ceil(math.log(2 * k_level / gamma) / gamma)
+
+
+def test_chain_length_pinned_values():
+    # The stream chain of ``stream_replay`` and acceptance 07, the first
+    # batch certificate of acceptance 02, and gamma = 1 at that share.
+    assert power_chain_length(20, 0.6, 0.5) == 8
+    assert power_chain_length(50, 0.1, 0.025) == 96
+    assert power_chain_length(50, 1.0, 0.025) == 8
+
+
+@pytest.mark.parametrize("d, gamma, fail_prob", [(20, 0.6, 0.5), (50, 0.1, 0.025),
+                                                 (50, 1.0, 0.025)])
+def test_chain_length_holds_on_its_worst_spectrum(d, gamma, fail_prob):
+    # Spectrum {1, b x (d - 1)}: a start ends below q exactly when
+    # b^(2p) (q - b) S > (1 - q) z_1^2, S the squared norm of its other
+    # coordinates, and b = 2 p q / (2 p + 1) maximizes b^(2p) (q - b). The
+    # exact M^p, applied to 20,000 seeded Gaussian starts, leaves at most
+    # fail_prob of them below q.
+    p = power_chain_length(d, gamma, fail_prob)
+    q = (1 - gamma / 2) / (1 + gamma / 2)
+    b = 2 * p * q / (2 * p + 1)
+    lam = np.full(d, b)
+    lam[0] = 1.0
+    y = np.random.default_rng(0).standard_normal((20_000, d)) @ np.diag(lam ** p)
+    rayleigh = np.sum(y * y * lam, axis=1) / np.sum(y * y, axis=1)
+    assert np.mean(rayleigh < q) <= fail_prob
+
+
+def test_docstring_chain_lengths_match_the_bound():
+    # Every "N steps at d = D, gamma = G, fail_prob = F" example in the
+    # module's docstrings is what ``power_chain_length`` returns, so the
+    # worked numbers cannot drift from the rule.
+    tree = ast.parse(Path(certificate.__file__).read_text())
+    text = "\n".join(ast.get_docstring(node, clean=False) or "" for node in ast.walk(tree)
+                     if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+    example = re.compile(r"([\d,]+) steps at\s+d = ([\d,]+),\s+gamma = ([\d.]+),"
+                         r"\s+fail_prob = ([\d.]+)")
+    found = example.findall(text)
+    assert len(found) == len(re.findall(r"steps at\s+d =", text)) >= 4
+    for steps, d, gamma, fail_prob in found:
+        assert int(steps.replace(",", "")) == power_chain_length(
+            int(d.replace(",", "")), float(gamma), float(fail_prob.rstrip("."))), steps
 
 
 def test_clean_data_accepts_and_aligns():
@@ -209,12 +288,12 @@ def test_streaming_certificate_sample_count_from_its_decision():
     # Clean pool, every row accepted: the certificate draws its chains, one
     # quantile block and a stream mean capped at the Bernstein count
     # n = ceil(k (B / mu0) L), B the trim cutoff. The chain is
-    # (17 + 1) * 1,500 = 27,000 rows: p = 17 steps for every start and the
+    # (12 + 1) * 1,500 = 19,500 rows: p = 12 steps for every start and the
     # batch that scores them. fail_prob splits in
     # three, so the block and the mean each take 0.05 / 3. At gamma = 0.4,
-    # eta = 1/16 and k = 586.6; f1 = 0.520 puts B / mu0 near 6.6, and
+    # eta = 1/16 and k = 586.6; f1 = 0.520 puts B / mu0 near 6.5, and
     # L = ln(4 * 8 / (0.05 / 3)) = 7.56 over the 8 stages of n itself, so
-    # n = 29,054, in stages of 256, ..., 16,384 and 29,054. A clean
+    # n = 28,701, in stages of 256, ..., 16,384 and 28,701. A clean
     # trimmed mean (about 0.74 R) sits above the bar (1 + eta) mu0 = 0.55 R,
     # and an early stage's interval already lies above it: the mean stops
     # there.
@@ -239,7 +318,7 @@ def test_streaming_certificate_sample_count_from_its_decision():
     assert len(mean_stages(n)) == 8
     assert n == _bernstein_rows(eta, cap / mu0, 8, part)
     assert 20_000 < n < 50_000
-    assert n == 29_054
+    assert n == 28_701
     stages = mean_stages(n)
     assert stages[0] == FIRST_STAGE == 256 and stages[-1] == n
     rows = twin.draw(n)
@@ -278,7 +357,7 @@ def test_streaming_certificate_unbounded_scores_raise(prune_radius_sq):
     # eps = 0 trims nothing. Under an infinite prune radius the scores have
     # no bound, and under the largest finite radius B / mu0 overflows the
     # count: no number of rows decides the test, so the certificate raises
-    # a typed error after the chain's (17 + 1) * 1,000 rows and
+    # a typed error after the chain's (12 + 1) * 1,000 rows and
     # before any mean draw. A stream solve never gets here: its prologue
     # sets a finite radius at eps = 0.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
@@ -295,10 +374,10 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
     # the batch that scores them all sees only rows along e2, so rayleigh_emp
     # is exactly 0. The robust test has no scale and the candidate is
     # rejected before the quantile block and the stream-mean draw: the
-    # certificate draws p = 16 chain batches and one scoring batch of 256.
+    # certificate draws p = 11 chain batches and one scoring batch of 256.
     d, gamma, fail_prob, batch = 2, 0.4, 0.05, 256
     chains = _chain_samples(d, gamma, batch) - batch
-    assert chains == 16 * batch
+    assert chains == 11 * batch
     pool = np.zeros((chains + batch, d))
     pool[:chains, 0] = np.random.default_rng(8).standard_normal(chains)
     pool[chains:, 1] = 1.0
@@ -314,7 +393,7 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     # columns to the block but no steps to its chain: its
     # ceil(log2(3 / fail_prob)) starts are 6 at 0.05 and 22 at 1e-6, the
     # chain's third of fail_prob. At d = 6, gamma = 0.4 the chain has
-    # p = 17 steps for every column, so each call draws (p + 1) batches.
+    # p = 12 steps for every column, so each call draws (p + 1) batches.
     calls = []
     real = certificate.approx_power_iteration
 
@@ -331,7 +410,7 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     for fail_prob in (0.05, 1e-6):
         _stream_certificate(src, 0.02, gamma, fail_prob, batch)
     p = power_chain_length(d, gamma, START_FAILURE)
-    assert p == 17
+    assert p == 12
     assert calls == [(p, 6, (p + 1) * batch), (p, 22, (p + 1) * batch)]
 
 
@@ -370,14 +449,14 @@ def test_streaming_candidate_rides_the_reference_chain():
 
 
 def test_streaming_certificate_chains_cost_one_chain():
-    # Every start shares one chain of p = 17 steps, and one batch scores
-    # them all: 18,000 rows. At eps = 0 there is no quantile block, and the
+    # Every start shares one chain of p = 12 steps, and one batch scores
+    # them all: 13,000 rows. At eps = 0 there is no quantile block, and the
     # rest is one stage of the stream mean.
     pool, gamma, p = _rows_and_power()
     src = ReplaySource(pool, mode="cycle")
     cand = _stream_certificate(src, 0.0, gamma, 0.05, 1000, stack=PROMISED_STACK)
-    assert p == 17
-    assert src.delivered - 18_000 in _mean_stages(cand, 250.0, 0.0, gamma, 0.05)
+    assert p == 12
+    assert src.delivered - 13_000 in _mean_stages(cand, 250.0, 0.0, gamma, 0.05)
 
 
 def test_streaming_reference_reaches_top_rayleigh_on_every_seed():

@@ -17,7 +17,7 @@ from robustpca import (
     streamed_power_apply,
 )
 from robustpca.errors import DegenerateStateError
-from robustpca.linops import accepted_rows, accepted_scores, streamed_power_direction
+from robustpca.linops import accepted_rows, accepted_scores
 
 
 def op_from(points):
@@ -463,8 +463,8 @@ def test_approx_power_iteration_rider_shares_the_chain(q):
     # A rider of power q runs q steps over the chain's own minibatches (the
     # block runs min(p, q), the longer side goes on alone), so the call draws
     # (max(p, q) + 1) batches. The probe is scored on the batch after the
-    # longest column's. A collapsed rider comes back as None and leaves the
-    # probe as it was.
+    # longest column's. The rider comes back as the chain left it,
+    # unnormalized: a collapsed one as zeros, leaving the probe as it was.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
@@ -483,13 +483,13 @@ def test_approx_power_iteration_rider_shares_the_chain(q):
     acc = pts[stack.weights(pts)]
     assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
     want = streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, q, batch, k)
-    np.testing.assert_allclose(w, want / np.linalg.norm(want), rtol=1e-12)
+    np.testing.assert_allclose(w, want, rtol=1e-12)
 
     src = ReplaySource(pop, mode="cycle")
     u_zero, r_zero, [rider] = approx_power_iteration(
         src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
         riders=[(np.zeros(4), q)])
-    assert rider is None
+    assert not rider.any()
     assert src.delivered == (max(p, q) + 1) * batch
     np.testing.assert_allclose(u_zero, u, rtol=1e-12)
     assert r_zero == pytest.approx(rayleigh, rel=1e-12)
@@ -502,7 +502,7 @@ def test_approx_power_iteration_ragged_riders(q, extra):
     # matches a chain of its own over them; a column no longer than the
     # others adds no rows, a longer one extends the call by exactly its
     # excess minibatches. Only the probe is scored, on the minibatch after
-    # the longest column's.
+    # the longest column's; the riders come back unnormalized.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
     p, batch = 3, 40
@@ -522,10 +522,10 @@ def test_approx_power_iteration_ragged_riders(q, extra):
             twin_src.draw((chain - power) * batch)
         pts = twin_src.draw(batch)
         acc = pts[stack.weights(pts)]
-        out = out / np.linalg.norm(out)
-        return out, float(np.mean((acc @ out) ** 2))
+        unit = out / np.linalg.norm(out)
+        return out, unit, float(np.mean((acc @ unit) ** 2))
 
-    want_u, want_rayleigh = twin(g, p)
+    _raw, want_u, want_rayleigh = twin(g, p)
     np.testing.assert_allclose(u, want_u, rtol=1e-12)
     assert rayleigh == pytest.approx(want_rayleigh, rel=1e-12)
     np.testing.assert_allclose(v, twin(m, q)[0], rtol=1e-12)
@@ -535,7 +535,7 @@ def test_approx_power_iteration_ragged_riders(q, extra):
     _u, _r, riders = approx_power_iteration(
         src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
         riders=[(m, q), (np.zeros(4), extra), (k, extra)])
-    assert riders[1] is None
+    assert not riders[1].any()
     np.testing.assert_allclose(riders[0], v, rtol=1e-12)
     np.testing.assert_allclose(riders[2], w, rtol=1e-12)
 
@@ -548,25 +548,6 @@ def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     approx_power_iteration(src, FilterStack(prune_radius_sq=40.0), p, reps=reps,
                            batch_size=batch, rng=np.random.default_rng(7))
     assert src.delivered == (p + 1) * batch
-
-
-def test_streamed_power_direction_takes_one_start():
-    d, p, batch = 3, 2, 20
-    pop = np.random.default_rng(8).standard_normal((64, d))
-    src = ReplaySource(pop, mode="cycle")
-    u = streamed_power_direction(src, FilterStack(), p, batch, np.random.default_rng(9))
-    want = streamed_power_apply(ReplaySource(pop, mode="cycle"), FilterStack(), p,
-                                batch, np.random.default_rng(9).standard_normal(d))
-    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
-
-    # A zero stream collapses the chain: one start and p batches, then None.
-    src = ReplaySource(np.zeros((16, d)), mode="cycle")
-    rng = np.random.default_rng(10)
-    assert streamed_power_direction(src, FilterStack(), p, batch, rng) is None
-    assert src.delivered == p * batch
-    ref = np.random.default_rng(10)
-    ref.standard_normal(d)
-    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_accepted_scores_tops_up_rejected_rows():

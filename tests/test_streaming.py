@@ -121,14 +121,14 @@ def test_non_finite_stream_row_is_rejected():
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
     # The first certificate accepts. At eps = 0 there is no norm quantile,
     # so the opnorm block is the suite's first estimate, at failure_share(1).
-    # Then come (13 + 1) * 4,096 chain rows (the starts share a chain of
-    # power_chain_length(5, 0.5, 1/2) = 13 steps, and one batch scores them
+    # Then come (9 + 1) * 4,096 chain rows (the starts share a chain of
+    # power_chain_length(5, 0.5, 1/2) = 9 steps, and one batch scores them
     # all) and the stream mean, whose scores the
     # prune radius^2 2 r^2 d sigma_op bounds, settling at its stage of 8,192
     # rows.
     block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
-    assert power_chain_length(5, 0.5, START_FAILURE) == 13
-    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 57_344 + 8_192
+    assert power_chain_length(5, 0.5, START_FAILURE) == 9
+    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 40_960 + 8_192
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -686,36 +686,85 @@ def _chain_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
-    # p_k = 9, 18 and 36 against a chain of p = 12 steps.
-    # A direction no longer than the chain rides it from the start
-    # rng_stream(seed, rep, 2) draws first, so after the rejected
-    # certificate the driver's direction draws no rows; a longer one leaves
-    # the generator untouched and runs a chain of its own over p_k
-    # minibatches. The certificate's chain draws (12 + 1) minibatches either
-    # way.
+def _ride(monkeypatch, p_k):
+    """Run a rejected certificate with a rider of power p_k, then the direction.
+
+    Checks the rows each draws and that the direction equals a p_k-step
+    chain from the same start on a twin pool: its first min(p_k, p)
+    minibatches are the certificate chain's, the rest the rows after the
+    certificate's own draws. Returns the chain's length p.
+    """
     chain_rows = _chain_rows(monkeypatch)
     pool, src, cfg, suite = _rider_suite()
     d, b = 20, BATCH_SIZE_CAP
-    p_k = cfg.power_at(d, k)
-    p_chain = power_chain_length(d, cfg.gamma, START_FAILURE)
-    assert (p_k, p_chain) == ((9, 18, 36)[k - 1], 12)
+    p = power_chain_length(d, cfg.gamma, START_FAILURE)
 
     rng_dir, start = rng_stream(0, 0, 2), src.delivered
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
-    assert not cand.accepted and chain_rows == [(p_chain + 1) * b]
+    assert not cand.accepted and chain_rows == [(p + 1) * b]
+    assert cand.rider[1] == max(0, p_k - p)
     before = src.delivered
     v = suite.direction(p_k, rng_dir, cand.rider)
-    rides = p_k <= p_chain
-    assert len(cand.rider) == rides
-    assert src.delivered - before == (0 if rides else p_k * b)
-    twin = ReplaySource(pool, mode="cycle")
-    twin.draw(start if rides else before)
+    assert src.delivered - before == max(0, p_k - p) * b
+
     ref = rng_stream(0, 0, 2)
-    want = streamed_power_apply(twin, suite.stack, p_k, b, ref.standard_normal(d))
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(start)
+    want = streamed_power_apply(twin, suite.stack, min(p_k, p), b, ref.standard_normal(d))
+    if p_k > p:
+        twin = ReplaySource(pool, mode="cycle")
+        twin.draw(before)
+        want = streamed_power_apply(twin, suite.stack, p_k - p, b, want)
     np.testing.assert_allclose(v, want / np.linalg.norm(want), rtol=1e-10)
     assert rng_dir.standard_normal() == ref.standard_normal()
+    return p
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
+    # p_k = 9, 18 and 36 against a chain of p = 8 steps. The direction's
+    # start, the first draw of rng_stream(seed, rep, 2), rides the chain's
+    # 8 minibatches, so the certificate draws (8 + 1) minibatches whatever
+    # p_k is; after it rejects, the direction draws only its p_k - 8 left.
+    cfg = AlgoConfig(eps=0.03, gamma=0.6)
+    p_k = cfg.power_at(20, k)
+    assert p_k == (9, 18, 36)[k - 1]
+    assert _ride(monkeypatch, p_k) == 8
+
+
+def test_a_short_direction_rides_inside_the_chain(monkeypatch):
+    # A direction no longer than the chain rides p_k of its steps and draws
+    # no row after the certificate.
+    assert _ride(monkeypatch, 5) == 8
+
+
+def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
+    # The rider's column, d scalars, is held from the chain's end until the
+    # direction takes it, across the certificate's trim quantile and stream
+    # mean. So while the quantile block is drawn the ledger holds it beside
+    # the block's m scores, which a certificate without a rider does not.
+    import robustpca.certificate as certificate
+
+    seen, real = [], certificate.streaming_quantile
+
+    def spy(draw_scores, *args, ledger, **kwargs):
+        def draw(k):
+            seen.append(ledger.current - held)
+            return draw_scores(k)
+        return real(draw, *args, ledger=ledger, **kwargs)
+
+    monkeypatch.setattr(certificate, "streaming_quantile", spy)
+    _pool, src, cfg, suite = _rider_suite()
+    d, held, p_k = 20, suite.ledger.current, cfg.power_at(20, 1)
+    m = streaming_quantile_samples(3 * cfg.eps, failure_share(1) / 3, certificate.TRIM_C_Q)
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_stream(0, 0, 2))
+    assert suite.ledger.current == held + d
+    suite.direction(p_k, rng_stream(0, 0, 2), cand.rider)
+    assert suite.ledger.current == held
+    certificate.sample_top_eigenvector_streaming(
+        src, suite.stack, cfg.eps, cfg.gamma, failure_share(1), rng_stream(0, 0, 1),
+        BATCH_SIZE_CAP, suite.ledger)
+    assert seen == [m + d, m]
 
 
 class _ZeroStarts:
@@ -730,15 +779,17 @@ class _ZeroStarts:
 
 
 def test_a_collapsed_rider_ends_the_rep(monkeypatch):
-    # A zero start collapses on any pool. The direction that rode comes back
-    # as None, with no second start and no row of its own, and ``drive``
-    # raises DegenerateStateError.
+    # A zero start collapses on any pool. The rider comes back as the zero
+    # column with p_k - p = 1 step left; the direction returns None with no
+    # second start and no row of its own, and ``drive`` raises
+    # DegenerateStateError.
     import robustpca.driver as driver
 
     pool, src, cfg, suite = _rider_suite()
     p_k, rng_dir = cfg.power_at(20, 1), _ZeroStarts()
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
-    assert cand.rider == (None,) and rng_dir.drawn == 1
+    column, left = cand.rider
+    assert not column.any() and left == 1 and rng_dir.drawn == 1
     before = src.delivered
     assert suite.direction(p_k, rng_dir, cand.rider) is None
     assert rng_dir.drawn == 1 and src.delivered == before
