@@ -3,7 +3,7 @@
 A candidate is the output of one power chain from Gaussian starts, of the
 least length that proves its empirical Rayleigh quotient at least 1 - gamma
 times the top one outside the certificate's failure probability
-(``power_chain_length``: 8 steps at d = 20, gamma = 0.6, fail_prob = 0.5).
+(``power_chain_length``: 2 steps at d = 20, gamma = 0.6, fail_prob = 0.5).
 It is accepted when its robust variance is at least f1 times that quotient:
 it then carries close to the top true variance. Rejection means the
 survivors still over-weight some direction and filtering should continue.
@@ -52,55 +52,58 @@ def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
     """Power steps after which one Gaussian start fails with at most ``fail_prob``.
 
     Success means a Rayleigh quotient of at least q lambda1, where
-    q = (1 - gamma / 2) / (1 + gamma / 2) >= 1 - gamma, and p is the least
-    length that some split t below proves.
+    q = (1 - gamma / 2) / (1 + gamma / 2) >= 1 - gamma; the quotient q, not
+    1 - gamma, is the target, as 1 - gamma = 0 at gamma = 1 would ask for
+    one step. The length is the least p >= 1 that the bound below proves.
 
-    The gap-free power bound (Musco & Musco, NeurIPS 2015, in its simplest
-    form). Let M be PSD with eigenvalues lambda1 >= ... >= lambda_d >= 0, z
-    a start with coordinates z_i in M's eigenbasis, y = M^p z and
-    a = t lambda1 for a split t in (0, 1]. Over the set G of i with
-    lambda_i >= a, lambda_i^(2p+1) >= a lambda_i^(2p) and S_G = sum_G
-    lambda_i^(2p) z_i^2 >= lambda1^(2p) z_1^2; off G, S_B = sum
-    lambda_i^(2p) z_i^2 <= a^(2p) ||z||^2. So the Rayleigh quotient of y is
+    Let M be PSD with eigenvalues lambda1 >= ... >= lambda_d >= 0, z a
+    start with coordinates z_i in M's eigenbasis and y = M^p z. Then
+    R(y) >= q lambda1 iff sum_i (lambda_i - q lambda1) lambda_i^(2p) z_i^2
+    >= 0. The i = 1 term is (1 - q) lambda1^(2p+1) z_1^2, each lambda_i >=
+    q lambda1 adds a term >= 0, and each other term is at least -z_i^2 times
+    the largest (q lambda1 - lambda) lambda^(2p) over 0 <= lambda <=
+    q lambda1, taken at lambda = 2 p q lambda1 / (2p + 1). So R(y) >=
+    q lambda1 once
 
-        R(y) >= a S_G / (S_G + S_B) >= t lambda1 / (1 + t^(2p) ||z||^2 / z_1^2).
+        z_1^2 / ||z_-1||^2 >= h(p) = q^(2p+1) (2p)^(2p) / ((1 - q) (2p + 1)^(2p+1)),
 
-    For a standard Gaussian z the two random terms take fail_prob / 2 each:
-    - z_1 ~ N(0, 1) has density at most 1 / sqrt(2 pi), so
-      P(|z_1| < c) <= c sqrt(2 / pi) = fail_prob / 2 at
-      c = (fail_prob / 2) sqrt(pi / 2);
-    - ||z||^2 ~ chi^2_d, and P(||z||^2 >= d + 2 sqrt(d x) + 2 x) <= e^-x
-      (Laurent & Massart, Ann. Stat. 2000), = fail_prob / 2 at
-      x = ln(2 / fail_prob); call that level N.
-    Outside both events ||z||^2 / z_1^2 <= K = N / c^2, so R(y) >= q lambda1
-    once the slack s(t) = t / q - 1 - K t^(2p) is at least 0 at some t. s is
-    concave and peaks at t* = (2 p q K)^(-1 / (2p - 1)), below 1 as
-    K > 1 / c^2 > 5 / 2 and q >= 1/3; t* depends on (d, gamma, fail_prob)
-    alone, never on data. At t <= 1 the slack grows with p, so the lengths
-    that s(t*) >= 0 proves are all those from the least one up, which a
-    bisection finds below p0 = ceil(ln(2 K / gamma) / gamma): the split
-    t = 1 - gamma / 2 proves p0, as t / q - 1 = gamma / 2 and
-    (1 - gamma / 2)^(2p) <= e^(-gamma p). The quotient q, not 1 - gamma, is
-    the target, as 1 - gamma = 0 at gamma = 1 would ask for one step.
+    z_-1 the other coordinates; a tail at 2 p q lambda1 / (2p + 1) makes it
+    an equality. For a standard Gaussian z, beta = z_1^2 / ||z||^2 ~
+    Beta(1/2, (d - 1) / 2) and z_1^2 / ||z_-1||^2 = beta / (1 - beta), so p
+    is proved once h(p) <= s / (1 - s) for an s with P(beta < s) <= fail_prob:
+    - d >= 3: beta's density is at most x^(-1/2) / B(1/2, (d - 1) / 2), so
+      P(beta < s) <= 2 sqrt(s) / B(1/2, (d - 1) / 2) = fail_prob at
+      s = (fail_prob B(1/2, (d - 1) / 2) / 2)^2;
+    - d = 2: beta is the squared cosine of a uniform angle, and
+      s = sin^2(pi fail_prob / 2) exactly;
+    - d = 1: every start succeeds (s = 1), and the length is the floor of
+      1 step, the least ``linops.power_iteration`` takes.
+    h falls with p, depends on gamma alone and is taken in logs, as its
+    powers overflow on long chains; s depends on (d, fail_prob) alone, so
+    the length never depends on data.
 
     The proof takes one exact M: the batch chain runs on B itself, while a
     stream chain multiplies p fresh minibatch moments, whose distance from
     the population moment the minibatch size governs
     (``streaming.BATCH_SIZE_CAP``). This is the one home of the proof, and
-    every certificate chain takes its length here: 8 steps at d = 20,
-    gamma = 0.6, fail_prob = 0.5 (``START_FAILURE``), against p0 = 12, and
-    62 steps at d = 50, gamma = 0.1, fail_prob = 0.5, against p0 = 96.
+    every certificate chain takes its length here: 2 steps at d = 20,
+    gamma = 0.6, fail_prob = 0.5 (``START_FAILURE``), and 14 steps at
+    d = 50, gamma = 0.1, fail_prob = 0.5.
     """
-    c = 0.5 * fail_prob * math.sqrt(math.pi / 2.0)
-    x = math.log(2.0 / fail_prob)
-    k_level = (d + 2.0 * math.sqrt(d * x) + 2.0 * x) / (c * c)
+    if d == 1:
+        s = 1.0
+    elif d == 2:
+        s = math.sin(math.pi * fail_prob / 2.0) ** 2
+    else:
+        log_beta = math.lgamma(0.5) + math.lgamma((d - 1) / 2.0) - math.lgamma(d / 2.0)
+        s = (fail_prob * math.exp(log_beta) / 2.0) ** 2
+    log_odds = math.log(s) - math.log1p(-s) if s < 1.0 else math.inf
     q = (1.0 - gamma / 2.0) / (1.0 + gamma / 2.0)
-    lo, hi = 0, math.ceil(math.log(2.0 * k_level / gamma) / gamma)  # hi is proved
-    while hi - lo > 1:
-        p = (lo + hi) // 2
-        t = (2.0 * p * q * k_level) ** (-1.0 / (2 * p - 1))
-        lo, hi = (lo, p) if t / q - 1.0 - k_level * t ** (2 * p) >= 0.0 else (p, hi)
-    return hi
+    p = 1
+    while ((2 * p + 1) * math.log(q) + 2 * p * math.log(2 * p / (2 * p + 1))
+           - math.log(2 * p + 1) - math.log1p(-q)) > log_odds:
+        p += 1
+    return p
 
 
 def acceptance_factors(eps: float, gamma: float) -> tuple[float, float]:
@@ -160,12 +163,14 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     (``op.rows``) of a population of ``n_total``. The chain has one start, so
     it is sized to reach a Rayleigh quotient of at least (1 - gamma) times
     B's top eigenvalue but with probability ``fail_prob``
-    (``power_chain_length``): 96 steps at d = 50, gamma = 0.1,
+    (``power_chain_length``): 39 steps at d = 50, gamma = 0.1,
     fail_prob = 0.025, the first certificate's share. The stream's block of
-    shorter starts would not pay here: there it takes 7 starts of 62 steps,
-    and on a formed G (``linops.power_direction``) one step of a 7-column
-    block costs 3.2 (d = 50) to 4.6 (d = 1,000) single-vector steps on one
-    BLAS thread, so 198 or more against 96.
+    shorter starts pays only at small d: there it takes 7 starts of 14
+    steps, and on a formed G (``linops.power_direction``) one step of a
+    7-column block costs about 2 (d = 50) to 4.3 (d = 1,000) single-vector
+    steps on one BLAS thread, so about 28 against 39 at d = 50, some 50
+    microseconds saved in a certificate whose trim alone reads all m rows,
+    but about 112 (26 block steps) against 53 at d = 1,000. One start stays.
     The robust variance is the 3*eps-tail trimmed mean of squared
     projections of ``op.rows`` onto u, over n_total. All reported scalars
     are per unit norm of u.
@@ -201,8 +206,8 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     START_FAILURE)`` steps, enough for one start to reach (1 - gamma)-accuracy
     with probability at least 1/2. Given the chain's minibatches, whose error
     ``batch_size`` governs, the starts are independent, so all of them miss
-    with probability at most (1/2)^reps <= fail_prob / 3: p = 8 steps at
-    d = 20, gamma = 0.6, fail_prob = 0.5 for (8 + 1) * ``batch_size`` rows.
+    with probability at most (1/2)^reps <= fail_prob / 3: p = 2 steps at
+    d = 20, gamma = 0.6, fail_prob = 0.5 for (2 + 1) * ``batch_size`` rows.
     ``direction`` = (p_k, rng_dir) sets the driver's next filter direction:
     its start, ``rng_dir.standard_normal(d)``, rides the first min(p_k, p)
     steps of the chain, drawing no rows of its own, and comes back as

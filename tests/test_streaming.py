@@ -121,14 +121,14 @@ def test_non_finite_stream_row_is_rejected():
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
     # The first certificate accepts. At eps = 0 there is no norm quantile,
     # so the opnorm block is the suite's first estimate, at failure_share(1).
-    # Then come (9 + 1) * 4,096 chain rows (the starts share a chain of
-    # power_chain_length(5, 0.5, 1/2) = 9 steps, and one batch scores them
+    # Then come (1 + 1) * 4,096 chain rows (the starts share a chain of
+    # power_chain_length(5, 0.5, 1/2) = 1 step, and one batch scores them
     # all) and the stream mean, whose scores the
     # prune radius^2 2 r^2 d sigma_op bounds, settling at its stage of 8,192
     # rows.
     block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
-    assert power_chain_length(5, 0.5, START_FAILURE) == 9
-    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 40_960 + 8_192
+    assert power_chain_length(5, 0.5, START_FAILURE) == 1
+    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 8_192 + 8_192
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -660,11 +660,11 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
 
 # -- the driver direction riding the certificate's chain --------------------------
 
-def _rider_suite():
-    """A prologued d = 20 suite at eps 0.03, gamma 0.6, whose first certificate rejects."""
-    pool, _spec = _spiked_pool(d=20, rows=20_000)
+def _rider_suite(d=20, gamma=0.6, rate=0.035):
+    """A prologued suite at eps = gamma / 20 whose first certificate rejects."""
+    pool, _spec = _spiked_pool(d=d, rows=20_000, rate=rate)
     src = ReplaySource(pool, mode="cycle")
-    cfg = AlgoConfig(eps=0.03, gamma=0.6)
+    cfg = AlgoConfig(eps=gamma / 20, gamma=gamma)
     suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
     suite.prologue()
     return pool, src, cfg, suite
@@ -686,17 +686,18 @@ def _chain_rows(monkeypatch):
     return rows
 
 
-def _ride(monkeypatch, p_k):
+def _ride(monkeypatch, p_k, **suite_args):
     """Run a rejected certificate with a rider of power p_k, then the direction.
 
     Checks the rows each draws and that the direction equals a p_k-step
     chain from the same start on a twin pool: its first min(p_k, p)
     minibatches are the certificate chain's, the rest the rows after the
-    certificate's own draws. Returns the chain's length p.
+    certificate's own draws. Returns the chain's length p. ``suite_args``
+    go to ``_rider_suite``.
     """
     chain_rows = _chain_rows(monkeypatch)
-    pool, src, cfg, suite = _rider_suite()
-    d, b = 20, BATCH_SIZE_CAP
+    pool, src, cfg, suite = _rider_suite(**suite_args)
+    d, b = pool.shape[1], BATCH_SIZE_CAP
     p = power_chain_length(d, cfg.gamma, START_FAILURE)
 
     rng_dir, start = rng_stream(0, 0, 2), src.delivered
@@ -722,20 +723,24 @@ def _ride(monkeypatch, p_k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
-    # p_k = 9, 18 and 36 against a chain of p = 8 steps. The direction's
+    # p_k = 9, 18 and 36 against a chain of p = 2 steps. The direction's
     # start, the first draw of rng_stream(seed, rep, 2), rides the chain's
-    # 8 minibatches, so the certificate draws (8 + 1) minibatches whatever
-    # p_k is; after it rejects, the direction draws only its p_k - 8 left.
+    # 2 minibatches, so the certificate draws (2 + 1) minibatches whatever
+    # p_k is; after it rejects, the direction draws only its p_k - 2 left.
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     p_k = cfg.power_at(20, k)
     assert p_k == (9, 18, 36)[k - 1]
-    assert _ride(monkeypatch, p_k) == 8
+    assert _ride(monkeypatch, p_k) == 2
 
 
 def test_a_short_direction_rides_inside_the_chain(monkeypatch):
     # A direction no longer than the chain rides p_k of its steps and draws
-    # no row after the certificate.
-    assert _ride(monkeypatch, 5) == 8
+    # no row after the certificate: at d = 50, gamma = 0.1 the chain has
+    # p = 14 steps and the first direction p_k = 12. Outliers at the rate
+    # eps = 0.005 make the certificate reject.
+    p_k = AlgoConfig(eps=0.005, gamma=0.1).power_at(50, 1)
+    assert p_k == 12
+    assert _ride(monkeypatch, p_k, d=50, gamma=0.1, rate=0.005) == 14
 
 
 def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
@@ -780,7 +785,7 @@ class _ZeroStarts:
 
 def test_a_collapsed_rider_ends_the_rep(monkeypatch):
     # A zero start collapses on any pool. The rider comes back as the zero
-    # column with p_k - p = 1 step left; the direction returns None with no
+    # column with p_k - p = 7 steps left; the direction returns None with no
     # second start and no row of its own, and ``drive`` raises
     # DegenerateStateError.
     import robustpca.driver as driver
@@ -789,7 +794,7 @@ def test_a_collapsed_rider_ends_the_rep(monkeypatch):
     p_k, rng_dir = cfg.power_at(20, 1), _ZeroStarts()
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
     column, left = cand.rider
-    assert not column.any() and left == 1 and rng_dir.drawn == 1
+    assert not column.any() and left == 7 and rng_dir.drawn == 1
     before = src.delivered
     assert suite.direction(p_k, rng_dir, cand.rider) is None
     assert rng_dir.drawn == 1 and src.delivered == before
