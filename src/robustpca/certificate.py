@@ -76,8 +76,8 @@ def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
       s = (fail_prob B(1/2, (d - 1) / 2) / 2)^2;
     - d = 2: beta is the squared cosine of a uniform angle, and
       s = sin^2(pi fail_prob / 2) exactly;
-    - d = 1: every start succeeds (s = 1), and the length is the floor of
-      1 step, the least ``linops.power_iteration`` takes.
+    - d = 1: every start succeeds, and the length is the floor of 1 step,
+      the least ``linops.power_iteration`` takes.
     h falls with p, depends on gamma alone and is taken in logs, as its
     powers overflow on long chains; s depends on (d, fail_prob) alone, so
     the length never depends on data.
@@ -91,13 +91,13 @@ def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
     d = 50, gamma = 0.1, fail_prob = 0.5.
     """
     if d == 1:
-        s = 1.0
-    elif d == 2:
+        return 1
+    if d == 2:
         s = math.sin(math.pi * fail_prob / 2.0) ** 2
     else:
         log_beta = math.lgamma(0.5) + math.lgamma((d - 1) / 2.0) - math.lgamma(d / 2.0)
         s = (fail_prob * math.exp(log_beta) / 2.0) ** 2
-    log_odds = math.log(s) - math.log1p(-s) if s < 1.0 else math.inf
+    log_odds = math.log(s) - math.log1p(-s)
     q = (1.0 - gamma / 2.0) / (1.0 + gamma / 2.0)
     p = 1
     while ((2 * p + 1) * math.log(q) + 2 * p * math.log(2 * p / (2 * p + 1))

@@ -125,7 +125,7 @@ def test_04_potential_decrease_with_dense_shadow(monkeypatch):
     d, n = 16, 20_000
     eps, gamma = 1e-4, 0.002
     cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4, k_end=1)
-    # The bound's chain at gamma = 0.002 runs thousands of steps (9,474 for
+    # The bound's chain at gamma = 0.002 runs over a thousand steps (1,675 for
     # the first certificate); this gate measures the filter, not the chain,
     # so it keeps the short length 2 ln(d / (gamma fail_prob)) it was set
     # at: 26 steps for the first certificate.

@@ -70,20 +70,38 @@ def _h(p, gamma):
     return q ** (2 * p + 1) * (2 * p / (2 * p + 1)) ** (2 * p) / ((1 - q) * (2 * p + 1))
 
 
-def _start_level(d, fail_prob):
-    """s with P(z_1^2 / ||z||^2 < s) <= fail_prob for a Gaussian z in d >= 2 dimensions.
-
-    Exact at d = 2; for d >= 3 the density bound 2 sqrt(s) / B(1/2, (d - 1) / 2),
-    B taken by B(1/2, b + 1) = B(1/2, b) b / (b + 1/2) from B(1/2, 1/2) = pi
-    or B(1/2, 1) = 2.
-    """
-    if d == 2:
-        return math.sin(math.pi * fail_prob / 2) ** 2
+def _beta_half(d):
+    """B(1/2, (d - 1) / 2) for d >= 2, by B(1/2, b + 1) = B(1/2, b) b / (b + 1/2)
+    from B(1/2, 1/2) = pi or B(1/2, 1) = 2."""
     b, beta_fn = (0.5, math.pi) if d % 2 == 0 else (1.0, 2.0)
     while b < (d - 1) / 2:
         beta_fn *= b / (b + 0.5)
         b += 1
-    return (fail_prob * beta_fn / 2) ** 2
+    return beta_fn
+
+
+def _start_level(d, fail_prob):
+    """s with P(z_1^2 / ||z||^2 < s) <= fail_prob for a Gaussian z in d >= 2 dimensions.
+
+    Exact at d = 2; for d >= 3 the density bound 2 sqrt(s) / B(1/2, (d - 1) / 2).
+    """
+    if d == 2:
+        return math.sin(math.pi * fail_prob / 2) ** 2
+    return (fail_prob * _beta_half(d) / 2) ** 2
+
+
+def _beta_share_below(d, x, n_grid=200_001):
+    """P(beta < x) for beta ~ Beta(1/2, (d - 1) / 2), d >= 2 and x < 1.
+
+    With u = sqrt(t) the law's integral is 2 int_0^sqrt(x) (1 - u^2)^((d - 3) / 2) du
+    over B(1/2, (d - 1) / 2); the integrand is smooth on [0, sqrt(x)], and
+    Simpson's rule on n_grid (odd) points takes it to rounding.
+    """
+    u = np.linspace(0.0, math.sqrt(x), n_grid)
+    weights = np.ones(n_grid)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    integral = (u[1] - u[0]) / 3 * float(weights @ (1 - u * u) ** ((d - 3) / 2))
+    return 2 * integral / _beta_half(d)
 
 
 def _split_bound_length(d, gamma, fail_prob):
@@ -121,19 +139,20 @@ def test_chain_length_pinned_values():
     assert power_chain_length(1, 0.6, 0.5) == power_chain_length(1, 0.01, 1e-9) == 1
 
 
-def _worst_spectrum_misses(d, gamma, p, n_starts=20_000):
-    """Share of seeded Gaussian starts that end below q after p exact steps.
+def _worst_spectrum_starts(d, gamma, p, n_starts=20_000):
+    """(z_1^2 / ||z_-1||^2, missed) of seeded Gaussian starts after p exact steps.
 
     The spectrum is {1, b x (d - 1)} with b = 2 p q / (2p + 1), where the
-    bound of ``power_chain_length`` holds with equality: a start misses
-    exactly when z_1^2 / ||z_-1||^2 < h(p).
+    bound of ``power_chain_length`` holds with equality; ``missed`` marks the
+    starts whose Rayleigh quotient ends below q.
     """
     q = (1 - gamma / 2) / (1 + gamma / 2)
     lam = np.full(d, 2 * p * q / (2 * p + 1))
     lam[0] = 1.0
-    y = np.random.default_rng(0).standard_normal((n_starts, d)) * lam ** p
+    z = np.random.default_rng(0).standard_normal((n_starts, d))
+    y = z * lam ** p
     rayleigh = np.sum(y * y * lam, axis=1) / np.sum(y * y, axis=1)
-    return float(np.mean(rayleigh < q))
+    return z[:, 0] ** 2 / np.sum(z[:, 1:] ** 2, axis=1), rayleigh < q
 
 
 def _binomial_slack(prob, n):
@@ -144,18 +163,22 @@ def _binomial_slack(prob, n):
 @pytest.mark.parametrize("d, gamma, fail_prob", [(20, 0.6, 0.5), (50, 0.1, 0.025),
                                                  (50, 1.0, 0.025)])
 def test_chain_length_holds_on_its_worst_spectrum(d, gamma, fail_prob):
-    # At p the exact M^p leaves at most fail_prob of 20,000 seeded starts
-    # below q, up to three binomial standard deviations of the sampled
-    # share. Under the Beta law the true shares are 30.0%, 2.37% and 1.01%
-    # at p, and 65.9%, 2.65% and 3.46% one step fewer, on that step's own
-    # worst spectrum. Where a sample can tell that share from fail_prob
-    # (not 2.65% against 2.5%), it exceeds fail_prob: the rule is the least
+    # On its worst spectrum p exact steps leave a seeded start below q
+    # exactly when z_1^2 / ||z_-1||^2 < h(p), up to rounding at the boundary.
+    # The share of such starts is then P(beta < h / (1 + h)) under the Beta
+    # law, taken by quadrature rather than sampled: at most fail_prob at p
+    # (30.0%, 2.37% and 1.01%) and above it one step fewer, on that step's
+    # own worst spectrum (65.9%, 2.65% and 3.46%), so the rule is the least
     # length there.
     p = power_chain_length(d, gamma, fail_prob)
-    allowance = fail_prob + _binomial_slack(fail_prob, 20_000)
-    assert _worst_spectrum_misses(d, gamma, p) <= allowance
-    if (d, gamma) != (50, 0.1):
-        assert _worst_spectrum_misses(d, gamma, p - 1) > allowance
+    shares = []
+    for steps in (p, p - 1):
+        h = _h(steps, gamma)
+        ratio, missed = _worst_spectrum_starts(d, gamma, steps)
+        clear = np.abs(ratio / h - 1) > 1e-9
+        assert np.array_equal(missed[clear], ratio[clear] < h)
+        shares.append(_beta_share_below(d, h / (1 + h)))
+    assert shares[0] <= fail_prob < shares[1]
 
 
 @pytest.mark.parametrize("fail_prob", [0.5, 0.025])
@@ -168,14 +191,19 @@ def test_start_level_bounds_the_gaussian_law(d, fail_prob):
     # the sampled share is also at least fail_prob less that slack; at
     # d = 20 the density bound is loose only at large s, as (1 - x)^(b - 1)
     # is near 1 for small x.
+    # The Beta law's own share, by quadrature, is at most fail_prob up to
+    # rounding, and equal to it at d <= 3.
     n = 100_000
+    s = _start_level(d, fail_prob)
     z = np.random.default_rng(d).standard_normal((n, d))
     beta = z[:, 0] ** 2 / np.sum(z * z, axis=1)
-    share = float(np.mean(beta < _start_level(d, fail_prob)))
+    share = float(np.mean(beta < s))
     slack = _binomial_slack(fail_prob, n)
     assert share <= fail_prob + slack
+    assert _beta_share_below(d, s) <= fail_prob * (1 + 1e-9)
     if d <= 3:
         assert share >= fail_prob - slack
+        assert _beta_share_below(d, s) == pytest.approx(fail_prob, rel=1e-9)
 
 
 def test_docstring_chain_lengths_match_the_bound():
