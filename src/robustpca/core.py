@@ -149,7 +149,6 @@ def check_int(name: str, value, low: int | None = None, optional: bool = False) 
 
 
 C_OUTER = 30.0   # scales the inner-loop length t_end
-C_INNER = 3.0    # scales the base matrix power
 
 
 @dataclass
@@ -160,7 +159,7 @@ class AlgoConfig:
     20*eps <= gamma <= 1; ``gamma`` the stability slack (at least 20*eps;
     defaults to 20*eps, or 0.05 at eps = 0).
     ``t_end``/``k_end`` are normally derived from the schedule formulas
-    (``C_OUTER``, ``C_INNER``) and only set here to override them.
+    (``t_end_for``, ``k_end_for``) and only set here to override them.
     """
 
     eps: float = 0.0
@@ -192,13 +191,12 @@ class AlgoConfig:
 
     # -- schedule formulas ---------------------------------------------------
 
-    def base_power(self, d: int) -> int:
-        return max(1, math.ceil(C_INNER * math.log(max(d, 2))))
-
-    def power_at(self, d: int, k: int) -> int:
-        return (2 ** (k - 1)) * self.base_power(d)
-
     def k_end_for(self, d: int) -> int:
+        """Power levels k = 1, ..., k_end of ``driver.drive``: top power 2^(k_end - 1) p_1.
+
+        p_1 is the certificate chain's length. The count is a desk formula
+        that no bound backs yet (ROADMAP.md, "The (k, t) schedule").
+        """
         if self.k_end is not None:
             return self.k_end
         g = self.gamma

@@ -16,14 +16,14 @@ methods, all called by ``drive``:
   whose judgement errs with probability at most ``fail_prob``. ``p_k`` and
   ``rng_dir`` are what the iteration's ``direction`` call will be handed;
   at eps > 0 the stream suite draws that direction's start from
-  ``rng_dir`` and lets it ride the first min(p_k, p) steps of its
-  certificate's chain of p steps, and the batch suite ignores them.
+  ``rng_dir`` and lets it ride the whole of its certificate's chain of
+  p <= p_k steps, and the batch suite ignores them.
 - ``direction(p_k, rng, rider)``: unit power direction of power p_k from
   one Gaussian start, or None if its chain collapsed, which ``drive`` ends
   with DegenerateStateError; no start is retried. ``rider`` is the
   ``certificate.Candidate.rider`` of the same iteration. The stream suite
-  finishes that ride: it draws the p_k - min(p_k, p) minibatches left, or
-  none for a rider that collapsed, so an accepting certificate pays
+  finishes that ride: it draws the p_k - p minibatches left, none at
+  k = 1 or for a rider that collapsed, so an accepting certificate pays
   nothing for it. The batch suite ignores it and runs a chain from a start
   drawn from ``rng``.
 - ``start_iteration(v)``: keep the direction for the calls below.
@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import certificate
 from .certificate import Candidate, sample_top_eigenvector
 from .core import AlgoConfig, FilterEntry, FilterStack, WeightedDataset, rng_stream
 from .errors import DegenerateStateError, StreamExhaustedError
@@ -166,12 +167,21 @@ class BatchEstimators:
 
 
 def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
-    """Shared outer/inner loop; returns a PcaResult (without timing)."""
+    """Shared outer/inner loop; returns a PcaResult (without timing).
+
+    Level k runs its filter directions at p_k = 2^(k - 1) p_1, p_1 the
+    chain's own length (``certificate.power_chain_length``), read through
+    the module so that a patched length sets both; at k = 1 the stream's
+    direction is thus its rider and draws no row. The direction takes no
+    failure share: only the certificate vouches for an ACCEPTED output, and
+    the filter's trigger is sound along any unit direction.
+    """
     rng_cert = rng_stream(seed, rep, 1)
     rng_dir = rng_stream(seed, rep, 2)
     rng_filt = rng_stream(seed, rep, 3)
 
     d = suite.dim
+    p_1 = certificate.power_chain_length(d, cfg.gamma, certificate.START_FAILURE)
     k_end = cfg.k_end_for(d)
     t_end = cfg.t_end_for(d)
     tail = TRIM_TAIL * cfg.eps
@@ -182,7 +192,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     try:
         sigma_op, delta = suite.prologue()
         for k in range(1, k_end + 1):
-            p_k = cfg.power_at(d, k)
+            p_k = 2 ** (k - 1) * p_1
             for t in range(1, t_end + 1):
                 last_iter = (k, t)
                 cand = suite.certificate(failure_share((k - 1) * t_end + t), rng_cert,

@@ -264,52 +264,40 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
 
     The ``reps`` Gaussian starts, drawn from ``rng`` as one (reps, d) block,
     are the columns of a block that goes through a single streamed power
-    chain; the independent starts boost the constant success probability of
-    a single probe. Each output column is normalized on its own, columns
-    with zero or non-finite norm are dropped, and the column with the best
-    ``streamed_rayleigh`` on one fresh minibatch is kept.
+    chain of p steps; the independent starts boost the constant success
+    probability of a single probe. Each output column is normalized on its
+    own, columns with zero or non-finite norm are dropped, and the column
+    with the best ``streamed_rayleigh`` on one fresh minibatch is kept.
 
-    More starts ride the same chain as further columns of the block: each
-    (start, power) pair of ``riders``. The chain is ragged: each column
-    carries its own power q and goes through the first q minibatches. One
-    loop runs over the distinct powers in ascending order and applies the
-    minibatches up to each to the columns still live, those whose power
-    reaches it. So a column of power q sees q fresh iid minibatches from a
-    start drawn independently of them, exactly what a q-step chain on
+    More starts, the vectors of ``riders``, ride the same p steps as further
+    columns of the block. So a rider sees p fresh iid minibatches from a
+    start drawn independently of them, exactly what a p-step chain on
     minibatches of its own would see, and each estimate keeps the
     distribution it had alone. A caller may go on with a returned rider
     over later fresh minibatches: the stream certificate's rider, the
-    driver direction of power p_k, rides min(p_k, p) steps, so it never
-    lengthens the chain, and ``streaming.MinibatchEstimators.direction``
-    draws its last p_k - min(p_k, p) minibatches after the certificate. The
-    rows drawn in between are skipped, and the later minibatches are fresh
-    iid draws too, so the direction still sees p_k fresh iid minibatches
-    from an independent start: the law of a p_k-step chain of its own. Only
-    the estimates' joint law changes, as they share rows; a caller that
-    union-bounds their failures needs no independence between them, because
-    the union bound holds under any dependence. This is the one home of
-    that argument.
+    driver direction of power p_k >= p, rides the whole chain, and
+    ``streaming.MinibatchEstimators.direction`` draws its last p_k - p
+    minibatches after the certificate. The rows drawn in between are
+    skipped, and the later minibatches are fresh iid draws too, so the
+    direction still sees p_k fresh iid minibatches from an independent
+    start: the law of a p_k-step chain of its own. Only the estimates'
+    joint law changes, as they share rows; a caller that union-bounds their
+    failures needs no independence between them, because the union bound
+    holds under any dependence. This is the one home of that argument.
 
-    The probes are scored on the minibatch after the longest column's; the
-    riders are not. Returns (best unit probe, its Rayleigh quotient,
-    [rider column, ...]), each rider as the chain left it, unnormalized, so
-    zero or not finite if it collapsed. Raises DegenerateStateError when
-    every probe collapses. Consumes exactly (max power + 1) * batch_size
-    stream samples, however many columns there are.
+    The probes are scored on the minibatch after the chain's; the riders
+    are not. Returns (best unit probe, its Rayleigh quotient, [rider
+    column, ...]), each rider as the chain left it, unnormalized, so zero
+    or not finite if it collapsed. Raises DegenerateStateError when every
+    probe collapses. Consumes exactly (p + 1) * batch_size stream samples,
+    however many columns there are.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     # Row-major fill: column j is the vector the j-th of separate
     # ``standard_normal(d)`` draws would give.
-    block = np.column_stack([rng.standard_normal((reps, source.dim)).T]
-                            + [start for start, _q in riders])
-    powers = np.array([p] * reps + [q for _start, q in riders])
-    done = 0
-    for q in sorted(set(powers.tolist())):
-        live = powers >= q
-        block[:, live] = streamed_power_apply(source, stack, q - done, batch_size,
-                                              block[:, live], ledger=ledger)
-        done = q
+    block = np.column_stack([rng.standard_normal((reps, source.dim)).T, *riders])
+    block = streamed_power_apply(source, stack, p, batch_size, block, ledger=ledger)
     y = block[:, :reps]
     nrm = np.linalg.norm(y, axis=0)
     alive = np.isfinite(nrm) & (nrm > 0.0)

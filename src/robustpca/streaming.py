@@ -174,7 +174,8 @@ class MinibatchEstimators:
 
     def direction(self, _p_k: int, _rng: np.random.Generator,
                   rider: tuple) -> np.ndarray | None:
-        # The rider's steps left draw fresh minibatches; a collapsed rider
+        # The rider rode the certificate's whole chain; its p_k - p steps
+        # left draw fresh minibatches, none at k = 1. A collapsed rider
         # draws none and comes back as None, and no start is retried.
         column, left = rider
         self.ledger.free(self.dim)

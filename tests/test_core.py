@@ -16,6 +16,7 @@ from robustpca import (
     load_dataset,
     save_dataset,
 )
+from robustpca.certificate import START_FAILURE, power_chain_length
 
 
 def random_stack(rng, d, n_entries, scale=1.0):
@@ -152,9 +153,12 @@ def test_config_rejects_values_no_solve_can_use(field, value):
 
 
 def test_config_schedules_sane():
+    # The config sizes the loops; the filter direction's power is the
+    # certificate chain's length p_1, doubled per level (``driver.drive``),
+    # so at d = 50 the top power is 2^(4 - 1) * 7.
     cfg = AlgoConfig(eps=0.01, gamma=0.2)
-    assert cfg.power_at(50, 2) == 2 * cfg.base_power(50)
-    assert cfg.k_end_for(50) >= 1
+    assert cfg.k_end_for(50) == 4
+    assert power_chain_length(50, cfg.gamma, START_FAILURE) == 7
     assert 1 <= cfg.t_end_for(50) <= 10_000
     assert AlgoConfig(eps=0.0).t_end_for(50) == 10_000  # capped when eps -> 0
     override = AlgoConfig(eps=0.01, gamma=0.2, t_end=7, k_end=2)

@@ -396,10 +396,10 @@ def test_drive_uses_only_the_suite_contract():
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
 
 
-def _stream_suite(cfg):
+def _stream_suite(cfg, rows=20_000):
     spec = InlierSpec(dim=8, diag=1.0, spikes=((0, 9.0),))
     adv = AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=0.035, spike_axis=1)
-    pool = tv_contaminated_source(spec, adv, rng_stream(0, 1)).draw(20_000)
+    pool = tv_contaminated_source(spec, adv, rng_stream(0, 1)).draw(rows)
     return MinibatchEstimators(ReplaySource(pool, mode="cycle"), cfg, 1.5, ScalarLedger())
 
 
@@ -427,6 +427,49 @@ def test_each_direction_follows_its_iterations_certificate(kind):
         assert "register_entry" not in names[j:i]
         _fail_prob, _rng_cert, p_k, rng_dir = suite.calls[j][1]
         assert args[0] == p_k and args[1] is rng_dir
+
+
+@pytest.mark.parametrize("d, gamma", [(20, 0.6), (50, 0.1), (200, 1.0)])
+def test_direction_power_starts_at_the_chain_length_and_doubles(d, gamma):
+    # Level k's directions run at 2^(k - 1) p_1, p_1 the certificate
+    # chain's own length at START_FAILURE: 2, 14 and 2 steps here. A suite
+    # whose certificates never accept reaches k = 2 at t_end = 1.
+    class NeverAccepts(BatchEstimators):
+        def certificate(self, fail_prob, rng, p_k, rng_dir):
+            return dataclasses.replace(super().certificate(fail_prob, rng, p_k, rng_dir),
+                                       accepted=False)
+
+    pts = rng_stream(0, 3).standard_normal((4 * d, d))
+    cfg = AlgoConfig(eps=gamma / 20, gamma=gamma, k_end=2, t_end=1)
+    events = []
+    drive(NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=0, rep=0,
+          trace_sink=events.append)
+    p_1 = certificate.power_chain_length(d, gamma, certificate.START_FAILURE)
+    assert p_1 == {20: 2, 50: 14, 200: 2}[d]
+    assert [(e["k"], e["p_k"], e["skipped"]) for e in events] == [(1, p_1, False),
+                                                                   (2, 2 * p_1, False)]
+
+
+def test_a_rejected_first_level_direction_draws_no_row():
+    # At k = 1 the direction's power is the chain's length, so the stream
+    # direction is its rider as the chain left it: on the d = 8 pool of the
+    # tracer's contract test (``tests/test_tracing_contract.py``), every
+    # rejected first-level certificate's direction call draws no row.
+    cfg = AlgoConfig(eps=0.03, gamma=0.6)
+    suite = _stream_suite(cfg, rows=50_000)
+    real, drawn = suite.direction, []
+
+    def direction(p_k, rng, rider):
+        before = suite.source.delivered
+        v = real(p_k, rng, rider)
+        drawn.append((p_k, suite.source.delivered - before))
+        return v
+
+    suite.direction = direction
+    res = drive(suite, cfg, seed=0, rep=0)
+    assert res.status is PcaStatus.ACCEPTED and res.iterations[0] == 1
+    p_1 = certificate.power_chain_length(8, cfg.gamma, certificate.START_FAILURE)
+    assert drawn and drawn == [(p_1, 0)] * len(drawn)
 
 
 def test_drive_hands_each_certificate_its_share_of_the_rep_budget():

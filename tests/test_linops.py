@@ -458,86 +458,46 @@ def test_approx_power_iteration_drops_collapsed_columns():
                                batch_size=batch, rng=_FixedStarts([zero, nan]))
 
 
-@pytest.mark.parametrize("q", [2, 5])
-def test_approx_power_iteration_rider_shares_the_chain(q):
-    # A rider of power q runs q steps over the chain's own minibatches (the
-    # block runs min(p, q), the longer side goes on alone), so the call draws
-    # (max(p, q) + 1) batches. The probe is scored on the batch after the
-    # longest column's. The rider comes back as the chain left it,
-    # unnormalized: a collapsed one as zeros, leaving the probe as it was.
+@pytest.mark.parametrize("p", [2, 5])
+def test_approx_power_iteration_rider_shares_the_chain(p):
+    # Riders run the chain's p steps over its own minibatches as further
+    # columns of the block, so the call draws (p + 1) batches however many
+    # ride, and each rider matches a p-step chain of its own over the same
+    # minibatches. The probe is scored on the batch after the chain. The
+    # riders come back as the chain left them, unnormalized: a collapsed
+    # one as zeros, leaving the probe and the other riders as they were.
     pop = np.random.default_rng(5).standard_normal((256, 4))
     stack = FilterStack(prune_radius_sq=30.0)
-    p, batch = 3, 40
-    g, k = np.random.default_rng(42).standard_normal((2, 4))
-
-    src = ReplaySource(pop, mode="cycle")
-    u, rayleigh, [w] = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]), riders=[(k, q)])
-    assert src.delivered == (max(p, q) + 1) * batch
-    twin = ReplaySource(pop, mode="cycle")
-    want = streamed_power_apply(twin, stack, p, batch, g)
-    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
-    if q > p:
-        twin.draw((q - p) * batch)
-    pts = twin.draw(batch)
-    acc = pts[stack.weights(pts)]
-    assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
-    want = streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, q, batch, k)
-    np.testing.assert_allclose(w, want, rtol=1e-12)
-
-    src = ReplaySource(pop, mode="cycle")
-    u_zero, r_zero, [rider] = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
-        riders=[(np.zeros(4), q)])
-    assert not rider.any()
-    assert src.delivered == (max(p, q) + 1) * batch
-    np.testing.assert_allclose(u_zero, u, rtol=1e-12)
-    assert r_zero == pytest.approx(rayleigh, rel=1e-12)
-
-
-@pytest.mark.parametrize("q, extra", [(2, 1), (2, 3), (5, 5), (2, 6), (5, 8)])
-def test_approx_power_iteration_ragged_riders(q, extra):
-    # Riders of powers q and ``extra`` ride the probe's chain (p = 3). Each
-    # column goes through the first minibatches up to its own power and
-    # matches a chain of its own over them; a column no longer than the
-    # others adds no rows, a longer one extends the call by exactly its
-    # excess minibatches. Only the probe is scored, on the minibatch after
-    # the longest column's; the riders come back unnormalized.
-    pop = np.random.default_rng(5).standard_normal((256, 4))
-    stack = FilterStack(prune_radius_sq=30.0)
-    p, batch = 3, 40
+    batch = 40
     g, k, m = np.random.default_rng(42).standard_normal((3, 4))
+
+    def chain(start):
+        return streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, p, batch, start)
 
     src = ReplaySource(pop, mode="cycle")
     u, rayleigh, [v, w] = approx_power_iteration(
-        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
-        riders=[(m, q), (k, extra)])
-    chain = max(p, q, extra)
-    assert src.delivered == (chain + 1) * batch
-
-    def twin(start, power):
-        twin_src = ReplaySource(pop, mode="cycle")
-        out = streamed_power_apply(twin_src, stack, power, batch, start)
-        if chain > power:
-            twin_src.draw((chain - power) * batch)
-        pts = twin_src.draw(batch)
-        acc = pts[stack.weights(pts)]
-        unit = out / np.linalg.norm(out)
-        return out, unit, float(np.mean((acc @ unit) ** 2))
-
-    _raw, want_u, want_rayleigh = twin(g, p)
-    np.testing.assert_allclose(u, want_u, rtol=1e-12)
-    assert rayleigh == pytest.approx(want_rayleigh, rel=1e-12)
-    np.testing.assert_allclose(v, twin(m, q)[0], rtol=1e-12)
-    np.testing.assert_allclose(w, twin(k, extra)[0], rtol=1e-12)
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]), riders=[m, k])
+    assert src.delivered == (p + 1) * batch
+    want = chain(g)
+    np.testing.assert_allclose(u, want / np.linalg.norm(want), rtol=1e-12)
+    twin = ReplaySource(pop, mode="cycle")
+    twin.draw(p * batch)
+    pts = twin.draw(batch)
+    acc = pts[stack.weights(pts)]
+    assert rayleigh == pytest.approx(float(np.mean((acc @ u) ** 2)), rel=1e-12)
+    np.testing.assert_allclose(v, chain(m), rtol=1e-12)
+    np.testing.assert_allclose(w, chain(k), rtol=1e-12)
 
     src = ReplaySource(pop, mode="cycle")
-    _u, _r, riders = approx_power_iteration(
+    u_zero, r_zero, riders = approx_power_iteration(
         src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
-        riders=[(m, q), (np.zeros(4), extra), (k, extra)])
+        riders=[m, np.zeros(4), k])
+    assert src.delivered == (p + 1) * batch
     assert not riders[1].any()
     np.testing.assert_allclose(riders[0], v, rtol=1e-12)
     np.testing.assert_allclose(riders[2], w, rtol=1e-12)
+    np.testing.assert_allclose(u_zero, u, rtol=1e-12)
+    assert r_zero == pytest.approx(rayleigh, rel=1e-12)
 
 
 @pytest.mark.parametrize("reps", [1, 6])

@@ -660,11 +660,11 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
 
 # -- the driver direction riding the certificate's chain --------------------------
 
-def _rider_suite(d=20, gamma=0.6, rate=0.035):
+def _rider_suite():
     """A prologued suite at eps = gamma / 20 whose first certificate rejects."""
-    pool, _spec = _spiked_pool(d=d, rows=20_000, rate=rate)
+    pool, _spec = _spiked_pool(d=20, rows=20_000, rate=0.035)
     src = ReplaySource(pool, mode="cycle")
-    cfg = AlgoConfig(eps=gamma / 20, gamma=gamma)
+    cfg = AlgoConfig(eps=0.03, gamma=0.6)
     suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
     suite.prologue()
     return pool, src, cfg, suite
@@ -686,61 +686,43 @@ def _chain_rows(monkeypatch):
     return rows
 
 
-def _ride(monkeypatch, p_k, **suite_args):
-    """Run a rejected certificate with a rider of power p_k, then the direction.
-
-    Checks the rows each draws and that the direction equals a p_k-step
-    chain from the same start on a twin pool: its first min(p_k, p)
-    minibatches are the certificate chain's, the rest the rows after the
-    certificate's own draws. Returns the chain's length p. ``suite_args``
-    go to ``_rider_suite``.
-    """
-    chain_rows = _chain_rows(monkeypatch)
-    pool, src, cfg, suite = _rider_suite(**suite_args)
-    d, b = pool.shape[1], BATCH_SIZE_CAP
-    p = power_chain_length(d, cfg.gamma, START_FAILURE)
-
-    rng_dir, start = rng_stream(0, 0, 2), src.delivered
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
-    assert not cand.accepted and chain_rows == [(p + 1) * b]
-    assert cand.rider[1] == max(0, p_k - p)
-    before = src.delivered
-    v = suite.direction(p_k, rng_dir, cand.rider)
-    assert src.delivered - before == max(0, p_k - p) * b
-
-    ref = rng_stream(0, 0, 2)
-    twin = ReplaySource(pool, mode="cycle")
-    twin.draw(start)
-    want = streamed_power_apply(twin, suite.stack, min(p_k, p), b, ref.standard_normal(d))
-    if p_k > p:
-        twin = ReplaySource(pool, mode="cycle")
-        twin.draw(before)
-        want = streamed_power_apply(twin, suite.stack, p_k - p, b, want)
-    np.testing.assert_allclose(v, want / np.linalg.norm(want), rtol=1e-10)
-    assert rng_dir.standard_normal() == ref.standard_normal()
-    return p
+def _p_k(cfg, k):
+    """The power ``drive`` gives level k at d = 20: 2^(k - 1) times the chain's length."""
+    return 2 ** (k - 1) * power_chain_length(20, cfg.gamma, START_FAILURE)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
-    # p_k = 9, 18 and 36 against a chain of p = 2 steps. The direction's
-    # start, the first draw of rng_stream(seed, rep, 2), rides the chain's
-    # 2 minibatches, so the certificate draws (2 + 1) minibatches whatever
-    # p_k is; after it rejects, the direction draws only its p_k - 2 left.
-    cfg = AlgoConfig(eps=0.03, gamma=0.6)
-    p_k = cfg.power_at(20, k)
-    assert p_k == (9, 18, 36)[k - 1]
-    assert _ride(monkeypatch, p_k) == 2
+    # p_k = 2, 4 and 8 against a chain of p = 2 steps. The direction's
+    # start, the first draw of rng_stream(seed, rep, 2), rides the whole
+    # chain, so the certificate draws (2 + 1) minibatches whatever p_k is;
+    # after it rejects, the direction draws only its p_k - 2 left: 0, 2 and
+    # 6 minibatches. It equals a p_k-step chain from the same start on a
+    # twin pool: its first p minibatches are the certificate chain's, the
+    # rest the rows after the certificate's own draws.
+    chain_rows = _chain_rows(monkeypatch)
+    pool, src, cfg, suite = _rider_suite()
+    d, b = pool.shape[1], BATCH_SIZE_CAP
+    p, p_k = power_chain_length(d, cfg.gamma, START_FAILURE), _p_k(cfg, k)
+    assert (p, p_k) == (2, (2, 4, 8)[k - 1])
 
+    rng_dir, start = rng_stream(0, 0, 2), src.delivered
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
+    assert not cand.accepted and chain_rows == [(p + 1) * b]
+    assert cand.rider[1] == p_k - p
+    before = src.delivered
+    v = suite.direction(p_k, rng_dir, cand.rider)
+    assert src.delivered - before == (0, 2, 6)[k - 1] * b
 
-def test_a_short_direction_rides_inside_the_chain(monkeypatch):
-    # A direction no longer than the chain rides p_k of its steps and draws
-    # no row after the certificate: at d = 50, gamma = 0.1 the chain has
-    # p = 14 steps and the first direction p_k = 12. Outliers at the rate
-    # eps = 0.005 make the certificate reject.
-    p_k = AlgoConfig(eps=0.005, gamma=0.1).power_at(50, 1)
-    assert p_k == 12
-    assert _ride(monkeypatch, p_k, d=50, gamma=0.1, rate=0.005) == 14
+    ref = rng_stream(0, 0, 2)
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(start)
+    want = streamed_power_apply(twin, suite.stack, p, b, ref.standard_normal(d))
+    twin = ReplaySource(pool, mode="cycle")
+    twin.draw(before)
+    want = streamed_power_apply(twin, suite.stack, p_k - p, b, want)
+    np.testing.assert_allclose(v, want / np.linalg.norm(want), rtol=1e-10)
+    assert rng_dir.standard_normal() == ref.standard_normal()
 
 
 def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
@@ -760,7 +742,7 @@ def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
 
     monkeypatch.setattr(certificate, "streaming_quantile", spy)
     _pool, src, cfg, suite = _rider_suite()
-    d, held, p_k = 20, suite.ledger.current, cfg.power_at(20, 1)
+    d, held, p_k = 20, suite.ledger.current, _p_k(cfg, 1)
     m = streaming_quantile_samples(3 * cfg.eps, failure_share(1) / 3, certificate.TRIM_C_Q)
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_stream(0, 0, 2))
     assert suite.ledger.current == held + d
@@ -784,17 +766,17 @@ class _ZeroStarts:
 
 
 def test_a_collapsed_rider_ends_the_rep(monkeypatch):
-    # A zero start collapses on any pool. The rider comes back as the zero
-    # column with p_k - p = 7 steps left; the direction returns None with no
-    # second start and no row of its own, and ``drive`` raises
+    # A zero start collapses on any pool. At k = 2 the rider comes back as
+    # the zero column with p_k - p = 2 steps left; the direction returns
+    # None with no second start and no row of its own, and ``drive`` raises
     # DegenerateStateError.
     import robustpca.driver as driver
 
     pool, src, cfg, suite = _rider_suite()
-    p_k, rng_dir = cfg.power_at(20, 1), _ZeroStarts()
+    p_k, rng_dir = _p_k(cfg, 2), _ZeroStarts()
     cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
     column, left = cand.rider
-    assert not column.any() and left == 7 and rng_dir.drawn == 1
+    assert not column.any() and left == 2 and rng_dir.drawn == 1
     before = src.delivered
     assert suite.direction(p_k, rng_dir, cand.rider) is None
     assert rng_dir.drawn == 1 and src.delivered == before
