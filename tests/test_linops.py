@@ -500,6 +500,42 @@ def test_approx_power_iteration_rider_shares_the_chain(p):
     assert r_zero == pytest.approx(rayleigh, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, n_riders", [(2, 1), (2, 3), (5, 5), (2, 6), (5, 8)])
+def test_approx_power_iteration_ragged_riders(p, n_riders):
+    # A ragged set of riders: their number varies, their norms spread over
+    # six orders of magnitude, and every third one is collapsed. The call
+    # still draws (p + 1) batches, the probe is the one it is alone, each
+    # live rider matches a p-step chain of its own and each collapsed one
+    # comes back as zeros.
+    pop = np.random.default_rng(5).standard_normal((256, 4))
+    stack = FilterStack(prune_radius_sq=30.0)
+    batch = 40
+    g = np.random.default_rng(42).standard_normal(4)
+    starts = np.random.default_rng(7).standard_normal((n_riders, 4))
+    starts *= np.logspace(-3, 3, n_riders)[:, None]
+    starts[2::3] = 0.0
+
+    src = ReplaySource(pop, mode="cycle")
+    u, rayleigh, riders = approx_power_iteration(
+        src, stack, p, reps=1, batch_size=batch, rng=_FixedStarts([g]),
+        riders=list(starts))
+    assert src.delivered == (p + 1) * batch
+    assert len(riders) == n_riders
+
+    u_alone, r_alone, [] = approx_power_iteration(
+        ReplaySource(pop, mode="cycle"), stack, p, reps=1, batch_size=batch,
+        rng=_FixedStarts([g]))
+    np.testing.assert_allclose(u, u_alone, rtol=1e-12)
+    assert rayleigh == pytest.approx(r_alone, rel=1e-12)
+
+    for start, rider in zip(starts, riders):
+        if not start.any():
+            assert not rider.any()
+            continue
+        want = streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, p, batch, start)
+        np.testing.assert_allclose(rider, want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("reps", [1, 6])
 def test_approx_power_iteration_sample_cost_ignores_reps(reps):
     pop = np.random.default_rng(6).standard_normal((300, 5))
