@@ -147,10 +147,10 @@ class Candidate:
     sigma_robust: float
     accepted: bool
     # Stream only: the driver direction's start after it rode all p steps
-    # of the certificate's chain (``sample_top_eigenvector_streaming``), as
-    # (unnormalized column, the p_k - p steps left); the column is zero or
-    # not finite if it collapsed. Empty when none rode.
-    rider: tuple = ()
+    # of the certificate's chain (``sample_top_eigenvector_streaming``), an
+    # unnormalized column, zero or not finite if it collapsed. None when
+    # none rode.
+    rider: np.ndarray | None = None
 
 
 def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
@@ -190,8 +190,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      rng: np.random.Generator, batch_size: int,
                                      ledger: ScalarLedger,
-                                     direction: tuple[int, np.random.Generator] | None = None,
-                                     ) -> Candidate:
+                                     rng_dir: np.random.Generator | None = None) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
     ``fail_prob`` is split in three equal parts, one for each estimate that
@@ -207,16 +206,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     ``batch_size`` governs, the starts are independent, so all of them miss
     with probability at most (1/2)^reps <= fail_prob / 3: p = 2 steps at
     d = 20, gamma = 0.6, fail_prob = 0.5 for (2 + 1) * ``batch_size`` rows.
-    ``direction`` = (p_k, rng_dir) sets the driver's next filter direction,
-    whose power p_k = 2^(k - 1) p is never below the chain's
-    (``driver.drive``): its start, ``rng_dir.standard_normal(d)``, rides
-    all p steps of the chain as one more column, drawing no rows of its
-    own, and comes back as ``Candidate.rider`` with its p_k - p steps left,
-    which ``streaming.MinibatchEstimators.direction`` draws only after a
-    rejection, none at k = 1. So the rider never lengthens the chain, and
-    the ledger books its d scalars from the chain's end until the direction
-    takes it. Why it keeps its own guarantee is argued at
-    ``linops.approx_power_iteration``.
+    ``rng_dir`` sets the driver's next filter direction, whose power is the
+    chain's (``driver.drive``): its start, ``rng_dir.standard_normal(d)``,
+    rides all p steps of the chain as one more column, drawing no rows of
+    its own, and comes back as ``Candidate.rider``, which
+    ``streaming.MinibatchEstimators.direction`` only normalizes. So the
+    rider never lengthens the chain, and the ledger books its d scalars
+    from the chain's end until the direction takes it. Why it keeps its own
+    guarantee is argued at ``linops.approx_power_iteration``.
 
     The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
     mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
@@ -246,13 +243,10 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     part = fail_prob / 3.0
     reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(START_FAILURE)))
     p = power_chain_length(d, gamma, START_FAILURE)
-    riders = ()
-    if direction is not None:
-        p_k, rng_dir = direction
-        riders = (rng_dir.standard_normal(d),)
+    riders = () if rng_dir is None else (rng_dir.standard_normal(d),)
     u, rayleigh_emp, rode = approx_power_iteration(source, stack, p, reps, batch_size,
                                                    rng, ledger=ledger, riders=riders)
-    rider = (rode[0], p_k - p) if rode else ()
+    rider = rode[0] if rode else None
     ledger.alloc(d * len(rode))
 
     f1, eta = acceptance_factors(eps, gamma)

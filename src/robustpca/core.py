@@ -148,24 +148,23 @@ def check_int(name: str, value, low: int | None = None, optional: bool = False) 
                          f"got {value!r}")
 
 
-C_OUTER = 30.0   # scales the inner-loop length t_end
+C_OUTER = 30.0   # scales the loop length t_end
 
 
 @dataclass
 class AlgoConfig:
-    """Run parameters and schedule constants.
+    """Run parameters.
 
     ``eps`` is the assumed corruption rate, in [0, 0.05] since
     20*eps <= gamma <= 1; ``gamma`` the stability slack (at least 20*eps;
-    defaults to 20*eps, or 0.05 at eps = 0).
-    ``t_end``/``k_end`` are normally derived from the schedule formulas
-    (``t_end_for``, ``k_end_for``) and only set here to override them.
+    defaults to 20*eps, or 0.05 at eps = 0). ``t_end``, the number of
+    iterations of a ``driver.drive`` rep, is normally derived
+    (``t_end_for``) and only set here to override it.
     """
 
     eps: float = 0.0
     gamma: float | None = None
     t_end: int | None = None
-    k_end: int | None = None
     boost_reps: int = 1
     max_resident_scalars: int | None = None   # a stream rep's ledger limit
 
@@ -185,23 +184,8 @@ class AlgoConfig:
             )
         # Each check is written so that NaN fails it.
         check_int("boost_reps", self.boost_reps, 1)
-        for name in ("t_end", "k_end"):
-            check_int(name, getattr(self, name), 1, optional=True)
+        check_int("t_end", self.t_end, 1, optional=True)
         check_int("max_resident_scalars", self.max_resident_scalars, 0, optional=True)
-
-    # -- schedule formulas ---------------------------------------------------
-
-    def k_end_for(self, d: int) -> int:
-        """Power levels k = 1, ..., k_end of ``driver.drive``: top power 2^(k_end - 1) p_1.
-
-        p_1 is the certificate chain's length. The count is a desk formula
-        that no bound backs yet (ROADMAP.md, "The (k, t) schedule").
-        """
-        if self.k_end is not None:
-            return self.k_end
-        g = self.gamma
-        ratio = math.log(max(d, 2) / g) / (g * math.log(max(d, 2)))
-        return max(1, math.ceil(math.log2(max(1.0, ratio))) + 1)
 
     def t_end_for(self, d: int) -> int:
         if self.t_end is not None:

@@ -1,8 +1,8 @@
 """The shared driver loop, its boost wrapper, and the batch estimator suite.
 
 Batch and streaming recovery share one control flow, ``drive``: prune, then
-doubling-power rounds that each try to certify a candidate direction and, if
-that fails, score points along a randomized power direction, trim a robust
+iterations that each try to certify a candidate direction and, if that
+fails, score points along a randomized power direction, trim a robust
 variance, and hard-threshold the high scorers. The loop only ever talks to
 an estimator suite, exact (``BatchEstimators``) or one-pass
 (``streaming.MinibatchEstimators``). A suite has a ``dim``, a filter
@@ -12,20 +12,18 @@ methods, all called by ``drive``:
 
 - ``prologue() -> (sigma_op, delta)``: prune to a finite radius^2; return
   the operator-norm bracket and the filter's additive slack.
-- ``certificate(fail_prob, rng, p_k, rng_dir) -> Candidate``: a candidate
-  whose judgement errs with probability at most ``fail_prob``. ``p_k`` and
-  ``rng_dir`` are what the iteration's ``direction`` call will be handed;
-  at eps > 0 the stream suite draws that direction's start from
-  ``rng_dir`` and lets it ride the whole of its certificate's chain of
-  p <= p_k steps, and the batch suite ignores them.
-- ``direction(p_k, rng, rider)``: unit power direction of power p_k from
-  one Gaussian start, or None if its chain collapsed, which ``drive`` ends
-  with DegenerateStateError; no start is retried. ``rider`` is the
-  ``certificate.Candidate.rider`` of the same iteration. The stream suite
-  finishes that ride: it draws the p_k - p minibatches left, none at
-  k = 1 or for a rider that collapsed, so an accepting certificate pays
-  nothing for it. The batch suite ignores it and runs a chain from a start
-  drawn from ``rng``.
+- ``certificate(fail_prob, rng, rng_dir) -> Candidate``: a candidate whose
+  judgement errs with probability at most ``fail_prob``. ``rng_dir`` is
+  what the iteration's ``direction`` call will be handed; at eps > 0 the
+  stream suite draws that direction's start from it and lets it ride the
+  certificate's chain, and the batch suite ignores it.
+- ``direction(rng, rider)``: unit direction of power p, the certificate
+  chain's length (``certificate.power_chain_length`` at
+  ``certificate.START_FAILURE``), from one Gaussian start, or None if its
+  chain collapsed, which ``drive`` ends with DegenerateStateError; no start
+  is retried. The stream suite normalizes ``rider``, the same iteration's
+  ``certificate.Candidate.rider``, which rode all p steps, and draws no
+  row; the batch suite runs a chain from a start drawn from ``rng``.
 - ``start_iteration(v)``: keep the direction for the calls below.
 - ``quantile_value(tail)``: a score cutoff along the kept direction.
 - ``sigma_trimmed(cap)``: the mean of the scores <= cap over the whole
@@ -91,7 +89,7 @@ class PcaResult:
     u: np.ndarray | None
     sigma_robust: float
     status: PcaStatus
-    iterations: tuple[int, int]
+    iterations: int
     filters_created: int
 
 
@@ -135,14 +133,14 @@ class BatchEstimators:
                                  else self.points[self.weights])
         return sigma_op, 0.0
 
-    def certificate(self, fail_prob: float, rng: np.random.Generator, _p_k: int,
+    def certificate(self, fail_prob: float, rng: np.random.Generator,
                     _rng_dir: np.random.Generator) -> Candidate:
         return sample_top_eigenvector(self.op, self.n, self.config.eps,
                                       self.config.gamma, fail_prob, rng)
 
-    def direction(self, p_k: int, rng: np.random.Generator,
-                  _rider: tuple) -> np.ndarray | None:
-        return power_direction(self.op, p_k, rng.standard_normal(self.dim))
+    def direction(self, rng: np.random.Generator, _rider) -> np.ndarray | None:
+        p = certificate.power_chain_length(self.dim, self.config.gamma, certificate.START_FAILURE)
+        return power_direction(self.op, p, rng.standard_normal(self.dim))
 
     def start_iteration(self, v: np.ndarray) -> None:
         self._scores = (self.op.rows @ v) ** 2
@@ -167,76 +165,79 @@ class BatchEstimators:
 
 
 def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
-    """Shared outer/inner loop; returns a PcaResult (without timing).
+    """Iterations t = 1, ..., t_end of one rep; returns a PcaResult (without timing).
 
-    Level k runs its filter directions at p_k = 2^(k - 1) p_1, p_1 the
-    chain's own length (``certificate.power_chain_length``), read through
-    the module so that a patched length sets both; at k = 1 the stream's
-    direction is thus its rider and draws no row. The direction takes no
-    failure share: only the certificate vouches for an ACCEPTED output, and
-    the filter's trigger is sound along any unit direction.
+    The t-th certificate takes ``failure_share(t)``; the filter direction
+    takes none, since only the certificate vouches for an ACCEPTED output
+    and the filter's trigger is sound along any unit direction. So a rep
+    runs at most t_end certificates and registers at most t_end filters;
+    ``iterations`` is the t of its last certificate, 0 if none ran.
+
+    ``trace_sink`` receives one event per rejected iteration, a dict with
+    the keys ``t``, ``p`` (the direction's power: the certificate chain's
+    length, read through ``certificate`` so that a patched length sets
+    both), ``rounds`` (the filter's) and ``skipped`` (no direction ran, as
+    at eps = 0). An event that is not skipped also has ``mean_score`` (the
+    filter's final mean score), ``cutoff`` (its L), ``sigma`` (the trimmed
+    variance) and ``t_hat`` (the trigger). ``robust_pca`` adds ``weights``.
     """
     rng_cert = rng_stream(seed, rep, 1)
     rng_dir = rng_stream(seed, rep, 2)
     rng_filt = rng_stream(seed, rep, 3)
 
     d = suite.dim
-    p_1 = certificate.power_chain_length(d, cfg.gamma, certificate.START_FAILURE)
-    k_end = cfg.k_end_for(d)
+    p = certificate.power_chain_length(d, cfg.gamma, certificate.START_FAILURE)
     t_end = cfg.t_end_for(d)
     tail = TRIM_TAIL * cfg.eps
 
     best: Candidate | None = None
-    last_iter = (0, 0)
+    last_t = 0
 
     try:
         sigma_op, delta = suite.prologue()
-        for k in range(1, k_end + 1):
-            p_k = 2 ** (k - 1) * p_1
-            for t in range(1, t_end + 1):
-                last_iter = (k, t)
-                cand = suite.certificate(failure_share((k - 1) * t_end + t), rng_cert,
-                                         p_k, rng_dir)
-                if cand.accepted:
-                    return PcaResult(
-                        u=cand.u, sigma_robust=cand.sigma_robust,
-                        status=PcaStatus.ACCEPTED, iterations=(k, t),
-                        filters_created=len(suite.stack),
-                    )
-                if best is None or cand.sigma_robust > best.sigma_robust:
-                    best = cand
+        for t in range(1, t_end + 1):
+            last_t = t
+            cand = suite.certificate(failure_share(t), rng_cert, rng_dir)
+            if cand.accepted:
+                return PcaResult(
+                    u=cand.u, sigma_robust=cand.sigma_robust,
+                    status=PcaStatus.ACCEPTED, iterations=t,
+                    filters_created=len(suite.stack),
+                )
+            if best is None or cand.sigma_robust > best.sigma_robust:
+                best = cand
 
-                # At eps = 0 the tail cut is the largest score, so no filter
-                # can fire and no direction is run.
-                event = {"k": k, "t": t, "p_k": p_k, "rounds": 0, "skipped": tail == 0}
-                if tail > 0:
-                    v = suite.direction(p_k, rng_dir, cand.rider)
-                    if v is None:
-                        raise DegenerateStateError("surviving second moment collapsed to zero")
-                    suite.start_iteration(v)
-                    L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
-                    sigma = suite.sigma_trimmed(L)
-                    t_hat = FILTER_TRIGGER * cfg.gamma * sigma
-                    outcome = hard_thresholding_filter(
-                        lambda thr, bound: suite.mean_score(L, thr, bound),
-                        v, L, t_hat, suite.stack.prune_radius_sq, delta, rng_filt,
-                    )
-                    if outcome.new_entry is not None:
-                        suite.register_entry(outcome.new_entry)
-                    event.update(
-                        rounds=outcome.rounds, mean_score=outcome.final_mean_score,
-                        cutoff=L, sigma=sigma, t_hat=t_hat,
-                    )
-                if trace_sink is not None:
-                    trace_sink(event)
+            # At eps = 0 the tail cut is the largest score, so no filter can
+            # fire and no direction is run.
+            event = {"t": t, "p": p, "rounds": 0, "skipped": tail == 0}
+            if tail > 0:
+                v = suite.direction(rng_dir, cand.rider)
+                if v is None:
+                    raise DegenerateStateError("surviving second moment collapsed to zero")
+                suite.start_iteration(v)
+                L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
+                sigma = suite.sigma_trimmed(L)
+                t_hat = FILTER_TRIGGER * cfg.gamma * sigma
+                outcome = hard_thresholding_filter(
+                    lambda thr, bound: suite.mean_score(L, thr, bound),
+                    v, L, t_hat, suite.stack.prune_radius_sq, delta, rng_filt,
+                )
+                if outcome.new_entry is not None:
+                    suite.register_entry(outcome.new_entry)
+                event.update(
+                    rounds=outcome.rounds, mean_score=outcome.final_mean_score,
+                    cutoff=L, sigma=sigma, t_hat=t_hat,
+                )
+            if trace_sink is not None:
+                trace_sink(event)
     except StreamExhaustedError:
         pass
 
     if best is None:
         return PcaResult(u=None, sigma_robust=0.0, status=PcaStatus.FAILED,
-                         iterations=last_iter, filters_created=len(suite.stack))
+                         iterations=last_t, filters_created=len(suite.stack))
     return PcaResult(u=best.u, sigma_robust=best.sigma_robust,
-                     status=PcaStatus.FALLBACK_BEST, iterations=last_iter,
+                     status=PcaStatus.FALLBACK_BEST, iterations=last_t,
                      filters_created=len(suite.stack))
 
 

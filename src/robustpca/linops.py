@@ -211,13 +211,11 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
     column is rescaled on its own when its values leave the [1e-100, 1e100]
     range, so at large powers every output column is defined up to its own
     positive scalar.
-    Returns the applied block (a vector for a vector input).
+    Returns the applied block.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    block = np.asarray(block, dtype=np.float64)
-    squeeze = block.ndim == 1
-    u = block[:, None] if squeeze else block.copy()
+    u = np.array(block, dtype=np.float64)
     d, m = u.shape
     ledger = ledger if ledger is not None else ScalarLedger()
 
@@ -236,7 +234,7 @@ def streamed_power_apply(source: SampleSource, stack: FilterStack, p: int,
             if off_range.any():
                 u = u / np.where(off_range, peak, 1.0)
 
-    return u[:, 0] if squeeze else u
+    return u
 
 
 def power_iteration(op: SecondMomentOp, p_iters: int, rng: np.random.Generator):
@@ -273,17 +271,13 @@ def approx_power_iteration(source: SampleSource, stack: FilterStack, p: int,
     columns of the block. So a rider sees p fresh iid minibatches from a
     start drawn independently of them, exactly what a p-step chain on
     minibatches of its own would see, and each estimate keeps the
-    distribution it had alone. A caller may go on with a returned rider
-    over later fresh minibatches: the stream certificate's rider, the
-    driver direction of power p_k >= p, rides the whole chain, and
-    ``streaming.MinibatchEstimators.direction`` draws its last p_k - p
-    minibatches after the certificate. The rows drawn in between are
-    skipped, and the later minibatches are fresh iid draws too, so the
-    direction still sees p_k fresh iid minibatches from an independent
-    start: the law of a p_k-step chain of its own. Only the estimates'
-    joint law changes, as they share rows; a caller that union-bounds their
-    failures needs no independence between them, because the union bound
-    holds under any dependence. This is the one home of that argument.
+    distribution it had alone: the stream certificate's rider, which
+    ``streaming.MinibatchEstimators.direction`` hands out as the driver's
+    filter direction, has the law of a p-step chain of its own. Only the
+    estimates' joint law changes, as they share rows; a caller that
+    union-bounds their failures needs no independence between them, because
+    the union bound holds under any dependence. This is the one home of
+    that argument.
 
     The probes are scored on the minibatch after the chain's; the riders
     are not. Returns (best unit probe, its Rayleigh quotient, [rider

@@ -9,7 +9,9 @@ takes its share of the rep's failure budget (``driver.failure_share``). The
 persistent state is the filter stack, one candidate vector, and transient
 buffers of ``estimators.STREAM_CHUNK`` rows and the minibatch block, whose
 sizes are set by the configuration, never by the stream length; a scalar
-ledger meters the high-water mark.
+ledger meters the high-water mark. ``driver.drive`` registers at most one
+filter per iteration, so a rep's stack holds at most t_end entries of d + 1
+ledger scalars each.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import FILTER_TRIGGER, failure_share, run_boosted
 from .estimators import (C_Q, TRIM_TAIL, opnorm_bracket, streaming_quantile,
                           streaming_quantile_samples)
-from .linops import (accepted_band_mean, accepted_rows, accepted_scores, streamed_power_apply,
-                     unit)
+from .linops import accepted_band_mean, accepted_rows, accepted_scores, unit
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
@@ -162,28 +163,21 @@ class MinibatchEstimators:
 
     # -- per-iteration answers -------------------------------------------------
 
-    def certificate(self, fail_prob: float, rng: np.random.Generator, p_k: int,
+    def certificate(self, fail_prob: float, rng: np.random.Generator,
                     rng_dir: np.random.Generator) -> Candidate:
         # At eps = 0 ``drive`` runs no direction, so none rides the chain.
         eps = self.config.eps
         return sample_top_eigenvector_streaming(
             self.source, self.stack, eps, self.config.gamma, fail_prob, rng,
             batch_size=BATCH_SIZE_CAP, ledger=self.ledger,
-            direction=(p_k, rng_dir) if eps > 0 else None,
+            rng_dir=rng_dir if eps > 0 else None,
         )
 
-    def direction(self, _p_k: int, _rng: np.random.Generator,
-                  rider: tuple) -> np.ndarray | None:
-        # The rider rode the certificate's whole chain; its p_k - p steps
-        # left draw fresh minibatches, none at k = 1. A collapsed rider
-        # draws none and comes back as None, and no start is retried.
-        column, left = rider
+    def direction(self, _rng: np.random.Generator, rider: np.ndarray) -> np.ndarray | None:
+        # The rider rode the certificate's whole chain, the direction's power.
+        # A collapsed rider comes back as None, and no start is retried.
         self.ledger.free(self.dim)
-        u = unit(column)
-        if u is not None and left:
-            u = unit(streamed_power_apply(self.source, self.stack, left, BATCH_SIZE_CAP, u,
-                                          ledger=self.ledger))
-        return u
+        return unit(rider)
 
     def start_iteration(self, v: np.ndarray) -> None:
         self._v = v

@@ -124,7 +124,7 @@ def test_04_potential_decrease_with_dense_shadow(monkeypatch):
     t0 = time.perf_counter()
     d, n = 16, 20_000
     eps, gamma = 1e-4, 0.002
-    cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4, k_end=1)
+    cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4)
     # The bound's chain at gamma = 0.002 runs over a thousand steps (1,675 for
     # the first certificate); this gate measures the filter, not the chain,
     # so it keeps the short length 2 ln(d / (gamma fail_prob)) it was set
@@ -143,11 +143,11 @@ def test_04_potential_decrease_with_dense_shadow(monkeypatch):
         w_before = sq_norms <= prune_sq
         for ev in events:
             if not ev["skipped"]:
-                before = potential_diagnostic(pts, w_before, ev["p_k"])
-                after = potential_diagnostic(pts, ev["weights"], ev["p_k"])
+                before = potential_diagnostic(pts, w_before, ev["p"])
+                after = potential_diagnostic(pts, ev["weights"], ev["p"])
                 monotone_ok &= after <= before * (1 + 1e-9)
                 _lhs, _rhs, holds = stopping_condition_truth(
-                    sigma, pts, w_before, ev["p_k"], gamma)
+                    sigma, pts, w_before, ev["p"], gamma)
                 if not holds:
                     ratios.append(after / before)
             w_before = ev["weights"]

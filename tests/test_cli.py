@@ -82,7 +82,7 @@ def test_config_sets_every_field():
     adversary = {"kind": "schatten_blind", "rate": 0.1, "spike_axis": 2,
                  "spike_multiplier": 3.0, "n_directions": 2, "hide_boost": 0.25,
                  "projection_rank": 2}
-    algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "k_end": 2, "boost_reps": 2,
+    algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "boost_reps": 2,
             "max_resident_scalars": 10**6}
     top = {"mode": "BOTH", "baselines": ["ORACLE"], "seeds": [3, 4], "n": 700,
            "stream_budget": 9000, "r_radius": 1.5}
@@ -155,8 +155,9 @@ def test_missing_n_for_batch():
                     "projection_rank": 9}}, False),
     # Algorithm values no solve can use: a zero schedule length divides by
     # zero. The chain and threshold constants c_pi, c_cert and c_acc are
-    # derived now, not set, and the stream minibatch is a constant, so a
-    # config that still names one of them, or batch_size, is an unknown key.
+    # derived now, not set, the stream minibatch is a constant and the loop
+    # has one level, so a config that still names one of them, batch_size
+    # or k_end, is an unknown key.
     ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "k_end": 0}}, False),
     ({"mode": "STREAMING", "stream_budget": 100_000, "baselines": [],

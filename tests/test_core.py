@@ -137,32 +137,30 @@ NAN = float("nan")
     ("eps", 0.1), ("eps", 0.06),
 ])
 def test_config_rejects_values_no_solve_can_use(field, value):
-    # t_end or k_end at 0 divides by zero in drive. A NaN count fails
+    # t_end at 0 divides by zero in drive. A NaN count fails
     # mid-solve, and a NaN memory limit switches the budget off. A float
     # count, even 3.0, fails mid-solve in range(), and a bool is no count.
     # The certificate constants c_pi, c_cert and c_acc are derived now, and
     # the stream minibatch is the constant streaming.BATCH_SIZE_CAP, so
     # AlgoConfig refuses them, batch_size included, at any value as unknown
-    # keywords. eps lies in [0, 0.05], since 20*eps <= gamma <= 1, and a
+    # keywords; so too k_end, as the driver runs one loop of t_end
+    # iterations. eps lies in [0, 0.05], since 20*eps <= gamma <= 1, and a
     # larger one is refused as eps, not as the default gamma it implies.
     known = {f.name for f in dataclasses.fields(AlgoConfig)}
     error = ValueError if field in known else TypeError
     with pytest.raises(error, match=field):
         AlgoConfig(**{"eps": 0.01, field: value})
-    AlgoConfig(eps=0.01, t_end=1, k_end=1, max_resident_scalars=0)
+    AlgoConfig(eps=0.01, t_end=1, max_resident_scalars=0)
 
 
 def test_config_schedules_sane():
-    # The config sizes the loops; the filter direction's power is the
-    # certificate chain's length p_1, doubled per level (``driver.drive``),
-    # so at d = 50 the top power is 2^(4 - 1) * 7.
+    # The config sizes the loop; the filter direction's power is the
+    # certificate chain's length (``driver.drive``), 7 at d = 50.
     cfg = AlgoConfig(eps=0.01, gamma=0.2)
-    assert cfg.k_end_for(50) == 4
     assert power_chain_length(50, cfg.gamma, START_FAILURE) == 7
     assert 1 <= cfg.t_end_for(50) <= 10_000
     assert AlgoConfig(eps=0.0).t_end_for(50) == 10_000  # capped when eps -> 0
-    override = AlgoConfig(eps=0.01, gamma=0.2, t_end=7, k_end=2)
-    assert override.t_end_for(50) == 7 and override.k_end_for(50) == 2
+    assert AlgoConfig(eps=0.01, gamma=0.2, t_end=7).t_end_for(50) == 7
 
 
 def test_dataset_file_round_trip(tmp_path):

@@ -79,9 +79,9 @@ def test_gamma_validation():
 
 @pytest.mark.parametrize("entry", ["batch", "stream"])
 @pytest.mark.parametrize("config, gamma, want", [
-    (AlgoConfig(t_end=1, k_end=1, boost_reps=2), None, 0.4),
-    (AlgoConfig(eps=0.02, gamma=0.8, t_end=1, k_end=1), None, 0.8),
-    (AlgoConfig(t_end=1, k_end=1), 0.5, 0.5),
+    (AlgoConfig(t_end=1, boost_reps=2), None, 0.4),
+    (AlgoConfig(eps=0.02, gamma=0.8, t_end=1), None, 0.8),
+    (AlgoConfig(t_end=1), 0.5, 0.5),
 ], ids=["unset", "built_at_eps", "passed"])
 def test_config_gamma_belongs_to_its_eps(monkeypatch, entry, config, gamma, want):
     # AlgoConfig() carries the eps = 0 default gamma = 0.05. Solved at
@@ -114,7 +114,7 @@ def test_batch_direction_takes_one_start():
     suite = BatchEstimators(pts, AlgoConfig(), np.zeros(4))
     suite.op = SecondMomentOp(pts)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    assert suite.direction(5, rng, ()) is None
+    assert suite.direction(rng, None) is None
     ref.standard_normal(3)
     assert rng.standard_normal() == ref.standard_normal()
 
@@ -123,7 +123,7 @@ def test_fallback_when_certificate_cannot_pass():
     # One iteration only and a rigged acceptance constant: the rejected
     # candidate is still returned as the fallback.
     pts, _labels, sigma = spiked_instance(10, 3000, 0.05, seed=5)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, k_end=1, boost_reps=2)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, boost_reps=2)
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, config=cfg, rng_seed=5)
     assert res.status in (PcaStatus.FALLBACK_BEST, PcaStatus.ACCEPTED)
     assert res.u is not None
@@ -154,8 +154,8 @@ def test_potential_monotone_along_run():
     pots = []
     for e in events:
         if not e["skipped"]:
-            pots.append((potential_diagnostic(pts, w_before, e["p_k"]),
-                         potential_diagnostic(pts, e["weights"], e["p_k"])))
+            pots.append((potential_diagnostic(pts, w_before, e["p"]),
+                         potential_diagnostic(pts, e["weights"], e["p"])))
         w_before = e["weights"]
     assert pots
     for before, after in pots:
@@ -346,7 +346,7 @@ def test_moment_camouflage_clears_average_case_bound():
 
 def test_boost_reps_prefer_highest_robust_variance():
     pts, _labels, _sigma = spiked_instance(8, 2000, 0.05, seed=13)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, k_end=1, boost_reps=3)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, boost_reps=3)
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, config=cfg, rng_seed=13)
     assert res.u is not None and res.sigma_robust >= 0
 
@@ -408,7 +408,7 @@ def test_each_direction_follows_its_iterations_certificate(kind):
     # The stream suite hands out the direction that rode its certificate's
     # chain, which is sound only if drive asks for each direction right
     # after the same iteration's certificate, on the stack that certificate
-    # saw, with that iteration's power and generator.
+    # saw, with that iteration's generator.
     if kind == "batch":
         cfg = AlgoConfig(eps=0.05, gamma=1.0)
         pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
@@ -425,78 +425,114 @@ def test_each_direction_follows_its_iterations_certificate(kind):
             continue
         j = max(j for j in range(i) if names[j] == "certificate")
         assert "register_entry" not in names[j:i]
-        _fail_prob, _rng_cert, p_k, rng_dir = suite.calls[j][1]
-        assert args[0] == p_k and args[1] is rng_dir
+        _fail_prob, _rng_cert, rng_dir = suite.calls[j][1]
+        assert args[0] is rng_dir
+
+
+class NeverAccepts(BatchEstimators):
+    """A batch suite whose every certificate rejects, noting its failure share."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.shares = []
+
+    def certificate(self, fail_prob, rng, rng_dir):
+        self.shares.append(fail_prob)
+        return dataclasses.replace(super().certificate(fail_prob, rng, rng_dir),
+                                   accepted=False)
 
 
 @pytest.mark.parametrize("d, gamma", [(20, 0.6), (50, 0.1), (200, 1.0)])
-def test_direction_power_starts_at_the_chain_length_and_doubles(d, gamma):
-    # Level k's directions run at 2^(k - 1) p_1, p_1 the certificate
-    # chain's own length at START_FAILURE: 2, 14 and 2 steps here. A suite
-    # whose certificates never accept reaches k = 2 at t_end = 1.
-    class NeverAccepts(BatchEstimators):
-        def certificate(self, fail_prob, rng, p_k, rng_dir):
-            return dataclasses.replace(super().certificate(fail_prob, rng, p_k, rng_dir),
-                                       accepted=False)
+def test_every_direction_runs_at_the_chain_length(monkeypatch, d, gamma):
+    # Every direction runs at p, the certificate chain's own length at
+    # START_FAILURE: 2, 14 and 2 steps here, on each iteration of a suite
+    # whose certificates never accept. The trace event reports that power.
+    powers, real = [], driver.power_direction
 
+    def spy(op, p, z):
+        powers.append(p)
+        return real(op, p, z)
+
+    monkeypatch.setattr(driver, "power_direction", spy)
     pts = rng_stream(0, 3).standard_normal((4 * d, d))
-    cfg = AlgoConfig(eps=gamma / 20, gamma=gamma, k_end=2, t_end=1)
+    cfg = AlgoConfig(eps=gamma / 20, gamma=gamma, t_end=2)
     events = []
     drive(NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=0, rep=0,
           trace_sink=events.append)
-    p_1 = certificate.power_chain_length(d, gamma, certificate.START_FAILURE)
-    assert p_1 == {20: 2, 50: 14, 200: 2}[d]
-    assert [(e["k"], e["p_k"], e["skipped"]) for e in events] == [(1, p_1, False),
-                                                                   (2, 2 * p_1, False)]
+    p = certificate.power_chain_length(d, gamma, certificate.START_FAILURE)
+    assert p == {20: 2, 50: 14, 200: 2}[d]
+    assert powers == [p, p]
+    assert [(e["t"], e["p"], e["skipped"]) for e in events] == [(1, p, False), (2, p, False)]
 
 
 def test_a_rejected_first_level_direction_draws_no_row():
-    # At k = 1 the direction's power is the chain's length, so the stream
-    # direction is its rider as the chain left it: on the d = 8 pool of the
-    # tracer's contract test (``tests/test_tracing_contract.py``), every
-    # rejected first-level certificate's direction call draws no row.
+    # The direction's power is the chain's length, so the stream direction
+    # is its rider as the chain left it: on the d = 8 pool of the tracer's
+    # contract test (``tests/test_tracing_contract.py``), every rejected
+    # certificate's direction call draws no row.
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     suite = _stream_suite(cfg, rows=50_000)
     real, drawn = suite.direction, []
 
-    def direction(p_k, rng, rider):
+    def direction(rng, rider):
         before = suite.source.delivered
-        v = real(p_k, rng, rider)
-        drawn.append((p_k, suite.source.delivered - before))
+        v = real(rng, rider)
+        drawn.append(suite.source.delivered - before)
         return v
 
     suite.direction = direction
     res = drive(suite, cfg, seed=0, rep=0)
-    assert res.status is PcaStatus.ACCEPTED and res.iterations[0] == 1
-    p_1 = certificate.power_chain_length(8, cfg.gamma, certificate.START_FAILURE)
-    assert drawn and drawn == [(p_1, 0)] * len(drawn)
+    assert res.status is PcaStatus.ACCEPTED
+    assert drawn and drawn == [0] * len(drawn)
 
 
 def test_drive_hands_each_certificate_its_share_of_the_rep_budget():
-    # A suite whose certificates never accept runs every one of the
-    # k_end * t_end = 2 * 3 slots of a rep. The i-th certificate is handed
-    # CERT_FAILURE_PROB / (2 i (i + 1)): 1/4, 1/12, 1/24, ... of 0.1, which
-    # telescope to at most half the rep's budget over any number of slots,
-    # the 4,228 of a d = 20 stream solve at eps 0.03, gamma 0.6 included.
-    shares = []
-
-    class NeverAccepts(BatchEstimators):
-        def certificate(self, fail_prob, rng, p_k, rng_dir):
-            shares.append(fail_prob)
-            return dataclasses.replace(super().certificate(fail_prob, rng, p_k, rng_dir),
-                                       accepted=False)
-
+    # A suite whose certificates never accept runs exactly the t_end = 3
+    # iterations of a rep and registers at most one filter in each. The
+    # t-th certificate is handed CERT_FAILURE_PROB / (2 t (t + 1)): 1/4,
+    # 1/12 and 1/24 of 0.1, which telescope to at most half the rep's
+    # budget over any number of iterations, the 2,114 of a d = 20 stream
+    # solve at eps 0.03, gamma 0.6 included.
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, k_end=2, t_end=3)
-    res = drive(NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=7, rep=0)
-    assert res.status is PcaStatus.FALLBACK_BEST and res.iterations == (2, 3)
-    assert shares == [CERT_FAILURE_PROB / (2 * i * (i + 1)) for i in range(1, 7)]
-    assert shares[:3] == [0.1 / 4, 0.1 / 12, 0.1 / 24]
-    assert sum(shares) <= CERT_FAILURE_PROB / 2
-    stream_cfg = AlgoConfig(eps=0.03, gamma=0.6)
-    slots = stream_cfg.k_end_for(20) * stream_cfg.t_end_for(20)
-    assert slots == 4228
-    assert sum(failure_share(i) for i in range(1, slots + 1)) <= CERT_FAILURE_PROB / 2
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=3)
+    suite = NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts))
+    res = drive(suite, cfg, seed=7, rep=0)
+    assert res.status is PcaStatus.FALLBACK_BEST and res.iterations == 3
+    assert suite.shares == [CERT_FAILURE_PROB / (2 * t * (t + 1)) for t in range(1, 4)]
+    assert suite.shares == [0.1 / 4, 0.1 / 12, 0.1 / 24]
+    assert res.filters_created == len(suite.stack) <= 3
+    slots = AlgoConfig(eps=0.03, gamma=0.6).t_end_for(20)
+    assert slots == 2114
+    assert sum(failure_share(t) for t in range(1, slots + 1)) <= CERT_FAILURE_PROB / 2
+
+
+EVENT_KEYS = {"t", "p", "rounds", "skipped"}
+FILTER_KEYS = {"mean_score", "cutoff", "sigma", "t_hat"}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.03])
+@pytest.mark.parametrize("kind", ["batch", "stream"])
+def test_trace_events_carry_exactly_the_documented_keys(monkeypatch, kind, eps):
+    # The schema of ``drive``'s docstring: every event has t, p, rounds and
+    # skipped; one whose direction ran, at eps > 0, also has the filter's
+    # mean_score, cutoff, sigma and t_hat; a batch solve adds weights.
+    # Certificates are rejected, so each of the t_end = 2 iterations emits.
+    suite_cls = BatchEstimators if kind == "batch" else MinibatchEstimators
+    real = suite_cls.certificate
+    monkeypatch.setattr(suite_cls, "certificate", lambda self, *args: dataclasses.replace(
+        real(self, *args), accepted=False))
+    cfg = AlgoConfig(eps=eps, gamma=0.6, t_end=2)
+    events = []
+    if kind == "batch":
+        pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
+        robust_pca(WeightedDataset(pts), eps=eps, gamma=0.6, config=cfg, rng_seed=7,
+                   trace_sink=events.append)
+    else:
+        drive(_stream_suite(cfg), cfg, seed=0, rep=0, trace_sink=events.append)
+    want = EVENT_KEYS | (FILTER_KEYS if eps > 0 else set())
+    want |= {"weights"} if kind == "batch" else set()
+    assert [(e["t"], e["skipped"]) for e in events] == [(1, eps == 0), (2, eps == 0)]
+    assert all(set(e) == want for e in events)
 
 
 def test_batch_prune_radius_is_the_largest_finite_squared_norm_where_its_formula_overflows():
@@ -526,16 +562,16 @@ def test_a_direction_that_scores_every_survivor_zero_registers_no_entry():
     # variance, delta and the opening mean are all 0, and 0 <= 0 is the
     # filter's exit, so no round runs and no entry is made.
     class Orthogonal(BatchEstimators):
-        def certificate(self, fail_prob, rng, p_k, rng_dir):
-            return dataclasses.replace(super().certificate(fail_prob, rng, p_k, rng_dir),
+        def certificate(self, fail_prob, rng, rng_dir):
+            return dataclasses.replace(super().certificate(fail_prob, rng, rng_dir),
                                        accepted=False)
 
-        def direction(self, p_k, rng, rider):
+        def direction(self, rng, rider):
             return np.eye(self.dim)[-1]
 
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     pts[:, -1] = 0.0
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, k_end=1, t_end=2)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=2)
     events = []
     res = drive(Orthogonal(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=7, rep=0,
                 trace_sink=events.append)
@@ -584,7 +620,7 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
     monkeypatch.setattr(certificate, "acceptance_factors",
                         lambda eps, gamma: (math.inf, 0.25))
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, rng_seed=3,
-                     config=AlgoConfig(t_end=1, k_end=1, boost_reps=2))
+                     config=AlgoConfig(t_end=1, boost_reps=2))
     assert res.status is PcaStatus.FALLBACK_BEST
     assert len(seen) == 2 and seen[0] is seen[1]
     np.testing.assert_array_equal(seen[0], np.einsum("ij,ij->i", pts, pts))
@@ -652,5 +688,5 @@ def test_overflowing_row_is_dropped_by_batch_prologue():
             for pool in (clean, bad)]
     for res in runs:
         assert res.status is PcaStatus.ACCEPTED
-        assert res.iterations == (1, 1)
+        assert res.iterations == 1
     assert abs(float(runs[0].u @ runs[1].u)) >= 1 - 1e-3

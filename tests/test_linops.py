@@ -215,7 +215,7 @@ def test_minibatch_rank_one_deterministic_source():
     stack = FilterStack()
     for p in (1, 2, 4):
         z = np.array([2.0, 5.0, -1.0])
-        got = streamed_power_apply(src, stack, p, 8, z)
+        got = streamed_power_apply(src, stack, p, 8, z[:, None])[:, 0]
         # Each factor is e1 e1^T, so the chain maps z to (z . e1) e1 for every p.
         np.testing.assert_allclose(got, [2.0, 0.0, 0.0], atol=1e-12)
 
@@ -226,7 +226,7 @@ def test_minibatch_survival_rate_squared_scaling():
     pts = np.array([[1.0, 0.0], [10.0, 0.0]] * 8)
     src = ReplaySource(pts, mode="cycle")
     stack = FilterStack(prune_radius_sq=2.0)
-    got = streamed_power_apply(src, stack, 1, 16, np.array([1.0, 0.0]))
+    got = streamed_power_apply(src, stack, 1, 16, np.array([[1.0], [0.0]]))[:, 0]
     np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-12)
     assert src.delivered == 16
 
@@ -235,7 +235,7 @@ def test_minibatch_single_sample():
     x = np.array([1.0, 2.0])
     src = ReplaySource(np.array([x, x, x]), mode="cycle")
     z = np.array([1.0, 1.0])
-    got = streamed_power_apply(src, FilterStack(), 1, 1, z)
+    got = streamed_power_apply(src, FilterStack(), 1, 1, z[:, None])[:, 0]
     np.testing.assert_allclose(got, x * float(x @ z), rtol=1e-12)
 
 
@@ -262,7 +262,7 @@ def test_minibatch_all_rejected_raises():
     src = constant_source(np.array([10.0, 0.0]))
     stack = FilterStack(prune_radius_sq=1.0)
     with pytest.raises(DegenerateStateError):
-        streamed_power_apply(src, stack, 1, 8, np.array([1.0, 0.0]))
+        streamed_power_apply(src, stack, 1, 8, np.array([[1.0], [0.0]]))
 
 
 def test_minibatch_large_batch_approaches_population():
@@ -273,7 +273,7 @@ def test_minibatch_large_batch_approaches_population():
     stack = FilterStack()
     p = 2
     z = rng.standard_normal(4)
-    got = streamed_power_apply(src, stack, p, 20_000, z)
+    got = streamed_power_apply(src, stack, p, 20_000, z[:, None])[:, 0]
     want = dense_power_apply(dense_moment(pop), p, z)
     assert np.linalg.norm(got - want) <= 0.1 * np.linalg.norm(want)
 
@@ -290,7 +290,7 @@ def test_streamed_apply_matches_built_estimator(monkeypatch):
 
     src_a, src_b = SyntheticSource(5, draw, rng_a), SyntheticSource(5, draw, rng_b)
     stack = FilterStack(prune_radius_sq=20.0)
-    z = np.random.default_rng(2).standard_normal(5)
+    z = np.random.default_rng(2).standard_normal((5, 1))
     monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 50)
     want = streamed_power_apply(src_a, stack, 3, 50, z)
     monkeypatch.setattr("robustpca.linops.STREAM_CHUNK", 7)
@@ -306,7 +306,7 @@ def test_streamed_apply_ledger_is_batch_size_independent(monkeypatch):
     for batch in (100, 10_000):
         led = ScalarLedger()
         src = ReplaySource(pop, mode="cycle")
-        streamed_power_apply(src, FilterStack(), 2, batch, np.ones(4), ledger=led)
+        streamed_power_apply(src, FilterStack(), 2, batch, np.ones((4, 1)), ledger=led)
         peaks.append(led.peak)
     assert peaks[0] == peaks[1]
 
@@ -326,7 +326,7 @@ def test_streamed_apply_block_matches_single_columns(monkeypatch):
     assert src.delivered == p * batch
     for j in range(block.shape[1]):
         src_j = ReplaySource(pop, mode="cycle")
-        want = streamed_power_apply(src_j, stack, p, batch, block[:, j])
+        want = streamed_power_apply(src_j, stack, p, batch, block[:, [j]])[:, 0]
         col = got[:, j] / np.linalg.norm(got[:, j])
         want = want / np.linalg.norm(want)
         assert np.linalg.norm(col - want) <= 1e-12
@@ -418,7 +418,7 @@ def test_approx_power_iteration_single_rep_is_one_probe():
                                        rng=np.random.default_rng(42))
     src_b = ReplaySource(pop, mode="cycle")
     g = np.random.default_rng(42).standard_normal(4)
-    y = streamed_power_apply(src_b, stack, p, batch, g)
+    y = streamed_power_apply(src_b, stack, p, batch, g[:, None])[:, 0]
     y = y / np.linalg.norm(y)
     pts = src_b.draw(batch)
     acc = pts[stack.weights(pts)]
@@ -472,7 +472,8 @@ def test_approx_power_iteration_rider_shares_the_chain(p):
     g, k, m = np.random.default_rng(42).standard_normal((3, 4))
 
     def chain(start):
-        return streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, p, batch, start)
+        return streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, p, batch,
+                                    start[:, None])[:, 0]
 
     src = ReplaySource(pop, mode="cycle")
     u, rayleigh, [v, w] = approx_power_iteration(
@@ -532,7 +533,8 @@ def test_approx_power_iteration_ragged_riders(p, n_riders):
         if not start.any():
             assert not rider.any()
             continue
-        want = streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, p, batch, start)
+        want = streamed_power_apply(ReplaySource(pop, mode="cycle"), stack, p, batch,
+                                    start[:, None])[:, 0]
         np.testing.assert_allclose(rider, want, rtol=1e-12)
 
 

@@ -201,9 +201,9 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
     called, certs = [], []
     certificate = MinibatchEstimators.certificate
 
-    def reject(self, fail_prob, rng, p_k, rng_dir):
+    def reject(self, fail_prob, rng, rng_dir):
         before = self.source.delivered
-        cand = certificate(self, fail_prob, rng, p_k, rng_dir)
+        cand = certificate(self, fail_prob, rng, rng_dir)
         certs.append(self.source.delivered - before)
         return dataclasses.replace(cand, accepted=False)
 
@@ -214,7 +214,7 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
                             lambda self, *args, name=name: called.append(name))
     src = tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1))
     res, stats = streaming_robust_pca(src, eps=0.0, gamma=0.4, r_radius=1.5, rng_seed=9,
-                                      config=AlgoConfig(t_end=2, k_end=2),
+                                      config=AlgoConfig(t_end=4),
                                       max_samples=60_000_000)
     assert res.status is PcaStatus.FALLBACK_BEST and len(certs) == 4
     assert called == []
@@ -531,7 +531,7 @@ def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
         else:
             np.testing.assert_array_equal(two.u, one.u)
     # The budget runs out in the prologue: no certificate ever ran.
-    assert one.status is PcaStatus.FAILED and one.iterations == (0, 0)
+    assert one.status is PcaStatus.FAILED and one.iterations == 0
 
 
 def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
@@ -545,15 +545,15 @@ def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
         seen.append((self.ledger, self.ledger.current))
         return prologue(self)
 
-    def reject(self, fail_prob, rng, p_k, rng_dir):
-        return dataclasses.replace(certificate(self, fail_prob, rng, p_k, rng_dir),
+    def reject(self, fail_prob, rng, rng_dir):
+        return dataclasses.replace(certificate(self, fail_prob, rng, rng_dir),
                                    accepted=False)
 
     monkeypatch.setattr(MinibatchEstimators, "prologue", spy_prologue)
     monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
     pool, _spec = _spiked_pool()
     res, stats = _solve_pool(pool, config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=3,
-                                                      k_end=1, t_end=1))
+                                                      t_end=1))
     assert res.status is PcaStatus.FALLBACK_BEST and res.filters_created >= 1
     assert [current for _ledger, current in seen] == [0, 8, 8]
     assert stats.peak_resident_scalars == max(ledger.peak for ledger, _c in seen)
@@ -635,7 +635,7 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
         "accepted_band_mean": lambda src, led: accepted_band_mean(
             src, stack, v, 0.0, 5.0, 0.1, led, bar=1.0, margin=0.25),
         "streamed_power_apply": lambda src, led: streamed_power_apply(
-            src, stack, 2, 50, v, ledger=led),
+            src, stack, 2, 50, v[:, None], ledger=led),
     }
     rejected = np.full((8, 2), 10.0)
     for name, call in helpers.items():
@@ -686,41 +686,32 @@ def _chain_rows(monkeypatch):
     return rows
 
 
-def _p_k(cfg, k):
-    """The power ``drive`` gives level k at d = 20: 2^(k - 1) times the chain's length."""
-    return 2 ** (k - 1) * power_chain_length(20, cfg.gamma, START_FAILURE)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_driver_direction_rides_the_certificate_chain(monkeypatch, k):
-    # p_k = 2, 4 and 8 against a chain of p = 2 steps. The direction's
-    # start, the first draw of rng_stream(seed, rep, 2), rides the whole
-    # chain, so the certificate draws (2 + 1) minibatches whatever p_k is;
-    # after it rejects, the direction draws only its p_k - 2 left: 0, 2 and
-    # 6 minibatches. It equals a p_k-step chain from the same start on a
-    # twin pool: its first p minibatches are the certificate chain's, the
-    # rest the rows after the certificate's own draws.
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_driver_direction_rides_the_certificate_chain(monkeypatch, t):
+    # The t-th direction's start, the t-th draw of rng_stream(seed, rep, 2),
+    # rides the whole chain of the t-th certificate, whose p = 2 steps are
+    # the direction's power: each certificate draws (2 + 1) minibatches and
+    # each direction none. It equals a p-step chain from the same start on
+    # a twin pool, over that certificate chain's own minibatches.
     chain_rows = _chain_rows(monkeypatch)
     pool, src, cfg, suite = _rider_suite()
     d, b = pool.shape[1], BATCH_SIZE_CAP
-    p, p_k = power_chain_length(d, cfg.gamma, START_FAILURE), _p_k(cfg, k)
-    assert (p, p_k) == (2, (2, 4, 8)[k - 1])
+    p = power_chain_length(d, cfg.gamma, START_FAILURE)
+    assert p == 2
 
-    rng_dir, start = rng_stream(0, 0, 2), src.delivered
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
-    assert not cand.accepted and chain_rows == [(p + 1) * b]
-    assert cand.rider[1] == p_k - p
-    before = src.delivered
-    v = suite.direction(p_k, rng_dir, cand.rider)
-    assert src.delivered - before == (0, 2, 6)[k - 1] * b
+    rng_cert, rng_dir, ref = rng_stream(0, 0, 1), rng_stream(0, 0, 2), rng_stream(0, 0, 2)
+    for i in range(1, t + 1):
+        start = src.delivered
+        cand = suite.certificate(failure_share(i), rng_cert, rng_dir)
+        before = src.delivered
+        v = suite.direction(rng_dir, cand.rider)
+        assert src.delivered == before
+        z = ref.standard_normal(d)
+    assert chain_rows == [(p + 1) * b] * t
 
-    ref = rng_stream(0, 0, 2)
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(start)
-    want = streamed_power_apply(twin, suite.stack, p, b, ref.standard_normal(d))
-    twin = ReplaySource(pool, mode="cycle")
-    twin.draw(before)
-    want = streamed_power_apply(twin, suite.stack, p_k - p, b, want)
+    want = streamed_power_apply(twin, suite.stack, p, b, z[:, None])[:, 0]
     np.testing.assert_allclose(v, want / np.linalg.norm(want), rtol=1e-10)
     assert rng_dir.standard_normal() == ref.standard_normal()
 
@@ -742,11 +733,11 @@ def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
 
     monkeypatch.setattr(certificate, "streaming_quantile", spy)
     _pool, src, cfg, suite = _rider_suite()
-    d, held, p_k = 20, suite.ledger.current, _p_k(cfg, 1)
+    d, held = 20, suite.ledger.current
     m = streaming_quantile_samples(3 * cfg.eps, failure_share(1) / 3, certificate.TRIM_C_Q)
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_stream(0, 0, 2))
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_stream(0, 0, 2))
     assert suite.ledger.current == held + d
-    suite.direction(p_k, rng_stream(0, 0, 2), cand.rider)
+    suite.direction(rng_stream(0, 0, 2), cand.rider)
     assert suite.ledger.current == held
     certificate.sample_top_eigenvector_streaming(
         src, suite.stack, cfg.eps, cfg.gamma, failure_share(1), rng_stream(0, 0, 1),
@@ -766,19 +757,17 @@ class _ZeroStarts:
 
 
 def test_a_collapsed_rider_ends_the_rep(monkeypatch):
-    # A zero start collapses on any pool. At k = 2 the rider comes back as
-    # the zero column with p_k - p = 2 steps left; the direction returns
-    # None with no second start and no row of its own, and ``drive`` raises
-    # DegenerateStateError.
+    # A zero start collapses on any pool. The rider comes back as the zero
+    # column; the direction returns None with no second start and no row of
+    # its own, and ``drive`` raises DegenerateStateError.
     import robustpca.driver as driver
 
     pool, src, cfg, suite = _rider_suite()
-    p_k, rng_dir = _p_k(cfg, 2), _ZeroStarts()
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), p_k, rng_dir)
-    column, left = cand.rider
-    assert not column.any() and left == 2 and rng_dir.drawn == 1
+    rng_dir = _ZeroStarts()
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_dir)
+    assert not cand.rider.any() and rng_dir.drawn == 1
     before = src.delivered
-    assert suite.direction(p_k, rng_dir, cand.rider) is None
+    assert suite.direction(rng_dir, cand.rider) is None
     assert rng_dir.drawn == 1 and src.delivered == before
 
     real = driver.rng_stream
@@ -797,5 +786,5 @@ def test_no_direction_rides_at_eps_zero():
                                 AlgoConfig(eps=0.0, gamma=0.6), 1.5, ScalarLedger())
     suite.prologue()
     rng_dir = _ZeroStarts()
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), 1, rng_dir)
-    assert cand.rider == () and rng_dir.drawn == 0
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_dir)
+    assert cand.rider is None and rng_dir.drawn == 0
