@@ -177,9 +177,7 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     u, rayleigh_emp = power_iteration(op, power_chain_length(op.dim, gamma, fail_prob), rng)
 
     f_u = (op.rows @ u) ** 2
-    tail = TRIM_TAIL * eps
-    cap = weighted_quantile(f_u, tail) if tail > 0 else math.inf
-    sigma = trimmed_variance(f_u, cap, n_total)
+    sigma = trimmed_variance(f_u, weighted_quantile(f_u, TRIM_TAIL * eps), n_total)
 
     f1, _eta = acceptance_factors(eps, gamma)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,

@@ -125,7 +125,7 @@ def streaming_quantile_samples(tail: float, fail_prob: float, c_q: float = C_Q) 
     both exponents are at least tau^2 mt / 3 = mt / c_q >= ln(2 /
     fail_prob) at the m above, so each side fails with probability at most
     fail_prob / 2. Each count is a sum of independent [0, 1] variables,
-    which is all the Chernoff bounds use; ``streaming.opnorm_block_samples``
+    which is all the Chernoff bounds use; ``streaming.MinibatchEstimators.prologue``
     applies them to a mean the same way.
     """
     if not (0.0 < tail < 1.0):

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .core import check_int
 from .errors import MemoryBudgetError, StreamExhaustedError
 
 __all__ = [
@@ -112,8 +113,9 @@ class BudgetedSource(SampleSource):
 
     def __init__(self, inner: SampleSource, max_samples: int):
         super().__init__(inner.dim)
+        check_int("max_samples", max_samples, 1)
         self.inner = inner
-        self.max_samples = int(max_samples)
+        self.max_samples = max_samples
 
     def _produce(self, k: int):
         if self.delivered + k > self.max_samples:

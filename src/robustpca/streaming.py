@@ -24,9 +24,9 @@ import numpy as np
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import FILTER_TRIGGER, failure_share, run_boosted
-from .estimators import (C_Q, TRIM_TAIL, opnorm_bracket, streaming_quantile,
-                          streaming_quantile_samples)
-from .linops import accepted_band_mean, accepted_rows, accepted_scores, unit
+from .estimators import (C_Q, opnorm_bracket, streaming_quantile, streaming_quantile_samples,
+                          weighted_quantile)
+from .linops import accepted_band_mean, accepted_scores, unit
 from .sources import BudgetedSource, SampleSource, ScalarLedger
 
 __all__ = ["StreamStats", "MinibatchEstimators", "streaming_robust_pca"]
@@ -58,49 +58,6 @@ class StreamStats:
     peak_resident_scalars: int
 
 
-def opnorm_block_samples(eps: float, fail_prob: float, r_radius: float, d: int) -> int:
-    """Draws m of the prologue's opnorm block, which errs with at most ``fail_prob``.
-
-    The block's value, sigma_op = ``estimators.opnorm_bracket`` over the
-    squared norms h of m draws, a draw the pruned stack rejects scoring
-    h = 0, feeds only the filter's additive slack delta and the floor of its
-    cutoff L (``driver.QUANTILE_FLOOR``). Each needs sigma_op only to a
-    constant factor. Write T(c) = E[h; h <= c] for the mean a cut at c keeps
-    and A(c) for the same mean over the block; sigma_op is A at the block's
-    own cut, so it lies between A(c+) and A(c-) whenever that cut does.
-
-    - eps > 0: m = ``estimators.streaming_quantile_samples``(3 eps,
-      fail_prob / 2) = ceil(4 l / eps), l = ln(4 / fail_prob). With
-      probability at least 1 - fail_prob,
-      T(c+) / 2 <= sigma_op <= 3 T(c-) / 2 + 2 E[h; h >= c-] / 9,
-      where c+ and c- are the cuts at the 9 eps / 2 and 3 eps / 2 tails,
-      the lower side provided T(c+) >= 2 eps c+: the kept scores do not sit
-      far below their cut, which light-tailed inliers meet with room to
-      spare (their cut is O(log(1 / eps)) times their mean, not 1 / (2 eps)).
-      Proof. The block's cut, of rank floor(3 eps m) + 1, lies in [c+, c-]
-      but with probability fail_prob / 2 (the quantile claim of
-      ``estimators.streaming_quantile_samples``). A(c) averages m
-      independent scores in [0, c]. Below: P(A(c+) <= T(c+) / 2) <=
-      exp(-m T(c+) / (8 c+)) <= exp(-l) = fail_prob / 4 by the
-      multiplicative Chernoff bound. Above: with T = T(c-), the scores'
-      variance is at most c- T, so by Bernstein's inequality A(c-) <= T +
-      sqrt(2 c- T l / m) + c- l / (3 m) <= 3 T / 2 + 4 c- l / (3 m) <=
-      3 T / 2 + c- eps / 3 but with probability fail_prob / 4; and
-      c- * 3 eps / 2 <= E[h; h >= c-].
-    - eps = 0: nothing is trimmed and the prune radius is infinite, so only
-      the caller's promise bounds the scores (``streaming_robust_pca``): at
-      eps = 0 every row is an inlier, with h <= r^2 d ||Sigma|| <= r^2 d E[h]
-      (E[h] = tr Sigma). m = ceil(C_Q r^2 d ln(2 / fail_prob)), and with
-      probability at least 1 - fail_prob, E[h] / 2 <= sigma_op <= 3 E[h] / 2.
-      Proof. The scores h / (r^2 d ||Sigma||) lie in [0, 1] with mean at
-      least 1 / (r^2 d), so at relative error 1/2 each multiplicative
-      Chernoff tail is at most exp(-m / (C_Q r^2 d)) <= fail_prob / 2.
-    """
-    if eps > 0:
-        return streaming_quantile_samples(TRIM_TAIL * eps, fail_prob / 2.0)
-    return math.ceil(C_Q * r_radius * r_radius * d * math.log(2.0 / fail_prob))
-
-
 class MinibatchEstimators:
     """One-pass stream answers for the shared driver loop."""
 
@@ -126,38 +83,67 @@ class MinibatchEstimators:
     # -- prologue -------------------------------------------------------------
 
     def prologue(self):
-        eps = self.config.eps
-        if eps > 0:
-            # Over the rows the empty stack accepts, whose squared norms are
-            # finite, at the prune's own accuracy (PRUNE_ACCURACY). The cut is
-            # a squared norm as ``FilterStack.within_radius`` computes it, so
-            # the rows at the cut keep their weight.
-            prune_sq = streaming_quantile(
-                lambda k: accepted_scores(self.source, FilterStack(),
-                                          lambda x: np.einsum("ij,ij->i", x, x), k,
-                                          self.ledger),
-                tail=eps, fail_prob=self._fail_prob(), c_q=PRUNE_C_Q, ledger=self.ledger,
-            )
-        else:
-            prune_sq = math.inf
-        self.stack = FilterStack(prune_radius_sq=prune_sq)
+        """Prune radius^2 and sigma_op from one block of m squared norms h.
 
-        # opnorm_bracket over fresh draws, keeping only the squared norms; a
-        # pruned draw scores 0, so the block is block_m draws of one law.
-        block_m = opnorm_block_samples(eps, self._fail_prob(), self.r_radius, self.dim)
-        with self.ledger.reserve(block_m):
-            g = np.concatenate([
-                np.einsum("ij,ij->i", rows, rows)
-                for rows in accepted_rows(self.source, self.stack, block_m, self.ledger)])
-            sigma_op = opnorm_bracket(np.pad(g, (0, block_m - g.size)), eps, block_m)
-        if eps == 0:
-            # Every row is an inlier, with ||x||^2 <= r^2 d ||Sigma|| <=
-            # 2 r^2 d sigma_op by the caller's promise and sigma_op >= tr Sigma
-            # / 2 (``opnorm_block_samples``): a finite score bound that prunes
-            # no row outside the block's failure share.
-            self.stack = FilterStack(prune_radius_sq=2.0 * self.r_radius ** 2 * self.dim * sigma_op)
+        The block is drawn under the empty stack, so every h is finite, and it
+        answers two questions whose failures are union-bounded although they
+        share rows (``linops.approx_power_iteration``). At eps > 0 the
+        radius^2 is the block's eps-tail cut, of rank floor(m eps) + 1, a
+        squared norm as ``FilterStack.within_radius`` computes it, so the rows
+        at the cut keep their weight. It errs with at most delta_1, the first
+        failure share, by the claim of
+        ``estimators.streaming_quantile_samples``, which holds at any m at
+        least its block. sigma_op = ``estimators.opnorm_bracket`` of the same
+        block errs with at most delta_2, the next share. It feeds only the
+        filter's additive slack delta and the floor of its cutoff L
+        (``driver.QUANTILE_FLOOR``), which need it only to a constant factor.
+        Its 3 eps trim drops every row the eps prune drops, so it sums only
+        rows the pruned stack keeps. Write T(c) = E[h; h <= c] and A(c) for
+        the same mean over the block; sigma_op is A at the block's 3 eps cut,
+        so it lies between A(c+) and A(c-) whenever that cut does.
+
+        - eps > 0: m is the larger of the cut's block and ceil(4 l / eps),
+          l = ln(4 / delta_2). With probability at least 1 - delta_2,
+          T(c+) / 2 <= sigma_op <= 3 T(c-) / 2 + 2 E[h; h >= c-] / 9,
+          where c+ and c- are the cuts at the 9 eps / 2 and 3 eps / 2 tails,
+          the lower side provided T(c+) >= 2 eps c+: the kept scores do not
+          sit far below their cut, which light-tailed inliers meet with room
+          to spare (their cut is O(log(1 / eps)) times their mean, not
+          1 / (2 eps)). Proof. m >= 12 ln(2 / (delta_2 / 2)) / (3 eps), so
+          the cut of rank floor(3 eps m) + 1 lies in [c+, c-] but with
+          probability delta_2 / 2 (the same claim at tau = 1/2). A(c)
+          averages m independent scores in [0, c]. Below: P(A(c+) <= T(c+) / 2) <=
+          exp(-m T(c+) / (8 c+)) <= exp(-l) = delta_2 / 4 by the
+          multiplicative Chernoff bound. Above: with T = T(c-), the scores'
+          variance is at most c- T, so by Bernstein's inequality A(c-) <= T +
+          sqrt(2 c- T l / m) + c- l / (3 m) <= 3 T / 2 + 4 c- l / (3 m) <=
+          3 T / 2 + c- eps / 3 but with probability delta_2 / 4; and
+          c- * 3 eps / 2 <= E[h; h >= c-]. Every step holds at any larger m.
+        - eps = 0: nothing is trimmed, and only the caller's promise bounds
+          the scores (``streaming_robust_pca``): every row is an inlier, with
+          h <= r^2 d ||Sigma|| <= r^2 d E[h]. m = ceil(C_Q r^2 d ln(2 /
+          delta_1)) at the first share, and with probability at least
+          1 - delta_1, E[h] / 2 <= sigma_op <= 3 E[h] / 2. Proof. The scores
+          h / (r^2 d ||Sigma||) lie in [0, 1] with mean at least 1 / (r^2 d),
+          so at relative error 1/2 each multiplicative Chernoff tail is at
+          most exp(-m / (C_Q r^2 d)) <= delta_1 / 2. The radius^2 is then
+          2 r^2 d sigma_op >= r^2 d ||Sigma||, which prunes no row.
+        """
+        eps, r2d = self.config.eps, self.r_radius ** 2 * self.dim
+        if eps > 0:
+            prune_fail, opnorm_fail = self._fail_prob(), self._fail_prob()
+            m = max(streaming_quantile_samples(eps, prune_fail, PRUNE_C_Q),
+                    math.ceil(4.0 * math.log(4.0 / opnorm_fail) / eps))
+        else:
+            m = math.ceil(C_Q * r2d * math.log(2.0 / self._fail_prob()))
+        with self.ledger.reserve(m):
+            g = accepted_scores(self.source, FilterStack(),
+                                lambda x: np.einsum("ij,ij->i", x, x), m, self.ledger)
+            sigma_op = opnorm_bracket(g, eps, m)
+            prune_sq = weighted_quantile(g, eps) if eps > 0 else 2.0 * r2d * sigma_op
+        self.stack = FilterStack(prune_radius_sq=prune_sq)
         self.ledger.alloc(self.dim)  # the candidate vector held across iterations
-        delta = 0.1 * self.config.gamma / (self.r_radius ** 2 * self.dim) * sigma_op
+        delta = 0.1 * self.config.gamma / r2d * sigma_op
         self._trim_floor = delta / (FILTER_TRIGGER * self.config.gamma)
         return sigma_op, delta
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from robustpca import (
     AlgoConfig,
+    BudgetedSource,
     FilterEntry,
     FilterStack,
     ReplaySource,
@@ -212,6 +213,13 @@ def test_file_replay_source_round_trip(tmp_path):
 def test_replay_source_rejects_a_pool_without_rows(pool, mode):
     with pytest.raises(ValueError, match="non-empty"):
         ReplaySource(pool, mode=mode)
+
+
+@pytest.mark.parametrize("max_samples", [0, 2.5, True, math.nan])
+def test_budgeted_source_rejects_a_budget_that_is_not_a_positive_int(max_samples):
+    # No coercion: int(2.5) would cap at 2 rows and True at 1.
+    with pytest.raises(ValueError, match="max_samples"):
+        BudgetedSource(ReplaySource(np.zeros((4, 3)), mode="cycle"), max_samples)
 
 
 def _labeled_pool(n=10, d=3):

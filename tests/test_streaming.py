@@ -28,8 +28,9 @@ from robustpca import (
 )
 from robustpca.certificate import DECISION_MARGIN, START_FAILURE, power_chain_length
 from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
-from robustpca.estimators import (STREAM_CHUNK, mean_ceiling, mean_stages, stage_interval,
-                                  stage_log, streaming_quantile_samples)
+from robustpca.estimators import (C_Q, STREAM_CHUNK, mean_ceiling, mean_stages, opnorm_bracket,
+                                  stage_interval, stage_log, streaming_quantile_samples,
+                                  weighted_quantile)
 from robustpca.filtering import hard_thresholding_filter
 from robustpca.errors import DegenerateStateError, MemoryBudgetError, StreamExhaustedError
 from robustpca.linops import (
@@ -42,7 +43,6 @@ from robustpca.streaming import (
     BATCH_SIZE_CAP,
     PRUNE_C_Q,
     MinibatchEstimators,
-    opnorm_block_samples,
 )
 
 
@@ -107,10 +107,10 @@ def test_declared_memory_budget_enforced():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_stream_row_is_rejected():
-    # At eps = 0 the prune radius is infinite; an inf row must still get
-    # weight 0, so the run matches the one over the clean pool instead of
-    # collapsing every power probe. Rejected rows are never scored, so the
-    # inf row raises no floating-point warning either.
+    # The prologue's empty stack has an infinite radius; an inf row must
+    # still get weight 0, so the run matches the one over the clean pool
+    # instead of collapsing every power probe. Rejected rows are never
+    # scored, so the inf row raises no floating-point warning either.
     clean = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
     bad = clean.copy()
     bad[17] = np.inf
@@ -119,16 +119,18 @@ def test_non_finite_stream_row_is_rejected():
             for pool in (clean, bad)]
     (res_a, stats_a), (res_b, stats_b) = runs
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
-    # The first certificate accepts. At eps = 0 there is no norm quantile,
-    # so the opnorm block is the suite's first estimate, at failure_share(1).
-    # Then come (1 + 1) * 4,096 chain rows (the starts share a chain of
+    # The first certificate accepts. At eps = 0 the prologue's block is the
+    # suite's first estimate, at failure_share(1); the inf row, row 17 of
+    # it, is replaced by a top-up draw of 1 + 8 rows. Then come (1 + 1) *
+    # 4,096 chain rows (the starts share a chain of
     # power_chain_length(5, 0.5, 1/2) = 1 step, and one batch scores them
     # all) and the stream mean, whose scores the
     # prune radius^2 2 r^2 d sigma_op bounds, settling at its stage of 8,192
     # rows.
-    block = opnorm_block_samples(0.0, failure_share(1), 1.5, 5)
+    block = _prologue_block(0.0, 5)
     assert power_chain_length(5, 0.5, START_FAILURE) == 1
-    assert stats_a.samples_consumed == stats_b.samples_consumed == block + 8_192 + 8_192
+    assert stats_a.samples_consumed == block + 8_192 + 8_192
+    assert stats_b.samples_consumed == stats_a.samples_consumed + 1 + 8
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -189,7 +191,7 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
     # At eps = 0 the tail 3 eps is 0, so no filter can fire: after each
     # rejected certificate the driver runs no direction, quantile, trimmed
     # mean or filter mean, and every row the solve draws is the prologue's
-    # opnorm block or a certificate's. The prune radius^2 is the caller's
+    # block or a certificate's. The prune radius^2 is the caller's
     # norm promise, 2 r^2 d sigma_op, so every certificate mean has a finite
     # score bound.
     spec = InlierSpec(dim=6, diag=1.0, spikes=((0, 4.0),))
@@ -218,7 +220,7 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
                                       max_samples=60_000_000)
     assert res.status is PcaStatus.FALLBACK_BEST and len(certs) == 4
     assert called == []
-    block = opnorm_block_samples(0.0, failure_share(1), 1.5, 6)
+    block = _prologue_block(0.0, 6)
     assert stats.samples_consumed == block + sum(certs)
 
 
@@ -414,11 +416,12 @@ def test_stream_solve_reads_a_read_only_pool():
 
 def test_stream_rep_fails_within_its_budget(monkeypatch):
     # Every failure probability a stream solve hands out, recorded where the
-    # suite calls its estimators. Its estimates (the prologue's norm quantile
-    # and opnorm block, then each filter iteration's quantile, trimmed mean
-    # and round means) take failure_share(1), (2), ... in turn, and its
-    # certificates likewise: each series sums to at most half the rep's
-    # budget, so the rep fails with probability at most CERT_FAILURE_PROB.
+    # suite calls its estimators. Its estimates (the prologue's prune cut
+    # and opnorm bracket, which read one block at failure_share(1) and (2),
+    # then each filter iteration's quantile, trimmed mean and round means)
+    # take failure_share(1), (2), ... in turn, and its certificates
+    # likewise: each series sums to at most half the rep's budget, so the
+    # rep fails with probability at most CERT_FAILURE_PROB.
     import robustpca.streaming as streaming
 
     seen = {"estimate": [], "certificate": []}
@@ -431,7 +434,7 @@ def test_stream_rep_fails_within_its_budget(monkeypatch):
             return fn(*args, **kwargs)
         return inner
 
-    for name in ("streaming_quantile", "opnorm_block_samples", "accepted_band_mean"):
+    for name in ("streaming_quantile", "accepted_band_mean"):
         monkeypatch.setattr(streaming, name, spy("estimate", getattr(streaming, name)))
     monkeypatch.setattr(streaming, "sample_top_eigenvector_streaming",
                         spy("certificate", streaming.sample_top_eigenvector_streaming))
@@ -439,8 +442,9 @@ def test_stream_rep_fails_within_its_budget(monkeypatch):
     res, _stats = _solve_pool(pool)
     assert res.status is PcaStatus.ACCEPTED and res.filters_created >= 1
     estimates, certificates = seen["estimate"], seen["certificate"]
-    # Two prologue blocks, then at least a quantile, a trimmed mean, the
-    # opening mean and one round mean.
+    # The prologue's two shares, then at least a quantile, a trimmed mean,
+    # the opening mean and one round mean.
+    estimates = [failure_share(1), failure_share(2)] + estimates
     assert len(estimates) >= 6 and len(certificates) >= 2
     assert estimates == [failure_share(j) for j in range(1, len(estimates) + 1)]
     assert certificates == [failure_share(i) for i in range(1, len(certificates) + 1)]
@@ -448,18 +452,61 @@ def test_stream_rep_fails_within_its_budget(monkeypatch):
     assert sum(certificates) <= CERT_FAILURE_PROB / 2
 
 
+def _prologue_block(eps, d):
+    """The prologue's block size at r = 1.5, from its rule: the larger of the
+    prune cut's and the opnorm bracket's blocks at the first two shares, or
+    at eps = 0 the norm promise's block at the first share."""
+    if eps > 0:
+        return max(streaming_quantile_samples(eps, failure_share(1), PRUNE_C_Q),
+                   math.ceil(4 * math.log(4 / failure_share(2)) / eps))
+    return math.ceil(C_Q * 1.5 ** 2 * d * math.log(2 / failure_share(1)))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.03])
-def test_prologue_draws_exactly_its_two_blocks(eps):
-    # The norm quantile (none at eps = 0) and the opnorm block, at the rep's
-    # first failure shares, sized by their rules; the prologue draws no
-    # other row.
+def test_prologue_draws_exactly_one_block(eps, monkeypatch):
+    # One block, sized by its rule, at the rep's first two failure shares
+    # (the first at eps = 0); the prologue draws no other row, and the
+    # next estimate takes the next share.
+    import robustpca.streaming as streaming
+
     pool, _spec = _spiked_pool()
     src = BudgetedSource(ReplaySource(pool, mode="cycle"), 10 ** 9)
     suite = MinibatchEstimators(src, AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
     suite.prologue()
-    norm = streaming_quantile_samples(eps, failure_share(1), PRUNE_C_Q) if eps > 0 else 0
-    opnorm = opnorm_block_samples(eps, failure_share(2 if eps > 0 else 1), 1.5, 8)
-    assert src.delivered == norm + opnorm
+    assert src.delivered == _prologue_block(eps, 8)
+    if eps > 0:
+        assert _prologue_block(eps, 8) == 15_776
+    taken = 2 if eps > 0 else 1
+    seen = []
+    quantile = streaming.streaming_quantile
+
+    def spy(draw_scores, tail, fail_prob, **kw):
+        seen.append(fail_prob)
+        return quantile(draw_scores, tail, fail_prob, **kw)
+
+    monkeypatch.setattr(streaming, "streaming_quantile", spy)
+    suite.start_iteration(np.eye(8)[0])
+    suite.quantile_value(0.09)
+    suite.sigma_trimmed(20.0)
+    assert seen == [failure_share(taken + 1)]
+    assert suite._fail_prob() == failure_share(taken + 3)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.03])
+def test_prologue_reads_both_answers_from_one_block(eps):
+    # A twin source replays the block's m rows: the prune radius^2 is their
+    # squared norms' eps-tail cut (2 r^2 d sigma_op at eps = 0) and sigma_op
+    # their opnorm bracket, bitwise.
+    pool, _spec = _spiked_pool()
+    suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
+                                AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
+    sigma_op, _delta = suite.prologue()
+    m = _prologue_block(eps, 8)
+    rows = ReplaySource(pool, mode="cycle").draw(m)
+    g = np.einsum("ij,ij->i", rows, rows)
+    assert sigma_op == opnorm_bracket(g, eps, m)
+    radius_sq = weighted_quantile(g, eps) if eps > 0 else 2 * 1.5 ** 2 * 8 * sigma_op
+    assert suite.stack.prune_radius_sq == radius_sq
 
 
 def test_prune_cut_lands_within_a_sixth_of_eps():
@@ -515,10 +562,9 @@ def test_non_finite_column_above_eps_rate(bad):
 
 def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
     pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
-    # One row short of the prologue's two blocks: the norm quantile and the
-    # opnorm block, at the rep's first two failure shares.
-    prologue = (streaming_quantile_samples(0.03, failure_share(1), PRUNE_C_Q)
-                + opnorm_block_samples(0.03, failure_share(2), 1.5, 12))
+    # One row short of the prologue's block, which the prune cut sizes at
+    # the rep's first failure share.
+    prologue = _prologue_block(0.03, 12)
     for budget in (900_000, prologue - 1):
         one, two = (_solve_pool(pool, rng_seed=1, max_samples=budget,
                                 config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=reps))[0]
