@@ -48,11 +48,16 @@ TRIM_ACCURACY = 1.0 / 6.0
 TRIM_C_Q = 3.0 / TRIM_ACCURACY ** 2
 
 
+def chain_quotient(gamma: float) -> float:
+    """q = (1 - gamma / 2) / (1 + gamma / 2), a chain's target share of lambda1."""
+    return (1.0 - gamma / 2.0) / (1.0 + gamma / 2.0)
+
+
 def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
     """Power steps after which one Gaussian start fails with at most ``fail_prob``.
 
     Success means a Rayleigh quotient of at least q lambda1, where
-    q = (1 - gamma / 2) / (1 + gamma / 2) >= 1 - gamma; the quotient q, not
+    q = ``chain_quotient``(gamma) >= 1 - gamma; the quotient q, not
     1 - gamma, is the target, as 1 - gamma = 0 at gamma = 1 would ask for
     one step. The length is the least p >= 1 that the bound below proves.
 
@@ -98,7 +103,7 @@ def power_chain_length(d: int, gamma: float, fail_prob: float) -> int:
         log_beta = math.lgamma(0.5) + math.lgamma((d - 1) / 2.0) - math.lgamma(d / 2.0)
         s = (fail_prob * math.exp(log_beta) / 2.0) ** 2
     log_odds = math.log(s) - math.log1p(-s)
-    q = (1.0 - gamma / 2.0) / (1.0 + gamma / 2.0)
+    q = chain_quotient(gamma)
     p = 1
     while ((2 * p + 1) * math.log(q) + 2 * p * math.log(2 * p / (2 * p + 1))
            - math.log(2 * p + 1) - math.log1p(-q)) > log_odds:
@@ -187,7 +192,7 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      eps: float, gamma: float, fail_prob: float,
                                      rng: np.random.Generator, batch_size: int,
-                                     ledger: ScalarLedger,
+                                     ledger: ScalarLedger, r_radius: float,
                                      rng_dir: np.random.Generator | None = None) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
@@ -214,9 +219,9 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     guarantee is argued at ``linops.approx_power_iteration``.
 
     The robust test is sigma >= mu0 = f1 * rayleigh_emp, where sigma is the
-    mean of scores in [0, B], B = min(cap, prune radius^2), and cap is the
-    trim cutoff from a one-pass quantile block at tail 3 eps. Outside its
-    failure share the cap lands between the 5 eps / 2 and 7 eps / 2 tails
+    mean of scores in [0, B], B = min(cap, prune radius^2). At eps > 0 cap
+    is the trim cutoff from a one-pass quantile block at tail 3 eps. Outside
+    its failure share it lands between the 5 eps / 2 and 7 eps / 2 tails
     (``estimators.streaming_quantile_samples`` at ``TRIM_ACCURACY``), so
     the test trims up to 7 eps / 2 of the mass, the tail f1 is taken at
     (``acceptance_factors``). With that function's eta, the candidate
@@ -229,12 +234,14 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
       bar. A stream acceptance thus implies that the exact test passes.
     - Completeness. If mu >= (1 + 2 eta) mu0, the mean reaches the bar, so
       a direction whose trimmed mean clears the band passes.
-    B is finite for every eps: at eps = 0 nothing is trimmed, and the
-    stream's prologue sets a finite prune radius from the caller's norm
-    promise (``streaming.MinibatchEstimators.prologue``). A B / mu0 that
-    overflows ends in DegenerateStateError. A zero rayleigh_emp gives the
-    test no scale: the candidate is rejected without a draw and reports
-    sigma 0.
+    At eps = 0 cap = r^2 d rayleigh_emp / q, q = ``chain_quotient``(gamma), as
+    ``r_radius`` bounds every score by r^2 d lambda1
+    (``streaming.streaming_robust_pca``), and takes no share. Soundness holds
+    at any cap, as E[f; f <= cap] <= E[f]. Completeness needs every
+    score <= cap, met once rayleigh_emp >= q lambda1, the chain's success
+    event, whose share is spent; a miss only rejects. A B / mu0 that overflows
+    ends in DegenerateStateError. A zero rayleigh_emp gives the test no scale:
+    the candidate is rejected without a draw and reports sigma 0.
     """
     d = source.dim
 
@@ -259,7 +266,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
             lambda k: accepted_scores(source, stack, lambda x: (x @ u) ** 2, k, ledger),
             tail, part, c_q=TRIM_C_Q, ledger=ledger)
     else:
-        cap = math.inf
+        cap = r_radius ** 2 * d * rayleigh_emp / chain_quotient(gamma)
     bar = (1.0 + eta) * mu0
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, ledger,
                                bar=bar, margin=eta)

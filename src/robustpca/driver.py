@@ -10,8 +10,9 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 direction scores a row at most its squared norm), and exactly these eight
 methods, all called by ``drive``:
 
-- ``prologue() -> (sigma_op, delta)``: prune to a finite radius^2; return
-  the operator-norm bracket and the filter's additive slack.
+- ``prologue() -> (sigma_op, delta)``: prune; return the operator-norm
+  bracket and the filter's additive slack, which only a filter reads (at
+  eps = 0 the stream suite draws nothing and returns (0, 0)).
 - ``certificate(fail_prob, rng, rng_dir) -> Candidate``: a candidate whose
   judgement errs with probability at most ``fail_prob``. ``rng_dir`` is
   what the iteration's ``direction`` call will be handed; at eps > 0 the
@@ -37,7 +38,7 @@ methods, all called by ``drive``:
 
 A direction lies in the survivors' span, so some survivor scores above 0
 and no filter step is skipped. At eps = 0 the trim tail is 0 and no filter
-can fire, so ``drive`` calls only the first two.
+can fire, so ``drive`` calls only the first two and reads no prologue value.
 """
 
 from __future__ import annotations

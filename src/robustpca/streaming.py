@@ -1,17 +1,17 @@
 """Single-pass streaming driver.
 
 Same control flow as the batch driver, but every population quantity is
-answered by a one-pass estimator: minibatch moment products for directions,
-a sampled block for quantiles, a sequential empirical-Bernstein mean
+answered by a one-pass estimator: minibatch moment products for directions, a
+sampled block for quantiles, a sequential empirical-Bernstein mean
 (``estimators.stream_mean_estimate``) for score averages, whose rows its
-question sizes (``estimators.mean_ceiling``). Each estimate that can fail
-takes its share of the rep's failure budget (``driver.failure_share``). The
-persistent state is the filter stack, one candidate vector, and transient
-buffers of ``estimators.STREAM_CHUNK`` rows and the minibatch block, whose
-sizes are set by the configuration, never by the stream length; a scalar
-ledger meters the high-water mark. ``driver.drive`` registers at most one
-filter per iteration, so a rep's stack holds at most t_end entries of d + 1
-ledger scalars each.
+question sizes (``estimators.mean_ceiling``). Each estimate that can fail takes
+its share of the rep's failure budget (``driver.failure_share``). At eps = 0
+only certificates draw rows. The persistent state is the filter stack, one
+candidate vector, and transient buffers of ``estimators.STREAM_CHUNK`` rows and
+the minibatch block, whose sizes are set by the configuration, never by the
+stream length; a scalar ledger meters the high-water mark. ``driver.drive``
+registers at most one filter per iteration, so a rep's stack holds at most
+t_end entries of d + 1 ledger scalars each.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
 from .driver import FILTER_TRIGGER, failure_share, run_boosted
-from .estimators import (C_Q, opnorm_bracket, streaming_quantile, streaming_quantile_samples,
+from .estimators import (opnorm_bracket, streaming_quantile, streaming_quantile_samples,
                           weighted_quantile)
 from .linops import accepted_band_mean, accepted_scores, unit
 from .sources import BudgetedSource, SampleSource, ScalarLedger
@@ -63,8 +63,8 @@ class MinibatchEstimators:
 
     def __init__(self, source: SampleSource, config: AlgoConfig, r_radius: float,
                  ledger: ScalarLedger):
-        if not r_radius >= 1.0:
-            raise ValueError(f"r_radius must be at least 1, got {r_radius}")
+        if not 1.0 <= r_radius < math.inf:
+            raise ValueError(f"r_radius must be finite and at least 1, got {r_radius}")
         self.source = source
         self.config = config
         self.r_radius = r_radius
@@ -85,66 +85,54 @@ class MinibatchEstimators:
     def prologue(self):
         """Prune radius^2 and sigma_op from one block of m squared norms h.
 
-        The block is drawn under the empty stack, so every h is finite, and it
-        answers two questions whose failures are union-bounded although they
-        share rows (``linops.approx_power_iteration``). At eps > 0 the
-        radius^2 is the block's eps-tail cut, of rank floor(m eps) + 1, a
-        squared norm as ``FilterStack.within_radius`` computes it, so the rows
-        at the cut keep their weight. It errs with at most delta_1, the first
-        failure share, by the claim of
-        ``estimators.streaming_quantile_samples``, which holds at any m at
-        least its block. sigma_op = ``estimators.opnorm_bracket`` of the same
-        block errs with at most delta_2, the next share. It feeds only the
-        filter's additive slack delta and the floor of its cutoff L
+        At eps = 0, where ``drive`` reads neither, it draws nothing and keeps
+        the infinite radius: each certificate bounds its own scores
+        (``certificate.sample_top_eigenvector_streaming``). At eps > 0 the block
+        is drawn under the empty stack, so every h is finite, and it answers two
+        questions whose failures are union-bounded although they share rows
+        (``linops.approx_power_iteration``). The radius^2 is the block's
+        eps-tail cut, of rank floor(m eps) + 1, a squared norm as
+        ``FilterStack.within_radius`` computes it, so the rows at the cut keep
+        their weight. It errs with at most delta_1, the first failure share, by
+        the claim of ``estimators.streaming_quantile_samples``, which holds at
+        any m at least its block. sigma_op = ``estimators.opnorm_bracket`` of
+        the same block errs with at most delta_2, the next share. It feeds only
+        the filter's additive slack delta and the floor of its cutoff L
         (``driver.QUANTILE_FLOOR``), which need it only to a constant factor.
-        Its 3 eps trim drops every row the eps prune drops, so it sums only
-        rows the pruned stack keeps. Write T(c) = E[h; h <= c] and A(c) for
-        the same mean over the block; sigma_op is A at the block's 3 eps cut,
-        so it lies between A(c+) and A(c-) whenever that cut does.
-
-        - eps > 0: m is the larger of the cut's block and ceil(4 l / eps),
-          l = ln(4 / delta_2). With probability at least 1 - delta_2,
-          T(c+) / 2 <= sigma_op <= 3 T(c-) / 2 + 2 E[h; h >= c-] / 9,
-          where c+ and c- are the cuts at the 9 eps / 2 and 3 eps / 2 tails,
-          the lower side provided T(c+) >= 2 eps c+: the kept scores do not
-          sit far below their cut, which light-tailed inliers meet with room
-          to spare (their cut is O(log(1 / eps)) times their mean, not
-          1 / (2 eps)). Proof. m >= 12 ln(2 / (delta_2 / 2)) / (3 eps), so
-          the cut of rank floor(3 eps m) + 1 lies in [c+, c-] but with
-          probability delta_2 / 2 (the same claim at tau = 1/2). A(c)
-          averages m independent scores in [0, c]. Below: P(A(c+) <= T(c+) / 2) <=
-          exp(-m T(c+) / (8 c+)) <= exp(-l) = delta_2 / 4 by the
-          multiplicative Chernoff bound. Above: with T = T(c-), the scores'
-          variance is at most c- T, so by Bernstein's inequality A(c-) <= T +
-          sqrt(2 c- T l / m) + c- l / (3 m) <= 3 T / 2 + 4 c- l / (3 m) <=
-          3 T / 2 + c- eps / 3 but with probability delta_2 / 4; and
-          c- * 3 eps / 2 <= E[h; h >= c-]. Every step holds at any larger m.
-        - eps = 0: nothing is trimmed, and only the caller's promise bounds
-          the scores (``streaming_robust_pca``): every row is an inlier, with
-          h <= r^2 d ||Sigma|| <= r^2 d E[h]. m = ceil(C_Q r^2 d ln(2 /
-          delta_1)) at the first share, and with probability at least
-          1 - delta_1, E[h] / 2 <= sigma_op <= 3 E[h] / 2. Proof. The scores
-          h / (r^2 d ||Sigma||) lie in [0, 1] with mean at least 1 / (r^2 d),
-          so at relative error 1/2 each multiplicative Chernoff tail is at
-          most exp(-m / (C_Q r^2 d)) <= delta_1 / 2. The radius^2 is then
-          2 r^2 d sigma_op >= r^2 d ||Sigma||, which prunes no row.
+        Its 3 eps trim drops every row the eps prune drops, so it sums only rows
+        the pruned stack keeps. Write T(c) = E[h; h <= c] and A(c) for the same
+        mean over the block; sigma_op is A at the block's 3 eps cut, so it lies
+        between A(c+) and A(c-) whenever that cut does. m is the larger of the
+        cut's block and ceil(4 l / eps), l = ln(4 / delta_2). With probability
+        at least 1 - delta_2, T(c+) / 2 <= sigma_op <= 3 T(c-) / 2 +
+        2 E[h; h >= c-] / 9, where c+ and c- are the cuts at the 9 eps / 2 and
+        3 eps / 2 tails, the lower side provided T(c+) >= 2 eps c+: the kept
+        scores do not sit far below their cut, which light-tailed inliers meet
+        with room to spare (their cut is O(log(1 / eps)) times their mean, not
+        1 / (2 eps)). Proof. m >= 12 ln(2 / (delta_2 / 2)) / (3 eps), so the cut
+        of rank floor(3 eps m) + 1 lies in [c+, c-] but with probability
+        delta_2 / 2 (the same claim at tau = 1/2). A(c) averages m independent
+        scores in [0, c]. Below: P(A(c+) <= T(c+) / 2) <= exp(-m T(c+) / (8 c+))
+        <= exp(-l) = delta_2 / 4 by the multiplicative Chernoff bound. Above:
+        with T = T(c-), the scores' variance is at most c- T, so by Bernstein's
+        inequality A(c-) <= T + sqrt(2 c- T l / m) + c- l / (3 m) <= 3 T / 2 +
+        4 c- l / (3 m) <= 3 T / 2 + c- eps / 3 but with probability delta_2 / 4;
+        and c- * 3 eps / 2 <= E[h; h >= c-]. Every step holds at any larger m.
         """
         eps, r2d = self.config.eps, self.r_radius ** 2 * self.dim
+        sigma_op = delta = 0.0
         if eps > 0:
             prune_fail, opnorm_fail = self._fail_prob(), self._fail_prob()
             m = max(streaming_quantile_samples(eps, prune_fail, PRUNE_C_Q),
                     math.ceil(4.0 * math.log(4.0 / opnorm_fail) / eps))
-        else:
-            m = math.ceil(C_Q * r2d * math.log(2.0 / self._fail_prob()))
-        with self.ledger.reserve(m):
-            g = accepted_scores(self.source, FilterStack(),
-                                lambda x: np.einsum("ij,ij->i", x, x), m, self.ledger)
-            sigma_op = opnorm_bracket(g, eps, m)
-            prune_sq = weighted_quantile(g, eps) if eps > 0 else 2.0 * r2d * sigma_op
-        self.stack = FilterStack(prune_radius_sq=prune_sq)
+            with self.ledger.reserve(m):
+                g = accepted_scores(self.source, FilterStack(),
+                                    lambda x: np.einsum("ij,ij->i", x, x), m, self.ledger)
+                sigma_op = opnorm_bracket(g, eps, m)
+                self.stack = FilterStack(prune_radius_sq=weighted_quantile(g, eps))
+            delta = 0.1 * self.config.gamma / r2d * sigma_op
+            self._trim_floor = delta / (FILTER_TRIGGER * self.config.gamma)
         self.ledger.alloc(self.dim)  # the candidate vector held across iterations
-        delta = 0.1 * self.config.gamma / r2d * sigma_op
-        self._trim_floor = delta / (FILTER_TRIGGER * self.config.gamma)
         return sigma_op, delta
 
     # -- per-iteration answers -------------------------------------------------
@@ -154,10 +142,8 @@ class MinibatchEstimators:
         # At eps = 0 ``drive`` runs no direction, so none rides the chain.
         eps = self.config.eps
         return sample_top_eigenvector_streaming(
-            self.source, self.stack, eps, self.config.gamma, fail_prob, rng,
-            batch_size=BATCH_SIZE_CAP, ledger=self.ledger,
-            rng_dir=rng_dir if eps > 0 else None,
-        )
+            self.source, self.stack, eps, self.config.gamma, fail_prob, rng, BATCH_SIZE_CAP,
+            self.ledger, self.r_radius, rng_dir if eps > 0 else None)
 
     def direction(self, _rng: np.random.Generator, rider: np.ndarray) -> np.ndarray | None:
         # The rider rode the certificate's whole chain, the direction's power.

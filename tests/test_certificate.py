@@ -322,17 +322,17 @@ def test_streaming_certificate_clean_accepts():
                           np.random.default_rng(4))
     cand = sample_top_eigenvector_streaming(
         src, FilterStack(), 0.02, 0.4, fail_prob=0.05, rng=np.random.default_rng(5), batch_size=1500,
-        ledger=ScalarLedger())
+        ledger=ScalarLedger(), r_radius=1.5)
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.95
 
 
 def _stream_certificate(src, eps, gamma, fail_prob, batch_size, stack=FilterStack(),
-                        seed=5, rng=None):
+                        seed=5, rng=None, r_radius=1.5):
     return sample_top_eigenvector_streaming(
         src, stack, eps, gamma, fail_prob=fail_prob,
         rng=np.random.default_rng(seed) if rng is None else rng,
-        batch_size=batch_size, ledger=ScalarLedger())
+        batch_size=batch_size, ledger=ScalarLedger(), r_radius=r_radius)
 
 
 def _mean_stages(cand, bound, eps, gamma, fail_prob):
@@ -437,18 +437,20 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
 
 @pytest.mark.parametrize("prune_radius_sq", [math.inf, 1.7e308])
 def test_streaming_certificate_unbounded_scores_raise(prune_radius_sq):
-    # eps = 0 trims nothing. Under an infinite prune radius the scores have
-    # no bound, and under the largest finite radius B / mu0 overflows the
-    # count: no number of rows decides the test, so the certificate raises
-    # a typed error after the chain's (2 + 1) * 1,000 rows and
-    # before any mean draw. A stream solve never gets here: its prologue
-    # sets a finite radius at eps = 0.
+    # eps = 0 trims nothing, and without the caller's norm promise
+    # (r_radius = inf) the cap r^2 d rayleigh_emp / q is infinite. Under an
+    # infinite prune radius the scores then have no bound, and under the
+    # largest finite radius B / mu0 overflows the count: no number of rows
+    # decides the test, so the certificate raises a typed error after the
+    # chain's (2 + 1) * 1,000 rows and before any mean draw. A stream solve
+    # never gets here: it rejects a non-finite r_radius before any draw.
     d, gamma, fail_prob, batch = 6, 0.4, 0.05, 1000
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
     with pytest.raises(DegenerateStateError, match="no finite row ceiling"):
         _stream_certificate(src, 0.0, gamma, fail_prob, batch,
-                            stack=FilterStack(prune_radius_sq=prune_radius_sq))
+                            stack=FilterStack(prune_radius_sq=prune_radius_sq),
+                            r_radius=math.inf)
     assert src.delivered == _chain_samples(d, gamma, batch)
 
 
@@ -497,9 +499,10 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     assert calls == [(p, 6, (p + 1) * batch), (p, 22, (p + 1) * batch)]
 
 
-# At eps = 0 a stream solve bounds every score by a finite prune radius^2
-# from the caller's norm promise; 250 is well above every row of the pool
-# of ``_rows_and_power``.
+# A stream solve needs no finite prune radius at eps = 0: its certificate
+# caps the scores at r^2 d rayleigh_emp / q from the caller's norm promise.
+# Without that promise (r_radius = inf) a finite radius^2 bounds them
+# instead; 250 is well above every row of the pool of ``_rows_and_power``.
 PROMISED_STACK = FilterStack(prune_radius_sq=250.0)
 
 
@@ -537,7 +540,8 @@ def test_streaming_certificate_chains_cost_one_chain():
     # rest is one stage of the stream mean.
     pool, gamma, p = _rows_and_power()
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, 0.0, gamma, 0.05, 1000, stack=PROMISED_STACK)
+    cand = _stream_certificate(src, 0.0, gamma, 0.05, 1000, stack=PROMISED_STACK,
+                               r_radius=math.inf)
     assert p == 2
     assert src.delivered - 3_000 in _mean_stages(cand, 250.0, 0.0, gamma, 0.05)
 

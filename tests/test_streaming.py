@@ -26,9 +26,10 @@ from robustpca import (
     streaming_robust_pca,
     tv_contaminated_source,
 )
-from robustpca.certificate import DECISION_MARGIN, START_FAILURE, power_chain_length
+from robustpca.certificate import (DECISION_MARGIN, START_FAILURE, chain_quotient,
+                                   power_chain_length)
 from robustpca.driver import CERT_FAILURE_PROB, FILTER_TRIGGER, BatchEstimators, failure_share
-from robustpca.estimators import (C_Q, STREAM_CHUNK, mean_ceiling, mean_stages, opnorm_bracket,
+from robustpca.estimators import (STREAM_CHUNK, mean_ceiling, mean_stages, opnorm_bracket,
                                   stage_interval, stage_log, streaming_quantile_samples,
                                   weighted_quantile)
 from robustpca.filtering import hard_thresholding_filter
@@ -107,10 +108,10 @@ def test_declared_memory_budget_enforced():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_stream_row_is_rejected():
-    # The prologue's empty stack has an infinite radius; an inf row must
-    # still get weight 0, so the run matches the one over the clean pool
-    # instead of collapsing every power probe. Rejected rows are never
-    # scored, so the inf row raises no floating-point warning either.
+    # At eps = 0 the stack keeps its infinite radius; an inf row must still
+    # get weight 0, so the run matches the one over the clean pool instead
+    # of collapsing every power probe. Rejected rows are never scored, so
+    # the inf row raises no floating-point warning either.
     clean = np.random.default_rng(0).standard_normal((4000, 5)) * [3, 1, 1, 1, 1]
     bad = clean.copy()
     bad[17] = np.inf
@@ -119,18 +120,14 @@ def test_non_finite_stream_row_is_rejected():
             for pool in (clean, bad)]
     (res_a, stats_a), (res_b, stats_b) = runs
     assert res_b.status is res_a.status is PcaStatus.ACCEPTED
-    # The first certificate accepts. At eps = 0 the prologue's block is the
-    # suite's first estimate, at failure_share(1); the inf row, row 17 of
-    # it, is replaced by a top-up draw of 1 + 8 rows. Then come (1 + 1) *
-    # 4,096 chain rows (the starts share a chain of
-    # power_chain_length(5, 0.5, 1/2) = 1 step, and one batch scores them
-    # all) and the stream mean, whose scores the
-    # prune radius^2 2 r^2 d sigma_op bounds, settling at its stage of 8,192
-    # rows.
-    block = _prologue_block(0.0, 5)
+    # The first certificate accepts. The prologue draws nothing, so the inf
+    # row falls in the chain's first minibatch, which drops it and draws no
+    # row in its place. The chain is (1 + 1) * 4,096 rows (the starts share
+    # a chain of power_chain_length(5, 0.5, 1/2) = 1 step, and one batch
+    # scores them all), and the stream mean, whose scores the cap
+    # r^2 d rayleigh_emp / q bounds, settles at its stage of 4,096 rows.
     assert power_chain_length(5, 0.5, START_FAILURE) == 1
-    assert stats_a.samples_consumed == block + 8_192 + 8_192
-    assert stats_b.samples_consumed == stats_a.samples_consumed + 1 + 8
+    assert stats_b.samples_consumed == stats_a.samples_consumed == 8_192 + 4_096
     np.testing.assert_allclose(res_b.u, res_a.u, atol=1e-3)
 
 
@@ -190,15 +187,14 @@ def test_zero_eps_stream_runs_clean_schedule():
 def test_zero_eps_runs_no_filter_step(monkeypatch):
     # At eps = 0 the tail 3 eps is 0, so no filter can fire: after each
     # rejected certificate the driver runs no direction, quantile, trimmed
-    # mean or filter mean, and every row the solve draws is the prologue's
-    # block or a certificate's. The prune radius^2 is the caller's
-    # norm promise, 2 r^2 d sigma_op, so every certificate mean has a finite
-    # score bound.
+    # mean or filter mean, and every row the solve draws is a certificate's.
+    # The prologue keeps the infinite radius and draws nothing; each
+    # certificate caps its own scores from the caller's norm promise.
     spec = InlierSpec(dim=6, diag=1.0, spikes=((0, 4.0),))
-    suite = MinibatchEstimators(tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1)),
-                                AlgoConfig(eps=0.0, gamma=0.4), 1.5, ScalarLedger())
-    sigma_op, _delta = suite.prologue()
-    assert suite.stack.prune_radius_sq == 2 * 1.5 ** 2 * 6 * sigma_op < math.inf
+    source = tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1))
+    suite = MinibatchEstimators(source, AlgoConfig(eps=0.0, gamma=0.4), 1.5, ScalarLedger())
+    assert suite.prologue() == (0.0, 0.0)
+    assert suite.stack.prune_radius_sq == math.inf and source.delivered == 0
 
     called, certs = [], []
     certificate = MinibatchEstimators.certificate
@@ -220,8 +216,7 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
                                       max_samples=60_000_000)
     assert res.status is PcaStatus.FALLBACK_BEST and len(certs) == 4
     assert called == []
-    block = _prologue_block(0.0, 6)
-    assert stats.samples_consumed == block + sum(certs)
+    assert stats.samples_consumed == sum(certs)
 
 
 @pytest.mark.parametrize("r_radius", [0.5, math.nan])
@@ -229,6 +224,58 @@ def test_stream_rejects_a_radius_below_one(r_radius):
     src = ReplaySource(np.zeros((4, 3)), mode="cycle")
     with pytest.raises(ValueError, match="r_radius"):
         MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), r_radius, ScalarLedger())
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.03])
+@pytest.mark.parametrize("r_radius", [math.inf, math.nan], ids=["inf", "nan"])
+def test_stream_rejects_a_non_finite_radius_before_any_draw(r_radius, eps):
+    # A radius the caller cannot promise ends in a ValueError, as in the
+    # CLI, before the prologue or a certificate draws a row.
+    src = ReplaySource(_spiked_pool(rows=1000)[0], mode="cycle")
+    with pytest.raises(ValueError, match="r_radius must be finite"):
+        streaming_robust_pca(src, eps=eps, gamma=0.6, r_radius=r_radius, rng_seed=0)
+    assert src.delivered == 0
+
+
+def test_zero_eps_certificate_caps_scores_from_its_chain(monkeypatch):
+    # At eps = 0 the prologue draws no row and keeps the infinite radius.
+    # The certificate's stream mean takes the band top hi = r^2 d
+    # rayleigh_emp / q, q = (1 - gamma / 2) / (1 + gamma / 2): the caller's
+    # promise bounds every score by r^2 d lambda1, and the chain's quotient
+    # reaches q lambda1 on its success event.
+    import robustpca.certificate as certificate
+
+    seen, real = [], certificate.accepted_band_mean
+
+    def spy(source, stack, v, lo, hi, *args, **kwargs):
+        seen.append((stack.prune_radius_sq, lo, hi))
+        return real(source, stack, v, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(certificate, "accepted_band_mean", spy)
+    src = ReplaySource(_spiked_pool(d=8, rows=20_000, rate=0.0)[0], mode="cycle")
+    suite = MinibatchEstimators(src, AlgoConfig(eps=0.0, gamma=0.2), 1.5, ScalarLedger())
+    suite.prologue()
+    assert src.delivered == 0
+    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_stream(0, 0, 2))
+    assert chain_quotient(0.2) == pytest.approx(0.9 / 1.1, rel=1e-15)
+    assert seen == [(math.inf, -math.inf, 1.5 ** 2 * 8 * cand.rayleigh_emp / chain_quotient(0.2))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_clean_stream_costs_less_than_a_contaminated_one(seed):
+    # A clean stream solved at eps = 0 consumes fewer samples than the same
+    # inliers with 1% orthogonal-spike outliers solved at eps = 0.01.
+    spec = InlierSpec(dim=20, diag=1.0, spikes=((0, 1.0),))
+    samples = []
+    for eps in (0.0, 0.01):
+        adv = (AdversarySpec(kind=AdversaryKind.ORTHOGONAL_SPIKE, rate=eps, spike_axis=1)
+               if eps > 0 else AdversarySpec())
+        res, stats = streaming_robust_pca(
+            tv_contaminated_source(spec, adv, rng_stream(seed, 7)), eps=eps, gamma=0.2,
+            r_radius=1.5, rng_seed=seed, max_samples=50_000_000)
+        assert res.status is PcaStatus.ACCEPTED
+        samples.append(stats.samples_consumed)
+    assert samples[0] < samples[1]
 
 
 def test_stream_mean_ceiling_takes_no_dim():
@@ -452,31 +499,28 @@ def test_stream_rep_fails_within_its_budget(monkeypatch):
     assert sum(certificates) <= CERT_FAILURE_PROB / 2
 
 
-def _prologue_block(eps, d):
-    """The prologue's block size at r = 1.5, from its rule: the larger of the
-    prune cut's and the opnorm bracket's blocks at the first two shares, or
-    at eps = 0 the norm promise's block at the first share."""
-    if eps > 0:
-        return max(streaming_quantile_samples(eps, failure_share(1), PRUNE_C_Q),
-                   math.ceil(4 * math.log(4 / failure_share(2)) / eps))
-    return math.ceil(C_Q * 1.5 ** 2 * d * math.log(2 / failure_share(1)))
+def _prologue_block(eps):
+    """The prologue's block size at eps > 0, from its rule: the larger of the
+    prune cut's and the opnorm bracket's blocks at the first two shares."""
+    return max(streaming_quantile_samples(eps, failure_share(1), PRUNE_C_Q),
+               math.ceil(4 * math.log(4 / failure_share(2)) / eps))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.03])
 def test_prologue_draws_exactly_one_block(eps, monkeypatch):
-    # One block, sized by its rule, at the rep's first two failure shares
-    # (the first at eps = 0); the prologue draws no other row, and the
-    # next estimate takes the next share.
+    # One block, sized by its rule, at the rep's first two failure shares,
+    # and none at eps = 0, where no share is taken; the prologue draws no
+    # other row, and the next estimate takes the next share.
     import robustpca.streaming as streaming
 
     pool, _spec = _spiked_pool()
     src = BudgetedSource(ReplaySource(pool, mode="cycle"), 10 ** 9)
     suite = MinibatchEstimators(src, AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
     suite.prologue()
-    assert src.delivered == _prologue_block(eps, 8)
-    if eps > 0:
-        assert _prologue_block(eps, 8) == 15_776
-    taken = 2 if eps > 0 else 1
+    if eps == 0:
+        assert src.delivered == 0 and suite._fail_prob() == failure_share(1)
+        return
+    assert src.delivered == _prologue_block(eps) == 15_776
     seen = []
     quantile = streaming.streaming_quantile
 
@@ -488,25 +532,23 @@ def test_prologue_draws_exactly_one_block(eps, monkeypatch):
     suite.start_iteration(np.eye(8)[0])
     suite.quantile_value(0.09)
     suite.sigma_trimmed(20.0)
-    assert seen == [failure_share(taken + 1)]
-    assert suite._fail_prob() == failure_share(taken + 3)
+    assert seen == [failure_share(3)]
+    assert suite._fail_prob() == failure_share(5)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.03])
+@pytest.mark.parametrize("eps", [0.03])
 def test_prologue_reads_both_answers_from_one_block(eps):
     # A twin source replays the block's m rows: the prune radius^2 is their
-    # squared norms' eps-tail cut (2 r^2 d sigma_op at eps = 0) and sigma_op
-    # their opnorm bracket, bitwise.
+    # squared norms' eps-tail cut and sigma_op their opnorm bracket, bitwise.
     pool, _spec = _spiked_pool()
     suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                 AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
     sigma_op, _delta = suite.prologue()
-    m = _prologue_block(eps, 8)
+    m = _prologue_block(eps)
     rows = ReplaySource(pool, mode="cycle").draw(m)
     g = np.einsum("ij,ij->i", rows, rows)
     assert sigma_op == opnorm_bracket(g, eps, m)
-    radius_sq = weighted_quantile(g, eps) if eps > 0 else 2 * 1.5 ** 2 * 8 * sigma_op
-    assert suite.stack.prune_radius_sq == radius_sq
+    assert suite.stack.prune_radius_sq == weighted_quantile(g, eps)
 
 
 def test_prune_cut_lands_within_a_sixth_of_eps():
@@ -564,7 +606,7 @@ def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
     pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
     # One row short of the prologue's block, which the prune cut sizes at
     # the rep's first failure share.
-    prologue = _prologue_block(0.03, 12)
+    prologue = _prologue_block(0.03)
     for budget in (900_000, prologue - 1):
         one, two = (_solve_pool(pool, rng_seed=1, max_samples=budget,
                                 config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=reps))[0]
@@ -787,7 +829,7 @@ def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
     assert suite.ledger.current == held
     certificate.sample_top_eigenvector_streaming(
         src, suite.stack, cfg.eps, cfg.gamma, failure_share(1), rng_stream(0, 0, 1),
-        BATCH_SIZE_CAP, suite.ledger)
+        BATCH_SIZE_CAP, suite.ledger, 1.5)
     assert seen == [m + d, m]
 
 
