@@ -167,14 +167,14 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
     (``op.rows``) of a population of ``n_total``. The chain has one start, so
     it is sized to reach a Rayleigh quotient of at least (1 - gamma) times
     B's top eigenvalue but with probability ``fail_prob``
-    (``power_chain_length``): 39 steps at d = 50, gamma = 0.1,
-    fail_prob = 0.025, the first certificate's share. The stream's block of
-    shorter starts pays only at small d: there it takes 7 starts of 14
+    (``power_chain_length``): 33 steps at d = 50, gamma = 0.1,
+    fail_prob = 0.05, the first certificate's share. The stream's block of
+    shorter starts pays only at small d: there it takes 5 starts of 14
     steps, and on a formed G (``linops.power_direction``) one step of a
-    7-column block costs about 2 (d = 50) to 4.3 (d = 1,000) single-vector
-    steps on one BLAS thread, so about 28 against 39 at d = 50, some 50
+    5-column block costs about 1.5 (d = 50) to 3 (d = 1,000) single-vector
+    steps on one BLAS thread, so about 21 against 33 at d = 50, some tens of
     microseconds saved in a certificate whose trim alone reads all m rows,
-    but about 112 (26 block steps) against 53 at d = 1,000. One start stays.
+    but about 78 (26 block steps) against 46 at d = 1,000. One start stays.
     The robust variance is the 3*eps-tail trimmed mean of squared
     projections of ``op.rows`` onto u, over n_total. All reported scalars
     are per unit norm of u.
@@ -190,24 +190,23 @@ def sample_top_eigenvector(op: SecondMomentOp, n_total: int, eps: float,
 
 
 def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
-                                     eps: float, gamma: float, fail_prob: float,
+                                     eps: float, gamma: float, shares,
                                      rng: np.random.Generator, batch_size: int,
                                      ledger: ScalarLedger, r_radius: float,
                                      rng_dir: np.random.Generator | None = None) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
-    ``fail_prob`` is split in three equal parts, one for each estimate that
-    can fail: the candidate's chain, the trim cutoff and the robust mean.
-    By the union bound the certificate errs with probability at most
-    ``fail_prob``.
+    Each estimate that can fail takes the next of the rep's ``shares``
+    (``driver.failure_share``) when it runs: the candidate's chain, the trim
+    cutoff at eps > 0, and the robust mean.
 
     The candidate is the best, by Rayleigh quotient on one fresh minibatch,
-    of reps = ceil(log2(3 / fail_prob)) Gaussian starts that share one
-    streamed block chain of p = ``power_chain_length(d, gamma,
+    of reps = ceil(log2(1 / delta)) Gaussian starts, delta the chain's share,
+    that share one streamed block chain of p = ``power_chain_length(d, gamma,
     START_FAILURE)`` steps, enough for one start to reach (1 - gamma)-accuracy
     with probability at least 1/2. Given the chain's minibatches, whose error
     ``batch_size`` governs, the starts are independent, so all of them miss
-    with probability at most (1/2)^reps <= fail_prob / 3: p = 2 steps at
+    with probability at most (1/2)^reps <= delta: p = 2 steps at
     d = 20, gamma = 0.6, fail_prob = 0.5 for (2 + 1) * ``batch_size`` rows.
     ``rng_dir`` sets the driver's next filter direction, whose power is the
     chain's (``driver.drive``): its start, ``rng_dir.standard_normal(d)``,
@@ -245,8 +244,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     """
     d = source.dim
 
-    part = fail_prob / 3.0
-    reps = max(1, math.ceil(math.log2(1.0 / part) / -math.log2(START_FAILURE)))
+    reps = max(1, math.ceil(math.log2(1.0 / next(shares)) / -math.log2(START_FAILURE)))
     p = power_chain_length(d, gamma, START_FAILURE)
     riders = () if rng_dir is None else (rng_dir.standard_normal(d),)
     u, rayleigh_emp, rode = approx_power_iteration(source, stack, p, reps, batch_size,
@@ -264,11 +262,11 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
     if tail > 0:
         cap = streaming_quantile(
             lambda k: accepted_scores(source, stack, lambda x: (x @ u) ** 2, k, ledger),
-            tail, part, c_q=TRIM_C_Q, ledger=ledger)
+            tail, next(shares), c_q=TRIM_C_Q, ledger=ledger)
     else:
         cap = r_radius ** 2 * d * rayleigh_emp / chain_quotient(gamma)
     bar = (1.0 + eta) * mu0
-    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, part, ledger,
+    sigma = accepted_band_mean(source, stack, u, -math.inf, cap, next(shares), ledger,
                                bar=bar, margin=eta)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
                      accepted=sigma >= bar, rider=rider)

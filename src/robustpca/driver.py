@@ -8,29 +8,30 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 (``streaming.MinibatchEstimators``). A suite has a ``dim``, a filter
 ``stack``, whose ``prune_radius_sq`` is the filter's score range R (a unit
 direction scores a row at most its squared norm), and exactly these eight
-methods, all called by ``drive``:
+methods, all called by ``drive``. ``shares`` is the rep's one sequence of
+failure shares (``failure_share``); each estimate that can fail takes the next.
 
-- ``prologue() -> (sigma_op, delta)``: prune; return the operator-norm
-  bracket and the filter's additive slack, which only a filter reads (at
-  eps = 0 the stream suite draws nothing and returns (0, 0)).
-- ``certificate(fail_prob, rng, rng_dir) -> Candidate``: a candidate whose
-  judgement errs with probability at most ``fail_prob``. ``rng_dir`` is
+- ``prologue(shares) -> (sigma_op, delta)``: prune; return the
+  operator-norm bracket and the filter's additive slack, which only a filter
+  reads (at eps = 0 the stream suite draws nothing and returns (0, 0)).
+- ``certificate(shares, rng, rng_dir) -> Candidate``: a candidate whose
+  judgement errs with at most the sum of the shares it takes. ``rng_dir`` is
   what the iteration's ``direction`` call will be handed; at eps > 0 the
   stream suite draws that direction's start from it and lets it ride the
   certificate's chain, and the batch suite ignores it.
-- ``direction(rng, rider)``: unit direction of power p, the certificate
-  chain's length (``certificate.power_chain_length`` at
-  ``certificate.START_FAILURE``), from one Gaussian start, or None if its
-  chain collapsed, which ``drive`` ends with DegenerateStateError; no start
-  is retried. The stream suite normalizes ``rider``, the same iteration's
-  ``certificate.Candidate.rider``, which rode all p steps, and draws no
-  row; the batch suite runs a chain from a start drawn from ``rng``.
+- ``direction(rng, rider)``: unit direction of power p =
+  ``certificate.power_chain_length`` at ``certificate.START_FAILURE``, or
+  None if its chain collapsed, which ``drive`` ends with DegenerateStateError;
+  no start is retried. The stream suite normalizes ``rider``, the same
+  iteration's ``certificate.Candidate.rider``, which rode the p steps of the
+  certificate's chain, and draws no row; the batch suite runs p steps from a
+  start drawn from ``rng`` (its certificate's chain is sized at its share).
 - ``start_iteration(v)``: keep the direction for the calls below.
-- ``quantile_value(tail)``: a score cutoff along the kept direction.
-- ``sigma_trimmed(cap)``: the mean of the scores <= cap over the whole
+- ``quantile_value(tail, shares)``: a score cutoff along the kept direction.
+- ``sigma_trimmed(cap, shares)``: the mean of the scores <= cap over the whole
   population, to within a factor 1 + ``certificate.DECISION_MARGIN`` above
   a floor set by delta.
-- ``mean_score(L, thr, bound)``: the mean of the scores in (L, thr]; a
+- ``mean_score(L, thr, bound, shares)``: the mean of the scores in (L, thr]; a
   suite may stop sampling once its comparison with the filter's exit
   ``bound`` is settled.
 - ``register_entry(entry)``: apply a new filter, an entry along the kept
@@ -44,6 +45,7 @@ can fire, so ``drive`` calls only the first two and reads no prologue value.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
 
@@ -66,17 +68,18 @@ CERT_FAILURE_PROB = 0.1  # one rep's failure budget (``failure_share``)
 SAFE_EXPONENT = 200       # batch rows are solved in [2^-200, 2^200]
 
 
-def failure_share(i: int) -> float:
-    """CERT_FAILURE_PROB / (2 i (i + 1)), the i-th share of half a rep's budget.
+def failure_share(j: int) -> float:
+    """CERT_FAILURE_PROB / (j (j + 1)), the j-th share of a rep's failure budget.
 
-    ``drive`` hands the i-th certificate of a rep the i-th share, and a
-    stream suite its i-th estimate (``streaming.MinibatchEstimators``). Since
-    1 / (i (i + 1)) = 1 / i - 1 / (i + 1), the shares of i = 1, 2, ... sum
-    to CERT_FAILURE_PROB / 2 however many a rep takes, so by the union bound
-    a rep whose certificates and estimates each fail with at most their
-    share fails with probability at most CERT_FAILURE_PROB.
+    The one home of the failure argument. ``drive`` makes a rep's only
+    share sequence, ``map(failure_share, itertools.count(1))``, and each
+    estimate that can fail takes the next share when it runs, so none is
+    held for one that never runs. As 1 / (j (j + 1)) = 1 / j - 1 / (j + 1),
+    the shares sum to less than CERT_FAILURE_PROB however many a rep takes:
+    by the union bound, which needs no independence, a rep whose estimates
+    each fail with at most their share fails with at most CERT_FAILURE_PROB.
     """
-    return CERT_FAILURE_PROB / (2 * i * (i + 1))
+    return CERT_FAILURE_PROB / (j * (j + 1))
 
 
 class PcaStatus(enum.Enum):
@@ -118,7 +121,7 @@ class BatchEstimators:
         self.stack = FilterStack()
         self._scores: np.ndarray | None = None
 
-    def prologue(self):
+    def prologue(self, _shares):
         # One squared-norm pass serves the bracket and the prune. Rows whose
         # squared norm overflows take no part, even at eps = 0. The radius^2
         # is clamped to the largest finite squared norm: the same rows stay,
@@ -134,10 +137,10 @@ class BatchEstimators:
                                  else self.points[self.weights])
         return sigma_op, 0.0
 
-    def certificate(self, fail_prob: float, rng: np.random.Generator,
+    def certificate(self, shares, rng: np.random.Generator,
                     _rng_dir: np.random.Generator) -> Candidate:
         return sample_top_eigenvector(self.op, self.n, self.config.eps,
-                                      self.config.gamma, fail_prob, rng)
+                                      self.config.gamma, next(shares), rng)
 
     def direction(self, rng: np.random.Generator, _rider) -> np.ndarray | None:
         p = certificate.power_chain_length(self.dim, self.config.gamma, certificate.START_FAILURE)
@@ -146,13 +149,13 @@ class BatchEstimators:
     def start_iteration(self, v: np.ndarray) -> None:
         self._scores = (self.op.rows @ v) ** 2
 
-    def quantile_value(self, tail: float) -> float:
+    def quantile_value(self, tail: float, _shares) -> float:
         return weighted_quantile(self._scores, tail)
 
-    def sigma_trimmed(self, cap: float) -> float:
+    def sigma_trimmed(self, cap: float, _shares) -> float:
         return trimmed_variance(self._scores, cap, self.n)
 
-    def mean_score(self, L: float, thr: float, _bound: float) -> float:
+    def mean_score(self, L: float, thr: float, _bound: float, _shares) -> float:
         f = self._scores
         live = (f > L) & (f <= thr)
         return float(np.sum(f[live])) / self.n
@@ -168,18 +171,19 @@ class BatchEstimators:
 def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
     """Iterations t = 1, ..., t_end of one rep; returns a PcaResult (without timing).
 
-    The t-th certificate takes ``failure_share(t)``; the filter direction
-    takes none, since only the certificate vouches for an ACCEPTED output
-    and the filter's trigger is sound along any unit direction. So a rep
-    runs at most t_end certificates and registers at most t_end filters;
-    ``iterations`` is the t of its last certificate, 0 if none ran.
+    Each estimate takes the next of the rep's ``shares`` (``failure_share``);
+    the filter direction takes none, since only the certificate vouches for
+    an ACCEPTED output and the filter's trigger is sound along any unit
+    direction. So a rep runs at most t_end certificates and registers at
+    most t_end filters; ``iterations`` is the t of its last certificate, 0
+    if none ran.
 
     ``trace_sink`` receives one event per rejected iteration, a dict with
-    the keys ``t``, ``p`` (the direction's power: the certificate chain's
-    length, read through ``certificate`` so that a patched length sets
-    both), ``rounds`` (the filter's) and ``skipped`` (no direction ran, as
-    at eps = 0). An event that is not skipped also has ``mean_score`` (the
-    filter's final mean score), ``cutoff`` (its L), ``sigma`` (the trimmed
+    the keys ``t``, ``p`` (the direction's power, the stream certificate
+    chain's length, read through ``certificate`` so that a patched length
+    sets both), ``rounds`` (the filter's) and ``skipped`` (no direction ran,
+    as at eps = 0). An event that is not skipped also has ``mean_score``
+    (the filter's final mean), ``cutoff`` (its L), ``sigma`` (the trimmed
     variance) and ``t_hat`` (the trigger). ``robust_pca`` adds ``weights``.
     """
     rng_cert = rng_stream(seed, rep, 1)
@@ -193,12 +197,13 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
 
     best: Candidate | None = None
     last_t = 0
+    shares = map(failure_share, itertools.count(1))
 
     try:
-        sigma_op, delta = suite.prologue()
+        sigma_op, delta = suite.prologue(shares)
         for t in range(1, t_end + 1):
             last_t = t
-            cand = suite.certificate(failure_share(t), rng_cert, rng_dir)
+            cand = suite.certificate(shares, rng_cert, rng_dir)
             if cand.accepted:
                 return PcaResult(
                     u=cand.u, sigma_robust=cand.sigma_robust,
@@ -216,11 +221,11 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                 if v is None:
                     raise DegenerateStateError("surviving second moment collapsed to zero")
                 suite.start_iteration(v)
-                L = max(suite.quantile_value(tail), QUANTILE_FLOOR * sigma_op / d)
-                sigma = suite.sigma_trimmed(L)
+                L = max(suite.quantile_value(tail, shares), QUANTILE_FLOOR * sigma_op / d)
+                sigma = suite.sigma_trimmed(L, shares)
                 t_hat = FILTER_TRIGGER * cfg.gamma * sigma
                 outcome = hard_thresholding_filter(
-                    lambda thr, bound: suite.mean_score(L, thr, bound),
+                    lambda thr, bound: suite.mean_score(L, thr, bound, shares),
                     v, L, t_hat, suite.stack.prune_radius_sq, delta, rng_filt,
                 )
                 if outcome.new_entry is not None:

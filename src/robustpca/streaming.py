@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
-from .driver import FILTER_TRIGGER, failure_share, run_boosted
+from .driver import FILTER_TRIGGER, run_boosted
 from .estimators import (opnorm_bracket, streaming_quantile, streaming_quantile_samples,
                           weighted_quantile)
 from .linops import accepted_band_mean, accepted_scores, unit
@@ -46,7 +46,7 @@ BATCH_SIZE_CAP = 4096
 # can land in, the first block's draw picks which, and with it whether a
 # solve costs one certificate or several. At tau = 1/2 that band, eps / 2
 # to 3 eps / 2, takes in every rate near eps; at 1/6 it is a sixth of eps
-# either side. The block is drawn once per rep (15,776 rows at eps = 0.03
+# either side. The block is drawn once per rep (13,280 rows at eps = 0.03
 # and the rep's first failure share).
 PRUNE_ACCURACY = 1.0 / 6.0
 PRUNE_C_Q = 3.0 / PRUNE_ACCURACY ** 2
@@ -73,16 +73,10 @@ class MinibatchEstimators:
         self.stack = FilterStack()
         self._v: np.ndarray | None = None
         self._trim_floor = 0.0
-        self._estimates = 0
-
-    def _fail_prob(self) -> float:
-        """The failure probability of the next estimate: the j-th share."""
-        self._estimates += 1
-        return failure_share(self._estimates)
 
     # -- prologue -------------------------------------------------------------
 
-    def prologue(self):
+    def prologue(self, shares):
         """Prune radius^2 and sigma_op from one block of m squared norms h.
 
         At eps = 0, where ``drive`` reads neither, it draws nothing and keeps
@@ -93,7 +87,7 @@ class MinibatchEstimators:
         (``linops.approx_power_iteration``). The radius^2 is the block's
         eps-tail cut, of rank floor(m eps) + 1, a squared norm as
         ``FilterStack.within_radius`` computes it, so the rows at the cut keep
-        their weight. It errs with at most delta_1, the first failure share, by
+        their weight. It errs with at most delta_1, the first share it takes, by
         the claim of ``estimators.streaming_quantile_samples``, which holds at
         any m at least its block. sigma_op = ``estimators.opnorm_bracket`` of
         the same block errs with at most delta_2, the next share. It feeds only
@@ -122,7 +116,7 @@ class MinibatchEstimators:
         eps, r2d = self.config.eps, self.r_radius ** 2 * self.dim
         sigma_op = delta = 0.0
         if eps > 0:
-            prune_fail, opnorm_fail = self._fail_prob(), self._fail_prob()
+            prune_fail, opnorm_fail = next(shares), next(shares)
             m = max(streaming_quantile_samples(eps, prune_fail, PRUNE_C_Q),
                     math.ceil(4.0 * math.log(4.0 / opnorm_fail) / eps))
             with self.ledger.reserve(m):
@@ -137,12 +131,12 @@ class MinibatchEstimators:
 
     # -- per-iteration answers -------------------------------------------------
 
-    def certificate(self, fail_prob: float, rng: np.random.Generator,
+    def certificate(self, shares, rng: np.random.Generator,
                     rng_dir: np.random.Generator) -> Candidate:
         # At eps = 0 ``drive`` runs no direction, so none rides the chain.
         eps = self.config.eps
         return sample_top_eigenvector_streaming(
-            self.source, self.stack, eps, self.config.gamma, fail_prob, rng, BATCH_SIZE_CAP,
+            self.source, self.stack, eps, self.config.gamma, shares, rng, BATCH_SIZE_CAP,
             self.ledger, self.r_radius, rng_dir if eps > 0 else None)
 
     def direction(self, _rng: np.random.Generator, rider: np.ndarray) -> np.ndarray | None:
@@ -154,28 +148,28 @@ class MinibatchEstimators:
     def start_iteration(self, v: np.ndarray) -> None:
         self._v = v
 
-    def quantile_value(self, tail: float) -> float:
+    def quantile_value(self, tail: float, shares) -> float:
         # A cut between the tail / 2 and 3 tail / 2 tails: the filter's L,
         # which drive floors at QUANTILE_FLOOR, needs no more.
         v = self._v
         return streaming_quantile(
             lambda k: accepted_scores(self.source, self.stack, lambda x: (x @ v) ** 2, k,
                                       self.ledger),
-            tail, self._fail_prob(), ledger=self.ledger)
+            tail, next(shares), ledger=self.ledger)
 
-    def sigma_trimmed(self, cap: float) -> float:
+    def sigma_trimmed(self, cap: float, shares) -> float:
         # Only T_hat = FILTER_TRIGGER gamma sigma reads it, beside delta in the
         # exit bound. To rel_tol rho above the floor delta / (FILTER_TRIGGER
         # gamma), and to rho / (1 + rho) times that floor below it, sigma
         # puts T_hat + delta within a factor 1 + rho of its exact value.
         return accepted_band_mean(self.source, self.stack, self._v, -math.inf, cap,
-                                  self._fail_prob(), self.ledger,
+                                  next(shares), self.ledger,
                                   rel_tol=DECISION_MARGIN, floor=self._trim_floor)
 
-    def mean_score(self, L: float, thr: float, bound: float) -> float:
+    def mean_score(self, L: float, thr: float, bound: float, shares) -> float:
         # The exit decision, exact unless the mean lies in (0.8, 1.2) x bound.
         return accepted_band_mean(self.source, self.stack, self._v, L, thr,
-                                  self._fail_prob(), self.ledger,
+                                  next(shares), self.ledger,
                                   bar=bound, margin=DECISION_MARGIN)
 
     def register_entry(self, entry: FilterEntry) -> None:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import re
 from pathlib import Path
@@ -321,25 +322,26 @@ def test_streaming_certificate_clean_accepts():
     src = SyntheticSource(d, lambda r, k: (pop[r.integers(0, 6000, size=k)], None),
                           np.random.default_rng(4))
     cand = sample_top_eigenvector_streaming(
-        src, FilterStack(), 0.02, 0.4, fail_prob=0.05, rng=np.random.default_rng(5), batch_size=1500,
-        ledger=ScalarLedger(), r_radius=1.5)
+        src, FilterStack(), 0.02, 0.4, shares=itertools.repeat(0.05),
+        rng=np.random.default_rng(5), batch_size=1500, ledger=ScalarLedger(), r_radius=1.5)
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.95
 
 
-def _stream_certificate(src, eps, gamma, fail_prob, batch_size, stack=FilterStack(),
+def _stream_certificate(src, eps, gamma, share, batch_size, stack=FilterStack(),
                         seed=5, rng=None, r_radius=1.5):
+    """The stream certificate, each of whose estimates takes ``share``."""
     return sample_top_eigenvector_streaming(
-        src, stack, eps, gamma, fail_prob=fail_prob,
+        src, stack, eps, gamma, shares=itertools.repeat(share),
         rng=np.random.default_rng(seed) if rng is None else rng,
         batch_size=batch_size, ledger=ScalarLedger(), r_radius=r_radius)
 
 
-def _mean_stages(cand, bound, eps, gamma, fail_prob):
+def _mean_stages(cand, bound, eps, gamma, share):
     """The stages of the certificate's stream mean, over scores in [0, bound]."""
     f1, eta = acceptance_factors(eps, gamma)
     bar = (1 + eta) * f1 * cand.rayleigh_emp
-    return mean_stages(mean_ceiling(bound, fail_prob / 3, bar=bar, margin=eta))
+    return mean_stages(mean_ceiling(bound, share, bar=bar, margin=eta))
 
 
 def _chain_samples(d, gamma, batch_size):
@@ -372,22 +374,22 @@ def test_streaming_certificate_sample_count_from_its_decision():
     # quantile block and a stream mean capped at the Bernstein count
     # n = ceil(k (B / mu0) L), B the trim cutoff. The chain is
     # (2 + 1) * 1,500 = 4,500 rows: p = 2 steps for every start and the
-    # batch that scores them. fail_prob splits in
-    # three, so the block and the mean each take 0.05 / 3. At gamma = 0.4,
-    # eta = 1/16 and k = 586.6; f1 = 0.520 puts B / mu0 near 6.7, and
-    # L = ln(4 * 8 / (0.05 / 3)) = 7.56 over the 8 stages of n itself, so
-    # n = 29,699, in stages of 256, ..., 16,384 and 29,699. A clean
+    # batch that scores them. The block and the mean each take a share of
+    # 0.05. At gamma = 0.4, eta = 1/16 and k = 586.6; f1 = 0.520 puts
+    # B / mu0 near 6.7, and L = ln(4 * 8 / 0.05) = 6.46 over the 8 stages of
+    # n itself, so
+    # n = 25,611, in stages of 256, ..., 16,384 and 25,611. A clean
     # trimmed mean (about 0.74 R) sits above the bar (1 + eta) mu0 = 0.55 R,
     # and an early stage's interval already lies above it: the mean stops
     # there.
-    d, eps, gamma, fail_prob, batch = 8, 0.02, 0.4, 0.05, 1500
+    d, eps, gamma, share, batch = 8, 0.02, 0.4, 0.05, 1500
     pool = np.random.default_rng(3).standard_normal((6000, d)) * np.sqrt([5.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, eps, gamma, fail_prob, batch)
+    cand = _stream_certificate(src, eps, gamma, share, batch)
     assert cand.accepted
 
     # The trim cutoff, recomputed over the same rows of a second cycle.
-    tail, part = 3 * eps, fail_prob / 3
+    tail, part = 3 * eps, share
     pos = _chain_samples(d, gamma, batch)
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(pos)
@@ -401,7 +403,7 @@ def test_streaming_certificate_sample_count_from_its_decision():
     assert len(mean_stages(n)) == 8
     assert n == _bernstein_rows(eta, cap / mu0, 8, part)
     assert 20_000 < n < 50_000
-    assert n == 29_699
+    assert n == 25_611
     stages = mean_stages(n)
     assert stages[0] == FIRST_STAGE == 256 and stages[-1] == n
     rows = twin.draw(n)
@@ -418,18 +420,18 @@ def test_streaming_certificate_small_gamma_accepts_clean_pool():
     # would put it at 1.46 R, out of a trimmed mean's reach. Every chain
     # batch is one full pass over the cycled pool, so the Rayleigh quotient
     # is exact.
-    d, n, eps, fail_prob = 3, 1000, 0.0005, 0.05
+    d, n, eps, share = 3, 1000, 0.0005, 0.05
     cfg = AlgoConfig(eps=eps)
     f1, eta = acceptance_factors(eps, cfg.gamma)
     assert f1 == pytest.approx(0.9747, abs=1e-4) and eta == pytest.approx(0.01 / 1.99 / 4)
     pool = np.random.default_rng(0).standard_normal((n, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
-    cand = _stream_certificate(src, eps, cfg.gamma, fail_prob, n)
+    cand = _stream_certificate(src, eps, cfg.gamma, share, n)
     assert cand.sigma_robust >= (1 + 2 * eta) * f1 * cand.rayleigh_emp
     assert cand.accepted
     assert abs(cand.u[0]) >= 0.99
     chains_and_block = (_chain_samples(d, cfg.gamma, n)
-                        + streaming_quantile_samples(3 * eps, fail_prob / 3, TRIM_C_Q))
+                        + streaming_quantile_samples(3 * eps, share, TRIM_C_Q))
     # The mean settles at one of its doubling stages, before its ceiling.
     rest = src.delivered - chains_and_block
     assert rest >= FIRST_STAGE and rest & (rest - 1) == 0
@@ -474,10 +476,10 @@ def test_streaming_certificate_zero_rayleigh_rejects_without_a_draw():
 
 
 def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
-    # The block of starts does the boosting, so a smaller fail_prob adds
+    # The block of starts does the boosting, so a smaller share adds
     # columns to the block but no steps to its chain: its
-    # ceil(log2(3 / fail_prob)) starts are 6 at 0.05 and 22 at 1e-6, the
-    # chain's third of fail_prob. At d = 6, gamma = 0.4 the chain has
+    # ceil(log2(1 / share)) starts are 5 at 0.05 and 20 at 1e-6, the
+    # chain's share. At d = 6, gamma = 0.4 the chain has
     # p = 2 steps for every column, so each call draws (p + 1) batches.
     calls = []
     real = certificate.approx_power_iteration
@@ -492,11 +494,11 @@ def test_streaming_reference_chain_cost_ignores_fail_prob(monkeypatch):
     d, gamma, batch = 6, 0.4, 1000
     pool = np.random.default_rng(7).standard_normal((5000, d)) * np.sqrt([4.0] + [1.0] * (d - 1))
     src = ReplaySource(pool, mode="cycle")
-    for fail_prob in (0.05, 1e-6):
-        _stream_certificate(src, 0.02, gamma, fail_prob, batch)
+    for share in (0.05, 1e-6):
+        _stream_certificate(src, 0.02, gamma, share, batch)
     p = power_chain_length(d, gamma, START_FAILURE)
     assert p == 2
-    assert calls == [(p, 6, (p + 1) * batch), (p, 22, (p + 1) * batch)]
+    assert calls == [(p, 5, (p + 1) * batch), (p, 20, (p + 1) * batch)]
 
 
 # A stream solve needs no finite prune radius at eps = 0: its certificate
@@ -514,15 +516,14 @@ def _rows_and_power():
 
 def test_streaming_candidate_rides_the_reference_chain():
     # The candidate is the best column of the certificate's (reps, d)
-    # Gaussian block, reps = ceil(log2(3 / fail_prob)) for the chain's third
-    # of fail_prob. A separate p-step chain from the same block over the
+    # Gaussian block, reps = ceil(log2(1 / share)) for the chain's share.
+    # A separate p-step chain from the same block over the
     # same minibatches of a twin cycled pool, scored on the batch after it,
     # picks the same column with the same Rayleigh quotient.
     pool, gamma, p = _rows_and_power()
-    fail_prob, batch = 0.05, 1000
-    cand = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.02, gamma, fail_prob,
-                               batch)
-    reps = math.ceil(math.log2(3 / fail_prob))
+    share, batch = 0.05, 1000
+    cand = _stream_certificate(ReplaySource(pool, mode="cycle"), 0.02, gamma, share, batch)
+    reps = math.ceil(math.log2(1 / share))
     starts = np.random.default_rng(5).standard_normal((reps, pool.shape[1])).T
     twin = ReplaySource(pool, mode="cycle")
     y = streamed_power_apply(twin, FilterStack(), p, batch, starts)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import re
 
@@ -27,7 +28,7 @@ from robustpca import (
     trimmed_variance,
     tv_contaminated_source,
 )
-from robustpca import certificate, driver
+from robustpca import certificate, driver, linops
 from robustpca.driver import CERT_FAILURE_PROB, BatchEstimators, drive, failure_share
 from robustpca.streaming import MinibatchEstimators
 
@@ -425,26 +426,21 @@ def test_each_direction_follows_its_iterations_certificate(kind):
             continue
         j = max(j for j in range(i) if names[j] == "certificate")
         assert "register_entry" not in names[j:i]
-        _fail_prob, _rng_cert, rng_dir = suite.calls[j][1]
+        _shares, _rng_cert, rng_dir = suite.calls[j][1]
         assert args[0] is rng_dir
 
 
 class NeverAccepts(BatchEstimators):
-    """A batch suite whose every certificate rejects, noting its failure share."""
+    """A batch suite whose every certificate rejects."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.shares = []
-
-    def certificate(self, fail_prob, rng, rng_dir):
-        self.shares.append(fail_prob)
-        return dataclasses.replace(super().certificate(fail_prob, rng, rng_dir),
+    def certificate(self, shares, rng, rng_dir):
+        return dataclasses.replace(super().certificate(shares, rng, rng_dir),
                                    accepted=False)
 
 
 @pytest.mark.parametrize("d, gamma", [(20, 0.6), (50, 0.1), (200, 1.0)])
 def test_every_direction_runs_at_the_chain_length(monkeypatch, d, gamma):
-    # Every direction runs at p, the certificate chain's own length at
+    # Every direction runs at p, the stream certificate chain's length at
     # START_FAILURE: 2, 14 and 2 steps here, on each iteration of a suite
     # whose certificates never accept. The trace event reports that power.
     powers, real = [], driver.power_direction
@@ -486,24 +482,68 @@ def test_a_rejected_first_level_direction_draws_no_row():
     assert drawn and drawn == [0] * len(drawn)
 
 
-def test_drive_hands_each_certificate_its_share_of_the_rep_budget():
-    # A suite whose certificates never accept runs exactly the t_end = 3
-    # iterations of a rep and registers at most one filter in each. The
-    # t-th certificate is handed CERT_FAILURE_PROB / (2 t (t + 1)): 1/4,
-    # 1/12 and 1/24 of 0.1, which telescope to at most half the rep's
-    # budget over any number of iterations, the 2,114 of a d = 20 stream
-    # solve at eps 0.03, gamma 0.6 included.
-    pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=3)
-    suite = NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts))
-    res = drive(suite, cfg, seed=7, rep=0)
-    assert res.status is PcaStatus.FALLBACK_BEST and res.iterations == 3
-    assert suite.shares == [CERT_FAILURE_PROB / (2 * t * (t + 1)) for t in range(1, 4)]
-    assert suite.shares == [0.1 / 4, 0.1 / 12, 0.1 / 24]
-    assert res.filters_created == len(suite.stack) <= 3
-    slots = AlgoConfig(eps=0.03, gamma=0.6).t_end_for(20)
-    assert slots == 2114
-    assert sum(failure_share(t) for t in range(1, slots + 1)) <= CERT_FAILURE_PROB / 2
+def _shares_by_call(monkeypatch, suite, cfg, seed):
+    """Drive a Recorder-wrapped suite; return the j of every share the rep
+    took, with (method, shares it took) for every contract call in order,
+    and the failure probabilities its stream quantiles and means ran at."""
+    import robustpca.streaming as streaming
+
+    real, leaves = driver.failure_share, []
+    monkeypatch.setattr(driver, "failure_share",
+                        lambda j: suite.calls.append(("share", j)) or real(j))
+
+    def spy(fn):
+        sig = inspect.signature(fn)
+
+        def inner(*args, **kwargs):
+            leaves.append(sig.bind(*args, **kwargs).arguments["fail_prob"])
+            return fn(*args, **kwargs)
+        return inner
+
+    for module, name in ((streaming, "streaming_quantile"), (certificate, "streaming_quantile"),
+                         (linops, "stream_mean_estimate")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    res = drive(suite, cfg, seed=seed, rep=0)
+    js = [arg for name, arg in suite.calls if name == "share"]
+    counts = []
+    for name, _args in suite.calls:
+        if name == "share":
+            counts[-1][1] += 1
+        else:
+            counts.append([name, 0])
+    return res, js, [tuple(c) for c in counts], leaves
+
+
+@pytest.mark.parametrize("kind, eps", [("stream", 0.03), ("stream", 0.0), ("batch", 0.05)])
+def test_a_rep_takes_each_share_once_in_call_order(monkeypatch, kind, eps):
+    # ``drive`` makes a rep's one share sequence, and each estimate that can
+    # fail takes the next share when it runs: a stream prologue two at
+    # eps > 0 and none at eps = 0, a stream certificate one for its chain,
+    # one for its trim at eps > 0 and one for its mean, each stream
+    # quantile, trimmed mean and filter mean one, and a batch certificate
+    # one, for its chain. So the rep's shares are failure_share(1..J) in
+    # call order, each taken once, and they sum to less than the budget.
+    if kind == "batch":
+        pts, _labels, _sigma = spiked_instance(12, 3000, eps, seed=7)
+        cfg = AlgoConfig(eps=eps, gamma=1.0)
+        suite = Recorder(BatchEstimators(pts, cfg, np.einsum("ij,ij->i", pts, pts)))
+    else:
+        cfg = AlgoConfig(eps=eps, gamma=0.6)
+        suite = Recorder(_stream_suite(cfg))
+    res, js, counts, leaves = _shares_by_call(monkeypatch, suite, cfg, 7 if kind == "batch" else 0)
+    assert res.u is not None
+    assert js == list(range(1, len(js) + 1))
+    assert sum(failure_share(j) for j in js) < CERT_FAILURE_PROB
+    assert all(p in map(failure_share, js) for p in leaves) and len(set(leaves)) == len(leaves)
+    if kind == "batch":
+        want = {"certificate": 1}
+    elif eps > 0:
+        want = {"prologue": 2, "certificate": 3, "quantile_value": 1, "sigma_trimmed": 1,
+                "mean_score": 1}
+        assert res.filters_created >= 1
+    else:
+        want = {"certificate": 2}
+    assert all(n == want.get(name, 0) for name, n in counts), counts
 
 
 EVENT_KEYS = {"t", "p", "rounds", "skipped"}
@@ -548,7 +588,7 @@ def test_batch_prune_radius_is_the_largest_finite_squared_norm_where_its_formula
     with np.errstate(over="ignore"):
         g = np.einsum("ij,ij->i", pts, pts)
     suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0), g)
-    sigma_op, _delta = suite.prologue()
+    sigma_op, _delta = suite.prologue(iter(()))
     assert 10.0 * sigma_op * 4 / 0.05 == math.inf
     finite = np.isfinite(g)
     assert suite.stack.prune_radius_sq == g[finite].max() < math.inf
@@ -562,8 +602,8 @@ def test_a_direction_that_scores_every_survivor_zero_registers_no_entry():
     # variance, delta and the opening mean are all 0, and 0 <= 0 is the
     # filter's exit, so no round runs and no entry is made.
     class Orthogonal(BatchEstimators):
-        def certificate(self, fail_prob, rng, rng_dir):
-            return dataclasses.replace(super().certificate(fail_prob, rng, rng_dir),
+        def certificate(self, shares, rng, rng_dir):
+            return dataclasses.replace(super().certificate(shares, rng, rng_dir),
                                        accepted=False)
 
         def direction(self, rng, rider):
@@ -590,17 +630,18 @@ def test_batch_means_are_exact_whatever_the_bound():
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     suite = BatchEstimators(pts, AlgoConfig(eps=0.05, gamma=1.0),
                             np.einsum("ij,ij->i", pts, pts))
-    suite.prologue()
+    none = iter(())  # the batch suite takes no share outside its certificate
+    suite.prologue(none)
     v = np.zeros(12)
     v[1] = 1.0
     assert suite.start_iteration(v) is None
-    cut = suite.quantile_value(0.15)
+    cut = suite.quantile_value(0.15, none)
     f = (pts[suite.weights] @ v) ** 2
-    assert suite.sigma_trimmed(cut) == trimmed_variance(f, cut, 3000)
+    assert suite.sigma_trimmed(cut, none) == trimmed_variance(f, cut, 3000)
     opening = float(np.sum(f[f > cut])) / 3000
     assert opening > 0
     for bound in (0.0, opening, math.inf):
-        assert suite.mean_score(cut, math.inf, bound) == opening
+        assert suite.mean_score(cut, math.inf, bound, none) == opening
 
 
 def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
@@ -661,9 +702,9 @@ def test_batch_rows_alias_the_points_only_while_every_row_survives(monkeypatch, 
     suites = []
     real = BatchEstimators.prologue
 
-    def spy(self):
+    def spy(self, shares):
         suites.append(self)
-        return real(self)
+        return real(self, shares)
 
     monkeypatch.setattr(BatchEstimators, "prologue", spy)
     d, n = 10, 2000

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import math
 import tracemalloc
 
@@ -45,6 +46,11 @@ from robustpca.streaming import (
     PRUNE_C_Q,
     MinibatchEstimators,
 )
+
+
+def _rep_shares():
+    """A rep's one share sequence, as ``driver.drive`` makes it."""
+    return map(failure_share, itertools.count(1))
 
 
 def test_clean_stream_accepts():
@@ -193,15 +199,15 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
     spec = InlierSpec(dim=6, diag=1.0, spikes=((0, 4.0),))
     source = tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1))
     suite = MinibatchEstimators(source, AlgoConfig(eps=0.0, gamma=0.4), 1.5, ScalarLedger())
-    assert suite.prologue() == (0.0, 0.0)
+    assert suite.prologue(_rep_shares()) == (0.0, 0.0)
     assert suite.stack.prune_radius_sq == math.inf and source.delivered == 0
 
     called, certs = [], []
     certificate = MinibatchEstimators.certificate
 
-    def reject(self, fail_prob, rng, rng_dir):
+    def reject(self, shares, rng, rng_dir):
         before = self.source.delivered
-        cand = certificate(self, fail_prob, rng, rng_dir)
+        cand = certificate(self, shares, rng, rng_dir)
         certs.append(self.source.delivered - before)
         return dataclasses.replace(cand, accepted=False)
 
@@ -254,11 +260,13 @@ def test_zero_eps_certificate_caps_scores_from_its_chain(monkeypatch):
     monkeypatch.setattr(certificate, "accepted_band_mean", spy)
     src = ReplaySource(_spiked_pool(d=8, rows=20_000, rate=0.0)[0], mode="cycle")
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.0, gamma=0.2), 1.5, ScalarLedger())
-    suite.prologue()
+    shares = _rep_shares()
+    suite.prologue(shares)
     assert src.delivered == 0
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_stream(0, 0, 2))
+    cand = suite.certificate(shares, rng_stream(0, 0, 1), rng_stream(0, 0, 2))
     assert chain_quotient(0.2) == pytest.approx(0.9 / 1.1, rel=1e-15)
-    assert seen == [(math.inf, -math.inf, 1.5 ** 2 * 8 * cand.rayleigh_emp / chain_quotient(0.2))]
+    cap = 1.5 ** 2 * 8 * cand.rayleigh_emp / chain_quotient(0.2)
+    assert seen == [(math.inf, -math.inf, cap)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -329,18 +337,19 @@ def test_stream_sigma_trimmed_settles_to_its_precision():
     # at the first stage n whose interval [lo, hi] has
     # hi <= (1 + DECISION_MARGIN) lo, B = min(cut, prune radius^2). It is the
     # suite's third estimate, after the prologue's two, so it takes
-    # failure_share(3) = 0.1 / 24. The estimate then lies within a factor
+    # failure_share(3) = 0.1 / 12. The estimate then lies within a factor
     # 1.25 of the exact trimmed mean of the cycled pool, which is its
     # population. Its ceiling is sized for that precision above the floor
     # delta / (FILTER_TRIGGER gamma), and the stop comes well before it.
     pool, _spec = _spiked_pool(d=20, rows=20_000)
     src = ReplaySource(pool, mode="cycle")
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
-    _sigma_op, delta = suite.prologue()
+    shares = _rep_shares()
+    _sigma_op, delta = suite.prologue(shares)
     v = np.eye(20)[0]
     assert suite.start_iteration(v) is None
     cut, before = 20.0, src.delivered
-    sigma = suite.sigma_trimmed(cut)
+    sigma = suite.sigma_trimmed(cut, shares)
     bound = min(cut, suite.stack.prune_radius_sq)
     stages = mean_stages(mean_ceiling(bound, failure_share(3), rel_tol=DECISION_MARGIN,
                                       floor=delta / (FILTER_TRIGGER * 0.6)))
@@ -376,36 +385,37 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     # margin DECISION_MARGIN, and none passes its ceiling. The opening
     # scores are all but two-point, 0 or near the prune radius^2 B = 1,143
     # (V about B mu), the worst case for an empirical-Bernstein interval: at
-    # the suite's third share, 0.1 / 24, L = ln(4 * 12 / (0.1 / 24)) = 9.35
-    # over the 12 stages of its ceiling (about 275,000 rows), and
-    # 7 B L / (3 (n - 1)) alone is 24.4 at 1,024 rows, so the interval clears
+    # the suite's third share, 0.1 / 12, L = ln(4 * 11 / (0.1 / 12)) = 8.57
+    # over the 11 stages of its ceiling (about 248,000 rows), and
+    # 7 B L / (3 (n - 1)) alone is 22.3 at 1,024 rows, so the interval clears
     # the exit bound at 2,048 rows at the earliest: there, or at a later
     # stage when the rows it reads hold few outliers.
     pool, _spec = _spiked_pool(d=8, rows=20_000, seed=seed)
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     src = ReplaySource(pool, mode="cycle")
     stream = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
-    _sigma_op, delta = stream.prologue()
+    shares, none = _rep_shares(), iter(())
+    _sigma_op, delta = stream.prologue(shares)
     exact = BatchEstimators(pool, cfg, np.einsum("ij,ij->i", pool, pool))
-    exact.prologue()
+    exact.prologue(none)
     assert stream.stack.weights(pool).all() and exact.weights.all()
     v = np.eye(8)[1]
     stream.start_iteration(v)
     exact.start_iteration(v)
-    L = exact.quantile_value(3 * cfg.eps)
-    t_hat = FILTER_TRIGGER * cfg.gamma * exact.sigma_trimmed(L)
+    L = exact.quantile_value(3 * cfg.eps, none)
+    t_hat = FILTER_TRIGGER * cfg.gamma * exact.sigma_trimmed(L, none)
     R = stream.stack.prune_radius_sq
     rows, calls = [], []
 
     def stream_mean(thr, bound):
         before = src.delivered
-        mean = stream.mean_score(L, thr, bound)
+        mean = stream.mean_score(L, thr, bound, shares)
         rows.append(src.delivered - before)
         calls.append((before, thr, bound))
         return mean
 
     outcomes = [hard_thresholding_filter(mean, v, L, t_hat, R, delta, rng_stream(seed, 0, 3))
-                for mean in (stream_mean, lambda thr, bound: exact.mean_score(L, thr, bound))]
+                for mean in (stream_mean, lambda thr, bound: exact.mean_score(L, thr, bound, none))]
     got, want = outcomes
     assert got.rounds == want.rounds >= 1
     np.testing.assert_array_equal(got.new_entry.direction, want.new_entry.direction)
@@ -421,7 +431,7 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     before, thr, bound = calls[0]
     assert thr == math.inf
     stages = mean_stages(ceilings[0])
-    assert len(stages) == 12
+    assert len(stages) == 11
     twin = ReplaySource(pool, mode="cycle")
     twin.draw(before)
     f = (twin.draw(rows[0]) @ v) ** 2
@@ -461,44 +471,6 @@ def test_stream_solve_reads_a_read_only_pool():
     assert metric_approx_ratio(res.u, spec.covariance()) >= 0.9
 
 
-def test_stream_rep_fails_within_its_budget(monkeypatch):
-    # Every failure probability a stream solve hands out, recorded where the
-    # suite calls its estimators. Its estimates (the prologue's prune cut
-    # and opnorm bracket, which read one block at failure_share(1) and (2),
-    # then each filter iteration's quantile, trimmed mean and round means)
-    # take failure_share(1), (2), ... in turn, and its certificates
-    # likewise: each series sums to at most half the rep's budget, so the
-    # rep fails with probability at most CERT_FAILURE_PROB.
-    import robustpca.streaming as streaming
-
-    seen = {"estimate": [], "certificate": []}
-
-    def spy(kind, fn):
-        sig = inspect.signature(fn)
-
-        def inner(*args, **kwargs):
-            seen[kind].append(sig.bind(*args, **kwargs).arguments["fail_prob"])
-            return fn(*args, **kwargs)
-        return inner
-
-    for name in ("streaming_quantile", "accepted_band_mean"):
-        monkeypatch.setattr(streaming, name, spy("estimate", getattr(streaming, name)))
-    monkeypatch.setattr(streaming, "sample_top_eigenvector_streaming",
-                        spy("certificate", streaming.sample_top_eigenvector_streaming))
-    pool, _spec = _spiked_pool()
-    res, _stats = _solve_pool(pool)
-    assert res.status is PcaStatus.ACCEPTED and res.filters_created >= 1
-    estimates, certificates = seen["estimate"], seen["certificate"]
-    # The prologue's two shares, then at least a quantile, a trimmed mean,
-    # the opening mean and one round mean.
-    estimates = [failure_share(1), failure_share(2)] + estimates
-    assert len(estimates) >= 6 and len(certificates) >= 2
-    assert estimates == [failure_share(j) for j in range(1, len(estimates) + 1)]
-    assert certificates == [failure_share(i) for i in range(1, len(certificates) + 1)]
-    assert sum(estimates) <= CERT_FAILURE_PROB / 2
-    assert sum(certificates) <= CERT_FAILURE_PROB / 2
-
-
 def _prologue_block(eps):
     """The prologue's block size at eps > 0, from its rule: the larger of the
     prune cut's and the opnorm bracket's blocks at the first two shares."""
@@ -516,11 +488,12 @@ def test_prologue_draws_exactly_one_block(eps, monkeypatch):
     pool, _spec = _spiked_pool()
     src = BudgetedSource(ReplaySource(pool, mode="cycle"), 10 ** 9)
     suite = MinibatchEstimators(src, AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
-    suite.prologue()
+    shares = _rep_shares()
+    suite.prologue(shares)
     if eps == 0:
-        assert src.delivered == 0 and suite._fail_prob() == failure_share(1)
+        assert src.delivered == 0 and next(shares) == failure_share(1)
         return
-    assert src.delivered == _prologue_block(eps) == 15_776
+    assert src.delivered == _prologue_block(eps) == 13_280
     seen = []
     quantile = streaming.streaming_quantile
 
@@ -530,10 +503,10 @@ def test_prologue_draws_exactly_one_block(eps, monkeypatch):
 
     monkeypatch.setattr(streaming, "streaming_quantile", spy)
     suite.start_iteration(np.eye(8)[0])
-    suite.quantile_value(0.09)
-    suite.sigma_trimmed(20.0)
+    suite.quantile_value(0.09, shares)
+    suite.sigma_trimmed(20.0, shares)
     assert seen == [failure_share(3)]
-    assert suite._fail_prob() == failure_share(5)
+    assert next(shares) == failure_share(5)
 
 
 @pytest.mark.parametrize("eps", [0.03])
@@ -543,7 +516,7 @@ def test_prologue_reads_both_answers_from_one_block(eps):
     pool, _spec = _spiked_pool()
     suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                 AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
-    sigma_op, _delta = suite.prologue()
+    sigma_op, _delta = suite.prologue(_rep_shares())
     m = _prologue_block(eps)
     rows = ReplaySource(pool, mode="cycle").draw(m)
     g = np.einsum("ij,ij->i", rows, rows)
@@ -562,7 +535,7 @@ def test_prune_cut_lands_within_a_sixth_of_eps():
         pool, _spec = _spiked_pool(rate=0.035, seed=seed)
         suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                     AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
-        suite.prologue()
+        suite.prologue(_rep_shares())
         sq, radius_sq = np.einsum("ij,ij->i", pool, pool), suite.stack.prune_radius_sq
         assert np.mean(sq > radius_sq) < 7 * eps / 6, seed
         assert np.mean(sq >= radius_sq * (1 - 1e-12)) > 5 * eps / 6, seed
@@ -583,7 +556,7 @@ def test_prune_keeps_a_generic_atom_at_its_cut():
         pool[rng.random(20_000) < 0.035] = atom
         suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                     AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
-        suite.prologue()
+        suite.prologue(_rep_shares())
         row = atom[None]
         assert suite.stack.prune_radius_sq == np.einsum("ij,ij->i", row, row)[0], seed
         assert suite.stack.weights(row)[0], seed
@@ -629,12 +602,12 @@ def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
     seen = []
     prologue, certificate = MinibatchEstimators.prologue, MinibatchEstimators.certificate
 
-    def spy_prologue(self):
+    def spy_prologue(self, shares):
         seen.append((self.ledger, self.ledger.current))
-        return prologue(self)
+        return prologue(self, shares)
 
-    def reject(self, fail_prob, rng, rng_dir):
-        return dataclasses.replace(certificate(self, fail_prob, rng, rng_dir),
+    def reject(self, shares, rng, rng_dir):
+        return dataclasses.replace(certificate(self, shares, rng, rng_dir),
                                    accepted=False)
 
     monkeypatch.setattr(MinibatchEstimators, "prologue", spy_prologue)
@@ -749,13 +722,14 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
 # -- the driver direction riding the certificate's chain --------------------------
 
 def _rider_suite():
-    """A prologued suite at eps = gamma / 20 whose first certificate rejects."""
+    """A prologued suite at eps = gamma / 20 whose first certificate rejects,
+    and the rest of its rep's shares."""
     pool, _spec = _spiked_pool(d=20, rows=20_000, rate=0.035)
     src = ReplaySource(pool, mode="cycle")
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
-    suite = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
-    suite.prologue()
-    return pool, src, cfg, suite
+    suite, shares = MinibatchEstimators(src, cfg, 1.5, ScalarLedger()), _rep_shares()
+    suite.prologue(shares)
+    return pool, src, cfg, suite, shares
 
 
 def _chain_rows(monkeypatch):
@@ -782,7 +756,7 @@ def test_driver_direction_rides_the_certificate_chain(monkeypatch, t):
     # each direction none. It equals a p-step chain from the same start on
     # a twin pool, over that certificate chain's own minibatches.
     chain_rows = _chain_rows(monkeypatch)
-    pool, src, cfg, suite = _rider_suite()
+    pool, src, cfg, suite, shares = _rider_suite()
     d, b = pool.shape[1], BATCH_SIZE_CAP
     p = power_chain_length(d, cfg.gamma, START_FAILURE)
     assert p == 2
@@ -790,7 +764,7 @@ def test_driver_direction_rides_the_certificate_chain(monkeypatch, t):
     rng_cert, rng_dir, ref = rng_stream(0, 0, 1), rng_stream(0, 0, 2), rng_stream(0, 0, 2)
     for i in range(1, t + 1):
         start = src.delivered
-        cand = suite.certificate(failure_share(i), rng_cert, rng_dir)
+        cand = suite.certificate(shares, rng_cert, rng_dir)
         before = src.delivered
         v = suite.direction(rng_dir, cand.rider)
         assert src.delivered == before
@@ -820,15 +794,16 @@ def test_the_rider_is_booked_until_the_direction_takes_it(monkeypatch):
         return real(draw, *args, ledger=ledger, **kwargs)
 
     monkeypatch.setattr(certificate, "streaming_quantile", spy)
-    _pool, src, cfg, suite = _rider_suite()
+    _pool, src, cfg, suite, _shares = _rider_suite()
     d, held = 20, suite.ledger.current
-    m = streaming_quantile_samples(3 * cfg.eps, failure_share(1) / 3, certificate.TRIM_C_Q)
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_stream(0, 0, 2))
+    share = failure_share(3)
+    m = streaming_quantile_samples(3 * cfg.eps, share, certificate.TRIM_C_Q)
+    cand = suite.certificate(itertools.repeat(share), rng_stream(0, 0, 1), rng_stream(0, 0, 2))
     assert suite.ledger.current == held + d
     suite.direction(rng_stream(0, 0, 2), cand.rider)
     assert suite.ledger.current == held
     certificate.sample_top_eigenvector_streaming(
-        src, suite.stack, cfg.eps, cfg.gamma, failure_share(1), rng_stream(0, 0, 1),
+        src, suite.stack, cfg.eps, cfg.gamma, itertools.repeat(share), rng_stream(0, 0, 1),
         BATCH_SIZE_CAP, suite.ledger, 1.5)
     assert seen == [m + d, m]
 
@@ -850,9 +825,9 @@ def test_a_collapsed_rider_ends_the_rep(monkeypatch):
     # its own, and ``drive`` raises DegenerateStateError.
     import robustpca.driver as driver
 
-    pool, src, cfg, suite = _rider_suite()
+    pool, src, cfg, suite, shares = _rider_suite()
     rng_dir = _ZeroStarts()
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_dir)
+    cand = suite.certificate(shares, rng_stream(0, 0, 1), rng_dir)
     assert not cand.rider.any() and rng_dir.drawn == 1
     before = src.delivered
     assert suite.direction(rng_dir, cand.rider) is None
@@ -872,7 +847,8 @@ def test_no_direction_rides_at_eps_zero():
     pool, _spec = _spiked_pool(d=8, rows=20_000, rate=0.0)
     suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                 AlgoConfig(eps=0.0, gamma=0.6), 1.5, ScalarLedger())
-    suite.prologue()
+    shares = _rep_shares()
+    suite.prologue(shares)
     rng_dir = _ZeroStarts()
-    cand = suite.certificate(failure_share(1), rng_stream(0, 0, 1), rng_dir)
+    cand = suite.certificate(shares, rng_stream(0, 0, 1), rng_dir)
     assert cand.rider is None and rng_dir.drawn == 0
