@@ -233,14 +233,16 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
       bar. A stream acceptance thus implies that the exact test passes.
     - Completeness. If mu >= (1 + 2 eta) mu0, the mean reaches the bar, so
       a direction whose trimmed mean clears the band passes.
-    At eps = 0 cap = r^2 d rayleigh_emp / q, q = ``chain_quotient``(gamma), as
-    ``r_radius`` bounds every score by r^2 d lambda1
-    (``streaming.streaming_robust_pca``), and takes no share. Soundness holds
-    at any cap, as E[f; f <= cap] <= E[f]. Completeness needs every
-    score <= cap, met once rayleigh_emp >= q lambda1, the chain's success
-    event, whose share is spent; a miss only rejects. A B / mu0 that overflows
-    ends in DegenerateStateError. A zero rayleigh_emp gives the test no scale:
-    the candidate is rejected without a draw and reports sigma 0.
+    At eps = 0 sigma averages min(f, cap), cap = r^2 d rayleigh_emp / q,
+    q = ``chain_quotient``(gamma), as ``r_radius`` bounds every score by
+    r^2 d lambda1 (``streaming.streaming_robust_pca``); the cap takes no
+    share. Soundness holds at any cap, as E[min(f, cap)] <= E[f], and
+    completeness on the chain's success event, rayleigh_emp >= q lambda1,
+    whose share is spent; a broken promise costs the clip E[(f - cap)+], a
+    cut E[f; f > cap]. At eps > 0 the cap stays a cut, as a clip would let
+    3 eps of outliers add 3 eps cap. A B / mu0 that overflows ends in
+    DegenerateStateError. A zero rayleigh_emp gives the test no scale: the
+    candidate is rejected without a draw and reports sigma 0.
     """
     d = source.dim
 
@@ -267,6 +269,6 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
         cap = r_radius ** 2 * d * rayleigh_emp / chain_quotient(gamma)
     bar = (1.0 + eta) * mu0
     sigma = accepted_band_mean(source, stack, u, -math.inf, cap, next(shares), ledger,
-                               bar=bar, margin=eta)
+                               clip=tail == 0, bar=bar, margin=eta)
     return Candidate(u=u, rayleigh_emp=rayleigh_emp, sigma_robust=sigma,
                      accepted=sigma >= bar, rider=rider)

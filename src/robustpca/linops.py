@@ -172,18 +172,18 @@ def streamed_rayleigh(source: SampleSource, stack: FilterStack, block: np.ndarra
 
 def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
                        lo: float, hi: float, fail_prob: float, ledger: ScalarLedger,
-                       **question) -> float:
+                       clip: bool = False, **question) -> float:
     """Stream-mean estimate of E[w(x) f(x) 1(lo < f(x) <= hi)], f = (x.v)^2.
 
-    ``v`` must be a unit vector, so an accepted score is at most
-    B = min(hi, prune radius^2), the score bound of
-    ``estimators.stream_mean_estimate``, which takes the ``question`` (bar
-    and margin, or rel_tol and floor) as it is and sizes its rows from it
-    (``estimators.mean_ceiling``). Each chunk of at most
-    ``estimators.STREAM_CHUNK`` rows is booked and scored in one product
-    over all its rows, which costs less than gathering the accepted rows.
-    An accepted row has a finite squared norm, which bounds its score, so
-    only rejected rows can overflow or turn NaN here; their floating-point
+    With ``clip`` a score above ``hi`` counts as ``hi``, not 0. ``v`` must be
+    a unit vector, so an accepted score is at most B = min(hi, prune
+    radius^2), the score bound of ``estimators.stream_mean_estimate``, which
+    takes the ``question`` (bar and margin, or rel_tol and floor) as it is
+    and sizes its rows from it (``estimators.mean_ceiling``). Each chunk of
+    at most ``estimators.STREAM_CHUNK`` rows is booked and scored in one
+    product over all its rows, which costs less than gathering the accepted
+    rows. An accepted row has a finite squared norm, which bounds its score,
+    so only rejected rows can overflow or turn NaN here; their floating-point
     flags are muted and their scores are replaced by zeros before any sum.
     """
     def draw(k: int) -> np.ndarray:
@@ -192,6 +192,7 @@ def accepted_band_mean(source: SampleSource, stack: FilterStack, v: np.ndarray,
             keep = stack.weights(pts)
             with np.errstate(over="ignore", invalid="ignore"):
                 f = (pts @ v) ** 2
+                f = np.minimum(f, hi) if clip else f
             return np.where(keep & (f > lo) & (f <= hi), f, 0.0)
 
     return stream_mean_estimate(draw, fail_prob, score_bound=min(hi, stack.prune_radius_sq),

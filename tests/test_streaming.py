@@ -245,7 +245,7 @@ def test_stream_rejects_a_non_finite_radius_before_any_draw(r_radius, eps):
 
 def test_zero_eps_certificate_caps_scores_from_its_chain(monkeypatch):
     # At eps = 0 the prologue draws no row and keeps the infinite radius.
-    # The certificate's stream mean takes the band top hi = r^2 d
+    # The certificate's stream mean clips its scores at hi = r^2 d
     # rayleigh_emp / q, q = (1 - gamma / 2) / (1 + gamma / 2): the caller's
     # promise bounds every score by r^2 d lambda1, and the chain's quotient
     # reaches q lambda1 on its success event.
@@ -254,7 +254,7 @@ def test_zero_eps_certificate_caps_scores_from_its_chain(monkeypatch):
     seen, real = [], certificate.accepted_band_mean
 
     def spy(source, stack, v, lo, hi, *args, **kwargs):
-        seen.append((stack.prune_radius_sq, lo, hi))
+        seen.append((stack.prune_radius_sq, lo, hi, kwargs["clip"]))
         return real(source, stack, v, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(certificate, "accepted_band_mean", spy)
@@ -266,7 +266,23 @@ def test_zero_eps_certificate_caps_scores_from_its_chain(monkeypatch):
     cand = suite.certificate(shares, rng_stream(0, 0, 1), rng_stream(0, 0, 2))
     assert chain_quotient(0.2) == pytest.approx(0.9 / 1.1, rel=1e-15)
     cap = 1.5 ** 2 * 8 * cand.rayleigh_emp / chain_quotient(0.2)
-    assert seen == [(math.inf, -math.inf, cap)]
+    assert seen == [(math.inf, -math.inf, cap, True)]
+
+
+@pytest.mark.parametrize("d, r_radius", [(1, 2.0), (2, 1.5)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_small_clean_streams_accept_at_eps_zero(d, r_radius, seed):
+    # At small r^2 d the promise Pr[||X||^2 > r^2 d lambda1] = 0 is broken
+    # for a few percent of Gaussian rows (4.6% at d = 1, r = 2). The eps = 0
+    # certificate clips their scores at its cap instead of dropping them,
+    # which loses only E[(f - cap)+], so its mean still clears the bar. A
+    # cut lost E[f; f > cap] and never accepted these cells in 3,000,000 rows.
+    spec = InlierSpec(dim=d, diag=1.0, spikes=((0, 1.0),) if d > 1 else ())
+    res, stats = streaming_robust_pca(
+        tv_contaminated_source(spec, AdversarySpec(), rng_stream(seed, 7)), eps=0.0,
+        gamma=0.2, r_radius=r_radius, rng_seed=seed, max_samples=3_000_000)
+    assert res.status is PcaStatus.ACCEPTED and res.iterations == 1
+    assert stats.samples_consumed < 100_000
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
