@@ -221,16 +221,19 @@ def load_dataset(path: str | Path) -> tuple[np.ndarray, np.ndarray | None]:
             if not parts:
                 continue
             has_label = parts[0] in ("inlier", "outlier")
-            if labeled is None:
-                labeled = has_label
-            elif labeled != has_label:
-                raise ValueError(f"{path}:{lineno}: inconsistent label column")
-            if has_label:
-                labels.append(parts[0] == "inlier")
-                parts = parts[1:]
-            rows.append([float(v) for v in parts])
-            if len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: inconsistent dimension")
+            try:
+                if labeled is None:
+                    labeled = has_label
+                elif labeled != has_label:
+                    raise ValueError("inconsistent label column")
+                if has_label:
+                    labels.append(parts[0] == "inlier")
+                    parts = parts[1:]
+                rows.append([float(v) for v in parts])
+                if not parts or len(rows[-1]) != len(rows[0]):
+                    raise ValueError("inconsistent dimension" if parts else "no coordinates")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty dataset file")
     pts = np.asarray(rows, dtype=np.float64)

@@ -187,6 +187,18 @@ def test_dataset_file_rejects_ragged(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text, line, why", [
+    ("1.0 2.0\n3.0 x\n", 2, "could not convert string to float: 'x'"),
+    ("inlier\noutlier\n", 1, "no coordinates"),
+], ids=["non_numeric", "label_only"])
+def test_dataset_file_errors_name_their_line(tmp_path, text, line, why):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:{line}: {why}"
+
+
 def test_file_replay_source_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((12, 3))
