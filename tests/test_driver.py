@@ -366,6 +366,19 @@ def test_the_driver_docstring_lists_the_contract_methods():
     assert set(listed) == SUITE_METHODS
 
 
+def test_suites_and_the_docstring_agree_on_each_methods_parameters():
+    # Both suites take each contract method's parameters in the order its
+    # "- ``name(...)``" bullet lists them; a leading "_" only marks a
+    # parameter a suite ignores.
+    listed = dict(re.findall(r"^- ``(\w+)\(([^)]*)\)", driver.__doc__, flags=re.MULTILINE))
+    assert set(listed) == SUITE_METHODS
+    for name, params in listed.items():
+        want = [p.strip() for p in params.split(",") if p.strip()]
+        for suite_cls in (BatchEstimators, MinibatchEstimators):
+            got = list(inspect.signature(getattr(suite_cls, name)).parameters)[1:]
+            assert [p.lstrip("_") for p in got] == want, (suite_cls.__name__, name)
+
+
 class Recorder:
     """Forwards to a suite, noting each attribute read and each method call."""
 
