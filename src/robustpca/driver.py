@@ -157,8 +157,7 @@ class BatchEstimators:
 
     def mean_score(self, L: float, thr: float, _bound: float, _shares) -> float:
         f = self._scores
-        live = (f > L) & (f <= thr)
-        return float(np.sum(f[live])) / self.n
+        return float(np.sum(f[(f > L) & (f <= thr)])) / self.n
 
     def register_entry(self, entry: FilterEntry) -> None:
         keep = self._scores <= entry.threshold_sq
@@ -186,9 +185,7 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     (the filter's final mean), ``cutoff`` (its L), ``sigma`` (the trimmed
     variance) and ``t_hat`` (the trigger). ``robust_pca`` adds ``weights``.
     """
-    rng_cert = rng_stream(seed, rep, 1)
-    rng_dir = rng_stream(seed, rep, 2)
-    rng_filt = rng_stream(seed, rep, 3)
+    rng_cert, rng_dir, rng_filt = (rng_stream(seed, rep, i) for i in (1, 2, 3))
 
     d = suite.dim
     p = certificate.power_chain_length(d, cfg.gamma, certificate.START_FAILURE)
