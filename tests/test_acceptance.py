@@ -125,10 +125,10 @@ def test_04_potential_decrease_with_dense_shadow(monkeypatch):
     d, n = 16, 20_000
     eps, gamma = 1e-4, 0.002
     cfg = AlgoConfig(eps=eps, gamma=gamma, t_end=4)
-    # The bound's chain at gamma = 0.002 runs over a thousand steps (1,675 for
+    # The bound's chain at gamma = 0.002 runs over a thousand steps (1,377 for
     # the first certificate); this gate measures the filter, not the chain,
     # so it keeps the short length 2 ln(d / (gamma fail_prob)) it was set
-    # at: 26 steps for the first certificate.
+    # at: 24 steps for the first certificate.
     monkeypatch.setattr(certificate, "power_chain_length", lambda dim, g, fail_prob:
                         math.ceil(2 * math.log(dim / (g * fail_prob))))
     ratios = []

@@ -132,9 +132,11 @@ def test_chain_length_is_the_least_the_bound_proves(d, gamma, fail_prob):
 
 def test_chain_length_pinned_values():
     # The stream chain of ``stream_replay`` and acceptance 07, the first
-    # batch certificate of acceptance 02, and gamma = 1 at that share. One
-    # dimension needs no step, and gets the floor of 1.
+    # batch certificate of acceptance 02 at its share, 0.05, and at half of
+    # it, and gamma = 1 at that half. One dimension needs no step, and gets
+    # the floor of 1.
     assert power_chain_length(20, 0.6, 0.5) == 2
+    assert power_chain_length(50, 0.1, 0.05) == 33
     assert power_chain_length(50, 0.1, 0.025) == 39
     assert power_chain_length(50, 1.0, 0.025) == 4
     assert power_chain_length(1, 0.6, 0.5) == power_chain_length(1, 0.01, 1e-9) == 1
