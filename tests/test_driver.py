@@ -546,6 +546,7 @@ def test_a_rep_takes_each_share_once_in_call_order(monkeypatch, kind, eps):
     res, js, counts, leaves = _shares_by_call(monkeypatch, suite, cfg, 7 if kind == "batch" else 0)
     assert res.u is not None
     assert js == list(range(1, len(js) + 1))
+    assert [failure_share(j) for j in js] == [CERT_FAILURE_PROB / (j * (j + 1)) for j in js]
     assert sum(failure_share(j) for j in js) < CERT_FAILURE_PROB
     assert all(p in map(failure_share, js) for p in leaves) and len(set(leaves)) == len(leaves)
     if kind == "batch":
