@@ -15,8 +15,8 @@ failure shares (``failure_share``); each estimate that can fail takes the next.
   operator-norm bracket and the filter's additive slack, which only a filter
   reads (at eps = 0 the stream suite draws nothing and returns (0, 0)).
 - ``certificate(shares, rng, rng_dir) -> Candidate``: a candidate whose
-  judgement errs with at most the sum of the shares it takes. ``rng_dir`` is
-  what the iteration's ``direction`` call will be handed; at eps > 0 the
+  judgement errs with probability at most the sum of its shares. ``rng_dir``
+  is what the iteration's ``direction`` call will be handed; at eps > 0 the
   stream suite draws that direction's start from it and lets it ride the
   certificate's chain, and the batch suite ignores it.
 - ``direction(rng, rider)``: unit direction of power p =
