@@ -196,7 +196,7 @@ def sample_top_eigenvector_streaming(source: SampleSource, stack: FilterStack,
                                      rng_dir: np.random.Generator | None = None) -> Candidate:
     """Streaming candidate: every batch quantity becomes a minibatch estimate.
 
-    Each estimate that can fail takes the next of the rep's ``shares``
+    Each estimate that can fail takes the next of the solve's ``shares``
     (``driver.failure_share``) when it runs: the candidate's chain, the trim
     cutoff at eps > 0, and the robust mean.
 

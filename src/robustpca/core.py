@@ -158,15 +158,14 @@ class AlgoConfig:
     ``eps`` is the assumed corruption rate, in [0, 0.05] since
     20*eps <= gamma <= 1; ``gamma`` the stability slack (at least 20*eps;
     defaults to 20*eps, or 0.05 at eps = 0). ``t_end``, the number of
-    iterations of a ``driver.drive`` rep, is normally derived
+    iterations of a ``driver.drive`` solve, is normally derived
     (``t_end_for``) and only set here to override it.
     """
 
     eps: float = 0.0
     gamma: float | None = None
     t_end: int | None = None
-    boost_reps: int = 1
-    max_resident_scalars: int | None = None   # a stream rep's ledger limit
+    max_resident_scalars: int | None = None   # a stream solve's ledger limit
 
     def __post_init__(self):
         if not (0.0 <= self.eps <= 0.05):
@@ -183,7 +182,6 @@ class AlgoConfig:
                 f"20*{self.eps} = {20 * self.eps} > gamma = {self.gamma}"
             )
         # Each check is written so that NaN fails it.
-        check_int("boost_reps", self.boost_reps, 1)
         check_int("t_end", self.t_end, 1, optional=True)
         check_int("max_resident_scalars", self.max_resident_scalars, 0, optional=True)
 

@@ -1,4 +1,4 @@
-"""The shared driver loop, its boost wrapper, and the batch estimator suite.
+"""The shared driver loop and the batch estimator suite.
 
 Batch and streaming recovery share one control flow, ``drive``: prune, then
 iterations that each try to certify a candidate direction and, if that
@@ -8,7 +8,7 @@ an estimator suite, exact (``BatchEstimators``) or one-pass
 (``streaming.MinibatchEstimators``). A suite has a ``dim``, a filter
 ``stack``, whose ``prune_radius_sq`` is the filter's score range R (a unit
 direction scores a row at most its squared norm), and exactly these eight
-methods, all called by ``drive``. ``shares`` is the rep's one sequence of
+methods, all called by ``drive``. ``shares`` is the solve's one sequence of
 failure shares (``failure_share``); each estimate that can fail takes the next.
 
 - ``prologue(shares) -> (sigma_op, delta)``: prune; return the
@@ -64,19 +64,19 @@ __all__ = ["PcaStatus", "PcaResult", "robust_pca", "naive_pca"]
 FILTER_TRIGGER = 2.35     # T_hat = 2.35 * gamma * sigma_trimmed
 PRUNE_FACTOR = 10.0       # prune radius^2 = 10 * sigma_op * d / eps
 QUANTILE_FLOOR = 0.1      # L >= 0.1 * sigma_op / d for unit directions
-CERT_FAILURE_PROB = 0.1  # one rep's failure budget (``failure_share``)
+CERT_FAILURE_PROB = 0.1  # one solve's failure budget (``failure_share``)
 SAFE_EXPONENT = 200       # batch rows are solved in [2^-200, 2^200]
 
 
 def failure_share(j: int) -> float:
-    """CERT_FAILURE_PROB / (j (j + 1)), the j-th share of a rep's failure budget.
+    """CERT_FAILURE_PROB / (j (j + 1)), the j-th share of a solve's failure budget.
 
-    The one home of the failure argument. ``drive`` makes a rep's only
+    The one home of the failure argument. ``drive`` makes a solve's only
     share sequence, ``map(failure_share, itertools.count(1))``, and each
     estimate that can fail takes the next share when it runs, so none is
     held for one that never runs. As 1 / (j (j + 1)) = 1 / j - 1 / (j + 1),
-    the shares sum to less than CERT_FAILURE_PROB however many a rep takes:
-    by the union bound, which needs no independence, a rep whose estimates
+    the shares sum to less than CERT_FAILURE_PROB however many a solve takes:
+    by the union bound, which needs no independence, a solve whose estimates
     each fail with at most their share fails with at most CERT_FAILURE_PROB.
     """
     return CERT_FAILURE_PROB / (j * (j + 1))
@@ -167,15 +167,15 @@ class BatchEstimators:
         self.op = SecondMomentOp(self.op.rows[keep])
 
 
-def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaResult:
-    """Iterations t = 1, ..., t_end of one rep; returns a PcaResult (without timing).
+def drive(suite, cfg: AlgoConfig, seed: int | None, trace_sink=None) -> PcaResult:
+    """Iterations t = 1, ..., t_end of one solve; returns a PcaResult (without timing).
 
-    Each estimate takes the next of the rep's ``shares`` (``failure_share``);
+    Each estimate takes the next of the solve's ``shares`` (``failure_share``);
     the filter direction takes none, since only the certificate vouches for
     an ACCEPTED output and the filter's trigger is sound along any unit
-    direction. So a rep runs at most t_end certificates and registers at
+    direction. So a solve runs at most t_end certificates and registers at
     most t_end filters; ``iterations`` is the t of its last certificate, 0
-    if none ran.
+    if none ran. A ``seed`` of None is seed 0.
 
     ``trace_sink`` receives one event per rejected iteration, a dict with
     the keys ``t``, ``p`` (the direction's power, the stream certificate
@@ -185,7 +185,8 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
     (the filter's final mean), ``cutoff`` (its L), ``sigma`` (the trimmed
     variance) and ``t_hat`` (the trigger). ``robust_pca`` adds ``weights``.
     """
-    rng_cert, rng_dir, rng_filt = (rng_stream(seed, rep, i) for i in (1, 2, 3))
+    seed = 0 if seed is None else seed
+    rng_cert, rng_dir, rng_filt = (rng_stream(seed, 0, i) for i in (1, 2, 3))
 
     d = suite.dim
     p = certificate.power_chain_length(d, cfg.gamma, certificate.START_FAILURE)
@@ -244,33 +245,15 @@ def drive(suite, cfg: AlgoConfig, seed: int, rep: int, trace_sink=None) -> PcaRe
                      filters_created=len(suite.stack))
 
 
-def run_boosted(make_suite, eps: float, gamma: float | None,
-                config: AlgoConfig | None, rng_seed: int | None, trace_sink=None):
-    """Resolve the config, then ``drive`` fresh suites for up to boost_reps reps.
+def solve_config(eps: float, gamma: float | None, config: AlgoConfig | None) -> AlgoConfig:
+    """The one config a solve runs: ``config`` (default ``AlgoConfig()``) at ``eps``.
 
-    ``make_suite(cfg, held)`` builds the suite of one rep, which may book the
-    ``held`` scalars of the best earlier direction kept meanwhile. Returns
-    the first ACCEPTED result, or else the rep with the highest robust
-    variance.
+    A config's gamma belongs to the eps it was built with: at another eps
+    an unset gamma takes that eps's default. A ``gamma`` passed wins.
     """
-    # A config's gamma belongs to the eps it was built with: at another eps
-    # an unset gamma takes that eps's default.
     config = config if config is not None else AlgoConfig(eps=eps)
     keep = gamma is None and eps == config.eps
-    cfg = dc_replace(config, eps=eps, gamma=config.gamma if keep else gamma)
-    seed = 0 if rng_seed is None else rng_seed
-
-    best: PcaResult | None = None
-    for rep in range(cfg.boost_reps):
-        held = 0 if best is None or best.u is None else best.u.size
-        suite = make_suite(cfg, held)
-        result = drive(suite, cfg, seed, rep, trace_sink)
-        if result.status is PcaStatus.ACCEPTED:
-            best = result
-            break
-        if best is None or result.sigma_robust > best.sigma_robust:
-            best = result
-    return best
+    return dc_replace(config, eps=eps, gamma=config.gamma if keep else gamma)
 
 
 def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
@@ -278,21 +261,23 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
                trace_sink=None) -> PcaResult:
     """Recover a near-top variance direction from eps-corrupted batch data.
 
-    Returns the first certified candidate (status ACCEPTED), else the best
-    rejected one by robust variance over ``config.boost_reps`` reps with
-    fresh seeds (FALLBACK_BEST). Each event passed to ``trace_sink`` carries
-    the survivor mask after its iteration as ``weights``.
+    Returns the first certified candidate (status ACCEPTED), else the
+    rejected one of highest robust variance (FALLBACK_BEST). Each event
+    passed to ``trace_sink`` carries the survivor mask after its iteration
+    as ``weights``.
 
     When the median row's largest |entry| lies outside [2^-200, 2^200], where
     squared norms and matvecs over- or underflow, the solve runs exactly on a
     copy scaled by 2^-k into [1/2, 1), and the reported variances are scaled
     back by 4^k. The median, not the largest entry, sets the scale, so that a
     few outlier rows cannot flush the rest to zero. The rows' squared norms g
-    are computed once, here, for every rep's prologue, and spare the per-row
-    max/min pass when min g and max g lie in [4 d 2^-400, 2^398]: row by
-    row, peak^2 <= g <= d peak^2, so every peak, and so the median peak, then
-    lies in [2^-200, 2^200] and k = 0 (the factor 4 covers rounding).
+    are computed once, here, for the scale check and the prologue, and spare
+    the per-row max/min pass when min g and max g lie in [4 d 2^-400, 2^398]:
+    row by row, peak^2 <= g <= d peak^2, so every peak, and so the median
+    peak, then lies in [2^-200, 2^200] and k = 0 (the factor 4 covers
+    rounding).
     """
+    cfg = solve_config(eps, gamma, config)
     points = ds.points
     g = np.einsum("ij,ij->i", points, points)
     k = 0
@@ -303,20 +288,14 @@ def robust_pca(ds: WeightedDataset, eps: float, gamma: float | None = None,
             k = math.frexp(peak)[1]
             points = np.ldexp(points, -k)
             g = np.einsum("ij,ij->i", points, points)
-    suite: BatchEstimators | None = None
-
-    def fresh_suite(cfg: AlgoConfig, _held: int) -> BatchEstimators:
-        nonlocal suite
-        suite = BatchEstimators(points, cfg, g)
-        return suite
+    suite = BatchEstimators(points, cfg, g)
 
     def sink(event: dict) -> None:
         scaled = {key: float(np.ldexp(event[key], 2 * k))
                   for key in ("mean_score", "cutoff", "sigma", "t_hat") if key in event}
         trace_sink({**event, **scaled, "weights": suite.weights.copy()})
 
-    result = run_boosted(fresh_suite, eps, gamma, config, rng_seed,
-                         None if trace_sink is None else sink)
+    result = drive(suite, cfg, rng_seed, None if trace_sink is None else sink)
     result.sigma_robust = float(np.ldexp(result.sigma_robust, 2 * k))
     return result
 

@@ -87,8 +87,13 @@ class ReplaySource(SampleSource):
         # not. A pool in another memory order is copied once into C order, so
         # every draw hands its consumers C-ordered rows, view or copy.
         self._points = _read_only(points)
-        self._labels = None if labels is None else _read_only(
-            np.ascontiguousarray(labels, dtype=bool))
+        if labels is not None:
+            labels = np.ascontiguousarray(labels, dtype=bool)
+            if labels.shape != points.shape[:1]:
+                raise ValueError(f"replay labels must have shape ({points.shape[0]},), "
+                                 f"got {labels.shape}")
+            labels = _read_only(labels)
+        self._labels = labels
         self._mode = mode
         self._pos = 0
 

@@ -5,12 +5,12 @@ answered by a one-pass estimator: minibatch moment products for directions, a
 sampled block for quantiles, a sequential empirical-Bernstein mean
 (``estimators.stream_mean_estimate``) for score averages, whose rows its
 question sizes (``estimators.mean_ceiling``). Each estimate that can fail takes
-its share of the rep's failure budget (``driver.failure_share``). At eps = 0
+its share of the solve's failure budget (``driver.failure_share``). At eps = 0
 only certificates draw rows. The persistent state is the filter stack, one
 candidate vector, and transient buffers of ``estimators.STREAM_CHUNK`` rows and
 the minibatch block, whose sizes are set by the configuration, never by the
 stream length; a scalar ledger meters the high-water mark. ``driver.drive``
-registers at most one filter per iteration, so a rep's stack holds at most
+registers at most one filter per iteration, so a solve's stack holds at most
 t_end entries of d + 1 ledger scalars each.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificate import DECISION_MARGIN, Candidate, sample_top_eigenvector_streaming
 from .core import AlgoConfig, FilterEntry, FilterStack
-from .driver import FILTER_TRIGGER, run_boosted
+from .driver import FILTER_TRIGGER, drive, solve_config
 from .estimators import (opnorm_bracket, streaming_quantile, streaming_quantile_samples,
                           weighted_quantile)
 from .linops import accepted_band_mean, accepted_scores, unit
@@ -46,8 +46,8 @@ BATCH_SIZE_CAP = 4096
 # can land in, the first block's draw picks which, and with it whether a
 # solve costs one certificate or several. At tau = 1/2 that band, eps / 2
 # to 3 eps / 2, takes in every rate near eps; at 1/6 it is a sixth of eps
-# either side. The block is drawn once per rep (13,280 rows at eps = 0.03
-# and the rep's first failure share).
+# either side. The block is drawn once per solve (13,280 rows at eps = 0.03
+# and the solve's first failure share).
 PRUNE_ACCURACY = 1.0 / 6.0
 PRUNE_C_Q = 3.0 / PRUNE_ACCURACY ** 2
 
@@ -185,24 +185,16 @@ def streaming_robust_pca(source: SampleSource, eps: float, gamma: float | None,
 
     ``r_radius`` is the caller's bound with Pr[||X|| > r * sqrt(d * op-norm)]
     <= eps for the inlier distribution. Running out of ``max_samples`` ends
-    a rep with FALLBACK_BEST, or FAILED before its first certificate, and
-    never discards an earlier rep's result. Returns (PcaResult, StreamStats).
-    Each boost rep books its scalars on a fresh ledger, since its suite is
-    dropped when it ends, plus the earlier reps' best direction while it is
-    held; the reported peak is the largest rep's.
+    the solve with FALLBACK_BEST, or FAILED before its first certificate.
+    Returns (PcaResult, StreamStats): the rows this solve drew, and the peak
+    of its suite's scalar ledger.
     """
     src = BudgetedSource(source, max_samples) if max_samples is not None else source
-    ledgers = []
-
-    def fresh_suite(cfg: AlgoConfig, held: int) -> MinibatchEstimators:
-        ledgers.append(ScalarLedger(limit=cfg.max_resident_scalars))
-        ledgers[-1].alloc(held)
-        return MinibatchEstimators(src, cfg, r_radius, ledgers[-1])
-
-    result = run_boosted(fresh_suite, eps, gamma, config, rng_seed)
-    stats = StreamStats(
-        samples_consumed=src.delivered,
-        peak_resident_scalars=max(ledger.peak for ledger in ledgers),
-    )
-    return result, stats
+    cfg = solve_config(eps, gamma, config)
+    suite = MinibatchEstimators(src, cfg, r_radius,
+                                ScalarLedger(limit=cfg.max_resident_scalars))
+    before = src.delivered
+    result = drive(suite, cfg, rng_seed)
+    return result, StreamStats(samples_consumed=src.delivered - before,
+                               peak_resident_scalars=suite.ledger.peak)
 

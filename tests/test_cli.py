@@ -82,8 +82,7 @@ def test_config_sets_every_field():
     adversary = {"kind": "schatten_blind", "rate": 0.1, "spike_axis": 2,
                  "spike_multiplier": 3.0, "n_directions": 2, "hide_boost": 0.25,
                  "projection_rank": 2}
-    algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "boost_reps": 2,
-            "max_resident_scalars": 10**6}
+    algo = {"eps": 0.01, "gamma": 0.3, "t_end": 7, "max_resident_scalars": 10**6}
     top = {"mode": "BOTH", "baselines": ["ORACLE"], "seeds": [3, 4], "n": 700,
            "stream_budget": 9000, "r_radius": 1.5}
     config = ExperimentConfig.from_dict(
@@ -157,9 +156,11 @@ def test_missing_n_for_batch():
     # zero. The chain and threshold constants c_pi, c_cert and c_acc are
     # derived now, not set, the stream minibatch is a constant and the loop
     # has one level, so a config that still names one of them, batch_size
-    # or k_end, is an unknown key.
+    # or k_end, is an unknown key; so is boost_reps, as a solve runs the
+    # loop once.
     ({"algo": {"eps": 0.0, "gamma": 0.05, "t_end": 0}}, False),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "k_end": 0}}, False),
+    ({"algo": {"eps": 0.0, "gamma": 0.05, "boost_reps": 2}}, False),
     ({"mode": "STREAMING", "stream_budget": 100_000, "baselines": [],
       "algo": {"eps": 0.0, "gamma": 0.05, "batch_size": 0}}, True),
     ({"algo": {"eps": 0.0, "gamma": 0.05, "c_outer": 0}}, False),
@@ -188,7 +189,7 @@ def test_missing_n_for_batch():
         "adversary_spike_axis_negative", "adversary_spike_axis_past_dim",
         "schatten_blind_without_rank", "schatten_blind_rank_zero",
         "schatten_blind_rank_at_dim", "schatten_blind_rank_past_dim",
-        "t_end_zero", "k_end_zero", "batch_size_zero", "c_outer_zero",
+        "t_end_zero", "k_end_zero", "boost_reps_two", "batch_size_zero", "c_outer_zero",
         "c_inner_negative", "max_resident_scalars_negative", "c_pi_zero",
         "c_cert_negative", "c_acc_nan", "spike_multiplier_nan", "hide_boost_nan",
         "inlier_diag_nan", "spike_variance_nan", "r_radius_nan",
@@ -232,7 +233,7 @@ def _algo(**fields):
     minimal_config(baselines=["MAGIC"]),
     minimal_config(inlier={"dim": 5, "family": "cauchy"}),
     minimal_config(adversary={"kind": "teleport"}),
-    minimal_config(**_algo(boost_reps=True)),
+    minimal_config(**_algo(t_end=True)),
     minimal_config(seeds=[True]),
     minimal_config(seeds=[]),
     minimal_config(n=500.5),

@@ -145,8 +145,9 @@ def test_config_rejects_values_no_solve_can_use(field, value):
     # the stream minibatch is the constant streaming.BATCH_SIZE_CAP, so
     # AlgoConfig refuses them, batch_size included, at any value as unknown
     # keywords; so too k_end, as the driver runs one loop of t_end
-    # iterations. eps lies in [0, 0.05], since 20*eps <= gamma <= 1, and a
-    # larger one is refused as eps, not as the default gamma it implies.
+    # iterations, and boost_reps, as each solve runs that loop once. eps
+    # lies in [0, 0.05], since 20*eps <= gamma <= 1, and a larger one is
+    # refused as eps, not as the default gamma it implies.
     known = {f.name for f in dataclasses.fields(AlgoConfig)}
     error = ValueError if field in known else TypeError
     with pytest.raises(error, match=field):
@@ -225,6 +226,15 @@ def test_file_replay_source_round_trip(tmp_path):
 def test_replay_source_rejects_a_pool_without_rows(pool, mode):
     with pytest.raises(ValueError, match="non-empty"):
         ReplaySource(pool, mode=mode)
+
+
+@pytest.mark.parametrize("labels", [np.ones(5, bool), np.ones(11, bool), np.ones((10, 1), bool)],
+                         ids=["short", "long", "column"])
+def test_replay_source_rejects_labels_that_miss_a_row(labels):
+    # Short labels would ride along short of the rows drawn, then fail with
+    # a bare IndexError on the first wrapping draw.
+    with pytest.raises(ValueError, match="labels"):
+        ReplaySource(np.zeros((10, 3)), labels, mode="cycle")
 
 
 @pytest.mark.parametrize("max_samples", [0, 2.5, True, math.nan])

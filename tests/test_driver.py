@@ -80,7 +80,7 @@ def test_gamma_validation():
 
 @pytest.mark.parametrize("entry", ["batch", "stream"])
 @pytest.mark.parametrize("config, gamma, want", [
-    (AlgoConfig(t_end=1, boost_reps=2), None, 0.4),
+    (AlgoConfig(t_end=1), None, 0.4),
     (AlgoConfig(eps=0.02, gamma=0.8, t_end=1), None, 0.8),
     (AlgoConfig(t_end=1), 0.5, 0.5),
 ], ids=["unset", "built_at_eps", "passed"])
@@ -89,8 +89,10 @@ def test_config_gamma_belongs_to_its_eps(monkeypatch, entry, config, gamma, want
     # eps = 0.02 with no gamma of its own, the call takes that eps's default
     # 20 eps = 0.4, not the config's 0.05, which 20 eps would exceed. A
     # config built at the call's eps keeps its gamma, and a gamma passed on
-    # the call wins.
+    # the call wins. Each entry point calls ``drive`` by its own module's
+    # name for it, so the spy replaces both.
     import robustpca.driver as driver
+    import robustpca.streaming as streaming
 
     seen, real = [], driver.drive
 
@@ -99,6 +101,7 @@ def test_config_gamma_belongs_to_its_eps(monkeypatch, entry, config, gamma, want
         return real(suite, cfg, *args)
 
     monkeypatch.setattr(driver, "drive", spy)
+    monkeypatch.setattr(streaming, "drive", spy)
     pts, _labels, _sigma = spiked_instance(6, 2000, 0.02, seed=3)
     if entry == "batch":
         robust_pca(WeightedDataset(pts), eps=0.02, gamma=gamma, config=config, rng_seed=1)
@@ -120,13 +123,17 @@ def test_batch_direction_takes_one_start():
     assert rng.standard_normal() == ref.standard_normal()
 
 
-def test_fallback_when_certificate_cannot_pass():
-    # One iteration only and a rigged acceptance constant: the rejected
-    # candidate is still returned as the fallback.
-    pts, _labels, sigma = spiked_instance(10, 3000, 0.05, seed=5)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, boost_reps=2)
+def test_fallback_when_certificate_cannot_pass(monkeypatch):
+    # One iteration only and a rigged acceptance constant: an infinite f1,
+    # which no trimmed variance reaches, rejects the candidate, which is
+    # still returned as the fallback.
+    monkeypatch.setattr(certificate, "acceptance_factors",
+                        lambda eps, gamma: (math.inf, 0.25))
+    pts, _labels, _sigma = spiked_instance(10, 3000, 0.05, seed=5)
+    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1)
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, config=cfg, rng_seed=5)
-    assert res.status in (PcaStatus.FALLBACK_BEST, PcaStatus.ACCEPTED)
+    assert res.status is PcaStatus.FALLBACK_BEST
+    assert res.iterations == 1
     assert res.u is not None
 
 
@@ -345,13 +352,6 @@ def test_moment_camouflage_clears_average_case_bound():
     assert mean >= 1 / (1 + gamma) - 0.1
 
 
-def test_boost_reps_prefer_highest_robust_variance():
-    pts, _labels, _sigma = spiked_instance(8, 2000, 0.05, seed=13)
-    cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=1, boost_reps=3)
-    res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, config=cfg, rng_seed=13)
-    assert res.u is not None and res.sigma_robust >= 0
-
-
 @pytest.mark.parametrize("suite_cls", [BatchEstimators, MinibatchEstimators])
 def test_suites_define_exactly_the_contract_methods(suite_cls):
     public = {name for name, val in vars(suite_cls).items()
@@ -404,7 +404,7 @@ def test_drive_uses_only_the_suite_contract():
     cfg = AlgoConfig(eps=0.05, gamma=1.0)
     suite = Recorder(BatchEstimators(pts, cfg, np.einsum("ij,ij->i", pts, pts)))
     events = []
-    res = drive(suite, cfg, seed=7, rep=0, trace_sink=events.append)
+    res = drive(suite, cfg, seed=7, trace_sink=events.append)
     assert res.u is not None and any(not e["skipped"] for e in events)
     assert SUITE_METHODS - {"register_entry"} | {"dim", "stack"} <= suite.seen
     assert suite.seen <= SUITE_METHODS | {"dim", "stack"}
@@ -430,7 +430,7 @@ def test_each_direction_follows_its_iterations_certificate(kind):
     else:
         cfg = AlgoConfig(eps=0.03, gamma=0.6)
         suite = Recorder(_stream_suite(cfg))
-    res = drive(suite, cfg, seed=7 if kind == "batch" else 0, rep=0)
+    res = drive(suite, cfg, seed=7 if kind == "batch" else 0)
     assert res.u is not None
     names = [name for name, _args in suite.calls]
     assert "direction" in names and "register_entry" in names
@@ -466,7 +466,7 @@ def test_every_direction_runs_at_the_chain_length(monkeypatch, d, gamma):
     pts = rng_stream(0, 3).standard_normal((4 * d, d))
     cfg = AlgoConfig(eps=gamma / 20, gamma=gamma, t_end=2)
     events = []
-    drive(NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=0, rep=0,
+    drive(NeverAccepts(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=0,
           trace_sink=events.append)
     p = certificate.power_chain_length(d, gamma, certificate.START_FAILURE)
     assert p == {20: 2, 50: 14, 200: 2}[d]
@@ -490,13 +490,13 @@ def test_a_rejected_first_level_direction_draws_no_row():
         return v
 
     suite.direction = direction
-    res = drive(suite, cfg, seed=0, rep=0)
+    res = drive(suite, cfg, seed=0)
     assert res.status is PcaStatus.ACCEPTED
     assert drawn and drawn == [0] * len(drawn)
 
 
 def _shares_by_call(monkeypatch, suite, cfg, seed):
-    """Drive a Recorder-wrapped suite; return the j of every share the rep
+    """Drive a Recorder-wrapped suite; return the j of every share the solve
     took, with (method, shares it took) for every contract call in order,
     and the failure probabilities its stream quantiles and means ran at."""
     import robustpca.streaming as streaming
@@ -516,7 +516,7 @@ def _shares_by_call(monkeypatch, suite, cfg, seed):
     for module, name in ((streaming, "streaming_quantile"), (certificate, "streaming_quantile"),
                          (linops, "stream_mean_estimate")):
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
-    res = drive(suite, cfg, seed=seed, rep=0)
+    res = drive(suite, cfg, seed=seed)
     js = [arg for name, arg in suite.calls if name == "share"]
     counts = []
     for name, _args in suite.calls:
@@ -529,12 +529,12 @@ def _shares_by_call(monkeypatch, suite, cfg, seed):
 
 @pytest.mark.parametrize("kind, eps", [("stream", 0.03), ("stream", 0.0), ("batch", 0.05)])
 def test_a_rep_takes_each_share_once_in_call_order(monkeypatch, kind, eps):
-    # ``drive`` makes a rep's one share sequence, and each estimate that can
+    # ``drive`` makes a solve's one share sequence, and each estimate that can
     # fail takes the next share when it runs: a stream prologue two at
     # eps > 0 and none at eps = 0, a stream certificate one for its chain,
     # one for its trim at eps > 0 and one for its mean, each stream
     # quantile, trimmed mean and filter mean one, and a batch certificate
-    # one, for its chain. So the rep's shares are failure_share(1..J) in
+    # one, for its chain. So the solve's shares are failure_share(1..J) in
     # call order, each taken once, and they sum to less than the budget.
     if kind == "batch":
         pts, _labels, _sigma = spiked_instance(12, 3000, eps, seed=7)
@@ -582,7 +582,7 @@ def test_trace_events_carry_exactly_the_documented_keys(monkeypatch, kind, eps):
         robust_pca(WeightedDataset(pts), eps=eps, gamma=0.6, config=cfg, rng_seed=7,
                    trace_sink=events.append)
     else:
-        drive(_stream_suite(cfg), cfg, seed=0, rep=0, trace_sink=events.append)
+        drive(_stream_suite(cfg), cfg, seed=0, trace_sink=events.append)
     want = EVENT_KEYS | (FILTER_KEYS if eps > 0 else set())
     want |= {"weights"} if kind == "batch" else set()
     assert [(e["t"], e["skipped"]) for e in events] == [(1, eps == 0), (2, eps == 0)]
@@ -627,7 +627,7 @@ def test_a_direction_that_scores_every_survivor_zero_registers_no_entry():
     pts[:, -1] = 0.0
     cfg = AlgoConfig(eps=0.05, gamma=1.0, t_end=2)
     events = []
-    res = drive(Orthogonal(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=7, rep=0,
+    res = drive(Orthogonal(pts, cfg, np.einsum("ij,ij->i", pts, pts)), cfg, seed=7,
                 trace_sink=events.append)
     assert res.status is PcaStatus.FALLBACK_BEST and res.filters_created == 0
     assert len(events) == 2
@@ -660,7 +660,7 @@ def test_batch_means_are_exact_whatever_the_bound():
 
 def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
     # robust_pca computes the rows' squared norms once, for its scale check,
-    # and every boost rep's prologue reads them instead of recomputing.
+    # and its one suite's prologue reads them instead of recomputing.
     pts, _labels, _sigma = spiked_instance(12, 3000, 0.05, seed=7)
     seen = []
     real = BatchEstimators.__init__
@@ -671,13 +671,13 @@ def test_robust_pca_hands_its_squared_norms_to_the_prologue(monkeypatch):
 
     monkeypatch.setattr(BatchEstimators, "__init__", spy)
     # An infinite f1, which no trimmed variance reaches, rejects every
-    # candidate, so both reps run.
+    # candidate, so the solve runs to its end and builds one suite.
     monkeypatch.setattr(certificate, "acceptance_factors",
                         lambda eps, gamma: (math.inf, 0.25))
     res = robust_pca(WeightedDataset(pts), eps=0.05, gamma=1.0, rng_seed=3,
-                     config=AlgoConfig(t_end=1, boost_reps=2))
+                     config=AlgoConfig(t_end=1))
     assert res.status is PcaStatus.FALLBACK_BEST
-    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], np.einsum("ij,ij->i", pts, pts))
 
 
@@ -696,7 +696,7 @@ def test_batch_rows_are_the_masked_points_after_every_filter():
         filters.append(entry)
 
     suite.register_entry = register_and_check
-    drive(suite, cfg, seed=7, rep=0)
+    drive(suite, cfg, seed=7)
     assert filters and len(filters) == len(suite.stack)
 
 

@@ -48,8 +48,8 @@ from robustpca.streaming import (
 )
 
 
-def _rep_shares():
-    """A rep's one share sequence, as ``driver.drive`` makes it."""
+def _solve_shares():
+    """A solve's one share sequence, as ``driver.drive`` makes it."""
     return map(failure_share, itertools.count(1))
 
 
@@ -199,7 +199,7 @@ def test_zero_eps_runs_no_filter_step(monkeypatch):
     spec = InlierSpec(dim=6, diag=1.0, spikes=((0, 4.0),))
     source = tv_contaminated_source(spec, AdversarySpec(), rng_stream(9, 1))
     suite = MinibatchEstimators(source, AlgoConfig(eps=0.0, gamma=0.4), 1.5, ScalarLedger())
-    assert suite.prologue(_rep_shares()) == (0.0, 0.0)
+    assert suite.prologue(_solve_shares()) == (0.0, 0.0)
     assert suite.stack.prune_radius_sq == math.inf and source.delivered == 0
 
     called, certs = [], []
@@ -260,7 +260,7 @@ def test_zero_eps_certificate_caps_scores_from_its_chain(monkeypatch):
     monkeypatch.setattr(certificate, "accepted_band_mean", spy)
     src = ReplaySource(_spiked_pool(d=8, rows=20_000, rate=0.0)[0], mode="cycle")
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.0, gamma=0.2), 1.5, ScalarLedger())
-    shares = _rep_shares()
+    shares = _solve_shares()
     suite.prologue(shares)
     assert src.delivered == 0
     cand = suite.certificate(shares, rng_stream(0, 0, 1), rng_stream(0, 0, 2))
@@ -360,7 +360,7 @@ def test_stream_sigma_trimmed_settles_to_its_precision():
     pool, _spec = _spiked_pool(d=20, rows=20_000)
     src = ReplaySource(pool, mode="cycle")
     suite = MinibatchEstimators(src, AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
-    shares = _rep_shares()
+    shares = _solve_shares()
     _sigma_op, delta = suite.prologue(shares)
     v = np.eye(20)[0]
     assert suite.start_iteration(v) is None
@@ -410,7 +410,7 @@ def test_stream_filter_decisions_equal_the_exact_ones(seed):
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
     src = ReplaySource(pool, mode="cycle")
     stream = MinibatchEstimators(src, cfg, 1.5, ScalarLedger())
-    shares, none = _rep_shares(), iter(())
+    shares, none = _solve_shares(), iter(())
     _sigma_op, delta = stream.prologue(shares)
     exact = BatchEstimators(pool, cfg, np.einsum("ij,ij->i", pool, pool))
     exact.prologue(none)
@@ -496,7 +496,7 @@ def _prologue_block(eps):
 
 @pytest.mark.parametrize("eps", [0.0, 0.03])
 def test_prologue_draws_exactly_one_block(eps, monkeypatch):
-    # One block, sized by its rule, at the rep's first two failure shares,
+    # One block, sized by its rule, at the solve's first two failure shares,
     # and none at eps = 0, where no share is taken; the prologue draws no
     # other row, and the next estimate takes the next share.
     import robustpca.streaming as streaming
@@ -504,7 +504,7 @@ def test_prologue_draws_exactly_one_block(eps, monkeypatch):
     pool, _spec = _spiked_pool()
     src = BudgetedSource(ReplaySource(pool, mode="cycle"), 10 ** 9)
     suite = MinibatchEstimators(src, AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
-    shares = _rep_shares()
+    shares = _solve_shares()
     suite.prologue(shares)
     if eps == 0:
         assert src.delivered == 0 and next(shares) == failure_share(1)
@@ -532,7 +532,7 @@ def test_prologue_reads_both_answers_from_one_block(eps):
     pool, _spec = _spiked_pool()
     suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                 AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
-    sigma_op, _delta = suite.prologue(_rep_shares())
+    sigma_op, _delta = suite.prologue(_solve_shares())
     m = _prologue_block(eps)
     rows = ReplaySource(pool, mode="cycle").draw(m)
     g = np.einsum("ij,ij->i", rows, rows)
@@ -551,7 +551,7 @@ def test_prune_cut_lands_within_a_sixth_of_eps():
         pool, _spec = _spiked_pool(rate=0.035, seed=seed)
         suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                     AlgoConfig(eps=eps, gamma=0.6), 1.5, ScalarLedger())
-        suite.prologue(_rep_shares())
+        suite.prologue(_solve_shares())
         sq, radius_sq = np.einsum("ij,ij->i", pool, pool), suite.stack.prune_radius_sq
         assert np.mean(sq > radius_sq) < 7 * eps / 6, seed
         assert np.mean(sq >= radius_sq * (1 - 1e-12)) > 5 * eps / 6, seed
@@ -572,7 +572,7 @@ def test_prune_keeps_a_generic_atom_at_its_cut():
         pool[rng.random(20_000) < 0.035] = atom
         suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                     AlgoConfig(eps=0.03, gamma=0.6), 1.5, ScalarLedger())
-        suite.prologue(_rep_shares())
+        suite.prologue(_solve_shares())
         row = atom[None]
         assert suite.stack.prune_radius_sq == np.einsum("ij,ij->i", row, row)[0], seed
         assert suite.stack.weights(row)[0], seed
@@ -591,49 +591,73 @@ def test_non_finite_column_above_eps_rate(bad):
     assert res.filters_created >= 1
 
 
-def test_budget_exhausted_in_later_rep_keeps_earlier_rep():
-    pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
+def test_budget_exhausted_in_the_prologue_fails():
     # One row short of the prologue's block, which the prune cut sizes at
-    # the rep's first failure share.
-    prologue = _prologue_block(0.03)
-    for budget in (900_000, prologue - 1):
-        one, two = (_solve_pool(pool, rng_seed=1, max_samples=budget,
-                                config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=reps))[0]
-                    for reps in (1, 2))
-        assert two.status is one.status
-        assert two.iterations == one.iterations
-        assert two.sigma_robust == one.sigma_robust
-        if one.u is None:
-            assert two.u is None
-        else:
-            np.testing.assert_array_equal(two.u, one.u)
-    # The budget runs out in the prologue: no certificate ever ran.
-    assert one.status is PcaStatus.FAILED and one.iterations == 0
+    # the solve's first failure share: no certificate ever runs.
+    pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
+    block = _prologue_block(0.03)
+    res, stats = _solve_pool(pool, rng_seed=1, max_samples=block - 1)
+    assert res.status is PcaStatus.FAILED
+    assert res.iterations == 0 and res.u is None
+    assert stats.samples_consumed < block
 
 
-def test_each_boost_rep_starts_with_an_empty_ledger(monkeypatch):
-    # Every certificate is rejected, so all three reps run and each books its
-    # candidate vector and a filter; none of that may count against the next,
-    # but the best direction held from the earlier reps (d = 8) does.
+def _rejecting_certificates(monkeypatch):
+    """Make every stream certificate reject; return the candidates, in order."""
+    seen, real = [], MinibatchEstimators.certificate
+
+    def reject(self, shares, rng, rng_dir):
+        seen.append(dataclasses.replace(real(self, shares, rng, rng_dir), accepted=False))
+        return seen[-1]
+
+    monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
+    return seen
+
+
+def test_budget_exhausted_after_rejections_returns_the_best_rejected(monkeypatch):
+    # Every certificate rejects until the budget runs out mid-iteration; the
+    # solve then returns the rejected candidate of highest robust variance.
+    seen = _rejecting_certificates(monkeypatch)
+    pool, _spec = _spiked_pool(d=12, rows=100_000, rate=0.03, seed=1)
+    res, stats = _solve_pool(pool, rng_seed=1, max_samples=900_000)
+    assert res.status is PcaStatus.FALLBACK_BEST
+    assert res.iterations == len(seen) >= 2
+    best = max(seen, key=lambda cand: cand.sigma_robust)
+    assert res.sigma_robust == best.sigma_robust
+    assert res.u.tobytes() == best.u.tobytes()
+    assert stats.samples_consumed <= 900_000
+
+
+def test_the_solve_books_one_ledger_from_zero(monkeypatch):
+    # The solve builds one suite, whose ledger is empty when its prologue
+    # starts and whose peak the solve reports.
     seen = []
-    prologue, certificate = MinibatchEstimators.prologue, MinibatchEstimators.certificate
+    prologue = MinibatchEstimators.prologue
 
     def spy_prologue(self, shares):
         seen.append((self.ledger, self.ledger.current))
         return prologue(self, shares)
 
-    def reject(self, shares, rng, rng_dir):
-        return dataclasses.replace(certificate(self, shares, rng, rng_dir),
-                                   accepted=False)
-
     monkeypatch.setattr(MinibatchEstimators, "prologue", spy_prologue)
-    monkeypatch.setattr(MinibatchEstimators, "certificate", reject)
+    _rejecting_certificates(monkeypatch)
     pool, _spec = _spiked_pool()
-    res, stats = _solve_pool(pool, config=AlgoConfig(eps=0.03, gamma=0.6, boost_reps=3,
-                                                      t_end=1))
+    res, stats = _solve_pool(pool, config=AlgoConfig(eps=0.03, gamma=0.6, t_end=1))
     assert res.status is PcaStatus.FALLBACK_BEST and res.filters_created >= 1
-    assert [current for _ledger, current in seen] == [0, 8, 8]
-    assert stats.peak_resident_scalars == max(ledger.peak for ledger, _c in seen)
+    [(ledger, current)] = seen
+    assert current == 0
+    assert stats.peak_resident_scalars == ledger.peak > 0
+
+
+def test_samples_consumed_counts_only_this_solves_rows():
+    # Solves on one reused source, without a budget, each report the rows
+    # they drew, not the source's lifetime count.
+    pool, _spec = _spiked_pool()
+    src = ReplaySource(pool, mode="cycle")
+    for _ in range(3):
+        before = src.delivered
+        _res, stats = streaming_robust_pca(src, eps=0.03, gamma=0.6, r_radius=1.5,
+                                           rng_seed=0)
+        assert stats.samples_consumed == src.delivered - before > 0
 
 
 def test_tracemalloc_peak_within_twice_ledger_peak():
@@ -739,11 +763,11 @@ def test_stream_helpers_restore_the_ledger(monkeypatch):
 
 def _rider_suite():
     """A prologued suite at eps = gamma / 20 whose first certificate rejects,
-    and the rest of its rep's shares."""
+    and the rest of its solve's shares."""
     pool, _spec = _spiked_pool(d=20, rows=20_000, rate=0.035)
     src = ReplaySource(pool, mode="cycle")
     cfg = AlgoConfig(eps=0.03, gamma=0.6)
-    suite, shares = MinibatchEstimators(src, cfg, 1.5, ScalarLedger()), _rep_shares()
+    suite, shares = MinibatchEstimators(src, cfg, 1.5, ScalarLedger()), _solve_shares()
     suite.prologue(shares)
     return pool, src, cfg, suite, shares
 
@@ -766,7 +790,7 @@ def _chain_rows(monkeypatch):
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_driver_direction_rides_the_certificate_chain(monkeypatch, t):
-    # The t-th direction's start, the t-th draw of rng_stream(seed, rep, 2),
+    # The t-th direction's start, the t-th draw of rng_stream(seed, 0, 2),
     # rides the whole chain of the t-th certificate, whose p = 2 steps are
     # the direction's power: each certificate draws (2 + 1) minibatches and
     # each direction none. It equals a p-step chain from the same start on
@@ -851,10 +875,10 @@ def test_a_collapsed_rider_ends_the_rep(monkeypatch):
 
     real = driver.rng_stream
     monkeypatch.setattr(driver, "rng_stream",
-                        lambda seed, rep, i: _ZeroStarts() if i == 2 else real(seed, rep, i))
+                        lambda seed, key, i: _ZeroStarts() if i == 2 else real(seed, key, i))
     fresh = MinibatchEstimators(ReplaySource(pool, mode="cycle"), cfg, 1.5, ScalarLedger())
     with pytest.raises(DegenerateStateError, match="collapsed"):
-        driver.drive(fresh, cfg, 0, 0)
+        driver.drive(fresh, cfg, 0)
 
 
 def test_no_direction_rides_at_eps_zero():
@@ -863,7 +887,7 @@ def test_no_direction_rides_at_eps_zero():
     pool, _spec = _spiked_pool(d=8, rows=20_000, rate=0.0)
     suite = MinibatchEstimators(ReplaySource(pool, mode="cycle"),
                                 AlgoConfig(eps=0.0, gamma=0.6), 1.5, ScalarLedger())
-    shares = _rep_shares()
+    shares = _solve_shares()
     suite.prologue(shares)
     rng_dir = _ZeroStarts()
     cand = suite.certificate(shares, rng_stream(0, 0, 1), rng_dir)
